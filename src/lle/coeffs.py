@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError, NumericError
+from .errors import ConsistencyError, DomainError
 from .specfun import (
     build_overlap_table,
+    clamp_unit,
     gauss_legendre,
     hermite_poly_normalized,
     lambda_ell,
@@ -195,18 +196,10 @@ def gram_matrix(n: int, xi: float) -> np.ndarray:
     return g
 
 
-def _clamp_spectrum(vals: np.ndarray, where: str) -> np.ndarray:
-    if np.any(vals < -CLAMP) or np.any(vals > 1.0 + CLAMP):
-        worst = vals[np.argmax(np.maximum(-vals, vals - 1.0))]
-        raise NumericError(f"{where}: eigenvalue {worst} outside [0,1] beyond "
-                           f"the {CLAMP} clamp window")
-    return np.clip(vals, 0.0, 1.0)
-
-
 def gram_spectrum(n: int, xi: float) -> GramSpectrum:
     g = gram_matrix(n, xi)
     vals = np.linalg.eigvalsh(g)[::-1]
-    vals = _clamp_spectrum(vals, f"gram_spectrum(n={n}, xi={xi})")
+    vals = clamp_unit(vals, CLAMP, f"gram_spectrum(n={n}, xi={xi})")
     trace_direct = float(np.trace(g))
     if abs(vals.sum() - trace_direct) > 1e-10:
         raise ConsistencyError(
@@ -219,7 +212,8 @@ _FIELD_CACHE: dict = {}
 
 
 def _grid_key(grid: XiGrid) -> tuple:
-    return (round(float(grid.cutoff), 12), grid.nodes.size)
+    # cutoff and panel width fix the panels, the node count their rule
+    return (round(float(grid.cutoff), 12), grid.panel_width, grid.nodes.size)
 
 
 def gram_eigen_field(n: int, grid: XiGrid) -> np.ndarray:
@@ -230,7 +224,7 @@ def gram_eigen_field(n: int, grid: XiGrid) -> np.ndarray:
     table = build_overlap_table(n, grid.nodes)
     mats = np.moveaxis(table.values, 2, 0)
     vals = np.linalg.eigvalsh(mats)[:, ::-1]
-    vals = _clamp_spectrum(vals, f"gram_eigen_field(n={n})")
+    vals = clamp_unit(vals, CLAMP, f"gram_eigen_field(n={n})")
     _FIELD_CACHE[key] = vals
     return vals
 

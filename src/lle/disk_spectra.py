@@ -22,16 +22,17 @@ from .errors import (
     CapabilityError,
     ConsistencyError,
     DomainError,
-    NumericError,
     WindowError,
 )
 from .landau import LevelSelector, MagneticSetup, p_selector
-from .specfun import gauss_legendre, laguerre
+from .specfun import clamp_unit, gauss_legendre, laguerre_sweep
 
 # eigenvalues may stray outside [0,1] by at most this much before we suspect
 # an assembly bug rather than quadrature noise
 _CLAMP = 1e-9
 _RANK_TOL = 1e-8
+# sectors per recurrence sweep: bounds the profile arrays to a few MiB
+_SECTOR_BLOCK = 256
 
 
 @dataclass
@@ -81,25 +82,39 @@ def sector_window(b: float, r_total: float, n: int) -> int:
     return int(math.ceil(x + 12.0 * math.sqrt(x + 1.0) + n + 20))
 
 
-def radial_profile(b: float, ell: int, k: int, r) -> np.ndarray:
-    """Radial factor of the level-ell angular-mode-k eigenfunction.
+def radial_profiles(a_max: int, kappa, x) -> np.ndarray:
+    """Radial factors of the Landau eigenfunctions in x = B r^2/2 coordinates.
 
-    Normalized so that the integral of R^2 r dr over [0, inf) is 1; modes
-    with ell + k < 0 are absent and return 0. Assembled in log space so
-    large |k| stays finite.
+    p_a(x) = sqrt(a!/(a+kappa)!) x^{kappa/2} e^{-x/2} L_a^{(kappa)}(x) for the
+    radial quantum numbers a = 0..a_max, stacked along a new leading axis
+    and all taken from one recurrence sweep; the angular weight kappa = |k|
+    broadcasts against x. Each p_a^2 integrates to 1 over x in [0, inf), so
+    sqrt(B) p_a(B r^2/2) is normalized against r dr. The magnitude factors
+    are assembled in log space so large kappa stays finite.
     """
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    n2 = ell + k
-    if n2 < 0:
-        return np.zeros_like(r)
-    nlt, ngt = min(ell, n2), max(ell, n2)
-    ak = abs(k)
-    x = 0.5 * b * r * r
-    log_norm = 0.5 * (gammaln(nlt + 1) - gammaln(ngt + 1)) + 0.5 * math.log(b)
+    kappa = np.asarray(kappa, dtype=float)
+    x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_mag = np.where(x > 0.0, 0.5 * ak * np.log(x), -np.inf if ak else 0.0)
-    lag = laguerre(nlt, ak, x).real
-    return lag * np.exp(log_mag - 0.5 * x + log_norm)
+        log_env = np.where(kappa > 0.0, 0.5 * kappa * np.log(x), 0.0) - 0.5 * x
+    a = np.arange(a_max + 1).reshape((-1,) + (1,) * log_env.ndim)
+    log_norm = 0.5 * (gammaln(a + 1.0) - gammaln(a + kappa + 1.0))
+    lag = np.stack(list(laguerre_sweep(a_max, kappa, x)))
+    return lag * np.exp(log_env + log_norm)
+
+
+def _level_profiles(levels: np.ndarray, ks: np.ndarray,
+                    x: np.ndarray) -> np.ndarray:
+    """Radial profiles of each level in each sector, shape (ks, levels, nodes).
+
+    Level ell enters sector k with radial quantum number min(ell, ell + k)
+    and angular weight |k|; `x` holds one row of nodes per sector. Levels
+    with ell + k < 0 are absent from the sector and get zero rows.
+    """
+    a = np.minimum(levels[None, :], levels[None, :] + ks[:, None])
+    prof = radial_profiles(int(levels[-1]), np.abs(ks)[:, None], x)
+    rows = prof[np.maximum(a, 0), np.arange(ks.size)[:, None]]
+    rows[a < 0] = 0.0
+    return rows
 
 
 def radial_sector_kernel(setup: MagneticSetup, selector: LevelSelector,
@@ -134,110 +149,65 @@ def sector_kernel_closed_form(setup: MagneticSetup, selector: LevelSelector,
                               k: int, r) -> np.ndarray:
     """Factorized sector kernel: rows R_{ell,k}(r_i)/sqrt(2pi) per level."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    rows = [radial_profile(setup.b, ell, k, r) for ell in selector.levels()]
-    return np.vstack(rows) / math.sqrt(2.0 * math.pi)
+    rows = _level_profiles(np.array(selector.levels()), np.array([k]),
+                           0.5 * setup.b * r[None, :] * r[None, :])[0]
+    return rows * math.sqrt(setup.b / (2.0 * math.pi))
 
 
 _GRAM_RULE = gauss_legendre(96, 0.0, 1.0)
 
 
-def _profile_x(ell: int, kappa: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Radial eigenfunction factor in x = B r^2/2 coordinates, log-stabilized.
-
-    For angular weight kappa = |k| and radial quantum number a: the product
-    of two such profiles integrates over x exactly like R R' r dr.
-    """
-    a = ell  # radial quantum number, already reduced by the caller
-    log_norm = 0.5 * (gammaln(a + 1) - gammaln(a + kappa + 1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_mag = np.where(x > 0.0, 0.5 * kappa * np.log(x), 0.0)
-        log_mag = np.where((x <= 0.0) & (kappa > 0), -np.inf, log_mag)
-    # explicit Laguerre sum with per-kappa binomials (a <= a few)
-    lag = np.zeros_like(x)
-    for j in range(a + 1):
-        lb = gammaln(a + kappa + 1) - gammaln(a - j + 1.0) - gammaln(kappa + j + 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xj = np.where(x > 0.0, j * np.log(x), 0.0 if j == 0 else -np.inf)
-        lag += (-1.0) ** j * np.exp(lb - gammaln(j + 1.0) + xj)
-    return lag * np.exp(log_mag + log_norm - 0.5 * x)
-
-
-def _gram_window(kappa: np.ndarray, x_cut: float):
-    half = 14.0 * np.sqrt(kappa + 1.0) + 30.0
-    lo = np.clip(kappa - half, 0.0, x_cut)
-    hi = np.clip(kappa + half, 0.0, x_cut)
+def _gram_window(kappa: np.ndarray, a_max: int, x_cut: float):
+    # profiles of radial quantum number a <= a_max oscillate between the
+    # turning points nu -+ sqrt(nu^2 - kappa^2), nu = kappa + 2 a_max + 1;
+    # past them they decay like a Gaussian of width sqrt(2 kappa + 1), or
+    # like e^{-x/2} when kappa is small
+    nu = kappa + 2 * a_max + 1.0
+    reach = np.sqrt(nu * nu - kappa * kappa)
+    pad = 6.0 * np.sqrt(2.0 * kappa + 1.0)
+    lo = np.clip(nu - reach - pad, 0.0, x_cut)
+    hi = np.clip(nu + reach + pad + 40.0, 0.0, x_cut)
     return lo, hi
 
 
-def _gram_entries_batch(l1: int, l2: int, k_arr: np.ndarray,
-                        x_cut: float) -> np.ndarray:
-    """Integral of R_{l1,k} R_{l2,k} r dr over the disk, per k (vectorized).
+def _sector_grams(selector: LevelSelector, ks: np.ndarray,
+                  x_cut: float) -> np.ndarray:
+    """Truncated-disk radial Gram matrices of sectors ks, shape (ks, m, m).
 
-    Windowed Gauss-Legendre quadrature of the positive-definite-width bell
-    x^kappa e^{-x} * (Laguerre products); cancellation-free, ~1e-14 absolute.
+    Entry (i, j) integrates R_{l_i,k} R_{l_j,k} r dr over the disk by windowed
+    Gauss-Legendre quadrature in x; the window depends only on |k|, so one
+    recurrence sweep per block of sectors serves every level pair. A level
+    absent from a sector keeps a decoupled diagonal entry of -1, which
+    eigvalsh sorts below every true eigenvalue.
     """
-    kf = np.asarray(k_arr, dtype=float)
-    kappa = np.abs(kf)
-    a1 = np.minimum(l1, l1 + kf)
-    a2 = np.minimum(l2, l2 + kf)
-    lo, hi = _gram_window(kappa, x_cut)
-    x = lo[:, None] + (hi - lo)[:, None] * _GRAM_RULE.nodes[None, :]
-    w = (hi - lo)[:, None] * _GRAM_RULE.weights[None, :]
-    out = np.zeros(kf.size)
-    # group by the (a1, a2) pattern; within a group the quantum numbers are
-    # constant and the profile evaluation vectorizes over k
-    for v1 in np.unique(a1):
-        for v2 in np.unique(a2):
-            sel = (a1 == v1) & (a2 == v2) & (l1 + kf >= 0) & (l2 + kf >= 0)
-            if not np.any(sel) or v1 < 0 or v2 < 0:
-                continue
-            kk = kappa[sel][:, None]
-            xx = x[sel]
-            p1 = _profile_x(int(v1), kk, xx)
-            p2 = p1 if (v1 == v2 and l1 == l2) else _profile_x(int(v2), kk, xx)
-            out[sel] = np.sum(w[sel] * p1 * p2, axis=1)
-    return out
+    levels = np.array(selector.levels())
+    grams = np.empty((ks.size, levels.size, levels.size))
+    for i0 in range(0, ks.size, _SECTOR_BLOCK):
+        kb = ks[i0:i0 + _SECTOR_BLOCK]
+        lo, hi = _gram_window(np.abs(kb).astype(float), int(levels[-1]), x_cut)
+        x = lo[:, None] + (hi - lo)[:, None] * _GRAM_RULE.nodes[None, :]
+        sqw = np.sqrt((hi - lo)[:, None] * _GRAM_RULE.weights[None, :])
+        rows = _level_profiles(levels, kb, x) * sqw[:, None, :]
+        g = rows @ rows.transpose(0, 2, 1)
+        sec, lev = np.nonzero(levels[None, :] + kb[:, None] < 0)
+        g[sec, lev, lev] = -1.0
+        grams[i0:i0 + kb.size] = g
+    return grams
 
 
 def sector_gram(setup: MagneticSetup, selector: LevelSelector, k: int,
                 r_total: float) -> tuple[list[int], np.ndarray]:
     """Active levels and their truncated-disk radial Gram matrix for mode k."""
-    levels = [ell for ell in selector.levels() if ell + k >= 0]
-    x_cut = 0.5 * setup.b * r_total * r_total
-    n = len(levels)
-    g = np.zeros((n, n))
-    karr = np.array([k])
-    for i in range(n):
-        for j in range(i, n):
-            g[i, j] = g[j, i] = float(
-                _gram_entries_batch(levels[i], levels[j], karr, x_cut)[0])
-    return levels, g
-
-
-def _gram_eigen_batch_nonneg(selector: LevelSelector, ks: np.ndarray,
-                             x_cut: float) -> np.ndarray:
-    """Gram eigenvalues for all sectors k >= 0 at once, shape (len(ks), n+1)."""
     levels = selector.levels()
-    n = len(levels)
-    g = np.zeros((ks.size, n, n))
-    for i, l1 in enumerate(levels):
-        for j in range(i, n):
-            vals = _gram_entries_batch(l1, levels[j], ks, x_cut)
-            g[:, i, j] = g[:, j, i] = vals
-    return np.linalg.eigvalsh(g)
+    present = [i for i, ell in enumerate(levels) if ell + k >= 0]
+    x_cut = 0.5 * setup.b * r_total * r_total
+    g = _sector_grams(selector, np.array([k]), x_cut)[0]
+    return [levels[i] for i in present], g[np.ix_(present, present)]
 
 
 def _radial_rule(b: float, r_total: float):
     n_nodes = 24 + 6 * int(math.ceil(math.sqrt(b) * r_total))
     return gauss_legendre(n_nodes, 0.0, r_total)
-
-
-def _clamp(vals: np.ndarray, where: str) -> np.ndarray:
-    if np.any(vals < -_CLAMP) or np.any(vals > 1.0 + _CLAMP):
-        worst = float(vals[np.argmax(np.maximum(-vals, vals - 1.0))])
-        raise NumericError(f"{where}: eigenvalue {worst} violates [0,1] beyond "
-                           f"the {_CLAMP} clamp")
-    return np.clip(vals, 0.0, 1.0)
 
 
 def disk_spectrum(setup: MagneticSetup, selector: LevelSelector,
@@ -264,24 +234,18 @@ def disk_spectrum(setup: MagneticSetup, selector: LevelSelector,
     boundary_top = 0.0
 
     if method == "gram":
-        ks = np.arange(0, kmax + 1)
-        vals = _gram_eigen_batch_nonneg(selector, ks, x_cut)
-        vals = _clamp(vals, "disk_spectrum[gram]")
-        for idx, k in enumerate(ks):
-            sector_vals = vals[idx]
-            keep = sector_vals[sector_vals >= cutoff]
-            dropped += sector_vals.size - keep.size
-            collected.append(keep)
-            if k == kmax:
-                boundary_top = float(sector_vals.max(initial=0.0))
-        for k in range(-n_top, 0):
-            levels, g = sector_gram(setup, selector, k, r_total)
-            if not levels:
-                continue
-            sv = _clamp(np.linalg.eigvalsh(g), "disk_spectrum[gram,k<0]")
-            keep = sv[sv >= cutoff]
-            dropped += sv.size - keep.size
-            collected.append(keep)
+        ks = np.arange(-n_top, kmax + 1)
+        vals = np.linalg.eigvalsh(_sector_grams(selector, ks, x_cut))
+        # the decoupled -1 entries of absent levels sort first
+        absent = np.count_nonzero(np.array(selector.levels()) + ks[:, None] < 0,
+                                  axis=1)
+        present = np.arange(selector.count)[None, :] >= absent[:, None]
+        vals = clamp_unit(np.where(present, vals, 0.0), _CLAMP,
+                          "disk_spectrum[gram]")
+        keep = present & (vals >= cutoff)
+        collected.append(vals[keep])
+        dropped = int(np.count_nonzero(present) - np.count_nonzero(keep))
+        boundary_top = float(vals[-1].max(initial=0.0))
     else:
         rule = _radial_rule(setup.b, r_total)
         sqw = np.sqrt(rule.weights * rule.nodes)
@@ -290,8 +254,8 @@ def disk_spectrum(setup: MagneticSetup, selector: LevelSelector,
             rows = sector_kernel_closed_form(setup, selector, k, rule.nodes)
             kern = rows.T @ rows  # kernel(k, r_i, r_j)
             mat = 2.0 * math.pi * (sqw[:, None] * kern * sqw[None, :])
-            sv = np.linalg.eigvalsh(mat)
-            sv = _clamp(sv, f"disk_spectrum[nystrom,k={k}]")
+            sv = clamp_unit(np.linalg.eigvalsh(mat), _CLAMP,
+                            f"disk_spectrum[nystrom,k={k}]")
             if np.count_nonzero(sv > _RANK_TOL) > n_rank:
                 raise ConsistencyError(
                     f"sector k={k}: more than {n_rank} eigenvalues above "
@@ -327,7 +291,6 @@ def lll_disk_eigenvalues(b: float, r: float, m_max: int,
     vals = gammainc(np.arange(1, m_max + 2, dtype=float), x)
     if validate:
         setup = MagneticSetup(b)
-        _, g = sector_gram(setup, LevelSelector.single(0), 0, r)
         worst = 0.0
         for m in range(min(m_max, 40) + 1):
             _, gm = sector_gram(setup, LevelSelector.single(0), m, r)

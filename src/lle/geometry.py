@@ -221,13 +221,6 @@ def arc_element(region: Region, theta):
     return float(out[0]) if scalar else out
 
 
-def region_accessors(region: Region, theta) -> dict:
-    """Boundary point, inward unit normal, and curvature at angle theta."""
-    return {"point": boundary_point(region, theta),
-            "inward_normal": inward_normal(region, theta),
-            "curvature": curvature(region, theta)}
-
-
 def scale_region(region: Region, factor: float) -> Region:
     if not factor > 0.0:
         raise DomainError(f"scale factor must be positive, got {factor}")

@@ -23,7 +23,12 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .landau import symplectic
-from .specfun import adaptive_quad, hermite_poly_normalized, laguerre
+from .specfun import (
+    adaptive_quad,
+    hermite_poly_normalized,
+    laguerre,
+    laguerre_sweep,
+)
 
 M_CAP = 8  # randomized suites stop here: all index-branch patterns occur by m = 8
 
@@ -314,6 +319,22 @@ def verify_laguerre_argument_maps(m: int, q: int, omega, xi: float,
 # special-function identities
 # ---------------------------------------------------------------------------
 
+def _laguerre_horner(ell: int, z: np.ndarray) -> np.ndarray:
+    """L_ell(z) for complex z by Horner on the explicit coefficients.
+
+    Kept apart from specfun.laguerre (the degree recurrence) because the
+    quadrature noise bound below is derived from this evaluation; the
+    recurrence changes which seeds of the suite pass without cutting the
+    failures to zero.
+    """
+    coeffs = [(-1.0) ** j / math.factorial(j) * math.comb(ell, ell - j)
+              for j in range(ell + 1)]
+    out = np.zeros_like(z, dtype=complex) + coeffs[ell]
+    for j in range(ell - 1, -1, -1):
+        out = out * z + coeffs[j]
+    return out
+
+
 def verify_hermite_identity(ell: int, xi: float, tau: float) -> VerifyResult:
     """Gaussian integral of a two-root Laguerre argument against Hermite pairs.
 
@@ -331,7 +352,7 @@ def verify_hermite_identity(ell: int, xi: float, tau: float) -> VerifyResult:
 
     def integrand(w):
         z = (w - 2j * xi) * (w - 2j * tau) / 2.0
-        return laguerre(ell, 0, z) * np.exp(-w * w / 4.0)
+        return _laguerre_horner(ell, z) * np.exp(-w * w / 4.0)
 
     # Horner cancellation inside the Laguerre polynomial caps the achievable
     # pointwise accuracy at ~eps * |z|^ell / ell!; hand that to the quadrature
@@ -416,12 +437,12 @@ def verify_christoffel_darboux(n: int, tau: float, taup: float) -> VerifyResult:
 def laguerre_sum_relation_error(n: int, t) -> float:
     """Pointwise error of sum_{l<=n} L_l = L_n^{(1)}, scaled to magnitude.
 
-    The alternating explicit sums cancel ~t^n/n!-sized terms down to O(1)
-    values on [0, 40], so the meaningful pointwise error is relative to the
-    cancellation mass sum_j |c_j| t^j, not to the tiny results.
+    The polynomials are O(1) on [0, 40] while their coefficient terms reach
+    ~t^n/n!, so the pointwise error is measured relative to the mass
+    sum_j |c_j| t^j of the L_n^{(1)} coefficients, not to the small results.
     """
     t = np.asarray(t, dtype=float)
-    total = sum(laguerre(ell, 0, t) for ell in range(n + 1))
+    total = sum(laguerre_sweep(n, 0, t))
     rel = laguerre(n, 1, t)
     mass = sum(math.comb(n + 1, n - j) / math.factorial(j) * t ** j
                for j in range(n + 1))

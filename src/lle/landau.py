@@ -94,19 +94,24 @@ def nu_from_mu(mu: float, b: float) -> int:
     return int(math.floor((mu / b - 1.0) / 2.0))
 
 
-def p_ell(setup: MagneticSetup, ell: int, x, y) -> complex:
-    """Kernel of the projection onto the ell-th Landau level.
-
-    (B/2pi) e^{-B|x-y|^2/4} L_ell(B|x-y|^2/2) e^{i B <x|Jy>/2}
-    """
+def _kernel(setup: MagneticSetup, ell: int, k: int, x, y) -> complex:
+    """(B/2pi) e^{-B|x-y|^2/4} L_ell^{(k)}(B|x-y|^2/2) e^{i B <x|Jy>/2}"""
     x = as_point(x)
     y = as_point(y)
     b = setup.b
     d2 = float(np.dot(x - y, x - y))
     radial = b / (2.0 * math.pi) * math.exp(-b * d2 / 4.0) \
-        * laguerre(ell, 0, b * d2 / 2.0).real
+        * laguerre(ell, k, b * d2 / 2.0)
     return radial * complex(math.cos(0.5 * b * symplectic(x, y)),
                             math.sin(0.5 * b * symplectic(x, y)))
+
+
+def p_ell(setup: MagneticSetup, ell: int, x, y) -> complex:
+    """Kernel of the projection onto the ell-th Landau level.
+
+    (B/2pi) e^{-B|x-y|^2/4} L_ell(B|x-y|^2/2) e^{i B <x|Jy>/2}
+    """
+    return _kernel(setup, ell, 0, x, y)
 
 
 def p_le_n(setup: MagneticSetup, n: int, x, y) -> complex:
@@ -116,14 +121,7 @@ def p_le_n(setup: MagneticSetup, n: int, x, y) -> complex:
     level sum; the functional relation itself is exercised by the identity
     suite.
     """
-    x = as_point(x)
-    y = as_point(y)
-    b = setup.b
-    d2 = float(np.dot(x - y, x - y))
-    radial = b / (2.0 * math.pi) * math.exp(-b * d2 / 4.0) \
-        * laguerre(n, 1, b * d2 / 2.0).real
-    return radial * complex(math.cos(0.5 * b * symplectic(x, y)),
-                            math.sin(0.5 * b * symplectic(x, y)))
+    return _kernel(setup, n, 1, x, y)
 
 
 def p_selector(setup: MagneticSetup, selector: LevelSelector, x, y) -> complex:

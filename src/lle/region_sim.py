@@ -9,7 +9,6 @@ boundary coefficients.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -17,13 +16,13 @@ import numpy as np
 
 from .coeffs import SpectralFunction
 from .disk_spectra import LocalSpectrum, disk_spectrum, entropy_from_spectrum
-from .errors import CapabilityError, ConsistencyError, DomainError, FitError
+from .errors import CapabilityError, DomainError, FitError
 from .geometry import Disk, Polygon, Region, SmoothStar, contains, region_to_json
 from .landau import LevelSelector, MagneticSetup
-from .specfun import gauss_legendre, laguerre
+from .specfun import clamp_unit, gauss_legendre, laguerre
 
 _DIM_GUARD = 6000
-_CLAMP_2D = 1e-6       # coarser than the disk solver: 2-D quadrature noise
+# coarser than the disk solver: 2-D quadrature noise
 _CLAMP_ABORT = 1e-4
 
 
@@ -147,23 +146,18 @@ def _polar_nodes(region: Region, L: float, n_radial: int, n_theta: int):
     return pts, w.ravel()
 
 
-def _laguerre_coeffs(selector: LevelSelector) -> np.ndarray:
-    ell = selector.index
-    k = 0 if selector.kind == "single" else 1
-    return np.array([(-1.0) ** j / math.factorial(j) * math.comb(ell + k, ell - j)
-                     for j in range(ell + 1)])
+def _selector_laguerre(selector: LevelSelector, arg):
+    # L_l for one level; sum_{l<=n} L_l = L_n^{(1)} for the levels up to n
+    return laguerre(selector.index, 0 if selector.kind == "single" else 1, arg)
 
 
-def _kernel_block(setup: MagneticSetup, lag_c: np.ndarray,
+def _kernel_block(setup: MagneticSetup, selector: LevelSelector,
                   pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarray:
     b = setup.b
     dx = pts_a[:, 0][:, None] - pts_b[:, 0][None, :]
     dy = pts_a[:, 1][:, None] - pts_b[:, 1][None, :]
     d2 = dx * dx + dy * dy
-    arg = 0.5 * b * d2
-    lag = np.full_like(arg, lag_c[-1])
-    for j in range(lag_c.size - 2, -1, -1):
-        lag = lag * arg + lag_c[j]
+    lag = _selector_laguerre(selector, 0.5 * b * d2)
     cross = pts_a[:, 0][:, None] * pts_b[:, 1][None, :] \
         - pts_a[:, 1][:, None] * pts_b[:, 0][None, :]
     return (b / (2.0 * math.pi) * np.exp(-0.25 * b * d2) * lag
@@ -176,14 +170,13 @@ def region_kernel_matrix(setup: MagneticSetup, selector: LevelSelector,
     """Weight-symmetrized kernel matrix on the polar rule, plus weights."""
     n_radial, n_theta = resolution or default_resolution(setup, region, L)
     pts, w = _polar_nodes(region, L, n_radial, n_theta)
-    lag_c = _laguerre_coeffs(selector)
     sq = np.sqrt(w)
     n = pts.shape[0]
     mat = np.empty((n, n), dtype=complex)
     block = max(1, 20_000_000 // max(n, 1))
     for i0 in range(0, n, block):
         i1 = min(n, i0 + block)
-        mat[i0:i1] = _kernel_block(setup, lag_c, pts[i0:i1], pts)
+        mat[i0:i1] = _kernel_block(setup, selector, pts[i0:i1], pts)
         mat[i0:i1] *= sq[i0:i1, None] * sq[None, :]
     return mat, pts, w
 
@@ -196,8 +189,8 @@ def region_spectrum(setup: MagneticSetup, selector: LevelSelector,
     """Eigenvalues of the localized projection by 2-D Nystrom discretization.
 
     Desk-scale guard on the matrix dimension; eigenvalues are clamped to
-    [0, 1] within a 1e-6 tolerance (quadrature noise), and violations beyond
-    1e-4 abort as assembly inconsistencies.
+    [0, 1] within a 1e-4 tolerance (quadrature noise), and violations beyond
+    it abort as assembly inconsistencies.
     """
     if isinstance(region, Polygon):
         raise CapabilityError("polygons are outside the Nystrom path")
@@ -208,12 +201,8 @@ def region_spectrum(setup: MagneticSetup, selector: LevelSelector,
             f"Nystrom dimension {dim} exceeds the guard {dim_guard}")
     mat, _, _ = region_kernel_matrix(setup, selector, region, L,
                                      (n_radial, n_theta))
-    vals = np.linalg.eigvalsh(mat)[::-1]
-    worst = float(max(-vals.min(initial=0.0), vals.max(initial=0.0) - 1.0, 0.0))
-    if worst > _CLAMP_ABORT:
-        raise ConsistencyError(
-            f"Nystrom eigenvalue violates [0,1] by {worst:.2e} (> {_CLAMP_ABORT})")
-    vals = np.clip(vals, 0.0, 1.0)
+    vals = clamp_unit(np.linalg.eigvalsh(mat)[::-1], _CLAMP_ABORT,
+                      "region_spectrum")
     keep = vals[vals >= cutoff]
     return LocalSpectrum(eigenvalues=keep, b=setup.b, selector=selector,
                          region=region_to_json(region), scale=L,
@@ -238,7 +227,6 @@ def region_trace_moment(setup: MagneticSetup, selector: LevelSelector,
     if m == 1:
         density = setup.b / (2.0 * math.pi) * selector.count
         return float(np.sum(w) * density)
-    lag_c = _laguerre_coeffs(selector)
     sq = np.sqrt(w)
     n = pts.shape[0]
     if m == 2:
@@ -246,7 +234,7 @@ def region_trace_moment(setup: MagneticSetup, selector: LevelSelector,
         block = max(1, 20_000_000 // max(n, 1))
         for i0 in range(0, n, block):
             i1 = min(n, i0 + block)
-            blk = _kernel_block(setup, lag_c, pts[i0:i1], pts)
+            blk = _kernel_block(setup, selector, pts[i0:i1], pts)
             blk *= sq[i0:i1, None] * sq[None, :]
             total += float(np.sum(np.abs(blk) ** 2))
         return total
@@ -274,19 +262,6 @@ def entropy_scaling_series(setup: MagneticSetup, selector: LevelSelector,
                          values=np.asarray(values),
                          meta={"alpha": alpha, "selector": selector.to_json(),
                                "B": setup.b, "region": {"type": "disk", "R": 1.0}})
-
-
-def moment_scaling_series(setup: MagneticSetup, selector: LevelSelector,
-                          region: Region, m: int, scales,
-                          resolution=None) -> ScalingSeries:
-    """tr P(L Lambda)^m against L through the 2-D Nystrom trace path."""
-    values = [region_trace_moment(setup, selector, region, float(L), m,
-                                  resolution=resolution)
-              for L in scales]
-    return ScalingSeries(scales=np.asarray(scales, dtype=float),
-                         values=np.asarray(values),
-                         meta={"f": f"monomial:{m}", "selector": selector.to_json(),
-                               "B": setup.b, "region": region_to_json(region)})
 
 
 def second_order_probe(setup: MagneticSetup, selector: LevelSelector,
@@ -319,7 +294,6 @@ def mc_cross_hs_norm(setup: MagneticSetup, selector: LevelSelector,
     a = region_area(big)
     b = setup.b
     rng = np.random.default_rng(seed)
-    lag_c = _laguerre_coeffs(selector)
     # tr P = (n+1) B |Lambda| / 2pi ; tr P^2 by MC with g ~ N(0, I/B)
     if isinstance(big, Polygon):
         v = big.vertex_array()
@@ -338,10 +312,7 @@ def mc_cross_hs_norm(setup: MagneticSetup, selector: LevelSelector,
         g = rng.normal(0.0, 1.0 / math.sqrt(b), size=(mcount, 2))
         y = x + g
         both = inside & contains(big, y)
-        arg = 0.5 * b * np.sum(g * g, axis=1)
-        lag = np.full_like(arg, lag_c[-1])
-        for j in range(lag_c.size - 2, -1, -1):
-            lag = lag * arg + lag_c[j]
+        lag = _selector_laguerre(selector, 0.5 * b * np.sum(g * g, axis=1))
         total += float(np.sum((lag ** 2)[both]))
         count += mcount
     # E over x uniform in box and g ~ N: tr P^2 = box * (B/2pi) * mean(lag^2 * 1_both)
@@ -349,14 +320,3 @@ def mc_cross_hs_norm(setup: MagneticSetup, selector: LevelSelector,
     tr_p = selector.count * b * a / (2.0 * math.pi)
     return tr_p - tr_p2
 
-
-def fit_report_json(series: ScalingSeries, fit: AsymptoticFit,
-                    predicted_slope: float | None = None) -> str:
-    report = {"series": {"L": [float(v) for v in series.scales],
-                         "value": [float(v) for v in series.values],
-                         "meta": series.meta},
-              "fit": fit.to_json()}
-    if predicted_slope is not None:
-        report["predicted_c1"] = predicted_slope
-        report["ratio"] = fit.c1 / predicted_slope if predicted_slope else None
-    return json.dumps(report, sort_keys=True)

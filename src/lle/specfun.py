@@ -101,31 +101,61 @@ def hermite_fn_table(nmax: int, t: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Generalized Laguerre polynomials (complex argument)
+# Generalized Laguerre polynomials and the [0, 1] eigenvalue clamp
 # ---------------------------------------------------------------------------
 
-def laguerre(ell: int, k: int, z):
-    """Generalized Laguerre polynomial L_ell^{(k)}(z) for complex z.
+def laguerre_sweep(ell: int, k, z):
+    """Yield L_0^{(k)}(z), ..., L_ell^{(k)}(z) by the forward recurrence.
 
-    Horner evaluation of the explicit binomial sum; the recurrence is avoided
-    because its stability for complex arguments is unverified and the sum is
-    short at the degrees used here.
+    (j+1) L_{j+1} = (2j+1+k-z) L_j - (j+k) L_{j-1} is stable in the degree
+    where the explicit alternating sum cancels catastrophically (z near k
+    with large k). The superscript k may be an array broadcasting against z;
+    real arguments give real values, complex ones complex values.
     """
     ell = int(ell)
-    k = int(k)
     if ell < 0:
         raise DomainError(f"degree must be >= 0, got {ell}")
-    if k < -ell:
-        raise DomainError(f"superscript {k} below -degree {-ell}")
-    coeffs = [(-1.0) ** j / math.factorial(j) * math.comb(ell + k, ell - j)
-              for j in range(ell + 1)]
+    k = np.asarray(k, dtype=float)
+    if np.any(k < -ell):
+        raise DomainError(f"superscript {k.min():g} below -degree {-ell}")
     z = np.asarray(z)
-    out = np.zeros_like(z, dtype=complex) + coeffs[ell]
-    for j in range(ell - 1, -1, -1):
-        out = out * z + coeffs[j]
-    if np.ndim(out) == 0:
-        out = complex(out)
-    return out
+    prev = np.ones(np.broadcast_shapes(k.shape, z.shape),
+                   dtype=np.result_type(z, k))
+    yield prev
+    if ell == 0:
+        return
+    cur = (1.0 + k) - z
+    yield cur
+    for j in range(1, ell):
+        nxt = ((2 * j + 1) + k - z) * cur
+        nxt -= (j + k) * prev
+        nxt /= j + 1
+        prev, cur = cur, nxt
+        yield cur
+
+
+def laguerre(ell: int, k, z):
+    """Generalized Laguerre polynomial L_ell^{(k)}(z), the last value of
+    `laguerre_sweep`; 0-d input gives a Python scalar."""
+    for val in laguerre_sweep(ell, k, z):
+        pass
+    return val if val.ndim else val.item()
+
+
+def clamp_unit(vals, slack: float, where: str) -> np.ndarray:
+    """Clip eigenvalues (any array shape) to [0, 1].
+
+    Values beyond [-slack, 1 + slack], or NaN, raise a NumericError naming
+    the worst one: past the caller's noise level a violation signals an
+    assembly fault, not roundoff to be absorbed.
+    """
+    vals = np.asarray(vals, dtype=float)
+    excess = np.maximum(-vals, vals - 1.0)
+    if np.any(~(excess <= slack)):
+        worst = float(vals.flat[np.argmax(excess)])
+        raise NumericError(f"{where}: eigenvalue {worst!r} violates [0,1] "
+                           f"beyond the {slack:g} clamp")
+    return np.clip(vals, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

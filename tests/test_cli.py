@@ -67,6 +67,14 @@ def test_spectrum_cross_solver_diff(capsys):
     assert res["count_diff"] == 0
 
 
+def test_spectrum_upto3_l40_exits_0(capsys):
+    code, out, err = run_cli(capsys, "spectrum", "--region", DISK, "--B", "1",
+                             "--levels", "upto:3", "--L", "40")
+    assert code == 0, err
+    eig = np.array(json.loads(out)["result"]["eigenvalues"])
+    assert np.all((eig >= 0.0) & (eig <= 1.0))
+
+
 def test_spectrum_polygon_nystrom_exits_3(capsys):
     code, _, err = run_cli(capsys, "spectrum", "--region", SQUARE, "--B", "1",
                            "--levels", "single:0", "--L", "2",

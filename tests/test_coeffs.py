@@ -263,7 +263,18 @@ def test_poly_boundary_coeff():
     assert cf.poly_boundary_coeff(1, 4) == pytest.approx(dense, abs=1e-9)
 
 
+def test_field_cache_keys_on_panel_layout():
+    # same cutoff and node count as the default grid, but other panels
+    f = cf.SpectralFunction.renyi(1.0)
+    wide = cf.xi_grid(3, panel_width=0.5, nodes_per_panel=32)
+    cf._FIELD_CACHE.clear()
+    fresh = cf._m_le_n_on_grid(3, f, wide)
+    cf._FIELD_CACHE.clear()
+    cf._m_le_n_on_grid(3, f, cf.xi_grid(3))
+    assert cf._m_le_n_on_grid(3, f, wide) == fresh
+
+
 def test_clamp_violation_aborts():
     from lle.errors import NumericError
     with pytest.raises(NumericError):
-        cf._clamp_spectrum(np.array([1.0 + 1e-8, 0.5]), "test")
+        sf.clamp_unit(np.array([1.0 + 1e-8, 0.5]), cf.CLAMP, "test")

@@ -76,6 +76,18 @@ def test_disk_spectrum_trace():
         assert spec.trace() == pytest.approx(expect, rel=1e-6)
 
 
+@pytest.mark.parametrize("n", range(11))
+def test_disk_spectrum_domain_sweep(n):
+    # every level up to the cap and every radius the windows allow: the
+    # sector eigenvalues stay inside the clamp and the trace identity holds
+    sel = LevelSelector.upto(n)
+    for r in (10.0, 40.0, 100.0):
+        spec = ds.disk_spectrum(SETUP, sel, r)
+        assert np.all((spec.eigenvalues >= 0.0) & (spec.eigenvalues <= 1.0))
+        expect = sel.count * SETUP.b * r * r / 2.0
+        assert spec.trace() == pytest.approx(expect, rel=1e-6)
+
+
 def test_disk_spectrum_lowest_level_value():
     # B R^2/2 = 1: top k=0 eigenvalue is 1 - e^{-1}
     r = math.sqrt(2.0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lle import specfun as sf
-from lle.errors import CapabilityError, DomainError
+from lle.errors import CapabilityError, DomainError, NumericError
 
 import oracles
 
@@ -93,6 +93,26 @@ def test_laguerre_against_explicit_sum():
 def test_laguerre_domain_error():
     with pytest.raises(DomainError):
         sf.laguerre(2, -3, 1.0)
+
+
+def test_laguerre_array_superscript_broadcasts():
+    k = np.array([[0.0], [3.0], [40.0]])
+    x = np.linspace(0.0, 50.0, 6)
+    vals = sf.laguerre(6, k, x)
+    assert vals.shape == (3, 6) and vals.dtype == float
+    for i, kk in enumerate((0, 3, 40)):
+        for j, xx in enumerate(x):
+            assert vals[i, j] == pytest.approx(
+                oracles.laguerre_explicit(6, kk, xx).real, rel=1e-11, abs=1e-9)
+
+
+def test_clamp_unit_names_worst_value_of_2d_array():
+    vals = np.array([[0.5, 1.0 + 3e-9], [-2e-3, 0.25]])
+    with pytest.raises(NumericError, match="-0.002"):
+        sf.clamp_unit(vals, 1e-9, "test")
+    inside = np.array([[-1e-10, 0.5], [1.0 + 1e-10, 0.0]])
+    np.testing.assert_array_equal(sf.clamp_unit(inside, 1e-9, "test"),
+                                  [[0.0, 0.5], [1.0, 0.0]])
 
 
 # ---------------------------------------------------------------------------
