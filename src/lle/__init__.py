@@ -3,22 +3,17 @@
 __version__ = "0.1.0"
 
 from .coeffs import (
-    GramSpectrum,
     SpectralFunction,
     coeff_M_ell,
     coeff_M_le_n,
-    gram_matrix,
-    gram_spectrum,
     poly_boundary_coeff,
     renyi_h,
-    trace_moment_K,
 )
 from .disk_spectra import (
     LocalSpectrum,
     disk_spectrum,
     entropy_from_spectrum,
     lll_disk_eigenvalues,
-    radial_sector_kernel,
     schatten_cross_norm,
 )
 from .errors import (
@@ -65,23 +60,19 @@ from .specfun import (
     hermite_fn,
     hermite_poly,
     laguerre,
-    lambda_ell,
-    overlap_lambda,
 )
 
 __all__ = [
     "AccuracyError", "AsymptoticFit", "CapabilityError", "ConsistencyError",
-    "Disk", "DomainError", "FitError", "GramSpectrum", "LevelSelector",
-    "LleError", "LocalSpectrum", "MagneticSetup", "NumericError", "Polygon",
+    "Disk", "DomainError", "FitError", "LevelSelector", "LleError",
+    "LocalSpectrum", "MagneticSetup", "NumericError", "Polygon",
     "QuadratureRule", "Region", "ScalingSeries", "SmoothStar",
     "SpectralFunction", "TranslateFamily", "UsageError", "WindowError",
     "__version__", "adaptive_quad", "coeff_M_ell", "coeff_M_le_n",
-    "disk_spectrum", "entropy_from_spectrum", "gauss_legendre", "gram_matrix",
-    "gram_spectrum", "hermite_fn", "hermite_poly", "intersect_translates_area",
-    "k_kernel", "laguerre", "lambda_ell", "lll_disk_eigenvalues",
-    "nu_from_mu", "overlap_lambda", "p_ell", "p_le_n", "poly_boundary_coeff",
-    "radial_sector_kernel", "region_from_json", "region_spectrum",
+    "disk_spectrum", "entropy_from_spectrum", "gauss_legendre", "hermite_fn",
+    "hermite_poly", "intersect_translates_area", "k_kernel", "laguerre",
+    "lll_disk_eigenvalues", "nu_from_mu", "p_ell", "p_le_n",
+    "poly_boundary_coeff", "region_from_json", "region_spectrum",
     "region_trace_moment", "renyi_h", "roccaforte_first_order",
     "roccaforte_second_order", "scaling_fit", "schatten_cross_norm",
-    "trace_moment_K",
 ]

@@ -144,6 +144,8 @@ def cmd_scaling(args) -> int:
         raise UsageError("entropy scaling runs use the disk sector solver")
     setup = MagneticSetup(args.B)
     selector = _parse_selector(args.levels)
+    if not args.L_step > 0.0:
+        raise UsageError(f"--L-step must be positive, got {args.L_step}")
     scales = np.arange(args.L_min, args.L_max + 1e-9, args.L_step)
     if scales.size < 3:
         raise UsageError("need at least 3 scales in the L range")

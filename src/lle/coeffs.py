@@ -3,27 +3,21 @@
 The rank-(n+1) truncated-Hermite operator is finite rank, so its nonzero
 spectrum equals the spectrum of the (n+1)x(n+1) overlap Gram matrix; the
 coefficient integrals reduce to a one-dimensional xi integration of spectral
-functionals of that matrix. Nystrom discretization of the integral kernel is
-kept only as a test oracle.
+functionals of that matrix, whose entries along a whole grid come from one
+overlap-table sweep. The per-xi adaptive-quadrature Gram matrix, its dual-route
+trace moments and the Nystrom discretization of the integral kernel are test
+oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError
-from .specfun import (
-    build_overlap_table,
-    clamp_unit,
-    gauss_legendre,
-    hermite_poly_normalized,
-    lambda_ell,
-    overlap_lambda,
-)
+from .errors import DomainError
+from .specfun import build_overlap_table, clamp_unit, gauss_legendre
 
 _TWO_PI = 2.0 * math.pi
 
@@ -126,11 +120,16 @@ def spectral_function_from_spec(spec: str) -> SpectralFunction:
     if spec == "gtilde":
         return SpectralFunction.gtilde()
     head, sep, arg = spec.partition(":")
-    if sep and head == "renyi":
-        return SpectralFunction.renyi(float(arg))
-    if sep and head == "monomial":
-        return SpectralFunction.monomial(int(arg))
-    raise DomainError(f"unknown spectral-function spec {spec!r}")
+    parse = {"renyi": float, "monomial": int}.get(head) if sep else None
+    if parse is None:
+        raise DomainError(f"unknown spectral-function spec {spec!r}")
+    try:
+        value = parse(arg)
+    except ValueError as exc:
+        raise DomainError(f"bad argument in spectral-function spec {spec!r}") from exc
+    if head == "renyi":
+        return SpectralFunction.renyi(value)
+    return SpectralFunction.monomial(value)
 
 
 # ---------------------------------------------------------------------------
@@ -173,39 +172,8 @@ def xi_grid(n: int, q: float = 1.0, c_holder: float = 1.0, tol: float = 1e-8,
 
 
 # ---------------------------------------------------------------------------
-# Gram matrix of the truncated-Hermite overlaps and its spectrum
+# Eigenvalue fields of the truncated-Hermite overlaps on a grid
 # ---------------------------------------------------------------------------
-
-@dataclass
-class GramSpectrum:
-    """Eigenvalues (clamped to [0,1]) of the rank-(n+1) operator at one xi."""
-
-    xi: float
-    eigenvalues: np.ndarray
-
-
-def gram_matrix(n: int, xi: float) -> np.ndarray:
-    """Overlap Gram matrix G[l, l'] = overlap_lambda(l, l', xi)."""
-    if n < 0:
-        raise DomainError(f"top level must be >= 0, got {n}")
-    g = np.empty((n + 1, n + 1))
-    for l1 in range(n + 1):
-        for l2 in range(l1, n + 1):
-            v = overlap_lambda(l1, l2, xi) if l1 != l2 else lambda_ell(l1, xi)
-            g[l1, l2] = g[l2, l1] = v
-    return g
-
-
-def gram_spectrum(n: int, xi: float) -> GramSpectrum:
-    g = gram_matrix(n, xi)
-    vals = np.linalg.eigvalsh(g)[::-1]
-    vals = clamp_unit(vals, CLAMP, f"gram_spectrum(n={n}, xi={xi})")
-    trace_direct = float(np.trace(g))
-    if abs(vals.sum() - trace_direct) > 1e-10:
-        raise ConsistencyError(
-            f"gram eigenvalue sum {vals.sum()} != trace {trace_direct}")
-    return GramSpectrum(xi=float(xi), eigenvalues=vals)
-
 
 # Cached spectral fields on integration grids. Key: (n, grid signature).
 _FIELD_CACHE: dict = {}
@@ -235,7 +203,8 @@ def lambda_field(ell: int, grid: XiGrid) -> np.ndarray:
     if key in _FIELD_CACHE:
         return _FIELD_CACHE[key]
     table = build_overlap_table(ell, grid.nodes)
-    vals = np.clip(table.values[ell, ell, :], 0.0, 1.0)
+    vals = clamp_unit(table.values[ell, ell, :], CLAMP,
+                      f"lambda_field(ell={ell})")
     _FIELD_CACHE[key] = vals
     return vals
 
@@ -299,52 +268,3 @@ def poly_boundary_coeff(ell: int, m: int) -> float:
     grid = xi_grid(ell)
     lam = lambda_field(ell, grid)
     return _integrate(grid, lam ** m - lam)
-
-
-# ---------------------------------------------------------------------------
-# Trace moments of the truncated operator (two independent routes)
-# ---------------------------------------------------------------------------
-
-def _lambda_le_1_integral(n: int, xi: float) -> float:
-    # trace via the confluent Christoffel-Darboux diagonal; independent of the
-    # level-sum route
-    def integrand(t):
-        hn = hermite_poly_normalized(n, t)
-        hn1 = hermite_poly_normalized(n + 1, t)
-        hn2 = hermite_poly_normalized(n + 2, t)
-        return np.exp(-t * t) / math.sqrt(math.pi) * (
-            (n + 1.0) * hn1 * hn1 - math.sqrt((n + 1.0) * (n + 2.0)) * hn * hn2)
-    from .specfun import adaptive_quad, _upper_cutoff
-    return adaptive_quad(integrand, xi, _upper_cutoff(xi), tol=1e-12)
-
-
-def trace_moment_K(n: int, xi: float, m: int) -> tuple[float, float]:
-    """tr K^m by two routes: eigenvalue powers and the cyclic overlap chain.
-
-    Returns both values; they must agree to 1e-9 or a ConsistencyError is
-    raised. For m = 1 the trace is additionally checked against the
-    Christoffel-Darboux diagonal integral.
-    """
-    if m < 1:
-        raise DomainError(f"moment order must be >= 1, got {m}")
-    if (n + 1) ** m > 2_000_000:
-        raise DomainError(f"chain sum with (n+1)^m = {(n+1)**m} terms refused")
-    spec = gram_spectrum(n, xi)
-    route_a = float(np.sum(spec.eigenvalues ** m))
-    g = gram_matrix(n, xi)
-    route_b = 0.0
-    for chain in itertools.product(range(n + 1), repeat=m):
-        prod = 1.0
-        for i in range(m):
-            prod *= g[chain[i], chain[(i + 1) % m]]
-        route_b += prod
-    if abs(route_a - route_b) > 1e-9:
-        raise ConsistencyError(
-            f"trace moment routes disagree: {route_a} vs {route_b} "
-            f"(n={n}, xi={xi}, m={m})")
-    if m == 1:
-        route_c = _lambda_le_1_integral(n, xi)
-        if abs(route_a - route_c) > 1e-9:
-            raise ConsistencyError(
-                f"trace vs CD-diagonal integral disagree: {route_a} vs {route_c}")
-    return route_a, route_b

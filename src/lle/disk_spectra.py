@@ -3,34 +3,29 @@
 Rotation invariance of the kernel splits the localized projection into
 angular-momentum sectors. Within the sector of angular mode k the projection
 onto levels <= n is a rank-<=(n+1) operator with explicit radial factors, so
-its disk-truncated spectrum is the spectrum of a small radial Gram matrix
-whose entries reduce to regularized incomplete gamma values. That closed
-form is the default solver; the literal radial-Nystrom construction is kept
-as a second, slower method and the two are cross-checked in the test suite.
+its disk-truncated spectrum is the spectrum of a small radial Gram matrix,
+integrated by windowed Gauss-Legendre quadrature over the radial profiles.
+That Gram route is the solver. The angular Fourier transform of the kernel
+and the radial-Nystrom discretization of each sector are independent test
+oracles (tests/oracles.py), as is the 2-D Nystrom solver of `region_sim`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammainc, gammaln
 
-from .errors import (
-    CapabilityError,
-    ConsistencyError,
-    DomainError,
-    WindowError,
-)
-from .landau import LevelSelector, MagneticSetup, p_selector
+from .errors import DomainError, WindowError
+from .landau import LevelSelector, MagneticSetup
 from .specfun import clamp_unit, gauss_legendre, laguerre_sweep
 
 # eigenvalues may stray outside [0,1] by at most this much before we suspect
 # an assembly bug rather than quadrature noise
 _CLAMP = 1e-9
-_RANK_TOL = 1e-8
 # sectors per recurrence sweep: bounds the profile arrays to a few MiB
 _SECTOR_BLOCK = 256
 
@@ -117,43 +112,6 @@ def _level_profiles(levels: np.ndarray, ks: np.ndarray,
     return rows
 
 
-def radial_sector_kernel(setup: MagneticSetup, selector: LevelSelector,
-                         k: int, r: float, s: float, n_phi: int = 512) -> float:
-    """Angular Fourier coefficient of the projection kernel at radii (r, s).
-
-    (1/2pi) * integral of P((r,0), (s cos phi, s sin phi)) e^{-i k phi},
-    by n_phi-node periodic trapezoid quadrature (spectrally accurate for the
-    analytic integrand). The result is real; an imaginary residue above 1e-9
-    signals an assembly inconsistency.
-    """
-    if r < 0 or s < 0:
-        raise DomainError("radii must be nonnegative")
-    # the integrand's angular spectrum is one-sided and centered near
-    # B r s / 2; raise the node count when |k| or the radii would alias it
-    gamma = 0.5 * setup.b * r * s
-    needed = 2.0 * (abs(k) + gamma) + 160.0
-    if needed > n_phi:
-        n_phi = 1 << int(math.ceil(math.log2(needed)))
-    phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    vals = np.array([p_selector(setup, selector,
-                                (r, 0.0), (s * math.cos(p), s * math.sin(p)))
-                     for p in phis])
-    coef = complex(np.mean(vals * np.exp(-1j * k * phis)))
-    if abs(coef.imag) > 1e-9:
-        raise ConsistencyError(
-            f"sector kernel imaginary residue {coef.imag:.3e} at k={k}, r={r}, s={s}")
-    return coef.real
-
-
-def sector_kernel_closed_form(setup: MagneticSetup, selector: LevelSelector,
-                              k: int, r) -> np.ndarray:
-    """Factorized sector kernel: rows R_{ell,k}(r_i)/sqrt(2pi) per level."""
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    rows = _level_profiles(np.array(selector.levels()), np.array([k]),
-                           0.5 * setup.b * r[None, :] * r[None, :])[0]
-    return rows * math.sqrt(setup.b / (2.0 * math.pi))
-
-
 _GRAM_RULE = gauss_legendre(96, 0.0, 1.0)
 
 
@@ -205,101 +163,51 @@ def sector_gram(setup: MagneticSetup, selector: LevelSelector, k: int,
     return [levels[i] for i in present], g[np.ix_(present, present)]
 
 
-def _radial_rule(b: float, r_total: float):
-    n_nodes = 24 + 6 * int(math.ceil(math.sqrt(b) * r_total))
-    return gauss_legendre(n_nodes, 0.0, r_total)
-
-
 def disk_spectrum(setup: MagneticSetup, selector: LevelSelector,
-                  r_total: float, cutoff: float = 1e-12,
-                  method: str = "gram") -> LocalSpectrum:
+                  r_total: float, cutoff: float = 1e-12) -> LocalSpectrum:
     """Full eigenvalue multiset of the projection localized to a disk.
 
-    method="gram" (default) solves each angular sector through the closed
-    radial Gram form; method="nystrom" assembles the weight-symmetrized
-    radial kernel matrix on a Gauss-Legendre rule and eigensolves it, as an
-    independent route. Eigenvalues below `cutoff` are dropped (counted);
-    at most n+1 eigenvalues per sector may exceed 1e-8, and the window must
-    exhaust the boundary sectors, else WindowError.
+    Each angular sector is solved through its radial Gram matrix (all
+    sectors |k| <= the window at once). Eigenvalues below `cutoff` are
+    dropped (counted); the window must exhaust the boundary sectors, else
+    WindowError.
     """
     if r_total <= 0.0:
         raise DomainError(f"disk radius must be positive, got {r_total}")
-    if method not in ("gram", "nystrom"):
-        raise DomainError(f"unknown method {method!r}")
     n_top = max(selector.levels())
     kmax = sector_window(setup.b, r_total, n_top)
     x_cut = 0.5 * setup.b * r_total * r_total
-    collected = []
-    dropped = 0
-    boundary_top = 0.0
-
-    if method == "gram":
-        ks = np.arange(-n_top, kmax + 1)
-        vals = np.linalg.eigvalsh(_sector_grams(selector, ks, x_cut))
-        # the decoupled -1 entries of absent levels sort first
-        absent = np.count_nonzero(np.array(selector.levels()) + ks[:, None] < 0,
-                                  axis=1)
-        present = np.arange(selector.count)[None, :] >= absent[:, None]
-        vals = clamp_unit(np.where(present, vals, 0.0), _CLAMP,
-                          "disk_spectrum[gram]")
-        keep = present & (vals >= cutoff)
-        collected.append(vals[keep])
-        dropped = int(np.count_nonzero(present) - np.count_nonzero(keep))
-        boundary_top = float(vals[-1].max(initial=0.0))
-    else:
-        rule = _radial_rule(setup.b, r_total)
-        sqw = np.sqrt(rule.weights * rule.nodes)
-        n_rank = selector.count
-        for k in range(-n_top, kmax + 1):
-            rows = sector_kernel_closed_form(setup, selector, k, rule.nodes)
-            kern = rows.T @ rows  # kernel(k, r_i, r_j)
-            mat = 2.0 * math.pi * (sqw[:, None] * kern * sqw[None, :])
-            sv = clamp_unit(np.linalg.eigvalsh(mat), _CLAMP,
-                            f"disk_spectrum[nystrom,k={k}]")
-            if np.count_nonzero(sv > _RANK_TOL) > n_rank:
-                raise ConsistencyError(
-                    f"sector k={k}: more than {n_rank} eigenvalues above "
-                    f"{_RANK_TOL}; rank structure violated")
-            keep = sv[sv >= cutoff]
-            dropped += sv.size - keep.size
-            collected.append(keep)
-            if k == kmax:
-                boundary_top = float(sv.max(initial=0.0))
-
+    ks = np.arange(-n_top, kmax + 1)
+    vals = np.linalg.eigvalsh(_sector_grams(selector, ks, x_cut))
+    # the decoupled -1 entries of absent levels sort first
+    absent = np.count_nonzero(np.array(selector.levels()) + ks[:, None] < 0,
+                              axis=1)
+    present = np.arange(selector.count)[None, :] >= absent[:, None]
+    vals = clamp_unit(np.where(present, vals, 0.0), _CLAMP, "disk_spectrum")
+    keep = present & (vals >= cutoff)
+    dropped = int(np.count_nonzero(present) - np.count_nonzero(keep))
+    boundary_top = float(vals[-1].max(initial=0.0))
     if boundary_top >= cutoff:
         raise WindowError(
             f"sector window |k| <= {kmax} exhausted while the boundary sector "
             f"still holds {boundary_top:.3e} >= cutoff {cutoff:.1e}")
-    eigenvalues = np.sort(np.concatenate(collected))[::-1] if collected else np.array([])
-    return LocalSpectrum(eigenvalues=eigenvalues, b=setup.b, selector=selector,
-                         region={"type": "disk", "R": 1.0}, scale=r_total,
-                         solver=f"disk-sector/{method}", cutoff=cutoff,
-                         dropped_count=int(dropped))
+    return LocalSpectrum(eigenvalues=np.sort(vals[keep])[::-1], b=setup.b,
+                         selector=selector, region={"type": "disk", "R": 1.0},
+                         scale=r_total, solver="disk-sector/gram",
+                         cutoff=cutoff, dropped_count=dropped)
 
 
-def lll_disk_eigenvalues(b: float, r: float, m_max: int,
-                         validate: bool = False) -> np.ndarray:
+def lll_disk_eigenvalues(b: float, r: float, m_max: int) -> np.ndarray:
     """Lowest-level disk eigenvalues P(m+1, B R^2/2) for m = 0..m_max.
 
-    The regularized lower incomplete gamma route (series/continued fraction
-    under the hood). With validate=True the values are compared against the
-    sector solver and a mismatch beyond 1e-7 raises ConsistencyError.
+    The regularized lower incomplete gamma (scipy `gammainc`) in closed form:
+    the lowest level enters sector m with the single radial profile of
+    weight m, so its sector Gram matrix is this one number.
     """
     if m_max < 0:
         raise DomainError(f"m_max must be >= 0, got {m_max}")
     x = 0.5 * b * r * r
-    vals = gammainc(np.arange(1, m_max + 2, dtype=float), x)
-    if validate:
-        setup = MagneticSetup(b)
-        worst = 0.0
-        for m in range(min(m_max, 40) + 1):
-            _, gm = sector_gram(setup, LevelSelector.single(0), m, r)
-            worst = max(worst, abs(float(gm[0, 0]) - float(vals[m])))
-        if worst > 1e-7:
-            raise ConsistencyError(
-                f"incomplete-gamma fast path disagrees with the sector solver "
-                f"by {worst:.3e}")
-    return vals
+    return gammainc(np.arange(1, m_max + 2, dtype=float), x)
 
 
 def entropy_from_spectrum(spectrum: LocalSpectrum, f,

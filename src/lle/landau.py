@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .specfun import hermite_fn_table, hermite_poly_normalized, laguerre
+from .specfun import hermite_poly_normalized, laguerre
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -94,16 +94,35 @@ def nu_from_mu(mu: float, b: float) -> int:
     return int(math.floor((mu / b - 1.0) / 2.0))
 
 
-def _kernel(setup: MagneticSetup, ell: int, k: int, x, y) -> complex:
-    """(B/2pi) e^{-B|x-y|^2/4} L_ell^{(k)}(B|x-y|^2/2) e^{i B <x|Jy>/2}"""
+def selector_laguerre(selector: LevelSelector, arg):
+    """The selector's Laguerre factor: L_l for one level l, and
+    sum_{l<=n} L_l = L_n^{(1)} for the levels up to n."""
+    return laguerre(selector.index, 0 if selector.kind == "single" else 1, arg)
+
+
+def kernel_block(setup: MagneticSetup, selector: LevelSelector,
+                 pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarray:
+    """Projection kernel between two point sets, shape (len(pts_a), len(pts_b)).
+
+    (B/2pi) e^{-B|x-y|^2/4} L(B|x-y|^2/2) e^{i B <x|Jy>/2} with L the
+    selector's Laguerre factor; points are rows (x1, x2).
+    """
+    b = setup.b
+    dx = pts_a[:, 0][:, None] - pts_b[:, 0][None, :]
+    dy = pts_a[:, 1][:, None] - pts_b[:, 1][None, :]
+    d2 = dx * dx + dy * dy
+    lag = selector_laguerre(selector, 0.5 * b * d2)
+    cross = pts_a[:, 0][:, None] * pts_b[:, 1][None, :] \
+        - pts_a[:, 1][:, None] * pts_b[:, 0][None, :]
+    return (b / (2.0 * math.pi) * np.exp(-0.25 * b * d2) * lag
+            * np.exp(0.5j * b * cross))
+
+
+def p_selector(setup: MagneticSetup, selector: LevelSelector, x, y) -> complex:
+    """Kernel of the projection onto the selector's levels at one point pair."""
     x = as_point(x)
     y = as_point(y)
-    b = setup.b
-    d2 = float(np.dot(x - y, x - y))
-    radial = b / (2.0 * math.pi) * math.exp(-b * d2 / 4.0) \
-        * laguerre(ell, k, b * d2 / 2.0)
-    return radial * complex(math.cos(0.5 * b * symplectic(x, y)),
-                            math.sin(0.5 * b * symplectic(x, y)))
+    return complex(kernel_block(setup, selector, x[None, :], y[None, :])[0, 0])
 
 
 def p_ell(setup: MagneticSetup, ell: int, x, y) -> complex:
@@ -111,7 +130,7 @@ def p_ell(setup: MagneticSetup, ell: int, x, y) -> complex:
 
     (B/2pi) e^{-B|x-y|^2/4} L_ell(B|x-y|^2/2) e^{i B <x|Jy>/2}
     """
-    return _kernel(setup, ell, 0, x, y)
+    return p_selector(setup, LevelSelector.single(ell), x, y)
 
 
 def p_le_n(setup: MagneticSetup, n: int, x, y) -> complex:
@@ -121,13 +140,7 @@ def p_le_n(setup: MagneticSetup, n: int, x, y) -> complex:
     level sum; the functional relation itself is exercised by the identity
     suite.
     """
-    return _kernel(setup, n, 1, x, y)
-
-
-def p_selector(setup: MagneticSetup, selector: LevelSelector, x, y) -> complex:
-    if selector.kind == "single":
-        return p_ell(setup, selector.index, x, y)
-    return p_le_n(setup, selector.index, x, y)
+    return p_selector(setup, LevelSelector.upto(n), x, y)
 
 
 # threshold below which the Christoffel-Darboux quotient loses ~7 digits;

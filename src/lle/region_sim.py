@@ -2,9 +2,10 @@
 
 The polar tensor rule (Gauss-Legendre radially, periodic trapezoid in the
 angle) respects the boundary layer of width ~1/sqrt(B) where the eigenvalue
-transition happens. Entropy scaling fits use the disk sector solver; this
-module validates universality at moderate scales and turns series into
-boundary coefficients.
+transition happens. Entropy scaling series come from the disk sector solver
+(`lle scaling`); this module validates universality at moderate scales and
+turns series into boundary coefficients. The kernel itself is
+`landau.kernel_block`.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coeffs import SpectralFunction
-from .disk_spectra import LocalSpectrum, disk_spectrum, entropy_from_spectrum
+from .disk_spectra import LocalSpectrum, disk_spectrum
 from .errors import CapabilityError, DomainError, FitError
 from .geometry import Disk, Polygon, Region, SmoothStar, contains, region_to_json
-from .landau import LevelSelector, MagneticSetup
-from .specfun import clamp_unit, gauss_legendre, laguerre
+from .landau import LevelSelector, MagneticSetup, kernel_block, selector_laguerre
+from .specfun import clamp_unit, gauss_legendre
 
 _DIM_GUARD = 6000
 # coarser than the disk solver: 2-D quadrature noise
@@ -146,24 +147,6 @@ def _polar_nodes(region: Region, L: float, n_radial: int, n_theta: int):
     return pts, w.ravel()
 
 
-def _selector_laguerre(selector: LevelSelector, arg):
-    # L_l for one level; sum_{l<=n} L_l = L_n^{(1)} for the levels up to n
-    return laguerre(selector.index, 0 if selector.kind == "single" else 1, arg)
-
-
-def _kernel_block(setup: MagneticSetup, selector: LevelSelector,
-                  pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarray:
-    b = setup.b
-    dx = pts_a[:, 0][:, None] - pts_b[:, 0][None, :]
-    dy = pts_a[:, 1][:, None] - pts_b[:, 1][None, :]
-    d2 = dx * dx + dy * dy
-    lag = _selector_laguerre(selector, 0.5 * b * d2)
-    cross = pts_a[:, 0][:, None] * pts_b[:, 1][None, :] \
-        - pts_a[:, 1][:, None] * pts_b[:, 0][None, :]
-    return (b / (2.0 * math.pi) * np.exp(-0.25 * b * d2) * lag
-            * np.exp(0.5j * b * cross))
-
-
 def region_kernel_matrix(setup: MagneticSetup, selector: LevelSelector,
                          region: Region, L: float,
                          resolution: tuple[int, int] | None = None):
@@ -176,7 +159,7 @@ def region_kernel_matrix(setup: MagneticSetup, selector: LevelSelector,
     block = max(1, 20_000_000 // max(n, 1))
     for i0 in range(0, n, block):
         i1 = min(n, i0 + block)
-        mat[i0:i1] = _kernel_block(setup, selector, pts[i0:i1], pts)
+        mat[i0:i1] = kernel_block(setup, selector, pts[i0:i1], pts)
         mat[i0:i1] *= sq[i0:i1, None] * sq[None, :]
     return mat, pts, w
 
@@ -184,8 +167,7 @@ def region_kernel_matrix(setup: MagneticSetup, selector: LevelSelector,
 def region_spectrum(setup: MagneticSetup, selector: LevelSelector,
                     region: Region, L: float,
                     resolution: tuple[int, int] | None = None,
-                    cutoff: float = 1e-12,
-                    dim_guard: int = _DIM_GUARD) -> LocalSpectrum:
+                    cutoff: float = 1e-12) -> LocalSpectrum:
     """Eigenvalues of the localized projection by 2-D Nystrom discretization.
 
     Desk-scale guard on the matrix dimension; eigenvalues are clamped to
@@ -196,9 +178,9 @@ def region_spectrum(setup: MagneticSetup, selector: LevelSelector,
         raise CapabilityError("polygons are outside the Nystrom path")
     n_radial, n_theta = resolution or default_resolution(setup, region, L)
     dim = n_radial * n_theta
-    if dim > dim_guard:
+    if dim > _DIM_GUARD:
         raise CapabilityError(
-            f"Nystrom dimension {dim} exceeds the guard {dim_guard}")
+            f"Nystrom dimension {dim} exceeds the guard {_DIM_GUARD}")
     mat, _, _ = region_kernel_matrix(setup, selector, region, L,
                                      (n_radial, n_theta))
     vals = clamp_unit(np.linalg.eigvalsh(mat)[::-1], _CLAMP_ABORT,
@@ -234,7 +216,7 @@ def region_trace_moment(setup: MagneticSetup, selector: LevelSelector,
         block = max(1, 20_000_000 // max(n, 1))
         for i0 in range(0, n, block):
             i1 = min(n, i0 + block)
-            blk = _kernel_block(setup, selector, pts[i0:i1], pts)
+            blk = kernel_block(setup, selector, pts[i0:i1], pts)
             blk *= sq[i0:i1, None] * sq[None, :]
             total += float(np.sum(np.abs(blk) ** 2))
         return total
@@ -247,22 +229,8 @@ def region_trace_moment(setup: MagneticSetup, selector: LevelSelector,
 
 
 # ---------------------------------------------------------------------------
-# scaling series and the second-order probe
+# the second-order probe and the Monte Carlo cross term
 # ---------------------------------------------------------------------------
-
-def entropy_scaling_series(setup: MagneticSetup, selector: LevelSelector,
-                           alpha: float, scales,
-                           cutoff: float = 1e-12) -> ScalingSeries:
-    """Local Renyi entropy of the disk against L, via the sector solver."""
-    f = SpectralFunction.renyi(alpha)
-    values = [entropy_from_spectrum(disk_spectrum(setup, selector, float(L),
-                                                  cutoff=cutoff), f)
-              for L in scales]
-    return ScalingSeries(scales=np.asarray(scales, dtype=float),
-                         values=np.asarray(values),
-                         meta={"alpha": alpha, "selector": selector.to_json(),
-                               "B": setup.b, "region": {"type": "disk", "R": 1.0}})
-
 
 def second_order_probe(setup: MagneticSetup, selector: LevelSelector,
                        f: SpectralFunction, scales,
@@ -312,7 +280,7 @@ def mc_cross_hs_norm(setup: MagneticSetup, selector: LevelSelector,
         g = rng.normal(0.0, 1.0 / math.sqrt(b), size=(mcount, 2))
         y = x + g
         both = inside & contains(big, y)
-        lag = _selector_laguerre(selector, 0.5 * b * np.sum(g * g, axis=1))
+        lag = selector_laguerre(selector, 0.5 * b * np.sum(g * g, axis=1))
         total += float(np.sum((lag ** 2)[both]))
         count += mcount
     # E over x uniform in box and g ~ N: tr P^2 = box * (B/2pi) * mean(lag^2 * 1_both)

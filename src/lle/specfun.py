@@ -1,5 +1,12 @@
 """Orthogonal polynomials, quadrature and one-dimensional overlap integrals.
 
+Hermite functions and Laguerre polynomials come from their three-term
+recurrences; the truncated-Hermite overlaps of a whole xi grid come from one
+cumulative panel sweep (`build_overlap_table`), the one route to the
+occupations. The per-xi adaptive quadrature of the overlaps and the
+extended-precision erfc and incomplete gamma are test oracles
+(tests/oracles.py); the library takes the incomplete gamma from scipy.
+
 Everything here is pure and reentrant: fixed inputs give bitwise-identical
 outputs regardless of evaluation order, so callers may fan grids out across
 threads freely.
@@ -17,8 +24,6 @@ from .errors import CapabilityError, DomainError, NumericError
 # Hermite evaluation is supported up to this degree; beyond it the
 # asymptotic (Plancherel-Rotach) regime would need dedicated code.
 LEVEL_CAP = 60
-
-_SQRT_PI = math.sqrt(math.pi)
 
 
 def _check_level(ell: int) -> int:
@@ -224,15 +229,17 @@ def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
 
 _GL15 = gauss_legendre(15, -1.0, 1.0)
 _GL7 = gauss_legendre(7, -1.0, 1.0)
+# bisection levels before adaptive_quad gives up
+_MAX_DEPTH = 40
 
 
 def adaptive_quad(f, a: float, b: float, tol: float = 1e-12,
-                  max_depth: int = 40, noise: float = 0.0) -> float:
+                  noise: float = 0.0) -> float:
     """Recursive bisection with an embedded GL15/GL7 error estimate.
 
     `f` must accept numpy arrays. Error budget is split proportionally to
     interval length; intervals that disagree beyond their budget are bisected
-    up to `max_depth` levels, after which a NumericError is raised. Complex
+    up to `_MAX_DEPTH` levels, after which a NumericError is raised. Complex
     integrands are supported. `noise` is the caller's bound on the absolute
     evaluation noise of f per unit length (e.g. cancellation inside the
     integrand); panels are never refined below it.
@@ -266,9 +273,9 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-12,
         if err <= (tol * (hi - lo) / total_len + noise * (hi - lo)
                    + 4e-16 * mag + 2.3e-16 * global_mag):
             total += val
-        elif depth >= max_depth:
+        elif depth >= _MAX_DEPTH:
             raise NumericError(
-                f"adaptive quadrature hit depth {max_depth} on [{lo}, {hi}] "
+                f"adaptive quadrature hit depth {_MAX_DEPTH} on [{lo}, {hi}] "
                 f"(panel error {err:.2e})")
         else:
             mid = 0.5 * (lo + hi)
@@ -277,102 +284,6 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-12,
     if abs(total.imag) == 0.0:
         return total.real
     return total if abs(total.imag) > 1e-300 else total.real
-
-
-# ---------------------------------------------------------------------------
-# erfc and the regularized lower incomplete gamma (series / continued fraction)
-# ---------------------------------------------------------------------------
-
-def erfc_cf(x: float) -> float:
-    """Complementary error function via power series / Lentz continued fraction.
-
-    Independent of scipy; used as the oracle behind lambda_ell(0, .).
-    """
-    x = float(x)
-    if x < 0.0:
-        return 2.0 - erfc_cf(-x)
-    if x < 1.5:
-        # alternating erf series; cancellation stays below ~e^{x^2} eps here
-        # erf series: 2/sqrt(pi) * sum (-1)^k x^{2k+1}/(k!(2k+1))
-        term = x
-        total = x
-        k = 0
-        while abs(term) > 1e-18 * abs(total) + 1e-300:
-            k += 1
-            term *= -x * x / k
-            total += term / (2 * k + 1)
-        return 1.0 - 2.0 / _SQRT_PI * total
-    # continued fraction erfc(x) = e^{-x^2}/sqrt(pi) / (x + (1/2)/(x + 1/(x + (3/2)/(...))))
-    # evaluated by modified Lentz with a_m = m/2 and all partial denominators x
-    tiny = 1e-300
-    f = x
-    c = f
-    d = 0.0
-    for m in range(1, 400):
-        am = 0.5 * m
-        d = x + am * d
-        if d == 0.0:
-            d = tiny
-        c = x + am / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-17:
-            return math.exp(-x * x) / _SQRT_PI / f
-    raise NumericError(f"erfc continued fraction did not converge at x={x}")
-
-
-def reg_lower_gamma(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) by series or continued fraction.
-
-    Series for x < a + 1, Lentz continued fraction for the complement
-    otherwise; prefactor x^a e^{-x}/Gamma(a) is assembled in log space.
-    """
-    a = float(a)
-    x = float(x)
-    if a <= 0.0:
-        raise DomainError(f"shape must be > 0, got {a}")
-    if x < 0.0:
-        raise DomainError(f"argument must be >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    log_pref = a * math.log(x) - x - math.lgamma(a)
-    if x < a + 1.0:
-        # P series: x^a e^-x / Gamma(a+1) * sum_n x^n / ((a+1)...(a+n))
-        term = 1.0
-        total = 1.0
-        ap = a
-        for _ in range(10_000):
-            ap += 1.0
-            term *= x / ap
-            total += term
-            if abs(term) < 1e-17 * abs(total):
-                return min(1.0, math.exp(log_pref) * total / a)
-        raise NumericError(f"P(a,x) series stalled at a={a}, x={x}")
-    # Q continued fraction (Numerical-Recipes style Lentz)
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 10_000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-17:
-            q = math.exp(log_pref) * h
-            return max(0.0, 1.0 - q)
-    raise NumericError(f"Q(a,x) continued fraction stalled at a={a}, x={x}")
 
 
 # ---------------------------------------------------------------------------
@@ -385,37 +296,14 @@ def _upper_cutoff(xi: float) -> float:
     return max(abs(xi), 0.0) + 10.0
 
 
-def lambda_ell(ell: int, xi: float, tol: float = 1e-12) -> float:
-    """Occupation lambda_ell(xi) = integral of psi_ell(t)^2 over [xi, inf)."""
-    ell = _check_level(ell)
-    xi = float(xi)
-    hi = _upper_cutoff(xi)
-    if xi >= hi:
-        return 0.0
-    val = adaptive_quad(lambda t: hermite_fn(ell, t) ** 2, xi, hi, tol=tol)
-    return min(1.0, max(0.0, val))
-
-
-def overlap_lambda(ell1: int, ell2: int, xi: float, tol: float = 1e-12) -> float:
-    """Cross overlap of truncated Hermite functions over [xi, inf)."""
-    ell1 = _check_level(ell1)
-    ell2 = _check_level(ell2)
-    xi = float(xi)
-    hi = _upper_cutoff(xi)
-    if xi >= hi:
-        return 0.0
-    val = adaptive_quad(lambda t: hermite_fn(ell1, t) * hermite_fn(ell2, t),
-                        xi, hi, tol=tol)
-    return float(val)
-
-
 @dataclass
 class OverlapTable:
     """Dense table of overlap integrals on a xi grid.
 
-    values[l1, l2, i] = overlap_lambda(l1, l2, xi_grid[i]); built by one
-    cumulative sweep from the far tail so a whole coefficient-integration grid
-    costs a single pass of panelized quadrature per level pair.
+    values[l1, l2, i] is the integral of psi_l1 psi_l2 over [xi_grid[i], inf)
+    (the occupation lambda_l on the diagonal); built by one cumulative sweep
+    from the far tail so a whole coefficient-integration grid costs a single
+    pass of panelized quadrature per level pair.
     """
 
     xi_grid: np.ndarray
@@ -426,15 +314,17 @@ class OverlapTable:
         return float(self.values[l1, l2, i])
 
 
-def build_overlap_table(max_level: int, xi_grid: np.ndarray,
-                        panel_nodes: int = 12) -> OverlapTable:
+# Gauss-Legendre rule of each overlap-table segment
+_PANEL_RULE = gauss_legendre(12, 0.0, 1.0)
+
+
+def build_overlap_table(max_level: int, xi_grid: np.ndarray) -> OverlapTable:
     max_level = _check_level(max_level)
     xi = np.asarray(xi_grid, dtype=float)
     if xi.ndim != 1 or xi.size < 1:
         raise DomainError("xi grid must be a nonempty 1-D array")
     if np.any(np.diff(xi) <= 0):
         raise DomainError("xi grid must be strictly increasing")
-    ref = gauss_legendre(panel_nodes, 0.0, 1.0)
     hi = _upper_cutoff(float(xi[-1]))
     edges = np.concatenate([xi, np.linspace(float(xi[-1]), hi, 64)[1:]])
     n = max_level + 1
@@ -443,8 +333,8 @@ def build_overlap_table(max_level: int, xi_grid: np.ndarray,
         lo, up = edges[i], edges[i + 1]
         if up <= lo:
             continue
-        t = lo + (up - lo) * ref.nodes
-        w = (up - lo) * ref.weights
+        t = lo + (up - lo) * _PANEL_RULE.nodes
+        w = (up - lo) * _PANEL_RULE.weights
         tab = hermite_fn_table(max_level, t)
         segs[:, :, i] = np.einsum("k,ik,jk->ij", w, tab, tab)
     # cumulative from the right: lambda(x_i) = sum of segments beyond x_i

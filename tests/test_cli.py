@@ -45,6 +45,13 @@ def test_coeff_bad_spec_exits_2(capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("spec", ["renyi:abc", "monomial:x"])
+def test_coeff_unparsable_argument_exits_2(capsys, spec):
+    code, _, err = run_cli(capsys, "coeff", "--levels", "upto:2", "--f", spec)
+    assert code == 2
+    assert "usage error" in err
+
+
 def test_spectrum_trace_and_determinism(capsys):
     args = ("spectrum", "--region", DISK, "--B", "1", "--levels", "upto:1",
             "--L", "12", "--solver", "disk")
@@ -93,9 +100,22 @@ def test_scaling_report(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert 0.99 < report["ratio"] < 1.01
+    assert report["config"]["alpha"] == 1.0
     lines = csv_path.read_text().strip().split("\n")
     assert lines[0] == "L,value"
     assert len(lines) == 9
+    # the entropy grows with the disk
+    values = np.array([float(line.split(",")[1]) for line in lines[1:]])
+    assert np.all(np.diff(values) > 0)
+
+
+@pytest.mark.parametrize("step", ["0", "-2"])
+def test_scaling_nonpositive_step_exits_2(capsys, step):
+    code, _, err = run_cli(capsys, "scaling", "--region", DISK, "--B", "1",
+                           "--levels", "upto:0", "--alpha", "1",
+                           "--L-min", "10", "--L-max", "24", "--L-step", step)
+    assert code == 2
+    assert "usage error" in err
 
 
 def test_scaling_single_level_against_coefficient(capsys):

@@ -6,7 +6,7 @@ from scipy.special import erfc
 
 from lle import coeffs as cf
 from lle import specfun as sf
-from lle.errors import ConsistencyError, DomainError
+from lle.errors import DomainError
 from lle.landau import LevelSelector, k_kernel_matrix
 
 import oracles
@@ -69,26 +69,25 @@ def test_spectral_function_spec_parsing():
 
 
 # ---------------------------------------------------------------------------
-# Gram matrix and spectrum
+# Gram matrix and spectrum: the per-xi quadrature oracle and the grid field
 # ---------------------------------------------------------------------------
 
 def test_gram_rank_one_case():
-    g = cf.gram_matrix(0, 0.4)
+    g = oracles.gram_matrix(0, 0.4)
     assert g.shape == (1, 1)
-    assert g[0, 0] == pytest.approx(sf.lambda_ell(0, 0.4), abs=1e-13)
+    assert g[0, 0] == pytest.approx(oracles.lambda_ell(0, 0.4), abs=1e-13)
 
 
 def test_gram_identity_at_far_left():
-    g = cf.gram_matrix(3, -20.0)
+    g = oracles.gram_matrix(3, -20.0)
     assert np.max(np.abs(g - np.eye(4))) < 1e-10
 
 
 def test_gram_spectrum_invariants():
     for xi in (-3.0, 0.0, 1.7):
-        spec = cf.gram_spectrum(3, xi)
-        vals = spec.eigenvalues
+        vals = oracles.gram_spectrum(3, xi)
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
-        direct = sum(sf.lambda_ell(ell, xi) for ell in range(4))
+        direct = sum(oracles.lambda_ell(ell, xi) for ell in range(4))
         assert vals.sum() == pytest.approx(direct, abs=1e-10)
 
 
@@ -102,7 +101,7 @@ def _nystrom_k_eigs(n, xi, nodes=200):
 
 
 def test_gram_vs_nystrom_oracle():
-    vals = cf.gram_spectrum(2, 0.3).eigenvalues
+    vals = oracles.gram_spectrum(2, 0.3)
     nys = _nystrom_k_eigs(2, 0.3, nodes=200)
     np.testing.assert_allclose(vals, nys, atol=1e-8)
 
@@ -112,16 +111,26 @@ def test_gram_vs_nystrom_across_grid():
     f = cf.SpectralFunction.renyi(1.0)
     for n in range(5):
         for xi in (-6.0, -1.5, 0.0, 2.0, 6.0):
-            mu = cf.gram_spectrum(n, xi).eigenvalues
+            mu = oracles.gram_spectrum(n, xi)
             nys = np.clip(_nystrom_k_eigs(n, xi, nodes=300), 0.0, 1.0)
             tr_gram = float(np.sum(f(mu)))
             tr_nys = float(np.sum(f(nys)))
             assert tr_gram == pytest.approx(tr_nys, abs=1e-7)
 
 
+def test_gram_eigen_field_matches_per_xi_oracle():
+    # the production field (one overlap-table sweep per grid) against the
+    # per-xi adaptive-quadrature Gram spectrum at scattered grid nodes
+    grid = cf.xi_grid(3)
+    field = cf.gram_eigen_field(3, grid)
+    for i in range(0, grid.nodes.size, 97):
+        np.testing.assert_allclose(field[i], oracles.gram_spectrum(3, grid.nodes[i]),
+                                   atol=1e-11)
+
+
 def test_gram_eigenvalues_vs_jacobi_oracle():
-    g = cf.gram_matrix(3, 0.8)
-    ours = cf.gram_spectrum(3, 0.8).eigenvalues
+    g = oracles.gram_matrix(3, 0.8)
+    ours = oracles.gram_spectrum(3, 0.8)
     jac = oracles.jacobi_eigvalsh(g)
     np.testing.assert_allclose(ours, jac, atol=1e-11)
 
@@ -210,7 +219,7 @@ def test_trace_norm_gaussian_tail_bound():
         grid = np.linspace(2.0, 6.0, 17)
         norms = []
         for xi in grid:
-            mu = cf.gram_spectrum(2, xi).eigenvalues
+            mu = oracles.gram_spectrum(2, xi)
             norms.append(float(np.sum(np.abs(np.asarray(f(mu))
                                              - f.value_at_one * mu))))
         ratio = np.asarray(norms) * np.exp(rate * grid * grid)
@@ -225,27 +234,27 @@ def test_trace_norm_gaussian_tail_bound():
 
 def test_trace_moment_rank_one_power():
     for m in (1, 2, 5):
-        a, b = cf.trace_moment_K(0, 0.3, m)
-        lam = sf.lambda_ell(0, 0.3)
+        a, b = oracles.trace_moment_K(0, 0.3, m)
+        lam = oracles.lambda_ell(0, 0.3)
         assert a == pytest.approx(lam ** m, abs=1e-12)
         assert b == pytest.approx(lam ** m, abs=1e-12)
 
 
 def test_trace_moment_first_is_occupation_sum():
-    a, b = cf.trace_moment_K(2, -0.4, 1)
-    direct = sum(sf.lambda_ell(ell, -0.4) for ell in range(3))
+    a, b = oracles.trace_moment_K(2, -0.4, 1)
+    direct = sum(oracles.lambda_ell(ell, -0.4) for ell in range(3))
     assert a == pytest.approx(direct, abs=1e-10)
     assert b == pytest.approx(direct, abs=1e-10)
 
 
 def test_trace_moment_routes_agree():
-    a, b = cf.trace_moment_K(2, 0.7, 3)
+    a, b = oracles.trace_moment_K(2, 0.7, 3)
     assert a == pytest.approx(b, abs=1e-10)
 
 
 def test_trace_moment_refuses_blowup():
     with pytest.raises(DomainError):
-        cf.trace_moment_K(3, 0.0, 12)
+        oracles.trace_moment_K(3, 0.0, 12)
 
 
 def test_poly_boundary_coeff():
@@ -278,3 +287,19 @@ def test_clamp_violation_aborts():
     from lle.errors import NumericError
     with pytest.raises(NumericError):
         sf.clamp_unit(np.array([1.0 + 1e-8, 0.5]), cf.CLAMP, "test")
+
+
+def test_lambda_field_aborts_on_broken_table(monkeypatch):
+    # a diagonal 1e-8 above 1 is an assembly fault, not roundoff to clip
+    from lle.errors import NumericError
+
+    def broken(max_level, xi_grid):
+        n = max_level + 1
+        vals = np.zeros((n, n, len(xi_grid)))
+        vals[range(n), range(n)] = 1.0 + 1e-8
+        return sf.OverlapTable(xi_grid=xi_grid, max_level=max_level, values=vals)
+
+    monkeypatch.setattr(cf, "build_overlap_table", broken)
+    monkeypatch.setattr(cf, "_FIELD_CACHE", {})
+    with pytest.raises(NumericError):
+        cf.lambda_field(2, cf.xi_grid(2))

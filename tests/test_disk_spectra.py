@@ -7,14 +7,16 @@ import pytest
 from lle import coeffs as cf
 from lle import disk_spectra as ds
 from lle import specfun as sf
-from lle.errors import ConsistencyError, DomainError, WindowError
+from lle.errors import DomainError, WindowError
 from lle.landau import LevelSelector, MagneticSetup, p_selector
+
+import oracles
 
 SETUP = MagneticSetup(1.0)
 
 
 # ---------------------------------------------------------------------------
-# sector kernel
+# sector kernel: the angular Fourier oracle against the closed-form rows
 # ---------------------------------------------------------------------------
 
 def test_sector_kernel_fourier_completeness():
@@ -22,22 +24,23 @@ def test_sector_kernel_fourier_completeness():
     sel = LevelSelector.upto(1)
     r = 1.3
     diag = p_selector(SETUP, sel, (r, 0.0), (r, 0.0)).real
-    total = sum(ds.radial_sector_kernel(SETUP, sel, k, r, r)
+    total = sum(oracles.radial_sector_kernel(SETUP, sel, k, r, r)
                 for k in range(-3, 26))
     assert total == pytest.approx(diag, abs=1e-10)
 
 
 def test_sector_kernel_origin_modes():
     sel = LevelSelector.single(0)
-    assert ds.radial_sector_kernel(SETUP, sel, 1, 0.0, 0.0) == pytest.approx(0.0, abs=1e-14)
-    assert ds.radial_sector_kernel(SETUP, sel, -2, 0.0, 0.0) == pytest.approx(0.0, abs=1e-14)
+    for k in (1, -2):
+        assert oracles.radial_sector_kernel(SETUP, sel, k, 0.0, 0.0) \
+            == pytest.approx(0.0, abs=1e-14)
 
 
 def test_sector_kernel_adaptive_oracle():
     # independent adaptive quadrature of the same Fourier integral
     sel = LevelSelector.single(0)
     k, r, s = 1, 1.0, 2.0
-    val = ds.radial_sector_kernel(SETUP, sel, k, r, s)
+    val = oracles.radial_sector_kernel(SETUP, sel, k, r, s)
 
     def integrand(phi):
         out = np.array([p_selector(SETUP, sel, (r, 0.0),
@@ -58,10 +61,10 @@ def test_sector_kernel_matches_closed_form():
             else LevelSelector.upto(ell)
         k = int(rng.integers(-ell - 1, 9))
         r, s = rng.uniform(0.1, 3.0, size=2)
-        rows_r = ds.sector_kernel_closed_form(SETUP, sel, k, np.array([r]))
-        rows_s = ds.sector_kernel_closed_form(SETUP, sel, k, np.array([s]))
+        rows_r = oracles.sector_kernel_closed_form(SETUP, sel, k, np.array([r]))
+        rows_s = oracles.sector_kernel_closed_form(SETUP, sel, k, np.array([s]))
         closed = float(np.sum(rows_r[:, 0] * rows_s[:, 0]))
-        fft = ds.radial_sector_kernel(SETUP, sel, k, float(r), float(s))
+        fft = oracles.radial_sector_kernel(SETUP, sel, k, float(r), float(s))
         assert fft == pytest.approx(closed, abs=1e-12)
 
 
@@ -104,17 +107,17 @@ def test_disk_spectrum_exhaustion():
 
 def test_disk_spectrum_gram_vs_nystrom():
     for sel in (LevelSelector.upto(1), LevelSelector.single(2)):
-        a = ds.disk_spectrum(SETUP, sel, 6.0, method="gram").eigenvalues
-        b = ds.disk_spectrum(SETUP, sel, 6.0, method="nystrom").eigenvalues
+        a = ds.disk_spectrum(SETUP, sel, 6.0).eigenvalues
+        b = oracles.disk_spectrum_nystrom(SETUP, sel, 6.0)
         n = min(a.size, b.size)
         assert np.max(np.abs(a[:n] - b[:n])) < 1e-9
 
 
 def test_disk_spectrum_nystrom_rank_assertion_runs():
-    spec = ds.disk_spectrum(SETUP, LevelSelector.upto(1), 3.0, method="nystrom")
+    vals = oracles.disk_spectrum_nystrom(SETUP, LevelSelector.upto(1), 3.0)
     # at most n+1 eigenvalues above 1e-8 per sector is asserted internally;
     # globally the count above 1e-8 is bounded by (n+1) * sector count
-    assert spec.eigenvalues.size > 0
+    assert vals.size > 0
 
 
 def test_disk_spectrum_window_error(monkeypatch):
@@ -150,13 +153,18 @@ def test_lll_head_and_monotone_tail():
     x = b * r * r / 2.0
     shoulder = int(x + 3 * math.sqrt(x))
     assert np.all(np.diff(vals[shoulder:]) < 0)
-    # incomplete-gamma oracle (own series/CF route)
+    # incomplete-gamma oracle (extended precision)
     for m in (0, 3, 11):
-        assert vals[m] == pytest.approx(sf.reg_lower_gamma(m + 1, x), abs=5e-13)
+        assert vals[m] == pytest.approx(oracles.reg_lower_gamma_mp(m + 1, x),
+                                        abs=5e-13)
 
 
 def test_lll_validated_against_sector_solver():
-    vals = ds.lll_disk_eigenvalues(1.0, math.sqrt(2.0), 20, validate=True)
+    r = math.sqrt(2.0)
+    vals = ds.lll_disk_eigenvalues(1.0, r, 40)
+    sector = [ds.sector_gram(SETUP, LevelSelector.single(0), m, r)[1][0, 0]
+              for m in range(41)]
+    assert np.max(np.abs(vals - np.array(sector))) <= 1e-7
     assert vals[0] == pytest.approx(0.6321206, abs=1e-7)
 
 

@@ -153,10 +153,3 @@ def test_mc_cross_hs_on_square_lipschitz_spot():
     assert est > 0
     assert abs(est / predicted - 1.0) < 0.25
 
-
-def test_entropy_scaling_series_meta():
-    series = rs.entropy_scaling_series(SETUP, LevelSelector.upto(0), 1.0,
-                                       [6.0, 8.0, 10.0])
-    assert series.values.shape == (3,)
-    assert np.all(np.diff(series.values) > 0)
-    assert series.meta["alpha"] == 1.0

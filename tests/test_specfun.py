@@ -158,53 +158,32 @@ def test_adaptive_quad_rejects_empty_interval():
 
 
 # ---------------------------------------------------------------------------
-# erfc and the regularized incomplete gamma
-# ---------------------------------------------------------------------------
-
-def test_erfc_cf_against_mpmath():
-    for x in (-4.0, -1.3, 0.0, 0.4, 1.0, 1.9, 2.0, 3.3, 6.0):
-        assert sf.erfc_cf(x) == pytest.approx(oracles.erfc_mp(x),
-                                              rel=1e-14, abs=1e-18)
-
-
-def test_reg_lower_gamma_series_and_cf():
-    assert sf.reg_lower_gamma(1.0, 1.0) == pytest.approx(1.0 - math.exp(-1.0),
-                                                         abs=1e-15)
-    rng = np.random.default_rng(3)
-    for _ in range(60):
-        a = float(rng.uniform(0.5, 2000.0))
-        x = float(rng.uniform(0.0, 900.0))
-        assert sf.reg_lower_gamma(a, x) == pytest.approx(
-            oracles.reg_lower_gamma_mp(a, x), abs=5e-13)
-
-
-# ---------------------------------------------------------------------------
-# occupation integrals
+# occupation integrals: the per-xi quadrature oracle and the overlap table
 # ---------------------------------------------------------------------------
 
 def test_lambda_full_line():
     for ell in (0, 2, 5):
-        assert sf.lambda_ell(ell, -20.0) == pytest.approx(1.0, abs=1e-12)
+        assert oracles.lambda_ell(ell, -20.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lambda_zero_and_erfc_relation():
-    assert sf.lambda_ell(0, 0.0) == pytest.approx(0.5, abs=1e-12)
+    assert oracles.lambda_ell(0, 0.0) == pytest.approx(0.5, abs=1e-12)
     # lambda_0(1) is half the complementary error function
-    val = sf.lambda_ell(0, 1.0)
-    assert val == pytest.approx(0.5 * sf.erfc_cf(1.0), abs=1e-12)
+    val = oracles.lambda_ell(0, 1.0)
+    assert val == pytest.approx(0.5 * oracles.erfc_mp(1.0), abs=1e-12)
     assert val == pytest.approx(0.0786496, abs=5e-8)
 
 
 @given(st.integers(0, 8), st.floats(-6.0, 6.0))
 def test_lambda_symmetry(ell, xi):
-    total = sf.lambda_ell(ell, xi) + sf.lambda_ell(ell, -xi)
+    total = oracles.lambda_ell(ell, xi) + oracles.lambda_ell(ell, -xi)
     assert abs(total - 1.0) < 1e-10
 
 
 def test_lambda_strictly_decreasing():
     grid = np.linspace(-6.0, 6.0, 41)
     for ell in (0, 1, 4):
-        vals = [sf.lambda_ell(ell, x) for x in grid]
+        vals = [oracles.lambda_ell(ell, x) for x in grid]
         assert np.all(np.diff(vals) < 0)
 
 
@@ -214,7 +193,7 @@ def test_lambda_tail_bound():
     # be well off its peak by the right edge (the Gaussian has won)
     grid = np.linspace(2.0, 8.0, 25)
     for ell in range(7):
-        ratio = np.array([sf.lambda_ell(ell, x) * math.exp(0.9 * x * x)
+        ratio = np.array([oracles.lambda_ell(ell, x) * math.exp(0.9 * x * x)
                           for x in grid])
         assert np.all(np.isfinite(ratio))
         peak = int(np.argmax(ratio))
@@ -225,14 +204,14 @@ def test_lambda_tail_bound():
 
 
 def test_overlap_diagonal_and_orthogonality():
-    assert sf.overlap_lambda(3, 3, 0.7) == pytest.approx(sf.lambda_ell(3, 0.7),
+    assert oracles.overlap_lambda(3, 3, 0.7) == pytest.approx(oracles.lambda_ell(3, 0.7),
                                                          abs=1e-12)
-    assert abs(sf.overlap_lambda(0, 1, -20.0)) < 1e-12
+    assert abs(oracles.overlap_lambda(0, 1, -20.0)) < 1e-12
 
 
 def test_overlap_refined_quadrature_oracle():
     # doubled-node composite rule as an independent check
-    val = sf.overlap_lambda(0, 2, 0.5)
+    val = oracles.overlap_lambda(0, 2, 0.5)
     rule = sf.gauss_legendre(600, 0.5, 11.0)
     refined = rule.integrate(lambda t: sf.hermite_fn(0, t) * sf.hermite_fn(2, t))
     assert val == pytest.approx(refined, abs=1e-12)
@@ -257,4 +236,4 @@ def test_overlap_table_matches_adaptive_op():
         for l1 in range(3):
             for l2 in range(3):
                 assert table.value(l1, l2, i) == pytest.approx(
-                    sf.overlap_lambda(l1, l2, grid[i]), abs=1e-12)
+                    oracles.overlap_lambda(l1, l2, grid[i]), abs=1e-12)
