@@ -19,7 +19,6 @@ from .disk_spectra import (
 from .errors import (
     AccuracyError,
     CapabilityError,
-    ConsistencyError,
     DomainError,
     FitError,
     LleError,
@@ -55,7 +54,6 @@ from .region_sim import (
 )
 from .specfun import (
     QuadratureRule,
-    adaptive_quad,
     gauss_legendre,
     hermite_fn,
     hermite_poly,
@@ -63,12 +61,11 @@ from .specfun import (
 )
 
 __all__ = [
-    "AccuracyError", "AsymptoticFit", "CapabilityError", "ConsistencyError",
-    "Disk", "DomainError", "FitError", "LevelSelector", "LleError",
-    "LocalSpectrum", "MagneticSetup", "NumericError", "Polygon",
-    "QuadratureRule", "Region", "ScalingSeries", "SmoothStar",
-    "SpectralFunction", "TranslateFamily", "UsageError", "WindowError",
-    "__version__", "adaptive_quad", "coeff_M_ell", "coeff_M_le_n",
+    "AccuracyError", "AsymptoticFit", "CapabilityError", "Disk",
+    "DomainError", "FitError", "LevelSelector", "LleError", "LocalSpectrum",
+    "MagneticSetup", "NumericError", "Polygon", "QuadratureRule", "Region",
+    "ScalingSeries", "SmoothStar", "SpectralFunction", "TranslateFamily",
+    "UsageError", "WindowError", "__version__", "coeff_M_ell", "coeff_M_le_n",
     "disk_spectrum", "entropy_from_spectrum", "gauss_legendre", "hermite_fn",
     "hermite_poly", "intersect_translates_area", "k_kernel", "laguerre",
     "lll_disk_eigenvalues", "nu_from_mu", "p_ell", "p_le_n",

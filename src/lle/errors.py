@@ -29,10 +29,6 @@ class AccuracyError(NumericError):
         self.achieved = achieved
 
 
-class ConsistencyError(LleError):
-    """Two supposedly equivalent internal routes disagreed beyond tolerance."""
-
-
 class WindowError(LleError):
     """A truncation window was exhausted while the boundary still contributed."""
 

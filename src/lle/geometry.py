@@ -409,7 +409,8 @@ def _smooth_intersection_area(region, family: TranslateFamily,
     # origin must lie inside every translate for the radial representation
     if not bool(np.all(contains(region, -shifts).ravel())):
         raise CapabilityError(
-            "translates too large for the radial method; use mc_intersect_area")
+            "translates too large for the radial method: the origin must lie "
+            "inside every translate")
     th = np.linspace(0.0, 2.0 * math.pi, n_coarse, endpoint=False)
     rho = np.stack([_star_translate_radius(region, s, th) for s in shifts])
     leader = np.argmin(rho, axis=0)
@@ -456,9 +457,7 @@ def _smooth_intersection_area(region, family: TranslateFamily,
     return total
 
 
-def intersect_translates_area(region: Region, family: TranslateFamily,
-                              mc_seed: int | None = None,
-                              mc_samples: int = 10_000_000
+def intersect_translates_area(region: Region, family: TranslateFamily
                               ) -> tuple[float, float]:
     """Areas (|Lambda_eps|, |Lambda \\ Lambda_eps|) of the translate intersection.
 
@@ -466,8 +465,7 @@ def intersect_translates_area(region: Region, family: TranslateFamily,
     iterated half-plane clipping (convex only); smooth regions use the radial
     min-representation with kink-splitting quadrature (~1e-12 accurate for the
     profiles used here). Translates too large for the radial representation
-    fall back to seeded Monte Carlo when `mc_seed` is given (reproducible by
-    construction) and raise CapabilityError otherwise.
+    raise CapabilityError.
     """
     base = area(region)
     shifts = family.shifts()
@@ -487,54 +485,8 @@ def intersect_translates_area(region: Region, family: TranslateFamily,
                 return 0.0, base
         inter = _polygon_signed_area(cur)
         return inter, base - inter
-    try:
-        inter = _smooth_intersection_area(region, family)
-    except CapabilityError:
-        if mc_seed is None:
-            raise
-        removed, _ = mc_intersect_area(region, family, n_samples=mc_samples,
-                                       seed=mc_seed)
-        return base - removed, removed
+    inter = _smooth_intersection_area(region, family)
     return inter, base - inter
-
-
-def mc_intersect_area(region: Region, family: TranslateFamily,
-                      n_samples: int = 10_000_000, seed: int = 0
-                      ) -> tuple[float, float]:
-    """Monte Carlo estimate of |Lambda \\ Lambda_eps| with its standard error.
-
-    Seeded and shardable: the estimate depends only on (seed, n_samples).
-    """
-    rng = np.random.default_rng(seed)
-    if isinstance(region, Disk):
-        c = np.asarray(region.center)
-        lo, hi = c - region.radius, c + region.radius
-    elif isinstance(region, SmoothStar):
-        rmax = float(np.max(region.radius(np.linspace(0, 2 * math.pi, 4096, endpoint=False))))
-        lo, hi = np.array([-rmax, -rmax]), np.array([rmax, rmax])
-    else:
-        v = region.vertex_array()
-        lo, hi = v.min(axis=0), v.max(axis=0)
-    box = float(np.prod(hi - lo))
-    shifts = family.shifts()
-    hits = 0
-    removed = 0
-    chunk = 1_000_000
-    done = 0
-    while done < n_samples:
-        m = min(chunk, n_samples - done)
-        pts = lo + (hi - lo) * rng.random((m, 2))
-        in_base = contains(region, pts)
-        in_all = in_base.copy()
-        for s in shifts:
-            in_all &= contains(region, pts - s)
-        hits += int(np.count_nonzero(in_base))
-        removed += int(np.count_nonzero(in_base & ~in_all))
-        done += m
-    p = removed / n_samples
-    est = box * p
-    stderr = box * math.sqrt(max(p * (1.0 - p), 1e-300) / n_samples)
-    return est, stderr
 
 
 # ---------------------------------------------------------------------------

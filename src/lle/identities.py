@@ -15,20 +15,17 @@ identity holds for all m >= 2.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError, NumericError
 from .landau import symplectic
-from .specfun import (
-    adaptive_quad,
-    hermite_poly_normalized,
-    laguerre,
-    laguerre_sweep,
-)
+from .specfun import hermite_poly_normalized
 
 M_CAP = 8  # randomized suites stop here: all index-branch patterns occur by m = 8
 
@@ -319,52 +316,63 @@ def verify_laguerre_argument_maps(m: int, q: int, omega, xi: float,
 # special-function identities
 # ---------------------------------------------------------------------------
 
-def _laguerre_horner(ell: int, z: np.ndarray) -> np.ndarray:
-    """L_ell(z) for complex z by Horner on the explicit coefficients.
+@functools.cache
+def _hermite_lhs_table(ell: int) -> dict:
+    """Exact coefficients {(a, b): c} of the Hermite-identity left side.
 
-    Kept apart from specfun.laguerre (the degree recurrence) because the
-    quadrature noise bound below is derived from this evaluation; the
-    recurrence changes which seeds of the suite pass without cutting the
-    failures to zero.
+    (2pi)^{-1/2} integral of L_ell((w-2i xi)(w-2i tau)/2) e^{-w^2/4} dw equals
+    sqrt(2) sum c xi^a tau^b. Built from the Laguerre coefficients
+    (-1)^j C(ell, j) / j! and the Gaussian moments (2pi)^{-1/2} integral of
+    w^{2m} e^{-w^2/4} dw = sqrt(2) 2^m (2m-1)!! alone (odd moments vanish).
+    With u = i w the argument is the real polynomial
+    -(u^2 + 2u(xi + tau) + 4 xi tau)/2 and u^{2m} has the moment
+    sqrt(2) (-2)^m (2m-1)!!.
     """
-    coeffs = [(-1.0) ** j / math.factorial(j) * math.comb(ell, ell - j)
-              for j in range(ell + 1)]
-    out = np.zeros_like(z, dtype=complex) + coeffs[ell]
-    for j in range(ell - 1, -1, -1):
-        out = out * z + coeffs[j]
-    return out
+    # z = -zz/2 with the integer polynomial zz, keys (u, xi, tau); the sums
+    # run in integers scaled by ell! 2^ell
+    zz = {(2, 0, 0): 1, (1, 1, 0): 2, (1, 0, 1): 2, (0, 1, 1): 4}
+    power = {(0, 0, 0): 1}
+    scaled: dict = {}
+    for j in range(ell + 1):
+        # c_j (-1/2)^j ell! 2^ell with c_j = (-1)^j C(ell, j) / j!
+        weight = math.comb(ell, j) * math.perm(ell, ell - j) * 2 ** (ell - j)
+        for (k, a, b), v in power.items():
+            if k % 2 == 0:
+                m = k // 2
+                moment = (-2) ** m * math.prod(range(1, 2 * m, 2))
+                scaled[a, b] = scaled.get((a, b), 0) + weight * v * moment
+        nxt: dict = {}
+        for (k1, a1, b1), v1 in power.items():
+            for (k2, a2, b2), v2 in zz.items():
+                key = (k1 + k2, a1 + a2, b1 + b2)
+                nxt[key] = nxt.get(key, 0) + v1 * v2
+        power = nxt
+    denom = math.factorial(ell) * 2 ** ell
+    return {key: Fraction(v, denom) for key, v in scaled.items() if v}
 
 
 def verify_hermite_identity(ell: int, xi: float, tau: float) -> VerifyResult:
     """Gaussian integral of a two-root Laguerre argument against Hermite pairs.
 
     (2pi)^{-1/2} integral of L_ell((w-2i xi)(w-2i tau)/2) e^{-w^2/4} dw equals
-    sqrt(2) H_ell(xi) H_ell(tau) / (2^ell ell!); relative tolerance 1e-9 with
-    an absolute floor near the Hermite zeros.
+    sqrt(2) H_ell(xi) H_ell(tau) / (2^ell ell!). The left side is evaluated
+    exactly from `_hermite_lhs_table` at the float inputs and rounded once;
+    relative tolerance 1e-9 with an absolute floor near the Hermite zeros.
     """
     if ell > 12:
-        raise DomainError("identity quadrature is tuned for ell <= 12")
+        raise DomainError("the Hermite identity tables stop at ell = 12")
     # sqrt(2) H_l(xi) H_l(tau) / (2^l l!) in the normalized basis
     hx = hermite_poly_normalized(ell, xi)
     ht = hermite_poly_normalized(ell, tau)
     rhs = math.sqrt(2.0) * hx * ht
     scale = math.sqrt(2.0) * (1.0 + abs(hx)) * (1.0 + abs(ht))
-
-    def integrand(w):
-        z = (w - 2j * xi) * (w - 2j * tau) / 2.0
-        return _laguerre_horner(ell, z) * np.exp(-w * w / 4.0)
-
-    # Horner cancellation inside the Laguerre polynomial caps the achievable
-    # pointwise accuracy at ~eps * |z|^ell / ell!; hand that to the quadrature
-    wg = np.linspace(-30.0, 30.0, 601)
-    env = ((np.abs(wg) + 2 * abs(xi)) * (np.abs(wg) + 2 * abs(tau)) / 2.0) ** ell \
-        / math.factorial(ell) * np.exp(-wg * wg / 4.0)
-    noise = 2e-16 * float(np.max(env))
-    val = adaptive_quad(integrand, -30.0, 30.0, tol=1e-12 * scale, noise=noise)
-    lhs = complex(val) / math.sqrt(2.0 * math.pi)
+    x, t = Fraction(xi), Fraction(tau)
+    exact = sum(c * x ** a * t ** b
+                for (a, b), c in _hermite_lhs_table(ell).items())
+    lhs = math.sqrt(2.0) * float(exact)
     tol = max(1e-9 * abs(rhs), 1e-10 * scale)
     return _result(abs(lhs - rhs), tol, ell=ell, xi=xi, tau=tau,
-                   lhs=[lhs.real, lhs.imag], rhs=rhs)
+                   lhs=[lhs, 0.0], rhs=rhs)
 
 
 def verify_mehler(xi: float, tau: float, t: float,
@@ -432,22 +440,6 @@ def verify_christoffel_darboux(n: int, tau: float, taup: float) -> VerifyResult:
     err = abs(direct - quot)
     return _result(err, 1e-10 * max(1.0, abs(direct)), n=n, tau=tau, taup=taup,
                    direct=direct, quotient=quot)
-
-
-def laguerre_sum_relation_error(n: int, t) -> float:
-    """Pointwise error of sum_{l<=n} L_l = L_n^{(1)}, scaled to magnitude.
-
-    The polynomials are O(1) on [0, 40] while their coefficient terms reach
-    ~t^n/n!, so the pointwise error is measured relative to the mass
-    sum_j |c_j| t^j of the L_n^{(1)} coefficients, not to the small results.
-    """
-    t = np.asarray(t, dtype=float)
-    total = sum(laguerre_sweep(n, 0, t))
-    rel = laguerre(n, 1, t)
-    mass = sum(math.comb(n + 1, n - j) / math.factorial(j) * t ** j
-               for j in range(n + 1))
-    scale = np.maximum(1.0, np.maximum(np.abs(rel), mass))
-    return float(np.max(np.abs(total - rel) / scale))
 
 
 # ---------------------------------------------------------------------------

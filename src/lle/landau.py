@@ -173,27 +173,3 @@ def k_kernel(n: int, xi: float, tau: float, taup: float) -> float:
         return 0.0
     gauss = math.exp(-0.5 * (tau * tau + taup * taup)) / math.sqrt(math.pi)
     return gauss * _cd_sum_normalized(int(n), float(tau), float(taup))
-
-
-def k_kernel_matrix(n: int, xi: float, tau: np.ndarray) -> np.ndarray:
-    """k_kernel on a grid x grid (vectorized Christoffel-Darboux form)."""
-    tau = np.asarray(tau, dtype=float)
-    hn = hermite_poly_normalized(n, tau)
-    hn1 = hermite_poly_normalized(n + 1, tau)
-    diff = tau[:, None] - tau[None, :]
-    num = np.outer(hn1, hn) - np.outer(hn, hn1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quot = math.sqrt((n + 1.0) / 2.0) * num / diff
-    near = np.abs(diff) < _CONFLUENT_EPS
-    if np.any(near):
-        mid = 0.5 * (tau[:, None] + tau[None, :])
-        s = mid[near]
-        c_n = hermite_poly_normalized(n, s)
-        c_n1 = hermite_poly_normalized(n + 1, s)
-        c_n2 = hermite_poly_normalized(n + 2, s)
-        quot[near] = ((n + 1.0) * c_n1 * c_n1
-                      - math.sqrt((n + 1.0) * (n + 2.0)) * c_n * c_n2)
-    gauss = np.exp(-0.5 * tau * tau) / math.pi ** 0.25
-    mat = quot * np.outer(gauss, gauss)
-    mask = tau >= xi
-    return mat * np.outer(mask, mask)

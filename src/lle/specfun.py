@@ -1,10 +1,10 @@
-"""Orthogonal polynomials, quadrature and one-dimensional overlap integrals.
+"""Orthogonal polynomials, Gauss-Legendre rules and one-dimensional overlap integrals.
 
 Hermite functions and Laguerre polynomials come from their three-term
 recurrences; the truncated-Hermite overlaps of a whole xi grid come from one
 cumulative panel sweep (`build_overlap_table`), the one route to the
-occupations. The per-xi adaptive quadrature of the overlaps and the
-extended-precision erfc and incomplete gamma are test oracles
+occupations. Adaptive quadrature, the per-xi quadrature of the overlaps and
+the extended-precision erfc and incomplete gamma are test oracles
 (tests/oracles.py); the library takes the incomplete gamma from scipy.
 
 Everything here is pure and reentrant: fixed inputs give bitwise-identical
@@ -164,7 +164,7 @@ def clamp_unit(vals, slack: float, where: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Legendre rules and adaptive quadrature
+# Gauss-Legendre rules
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -225,65 +225,6 @@ def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
     half = 0.5 * (b - a)
     return QuadratureRule(half * x + 0.5 * (a + b), half * w,
                           (float(a), float(b)), 2 * n - 1)
-
-
-_GL15 = gauss_legendre(15, -1.0, 1.0)
-_GL7 = gauss_legendre(7, -1.0, 1.0)
-# bisection levels before adaptive_quad gives up
-_MAX_DEPTH = 40
-
-
-def adaptive_quad(f, a: float, b: float, tol: float = 1e-12,
-                  noise: float = 0.0) -> float:
-    """Recursive bisection with an embedded GL15/GL7 error estimate.
-
-    `f` must accept numpy arrays. Error budget is split proportionally to
-    interval length; intervals that disagree beyond their budget are bisected
-    up to `_MAX_DEPTH` levels, after which a NumericError is raised. Complex
-    integrands are supported. `noise` is the caller's bound on the absolute
-    evaluation noise of f per unit length (e.g. cancellation inside the
-    integrand); panels are never refined below it.
-    """
-    a = float(a)
-    b = float(b)
-    total_len = b - a
-    if total_len <= 0:
-        raise DomainError(f"need a < b, got [{a}, {b}]")
-
-    def panel(lo, hi):
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        fx = f(half * _GL15.nodes + mid)
-        coarse = f(half * _GL7.nodes + mid)
-        fine_val = half * np.dot(_GL15.weights, fx)
-        coarse_val = half * np.dot(_GL7.weights, coarse)
-        # roundoff floor: a panel cannot beat machine precision relative to
-        # the magnitude of its own samples
-        mag = half * float(np.max(np.abs(fx))) if fx.size else 0.0
-        return fine_val, abs(fine_val - coarse_val), mag
-
-    total = 0.0 + 0.0j
-    global_mag = 0.0
-    stack = [(a, b, 0)]
-    while stack:
-        lo, hi, depth = stack.pop()
-        val, err, mag = panel(lo, hi)
-        global_mag = max(global_mag, mag)
-        # anything below the roundoff of the whole integral is noise
-        if err <= (tol * (hi - lo) / total_len + noise * (hi - lo)
-                   + 4e-16 * mag + 2.3e-16 * global_mag):
-            total += val
-        elif depth >= _MAX_DEPTH:
-            raise NumericError(
-                f"adaptive quadrature hit depth {_MAX_DEPTH} on [{lo}, {hi}] "
-                f"(panel error {err:.2e})")
-        else:
-            mid = 0.5 * (lo + hi)
-            stack.append((lo, mid, depth + 1))
-            stack.append((mid, hi, depth + 1))
-    if abs(total.imag) == 0.0:
-        return total.real
-    return total if abs(total.imag) > 1e-300 else total.real
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Independent brute-force oracles shared by the test modules.
 
 Everything here deliberately avoids the code paths it is used to check:
-extended-precision explicit sums via mpmath, plain dense quadrature, a
-cyclic-Jacobi eigensolver, finite differences, and the slower second routes
-of the library's problems (per-xi adaptive quadrature of the overlap Gram
-matrix, the angular Fourier transform of the kernel, the radial-Nystrom
-disk solver). The library never imports this module.
+extended-precision explicit sums via mpmath, plain dense and adaptive
+quadrature, seeded Monte Carlo areas, a cyclic-Jacobi eigensolver, finite
+differences, and the slower second routes of the library's problems (per-xi
+adaptive quadrature of the overlap Gram matrix, the Christoffel-Darboux
+kernel on a grid, the angular Fourier transform of the kernel, the
+radial-Nystrom disk solver). The library never imports this module.
 """
 
 import itertools
@@ -15,18 +16,24 @@ import mpmath as mp
 import numpy as np
 
 from lle import disk_spectra as ds
+from lle import geometry as ge
 from lle.coeffs import CLAMP
-from lle.errors import ConsistencyError, DomainError, WindowError
-from lle.landau import p_selector
+from lle.errors import DomainError, LleError, NumericError, WindowError
+from lle.landau import _CONFLUENT_EPS, p_selector
 from lle.specfun import (
-    adaptive_quad,
     clamp_unit,
     gauss_legendre,
     hermite_fn,
     hermite_poly_normalized,
+    laguerre,
+    laguerre_sweep,
 )
 
 mp.mp.dps = 40
+
+
+class ConsistencyError(LleError):
+    """Two supposedly equivalent routes disagreed beyond tolerance."""
 
 
 def hermite_explicit(ell: int, t: float) -> float:
@@ -93,6 +100,111 @@ def jacobi_eigvalsh(mat: np.ndarray, tol: float = 1e-13,
 
 def fd_second_derivative(f, x: float, h: float = 1e-4) -> float:
     return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
+
+
+# ---------------------------------------------------------------------------
+# adaptive quadrature: the reference integrator of the specfun, geometry and
+# disk tests and of the per-xi overlap oracle below
+# ---------------------------------------------------------------------------
+
+_GL15 = gauss_legendre(15, -1.0, 1.0)
+_GL7 = gauss_legendre(7, -1.0, 1.0)
+# bisection levels before adaptive_quad gives up
+_MAX_DEPTH = 40
+
+
+def adaptive_quad(f, a: float, b: float, tol: float = 1e-12) -> float:
+    """Recursive bisection with an embedded GL15/GL7 error estimate.
+
+    `f` must accept numpy arrays. Error budget is split proportionally to
+    interval length; intervals that disagree beyond their budget are bisected
+    up to `_MAX_DEPTH` levels, after which a NumericError is raised. Complex
+    integrands are supported.
+    """
+    a = float(a)
+    b = float(b)
+    total_len = b - a
+    if total_len <= 0:
+        raise DomainError(f"need a < b, got [{a}, {b}]")
+
+    def panel(lo, hi):
+        half = 0.5 * (hi - lo)
+        mid = 0.5 * (hi + lo)
+        fx = f(half * _GL15.nodes + mid)
+        coarse = f(half * _GL7.nodes + mid)
+        fine_val = half * np.dot(_GL15.weights, fx)
+        coarse_val = half * np.dot(_GL7.weights, coarse)
+        # roundoff floor: a panel cannot beat machine precision relative to
+        # the magnitude of its own samples
+        mag = half * float(np.max(np.abs(fx))) if fx.size else 0.0
+        return fine_val, abs(fine_val - coarse_val), mag
+
+    total = 0.0 + 0.0j
+    global_mag = 0.0
+    stack = [(a, b, 0)]
+    while stack:
+        lo, hi, depth = stack.pop()
+        val, err, mag = panel(lo, hi)
+        global_mag = max(global_mag, mag)
+        # anything below the roundoff of the whole integral is noise
+        if err <= (tol * (hi - lo) / total_len
+                   + 4e-16 * mag + 2.3e-16 * global_mag):
+            total += val
+        elif depth >= _MAX_DEPTH:
+            raise NumericError(
+                f"adaptive quadrature hit depth {_MAX_DEPTH} on [{lo}, {hi}] "
+                f"(panel error {err:.2e})")
+        else:
+            mid = 0.5 * (lo + hi)
+            stack.append((lo, mid, depth + 1))
+            stack.append((mid, hi, depth + 1))
+    if abs(total.imag) == 0.0:
+        return total.real
+    return total if abs(total.imag) > 1e-300 else total.real
+
+
+# ---------------------------------------------------------------------------
+# Laguerre and Christoffel-Darboux cross-checks
+# ---------------------------------------------------------------------------
+
+def laguerre_sum_relation_error(n: int, t) -> float:
+    """Pointwise error of sum_{l<=n} L_l = L_n^{(1)}, scaled to magnitude.
+
+    The polynomials are O(1) on [0, 40] while their coefficient terms reach
+    ~t^n/n!, so the pointwise error is measured relative to the mass
+    sum_j |c_j| t^j of the L_n^{(1)} coefficients, not to the small results.
+    """
+    t = np.asarray(t, dtype=float)
+    total = sum(laguerre_sweep(n, 0, t))
+    rel = laguerre(n, 1, t)
+    mass = sum(math.comb(n + 1, n - j) / math.factorial(j) * t ** j
+               for j in range(n + 1))
+    scale = np.maximum(1.0, np.maximum(np.abs(rel), mass))
+    return float(np.max(np.abs(total - rel) / scale))
+
+
+def k_kernel_matrix(n: int, xi: float, tau: np.ndarray) -> np.ndarray:
+    """k_kernel on a grid x grid (vectorized Christoffel-Darboux form)."""
+    tau = np.asarray(tau, dtype=float)
+    hn = hermite_poly_normalized(n, tau)
+    hn1 = hermite_poly_normalized(n + 1, tau)
+    diff = tau[:, None] - tau[None, :]
+    num = np.outer(hn1, hn) - np.outer(hn, hn1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quot = math.sqrt((n + 1.0) / 2.0) * num / diff
+    near = np.abs(diff) < _CONFLUENT_EPS
+    if np.any(near):
+        mid = 0.5 * (tau[:, None] + tau[None, :])
+        s = mid[near]
+        c_n = hermite_poly_normalized(n, s)
+        c_n1 = hermite_poly_normalized(n + 1, s)
+        c_n2 = hermite_poly_normalized(n + 2, s)
+        quot[near] = ((n + 1.0) * c_n1 * c_n1
+                      - math.sqrt((n + 1.0) * (n + 2.0)) * c_n * c_n2)
+    gauss = np.exp(-0.5 * tau * tau) / math.pi ** 0.25
+    mat = quot * np.outer(gauss, gauss)
+    mask = tau >= xi
+    return mat * np.outer(mask, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -262,3 +374,44 @@ def disk_spectrum_nystrom(setup, selector, r_total: float,
     if sv.max(initial=0.0) >= cutoff:  # sv: the boundary sector k = kmax
         raise WindowError(f"sector window |k| <= {kmax} exhausted")
     return np.sort(np.concatenate(collected))[::-1]
+
+
+# ---------------------------------------------------------------------------
+# seeded Monte Carlo areas: the oracle of geometry.intersect_translates_area
+# ---------------------------------------------------------------------------
+
+def mc_intersect_area(region, family,
+                      n_samples: int = 10_000_000, seed: int = 0
+                      ) -> tuple[float, float]:
+    """Monte Carlo estimate of |Lambda \\ Lambda_eps| with its standard error.
+
+    Seeded and shardable: the estimate depends only on (seed, n_samples).
+    """
+    rng = np.random.default_rng(seed)
+    if isinstance(region, ge.Disk):
+        c = np.asarray(region.center)
+        lo, hi = c - region.radius, c + region.radius
+    elif isinstance(region, ge.SmoothStar):
+        rmax = float(np.max(region.radius(np.linspace(0, 2 * math.pi, 4096, endpoint=False))))
+        lo, hi = np.array([-rmax, -rmax]), np.array([rmax, rmax])
+    else:
+        v = region.vertex_array()
+        lo, hi = v.min(axis=0), v.max(axis=0)
+    box = float(np.prod(hi - lo))
+    shifts = family.shifts()
+    removed = 0
+    chunk = 1_000_000
+    done = 0
+    while done < n_samples:
+        m = min(chunk, n_samples - done)
+        pts = lo + (hi - lo) * rng.random((m, 2))
+        in_base = ge.contains(region, pts)
+        in_all = in_base.copy()
+        for s in shifts:
+            in_all &= ge.contains(region, pts - s)
+        removed += int(np.count_nonzero(in_base & ~in_all))
+        done += m
+    p = removed / n_samples
+    est = box * p
+    stderr = box * math.sqrt(max(p * (1.0 - p), 1e-300) / n_samples)
+    return est, stderr

@@ -16,7 +16,8 @@ sys.modules["mpmath"] = None
 assert importlib.util.find_spec("oracles") is None
 import lle
 from lle.cli import main
-sys.exit(main(["coeff", "--levels", "single:0", "--f", "renyi:1"]))
+assert main(["coeff", "--levels", "single:0", "--f", "renyi:1"]) == 0
+sys.exit(main(["verify", "--suite", "all", "--cases", "5"]))
 """
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from lle import identities as idn
 from lle.cli import main
 
 DISK = '{"type":"disk","R":1.0}'
@@ -118,6 +119,24 @@ def test_scaling_nonpositive_step_exits_2(capsys, step):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("cutoff", ["0", "-1"])
+def test_spectrum_nonpositive_cutoff_exits_2(capsys, cutoff):
+    code, _, err = run_cli(capsys, "spectrum", "--region", DISK, "--B", "1",
+                           "--levels", "upto:0", "--L", "3",
+                           "--cutoff", cutoff)
+    assert code == 2
+    assert "usage error" in err
+
+
+def test_scaling_zero_cutoff_exits_2(capsys):
+    code, _, err = run_cli(capsys, "scaling", "--region", DISK, "--B", "1",
+                           "--levels", "upto:0", "--alpha", "1",
+                           "--L-min", "10", "--L-max", "14", "--L-step", "2",
+                           "--cutoff", "0")
+    assert code == 2
+    assert "usage error" in err
+
+
 def test_scaling_single_level_against_coefficient(capsys):
     code, out, _ = run_cli(capsys, "scaling", "--region", DISK, "--B", "1",
                            "--levels", "single:1", "--alpha", "1",
@@ -135,6 +154,27 @@ def test_verify_pass_and_fail_paths(capsys):
     assert json.loads(out)["passed"]
     code, _, err = run_cli(capsys, "verify", "--suite", "bogus")
     assert code == 2
+
+
+def test_verify_failure_exits_1_with_dump(capsys, monkeypatch):
+    def failing(rng):
+        return idn.VerifyResult(ok=False, max_error=1.0, tolerance=1e-9,
+                                inputs={"xi": 0.25, "tau": -1.5})
+    monkeypatch.setitem(idn.SUITES, "mehler", failing)
+    dump = {"case": 0, "xi": 0.25, "tau": -1.5, "max_error": 1.0,
+            "tolerance": 1e-9}
+    code, out, _ = run_cli(capsys, "verify", "--suite", "mehler",
+                           "--cases", "2", "--seed", "7")
+    assert code == 1
+    report = json.loads(out)
+    assert not report["passed"]
+    assert report["failures"] == [dump, dump | {"case": 1}]
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--cases", "1")
+    assert code == 1
+    report = json.loads(out)
+    assert report["suites"]["mehler"]["failures"] == [dump]
+    assert [name for name, r in report["suites"].items()
+            if not r["passed"]] == ["mehler"]
 
 
 def test_verify_all_small(capsys):

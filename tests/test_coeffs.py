@@ -7,7 +7,7 @@ from scipy.special import erfc
 from lle import coeffs as cf
 from lle import specfun as sf
 from lle.errors import DomainError
-from lle.landau import LevelSelector, k_kernel_matrix
+from lle.landau import LevelSelector
 
 import oracles
 
@@ -94,7 +94,7 @@ def test_gram_spectrum_invariants():
 def _nystrom_k_eigs(n, xi, nodes=200):
     # upper limit as in the occupation integrals: max(xi, 0) + 10
     rule = sf.gauss_legendre(nodes, xi, max(xi, 0.0) + 10.0)
-    kern = k_kernel_matrix(n, xi, rule.nodes)
+    kern = oracles.k_kernel_matrix(n, xi, rule.nodes)
     sq = np.sqrt(rule.weights)
     mat = sq[:, None] * kern * sq[None, :]
     return np.linalg.eigvalsh(mat)[::-1][: n + 1]

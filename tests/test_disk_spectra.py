@@ -6,7 +6,6 @@ import pytest
 
 from lle import coeffs as cf
 from lle import disk_spectra as ds
-from lle import specfun as sf
 from lle.errors import DomainError, WindowError
 from lle.landau import LevelSelector, MagneticSetup, p_selector
 
@@ -49,7 +48,7 @@ def test_sector_kernel_adaptive_oracle():
                         for p in np.atleast_1d(phi)])
         return out
 
-    oracle = sf.adaptive_quad(integrand, 0.0, 2.0 * math.pi, tol=1e-13)
+    oracle = oracles.adaptive_quad(integrand, 0.0, 2.0 * math.pi, tol=1e-13)
     assert val == pytest.approx(complex(oracle).real / (2 * math.pi), abs=1e-10)
 
 

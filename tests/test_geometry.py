@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lle import geometry as ge
-from lle import specfun as sf
 from lle.errors import CapabilityError, DomainError
 
 import oracles
@@ -101,7 +100,7 @@ def test_intersection_eps_zero():
 def test_disk_lens_matches_monte_carlo():
     fam = ge.TranslateFamily(vectors=((1.0, 0.0),), eps=0.25)
     _, removed = ge.intersect_translates_area(DISK, fam)
-    est, se = ge.mc_intersect_area(DISK, fam, n_samples=10_000_000, seed=11)
+    est, se = oracles.mc_intersect_area(DISK, fam, n_samples=10_000_000, seed=11)
     assert abs(removed - est) < 3.0 * se
 
 
@@ -129,14 +128,14 @@ def test_nonconvex_polygon_clip_refused():
 def test_star_intersection_matches_monte_carlo():
     fam = ge.TranslateFamily(vectors=((1.0, 0.2), (-0.3, 0.7)), eps=0.11)
     _, removed = ge.intersect_translates_area(STAR, fam)
-    est, se = ge.mc_intersect_area(STAR, fam, n_samples=4_000_000, seed=3)
+    est, se = oracles.mc_intersect_area(STAR, fam, n_samples=4_000_000, seed=3)
     assert abs(removed - est) < 3.5 * se
 
 
 def test_disk_multivector_radial_vs_monte_carlo():
     fam = ge.TranslateFamily(vectors=((1.0, 0.0), (0.0, 1.0)), eps=0.2)
     _, removed = ge.intersect_translates_area(DISK, fam)
-    est, se = ge.mc_intersect_area(DISK, fam, n_samples=4_000_000, seed=4)
+    est, se = oracles.mc_intersect_area(DISK, fam, n_samples=4_000_000, seed=4)
     assert abs(removed - est) < 3.5 * se
 
 
@@ -149,16 +148,10 @@ def test_radial_method_agrees_with_lens_formula():
 
 
 def test_large_translate_monte_carlo_fallback():
-    # shifts beyond the radial representation: refuse without a seed, fall
-    # back to seeded Monte Carlo with one
+    # shifts beyond the radial representation are refused
     fam = ge.TranslateFamily(vectors=((1.0, 0.0), (0.0, 1.0)), eps=0.9)
     with pytest.raises(CapabilityError):
         ge.intersect_translates_area(STAR, fam)
-    inter, removed = ge.intersect_translates_area(STAR, fam, mc_seed=2,
-                                                  mc_samples=2_000_000)
-    est, se = ge.mc_intersect_area(STAR, fam, n_samples=2_000_000, seed=2)
-    assert removed == est  # same seed, same estimate
-    assert inter == pytest.approx(ge.area(STAR) - est)
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +165,8 @@ def test_first_order_zero_vector():
 def test_first_order_disk_value():
     # integral of max(0, cos) over the circle = 2, via adaptive oracle too
     t1 = ge.roccaforte_first_order(DISK, [(1.0, 0.0)])
-    oracle = sf.adaptive_quad(lambda t: np.maximum(0.0, np.cos(t)),
-                              -0.5 * math.pi, 0.5 * math.pi, tol=1e-13)
+    oracle = oracles.adaptive_quad(lambda t: np.maximum(0.0, np.cos(t)),
+                                   -0.5 * math.pi, 0.5 * math.pi, tol=1e-13)
     assert t1 == pytest.approx(2.0, abs=1e-12)
     assert t1 == pytest.approx(oracle, abs=1e-10)
 
@@ -203,8 +196,9 @@ def test_second_order_disk_single_vector():
     # the curvature term vanishes for a single unit vector on the unit disk:
     # 1/2 int_{-pi/2}^{pi/2} (1 - 2 cos^2) = 0, confirmed by the lens series
     t2 = ge.roccaforte_second_order(DISK, [(1.0, 0.0)])
-    oracle = 0.5 * sf.adaptive_quad(lambda u: 1.0 - 2.0 * np.cos(u) ** 2,
-                                    -0.5 * math.pi, 0.5 * math.pi, tol=1e-13)
+    oracle = 0.5 * oracles.adaptive_quad(
+        lambda u: 1.0 - 2.0 * np.cos(u) ** 2, -0.5 * math.pi, 0.5 * math.pi,
+        tol=1e-13)
     assert t2 == pytest.approx(oracle, abs=1e-10)
     assert t2 == pytest.approx(0.0, abs=1e-10)
 

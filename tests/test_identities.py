@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +11,8 @@ from hypothesis import given, strategies as st
 
 from lle import identities as idn
 from lle.errors import DomainError, NumericError
+
+import oracles
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +169,33 @@ def test_hermite_identity_spot():
         idn.verify_hermite_identity(13, 0.0, 0.0)
 
 
+def test_hermite_lhs_table_low_degrees():
+    # L_1(z) = 1 - z with E[z] = sqrt(2) (1 - 2 xi tau): the left side is
+    # 2 sqrt(2) xi tau
+    assert idn._hermite_lhs_table(1) == {(1, 1): 2}
+    # L_2 at xi = tau = 0: z = -u^2/2, so 1 - 2 E[z] + E[z^2]/2 over sqrt(2)
+    # is 1 - 2 + 3/2
+    assert idn._hermite_lhs_table(2)[0, 0] == Fraction(1, 2)
+    res = idn.verify_hermite_identity(2, 0.3, -1.1)
+    assert res.ok and res.inputs["lhs"][1] == 0.0
+
+
+def test_import_builds_no_hermite_table():
+    code = ("import lle, lle.cli\n"
+            "from lle.identities import _hermite_lhs_table\n"
+            "assert _hermite_lhs_table.cache_info().currsize == 0\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(idn.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_hermite_identity_suite_every_seed(seed):
+    report = idn.run_suite("hermite-identity", cases=1000, seed=seed)
+    assert report["passed"], report["failures"][:1]
+
+
 def test_mehler_trivial_and_even():
     res = idn.verify_mehler(1.3, -0.7, 0.0)
     assert res.ok and res.inputs["series"] == pytest.approx(1.0)
@@ -188,7 +222,7 @@ def test_christoffel_darboux_cases():
 def test_laguerre_sum_relation_pointwise():
     t = np.linspace(0.0, 40.0, 801)
     for n in range(11):
-        assert idn.laguerre_sum_relation_error(n, t) < 1e-12
+        assert oracles.laguerre_sum_relation_error(n, t) < 1e-12
 
 
 # ---------------------------------------------------------------------------
