@@ -146,6 +146,8 @@ def cmd_scaling(args) -> int:
     selector = _parse_selector(args.levels)
     if not args.L_step > 0.0:
         raise UsageError(f"--L-step must be positive, got {args.L_step}")
+    if not (math.isfinite(args.L_min) and math.isfinite(args.L_max)):
+        raise UsageError(f"the L range must be finite, got {args.L_min}..{args.L_max}")
     scales = np.arange(args.L_min, args.L_max + 1e-9, args.L_step)
     if scales.size < 3:
         raise UsageError("need at least 3 scales in the L range")
@@ -181,6 +183,8 @@ def cmd_scaling(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.cases < 1:
+        raise UsageError(f"--cases must be at least 1, got {args.cases}")
     if args.suite == "all":
         report = identities.run_all_suites(cases=args.cases, seed=args.seed)
         passed = report["passed"]
@@ -201,6 +205,9 @@ def cmd_rocca(args) -> int:
         vectors = [(float(x), float(y)) for x, y in vectors]
     except (json.JSONDecodeError, TypeError, ValueError) as exc:
         raise UsageError(f"vectors must be JSON [[x,y],...]: {exc}") from exc
+    if args.eps_min_exp > args.eps_max_exp:
+        raise UsageError(f"empty eps range: --eps-min-exp {args.eps_min_exp} > "
+                         f"--eps-max-exp {args.eps_max_exp}")
     t1 = geometry.roccaforte_first_order(region, vectors)
     try:
         t2 = geometry.roccaforte_second_order(region, vectors)

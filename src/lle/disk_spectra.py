@@ -173,8 +173,8 @@ def disk_spectrum(setup: MagneticSetup, selector: LevelSelector,
     WindowError. The cutoff must be positive: the window test compares the
     boundary sector with it.
     """
-    if r_total <= 0.0:
-        raise DomainError(f"disk radius must be positive, got {r_total}")
+    if not 0.0 < r_total < math.inf:
+        raise DomainError(f"disk radius must be finite and positive, got {r_total}")
     if not cutoff > 0.0:
         raise DomainError(f"retention cutoff must be positive, got {cutoff}")
     n_top = max(selector.levels())

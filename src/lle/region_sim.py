@@ -174,6 +174,8 @@ def region_spectrum(setup: MagneticSetup, selector: LevelSelector,
     [0, 1] within a 1e-4 tolerance (quadrature noise), and violations beyond
     it abort as assembly inconsistencies.
     """
+    if not 0.0 < L < math.inf:
+        raise DomainError(f"scale L must be finite and positive, got {L}")
     if isinstance(region, Polygon):
         raise CapabilityError("polygons are outside the Nystrom path")
     n_radial, n_theta = resolution or default_resolution(setup, region, L)

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the code paths it is used to check:
 extended-precision explicit sums via mpmath, plain dense and adaptive
-quadrature, seeded Monte Carlo areas, a cyclic-Jacobi eigensolver, finite
+quadrature, seeded Monte Carlo areas, a dense trapezoid rule for translate
+intersections on Newton ray solves, a cyclic-Jacobi eigensolver, finite
 differences, and the slower second routes of the library's problems (per-xi
 adaptive quadrature of the overlap Gram matrix, the Christoffel-Darboux
 kernel on a grid, the angular Fourier transform of the kernel, the
@@ -415,3 +416,37 @@ def mc_intersect_area(region, family,
     est = box * p
     stderr = box * math.sqrt(max(p * (1.0 - p), 1e-300) / n_samples)
     return est, stderr
+
+
+# ---------------------------------------------------------------------------
+# dense trapezoid of 1/2 rho_min^2: no kink events, no panels, no bisection
+# ---------------------------------------------------------------------------
+
+def newton_translate_radius(star, shift, theta) -> np.ndarray:
+    """Radial function of (star + shift) on the rays theta, by Newton.
+
+    Solves u x (r(phi) e_phi + s) = 0 for the polar angle phi of the boundary
+    point, starting at phi = theta; valid for shifts small against r.
+    """
+    ux, uy = np.cos(theta), np.sin(theta)
+    cross_s = ux * shift[1] - uy * shift[0]
+    phi = np.array(theta, dtype=float)
+    for _ in range(50):
+        r, rp = star.radius(phi), star.radius(phi, order=1)
+        s, c = np.sin(phi - theta), np.cos(phi - theta)
+        step = (r * s + cross_s) / (rp * s + r * c)
+        phi = phi - step
+        if np.max(np.abs(step)) < 1e-15:
+            break
+    r = star.radius(phi)
+    if np.max(np.abs(r * np.sin(phi - theta) + cross_s)) > 1e-14:
+        raise NumericError("Newton ray solve did not converge")
+    return r * np.cos(phi - theta) + ux * shift[0] + uy * shift[1]
+
+
+def trapezoid_intersection_area(star, family, n: int = 2 ** 18) -> float:
+    """|Lambda_eps| as the n-node periodic trapezoid rule of 1/2 rho_min^2."""
+    theta = 2.0 * math.pi * np.arange(n) / n
+    shifts = np.vstack([np.zeros((1, 2)), family.shifts()])
+    rho = np.min([newton_translate_radius(star, s, theta) for s in shifts], axis=0)
+    return 0.5 * float(np.sum(rho * rho)) * 2.0 * math.pi / n

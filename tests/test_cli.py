@@ -215,6 +215,52 @@ def test_rocca_eps_zero_row():
     assert code == 0
 
 
+@pytest.mark.parametrize("region", [
+    '{"type":"disk"}', '{"type":"disk","R":"x"}', '{"type":"disk","R":null}',
+    '{"type":"star","coeffs":["a"]}', '{"type":"star","coeffs":5}',
+    '{"type":"star","coeffs":[NaN]}', '{"type":"polygon","vertices":[1,2,3]}',
+    '{"type":"polygon","vertices":[[0,0],[1,0],[Infinity,1]]}',
+    '{"type":["disk"]}',
+])
+def test_malformed_region_exits_2(capsys, region):
+    code, _, err = run_cli(capsys, "rocca", "--region", region,
+                           "--vectors", "[[1,0]]")
+    assert code == 2
+    assert "usage error" in err
+
+
+@pytest.mark.parametrize("extra", [
+    ("--vectors", "[]"),
+    ("--vectors", "[[1,0]]", "--eps-min-exp", "3", "--eps-max-exp", "2"),
+])
+def test_rocca_empty_request_exits_2(capsys, extra):
+    code, out, err = run_cli(capsys, "rocca", "--region", DISK, *extra)
+    assert code == 2
+    assert "usage error" in err and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--region", DISK, "--B", "1", "--levels", "upto:0",
+     "--L", "nan"),
+    ("spectrum", "--region", DISK, "--B", "1", "--levels", "upto:0",
+     "--L", "inf"),
+    ("spectrum", "--region", DISK, "--B", "1", "--levels", "upto:0",
+     "--L", "nan", "--solver", "nystrom2d"),
+    ("spectrum", "--region", DISK, "--B", "1", "--levels", "upto:0",
+     "--L", "inf", "--solver", "nystrom2d"),
+    ("spectrum", "--region", DISK, "--B", "1", "--levels", "upto:0",
+     "--L", "-1", "--solver", "nystrom2d"),
+    ("scaling", "--region", DISK, "--B", "1", "--levels", "upto:0",
+     "--alpha", "1", "--L-min", "4", "--L-max", "nan"),
+    ("verify", "--cases", "0"),
+    ("verify", "--cases", "-1"),
+])
+def test_bad_scale_or_case_count_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "usage error" in err and out == ""
+
+
 def test_bad_flag_exits_2():
     assert main(["coeff", "--levels", "single:0"]) == 2  # missing --f
     assert main(["frobnicate"]) == 2

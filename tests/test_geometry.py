@@ -13,6 +13,7 @@ DISK = ge.Disk(1.0)
 STAR = ge.SmoothStar((1.0, 0.0, 0.0, 0.0, 0.0, 0.2))          # 1 + 0.2 cos 3t
 STAR_SMALL = ge.SmoothStar((1.0, 0.0, 0.0, 0.0, 0.0, 0.15))   # 1 + 0.15 cos 3t
 SQUARE = ge.Polygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
+LOPSIDED = ge.SmoothStar((1.0, 0.1, 0.0, 0.0, 0.2))          # 1 + 0.1 cos t + 0.2 cos 2t
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +148,29 @@ def test_radial_method_agrees_with_lens_formula():
     assert removed2 == pytest.approx(ge._lens_removed_area(1.0, 0.2), abs=1e-11)
 
 
+def test_ray_solve_reaches_star_radius():
+    # the bracket must hold the whole star: on this star the maximum of r
+    # sampled on 2048 nodes falls short of the true one by ~1e-6
+    th = np.linspace(0.0, 2.0 * math.pi, 65536, endpoint=False)
+    rho = ge._star_translate_radius(LOPSIDED, np.zeros(2), th)
+    np.testing.assert_allclose(rho, LOPSIDED.radius(th), rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("vectors, k", [
+    (((1.0, 0.2), (-0.3, 0.7), (-0.6, -0.8)), 3),
+    (((1.0, 0.2), (-0.3, 0.7), (-0.6, -0.8)), 9),
+    (((1.0, 0.0),), 6),
+])
+def test_kink_split_area_matches_dense_trapezoid(vectors, k):
+    # the reference integrates 1/2 rho_min^2 with the 2^18-node trapezoid on
+    # Newton ray solves: no kink events, no panels, no bisection; its own
+    # error from the kinks is O(h^2) and measures 4e-12 at k = 3
+    fam = ge.TranslateFamily(vectors=vectors, eps=2.0 ** -k)
+    inter, _ = ge.intersect_translates_area(LOPSIDED, fam)
+    assert inter == pytest.approx(
+        oracles.trapezoid_intersection_area(LOPSIDED, fam), abs=1e-11)
+
+
 def test_large_translate_monte_carlo_fallback():
     # shifts beyond the radial representation are refused
     fam = ge.TranslateFamily(vectors=((1.0, 0.0), (0.0, 1.0)), eps=0.9)
@@ -207,6 +231,25 @@ def test_second_order_degenerate_family_flagged():
     from lle.errors import NumericError
     with pytest.raises(NumericError):
         ge.roccaforte_second_order(DISK, [(1.0, 0.0), (1.0, 0.0)])
+
+
+def test_boundary_integrals_parallel_vectors():
+    # (0.5, 0) never leads where <v|n> > 0, so it changes neither integral;
+    # its kinks coincide with those of (1, 0) and must not be counted twice
+    single, pair = [(1.0, 0.0)], [(1.0, 0.0), (0.5, 0.0)]
+    for region in (DISK, STAR):
+        assert ge.roccaforte_first_order(region, pair) == pytest.approx(
+            ge.roccaforte_first_order(region, single), abs=1e-13)
+        assert ge.roccaforte_second_order(region, pair) == pytest.approx(
+            ge.roccaforte_second_order(region, single), abs=1e-13)
+
+
+@pytest.mark.parametrize("vectors", [[], [[1.0, 0.0, 2.0]], [[float("nan"), 0.0]]])
+def test_boundary_integrals_reject_bad_vectors(vectors):
+    with pytest.raises(DomainError):
+        ge.roccaforte_first_order(STAR, vectors)
+    with pytest.raises(DomainError):
+        ge.roccaforte_second_order(STAR, vectors)
 
 
 def test_polygon_first_order_slab():
