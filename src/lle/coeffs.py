@@ -159,6 +159,8 @@ def xi_grid(n: int, q: float = 1.0, c_holder: float = 1.0, tol: float = 1e-8,
     The integrand is analytic with Gaussian decay, so the fixed grid converges
     spectrally; Xi is pushed further out if the tail bound exceeds tol/10.
     """
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tolerance must be finite and positive, got {tol}")
     xi_max = 8.0 + math.sqrt(2.0 * n + 1.0)
     while _tail_bound(n, q, c_holder, xi_max) > 0.1 * tol and xi_max < 40.0:
         xi_max += 0.5

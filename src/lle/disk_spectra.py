@@ -170,13 +170,13 @@ def disk_spectrum(setup: MagneticSetup, selector: LevelSelector,
     Each angular sector is solved through its radial Gram matrix (all
     sectors |k| <= the window at once). Eigenvalues below `cutoff` are
     dropped (counted); the window must exhaust the boundary sectors, else
-    WindowError. The cutoff must be positive: the window test compares the
-    boundary sector with it.
+    WindowError. The cutoff must be finite and positive: the window test
+    compares the boundary sector with it.
     """
     if not 0.0 < r_total < math.inf:
         raise DomainError(f"disk radius must be finite and positive, got {r_total}")
-    if not cutoff > 0.0:
-        raise DomainError(f"retention cutoff must be positive, got {cutoff}")
+    if not 0.0 < cutoff < math.inf:
+        raise DomainError(f"retention cutoff must be finite and positive, got {cutoff}")
     n_top = max(selector.levels())
     kmax = sector_window(setup.b, r_total, n_top)
     x_cut = 0.5 * setup.b * r_total * r_total

@@ -176,6 +176,8 @@ def region_spectrum(setup: MagneticSetup, selector: LevelSelector,
     """
     if not 0.0 < L < math.inf:
         raise DomainError(f"scale L must be finite and positive, got {L}")
+    if not math.isfinite(cutoff):
+        raise DomainError(f"retention cutoff must be finite, got {cutoff}")
     if isinstance(region, Polygon):
         raise CapabilityError("polygons are outside the Nystrom path")
     n_radial, n_theta = resolution or default_resolution(setup, region, L)

@@ -2,12 +2,13 @@
 
 Everything here deliberately avoids the code paths it is used to check:
 extended-precision explicit sums via mpmath, plain dense and adaptive
-quadrature, seeded Monte Carlo areas, a dense trapezoid rule for translate
-intersections on Newton ray solves, a cyclic-Jacobi eigensolver, finite
-differences, and the slower second routes of the library's problems (per-xi
-adaptive quadrature of the overlap Gram matrix, the Christoffel-Darboux
-kernel on a grid, the angular Fourier transform of the kernel, the
-radial-Nystrom disk solver). The library never imports this module.
+quadrature, seeded Monte Carlo areas, a 64-step ray bisection, a dense
+trapezoid rule for translate intersections on Newton ray solves, a
+cyclic-Jacobi eigensolver, finite differences, and the slower second routes
+of the library's problems (per-xi adaptive quadrature of the overlap Gram
+matrix, the Christoffel-Darboux kernel on a grid, the angular Fourier
+transform of the kernel, the radial-Nystrom disk solver). The library never
+imports this module.
 """
 
 import itertools
@@ -419,8 +420,33 @@ def mc_intersect_area(region, family,
 
 
 # ---------------------------------------------------------------------------
-# dense trapezoid of 1/2 rho_min^2: no kink events, no panels, no bisection
+# ray solves of star translates, and the dense trapezoid of 1/2 rho_min^2
+# (no kink events, no panels, no bisection)
 # ---------------------------------------------------------------------------
+
+def translate_bound(star, shift) -> float:
+    """a0 + sum_j hypot(a_j, b_j) + |shift|: no point of star + shift lies farther out."""
+    a0, a, b, _ = star._harmonics()
+    return a0 + float(np.sum(np.hypot(a, b))) + float(np.hypot(*shift))
+
+
+def bisect_translate_radius(star, shift, theta) -> np.ndarray:
+    """Radial function of (star + shift) on the rays theta, by 64 bisection steps.
+
+    Each ray is bracketed by the origin and translate_bound; valid while the
+    origin lies inside the translate.
+    """
+    ux, uy = np.cos(theta), np.sin(theta)
+    lo = np.zeros_like(ux)
+    hi = np.full_like(ux, translate_bound(star, shift))
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        px, py = mid * ux - shift[0], mid * uy - shift[1]
+        inside = px * px + py * py - star.radius(np.arctan2(py, px)) ** 2 <= 0.0
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+    return 0.5 * (lo + hi)
+
 
 def newton_translate_radius(star, shift, theta) -> np.ndarray:
     """Radial function of (star + shift) on the rays theta, by Newton.

@@ -119,13 +119,30 @@ def test_scaling_nonpositive_step_exits_2(capsys, step):
     assert "usage error" in err
 
 
-@pytest.mark.parametrize("cutoff", ["0", "-1"])
+@pytest.mark.parametrize("cutoff", ["0", "-1", "inf"])
 def test_spectrum_nonpositive_cutoff_exits_2(capsys, cutoff):
     code, _, err = run_cli(capsys, "spectrum", "--region", DISK, "--B", "1",
                            "--levels", "upto:0", "--L", "3",
                            "--cutoff", cutoff)
     assert code == 2
     assert "usage error" in err
+
+
+@pytest.mark.parametrize("cutoff", ["nan", "inf"])
+def test_nystrom_nonfinite_cutoff_exits_2(capsys, cutoff):
+    code, out, err = run_cli(capsys, "spectrum", "--region", DISK, "--B", "1",
+                             "--levels", "upto:0", "--L", "2",
+                             "--solver", "nystrom2d", "--cutoff", cutoff)
+    assert code == 2
+    assert "usage error" in err and out == ""
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_coeff_bad_tolerance_exits_2(capsys, tol):
+    code, out, err = run_cli(capsys, "coeff", "--levels", "single:0",
+                             "--f", "renyi:1", "--tol", tol)
+    assert code == 2
+    assert "usage error" in err and out == ""
 
 
 def test_scaling_zero_cutoff_exits_2(capsys):

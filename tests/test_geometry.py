@@ -156,6 +156,65 @@ def test_ray_solve_reaches_star_radius():
     np.testing.assert_allclose(rho, LOPSIDED.radius(th), rtol=0.0, atol=1e-14)
 
 
+# non-convex stars whose translates by up to 0.6 stay star-shaped about the
+# origin, so that every ray meets the boundary once
+WAVY5 = ge.SmoothStar((1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.1))  # 1 + 0.1 cos 5t
+WAVY24 = ge.SmoothStar((1.0, 0.0, 0.0, 0.15, 0.0, 0.0, 0.0, 0.0, 0.08))  # 1 + 0.15 cos 2t + 0.08 sin 4t
+# translates by (0.3, 0.1) are not star-shaped about the origin: on the rays
+# theta in [1.82, 1.87] Newton converges to the boundary point behind it
+FOLDED = ge.SmoothStar((1.0, 0.3, 0.0, 0.0, 0.25, 0.0, 0.0, 0.0, 0.15))
+
+
+@pytest.mark.parametrize("star", [LOPSIDED, STAR, WAVY5, WAVY24],
+                         ids=["lopsided", "star", "wavy5", "wavy24"])
+def test_ray_solve_matches_bisection(star):
+    th = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+    for mag in (0.0, 0.2, 0.4, 0.6):
+        for ang in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False):
+            shift = mag * np.array([math.cos(ang), math.sin(ang)])
+            bound = oracles.translate_bound(star, shift)
+            np.testing.assert_allclose(
+                ge._star_translate_radius(star, shift, th),
+                oracles.bisect_translate_radius(star, shift, th),
+                rtol=0.0, atol=1e-14 * bound)
+
+
+def test_ray_solve_falls_back_to_bisection_on_failed_rays(monkeypatch):
+    shift = np.array([0.3, 0.1])
+    th = np.concatenate([np.linspace(0.0, 1.6, 40), np.linspace(1.83, 1.86, 8),
+                         np.linspace(2.0, 6.2, 40)])
+    bound = oracles.translate_bound(FOLDED, shift)
+    newton = oracles.newton_translate_radius(FOLDED, shift, th)
+    failed = ~((newton > 0.0) & (newton <= bound))
+    assert np.count_nonzero(failed) == 8
+    bisect, solved = ge._bisect, []
+
+    def spy(f, a, b):
+        out = bisect(f, a, b)
+        solved.append(out)
+        return out
+
+    monkeypatch.setattr(ge, "_bisect", spy)
+    rho = ge._star_translate_radius(FOLDED, shift, th)
+    assert len(solved) == 1
+    np.testing.assert_array_equal(solved[0], rho[failed])
+    np.testing.assert_allclose(
+        rho, oracles.bisect_translate_radius(FOLDED, shift, th),
+        rtol=0.0, atol=1e-14 * bound)
+
+
+def test_ray_solve_round_star_needs_no_fallback(monkeypatch):
+    # the unshifted ray lands exactly on the bound a0
+    def no_fallback(f, a, b):
+        raise AssertionError("a ray fell back to bisection")
+
+    monkeypatch.setattr(ge, "_bisect", no_fallback)
+    star = ge.SmoothStar((1.0408,))
+    th = np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False)
+    rho = ge._star_translate_radius(star, np.zeros(2), th)
+    np.testing.assert_array_equal(rho, star.radius(th))
+
+
 @pytest.mark.parametrize("vectors, k", [
     (((1.0, 0.2), (-0.3, 0.7), (-0.6, -0.8)), 3),
     (((1.0, 0.2), (-0.3, 0.7), (-0.6, -0.8)), 9),
