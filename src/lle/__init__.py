@@ -56,18 +56,17 @@ from .specfun import (
     QuadratureRule,
     gauss_legendre,
     hermite_fn,
-    hermite_poly,
     laguerre,
 )
 
 __all__ = [
-    "AccuracyError", "AsymptoticFit", "CapabilityError", "Disk",
-    "DomainError", "FitError", "LevelSelector", "LleError", "LocalSpectrum",
-    "MagneticSetup", "NumericError", "Polygon", "QuadratureRule", "Region",
-    "ScalingSeries", "SmoothStar", "SpectralFunction", "TranslateFamily",
-    "UsageError", "WindowError", "__version__", "coeff_M_ell", "coeff_M_le_n",
+    "AccuracyError", "AsymptoticFit", "CapabilityError", "Disk", "DomainError",
+    "FitError", "LevelSelector", "LleError", "LocalSpectrum", "MagneticSetup",
+    "NumericError", "Polygon", "QuadratureRule", "Region", "ScalingSeries",
+    "SmoothStar", "SpectralFunction", "TranslateFamily", "UsageError",
+    "WindowError", "__version__", "coeff_M_ell", "coeff_M_le_n",
     "disk_spectrum", "entropy_from_spectrum", "gauss_legendre", "hermite_fn",
-    "hermite_poly", "intersect_translates_area", "k_kernel", "laguerre",
+    "intersect_translates_area", "k_kernel", "laguerre",
     "lll_disk_eigenvalues", "nu_from_mu", "p_ell", "p_le_n",
     "poly_boundary_coeff", "region_from_json", "region_spectrum",
     "region_trace_moment", "renyi_h", "roccaforte_first_order",

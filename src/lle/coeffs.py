@@ -3,10 +3,12 @@
 The rank-(n+1) truncated-Hermite operator is finite rank, so its nonzero
 spectrum equals the spectrum of the (n+1)x(n+1) overlap Gram matrix; the
 coefficient integrals reduce to a one-dimensional xi integration of spectral
-functionals of that matrix, whose entries along a whole grid come from one
-overlap-table sweep. The per-xi adaptive-quadrature Gram matrix, its dual-route
-trace moments and the Nystrom discretization of the integral kernel are test
-oracles (tests/oracles.py).
+functionals of that matrix. Its entries along a whole grid are closed forms
+in psi_0..psi_n at the nodes (specfun.build_overlap_table: the erfc ladder on
+the diagonal, Wronskians off it); a single level needs only the ladder
+(specfun.occupations). The per-xi adaptive-quadrature Gram matrix, its
+dual-route trace moments, the panel-quadrature overlap table and the Nystrom
+discretization of the integral kernel are test oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .specfun import build_overlap_table, clamp_unit, gauss_legendre
+from .specfun import build_overlap_table, clamp_unit, gauss_legendre, occupations
 
 _TWO_PI = 2.0 * math.pi
 
@@ -95,9 +97,12 @@ class SpectralFunction:
     @classmethod
     def renyi(cls, alpha: float) -> "SpectralFunction":
         alpha = float(alpha)
+        text = f"{alpha:g}"
+        if float(text) != alpha:  # distinct indices keep distinct labels
+            text = repr(alpha)
         return cls(fn=lambda t, a=alpha: renyi_h(a, t), value_at_one=0.0,
                    endpoint_exponent=_holder_exponent_for_renyi(alpha),
-                   kind="renyi", label=f"renyi:{alpha:g}")
+                   kind="renyi", label=f"renyi:{text}")
 
     @classmethod
     def monomial(cls, m: int) -> "SpectralFunction":
@@ -200,12 +205,11 @@ def gram_eigen_field(n: int, grid: XiGrid) -> np.ndarray:
 
 
 def lambda_field(ell: int, grid: XiGrid) -> np.ndarray:
-    """lambda_ell along the grid (diagonal of the overlap table)."""
+    """lambda_ell along the grid, the top rung of the occupation ladder."""
     key = ("lambda", ell, _grid_key(grid))
     if key in _FIELD_CACHE:
         return _FIELD_CACHE[key]
-    table = build_overlap_table(ell, grid.nodes)
-    vals = clamp_unit(table.values[ell, ell, :], CLAMP,
+    vals = clamp_unit(occupations(ell, grid.nodes)[ell], CLAMP,
                       f"lambda_field(ell={ell})")
     _FIELD_CACHE[key] = vals
     return vals

@@ -1,11 +1,14 @@
 """Orthogonal polynomials, Gauss-Legendre rules and one-dimensional overlap integrals.
 
 Hermite functions and Laguerre polynomials come from their three-term
-recurrences; the truncated-Hermite overlaps of a whole xi grid come from one
-cumulative panel sweep (`build_overlap_table`), the one route to the
-occupations. Adaptive quadrature, the per-xi quadrature of the overlaps and
-the extended-precision erfc and incomplete gamma are test oracles
-(tests/oracles.py); the library takes the incomplete gamma from scipy.
+recurrences. The truncated-Hermite overlaps of a whole xi grid need no
+quadrature: from psi_0..psi_n at the nodes, the occupations follow the ladder
+lambda_0 = erfc(xi)/2, lambda_l = lambda_{l-1} + psi_l psi_{l-1}/sqrt(2l)
+(`occupations`), and the cross overlaps are Wronskian quotients
+(`build_overlap_table`). Adaptive quadrature, the per-xi quadrature and the
+panel sweep of the overlaps, the raw Hermite polynomials and the
+extended-precision erfc and incomplete gamma are test oracles
+(tests/oracles.py); the library takes erfc and the incomplete gamma from scipy.
 
 Everything here is pure and reentrant: fixed inputs give bitwise-identical
 outputs regardless of evaluation order, so callers may fan grids out across
@@ -18,6 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import erfc
 
 from .errors import CapabilityError, DomainError, NumericError
 
@@ -38,23 +42,6 @@ def _check_level(ell: int) -> int:
 # ---------------------------------------------------------------------------
 # Hermite polynomials and functions
 # ---------------------------------------------------------------------------
-
-def hermite_poly(ell: int, t):
-    """Physicists' Hermite polynomial H_ell(t) by the three-term recurrence.
-
-    Overflow-safe for ell <= 60 and |t| <= 12 (values stay far below the
-    double-precision ceiling there).
-    """
-    ell = _check_level(ell)
-    t = np.asarray(t, dtype=float)
-    h_prev = np.ones_like(t)
-    if ell == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h = 2.0 * t
-    for k in range(1, ell):
-        h, h_prev = 2.0 * t * h - 2.0 * k * h_prev, h
-    return h if h.ndim else float(h)
-
 
 def hermite_poly_normalized(ell: int, t):
     """H_ell(t) / sqrt(2^ell ell!), via the normalized recurrence.
@@ -169,15 +156,11 @@ def clamp_unit(vals, slack: float, where: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes/weights on [a, b] with a certified polynomial exactness degree."""
+    """Nodes/weights on [a, b]; an n-point rule is exact to degree 2n - 1."""
 
     nodes: np.ndarray
     weights: np.ndarray
     domain: tuple[float, float]
-    exactness_degree: int
-
-    def integrate(self, f) -> float:
-        return float(np.dot(self.weights, f(self.nodes)))
 
 
 def _legendre_and_derivative(n: int, x: np.ndarray):
@@ -203,7 +186,7 @@ def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
         raise DomainError(f"need a < b, got [{a}, {b}]")
     if n == 1:
         return QuadratureRule(np.array([0.5 * (a + b)]), np.array([float(b - a)]),
-                              (float(a), float(b)), 1)
+                              (float(a), float(b)))
     i = np.arange(1, n + 1)
     x = np.cos(math.pi * (i - 0.25) / (n + 0.5))
     converged = np.zeros(n, dtype=bool)
@@ -224,61 +207,70 @@ def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
     w = w[::-1].copy()
     half = 0.5 * (b - a)
     return QuadratureRule(half * x + 0.5 * (a + b), half * w,
-                          (float(a), float(b)), 2 * n - 1)
+                          (float(a), float(b)))
 
 
 # ---------------------------------------------------------------------------
 # Truncated-Hermite overlap integrals
 # ---------------------------------------------------------------------------
 
-def _upper_cutoff(xi: float) -> float:
-    # psi_ell(t)^2 <= C (1+|t|)^{2 ell} e^{-t^2}: remainder beyond
-    # max(|xi|, 0) + 10 is below 1e-14 for all supported levels.
-    return max(abs(xi), 0.0) + 10.0
+def _check_grid(xi_grid) -> np.ndarray:
+    xi = np.asarray(xi_grid, dtype=float)
+    if xi.ndim != 1 or xi.size < 1:
+        raise DomainError("xi grid must be a nonempty 1-D array")
+    if np.any(np.diff(xi) <= 0):
+        raise DomainError("xi grid must be strictly increasing")
+    return xi
+
+
+def occupations(max_level: int, xi_grid) -> np.ndarray:
+    """lambda_0..lambda_max_level on a xi grid, shape (max_level+1, N).
+
+    lambda_l(xi), the integral of psi_l^2 over [xi, inf), by the ladder
+    lambda_0 = erfc(xi)/2, lambda_l = lambda_{l-1} + psi_l psi_{l-1}/sqrt(2l):
+    both sides have derivative psi_{l-1}^2 - psi_l^2 and vanish at +inf.
+    """
+    max_level = _check_level(max_level)
+    xi = _check_grid(xi_grid)
+    lam = hermite_fn_table(max_level, xi)
+    lam[1:] *= lam[:-1] / np.sqrt(2.0 * np.arange(1, max_level + 1))[:, None]
+    lam[0] = 0.5 * erfc(xi)
+    return np.cumsum(lam, axis=0, out=lam)
 
 
 @dataclass
 class OverlapTable:
     """Dense table of overlap integrals on a xi grid.
 
-    values[l1, l2, i] is the integral of psi_l1 psi_l2 over [xi_grid[i], inf)
-    (the occupation lambda_l on the diagonal); built by one cumulative sweep
-    from the far tail so a whole coefficient-integration grid costs a single
-    pass of panelized quadrature per level pair.
+    values[l1, l2, i] is the integral of psi_l1 psi_l2 over [xi_grid[i], inf),
+    in closed form from psi_0..psi_max_level at the nodes alone: the
+    occupations lambda_l on the diagonal come from `occupations`' ladder sum,
+    and off the diagonal the Wronskian W = psi_i' psi_j - psi_i psi_j', with
+    W' = -2(i-j) psi_i psi_j, gives
+    (sqrt(2i) psi_{i-1} psi_j - sqrt(2j) psi_i psi_{j-1}) / (2(i-j)).
     """
 
     xi_grid: np.ndarray
     max_level: int
     values: np.ndarray = field(repr=False)
 
-    def value(self, l1: int, l2: int, i: int) -> float:
-        return float(self.values[l1, l2, i])
-
-
-# Gauss-Legendre rule of each overlap-table segment
-_PANEL_RULE = gauss_legendre(12, 0.0, 1.0)
-
 
 def build_overlap_table(max_level: int, xi_grid: np.ndarray) -> OverlapTable:
     max_level = _check_level(max_level)
-    xi = np.asarray(xi_grid, dtype=float)
-    if xi.ndim != 1 or xi.size < 1:
-        raise DomainError("xi grid must be a nonempty 1-D array")
-    if np.any(np.diff(xi) <= 0):
-        raise DomainError("xi grid must be strictly increasing")
-    hi = _upper_cutoff(float(xi[-1]))
-    edges = np.concatenate([xi, np.linspace(float(xi[-1]), hi, 64)[1:]])
+    xi = _check_grid(xi_grid)
+    psi = hermite_fn_table(max_level, xi)
     n = max_level + 1
-    segs = np.zeros((n, n, edges.size - 1))
-    for i in range(edges.size - 1):
-        lo, up = edges[i], edges[i + 1]
-        if up <= lo:
-            continue
-        t = lo + (up - lo) * _PANEL_RULE.nodes
-        w = (up - lo) * _PANEL_RULE.weights
-        tab = hermite_fn_table(max_level, t)
-        segs[:, :, i] = np.einsum("k,ik,jk->ij", w, tab, tab)
-    # cumulative from the right: lambda(x_i) = sum of segments beyond x_i
-    cum = np.cumsum(segs[:, :, ::-1], axis=2)[:, :, ::-1]
-    vals = cum[:, :, :xi.size]
+    # lowered[i] = sqrt(2i) psi_{i-1}, so psi_i' = lowered[i] - xi psi_i
+    lowered = np.zeros_like(psi)
+    lowered[1:] = np.sqrt(2.0 * np.arange(1, n))[:, None] * psi[:-1]
+    level = np.arange(n, dtype=float)
+    gap = 2.0 * np.subtract.outer(level, level)
+    np.fill_diagonal(gap, 1.0)  # the diagonal is the ladder's, set below
+    vals = np.empty((n, n, xi.size))
+    for i, row in enumerate(vals):
+        # row by row, so no temporary grows past (n, N)
+        np.multiply(lowered[i], psi, out=row)
+        row -= psi[i] * lowered
+        row /= gap[i][:, None]
+    vals[np.arange(n), np.arange(n)] = occupations(max_level, xi)
     return OverlapTable(xi_grid=xi, max_level=max_level, values=vals)

@@ -6,11 +6,13 @@ quadrature, seeded Monte Carlo areas, a 64-step ray bisection, a dense
 trapezoid rule for translate intersections on Newton ray solves, a
 cyclic-Jacobi eigensolver, finite differences, and the slower second routes
 of the library's problems (per-xi adaptive quadrature of the overlap Gram
-matrix, the Christoffel-Darboux kernel on a grid, the angular Fourier
-transform of the kernel, the radial-Nystrom disk solver). The library never
-imports this module.
+matrix, the cumulative panel sweep of the overlap table, the
+Christoffel-Darboux kernel on a grid, the angular Fourier transform of the
+kernel, the radial-Nystrom disk solver). The library never imports this
+module.
 """
 
+import functools
 import itertools
 import math
 
@@ -23,9 +25,13 @@ from lle.coeffs import CLAMP
 from lle.errors import DomainError, LleError, NumericError, WindowError
 from lle.landau import _CONFLUENT_EPS, p_selector
 from lle.specfun import (
+    LEVEL_CAP,
+    OverlapTable,
+    _check_level,
     clamp_unit,
     gauss_legendre,
     hermite_fn,
+    hermite_fn_table,
     hermite_poly_normalized,
     laguerre,
     laguerre_sweep,
@@ -36,6 +42,23 @@ mp.mp.dps = 40
 
 class ConsistencyError(LleError):
     """Two supposedly equivalent routes disagreed beyond tolerance."""
+
+
+def hermite_poly(ell: int, t):
+    """Physicists' Hermite polynomial H_ell(t) by the three-term recurrence.
+
+    Overflow-safe for ell <= 60 and |t| <= 12 (values stay far below the
+    double-precision ceiling there).
+    """
+    ell = _check_level(ell)
+    t = np.asarray(t, dtype=float)
+    h_prev = np.ones_like(t)
+    if ell == 0:
+        return h_prev if h_prev.ndim else float(h_prev)
+    h = 2.0 * t
+    for k in range(1, ell):
+        h, h_prev = 2.0 * t * h - 2.0 * k * h_prev, h
+    return h if h.ndim else float(h)
 
 
 def hermite_explicit(ell: int, t: float) -> float:
@@ -233,6 +256,64 @@ def overlap_lambda(ell1: int, ell2: int, xi: float, tol: float = 1e-12) -> float
     xi = float(xi)
     return float(adaptive_quad(lambda t: hermite_fn(ell1, t) * hermite_fn(ell2, t),
                                xi, _upper_cutoff(xi), tol=tol))
+
+
+# Gauss-Legendre rule of each overlap-table segment
+_PANEL_RULE = gauss_legendre(12, 0.0, 1.0)
+
+
+def overlap_table_panel(max_level: int, xi_grid: np.ndarray) -> OverlapTable:
+    """The overlap table by one cumulative panel sweep from the far tail: a
+    GL-12 panel per grid segment (plus 63 segments out to the upper cutoff),
+    summed from the right. The quadrature route to the table that
+    specfun.build_overlap_table takes in closed form."""
+    xi = np.asarray(xi_grid, dtype=float)
+    hi = _upper_cutoff(float(xi[-1]))
+    edges = np.concatenate([xi, np.linspace(float(xi[-1]), hi, 64)[1:]])
+    n = max_level + 1
+    segs = np.zeros((n, n, edges.size - 1))
+    for i in range(edges.size - 1):
+        lo, up = edges[i], edges[i + 1]
+        if up <= lo:
+            continue
+        t = lo + (up - lo) * _PANEL_RULE.nodes
+        w = (up - lo) * _PANEL_RULE.weights
+        tab = hermite_fn_table(max_level, t)
+        segs[:, :, i] = np.einsum("k,ik,jk->ij", w, tab, tab)
+    # cumulative from the right: lambda(x_i) = sum of segments beyond x_i
+    cum = np.cumsum(segs[:, :, ::-1], axis=2)[:, :, ::-1]
+    vals = cum[:, :, :xi.size]
+    return OverlapTable(xi_grid=xi, max_level=max_level, values=vals)
+
+
+@functools.lru_cache(maxsize=None)
+def _hermite_fn_table_mp(t: mp.mpf, dps: int) -> tuple:
+    # psi_0..psi_LEVEL_CAP at one node by the normalized recurrence, in dps
+    # digits (the caller's working precision, part of the cache key)
+    out = [mp.exp(-t * t / 2) / mp.pi ** mp.mpf(0.25)]
+    out.append(mp.sqrt(2) * t * out[0])
+    for k in range(1, LEVEL_CAP):
+        out.append(mp.sqrt(mp.mpf(2) / (k + 1)) * t * out[k]
+                   - mp.sqrt(mp.mpf(k) / (k + 1)) * out[k - 1])
+    return tuple(out)
+
+
+def overlap_mp(ell1: int, ell2: int, xi: float, dps: int = 30) -> float:
+    """Integral of psi_ell1 psi_ell2 over [xi, inf) by mpmath Gauss-Legendre
+    quadrature in dps digits, on pieces of length 4 up to t = 16 (past every
+    turning point up to the cap) and one infinite tail; the quadrature's own
+    error estimate must stay below 1e-25."""
+    def integrand(t):
+        psi = _hermite_fn_table_mp(t, dps)
+        return psi[ell1] * psi[ell2]
+
+    with mp.workdps(dps):
+        cuts = [mp.mpf(x) for x in range(4 * math.floor(xi / 4) + 4, 17, 4)]
+        val, err = mp.quad(integrand, [mp.mpf(xi), *cuts, mp.inf],
+                           method="gauss-legendre", error=True)
+    if err > 1e-25:
+        raise ConsistencyError(f"mpmath quadrature error {err} at xi={xi}")
+    return float(val)
 
 
 def gram_matrix(n: int, xi: float) -> np.ndarray:

