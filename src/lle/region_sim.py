@@ -2,10 +2,11 @@
 
 The polar tensor rule (Gauss-Legendre radially, periodic trapezoid in the
 angle) respects the boundary layer of width ~1/sqrt(B) where the eigenvalue
-transition happens. Entropy scaling series come from the disk sector solver
+transition happens. The Nystrom matrix on it factors through the kernel's
+angular-momentum sectors, and the solver diagonalises the small Gram matrix
+of that factor. Entropy scaling series come from the disk sector solver
 (`lle scaling`); this module validates universality at moderate scales and
-turns series into boundary coefficients. The kernel itself is
-`landau.kernel_block`.
+turns series into boundary coefficients.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coeffs import SpectralFunction
-from .disk_spectra import LocalSpectrum, disk_spectrum
-from .errors import CapabilityError, DomainError, FitError
+from .disk_spectra import LocalSpectrum, _level_profiles, disk_spectrum, sector_window
+from .errors import CapabilityError, DomainError, FitError, WindowError
 from .geometry import Disk, Polygon, Region, SmoothStar, contains, region_to_json
-from .landau import LevelSelector, MagneticSetup, kernel_block, selector_laguerre
+from .landau import LevelSelector, MagneticSetup, selector_laguerre
 from .specfun import clamp_unit, gauss_legendre
 
 _DIM_GUARD = 6000
@@ -102,7 +103,7 @@ def scaling_fit(series: ScalingSeries, model: str = "linear") -> AsymptoticFit:
 
 
 # ---------------------------------------------------------------------------
-# polar tensor quadrature and kernel assembly
+# polar tensor quadrature and the angular factor of the Nystrom matrix
 # ---------------------------------------------------------------------------
 
 def _radial_profile_max(region: Region) -> float:
@@ -147,21 +148,34 @@ def _polar_nodes(region: Region, L: float, n_radial: int, n_theta: int):
     return pts, w.ravel()
 
 
-def region_kernel_matrix(setup: MagneticSetup, selector: LevelSelector,
-                         region: Region, L: float,
-                         resolution: tuple[int, int] | None = None):
-    """Weight-symmetrized kernel matrix on the polar rule, plus weights."""
-    n_radial, n_theta = resolution or default_resolution(setup, region, L)
-    pts, w = _polar_nodes(region, L, n_radial, n_theta)
-    sq = np.sqrt(w)
-    n = pts.shape[0]
-    mat = np.empty((n, n), dtype=complex)
-    block = max(1, 20_000_000 // max(n, 1))
-    for i0 in range(0, n, block):
-        i1 = min(n, i0 + block)
-        mat[i0:i1] = kernel_block(setup, selector, pts[i0:i1], pts)
-        mat[i0:i1] *= sq[i0:i1, None] * sq[None, :]
-    return mat, pts, w
+def _angular_factor(setup: MagneticSetup, selector: LevelSelector,
+                    region: Region, L: float, resolution: tuple[int, int],
+                    cutoff: float) -> np.ndarray:
+    """Angular factor A (dim x m) of the Nystrom matrix M = A A^H.
+
+    The kernel sums phi_lk(x) conj phi_lk(y) over levels l and sectors k,
+    phi_lk = sqrt(B/2pi) p_a(B r^2/2) e^{-ik theta} with a = min(l, l + k)
+    and weight |k|; A = diag(sqrt w) Phi over k = -n_top..window(largest node
+    radius). WindowError if the top sector's Gram diagonal reaches `cutoff`.
+    """
+    n_theta = resolution[1]
+    pts, w = _polar_nodes(region, L, *resolution)
+    r2 = np.sum(pts * pts, axis=1)
+    levels = np.array(selector.levels())
+    kmax = sector_window(setup.b, math.sqrt(r2.max()), int(levels[-1]))
+    ks = np.arange(-int(levels[-1]), kmax + 1)
+    # k times the node's angle index, reduced first so the phase stays exact
+    turns = (ks[:, None] * (np.arange(r2.size) % n_theta)) % n_theta
+    phase = np.exp(-2j * math.pi / n_theta * turns) \
+        * np.sqrt(w * setup.b / (2.0 * math.pi))
+    present = levels[None, :] + ks[:, None] >= 0
+    rows = _level_profiles(levels, ks, 0.5 * setup.b * r2[None, :])[present]
+    rows = phase[present.nonzero()[0]] * rows
+    top = float(np.max(np.sum(np.abs(rows[-levels.size:]) ** 2, axis=1)))
+    if top >= cutoff:
+        raise WindowError(f"sector window |k| <= {kmax} exhausted: the top "
+                          f"sector holds {top:.3e} >= cutoff {cutoff:.1e}")
+    return rows.T
 
 
 def region_spectrum(setup: MagneticSetup, selector: LevelSelector,
@@ -170,14 +184,15 @@ def region_spectrum(setup: MagneticSetup, selector: LevelSelector,
                     cutoff: float = 1e-12) -> LocalSpectrum:
     """Eigenvalues of the localized projection by 2-D Nystrom discretization.
 
-    Desk-scale guard on the matrix dimension; eigenvalues are clamped to
-    [0, 1] within a 1e-4 tolerance (quadrature noise), and violations beyond
-    it abort as assembly inconsistencies.
+    The Nystrom matrix on the polar rule (dim = n_radial * n_theta, under a
+    guard) is A A^H: eigvalsh of the m x m Gram A^H A gives its nonzero
+    eigenvalues, the other dim - m count as dropped zeros. Clamped to [0, 1]
+    within 1e-4 (quadrature noise), beyond which it aborts; cutoff in (0, inf).
     """
     if not 0.0 < L < math.inf:
         raise DomainError(f"scale L must be finite and positive, got {L}")
-    if not math.isfinite(cutoff):
-        raise DomainError(f"retention cutoff must be finite, got {cutoff}")
+    if not 0.0 < cutoff < math.inf:
+        raise DomainError(f"retention cutoff must be finite and positive, got {cutoff}")
     if isinstance(region, Polygon):
         raise CapabilityError("polygons are outside the Nystrom path")
     n_radial, n_theta = resolution or default_resolution(setup, region, L)
@@ -185,16 +200,14 @@ def region_spectrum(setup: MagneticSetup, selector: LevelSelector,
     if dim > _DIM_GUARD:
         raise CapabilityError(
             f"Nystrom dimension {dim} exceeds the guard {_DIM_GUARD}")
-    mat, _, _ = region_kernel_matrix(setup, selector, region, L,
-                                     (n_radial, n_theta))
-    vals = clamp_unit(np.linalg.eigvalsh(mat)[::-1], _CLAMP_ABORT,
+    a = _angular_factor(setup, selector, region, L, (n_radial, n_theta), cutoff)
+    vals = clamp_unit(np.linalg.eigvalsh(a.conj().T @ a)[::-1], _CLAMP_ABORT,
                       "region_spectrum")
     keep = vals[vals >= cutoff]
     return LocalSpectrum(eigenvalues=keep, b=setup.b, selector=selector,
                          region=region_to_json(region), scale=L,
                          solver=f"nystrom2d/{n_radial}x{n_theta}",
-                         cutoff=cutoff,
-                         dropped_count=int(vals.size - keep.size))
+                         cutoff=cutoff, dropped_count=dim - keep.size)
 
 
 def region_trace_moment(setup: MagneticSetup, selector: LevelSelector,
@@ -202,34 +215,20 @@ def region_trace_moment(setup: MagneticSetup, selector: LevelSelector,
                         resolution: tuple[int, int] | None = None) -> float:
     """tr of the m-th power of the localized projection, no eigensolve.
 
-    m = 1 integrates the constant kernel diagonal; m = 2 accumulates
-    sum |M_ij|^2 in row blocks without storing the matrix; higher m builds
-    the matrix and multiplies.
+    m = 1 integrates the constant kernel diagonal over the polar rule; m >= 2
+    is tr G^m of the Gram G = A^H A of the angular factor (m = 2: its squared
+    Frobenius norm), window checked at disk_trace_moment's cutoff 1e-14.
     """
     if m < 1:
         raise DomainError(f"moment order must be >= 1, got {m}")
-    n_radial, n_theta = resolution or default_resolution(setup, region, L)
-    pts, w = _polar_nodes(region, L, n_radial, n_theta)
+    if not 0.0 < L < math.inf:
+        raise DomainError(f"scale L must be finite and positive, got {L}")
+    res = resolution or default_resolution(setup, region, L)
     if m == 1:
-        density = setup.b / (2.0 * math.pi) * selector.count
-        return float(np.sum(w) * density)
-    sq = np.sqrt(w)
-    n = pts.shape[0]
-    if m == 2:
-        total = 0.0
-        block = max(1, 20_000_000 // max(n, 1))
-        for i0 in range(0, n, block):
-            i1 = min(n, i0 + block)
-            blk = kernel_block(setup, selector, pts[i0:i1], pts)
-            blk *= sq[i0:i1, None] * sq[None, :]
-            total += float(np.sum(np.abs(blk) ** 2))
-        return total
-    mat, _, _ = region_kernel_matrix(setup, selector, region, L,
-                                     (n_radial, n_theta))
-    power = mat
-    for _ in range(m - 2):
-        power = power @ mat
-    return float(np.real(np.sum(power * mat.T)))
+        w = _polar_nodes(region, L, *res)[1]
+        return float(np.sum(w) * (setup.b / (2.0 * math.pi) * selector.count))
+    a = _angular_factor(setup, selector, region, L, res, 1e-14)
+    return float(np.real(np.trace(np.linalg.matrix_power(a.conj().T @ a, m))))
 
 
 # ---------------------------------------------------------------------------

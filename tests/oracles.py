@@ -8,8 +8,8 @@ cyclic-Jacobi eigensolver, finite differences, and the slower second routes
 of the library's problems (per-xi adaptive quadrature of the overlap Gram
 matrix, the cumulative panel sweep of the overlap table, the
 Christoffel-Darboux kernel on a grid, the angular Fourier transform of the
-kernel, the radial-Nystrom disk solver). The library never imports this
-module.
+kernel, the radial-Nystrom disk solver, the dense 2-D Nystrom kernel
+matrix). The library never imports this module.
 """
 
 import functools
@@ -23,7 +23,15 @@ from lle import disk_spectra as ds
 from lle import geometry as ge
 from lle.coeffs import CLAMP
 from lle.errors import DomainError, LleError, NumericError, WindowError
-from lle.landau import _CONFLUENT_EPS, p_selector
+from lle.geometry import Region
+from lle.landau import (
+    _CONFLUENT_EPS,
+    LevelSelector,
+    MagneticSetup,
+    kernel_block,
+    p_selector,
+)
+from lle.region_sim import _polar_nodes, default_resolution
 from lle.specfun import (
     LEVEL_CAP,
     OverlapTable,
@@ -457,6 +465,28 @@ def disk_spectrum_nystrom(setup, selector, r_total: float,
     if sv.max(initial=0.0) >= cutoff:  # sv: the boundary sector k = kmax
         raise WindowError(f"sector window |k| <= {kmax} exhausted")
     return np.sort(np.concatenate(collected))[::-1]
+
+
+# ---------------------------------------------------------------------------
+# the dense 2-D Nystrom kernel matrix: the oracle of region_sim's angular
+# factor
+# ---------------------------------------------------------------------------
+
+def region_kernel_matrix(setup: MagneticSetup, selector: LevelSelector,
+                         region: Region, L: float,
+                         resolution: tuple[int, int] | None = None):
+    """Weight-symmetrized kernel matrix on the polar rule, plus weights."""
+    n_radial, n_theta = resolution or default_resolution(setup, region, L)
+    pts, w = _polar_nodes(region, L, n_radial, n_theta)
+    sq = np.sqrt(w)
+    n = pts.shape[0]
+    mat = np.empty((n, n), dtype=complex)
+    block = max(1, 20_000_000 // max(n, 1))
+    for i0 in range(0, n, block):
+        i1 = min(n, i0 + block)
+        mat[i0:i1] = kernel_block(setup, selector, pts[i0:i1], pts)
+        mat[i0:i1] *= sq[i0:i1, None] * sq[None, :]
+    return mat, pts, w
 
 
 # ---------------------------------------------------------------------------

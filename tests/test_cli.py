@@ -147,6 +147,15 @@ def test_nystrom_nonfinite_cutoff_exits_2(capsys, cutoff):
     assert "usage error" in err and out == ""
 
 
+@pytest.mark.parametrize("cutoff", ["0", "-1"])
+def test_nystrom_nonpositive_cutoff_exits_2(capsys, cutoff):
+    code, out, err = run_cli(capsys, "spectrum", "--region", DISK, "--B", "1",
+                             "--levels", "upto:0", "--L", "2",
+                             "--solver", "nystrom2d", "--cutoff", cutoff)
+    assert code == 2
+    assert "usage error" in err and out == ""
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
 def test_coeff_bad_tolerance_exits_2(capsys, tol):
     code, out, err = run_cli(capsys, "coeff", "--levels", "single:0",

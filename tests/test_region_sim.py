@@ -1,13 +1,15 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
+import oracles
 from lle import coeffs as cf
 from lle import disk_spectra as ds
 from lle import geometry as ge
 from lle import region_sim as rs
-from lle.errors import CapabilityError, DomainError, FitError
+from lle.errors import CapabilityError, DomainError, FitError, WindowError
 from lle.landau import LevelSelector, MagneticSetup
 
 SETUP = MagneticSetup(1.0)
@@ -129,6 +131,85 @@ def test_trace_moment_m3_matches_eigensolve():
     tr3 = rs.region_trace_moment(SETUP, sel, DISK, 2.5, 3, resolution=res)
     spec = rs.region_spectrum(SETUP, sel, DISK, 2.5, resolution=res)
     assert tr3 == pytest.approx(float(np.sum(spec.eigenvalues ** 3)), abs=1e-8)
+
+
+# the angular factor against the dense kernel-matrix oracle, on a star and a
+# disk: (region, selector, L, resolution)
+FACTOR_CASES = [(region, sel, 2.5, (28, 40))
+                for region in ("star", "disk")
+                for sel in ("single:0", "single:3", "upto:1", "upto:2")]
+
+
+def _factor_case(region, sel, *_):
+    reg = unit_area_star() if region == "star" else DISK
+    kind, index = sel.split(":")
+    return reg, LevelSelector(kind, int(index))
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_oracle(region, sel, L, res):
+    reg, selector = _factor_case(region, sel, L, res)
+    mat, _, _ = oracles.region_kernel_matrix(SETUP, selector, reg, L, res)
+    return mat
+
+
+@pytest.mark.parametrize("case", FACTOR_CASES, ids=lambda c: f"{c[0]}-{c[1]}")
+def test_angular_factor_reproduces_dense_kernel_matrix(case):
+    reg, selector = _factor_case(*case)
+    a = rs._angular_factor(SETUP, selector, reg, case[2], case[3], 1e-12)
+    mat = _dense_oracle(*case)
+    assert a.shape[0] == mat.shape[0] and a.shape[1] < a.shape[0]
+    scale = np.max(np.abs(mat))
+    assert np.max(np.abs(a @ a.conj().T - mat)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("case", FACTOR_CASES, ids=lambda c: f"{c[0]}-{c[1]}")
+def test_region_spectrum_matches_dense_eigensolve(case):
+    reg, selector = _factor_case(*case)
+    spec = rs.region_spectrum(SETUP, selector, reg, case[2], resolution=case[3])
+    dense = np.linalg.eigvalsh(_dense_oracle(*case))[::-1]
+    keep = dense[dense >= spec.cutoff]
+    assert spec.solver == f"nystrom2d/{case[3][0]}x{case[3][1]}"
+    assert spec.eigenvalues.size == keep.size
+    assert spec.dropped_count == dense.size - keep.size
+    assert np.max(np.abs(spec.eigenvalues - keep)) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("case", [FACTOR_CASES[2], FACTOR_CASES[5]],
+                         ids=lambda c: f"{c[0]}-{c[1]}")
+def test_trace_moment_matches_dense_oracle(case, m):
+    reg, selector = _factor_case(*case)
+    mat = _dense_oracle(*case)
+    power = mat
+    for _ in range(m - 2):
+        power = power @ mat
+    dense = float(np.real(np.sum(power * mat.T)))
+    tr = rs.region_trace_moment(SETUP, selector, reg, case[2], m,
+                                resolution=case[3])
+    assert tr == pytest.approx(dense, rel=1e-12)
+
+
+def test_angular_factor_window_error():
+    # the top sector holds a tiny but nonzero mass; a cutoff below it is
+    # not exhausted by the window
+    with pytest.raises(WindowError):
+        rs.region_spectrum(SETUP, LevelSelector.upto(1), DISK, 2.0,
+                           resolution=(26, 36), cutoff=1e-300)
+
+
+@pytest.mark.parametrize("cutoff", [0.0, -1.0, math.nan, math.inf])
+def test_region_spectrum_rejects_nonpositive_cutoff(cutoff):
+    with pytest.raises(DomainError):
+        rs.region_spectrum(SETUP, LevelSelector.single(0), DISK, 2.0,
+                           cutoff=cutoff)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("L", [-2.0, 0.0, math.nan, math.inf])
+def test_trace_moment_rejects_bad_scale(L, m):
+    with pytest.raises(DomainError):
+        rs.region_trace_moment(SETUP, LevelSelector.single(0), DISK, L, m)
 
 
 def test_second_order_probe_trace_identity():
