@@ -3,9 +3,11 @@
 Rotation invariance of the kernel splits the localized projection into
 angular-momentum sectors. Within the sector of angular mode k the projection
 onto levels <= n is a rank-<=(n+1) operator with explicit radial factors, so
-its disk-truncated spectrum is the spectrum of a small radial Gram matrix,
-integrated by windowed Gauss-Legendre quadrature over the radial profiles.
-That Gram route is the solver. The angular Fourier transform of the kernel
+its disk-truncated spectrum is the spectrum of a small radial Gram matrix.
+Its entries need no quadrature: the incomplete-gamma ladder gives the
+diagonal and Laguerre Wronskians the rest, from the radial profiles at the
+disk edge alone. That Gram route is the solver. The windowed Gauss-Legendre
+quadrature of the same entries, the angular Fourier transform of the kernel
 and the radial-Nystrom discretization of each sector are independent test
 oracles (tests/oracles.py), as is the 2-D Nystrom solver of `region_sim`.
 """
@@ -21,13 +23,11 @@ from scipy.special import gammainc, gammaln
 
 from .errors import DomainError, WindowError
 from .landau import LevelSelector, MagneticSetup
-from .specfun import clamp_unit, gauss_legendre, laguerre_sweep
+from .specfun import clamp_unit, laguerre_sweep
 
 # eigenvalues may stray outside [0,1] by at most this much before we suspect
-# an assembly bug rather than quadrature noise
+# an assembly bug rather than roundoff
 _CLAMP = 1e-9
-# sectors per recurrence sweep: bounds the profile arrays to a few MiB
-_SECTOR_BLOCK = 256
 
 
 @dataclass
@@ -112,55 +112,43 @@ def _level_profiles(levels: np.ndarray, ks: np.ndarray,
     return rows
 
 
-_GRAM_RULE = gauss_legendre(96, 0.0, 1.0)
-
-
-def _gram_window(kappa: np.ndarray, a_max: int, x_cut: float):
-    # profiles of radial quantum number a <= a_max oscillate between the
-    # turning points nu -+ sqrt(nu^2 - kappa^2), nu = kappa + 2 a_max + 1;
-    # past them they decay like a Gaussian of width sqrt(2 kappa + 1), or
-    # like e^{-x/2} when kappa is small
-    nu = kappa + 2 * a_max + 1.0
-    reach = np.sqrt(nu * nu - kappa * kappa)
-    pad = 6.0 * np.sqrt(2.0 * kappa + 1.0)
-    lo = np.clip(nu - reach - pad, 0.0, x_cut)
-    hi = np.clip(nu + reach + pad + 40.0, 0.0, x_cut)
-    return lo, hi
-
-
 def _sector_grams(selector: LevelSelector, ks: np.ndarray,
                   x_cut: float) -> np.ndarray:
     """Truncated-disk radial Gram matrices of sectors ks, shape (ks, m, m).
 
-    Entry (i, j) integrates R_{l_i,k} R_{l_j,k} r dr over the disk by windowed
-    Gauss-Legendre quadrature in x; the window depends only on |k|, so one
-    recurrence sweep per block of sectors serves every level pair. A level
+    Entry (i, j) integrates p_a p_b over x in [0, X], X = x_cut, for the
+    radial quantum numbers a, b of levels l_i, l_j in the sector (weight
+    kappa = |k| for both), from profile values at X alone. Off the diagonal
+    the Laguerre Wronskian gives -p_a p_b + [sqrt(a(a+kappa)) p_{a-1} p_b -
+    sqrt(b(b+kappa)) p_a p_{b-1}] / (a - b); on it the Landau-raising ladder
+    gives P(N+1, X) + sum_{j=1..a} sqrt(X/j) p_j^{N-j} p_{j-1}^{N-j+1} with
+    N = a + kappa and P the regularized lower incomplete gamma. A level
     absent from a sector keeps a decoupled diagonal entry of -1, which
     eigvalsh sorts below every true eigenvalue.
     """
     levels = np.array(selector.levels())
-    grams = np.empty((ks.size, levels.size, levels.size))
-    for i0 in range(0, ks.size, _SECTOR_BLOCK):
-        kb = ks[i0:i0 + _SECTOR_BLOCK]
-        lo, hi = _gram_window(np.abs(kb).astype(float), int(levels[-1]), x_cut)
-        x = lo[:, None] + (hi - lo)[:, None] * _GRAM_RULE.nodes[None, :]
-        sqw = np.sqrt((hi - lo)[:, None] * _GRAM_RULE.weights[None, :])
-        rows = _level_profiles(levels, kb, x) * sqw[:, None, :]
-        g = rows @ rows.transpose(0, 2, 1)
-        sec, lev = np.nonzero(levels[None, :] + kb[:, None] < 0)
-        g[sec, lev, lev] = -1.0
-        grams[i0:i0 + kb.size] = g
+    n_top = int(levels[-1])
+    kappa = np.abs(ks)[:, None]
+    a = np.minimum(levels[None, :], levels[None, :] + ks[:, None])
+    present = a >= 0
+    a = np.maximum(a, 0)
+    n_max = int(kappa.max()) + n_top
+    prof = radial_profiles(n_top, np.arange(n_max + 1), x_cut)
+    # ladder[j, N] = sqrt(X/j) p_j^{N-j} p_{j-1}^{N-j+1}, zero for N < j
+    ladder = np.zeros(prof.shape)
+    for j in range(1, n_top + 1):
+        ladder[j, j:] = (math.sqrt(x_cut / j) * prof[j, :n_max + 1 - j]
+                         * prof[j - 1, 1:n_max + 2 - j])
+    diag = gammainc(np.arange(1.0, n_max + 2.0), x_cut) \
+        + np.cumsum(ladder, axis=0)
+    p = prof[a, kappa] * present
+    u = np.sqrt(a * (a + kappa)) * prof[np.maximum(a - 1, 0), kappa] * present
+    gap = levels[:, None] - levels[None, :] + np.eye(levels.size, dtype=int)
+    grams = (u[:, :, None] * p[:, None, :] - p[:, :, None] * u[:, None, :]) \
+        / gap - p[:, :, None] * p[:, None, :]
+    on = np.arange(levels.size)
+    grams[:, on, on] = np.where(present, diag[a, a + kappa], -1.0)
     return grams
-
-
-def sector_gram(setup: MagneticSetup, selector: LevelSelector, k: int,
-                r_total: float) -> tuple[list[int], np.ndarray]:
-    """Active levels and their truncated-disk radial Gram matrix for mode k."""
-    levels = selector.levels()
-    present = [i for i, ell in enumerate(levels) if ell + k >= 0]
-    x_cut = 0.5 * setup.b * r_total * r_total
-    g = _sector_grams(selector, np.array([k]), x_cut)[0]
-    return [levels[i] for i in present], g[np.ix_(present, present)]
 
 
 def disk_spectrum(setup: MagneticSetup, selector: LevelSelector,

@@ -178,6 +178,14 @@ def _angular_factor(setup: MagneticSetup, selector: LevelSelector,
     return rows.T
 
 
+def _guard_dim(n_radial: int, n_theta: int) -> int:
+    dim = n_radial * n_theta
+    if dim > _DIM_GUARD:
+        raise CapabilityError(
+            f"Nystrom dimension {dim} exceeds the guard {_DIM_GUARD}")
+    return dim
+
+
 def region_spectrum(setup: MagneticSetup, selector: LevelSelector,
                     region: Region, L: float,
                     resolution: tuple[int, int] | None = None,
@@ -196,10 +204,7 @@ def region_spectrum(setup: MagneticSetup, selector: LevelSelector,
     if isinstance(region, Polygon):
         raise CapabilityError("polygons are outside the Nystrom path")
     n_radial, n_theta = resolution or default_resolution(setup, region, L)
-    dim = n_radial * n_theta
-    if dim > _DIM_GUARD:
-        raise CapabilityError(
-            f"Nystrom dimension {dim} exceeds the guard {_DIM_GUARD}")
+    dim = _guard_dim(n_radial, n_theta)
     a = _angular_factor(setup, selector, region, L, (n_radial, n_theta), cutoff)
     vals = clamp_unit(np.linalg.eigvalsh(a.conj().T @ a)[::-1], _CLAMP_ABORT,
                       "region_spectrum")
@@ -217,7 +222,8 @@ def region_trace_moment(setup: MagneticSetup, selector: LevelSelector,
 
     m = 1 integrates the constant kernel diagonal over the polar rule; m >= 2
     is tr G^m of the Gram G = A^H A of the angular factor (m = 2: its squared
-    Frobenius norm), window checked at disk_trace_moment's cutoff 1e-14.
+    Frobenius norm), window checked at disk_trace_moment's cutoff 1e-14, and
+    under region_spectrum's dimension guard, since the factor has dim rows.
     """
     if m < 1:
         raise DomainError(f"moment order must be >= 1, got {m}")
@@ -227,6 +233,7 @@ def region_trace_moment(setup: MagneticSetup, selector: LevelSelector,
     if m == 1:
         w = _polar_nodes(region, L, *res)[1]
         return float(np.sum(w) * (setup.b / (2.0 * math.pi) * selector.count))
+    _guard_dim(*res)
     a = _angular_factor(setup, selector, region, L, res, 1e-14)
     return float(np.real(np.trace(np.linalg.matrix_power(a.conj().T @ a, m))))
 

@@ -8,8 +8,9 @@ cyclic-Jacobi eigensolver, finite differences, and the slower second routes
 of the library's problems (per-xi adaptive quadrature of the overlap Gram
 matrix, the cumulative panel sweep of the overlap table, the
 Christoffel-Darboux kernel on a grid, the angular Fourier transform of the
-kernel, the radial-Nystrom disk solver, the dense 2-D Nystrom kernel
-matrix). The library never imports this module.
+kernel, the radial-Nystrom disk solver, the windowed quadrature of the disk
+sector Gram matrices, the dense 2-D Nystrom kernel matrix). The library
+never imports this module.
 """
 
 import functools
@@ -391,8 +392,10 @@ def trace_moment_K(n: int, xi: float, m: int) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# disk sectors: the angular Fourier transform of the kernel and the
-# radial-Nystrom discretization, oracles of the sector Gram solver
+# disk sectors: the angular Fourier transform of the kernel, the
+# radial-Nystrom discretization, the windowed quadrature of the sector Gram
+# matrices and their extended-precision entries, oracles of the closed-form
+# sector Gram solver
 # ---------------------------------------------------------------------------
 
 def radial_sector_kernel(setup, selector, k: int, r: float, s: float,
@@ -465,6 +468,87 @@ def disk_spectrum_nystrom(setup, selector, r_total: float,
     if sv.max(initial=0.0) >= cutoff:  # sv: the boundary sector k = kmax
         raise WindowError(f"sector window |k| <= {kmax} exhausted")
     return np.sort(np.concatenate(collected))[::-1]
+
+
+# Gauss-Legendre rule of each sector's radial window
+_GRAM_RULE = gauss_legendre(96, 0.0, 1.0)
+# sectors per recurrence sweep: bounds the profile arrays to a few MiB
+_SECTOR_BLOCK = 256
+
+
+def _gram_window(kappa: np.ndarray, a_max: int, x_cut: float):
+    # profiles of radial quantum number a <= a_max oscillate between the
+    # turning points nu -+ sqrt(nu^2 - kappa^2), nu = kappa + 2 a_max + 1;
+    # past them they decay like a Gaussian of width sqrt(2 kappa + 1), or
+    # like e^{-x/2} when kappa is small
+    nu = kappa + 2 * a_max + 1.0
+    reach = np.sqrt(nu * nu - kappa * kappa)
+    pad = 6.0 * np.sqrt(2.0 * kappa + 1.0)
+    lo = np.clip(nu - reach - pad, 0.0, x_cut)
+    hi = np.clip(nu + reach + pad + 40.0, 0.0, x_cut)
+    return lo, hi
+
+
+def sector_grams_quadrature(selector, ks: np.ndarray,
+                            x_cut: float) -> np.ndarray:
+    """Truncated-disk radial Gram matrices of sectors ks, shape (ks, m, m).
+
+    Entry (i, j) integrates R_{l_i,k} R_{l_j,k} r dr over the disk by windowed
+    96-node Gauss-Legendre quadrature in x; the window depends only on |k|,
+    so one recurrence sweep per block of sectors serves every level pair. A
+    level absent from a sector keeps a decoupled diagonal entry of -1, as in
+    disk_spectra._sector_grams.
+    """
+    levels = np.array(selector.levels())
+    grams = np.empty((ks.size, levels.size, levels.size))
+    for i0 in range(0, ks.size, _SECTOR_BLOCK):
+        kb = ks[i0:i0 + _SECTOR_BLOCK]
+        lo, hi = _gram_window(np.abs(kb).astype(float), int(levels[-1]), x_cut)
+        x = lo[:, None] + (hi - lo)[:, None] * _GRAM_RULE.nodes[None, :]
+        sqw = np.sqrt((hi - lo)[:, None] * _GRAM_RULE.weights[None, :])
+        rows = ds._level_profiles(levels, kb, x) * sqw[:, None, :]
+        g = rows @ rows.transpose(0, 2, 1)
+        sec, lev = np.nonzero(levels[None, :] + kb[:, None] < 0)
+        g[sec, lev, lev] = -1.0
+        grams[i0:i0 + kb.size] = g
+    return grams
+
+
+def sector_gram(setup, selector, k: int,
+                r_total: float) -> tuple[list[int], np.ndarray]:
+    """Active levels and their quadrature Gram matrix for mode k."""
+    levels = selector.levels()
+    present = [i for i, ell in enumerate(levels) if ell + k >= 0]
+    x_cut = 0.5 * setup.b * r_total * r_total
+    g = sector_grams_quadrature(selector, np.array([k]), x_cut)[0]
+    return [levels[i] for i in present], g[np.ix_(present, present)]
+
+
+def sector_gram_mp(a_max: int, kappa: int, x: float,
+                   dps: int = 60) -> np.ndarray:
+    """Integrals of p_a p_b over [0, x] at weight kappa, for a, b <= a_max.
+
+    Exact in extended precision: the product of the two Laguerre polynomials
+    is expanded in monomials, and each x^(kappa+t) e^(-x) integrates to
+    Gamma(kappa+t+1) P(kappa+t+1, x). The expansion cancels heavily at large
+    kappa, which the working precision absorbs.
+    """
+    with mp.workdps(dps):
+        xm = mp.mpf(x)
+        # coefficient of x^i in L_a^kappa, scaled by sqrt(a!/(a+kappa)!)
+        coef = [[(-1) ** i * mp.binomial(a + kappa, a - i) / mp.factorial(i)
+                 * mp.sqrt(mp.factorial(a) / mp.factorial(a + kappa))
+                 for i in range(a + 1)] for a in range(a_max + 1)]
+        moment = [mp.gamma(kappa + t + 1)
+                  * mp.gammainc(kappa + t + 1, 0, xm, regularized=True)
+                  for t in range(2 * a_max + 1)]
+        out = np.empty((a_max + 1, a_max + 1))
+        for a in range(a_max + 1):
+            for b in range(a_max + 1):
+                out[a, b] = float(mp.fsum(ci * cj * moment[i + j]
+                                          for i, ci in enumerate(coef[a])
+                                          for j, cj in enumerate(coef[b])))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -93,14 +93,14 @@ def test_disk_spectrum_domain_sweep(n):
 def test_disk_spectrum_lowest_level_value():
     # B R^2/2 = 1: top k=0 eigenvalue is 1 - e^{-1}
     r = math.sqrt(2.0)
-    _, g = ds.sector_gram(SETUP, LevelSelector.single(0), 0, r)
+    _, g = oracles.sector_gram(SETUP, LevelSelector.single(0), 0, r)
     assert g[0, 0] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
     assert g[0, 0] == pytest.approx(0.6321206, abs=1e-7)
 
 
 def test_disk_spectrum_exhaustion():
     # at fixed k the top sector eigenvalue tends to 1 with growing radius
-    _, g = ds.sector_gram(SETUP, LevelSelector.single(0), 3, 14.0)
+    _, g = oracles.sector_gram(SETUP, LevelSelector.single(0), 3, 14.0)
     assert g[0, 0] == pytest.approx(1.0, abs=1e-8)
 
 
@@ -142,6 +142,90 @@ def test_local_spectrum_json_roundtrip():
 
 
 # ---------------------------------------------------------------------------
+# closed-form sector Gram matrices against their oracles
+# ---------------------------------------------------------------------------
+
+GRAM_SELECTORS = [LevelSelector.upto(n) for n in range(11)] \
+    + [LevelSelector.single(n) for n in range(11)]
+
+
+@pytest.mark.parametrize("sel", GRAM_SELECTORS,
+                         ids=lambda s: f"{s.kind}:{s.index}")
+def test_sector_grams_match_quadrature_oracle(sel):
+    n_top = max(sel.levels())
+    levels = np.array(sel.levels())
+    for x in (1.0, 50.0, 450.0, 3200.0):
+        kmax = ds.sector_window(1.0, math.sqrt(2.0 * x), n_top)
+        ks = np.arange(-n_top, kmax + 1)
+        closed = ds._sector_grams(sel, ks, x)
+        quad = oracles.sector_grams_quadrature(sel, ks, x)
+        assert closed.shape == (ks.size, sel.count, sel.count)
+        assert np.max(np.abs(closed - quad)) <= 2e-11
+        # absent levels (l + k < 0) stay decoupled with a -1 diagonal
+        sec, lev = np.nonzero(levels[None, :] + ks[:, None] < 0)
+        assert np.all(closed[sec, lev, lev] == -1.0)
+        off = closed[sec, lev].copy()
+        off[np.arange(sec.size), lev] = 0.0
+        assert np.all(off == 0.0)
+
+
+@pytest.mark.parametrize("x, k, sel", [
+    (1.0, -2, LevelSelector.upto(4)), (1.0, 3, LevelSelector.upto(4)),
+    (50.0, 0, LevelSelector.upto(4)), (50.0, 47, LevelSelector.upto(4)),
+    (50.0, -3, LevelSelector.upto(4)), (450.0, 430, LevelSelector.upto(6)),
+    (3200.0, 3100, LevelSelector.upto(4)), (3200.0, 3200, LevelSelector.upto(4)),
+    (3200.0, 3300, LevelSelector.upto(4))])
+def test_sector_grams_match_extended_precision(x, k, sel):
+    # rows of the present levels: radial quantum numbers 0..n_top - |k|
+    # for k < 0, 0..n_top for k >= 0, all at weight |k|
+    g = ds._sector_grams(sel, np.array([k]), x)[0]
+    first = max(0, -k)
+    exact = oracles.sector_gram_mp(max(sel.levels()) - first, abs(k), x)
+    assert np.max(np.abs(g[first:, first:] - exact)) <= 1e-11
+
+
+def test_diagonal_ladder_against_adaptive_quadrature():
+    # D(a+1, kappa-1) - D(a, kappa) = sqrt(X/(a+1)) p_{a+1}^{kappa-1} p_a^kappa
+    # at X, and D(0, m) = P(m+1, X), with D the integral of p_a^2 over [0, X]
+    def diag(a, kappa, x):
+        return oracles.adaptive_quad(
+            lambda t: ds.radial_profiles(a, kappa, t)[a] ** 2, 0.0, x,
+            tol=1e-14)
+
+    for x in (0.5, 4.0, 20.0):
+        for kappa in range(4):
+            assert diag(0, kappa, x) == pytest.approx(
+                oracles.reg_lower_gamma_mp(kappa + 1, x), abs=1e-13)
+        for a in range(4):
+            for kappa in range(1, 4):
+                step = math.sqrt(x / (a + 1)) \
+                    * ds.radial_profiles(a + 1, kappa - 1, x)[a + 1] \
+                    * ds.radial_profiles(a, kappa, x)[a]
+                assert diag(a + 1, kappa - 1, x) - diag(a, kappa, x) \
+                    == pytest.approx(float(step), abs=1e-12)
+
+
+@pytest.mark.parametrize("r", [1.5, 3.0, 10.0, 40.0])
+def test_lowest_level_disk_spectrum_is_incomplete_gamma(r):
+    # single:0 sectors are the 1 x 1 Gram entries P(k+1, B R^2/2) themselves
+    spec = ds.disk_spectrum(SETUP, LevelSelector.single(0), r)
+    lll = ds.lll_disk_eigenvalues(SETUP.b, r, ds.sector_window(SETUP.b, r, 0))
+    keep = np.sort(lll[lll >= spec.cutoff])[::-1]
+    assert spec.eigenvalues.size == keep.size
+    assert spec.dropped_count == lll.size - keep.size
+    assert np.max(np.abs(spec.eigenvalues - keep)) <= 1e-15
+
+
+@pytest.mark.parametrize("sel", [LevelSelector.upto(2), LevelSelector.single(3)],
+                         ids=lambda s: f"{s.kind}:{s.index}")
+def test_disk_spectrum_window_error_closed_form(sel, monkeypatch):
+    # a window that stops inside the transition leaves its top sector full
+    monkeypatch.setattr(ds, "sector_window", lambda b, r, n: 20)
+    with pytest.raises(WindowError):
+        ds.disk_spectrum(SETUP, sel, 6.0)
+
+
+# ---------------------------------------------------------------------------
 # lowest-level fast path
 # ---------------------------------------------------------------------------
 
@@ -161,7 +245,7 @@ def test_lll_head_and_monotone_tail():
 def test_lll_validated_against_sector_solver():
     r = math.sqrt(2.0)
     vals = ds.lll_disk_eigenvalues(1.0, r, 40)
-    sector = [ds.sector_gram(SETUP, LevelSelector.single(0), m, r)[1][0, 0]
+    sector = [oracles.sector_gram(SETUP, LevelSelector.single(0), m, r)[1][0, 0]
               for m in range(41)]
     assert np.max(np.abs(vals - np.array(sector))) <= 1e-7
     assert vals[0] == pytest.approx(0.6321206, abs=1e-7)

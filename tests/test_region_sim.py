@@ -107,6 +107,28 @@ def test_dimension_guard():
         rs.region_spectrum(SETUP, LevelSelector.single(0), DISK, 12.0)
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_trace_moment_dimension_guard(m, monkeypatch):
+    # the angular factor has dim rows; past the guard it is never built
+    star = ge.SmoothStar((1.0, 0.0, 0.0, 0.0, 0.0, 0.15))
+
+    def built(*args):
+        raise AssertionError("angular factor built past the guard")
+    monkeypatch.setattr(rs, "_angular_factor", built)
+    with pytest.raises(CapabilityError):
+        rs.region_trace_moment(SETUP, LevelSelector.upto(3), star, 12.0, m)
+    with pytest.raises(CapabilityError):
+        rs.region_trace_moment(SETUP, LevelSelector.single(0), DISK, 2.0, m,
+                               resolution=(61, 100))
+
+
+def test_trace_moment_first_order_not_guarded():
+    # m = 1 integrates the kernel diagonal and builds no factor, so the
+    # guard does not apply: tr P = B R^2 / 2 per level on the polar rule
+    tr = rs.region_trace_moment(SETUP, LevelSelector.single(0), DISK, 12.0, 1)
+    assert tr == pytest.approx(72.0, rel=1e-12)
+
+
 def test_polygon_not_supported():
     square = ge.Polygon(((0, 0), (1, 0), (1, 1), (0, 1)))
     with pytest.raises(CapabilityError):
