@@ -11,6 +11,11 @@ both sides, which turns the interleaved integral renamings into a pure
 pointwise algebra check. For the branch q = m-1 (hence for all of m = 2) the
 xi-shift is tau_1/2 rather than (tau_1 + tau_{m-1})/2; with that reading every
 identity holds for all m >= 2.
+
+The special-function checks run on Python floats: one `hermite_sweep` per
+argument gives every Hermite degree a check needs, and the exact
+Hermite-identity left side is one integer numerator over one integer
+denominator, rounded once by the integer division.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .landau import symplectic
-from .specfun import hermite_poly_normalized
+from .specfun import hermite_poly_normalized, hermite_sweep
 
 M_CAP = 8  # randomized suites stop here: all index-branch patterns occur by m = 8
 
@@ -79,30 +84,6 @@ class SubstitutionPlan:
             ai[i - 1, i - 2] = -1
         return ai
 
-    @property
-    def sign_flip(self) -> np.ndarray:
-        d = [1] * self.q + [-1] * (self.m - 1 - self.q)
-        return np.diag(np.array(d, dtype=object))
-
-    def det_a(self) -> int:
-        """Determinant of A by fraction-free (Bareiss) elimination, exact ints."""
-        a = [[int(v) for v in row] for row in self.a_matrix]
-        n = len(a)
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                swap = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-                if swap is None:
-                    return 0
-                a[k], a[swap] = a[swap], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            prev = a[k][k]
-        return sign * a[-1][-1]
-
     def xi_shift(self, tau: np.ndarray) -> float:
         # for q = m-1 the negative block is empty and t_m collapses to tau_1
         if self.q == self.m - 1:
@@ -135,6 +116,12 @@ class VerifyResult:
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+def _check_finite(**values) -> None:
+    for name, v in values.items():
+        if not math.isfinite(v):
+            raise DomainError(f"{name} must be finite, got {v!r}")
 
 
 def _result(err: float, tol: float, **inputs) -> VerifyResult:
@@ -356,20 +343,38 @@ def verify_hermite_identity(ell: int, xi: float, tau: float) -> VerifyResult:
 
     (2pi)^{-1/2} integral of L_ell((w-2i xi)(w-2i tau)/2) e^{-w^2/4} dw equals
     sqrt(2) H_ell(xi) H_ell(tau) / (2^ell ell!). The left side is evaluated
-    exactly from `_hermite_lhs_table` at the float inputs and rounded once;
-    relative tolerance 1e-9 with an absolute floor near the Hermite zeros.
+    exactly from `_hermite_lhs_table` at the float inputs: every coefficient
+    has a denominator dividing ell! 2^ell and every double is an integer over
+    a power of two, so the sum is one integer numerator over one integer
+    denominator, and their division rounds it once, correctly. Non-finite
+    inputs, and inputs whose left side overflows a double, raise
+    DomainError. Relative tolerance 1e-9 with an absolute floor near the
+    Hermite zeros.
     """
     if ell > 12:
         raise DomainError("the Hermite identity tables stop at ell = 12")
+    _check_finite(xi=xi, tau=tau)
     # sqrt(2) H_l(xi) H_l(tau) / (2^l l!) in the normalized basis
     hx = hermite_poly_normalized(ell, xi)
     ht = hermite_poly_normalized(ell, tau)
     rhs = math.sqrt(2.0) * hx * ht
     scale = math.sqrt(2.0) * (1.0 + abs(hx)) * (1.0 + abs(ht))
-    x, t = Fraction(xi), Fraction(tau)
-    exact = sum(c * x ** a * t ** b
-                for (a, b), c in _hermite_lhs_table(ell).items())
-    lhs = math.sqrt(2.0) * float(exact)
+    # xi = p/q and tau = r/s; no power exceeds ell, so the sum is one integer
+    # over ell! 2^ell q^ell s^ell
+    denom = math.factorial(ell) * 2 ** ell
+    p, q = float(xi).as_integer_ratio()
+    r, s = float(tau).as_integer_ratio()
+    xp = [p ** a * q ** (ell - a) for a in range(ell + 1)]
+    tp = [r ** b * s ** (ell - b) for b in range(ell + 1)]
+    num = sum(c.numerator * (denom // c.denominator) * xp[a] * tp[b]
+              for (a, b), c in _hermite_lhs_table(ell).items())
+    try:
+        lhs = math.sqrt(2.0) * (num / (denom * q ** ell * s ** ell))
+    except OverflowError:
+        lhs = math.inf
+    if math.isinf(lhs):
+        raise DomainError(f"Hermite-identity left side overflows a double at "
+                          f"(ell={ell}, xi={xi!r}, tau={tau!r})")
     tol = max(1e-9 * abs(rhs), 1e-10 * scale)
     return _result(abs(lhs - rhs), tol, ell=ell, xi=xi, tau=tau,
                    lhs=[lhs, 0.0], rhs=rhs)
@@ -381,21 +386,27 @@ def verify_mehler(xi: float, tau: float, t: float,
 
     Partial sums run in the normalized-Hermite basis (term_l = htilde_l(xi)
     htilde_l(tau) t^l) until they stabilize; requires |t| < 1 and caps the
-    series length.
+    series length. Non-finite inputs, and inputs whose closed form overflows
+    a double, raise DomainError.
     """
     if not abs(t) < 1.0:
         raise DomainError(f"Mehler series needs |t| < 1, got {t}")
-    closed = (1.0 - t * t) ** -0.5 * math.exp(
-        2.0 * xi * tau * t / (1.0 - t) - t * t * (xi + tau) ** 2 / (1.0 - t * t))
+    _check_finite(xi=xi, tau=tau)
+    try:
+        closed = (1.0 - t * t) ** -0.5 * math.exp(
+            2.0 * xi * tau * t / (1.0 - t) - t * t * (xi + tau) ** 2 / (1.0 - t * t))
+    except OverflowError:
+        raise DomainError(f"Mehler closed form overflows a double at "
+                          f"(xi={xi!r}, tau={tau!r}, t={t!r})") from None
     # normalized recurrence, so H_l(x) t^l / (2^l l!)-type terms stay bounded
-    h_prev_x, h_prev_t = 1.0, 1.0
-    h_x, h_t = math.sqrt(2.0) * xi, math.sqrt(2.0) * tau
-    total = h_prev_x * h_prev_t
+    pairs = zip(hermite_sweep(n_cap, xi), hermite_sweep(n_cap, tau))
+    h_x, h_t = next(pairs)
+    total = h_x * h_t
     mass = abs(total)  # cancellation mass: sum of |terms|
     power = 1.0
     small_run = 0
     converged = False
-    for ell in range(1, n_cap + 1):
+    for ell, (h_x, h_t) in enumerate(pairs, start=1):
         power *= t
         total += h_x * h_t * power
         mass += abs(h_x * h_t * power)
@@ -408,10 +419,6 @@ def verify_mehler(xi: float, tau: float, t: float,
                 break
         else:
             small_run = 0
-        cx = math.sqrt(2.0 / (ell + 1)) * xi * h_x - math.sqrt(ell / (ell + 1.0)) * h_prev_x
-        ct = math.sqrt(2.0 / (ell + 1)) * tau * h_t - math.sqrt(ell / (ell + 1.0)) * h_prev_t
-        h_prev_x, h_x = h_x, cx
-        h_prev_t, h_t = h_t, ct
     if not converged:
         raise NumericError(f"Mehler series not converged within {n_cap} terms "
                            f"at (xi={xi}, tau={tau}, t={t})")
@@ -422,21 +429,29 @@ def verify_mehler(xi: float, tau: float, t: float,
 
 
 def verify_christoffel_darboux(n: int, tau: float, taup: float) -> VerifyResult:
-    """Direct normalized Hermite sum against the divided-difference quotient."""
+    """Direct normalized Hermite sum against the divided-difference quotient.
+
+    One `hermite_sweep` to degree n + 2 per argument serves the direct sum,
+    the quotient and, at tau == taup, its confluent form. Non-finite inputs,
+    and inputs whose Hermite values overflow a double, raise DomainError.
+    """
     if n > 20:
         raise DomainError("Christoffel-Darboux check capped at n = 20")
-    direct = sum(hermite_poly_normalized(ell, tau) * hermite_poly_normalized(ell, taup)
-                 for ell in range(n + 1))
+    if n < 0:
+        raise DomainError(f"top degree must be >= 0, got {n}")
+    _check_finite(tau=tau, taup=taup)
+    ht = list(hermite_sweep(n + 2, tau))
+    hp = list(hermite_sweep(n + 2, taup))
+    direct = sum(a * b for a, b in zip(ht[:n + 1], hp))
     if tau == taup:
-        hn = hermite_poly_normalized(n, tau)
-        hn1 = hermite_poly_normalized(n + 1, tau)
-        hn2 = hermite_poly_normalized(n + 2, tau)
-        quot = (n + 1.0) * hn1 * hn1 - math.sqrt((n + 1.0) * (n + 2.0)) * hn * hn2
+        quot = (n + 1.0) * ht[n + 1] * ht[n + 1] \
+            - math.sqrt((n + 1.0) * (n + 2.0)) * ht[n] * ht[n + 2]
     else:
         quot = math.sqrt((n + 1.0) / 2.0) * (
-            hermite_poly_normalized(n, taup) * hermite_poly_normalized(n + 1, tau)
-            - hermite_poly_normalized(n, tau) * hermite_poly_normalized(n + 1, taup)
-        ) / (tau - taup)
+            hp[n] * ht[n + 1] - ht[n] * hp[n + 1]) / (tau - taup)
+    if not (math.isfinite(direct) and math.isfinite(quot)):
+        raise DomainError(f"normalized Hermite values overflow a double at "
+                          f"(n={n}, tau={tau!r}, taup={taup!r})")
     err = abs(direct - quot)
     return _result(err, 1e-10 * max(1.0, abs(direct)), n=n, tau=tau, taup=taup,
                    direct=direct, quotient=quot)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .specfun import hermite_poly_normalized, laguerre
+from .specfun import hermite_sweep, laguerre
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -149,16 +149,14 @@ _CONFLUENT_EPS = 1e-7
 
 
 def _cd_sum_normalized(n: int, tau: float, taup: float) -> float:
-    """sum_{l<=n} H_l(tau)H_l(taup)/(2^l l!) in overflow-safe form."""
+    """sum_{l<=n} H_l(tau)H_l(taup)/(2^l l!) in overflow-safe form, reading
+    H_n..H_{n+2} from one `hermite_sweep` per argument."""
     if abs(tau - taup) < _CONFLUENT_EPS:
-        s = 0.5 * (tau + taup)
-        hn = hermite_poly_normalized(n, s)
-        hn1 = hermite_poly_normalized(n + 1, s)
-        hn2 = hermite_poly_normalized(n + 2, s)
+        hn, hn1, hn2 = list(hermite_sweep(n + 2, 0.5 * (tau + taup)))[n:]
         return (n + 1.0) * hn1 * hn1 - math.sqrt((n + 1.0) * (n + 2.0)) * hn * hn2
-    a = (hermite_poly_normalized(n, taup) * hermite_poly_normalized(n + 1, tau)
-         - hermite_poly_normalized(n, tau) * hermite_poly_normalized(n + 1, taup))
-    return math.sqrt((n + 1.0) / 2.0) * a / (tau - taup)
+    tn, tn1 = list(hermite_sweep(n + 1, tau))[n:]
+    pn, pn1 = list(hermite_sweep(n + 1, taup))[n:]
+    return math.sqrt((n + 1.0) / 2.0) * (pn * tn1 - tn * pn1) / (tau - taup)
 
 
 def k_kernel(n: int, xi: float, tau: float, taup: float) -> float:

@@ -1,7 +1,11 @@
 """Orthogonal polynomials, Gauss-Legendre rules and one-dimensional overlap integrals.
 
 Hermite functions and Laguerre polynomials come from their three-term
-recurrences. The truncated-Hermite overlaps of a whole xi grid need no
+recurrences. `hermite_sweep` is the one normalized-Hermite recurrence: it
+yields every degree up to the requested one, on Python floats for a scalar
+argument and on arrays otherwise, so a caller that needs several degrees at
+one point (a Christoffel-Darboux sum, a Mehler partial sum) pays for one
+sweep. The truncated-Hermite overlaps of a whole xi grid need no
 quadrature: from psi_0..psi_n at the nodes, the occupations follow the ladder
 lambda_0 = erfc(xi)/2, lambda_l = lambda_{l-1} + psi_l psi_{l-1}/sqrt(2l)
 (`occupations`), and the cross overlaps are Wronskian quotients
@@ -43,25 +47,45 @@ def _check_level(ell: int) -> int:
 # Hermite polynomials and functions
 # ---------------------------------------------------------------------------
 
+def hermite_sweep(ell: int, t):
+    """Yield H_0(t), ..., H_ell(t), each over sqrt(2^k k!), by the
+    normalized recurrence h_{k+1} = sqrt(2/(k+1)) t h_k - sqrt(k/(k+1)) h_{k-1}.
+
+    A Python int or float t runs on Python floats; anything else goes
+    through np.asarray and yields arrays of its shape. Both take the same
+    operations in the same order, so they agree bitwise.
+    """
+    ell = int(ell)
+    if ell < 0:
+        raise DomainError(f"level index must be >= 0, got {ell}")
+    if isinstance(t, (int, float)):
+        t = float(t)
+        h_prev = 1.0
+    else:
+        t = np.asarray(t, dtype=float)
+        h_prev = np.ones_like(t)
+    yield h_prev
+    if ell == 0:
+        return
+    h = math.sqrt(2.0) * t
+    yield h
+    for k in range(1, ell):
+        h, h_prev = (math.sqrt(2.0 / (k + 1)) * t * h
+                     - math.sqrt(k / (k + 1)) * h_prev), h
+        yield h
+
+
 def hermite_poly_normalized(ell: int, t):
-    """H_ell(t) / sqrt(2^ell ell!), via the normalized recurrence.
+    """H_ell(t) / sqrt(2^ell ell!), the last value of `hermite_sweep`; a
+    scalar or 0-d input gives a Python float.
 
     Stays O(e^{t^2/2}) for all degrees, which keeps Christoffel-Darboux
     quotients and Mehler partial sums inside double range where the raw
     polynomials would overflow.
     """
-    ell = int(ell)
-    if ell < 0:
-        raise DomainError(f"level index must be >= 0, got {ell}")
-    t = np.asarray(t, dtype=float)
-    h_prev = np.ones_like(t)
-    if ell == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h = math.sqrt(2.0) * t
-    for k in range(1, ell):
-        h, h_prev = (math.sqrt(2.0 / (k + 1)) * t * h
-                     - math.sqrt(k / (k + 1)) * h_prev), h
-    return h if h.ndim else float(h)
+    for h in hermite_sweep(ell, t):
+        pass
+    return h if np.ndim(h) else float(h)
 
 
 def hermite_fn(ell: int, t):

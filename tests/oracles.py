@@ -9,19 +9,24 @@ of the library's problems (per-xi adaptive quadrature of the overlap Gram
 matrix, the cumulative panel sweep of the overlap table, the
 Christoffel-Darboux kernel on a grid, the angular Fourier transform of the
 kernel, the radial-Nystrom disk solver, the windowed quadrature of the disk
-sector Gram matrices, the dense 2-D Nystrom kernel matrix). The library
+sector Gram matrices, the dense 2-D Nystrom kernel matrix, the per-degree
+normalized Hermite recurrence on numpy arrays with the Christoffel-Darboux
+sum and verifier built on it, the Fraction-sum Hermite-identity verifier,
+and the determinant and sign flip of the substitution plan). The library
 never imports this module.
 """
 
 import functools
 import itertools
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 
 from lle import disk_spectra as ds
 from lle import geometry as ge
+from lle import identities as idn
 from lle.coeffs import CLAMP
 from lle.errors import DomainError, LleError, NumericError, WindowError
 from lle.geometry import Region
@@ -67,6 +72,23 @@ def hermite_poly(ell: int, t):
     h = 2.0 * t
     for k in range(1, ell):
         h, h_prev = 2.0 * t * h - 2.0 * k * h_prev, h
+    return h if h.ndim else float(h)
+
+
+def hermite_poly_normalized_array(ell: int, t):
+    """H_ell(t) / sqrt(2^ell ell!) by the normalized recurrence, one degree
+    per call and always on numpy arrays (0-d for a scalar)."""
+    ell = int(ell)
+    if ell < 0:
+        raise DomainError(f"level index must be >= 0, got {ell}")
+    t = np.asarray(t, dtype=float)
+    h_prev = np.ones_like(t)
+    if ell == 0:
+        return h_prev if h_prev.ndim else float(h_prev)
+    h = math.sqrt(2.0) * t
+    for k in range(1, ell):
+        h, h_prev = (math.sqrt(2.0 / (k + 1)) * t * h
+                     - math.sqrt(k / (k + 1)) * h_prev), h
     return h if h.ndim else float(h)
 
 
@@ -215,6 +237,17 @@ def laguerre_sum_relation_error(n: int, t) -> float:
                for j in range(n + 1))
     scale = np.maximum(1.0, np.maximum(np.abs(rel), mass))
     return float(np.max(np.abs(total - rel) / scale))
+
+
+def cd_sum_per_degree(n: int, tau: float, taup: float) -> float:
+    """landau._cd_sum_normalized with one recurrence per Hermite degree."""
+    h = hermite_poly_normalized_array
+    if abs(tau - taup) < _CONFLUENT_EPS:
+        s = 0.5 * (tau + taup)
+        hn, hn1, hn2 = h(n, s), h(n + 1, s), h(n + 2, s)
+        return (n + 1.0) * hn1 * hn1 - math.sqrt((n + 1.0) * (n + 2.0)) * hn * hn2
+    a = h(n, taup) * h(n + 1, tau) - h(n, tau) * h(n + 1, taup)
+    return math.sqrt((n + 1.0) / 2.0) * a / (tau - taup)
 
 
 def k_kernel_matrix(n: int, xi: float, tau: np.ndarray) -> np.ndarray:
@@ -671,3 +704,70 @@ def trapezoid_intersection_area(star, family, n: int = 2 ** 18) -> float:
     shifts = np.vstack([np.zeros((1, 2)), family.shifts()])
     rho = np.min([newton_translate_radius(star, s, theta) for s in shifts], axis=0)
     return 0.5 * float(np.sum(rho * rho)) * 2.0 * math.pi / n
+
+
+# ---------------------------------------------------------------------------
+# second routes of the identity verifiers
+# ---------------------------------------------------------------------------
+
+def sign_flip(plan) -> np.ndarray:
+    """diag(+1 x q, -1 x (m-1-q)) of a SubstitutionPlan, as exact ints."""
+    d = [1] * plan.q + [-1] * (plan.m - 1 - plan.q)
+    return np.diag(np.array(d, dtype=object))
+
+
+def det_a(plan) -> int:
+    """Determinant of plan.a_matrix by fraction-free (Bareiss) elimination."""
+    a = [[int(v) for v in row] for row in plan.a_matrix]
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def verify_hermite_identity_fraction(ell: int, xi: float, tau: float):
+    """identities.verify_hermite_identity with the left side summed term by
+    term in Fraction arithmetic and per-degree Hermite values."""
+    if ell > 12:
+        raise DomainError("the Hermite identity tables stop at ell = 12")
+    hx = hermite_poly_normalized_array(ell, xi)
+    ht = hermite_poly_normalized_array(ell, tau)
+    rhs = math.sqrt(2.0) * hx * ht
+    scale = math.sqrt(2.0) * (1.0 + abs(hx)) * (1.0 + abs(ht))
+    x, t = Fraction(xi), Fraction(tau)
+    exact = sum(c * x ** a * t ** b
+                for (a, b), c in idn._hermite_lhs_table(ell).items())
+    lhs = math.sqrt(2.0) * float(exact)
+    tol = max(1e-9 * abs(rhs), 1e-10 * scale)
+    return idn._result(abs(lhs - rhs), tol, ell=ell, xi=xi, tau=tau,
+                       lhs=[lhs, 0.0], rhs=rhs)
+
+
+def verify_christoffel_darboux_per_degree(n: int, tau: float, taup: float):
+    """identities.verify_christoffel_darboux with one Hermite recurrence per
+    degree and argument."""
+    if n > 20:
+        raise DomainError("Christoffel-Darboux check capped at n = 20")
+    h = hermite_poly_normalized_array
+    direct = sum(h(ell, tau) * h(ell, taup) for ell in range(n + 1))
+    if tau == taup:
+        hn, hn1, hn2 = h(n, tau), h(n + 1, tau), h(n + 2, tau)
+        quot = (n + 1.0) * hn1 * hn1 - math.sqrt((n + 1.0) * (n + 2.0)) * hn * hn2
+    else:
+        quot = math.sqrt((n + 1.0) / 2.0) * (
+            h(n, taup) * h(n + 1, tau) - h(n, tau) * h(n + 1, taup)
+        ) / (tau - taup)
+    err = abs(direct - quot)
+    return idn._result(err, 1e-10 * max(1.0, abs(direct)), n=n, tau=tau,
+                       taup=taup, direct=direct, quotient=quot)

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -28,10 +30,10 @@ def test_integer_matrices_exact():
             prod = a @ ai
             assert (prod == np.eye(m - 1, dtype=object)).all()
             assert (ai @ a == np.eye(m - 1, dtype=object)).all()
-            assert plan.det_a() == 1
+            assert oracles.det_a(plan) == 1
             s = plan.skew
             assert (s == -s.T).all()
-            flip = plan.sign_flip
+            flip = oracles.sign_flip(plan)
             assert (flip @ flip == np.eye(m - 1, dtype=object)).all()
 
 
@@ -217,6 +219,89 @@ def test_christoffel_darboux_cases():
     assert conf.ok  # confluent branch against the direct sum
     with pytest.raises(DomainError):
         idn.verify_christoffel_darboux(21, 0.0, 0.0)
+
+
+def test_hermite_family_rejects_nonfinite_and_overflow():
+    with pytest.raises(DomainError):
+        idn.verify_hermite_identity(3, math.nan, 0.2)
+    with pytest.raises(DomainError):
+        idn.verify_hermite_identity(3, 0.2, math.inf)
+    with pytest.raises(DomainError):
+        idn.verify_hermite_identity(-1, 0.0, 0.0)
+
+
+def test_hermite_identity_left_side_overflow():
+    with pytest.raises(DomainError):
+        idn.verify_hermite_identity(12, 1e30, 2.0)
+
+
+def test_christoffel_darboux_rejects_nan():
+    with pytest.raises(DomainError):
+        idn.verify_christoffel_darboux(3, math.nan, 0.2)
+    with pytest.raises(DomainError):
+        idn.verify_christoffel_darboux(-1, 0.2, 0.3)
+
+
+def test_christoffel_darboux_overflow():
+    with pytest.raises(DomainError):
+        idn.verify_christoffel_darboux(20, 1e200, 2.0)
+
+
+def test_mehler_rejects_nan_and_overflow():
+    with pytest.raises(DomainError):
+        idn.verify_mehler(math.nan, 0.1, 0.2)
+    with pytest.raises(DomainError):
+        idn.verify_mehler(400.0, 400.0, 0.5)
+
+
+# every finite double kind: signed zeros, subnormals, the suite edges +-4
+_EDGE_POINTS = [0.0, -0.0, 4.0, -4.0, 5e-324, -2.5e-310]
+
+
+def _bits(obj):
+    """Floats as hex, recursively, so that == compares bit patterns."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, dict):
+        return {k: _bits(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_bits(v) for v in obj]
+    return obj
+
+
+def _points(seed, count):
+    rng = np.random.default_rng(seed)
+    return _EDGE_POINTS + [float(v) for v in rng.uniform(-4, 4, size=count)]
+
+
+@pytest.mark.parametrize("ell", range(13))
+def test_hermite_identity_bitwise_against_fraction_oracle(ell):
+    pts = _points(ell, 5)
+    for xi, tau in itertools.product(pts, pts):
+        got = idn.verify_hermite_identity(ell, xi, tau)
+        want = oracles.verify_hermite_identity_fraction(ell, xi, tau)
+        assert _bits(dataclasses.asdict(got)) == _bits(dataclasses.asdict(want)), \
+            (ell, xi, tau)
+
+
+@pytest.mark.parametrize("n", range(21))
+def test_christoffel_darboux_bitwise_against_per_degree_oracle(n):
+    pts = _points(100 + n, 4)
+    for tau, taup in itertools.product(pts, pts):
+        got = idn.verify_christoffel_darboux(n, tau, taup)
+        want = oracles.verify_christoffel_darboux_per_degree(n, tau, taup)
+        assert _bits(dataclasses.asdict(got)) == _bits(dataclasses.asdict(want)), \
+            (n, tau, taup)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_suite_reports_equal_oracle_reports(seed, monkeypatch):
+    fast = idn.report_to_json(idn.run_all_suites(200, seed))
+    monkeypatch.setattr(idn, "verify_hermite_identity",
+                        oracles.verify_hermite_identity_fraction)
+    monkeypatch.setattr(idn, "verify_christoffel_darboux",
+                        oracles.verify_christoffel_darboux_per_degree)
+    assert idn.report_to_json(idn.run_all_suites(200, seed)) == fast
 
 
 def test_laguerre_sum_relation_pointwise():

@@ -103,6 +103,22 @@ def test_k_kernel_truncation_and_rank_one():
     assert lk.k_kernel(0, -20.0, 0.0, 0.0) == pytest.approx(1 / math.sqrt(math.pi))
 
 
+def test_k_kernel_bitwise_against_per_degree_oracle():
+    # one sweep per argument changes no bit of k_kernel, on the quotient and
+    # on the confluent branch (|tau - taup| < 1e-7, taken at the midpoint)
+    pts = [-4.0, -1.3, -0.0, 0.0, 5e-324, 0.4, 0.4 + 3e-8, 0.4 + 2e-7, 2.9]
+    confluent = 0
+    for n in range(21):
+        for tau in pts:
+            for taup in pts:
+                got = lk.k_kernel(n, -5.0, tau, taup)
+                gauss = math.exp(-0.5 * (tau * tau + taup * taup)) / math.sqrt(math.pi)
+                want = gauss * oracles.cd_sum_per_degree(n, tau, taup)
+                assert got.hex() == want.hex(), (n, tau, taup)
+                confluent += abs(tau - taup) < lk._CONFLUENT_EPS
+    assert 0 < confluent < 21 * len(pts) ** 2
+
+
 def test_k_kernel_matches_hermite_sum():
     rng = np.random.default_rng(11)
     for _ in range(30):

@@ -68,6 +68,42 @@ def test_hermite_normalized_matches_plain():
                                    oracles.hermite_poly(ell, t), rtol=1e-12)
 
 
+_SWEEP_POINTS = [0.0, -0.0, 4.0, -4.0, 5e-324, -2.5e-310, 0.7, -1.3,
+                 3.141592653589793, 11.0]
+
+
+def test_hermite_sweep_bitwise_against_per_degree_oracle():
+    # floats run on Python floats and arrays on numpy, yet every degree up to
+    # the cap agrees bitwise with hermite_poly_normalized and with the
+    # one-degree-per-call numpy recurrence it replaced
+    arr = np.array(_SWEEP_POINTS)
+    arr_sweep = list(sf.hermite_sweep(sf.LEVEL_CAP, arr))
+    assert len(arr_sweep) == sf.LEVEL_CAP + 1
+    for i, t in enumerate(_SWEEP_POINTS):
+        sweep = list(sf.hermite_sweep(sf.LEVEL_CAP, t))
+        for ell, h in enumerate(sweep):
+            assert type(h) is float
+            want = oracles.hermite_poly_normalized_array(ell, t).hex()
+            assert h.hex() == want, (ell, t)
+            assert sf.hermite_poly_normalized(ell, t).hex() == want, (ell, t)
+            assert float(arr_sweep[ell][i]).hex() == want, (ell, t)
+    for ell in range(sf.LEVEL_CAP + 1):
+        want = oracles.hermite_poly_normalized_array(ell, arr)
+        assert arr_sweep[ell].tobytes() == want.tobytes()
+        assert sf.hermite_poly_normalized(ell, arr).tobytes() == want.tobytes()
+
+
+def test_hermite_sweep_scalar_kinds():
+    # ints, numpy scalars and 0-d arrays give the float values; 0-d arrays
+    # stay arrays inside the sweep and become floats at the end
+    for t in (2, np.float64(2.0), np.array(2.0)):
+        assert sf.hermite_poly_normalized(5, t) == sf.hermite_poly_normalized(5, 2.0)
+        assert type(sf.hermite_poly_normalized(5, t)) is float
+    assert np.ndim(list(sf.hermite_sweep(3, np.array(2.0)))[-1]) == 0
+    with pytest.raises(DomainError):
+        list(sf.hermite_sweep(-1, 0.5))
+
+
 # ---------------------------------------------------------------------------
 # Laguerre polynomials
 # ---------------------------------------------------------------------------
