@@ -221,7 +221,7 @@ def test_christoffel_darboux_cases():
         idn.verify_christoffel_darboux(21, 0.0, 0.0)
 
 
-def test_hermite_family_rejects_nonfinite_and_overflow():
+def test_hermite_identity_rejects_nonfinite_and_negative_degree():
     with pytest.raises(DomainError):
         idn.verify_hermite_identity(3, math.nan, 0.2)
     with pytest.raises(DomainError):
@@ -235,7 +235,7 @@ def test_hermite_identity_left_side_overflow():
         idn.verify_hermite_identity(12, 1e30, 2.0)
 
 
-def test_christoffel_darboux_rejects_nan():
+def test_christoffel_darboux_rejects_nan_and_negative_degree():
     with pytest.raises(DomainError):
         idn.verify_christoffel_darboux(3, math.nan, 0.2)
     with pytest.raises(DomainError):
@@ -254,7 +254,7 @@ def test_mehler_rejects_nan_and_overflow():
         idn.verify_mehler(400.0, 400.0, 0.5)
 
 
-# every finite double kind: signed zeros, subnormals, the suite edges +-4
+# signed zeros, subnormals of both signs and the suite's edges +-4
 _EDGE_POINTS = [0.0, -0.0, 4.0, -4.0, 5e-324, -2.5e-310]
 
 
