@@ -6,14 +6,12 @@ from .coeffs import (
     SpectralFunction,
     coeff_M_ell,
     coeff_M_le_n,
-    poly_boundary_coeff,
     renyi_h,
 )
 from .disk_spectra import (
     LocalSpectrum,
     disk_spectrum,
     entropy_from_spectrum,
-    lll_disk_eigenvalues,
     schatten_cross_norm,
 )
 from .errors import (
@@ -40,10 +38,7 @@ from .geometry import (
 from .landau import (
     LevelSelector,
     MagneticSetup,
-    k_kernel,
     nu_from_mu,
-    p_ell,
-    p_le_n,
 )
 from .region_sim import (
     AsymptoticFit,
@@ -66,9 +61,8 @@ __all__ = [
     "SmoothStar", "SpectralFunction", "TranslateFamily", "UsageError",
     "WindowError", "__version__", "coeff_M_ell", "coeff_M_le_n",
     "disk_spectrum", "entropy_from_spectrum", "gauss_legendre", "hermite_fn",
-    "intersect_translates_area", "k_kernel", "laguerre",
-    "lll_disk_eigenvalues", "nu_from_mu", "p_ell", "p_le_n",
-    "poly_boundary_coeff", "region_from_json", "region_spectrum",
-    "region_trace_moment", "renyi_h", "roccaforte_first_order",
-    "roccaforte_second_order", "scaling_fit", "schatten_cross_norm",
+    "intersect_translates_area", "laguerre", "nu_from_mu", "region_from_json",
+    "region_spectrum", "region_trace_moment", "renyi_h",
+    "roccaforte_first_order", "roccaforte_second_order", "scaling_fit",
+    "schatten_cross_norm",
 ]

@@ -265,12 +265,3 @@ def coeff_with_error(levels, f: SpectralFunction, tol: float = 1e-8
         v_coarse = _m_le_n_on_grid(n, f, coarse)
     err = abs(v_fine - v_coarse) + _tail_bound(n, q, c, fine.cutoff)
     return v_fine, err
-
-
-def poly_boundary_coeff(ell: int, m: int) -> float:
-    """Boundary coefficient of the m-th moment: integral of (lambda^m - lambda)/2pi."""
-    if m < 1:
-        raise DomainError(f"moment order must be >= 1, got {m}")
-    grid = xi_grid(ell)
-    lam = lambda_field(ell, grid)
-    return _integrate(grid, lam ** m - lam)

@@ -6,15 +6,17 @@ onto levels <= n is a rank-<=(n+1) operator with explicit radial factors, so
 its disk-truncated spectrum is the spectrum of a small radial Gram matrix.
 Its entries need no quadrature: the incomplete-gamma ladder gives the
 diagonal and Laguerre Wronskians the rest, from the radial profiles at the
-disk edge alone. That Gram route is the solver. The windowed Gauss-Legendre
-quadrature of the same entries, the angular Fourier transform of the kernel
-and the radial-Nystrom discretization of each sector are independent test
-oracles (tests/oracles.py), as is the 2-D Nystrom solver of `region_sim`.
+disk edge alone. That Gram route is the solver, at every level: on the
+lowest level each sector's Gram matrix is the single entry P(k+1, B R^2/2).
+The windowed Gauss-Legendre quadrature of the same entries, the angular
+Fourier transform of the kernel, the radial-Nystrom discretization of each
+sector and the lowest-level incomplete-gamma eigenvalues are independent
+test oracles (tests/oracles.py), as is the 2-D Nystrom solver of
+`region_sim`.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -57,18 +59,6 @@ class LocalSpectrum:
             "solver": self.solver,
             "dropped_count": self.dropped_count,
         }
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "LocalSpectrum":
-        return cls(eigenvalues=np.asarray(obj["eigenvalues"], dtype=float),
-                   b=float(obj["B"]),
-                   selector=LevelSelector.from_json(obj["selector"]),
-                   region=obj["region"], scale=float(obj["L"]),
-                   solver=obj.get("solver", "?"), cutoff=float(obj["cutoff"]),
-                   dropped_count=int(obj.get("dropped_count", 0)))
 
 
 def sector_window(b: float, r_total: float, n: int) -> int:
@@ -188,33 +178,14 @@ def disk_spectrum(setup: MagneticSetup, selector: LevelSelector,
                          cutoff=cutoff, dropped_count=dropped)
 
 
-def lll_disk_eigenvalues(b: float, r: float, m_max: int) -> np.ndarray:
-    """Lowest-level disk eigenvalues P(m+1, B R^2/2) for m = 0..m_max.
-
-    The regularized lower incomplete gamma (scipy `gammainc`) in closed form:
-    the lowest level enters sector m with the single radial profile of
-    weight m, so its sector Gram matrix is this one number.
-    """
-    if m_max < 0:
-        raise DomainError(f"m_max must be >= 0, got {m_max}")
-    x = 0.5 * b * r * r
-    return gammainc(np.arange(1, m_max + 2, dtype=float), x)
-
-
-def entropy_from_spectrum(spectrum: LocalSpectrum, f,
-                          return_bias: bool = False):
+def entropy_from_spectrum(spectrum: LocalSpectrum, f) -> float:
     """Sum of f over the retained eigenvalues (the local entropy for h_alpha).
 
-    The retention-cutoff bias is estimated as |f(cutoff)| per dropped
-    eigenvalue plus a small allowance for the window tail.
+    The eigenvalues below the spectrum's retention cutoff enter only as
+    `dropped_count`, so where |f| grows away from f(0) = 0 the sum misses at
+    most dropped_count * |f(cutoff)|.
     """
-    vals = np.asarray(f(spectrum.eigenvalues), dtype=float)
-    total = float(np.sum(vals))
-    if not return_bias:
-        return total
-    f_cut = abs(float(np.asarray(f(np.array([spectrum.cutoff])))[0]))
-    bias = (spectrum.dropped_count + 32) * f_cut
-    return total, bias
+    return float(np.sum(np.asarray(f(spectrum.eigenvalues), dtype=float)))
 
 
 def schatten_cross_norm(spectrum: LocalSpectrum, p: float) -> float:
@@ -227,12 +198,3 @@ def schatten_cross_norm(spectrum: LocalSpectrum, p: float) -> float:
         raise DomainError(f"Schatten exponent must be positive, got {p}")
     mu = spectrum.eigenvalues
     return float(np.sum((mu * (1.0 - mu)) ** (0.5 * p)))
-
-
-def disk_trace_moment(setup: MagneticSetup, selector: LevelSelector,
-                      r_total: float, m: int, cutoff: float = 1e-14) -> float:
-    """tr of the m-th power of the localized projection on a disk."""
-    if m < 1:
-        raise DomainError(f"moment order must be >= 1, got {m}")
-    spec = disk_spectrum(setup, selector, r_total, cutoff=cutoff)
-    return float(np.sum(spec.eigenvalues ** m))

@@ -17,13 +17,12 @@ import numpy as np
 from .errors import AccuracyError, CapabilityError, DomainError, NumericError
 from .specfun import gauss_legendre
 
-_R90 = np.array([[0.0, -1.0], [1.0, 0.0]])  # rotate tangent -> inward normal
-
 
 @dataclass(frozen=True)
 class Disk:
+    """Disk of the given radius centred at the origin."""
+
     radius: float
-    center: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         if not self.radius > 0.0:
@@ -167,18 +166,6 @@ def perimeter(region: Region) -> float:
     return float(np.sum(np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1)))
 
 
-def boundary_point(region: Region, theta):
-    theta = np.asarray(theta, dtype=float)
-    if isinstance(region, Disk):
-        c = np.asarray(region.center)
-        return np.stack([c[0] + region.radius * np.cos(theta),
-                         c[1] + region.radius * np.sin(theta)], axis=-1)
-    if isinstance(region, SmoothStar):
-        r = region.radius(theta)
-        return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
-    raise CapabilityError("boundary_point by angle is defined for smooth variants")
-
-
 def inward_normal(region: Region, theta):
     """Unit inward normal at the boundary point with polar angle theta."""
     theta = np.asarray(theta, dtype=float)
@@ -223,18 +210,6 @@ def arc_element(region: Region, theta):
     else:
         raise CapabilityError("arc element by angle is defined for smooth variants")
     return float(out[0]) if scalar else out
-
-
-def scale_region(region: Region, factor: float) -> Region:
-    if not factor > 0.0:
-        raise DomainError(f"scale factor must be positive, got {factor}")
-    if isinstance(region, Disk):
-        return Disk(radius=factor * region.radius,
-                    center=(factor * region.center[0], factor * region.center[1]))
-    if isinstance(region, SmoothStar):
-        return SmoothStar(coeffs=tuple(factor * c for c in region.coeffs))
-    return Polygon(vertices=tuple((factor * x, factor * y)
-                                  for x, y in region.vertices))
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +270,7 @@ def contains(region: Region, pts: np.ndarray) -> np.ndarray:
     """Vectorized indicator of the closed region."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if isinstance(region, Disk):
-        c = np.asarray(region.center)
-        return np.linalg.norm(pts - c, axis=1) <= region.radius
+        return np.linalg.norm(pts, axis=1) <= region.radius
     if isinstance(region, SmoothStar):
         th = np.arctan2(pts[:, 1], pts[:, 0])
         return np.linalg.norm(pts, axis=1) <= region.radius(th)
@@ -400,9 +374,8 @@ def _star_translate_radius(region, shift: np.ndarray, theta: np.ndarray) -> np.n
     """
     ux, uy = np.cos(theta), np.sin(theta)
     if isinstance(region, Disk):
-        c = np.asarray(region.center) + shift
-        proj = ux * c[0] + uy * c[1]
-        disc = region.radius ** 2 - (c[0] ** 2 + c[1] ** 2 - proj ** 2)
+        proj = ux * shift[0] + uy * shift[1]
+        disc = region.radius ** 2 - (shift[0] ** 2 + shift[1] ** 2 - proj ** 2)
         if np.any(disc <= 0.0):
             raise NumericError("translate lost sight of the origin")
         return proj + np.sqrt(disc)
@@ -480,9 +453,6 @@ def _panels(events: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _smooth_intersection_area(region, family: TranslateFamily) -> float:
     shifts = np.vstack([np.zeros((1, 2)), family.shifts()])
-    if isinstance(region, Disk):
-        shifts = shifts + np.asarray(region.center)
-        region = Disk(radius=region.radius)
     # origin must lie inside every translate for the radial representation
     if not bool(np.all(contains(region, -shifts).ravel())):
         raise CapabilityError(

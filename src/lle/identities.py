@@ -347,9 +347,11 @@ def verify_hermite_identity(ell: int, xi: float, tau: float) -> VerifyResult:
     has a denominator dividing ell! 2^ell and every double is an integer over
     a power of two, so the sum is one integer numerator over one integer
     denominator, and their division rounds it once, correctly. Non-finite
-    inputs, and inputs whose left side overflows a double, raise
-    DomainError. Relative tolerance 1e-9 with an absolute floor near the
-    Hermite zeros.
+    inputs, and inputs whose left side or term mass overflows a double,
+    raise DomainError. Relative tolerance 1e-9 with a floor of 1e-10 times
+    the term mass, the same sum over absolute terms, which scales the
+    rounding of a double evaluation where the terms cancel (near the Hermite
+    zeros).
     """
     if ell > 12:
         raise DomainError("the Hermite identity tables stop at ell = 12")
@@ -358,7 +360,6 @@ def verify_hermite_identity(ell: int, xi: float, tau: float) -> VerifyResult:
     hx = hermite_poly_normalized(ell, xi)
     ht = hermite_poly_normalized(ell, tau)
     rhs = math.sqrt(2.0) * hx * ht
-    scale = math.sqrt(2.0) * (1.0 + abs(hx)) * (1.0 + abs(ht))
     # xi = p/q and tau = r/s; no power exceeds ell, so the sum is one integer
     # over ell! 2^ell q^ell s^ell
     denom = math.factorial(ell) * 2 ** ell
@@ -366,16 +367,22 @@ def verify_hermite_identity(ell: int, xi: float, tau: float) -> VerifyResult:
     r, s = float(tau).as_integer_ratio()
     xp = [p ** a * q ** (ell - a) for a in range(ell + 1)]
     tp = [r ** b * s ** (ell - b) for b in range(ell + 1)]
-    num = sum(c.numerator * (denom // c.denominator) * xp[a] * tp[b]
-              for (a, b), c in _hermite_lhs_table(ell).items())
+    num = mass = 0
+    for (a, b), c in _hermite_lhs_table(ell).items():
+        term = c.numerator * (denom // c.denominator) * xp[a] * tp[b]
+        num += term
+        mass += abs(term)
+    full = denom * q ** ell * s ** ell
     try:
-        lhs = math.sqrt(2.0) * (num / (denom * q ** ell * s ** ell))
+        lhs = math.sqrt(2.0) * (num / full)
+        floor = 1e-10 * math.sqrt(2.0) * (mass / full)
     except OverflowError:
         lhs = math.inf
     if math.isinf(lhs):
-        raise DomainError(f"Hermite-identity left side overflows a double at "
-                          f"(ell={ell}, xi={xi!r}, tau={tau!r})")
-    tol = max(1e-9 * abs(rhs), 1e-10 * scale)
+        raise DomainError(f"Hermite-identity left side or its term mass "
+                          f"overflows a double at (ell={ell}, xi={xi!r}, "
+                          f"tau={tau!r})")
+    tol = max(1e-9 * abs(rhs), floor)
     return _result(abs(lhs - rhs), tol, ell=ell, xi=xi, tau=tau,
                    lhs=[lhs, 0.0], rhs=rhs)
 

@@ -6,7 +6,9 @@ transition happens. The Nystrom matrix on it factors through the kernel's
 angular-momentum sectors, and the solver diagonalises the small Gram matrix
 of that factor. Entropy scaling series come from the disk sector solver
 (`lle scaling`); this module validates universality at moderate scales and
-turns series into boundary coefficients.
+turns series into boundary coefficients. The dense kernel matrix on the same
+rule and the Monte Carlo estimate of tr(P - P^2), which also reaches
+polygons, are test oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -16,11 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import SpectralFunction
-from .disk_spectra import LocalSpectrum, _level_profiles, disk_spectrum, sector_window
+from .disk_spectra import LocalSpectrum, _level_profiles, sector_window
 from .errors import CapabilityError, DomainError, FitError, WindowError
-from .geometry import Disk, Polygon, Region, SmoothStar, contains, region_to_json
-from .landau import LevelSelector, MagneticSetup, selector_laguerre
+from .geometry import Disk, Polygon, Region, SmoothStar, region_to_json
+from .landau import LevelSelector, MagneticSetup
 from .specfun import clamp_unit, gauss_legendre
 
 _DIM_GUARD = 6000
@@ -135,8 +136,6 @@ def _polar_nodes(region: Region, L: float, n_radial: int, n_theta: int):
     theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
     if isinstance(region, Disk):
         rad = np.full(n_theta, L * region.radius)
-        if region.center != (0.0, 0.0):
-            raise CapabilityError("Nystrom path expects origin-centered regions")
     else:
         rad = L * region.radius(theta)
     rr = rule.nodes[:, None] * rad[None, :]            # (n_radial, n_theta)
@@ -222,7 +221,7 @@ def region_trace_moment(setup: MagneticSetup, selector: LevelSelector,
 
     m = 1 integrates the constant kernel diagonal over the polar rule; m >= 2
     is tr G^m of the Gram G = A^H A of the angular factor (m = 2: its squared
-    Frobenius norm), window checked at disk_trace_moment's cutoff 1e-14, and
+    Frobenius norm), window checked at the cutoff 1e-14, and
     under region_spectrum's dimension guard, since the factor has dim rows.
     """
     if m < 1:
@@ -236,65 +235,3 @@ def region_trace_moment(setup: MagneticSetup, selector: LevelSelector,
     _guard_dim(*res)
     a = _angular_factor(setup, selector, region, L, res, 1e-14)
     return float(np.real(np.trace(np.linalg.matrix_power(a.conj().T @ a, m))))
-
-
-# ---------------------------------------------------------------------------
-# the second-order probe and the Monte Carlo cross term
-# ---------------------------------------------------------------------------
-
-def second_order_probe(setup: MagneticSetup, selector: LevelSelector,
-                       f: SpectralFunction, scales,
-                       boundary_coeff: float, area_coeff: float,
-                       cutoff: float = 1e-14) -> np.ndarray:
-    """Residual series r(L) = tr f(P(L disk)) - L^2 (area term) - L (boundary).
-
-    `area_coeff` and `boundary_coeff` multiply L^2 and L; the caller supplies
-    them from the coefficient module so this stays a pure evaluation.
-    """
-    out = []
-    for L in scales:
-        sp = disk_spectrum(setup, selector, float(L), cutoff=cutoff)
-        val = float(np.sum(np.asarray(f(sp.eigenvalues), dtype=float)))
-        out.append(val - area_coeff * L * L - boundary_coeff * L)
-    return np.asarray(out)
-
-
-def mc_cross_hs_norm(setup: MagneticSetup, selector: LevelSelector,
-                     region: Region, L: float, n_samples: int = 400_000,
-                     seed: int = 0) -> float:
-    """Monte Carlo estimate of sum mu(1-mu) = tr(P - P^2) on L*region.
-
-    Lipschitz spot check: works for polygons where the Nystrom path does not.
-    Importance samples the Gaussian off-diagonal decay of |P(x, x+g)|^2.
-    """
-    from .geometry import area as region_area, scale_region
-    big = scale_region(region, L)
-    a = region_area(big)
-    b = setup.b
-    rng = np.random.default_rng(seed)
-    # tr P = (n+1) B |Lambda| / 2pi ; tr P^2 by MC with g ~ N(0, I/B)
-    if isinstance(big, Polygon):
-        v = big.vertex_array()
-        lo, hi = v.min(axis=0), v.max(axis=0)
-    else:
-        r_eff = L * _radial_profile_max(region)
-        lo, hi = np.array([-r_eff, -r_eff]), np.array([r_eff, r_eff])
-    box = float(np.prod(hi - lo))
-    total = 0.0
-    count = 0
-    chunk = 200_000
-    while count < n_samples:
-        mcount = min(chunk, n_samples - count)
-        x = lo + (hi - lo) * rng.random((mcount, 2))
-        inside = contains(big, x)
-        g = rng.normal(0.0, 1.0 / math.sqrt(b), size=(mcount, 2))
-        y = x + g
-        both = inside & contains(big, y)
-        lag = selector_laguerre(selector, 0.5 * b * np.sum(g * g, axis=1))
-        total += float(np.sum((lag ** 2)[both]))
-        count += mcount
-    # E over x uniform in box and g ~ N: tr P^2 = box * (B/2pi) * mean(lag^2 * 1_both)
-    tr_p2 = box * (b / (2.0 * math.pi)) * total / n_samples
-    tr_p = selector.count * b * a / (2.0 * math.pi)
-    return tr_p - tr_p2
-

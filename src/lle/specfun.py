@@ -184,7 +184,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    domain: tuple[float, float]
 
 
 def _legendre_and_derivative(n: int, x: np.ndarray):
@@ -209,8 +208,7 @@ def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
     if not a < b:
         raise DomainError(f"need a < b, got [{a}, {b}]")
     if n == 1:
-        return QuadratureRule(np.array([0.5 * (a + b)]), np.array([float(b - a)]),
-                              (float(a), float(b)))
+        return QuadratureRule(np.array([0.5 * (a + b)]), np.array([float(b - a)]))
     i = np.arange(1, n + 1)
     x = np.cos(math.pi * (i - 0.25) / (n + 0.5))
     converged = np.zeros(n, dtype=bool)
@@ -230,8 +228,7 @@ def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
     x = x[::-1].copy()
     w = w[::-1].copy()
     half = 0.5 * (b - a)
-    return QuadratureRule(half * x + 0.5 * (a + b), half * w,
-                          (float(a), float(b)))
+    return QuadratureRule(half * x + 0.5 * (a + b), half * w)
 
 
 # ---------------------------------------------------------------------------

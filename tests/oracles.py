@@ -7,13 +7,15 @@ trapezoid rule for translate intersections on Newton ray solves, a
 cyclic-Jacobi eigensolver, finite differences, and the slower second routes
 of the library's problems (per-xi adaptive quadrature of the overlap Gram
 matrix, the cumulative panel sweep of the overlap table, the
-Christoffel-Darboux kernel on a grid, the angular Fourier transform of the
-kernel, the radial-Nystrom disk solver, the windowed quadrature of the disk
-sector Gram matrices, the dense 2-D Nystrom kernel matrix, the per-degree
-normalized Hermite recurrence on numpy arrays with the Christoffel-Darboux
-sum and verifier built on it, the Fraction-sum Hermite-identity verifier,
-and the determinant and sign flip of the substitution plan). The library
-never imports this module.
+Christoffel-Darboux kernel at a point pair and on a grid, the projection
+kernel between point sets, the angular Fourier transform of the kernel, the
+radial-Nystrom disk solver, the windowed quadrature of the disk sector Gram
+matrices, the lowest-level incomplete-gamma disk eigenvalues, the dense 2-D
+Nystrom kernel matrix, the Monte Carlo cross term tr(P - P^2) that also
+reaches polygons, the per-degree normalized Hermite recurrence on numpy
+arrays with the Christoffel-Darboux sum and verifier built on it, the
+Fraction-sum Hermite-identity verifier, and the determinant and sign flip of
+the substitution plan). The library never imports this module.
 """
 
 import functools
@@ -23,6 +25,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
+from scipy.special import gammainc
 
 from lle import disk_spectra as ds
 from lle import geometry as ge
@@ -30,14 +33,8 @@ from lle import identities as idn
 from lle.coeffs import CLAMP
 from lle.errors import DomainError, LleError, NumericError, WindowError
 from lle.geometry import Region
-from lle.landau import (
-    _CONFLUENT_EPS,
-    LevelSelector,
-    MagneticSetup,
-    kernel_block,
-    p_selector,
-)
-from lle.region_sim import _polar_nodes, default_resolution
+from lle.landau import LevelSelector, MagneticSetup
+from lle.region_sim import _polar_nodes, _radial_profile_max, default_resolution
 from lle.specfun import (
     LEVEL_CAP,
     OverlapTable,
@@ -47,6 +44,7 @@ from lle.specfun import (
     hermite_fn,
     hermite_fn_table,
     hermite_poly_normalized,
+    hermite_sweep,
     laguerre,
     laguerre_sweep,
 )
@@ -239,8 +237,38 @@ def laguerre_sum_relation_error(n: int, t) -> float:
     return float(np.max(np.abs(total - rel) / scale))
 
 
+# threshold below which the Christoffel-Darboux quotient loses ~7 digits;
+# the confluent form at the pair midpoint is O(|tau-tau'|^2) accurate there
+_CONFLUENT_EPS = 1e-7
+
+
+def _cd_sum_normalized(n: int, tau: float, taup: float) -> float:
+    """sum_{l<=n} H_l(tau)H_l(taup)/(2^l l!) in overflow-safe form, reading
+    H_n..H_{n+2} from one `hermite_sweep` per argument."""
+    if abs(tau - taup) < _CONFLUENT_EPS:
+        hn, hn1, hn2 = list(hermite_sweep(n + 2, 0.5 * (tau + taup)))[n:]
+        return (n + 1.0) * hn1 * hn1 - math.sqrt((n + 1.0) * (n + 2.0)) * hn * hn2
+    tn, tn1 = list(hermite_sweep(n + 1, tau))[n:]
+    pn, pn1 = list(hermite_sweep(n + 1, taup))[n:]
+    return math.sqrt((n + 1.0) / 2.0) * (pn * tn1 - tn * pn1) / (tau - taup)
+
+
+def k_kernel(n: int, xi: float, tau: float, taup: float) -> float:
+    """Integral kernel of the rank-(n+1) truncated-Hermite operator.
+
+    Christoffel-Darboux closed form on [xi, inf)^2, zero once either argument
+    drops below xi; near-coincident arguments switch to the confluent branch.
+    """
+    if n < 0:
+        raise DomainError(f"top level must be >= 0, got {n}")
+    if tau < xi or taup < xi:
+        return 0.0
+    gauss = math.exp(-0.5 * (tau * tau + taup * taup)) / math.sqrt(math.pi)
+    return gauss * _cd_sum_normalized(int(n), float(tau), float(taup))
+
+
 def cd_sum_per_degree(n: int, tau: float, taup: float) -> float:
-    """landau._cd_sum_normalized with one recurrence per Hermite degree."""
+    """_cd_sum_normalized with one recurrence per Hermite degree."""
     h = hermite_poly_normalized_array
     if abs(tau - taup) < _CONFLUENT_EPS:
         s = 0.5 * (tau + taup)
@@ -425,6 +453,35 @@ def trace_moment_K(n: int, xi: float, m: int) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
+# the projection kernel point set against point set: the oracle of the
+# sector solvers, through the disk-sector and dense-matrix oracles below
+# ---------------------------------------------------------------------------
+
+def selector_laguerre(selector: LevelSelector, arg):
+    """The selector's Laguerre factor: L_l for one level l, and
+    sum_{l<=n} L_l = L_n^{(1)} for the levels up to n."""
+    return laguerre(selector.index, 0 if selector.kind == "single" else 1, arg)
+
+
+def kernel_block(setup: MagneticSetup, selector: LevelSelector,
+                 pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarray:
+    """Projection kernel between two point sets, shape (len(pts_a), len(pts_b)).
+
+    (B/2pi) e^{-B|x-y|^2/4} L(B|x-y|^2/2) e^{i B <x|Jy>/2} with L the
+    selector's Laguerre factor; points are rows (x1, x2).
+    """
+    b = setup.b
+    dx = pts_a[:, 0][:, None] - pts_b[:, 0][None, :]
+    dy = pts_a[:, 1][:, None] - pts_b[:, 1][None, :]
+    d2 = dx * dx + dy * dy
+    lag = selector_laguerre(selector, 0.5 * b * d2)
+    cross = pts_a[:, 0][:, None] * pts_b[:, 1][None, :] \
+        - pts_a[:, 1][:, None] * pts_b[:, 0][None, :]
+    return (b / (2.0 * math.pi) * np.exp(-0.25 * b * d2) * lag
+            * np.exp(0.5j * b * cross))
+
+
+# ---------------------------------------------------------------------------
 # disk sectors: the angular Fourier transform of the kernel, the
 # radial-Nystrom discretization, the windowed quadrature of the sector Gram
 # matrices and their extended-precision entries, oracles of the closed-form
@@ -449,9 +506,8 @@ def radial_sector_kernel(setup, selector, k: int, r: float, s: float,
     if needed > n_phi:
         n_phi = 1 << int(math.ceil(math.log2(needed)))
     phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    vals = np.array([p_selector(setup, selector,
-                                (r, 0.0), (s * math.cos(p), s * math.sin(p)))
-                     for p in phis])
+    ring = np.stack([s * np.cos(phis), s * np.sin(phis)], axis=1)
+    vals = kernel_block(setup, selector, np.array([[r, 0.0]]), ring)[0]
     coef = complex(np.mean(vals * np.exp(-1j * k * phis)))
     if abs(coef.imag) > 1e-9:
         raise ConsistencyError(
@@ -584,6 +640,28 @@ def sector_gram_mp(a_max: int, kappa: int, x: float,
     return out
 
 
+def lll_disk_eigenvalues(b: float, r: float, m_max: int) -> np.ndarray:
+    """Lowest-level disk eigenvalues P(m+1, B R^2/2) for m = 0..m_max.
+
+    The regularized lower incomplete gamma (scipy `gammainc`) in closed form:
+    the lowest level enters sector m with the single radial profile of
+    weight m, so its sector Gram matrix is this one number.
+    """
+    if m_max < 0:
+        raise DomainError(f"m_max must be >= 0, got {m_max}")
+    x = 0.5 * b * r * r
+    return gammainc(np.arange(1, m_max + 2, dtype=float), x)
+
+
+def disk_trace_moment(setup: MagneticSetup, selector: LevelSelector,
+                      r_total: float, m: int, cutoff: float = 1e-14) -> float:
+    """tr of the m-th power of the localized projection on a disk."""
+    if m < 1:
+        raise DomainError(f"moment order must be >= 1, got {m}")
+    spec = ds.disk_spectrum(setup, selector, r_total, cutoff=cutoff)
+    return float(np.sum(spec.eigenvalues ** m))
+
+
 # ---------------------------------------------------------------------------
 # the dense 2-D Nystrom kernel matrix: the oracle of region_sim's angular
 # factor
@@ -619,8 +697,7 @@ def mc_intersect_area(region, family,
     """
     rng = np.random.default_rng(seed)
     if isinstance(region, ge.Disk):
-        c = np.asarray(region.center)
-        lo, hi = c - region.radius, c + region.radius
+        lo, hi = np.full(2, -region.radius), np.full(2, region.radius)
     elif isinstance(region, ge.SmoothStar):
         rmax = float(np.max(region.radius(np.linspace(0, 2 * math.pi, 4096, endpoint=False))))
         lo, hi = np.array([-rmax, -rmax]), np.array([rmax, rmax])
@@ -645,6 +722,61 @@ def mc_intersect_area(region, family,
     est = box * p
     stderr = box * math.sqrt(max(p * (1.0 - p), 1e-300) / n_samples)
     return est, stderr
+
+
+# ---------------------------------------------------------------------------
+# seeded Monte Carlo cross term tr(P - P^2): a spot check that reaches
+# polygons, which no spectral route of the library takes
+# ---------------------------------------------------------------------------
+
+def scale_region(region: Region, factor: float) -> Region:
+    if not factor > 0.0:
+        raise DomainError(f"scale factor must be positive, got {factor}")
+    if isinstance(region, ge.Disk):
+        return ge.Disk(radius=factor * region.radius)
+    if isinstance(region, ge.SmoothStar):
+        return ge.SmoothStar(coeffs=tuple(factor * c for c in region.coeffs))
+    return ge.Polygon(vertices=tuple((factor * x, factor * y)
+                                     for x, y in region.vertices))
+
+
+def mc_cross_hs_norm(setup: MagneticSetup, selector: LevelSelector,
+                     region: Region, L: float, n_samples: int = 400_000,
+                     seed: int = 0) -> float:
+    """Monte Carlo estimate of sum mu(1-mu) = tr(P - P^2) on L*region.
+
+    Lipschitz spot check: works for polygons where the Nystrom path does not.
+    Importance samples the Gaussian off-diagonal decay of |P(x, x+g)|^2.
+    """
+    big = scale_region(region, L)
+    a = ge.area(big)
+    b = setup.b
+    rng = np.random.default_rng(seed)
+    # tr P = (n+1) B |Lambda| / 2pi ; tr P^2 by MC with g ~ N(0, I/B)
+    if isinstance(big, ge.Polygon):
+        v = big.vertex_array()
+        lo, hi = v.min(axis=0), v.max(axis=0)
+    else:
+        r_eff = L * _radial_profile_max(region)
+        lo, hi = np.array([-r_eff, -r_eff]), np.array([r_eff, r_eff])
+    box = float(np.prod(hi - lo))
+    total = 0.0
+    count = 0
+    chunk = 200_000
+    while count < n_samples:
+        mcount = min(chunk, n_samples - count)
+        x = lo + (hi - lo) * rng.random((mcount, 2))
+        inside = ge.contains(big, x)
+        g = rng.normal(0.0, 1.0 / math.sqrt(b), size=(mcount, 2))
+        y = x + g
+        both = inside & ge.contains(big, y)
+        lag = selector_laguerre(selector, 0.5 * b * np.sum(g * g, axis=1))
+        total += float(np.sum((lag ** 2)[both]))
+        count += mcount
+    # E over x uniform in box and g ~ N: tr P^2 = box * (B/2pi) * mean(lag^2 * 1_both)
+    tr_p2 = box * (b / (2.0 * math.pi)) * total / n_samples
+    tr_p = selector.count * b * a / (2.0 * math.pi)
+    return tr_p - tr_p2
 
 
 # ---------------------------------------------------------------------------
@@ -744,12 +876,12 @@ def verify_hermite_identity_fraction(ell: int, xi: float, tau: float):
     hx = hermite_poly_normalized_array(ell, xi)
     ht = hermite_poly_normalized_array(ell, tau)
     rhs = math.sqrt(2.0) * hx * ht
-    scale = math.sqrt(2.0) * (1.0 + abs(hx)) * (1.0 + abs(ht))
     x, t = Fraction(xi), Fraction(tau)
-    exact = sum(c * x ** a * t ** b
-                for (a, b), c in idn._hermite_lhs_table(ell).items())
-    lhs = math.sqrt(2.0) * float(exact)
-    tol = max(1e-9 * abs(rhs), 1e-10 * scale)
+    terms = [c * x ** a * t ** b
+             for (a, b), c in idn._hermite_lhs_table(ell).items()]
+    lhs = math.sqrt(2.0) * float(sum(terms))
+    mass = sum(abs(term) for term in terms)
+    tol = max(1e-9 * abs(rhs), 1e-10 * math.sqrt(2.0) * float(mass))
     return idn._result(abs(lhs - rhs), tol, ell=ell, xi=xi, tau=tau,
                        lhs=[lhs, 0.0], rhs=rhs)
 

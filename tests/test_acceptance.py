@@ -24,6 +24,8 @@ from lle import region_sim as rs
 from lle.cli import main
 from lle.landau import LevelSelector, MagneticSetup
 
+import oracles
+
 SETUP = MagneticSetup(1.0)
 DISK = ge.Disk(1.0)
 STAR15 = ge.SmoothStar((1.0, 0.0, 0.0, 0.0, 0.0, 0.15))
@@ -109,11 +111,11 @@ def _moment_residuals():
     out = {}
     for ell in (0, 1, 2):
         for m in (2, 3):
-            j = cf.poly_boundary_coeff(ell, m)
+            j = cf.coeff_M_ell(ell, cf.SpectralFunction.monomial(m))
             res = {}
             for L in SCALES:
-                tr = ds.disk_trace_moment(SETUP, LevelSelector.single(ell),
-                                          float(L), m)
+                tr = oracles.disk_trace_moment(SETUP, LevelSelector.single(ell),
+                                               float(L), m)
                 res[L] = tr - L * L * math.pi / (2 * math.pi) \
                     - L * 2.0 * math.pi * j
             out[(ell, m)] = res

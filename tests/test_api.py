@@ -1,12 +1,16 @@
-"""The public API: the exported names, and a library that runs without the
-test oracles or mpmath."""
+"""The public API: the exported names, a library that holds only code its
+entry points reach, and a library that runs without the test oracles or
+mpmath."""
 
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import lle
+
+_SRC = Path(lle.__file__).parent
 
 _STANDALONE = """
 import importlib.util
@@ -24,6 +28,65 @@ sys.exit(main(["verify", "--suite", "all", "--cases", "5"]))
 def test_public_names_resolve():
     assert len(set(lle.__all__)) == len(lle.__all__)
     assert [name for name in lle.__all__ if not hasattr(lle, name)] == []
+
+
+def _library_definitions():
+    """Module-level functions, classes and constants of src/lle, keyed by
+    (module, name), and each module's relative-import bindings: a local name
+    maps to a (module, name) definition or, for `from . import m`, to (m,)."""
+    defs, binds = {}, {}
+    for path in sorted(_SRC.glob("*.py")):
+        mod = path.stem
+        binds[mod] = {}
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[mod, node.name] = node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        defs[mod, target.id] = node
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    target = (node.module, alias.name) if node.module else (alias.name,)
+                    binds[mod][alias.asname or alias.name] = target
+    return defs, binds
+
+
+def test_every_library_definition_is_reached_from_the_entry_points():
+    # walk the Name and Attribute references of each reached definition,
+    # from lle.cli.main and the names lle.__all__ exports
+    defs, binds = _library_definitions()
+
+    def resolve(mod, name):
+        while (mod, name) not in defs and name in binds[mod]:
+            target = binds[mod][name]
+            if len(target) == 1:
+                return None
+            mod, name = target
+        return (mod, name) if (mod, name) in defs else None
+
+    roots = [("cli", "main")] + [resolve("__init__", n) for n in lle.__all__]
+    reached, todo = set(), [r for r in roots if r is not None]
+    while todo:
+        key = todo.pop()
+        if key in reached:
+            continue
+        reached.add(key)
+        mod = key[0]
+        for node in ast.walk(defs[key]):
+            found = None
+            if isinstance(node, ast.Name):
+                found = resolve(mod, node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                target = binds[mod].get(node.value.id)
+                if target is not None and len(target) == 1:
+                    found = resolve(target[0], node.attr)
+            if found is not None:
+                todo.append(found)
+    unreached = sorted(f"{mod}.{name}" for mod, name in defs
+                       if (mod, name) not in reached and not name.startswith("__"))
+    assert not unreached, f"no entry point reaches {unreached}"
 
 
 def test_library_runs_without_oracles_or_mpmath(tmp_path):

@@ -258,9 +258,13 @@ def test_trace_moment_refuses_blowup():
 
 
 def test_poly_boundary_coeff():
-    assert cf.poly_boundary_coeff(2, 1) == pytest.approx(0.0, abs=1e-12)
-    assert cf.poly_boundary_coeff(0, 2) == pytest.approx(
-        cf.coeff_M_ell(0, cf.SpectralFunction.monomial(2)), abs=1e-10)
+    # M_ell(t^m): the integral of (lambda_ell^m - lambda_ell) / 2pi
+    moment = lambda ell, m: cf.coeff_M_ell(ell, cf.SpectralFunction.monomial(m))
+    assert moment(2, 1) == pytest.approx(0.0, abs=1e-12)
+    grid = cf.xi_grid(0)
+    lam = cf.lambda_field(0, grid)
+    assert moment(0, 2) == pytest.approx(
+        float(np.dot(grid.weights, lam ** 2 - lam)) / (2 * math.pi), abs=1e-10)
     # dense-grid oracle for level 1, fourth moment: lambda_1 by reverse
     # cumulative trapezoid of psi_1^2 on a fine grid
     xi = np.linspace(-12.0, 12.0, 800001)
@@ -269,7 +273,7 @@ def test_poly_boundary_coeff():
     seg = 0.5 * (psi2[:-1] + psi2[1:]) * h
     lam = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
     dense = np.trapezoid(lam ** 4 - lam, xi) / (2 * math.pi)
-    assert cf.poly_boundary_coeff(1, 4) == pytest.approx(dense, abs=1e-9)
+    assert moment(1, 4) == pytest.approx(dense, abs=1e-9)
 
 
 def test_field_cache_keys_on_panel_layout():

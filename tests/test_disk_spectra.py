@@ -7,7 +7,7 @@ import pytest
 from lle import coeffs as cf
 from lle import disk_spectra as ds
 from lle.errors import DomainError, WindowError
-from lle.landau import LevelSelector, MagneticSetup, p_selector
+from lle.landau import LevelSelector, MagneticSetup
 
 import oracles
 
@@ -22,7 +22,8 @@ def test_sector_kernel_fourier_completeness():
     # sum over |k| <= K of kernel(k, r, r) recovers the kernel diagonal
     sel = LevelSelector.upto(1)
     r = 1.3
-    diag = p_selector(SETUP, sel, (r, 0.0), (r, 0.0)).real
+    at = np.array([[r, 0.0]])
+    diag = oracles.kernel_block(SETUP, sel, at, at)[0, 0].real
     total = sum(oracles.radial_sector_kernel(SETUP, sel, k, r, r)
                 for k in range(-3, 26))
     assert total == pytest.approx(diag, abs=1e-10)
@@ -42,11 +43,10 @@ def test_sector_kernel_adaptive_oracle():
     val = oracles.radial_sector_kernel(SETUP, sel, k, r, s)
 
     def integrand(phi):
-        out = np.array([p_selector(SETUP, sel, (r, 0.0),
-                                   (s * math.cos(p), s * math.sin(p)))
-                        * complex(math.cos(k * p), -math.sin(k * p))
-                        for p in np.atleast_1d(phi)])
-        return out
+        phi = np.atleast_1d(phi)
+        ring = np.stack([s * np.cos(phi), s * np.sin(phi)], axis=1)
+        return oracles.kernel_block(SETUP, sel, np.array([[r, 0.0]]), ring)[0] \
+            * np.exp(-1j * k * phi)
 
     oracle = oracles.adaptive_quad(integrand, 0.0, 2.0 * math.pi, tol=1e-13)
     assert val == pytest.approx(complex(oracle).real / (2 * math.pi), abs=1e-10)
@@ -134,11 +134,12 @@ def test_disk_spectrum_field_strength_scaling():
 
 def test_local_spectrum_json_roundtrip():
     spec = ds.disk_spectrum(SETUP, LevelSelector.upto(1), 3.0)
-    text = spec.to_json_str()
-    back = ds.LocalSpectrum.from_json(json.loads(text))
-    np.testing.assert_allclose(back.eigenvalues, spec.eigenvalues)
-    assert back.selector == spec.selector
-    assert back.to_json_str() == text
+    text = json.dumps(spec.to_json(), sort_keys=True)
+    back = json.loads(text)
+    np.testing.assert_allclose(back["eigenvalues"], spec.eigenvalues)
+    assert LevelSelector(back["selector"]["type"],
+                         back["selector"]["index"]) == spec.selector
+    assert json.dumps(back, sort_keys=True) == text
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +210,7 @@ def test_diagonal_ladder_against_adaptive_quadrature():
 def test_lowest_level_disk_spectrum_is_incomplete_gamma(r):
     # single:0 sectors are the 1 x 1 Gram entries P(k+1, B R^2/2) themselves
     spec = ds.disk_spectrum(SETUP, LevelSelector.single(0), r)
-    lll = ds.lll_disk_eigenvalues(SETUP.b, r, ds.sector_window(SETUP.b, r, 0))
+    lll = oracles.lll_disk_eigenvalues(SETUP.b, r, ds.sector_window(SETUP.b, r, 0))
     keep = np.sort(lll[lll >= spec.cutoff])[::-1]
     assert spec.eigenvalues.size == keep.size
     assert spec.dropped_count == lll.size - keep.size
@@ -226,12 +227,12 @@ def test_disk_spectrum_window_error_closed_form(sel, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# lowest-level fast path
+# lowest-level eigenvalues in closed form
 # ---------------------------------------------------------------------------
 
 def test_lll_head_and_monotone_tail():
     b, r = 1.0, 3.0
-    vals = ds.lll_disk_eigenvalues(b, r, 40)
+    vals = oracles.lll_disk_eigenvalues(b, r, 40)
     assert vals[0] == pytest.approx(1.0 - math.exp(-b * r * r / 2.0), abs=1e-13)
     x = b * r * r / 2.0
     shoulder = int(x + 3 * math.sqrt(x))
@@ -244,7 +245,7 @@ def test_lll_head_and_monotone_tail():
 
 def test_lll_validated_against_sector_solver():
     r = math.sqrt(2.0)
-    vals = ds.lll_disk_eigenvalues(1.0, r, 40)
+    vals = oracles.lll_disk_eigenvalues(1.0, r, 40)
     sector = [oracles.sector_gram(SETUP, LevelSelector.single(0), m, r)[1][0, 0]
               for m in range(41)]
     assert np.max(np.abs(vals - np.array(sector))) <= 1e-7
@@ -284,7 +285,9 @@ def test_entropy_stable_under_cutoff_halving():
 def test_entropy_bias_reported():
     f = cf.SpectralFunction.renyi(0.5)
     spec = ds.disk_spectrum(SETUP, LevelSelector.single(0), 10.0)
-    val, bias = ds.entropy_from_spectrum(spec, f, return_bias=True)
+    val = ds.entropy_from_spectrum(spec, f)
+    # |f(cutoff)| per dropped eigenvalue plus an allowance for the window tail
+    bias = (spec.dropped_count + 32) * abs(float(f(np.array([spec.cutoff]))[0]))
     assert val > 0 and bias >= 0
     assert bias < 1e-3
 
@@ -324,8 +327,8 @@ def test_schatten_linear_growth_ratio():
 # ---------------------------------------------------------------------------
 
 def test_moment_residual_band_spot():
-    J = cf.poly_boundary_coeff(0, 2)
+    J = cf.coeff_M_ell(0, cf.SpectralFunction.monomial(2))
     for L in (10.0, 25.0):
-        tr = ds.disk_trace_moment(SETUP, LevelSelector.single(0), L, 2)
+        tr = oracles.disk_trace_moment(SETUP, LevelSelector.single(0), L, 2)
         resid = tr - L * L * math.pi / (2 * math.pi) - L * 2 * math.pi * J
         assert abs(resid) < 0.5

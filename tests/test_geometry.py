@@ -68,13 +68,15 @@ def test_disk_accessors():
     assert ge.curvature(ge.Disk(2.0), 0.3) == pytest.approx(0.5)
     n = ge.inward_normal(DISK, 0.0)
     np.testing.assert_allclose(n, [-1.0, 0.0], atol=1e-15)
-    p = ge.boundary_point(ge.Disk(2.0), np.array([0.0]))
-    np.testing.assert_allclose(p, [[2.0, 0.0]], atol=1e-15)
+    # the boundary of the origin-centred disk passes through (R, 0)
+    assert ge.arc_element(ge.Disk(2.0), 0.0) == 2.0
+    assert ge.contains(ge.Disk(2.0), [[2.0, 0.0], [2.0 + 1e-12, 0.0]]).tolist() \
+        == [True, False]
 
 
 def test_star_curvature_matches_finite_differences():
     for th0 in (0.0, 0.77, 2.3, 4.9):
-        p = lambda t: ge.boundary_point(STAR, np.array([t]))[0]
+        p = lambda t: STAR.radius(t) * np.array([math.cos(t), math.sin(t)])
         h = 1e-4
         d1 = (p(th0 + h) - p(th0 - h)) / (2 * h)
         d2 = (p(th0 + h) - 2 * p(th0) + p(th0 - h)) / h ** 2

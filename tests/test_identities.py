@@ -235,6 +235,24 @@ def test_hermite_identity_left_side_overflow():
         idn.verify_hermite_identity(12, 1e30, 2.0)
 
 
+def test_hermite_identity_floor_stays_below_the_left_side():
+    # a floor from the product of the Hermite magnitudes was 1.0e296 here,
+    # against a left side of -2.36e16; the term mass leaves the relative
+    # tolerance 2.4e7 in charge
+    res = idn.verify_hermite_identity(11, 1e28, 1e-290)
+    lhs = res.inputs["lhs"][0]
+    assert lhs == pytest.approx(-2.3570226e16, rel=1e-7)
+    assert res.ok and res.tolerance < abs(lhs)
+    assert res.tolerance == 1e-9 * abs(res.inputs["rhs"])
+
+
+def test_hermite_identity_term_mass_overflow():
+    # near the top zero of H_12 the left side 2.8e292 is a double, but the
+    # sum of its absolute terms is not
+    with pytest.raises(DomainError):
+        idn.verify_hermite_identity(12, 3.889724897869777, 3e25)
+
+
 def test_christoffel_darboux_rejects_nan_and_negative_degree():
     with pytest.raises(DomainError):
         idn.verify_christoffel_darboux(3, math.nan, 0.2)

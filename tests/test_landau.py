@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from lle import geometry as ge
 from lle import landau as lk
 from lle import specfun as sf
 from lle.errors import DomainError
@@ -24,11 +25,18 @@ def test_nu_from_mu_rejects_empty_projection():
         lk.nu_from_mu(0.5, 1.0)
 
 
+def p_ell(setup, ell, x, y):
+    """The ell-th level's projection kernel at one point pair."""
+    return oracles.kernel_block(setup, lk.LevelSelector.single(ell),
+                                np.array([x], dtype=float),
+                                np.array([y], dtype=float))[0, 0]
+
+
 def test_p_ell_diagonal():
     setup = lk.MagneticSetup(2.3)
     x = (0.7, -1.1)
     for ell in (0, 1, 5):
-        assert lk.p_ell(setup, ell, x, x) == pytest.approx(2.3 / (2 * math.pi))
+        assert p_ell(setup, ell, x, x) == pytest.approx(2.3 / (2 * math.pi))
 
 
 def test_p_ell_hermitian():
@@ -36,39 +44,44 @@ def test_p_ell_hermitian():
     rng = np.random.default_rng(0)
     for _ in range(10):
         x, y = rng.normal(size=2), rng.normal(size=2)
-        assert lk.p_ell(setup, 2, x, y) == pytest.approx(
-            np.conj(lk.p_ell(setup, 2, y, x)), abs=1e-15)
+        assert p_ell(setup, 2, x, y) == pytest.approx(
+            np.conj(p_ell(setup, 2, y, x)), abs=1e-15)
 
 
 def test_p_ell_idempotence_by_quadrature():
     # projection property: integral of p(x,z) p(z,y) dz reproduces p(x,y)
     setup = lk.MagneticSetup(1.0)
-    ell = 1
+    sel = lk.LevelSelector.single(1)
     x = np.array([0.4, 0.1])
     y = np.array([-0.3, 0.6])
     rule = sf.gauss_legendre(90, -9.0, 9.0)
     zx, zy = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
     w2 = np.outer(rule.weights, rule.weights)
     pts = np.stack([zx.ravel(), zy.ravel()], axis=1)
-    left = np.array([lk.p_ell(setup, ell, x, z) for z in pts])
-    right = np.array([lk.p_ell(setup, ell, z, y) for z in pts])
+    left = oracles.kernel_block(setup, sel, x[None, :], pts)[0]
+    right = oracles.kernel_block(setup, sel, pts, y[None, :])[:, 0]
     composed = np.sum(w2.ravel() * left * right)
-    assert composed == pytest.approx(lk.p_ell(setup, ell, x, y), abs=1e-8)
+    assert composed == pytest.approx(p_ell(setup, 1, x, y), abs=1e-8)
 
 
 def test_p_le_n_diagonal_and_direct_sum():
     setup = lk.MagneticSetup(0.8)
     rng = np.random.default_rng(5)
+
+    def p_le_n(n, x, y):
+        return oracles.kernel_block(setup, lk.LevelSelector.upto(n),
+                                    x[None, :], y[None, :])[0, 0]
+
     x = rng.normal(size=2)
     for n in range(7):
-        assert lk.p_le_n(setup, n, x, x) == pytest.approx(
+        assert p_le_n(n, x, x) == pytest.approx(
             (n + 1) * 0.8 / (2 * math.pi), abs=1e-13)
     for _ in range(8):
         x, y = rng.normal(size=2), rng.normal(size=2)
         n = int(rng.integers(0, 7))
-        direct = sum(lk.p_ell(setup, ell, x, y) for ell in range(n + 1))
-        assert lk.p_le_n(setup, n, x, y) == pytest.approx(direct, abs=1e-12)
-    assert lk.p_le_n(setup, 0, x, y) == pytest.approx(lk.p_ell(setup, 0, x, y))
+        direct = sum(p_ell(setup, ell, x, y) for ell in range(n + 1))
+        assert p_le_n(n, x, y) == pytest.approx(direct, abs=1e-12)
+    assert p_le_n(0, x, y) == pytest.approx(p_ell(setup, 0, x, y))
 
 
 def test_magnetic_translation_covariance_of_modulus():
@@ -77,13 +90,13 @@ def test_magnetic_translation_covariance_of_modulus():
     rng = np.random.default_rng(7)
     for _ in range(10):
         x, y, shift = rng.normal(size=2), rng.normal(size=2), rng.normal(size=2)
-        a = abs(lk.p_ell(setup, 3, x, y))
-        b = abs(lk.p_ell(setup, 3, x + shift, y + shift))
+        a = abs(p_ell(setup, 3, x, y))
+        b = abs(p_ell(setup, 3, x + shift, y + shift))
         assert a == pytest.approx(b, abs=1e-14)
         ang = rng.uniform(0, 2 * math.pi)
         rot = np.array([[math.cos(ang), -math.sin(ang)],
                         [math.sin(ang), math.cos(ang)]])
-        c = abs(lk.p_ell(setup, 3, rot @ x, rot @ y))
+        c = abs(p_ell(setup, 3, rot @ x, rot @ y))
         assert a == pytest.approx(c, abs=1e-14)
 
 
@@ -93,14 +106,14 @@ def test_field_scaling_covariance(b, ell):
     y = np.array([-0.11, 0.45])
     setup_b = lk.MagneticSetup(b)
     setup_1 = lk.MagneticSetup(1.0)
-    scaled = b * lk.p_ell(setup_1, ell, math.sqrt(b) * x, math.sqrt(b) * y)
-    assert lk.p_ell(setup_b, ell, x, y) == pytest.approx(scaled, rel=1e-12, abs=1e-14)
+    scaled = b * p_ell(setup_1, ell, math.sqrt(b) * x, math.sqrt(b) * y)
+    assert p_ell(setup_b, ell, x, y) == pytest.approx(scaled, rel=1e-12, abs=1e-14)
 
 
 def test_k_kernel_truncation_and_rank_one():
-    assert lk.k_kernel(2, 0.5, 0.2, 1.0) == 0.0
-    assert lk.k_kernel(2, 0.5, 1.0, 0.2) == 0.0
-    assert lk.k_kernel(0, -20.0, 0.0, 0.0) == pytest.approx(1 / math.sqrt(math.pi))
+    assert oracles.k_kernel(2, 0.5, 0.2, 1.0) == 0.0
+    assert oracles.k_kernel(2, 0.5, 1.0, 0.2) == 0.0
+    assert oracles.k_kernel(0, -20.0, 0.0, 0.0) == pytest.approx(1 / math.sqrt(math.pi))
 
 
 def test_k_kernel_bitwise_against_per_degree_oracle():
@@ -111,11 +124,11 @@ def test_k_kernel_bitwise_against_per_degree_oracle():
     for n in range(21):
         for tau in pts:
             for taup in pts:
-                got = lk.k_kernel(n, -5.0, tau, taup)
+                got = oracles.k_kernel(n, -5.0, tau, taup)
                 gauss = math.exp(-0.5 * (tau * tau + taup * taup)) / math.sqrt(math.pi)
                 want = gauss * oracles.cd_sum_per_degree(n, tau, taup)
                 assert got.hex() == want.hex(), (n, tau, taup)
-                confluent += abs(tau - taup) < lk._CONFLUENT_EPS
+                confluent += abs(tau - taup) < oracles._CONFLUENT_EPS
     assert 0 < confluent < 21 * len(pts) ** 2
 
 
@@ -128,7 +141,7 @@ def test_k_kernel_matches_hermite_sum():
         taup = float(rng.uniform(xi, xi + 6))
         direct = sum(sf.hermite_fn(ell, tau) * sf.hermite_fn(ell, taup)
                      for ell in range(n + 1))
-        assert lk.k_kernel(n, xi, tau, taup) == pytest.approx(direct, abs=1e-10)
+        assert oracles.k_kernel(n, xi, tau, taup) == pytest.approx(direct, abs=1e-10)
 
 
 def test_k_kernel_symmetric_positive_semidefinite():
@@ -143,8 +156,8 @@ def test_k_kernel_symmetric_positive_semidefinite():
 def test_k_kernel_confluent_branch_continuity():
     # values on both sides of the 1e-7 switching threshold agree
     for n in (1, 6):
-        near = lk.k_kernel(n, 0.0, 1.1, 1.1 + 9e-8)
-        far = lk.k_kernel(n, 0.0, 1.1, 1.1 + 2e-7)
+        near = oracles.k_kernel(n, 0.0, 1.1, 1.1 + 9e-8)
+        far = oracles.k_kernel(n, 0.0, 1.1, 1.1 + 2e-7)
         assert near == pytest.approx(far, abs=5e-7)
         mat = oracles.k_kernel_matrix(
             n, 0.0, np.array([1.1, 1.1 + 9e-8, 1.1 + 2e-7]))
@@ -152,8 +165,11 @@ def test_k_kernel_confluent_branch_continuity():
 
 
 def test_point_validation():
-    setup = lk.MagneticSetup(1.0)
+    # points reach the library as polygon vertices and translate vectors,
+    # and are checked there
     with pytest.raises(DomainError):
-        lk.p_ell(setup, 0, (np.nan, 0.0), (0.0, 0.0))
+        ge.Polygon(((np.nan, 0.0), (1.0, 0.0), (0.0, 1.0)))
+    with pytest.raises(DomainError):
+        ge.roccaforte_first_order(ge.Disk(1.0), [(np.nan, 0.0)])
     with pytest.raises(DomainError):
         lk.MagneticSetup(-1.0)

@@ -18,7 +18,7 @@ DISK = ge.Disk(1.0)
 
 def unit_area_star():
     base = ge.SmoothStar((1.0, 0.0, 0.0, 0.0, 0.0, 0.15))
-    return ge.scale_region(base, 1.0 / math.sqrt(ge.area(base)))
+    return oracles.scale_region(base, 1.0 / math.sqrt(ge.area(base)))
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +142,7 @@ def test_hs_cross_term_matches_moment_prediction():
     spec = rs.region_spectrum(SETUP, sel, DISK, L, resolution=(32, 64))
     mu = spec.eigenvalues
     hs = float(np.sum(mu * (1 - mu)))
-    j2 = cf.poly_boundary_coeff(0, 2)
+    j2 = cf.coeff_M_ell(0, cf.SpectralFunction.monomial(2))
     predicted = -L * math.sqrt(SETUP.b) * ge.perimeter(DISK) * j2
     assert abs(hs - predicted) < 0.5  # O(1) band of the moment law
 
@@ -239,8 +239,9 @@ def test_second_order_probe_trace_identity():
     sel = LevelSelector.upto(1)
     f = cf.SpectralFunction.monomial(1)
     area_coeff = sel.count * SETUP.b * math.pi / (2 * math.pi)
-    resid = rs.second_order_probe(SETUP, sel, f, [4.0, 8.0, 12.0],
-                                  boundary_coeff=0.0, area_coeff=area_coeff)
+    resid = [ds.entropy_from_spectrum(
+                 ds.disk_spectrum(SETUP, sel, L, cutoff=1e-14), f)
+             - area_coeff * L * L for L in (4.0, 8.0, 12.0)]
     assert np.max(np.abs(resid)) < 1e-7
 
 
@@ -249,9 +250,9 @@ def test_mc_cross_hs_on_square_lipschitz_spot():
     # boundary law; tolerance is empirical (corners + MC noise)
     square = ge.Polygon(((-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)))
     L = 10.0
-    est = rs.mc_cross_hs_norm(SETUP, LevelSelector.single(0), square, L,
-                              n_samples=600_000, seed=12)
-    j2 = cf.poly_boundary_coeff(0, 2)
+    est = oracles.mc_cross_hs_norm(SETUP, LevelSelector.single(0), square, L,
+                                   n_samples=600_000, seed=12)
+    j2 = cf.coeff_M_ell(0, cf.SpectralFunction.monomial(2))
     predicted = -L * math.sqrt(SETUP.b) * ge.perimeter(square) * j2
     assert est > 0
     assert abs(est / predicted - 1.0) < 0.25
