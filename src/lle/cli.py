@@ -89,10 +89,10 @@ def cmd_coeff(args) -> int:
     fns = [coeffs.spectral_function_from_spec(s) for s in args.f.split(",")]
     rows = []
     for sel in selectors:
-        for fn in fns:
-            value, err = coeffs.coeff_with_error(sel, fn, tol=args.tol)
-            rows.append({"levels": f"{sel.kind}:{sel.index}", "f": fn.label,
-                         "value": value, "error": err})
+        results = coeffs.coeff_with_error(sel, fns, tol=args.tol)
+        rows += [{"levels": f"{sel.kind}:{sel.index}", "f": fn.label,
+                  "value": value, "error": err}
+                 for fn, (value, err) in zip(fns, results)]
     config = {"levels": args.levels, "f": args.f, "tol": args.tol}
     if args.format == "csv":
         lines = ["levels,f,value,error"]
@@ -165,7 +165,7 @@ def cmd_scaling(args) -> int:
         meta={"alpha": args.alpha, "selector": selector.to_json(),
               "B": args.B, "region": geometry.region_to_json(region)})
     fit = region_sim.scaling_fit(series, model="linear")
-    m_coeff, m_err = coeffs.coeff_with_error(selector, f, tol=1e-8)
+    [(m_coeff, m_err)] = coeffs.coeff_with_error(selector, [f], tol=1e-8)
     predicted = math.sqrt(args.B) * geometry.perimeter(region) * m_coeff
     report = {
         "config": {"region": geometry.region_to_json(region), "B": args.B,

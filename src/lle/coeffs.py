@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
+from .landau import LevelSelector
 from .specfun import build_overlap_table, clamp_unit, gauss_legendre, occupations
 
 _TWO_PI = 2.0 * math.pi
@@ -179,89 +180,60 @@ def xi_grid(n: int, q: float = 1.0, c_holder: float = 1.0, tol: float = 1e-8,
 
 
 # ---------------------------------------------------------------------------
-# Eigenvalue fields of the truncated-Hermite overlaps on a grid
+# The Gram eigenvalue field and the asymptotic coefficients
 # ---------------------------------------------------------------------------
 
-# Cached spectral fields on integration grids. Key: (n, grid signature).
-_FIELD_CACHE: dict = {}
+def gram_eigen_field(selector, grid: XiGrid) -> np.ndarray:
+    """Clamped Gram eigenvalues at every grid node, shape (N, m).
+
+    A single level l has the 1x1 Gram matrix lambda_l, the top rung of the
+    occupation ladder (m = 1); levels up to n diagonalise the (n+1)x(n+1)
+    overlap table node by node (m = n+1, eigenvalues in decreasing order).
+    """
+    n = selector.index
+    if selector.kind == "single":
+        vals = occupations(n, grid.nodes)[n][:, None]
+    else:
+        table = build_overlap_table(n, grid.nodes)
+        vals = np.linalg.eigvalsh(np.moveaxis(table.values, 2, 0))[:, ::-1]
+    return clamp_unit(vals, CLAMP, f"gram_eigen_field({selector.kind}:{n})")
 
 
-def _grid_key(grid: XiGrid) -> tuple:
-    # cutoff and panel width fix the panels, the node count their rule
-    return (round(float(grid.cutoff), 12), grid.panel_width, grid.nodes.size)
+def coeff_with_error(selector, fns, tol: float = 1e-8) -> list[tuple[float, float]]:
+    """(1/2pi) integral of tr[f(G) - f(1) G] over xi for each f in `fns`, with
+    an error estimate (coarse-vs-fine grid plus tail bound).
 
+    `selector` is a LevelSelector-like with .kind and .index. Each distinct
+    grid's field is built once per call and shared by every f that uses it.
+    """
+    n = selector.index
+    fields = {}
 
-def gram_eigen_field(n: int, grid: XiGrid) -> np.ndarray:
-    """Eigenvalues of the Gram matrix at every grid node, shape (N, n+1)."""
-    key = ("gram", n, _grid_key(grid))
-    if key in _FIELD_CACHE:
-        return _FIELD_CACHE[key]
-    table = build_overlap_table(n, grid.nodes)
-    mats = np.moveaxis(table.values, 2, 0)
-    vals = np.linalg.eigvalsh(mats)[:, ::-1]
-    vals = clamp_unit(vals, CLAMP, f"gram_eigen_field(n={n})")
-    _FIELD_CACHE[key] = vals
-    return vals
+    def integral(f, grid):
+        key = (grid.cutoff, grid.panel_width)
+        if key not in fields:
+            fields[key] = gram_eigen_field(selector, grid)
+        mu = fields[key]
+        vals = np.asarray(f(mu.ravel()), dtype=float).reshape(mu.shape)
+        trace = vals.sum(axis=1) - f.value_at_one * mu.sum(axis=1)
+        return float(np.dot(grid.weights, trace)) / _TWO_PI
 
-
-def lambda_field(ell: int, grid: XiGrid) -> np.ndarray:
-    """lambda_ell along the grid, the top rung of the occupation ladder."""
-    key = ("lambda", ell, _grid_key(grid))
-    if key in _FIELD_CACHE:
-        return _FIELD_CACHE[key]
-    vals = clamp_unit(occupations(ell, grid.nodes)[ell], CLAMP,
-                      f"lambda_field(ell={ell})")
-    _FIELD_CACHE[key] = vals
-    return vals
-
-
-# ---------------------------------------------------------------------------
-# The asymptotic coefficients
-# ---------------------------------------------------------------------------
-
-def _integrate(grid: XiGrid, integrand: np.ndarray) -> float:
-    return float(np.dot(grid.weights, integrand)) / _TWO_PI
-
-
-def _m_ell_on_grid(ell: int, f: SpectralFunction, grid: XiGrid) -> float:
-    lam = lambda_field(ell, grid)
-    return _integrate(grid, np.asarray(f(lam), dtype=float)
-                      - f.value_at_one * lam)
-
-
-def _m_le_n_on_grid(n: int, f: SpectralFunction, grid: XiGrid) -> float:
-    mu = gram_eigen_field(n, grid)
-    vals = np.asarray(f(mu.ravel()), dtype=float).reshape(mu.shape)
-    return _integrate(grid, vals.sum(axis=1) - f.value_at_one * mu.sum(axis=1))
+    rows = []
+    for f in fns:
+        q, c = f.endpoint_exponent, f.holder_constant
+        fine, coarse = (xi_grid(n, q=q, c_holder=c, tol=tol, panel_width=width)
+                        for width in (0.25, 0.5))
+        value = integral(f, fine)
+        rows.append((value, abs(value - integral(f, coarse))
+                     + _tail_bound(n, q, c, fine.cutoff)))
+    return rows
 
 
 def coeff_M_ell(ell: int, f: SpectralFunction, tol: float = 1e-8) -> float:
     """Single-level boundary coefficient: integral of f(lambda_ell) - f(1) lambda_ell."""
-    grid = xi_grid(ell, q=f.endpoint_exponent, c_holder=f.holder_constant, tol=tol)
-    return _m_ell_on_grid(ell, f, grid)
+    return coeff_with_error(LevelSelector.single(ell), [f], tol)[0][0]
 
 
 def coeff_M_le_n(n: int, f: SpectralFunction, tol: float = 1e-8) -> float:
-    """Multi-level boundary coefficient via the Gram eigenvalue field."""
-    grid = xi_grid(n, q=f.endpoint_exponent, c_holder=f.holder_constant, tol=tol)
-    return _m_le_n_on_grid(n, f, grid)
-
-
-def coeff_with_error(levels, f: SpectralFunction, tol: float = 1e-8
-                     ) -> tuple[float, float]:
-    """Coefficient plus an error estimate (coarse-vs-fine grid + tail bound).
-
-    `levels` is a LevelSelector-like with .kind and .index.
-    """
-    q, c = f.endpoint_exponent, f.holder_constant
-    n = levels.index
-    fine = xi_grid(n, q=q, c_holder=c, tol=tol, panel_width=0.25)
-    coarse = xi_grid(n, q=q, c_holder=c, tol=tol, panel_width=0.5)
-    if levels.kind == "single":
-        v_fine = _m_ell_on_grid(n, f, fine)
-        v_coarse = _m_ell_on_grid(n, f, coarse)
-    else:
-        v_fine = _m_le_n_on_grid(n, f, fine)
-        v_coarse = _m_le_n_on_grid(n, f, coarse)
-    err = abs(v_fine - v_coarse) + _tail_bound(n, q, c, fine.cutoff)
-    return v_fine, err
+    """Multi-level boundary coefficient over the Gram eigenvalue field."""
+    return coeff_with_error(LevelSelector.upto(n), [f], tol)[0][0]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -118,14 +119,25 @@ def test_gram_vs_nystrom_across_grid():
             assert tr_gram == pytest.approx(tr_nys, abs=1e-7)
 
 
+_SELECTORS = [LevelSelector.single(3), LevelSelector.upto(3)]
+
+
+def _selector_id(sel):
+    return f"{sel.kind}:{sel.index}"
+
+
 def test_gram_eigen_field_matches_per_xi_oracle():
-    # the production field (one overlap-table sweep per grid) against the
-    # per-xi adaptive-quadrature Gram spectrum at scattered grid nodes
+    # the production field (the occupation ladder, or one overlap-table sweep
+    # per grid) against the per-xi adaptive-quadrature Gram spectrum at
+    # scattered grid nodes
     grid = cf.xi_grid(3)
-    field = cf.gram_eigen_field(3, grid)
-    for i in range(0, grid.nodes.size, 97):
-        np.testing.assert_allclose(field[i], oracles.gram_spectrum(3, grid.nodes[i]),
-                                   atol=1e-11)
+    for sel in _SELECTORS:
+        field = cf.gram_eigen_field(sel, grid)
+        for i in range(0, grid.nodes.size, 97):
+            xi = grid.nodes[i]
+            want = ([oracles.lambda_ell(3, xi)] if sel.kind == "single"
+                    else oracles.gram_spectrum(3, xi))
+            np.testing.assert_allclose(field[i], want, atol=1e-11)
 
 
 def test_gram_eigenvalues_vs_jacobi_oracle():
@@ -151,8 +163,8 @@ def test_m0_h1_paper_value():
 
 def test_m0_h1_convergence_digits():
     # our own convergence study pins further digits than the three published
-    v_fine, err = cf.coeff_with_error(LevelSelector.single(0),
-                                      cf.SpectralFunction.renyi(1.0))
+    [(v_fine, err)] = cf.coeff_with_error(LevelSelector.single(0),
+                                          [cf.SpectralFunction.renyi(1.0)])
     assert err < 1e-10
     assert v_fine == pytest.approx(0.2032908132265638, abs=1e-12)
 
@@ -176,14 +188,18 @@ def test_m_le_0_equals_m_0():
 
 
 def test_m_le_1_h1_series_sandwich_oracle():
+    for sel in (LevelSelector.single(1), LevelSelector.upto(1)):
+        _series_sandwich(sel)
+
+
+def _series_sandwich(sel):
     # polynomial approximation of h1 through its positive series
     # h1(t) = sum_j (1/j) [t^j (1-t) + (1-t)^j t], truncated at J, evaluated
     # through the trace-moment field; the truncation tail is bounded by
     # (1/(J+1)) integral of tr[K^{J+1} + (1-K)^{J+1} K]
-    n = 1
-    target = cf.coeff_M_le_n(n, cf.SpectralFunction.renyi(1.0))
-    grid = cf.xi_grid(n, q=0.9, c_holder=4.0)
-    mu = cf.gram_eigen_field(n, grid)
+    [(target, _)] = cf.coeff_with_error(sel, [cf.SpectralFunction.renyi(1.0)])
+    grid = cf.xi_grid(sel.index, q=0.9, c_holder=4.0)
+    mu = cf.gram_eigen_field(sel, grid)
     J = 2000
     approx = np.zeros(mu.shape[0])
     for j in range(1, J + 1):
@@ -199,11 +215,13 @@ def test_m_le_1_h1_series_sandwich_oracle():
 def test_monotone_quadrature_convergence():
     # halving the panel width changes M by less than the reported estimate
     f = cf.SpectralFunction.renyi(1.0)
-    sel = LevelSelector.upto(1)
-    value, err = cf.coeff_with_error(sel, f)
     finer = cf.xi_grid(1, q=0.9, c_holder=4.0, panel_width=0.125)
-    v_finer = cf._m_le_n_on_grid(1, f, finer)
-    assert abs(v_finer - value) <= err + 1e-14
+    for sel in (LevelSelector.single(1), LevelSelector.upto(1)):
+        [(value, err)] = cf.coeff_with_error(sel, [f])
+        mu = cf.gram_eigen_field(sel, finer)
+        trace = np.asarray(f(mu)).sum(axis=1) - f.value_at_one * mu.sum(axis=1)
+        v_finer = float(np.dot(finer.weights, trace)) / (2 * math.pi)
+        assert abs(v_finer - value) <= err + 1e-14
 
 
 def test_positivity_of_entropy_coefficients():
@@ -262,7 +280,7 @@ def test_poly_boundary_coeff():
     moment = lambda ell, m: cf.coeff_M_ell(ell, cf.SpectralFunction.monomial(m))
     assert moment(2, 1) == pytest.approx(0.0, abs=1e-12)
     grid = cf.xi_grid(0)
-    lam = cf.lambda_field(0, grid)
+    lam = cf.gram_eigen_field(LevelSelector.single(0), grid)[:, 0]
     assert moment(0, 2) == pytest.approx(
         float(np.dot(grid.weights, lam ** 2 - lam)) / (2 * math.pi), abs=1e-10)
     # dense-grid oracle for level 1, fourth moment: lambda_1 by reverse
@@ -276,15 +294,31 @@ def test_poly_boundary_coeff():
     assert moment(1, 4) == pytest.approx(dense, abs=1e-9)
 
 
-def test_field_cache_keys_on_panel_layout():
-    # same cutoff and node count as the default grid, but other panels
+def test_shared_fields_match_one_function_calls(monkeypatch):
+    # renyi:0.05 pushes the cutoff to 21.65 against 10.65 for the other two,
+    # so each panel width needs two grids; sharing them within the call must
+    # not change a single bit of any row
+    fns = [cf.spectral_function_from_spec(s)
+           for s in ("renyi:1", "renyi:0.05", "gtilde")]
+    build = cf.gram_eigen_field
+    for sel in _SELECTORS:
+        builds = []
+        monkeypatch.setattr(cf, "gram_eigen_field", lambda s, grid: (
+            builds.append((grid.cutoff, grid.panel_width)) or build(s, grid)))
+        rows = cf.coeff_with_error(sel, fns)
+        assert len(builds) == len(set(builds)) == 4
+        assert {round(cutoff, 2) for cutoff, _ in builds} == {10.65, 21.65}
+        for f, row in zip(fns, rows):
+            assert row == cf.coeff_with_error(sel, [f])[0]
+
+
+@pytest.mark.parametrize("sel", _SELECTORS, ids=_selector_id)
+def test_writing_into_a_returned_field_leaves_coefficients_unchanged(sel):
     f = cf.SpectralFunction.renyi(1.0)
-    wide = cf.xi_grid(3, panel_width=0.5, nodes_per_panel=32)
-    cf._FIELD_CACHE.clear()
-    fresh = cf._m_le_n_on_grid(3, f, wide)
-    cf._FIELD_CACHE.clear()
-    cf._m_le_n_on_grid(3, f, cf.xi_grid(3))
-    assert cf._m_le_n_on_grid(3, f, wide) == fresh
+    [before] = cf.coeff_with_error(sel, [f])
+    cf.gram_eigen_field(sel, cf.xi_grid(3, q=f.endpoint_exponent,
+                                        c_holder=f.holder_constant))[:] = 0.5
+    assert cf.coeff_with_error(sel, [f]) == [before]
 
 
 def test_clamp_violation_aborts():
@@ -293,9 +327,9 @@ def test_clamp_violation_aborts():
         sf.clamp_unit(np.array([1.0 + 1e-8, 0.5]), cf.CLAMP, "test")
 
 
-def test_lambda_field_aborts_on_broken_table(monkeypatch):
+def test_gram_eigen_field_aborts_on_broken_table(monkeypatch):
     # a diagonal 1e-8 above 1 is an assembly fault, not roundoff to clip, in
-    # the single-level field and in the Gram eigenvalue field alike
+    # the single-level field and in the multi-level field alike
     from lle.errors import NumericError
 
     def broken_occupations(max_level, xi_grid):
@@ -309,21 +343,22 @@ def test_lambda_field_aborts_on_broken_table(monkeypatch):
 
     monkeypatch.setattr(cf, "occupations", broken_occupations)
     monkeypatch.setattr(cf, "build_overlap_table", broken_table)
-    monkeypatch.setattr(cf, "_FIELD_CACHE", {})
-    for build in (cf.lambda_field, cf.gram_eigen_field):
-        with pytest.raises(NumericError, match=build.__name__):
-            build(2, cf.xi_grid(2))
+    for sel in (LevelSelector.single(2), LevelSelector.upto(2)):
+        with pytest.raises(NumericError,
+                           match=re.escape(f"gram_eigen_field({_selector_id(sel)})")):
+            cf.gram_eigen_field(sel, cf.xi_grid(2))
 
 
-def test_gram_field_at_the_level_cap_on_the_widest_grid(monkeypatch):
+def test_gram_field_at_the_level_cap_on_the_widest_grid():
     # a small Hoelder exponent pushes the cutoff to the xi_grid cap of 40;
     # wide panels keep the (61, 61, N) table small
-    monkeypatch.setattr(cf, "_FIELD_CACHE", {})
     grid = cf.xi_grid(sf.LEVEL_CAP, q=1e-3, panel_width=2.0)
     assert grid.cutoff >= 40.0
     table = sf.build_overlap_table(sf.LEVEL_CAP, grid.nodes).values
     assert np.all(np.isfinite(table))
     # gram_eigen_field passes every row through clamp_unit, which raises on
     # a violation
-    field = cf.gram_eigen_field(sf.LEVEL_CAP, grid)
-    assert field.shape == (grid.nodes.size, sf.LEVEL_CAP + 1)
+    for sel, width in ((LevelSelector.single(sf.LEVEL_CAP), 1),
+                       (LevelSelector.upto(sf.LEVEL_CAP), sf.LEVEL_CAP + 1)):
+        field = cf.gram_eigen_field(sel, grid)
+        assert field.shape == (grid.nodes.size, width)
