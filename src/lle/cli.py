@@ -160,10 +160,7 @@ def cmd_scaling(args) -> int:
 
     with ThreadPoolExecutor(max_workers=_threads(args)) as pool:
         values = list(pool.map(one, scales))
-    series = region_sim.ScalingSeries(
-        scales=scales, values=np.asarray(values),
-        meta={"alpha": args.alpha, "selector": selector.to_json(),
-              "B": args.B, "region": geometry.region_to_json(region)})
+    series = region_sim.ScalingSeries(scales=scales, values=np.asarray(values))
     fit = region_sim.scaling_fit(series, model="linear")
     [(m_coeff, m_err)] = coeffs.coeff_with_error(selector, [f], tol=1e-8)
     predicted = math.sqrt(args.B) * geometry.perimeter(region) * m_coeff
@@ -187,11 +184,10 @@ def cmd_verify(args) -> int:
         raise UsageError(f"--cases must be at least 1, got {args.cases}")
     if args.suite == "all":
         report = identities.run_all_suites(cases=args.cases, seed=args.seed)
-        passed = report["passed"]
     else:
         report = identities.run_suite(args.suite, cases=args.cases,
                                       seed=args.seed)
-        passed = report["passed"]
+    passed = report["passed"]
     report = {"config": {"suite": args.suite, "cases": args.cases,
                          "seed": args.seed}} | report
     _write(args.out, identities.report_to_json(report))

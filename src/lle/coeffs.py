@@ -1,14 +1,15 @@
 """Boundary coefficients of the large-scale trace asymptotics.
 
 The rank-(n+1) truncated-Hermite operator is finite rank, so its nonzero
-spectrum equals the spectrum of the (n+1)x(n+1) overlap Gram matrix; the
-coefficient integrals reduce to a one-dimensional xi integration of spectral
-functionals of that matrix. Its entries along a whole grid are closed forms
-in psi_0..psi_n at the nodes (specfun.build_overlap_table: the erfc ladder on
-the diagonal, Wronskians off it); a single level needs only the ladder
-(specfun.occupations). The per-xi adaptive-quadrature Gram matrix, its
-dual-route trace moments, the panel-quadrature overlap table and the Nystrom
-discretization of the integral kernel are test oracles (tests/oracles.py).
+spectrum is that of the (n+1)x(n+1) overlap Gram matrix G, and the single-level
+and the up-to-n coefficients are one xi integral, (1/2pi) int tr[f(G) - f(1) G].
+`gram_eigen_field` gives the eigenvalues of G along a whole grid: the top rung
+of the erfc ladder for a single level (specfun.occupations), the closed-form
+overlap table diagonalised node by node up to n (specfun.build_overlap_table).
+`coeff_with_error` integrates every requested f over fields it builds once per
+call. The per-xi adaptive-quadrature Gram matrix, its dual-route trace
+moments, the panel-quadrature overlap table and the Nystrom discretization of
+the integral kernel are test oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -20,9 +21,12 @@ import numpy as np
 
 from .errors import DomainError
 from .landau import LevelSelector
-from .specfun import build_overlap_table, clamp_unit, gauss_legendre, occupations
-
-_TWO_PI = 2.0 * math.pi
+from .specfun import (
+    build_overlap_table,
+    clamp_unit,
+    gauss_legendre_panels,
+    occupations,
+)
 
 # clamp window for Gram eigenvalues; violations beyond it abort instead of
 # being silently absorbed into h_alpha's domain
@@ -74,7 +78,6 @@ class SpectralFunction:
     fn: object
     value_at_one: float
     endpoint_exponent: float
-    kind: str = "custom"
     label: str = "custom"
     holder_constant: float = field(init=False, default=0.0)
 
@@ -103,7 +106,7 @@ class SpectralFunction:
             text = repr(alpha)
         return cls(fn=lambda t, a=alpha: renyi_h(a, t), value_at_one=0.0,
                    endpoint_exponent=_holder_exponent_for_renyi(alpha),
-                   kind="renyi", label=f"renyi:{text}")
+                   label=f"renyi:{text}")
 
     @classmethod
     def monomial(cls, m: int) -> "SpectralFunction":
@@ -112,13 +115,12 @@ class SpectralFunction:
             raise DomainError(f"monomial degree must be >= 1, got {m}")
         return cls(fn=lambda t, m=m: np.asarray(t, dtype=float) ** m,
                    value_at_one=1.0, endpoint_exponent=1.0,
-                   kind="monomial", label=f"monomial:{m}")
+                   label=f"monomial:{m}")
 
     @classmethod
     def gtilde(cls) -> "SpectralFunction":
         return cls(fn=lambda t: np.asarray(t, dtype=float) * (1.0 - np.asarray(t, dtype=float)),
-                   value_at_one=0.0, endpoint_exponent=1.0,
-                   kind="gtilde", label="gtilde")
+                   value_at_one=0.0, endpoint_exponent=1.0, label="gtilde")
 
 
 def spectral_function_from_spec(spec: str) -> SpectralFunction:
@@ -159,7 +161,7 @@ def _tail_bound(n: int, q: float, c_holder: float, xi_max: float) -> float:
 
 
 def xi_grid(n: int, q: float = 1.0, c_holder: float = 1.0, tol: float = 1e-8,
-            panel_width: float = 0.25, nodes_per_panel: int = 16) -> XiGrid:
+            panel_width: float = 0.25) -> XiGrid:
     """Composite Gauss-Legendre grid on [-Xi, Xi], Xi = 8 + sqrt(2n+1).
 
     The integrand is analytic with Gaussian decay, so the fixed grid converges
@@ -171,11 +173,8 @@ def xi_grid(n: int, q: float = 1.0, c_holder: float = 1.0, tol: float = 1e-8,
     while _tail_bound(n, q, c_holder, xi_max) > 0.1 * tol and xi_max < 40.0:
         xi_max += 0.5
     n_panels = int(math.ceil(2.0 * xi_max / panel_width))
-    edges = np.linspace(-xi_max, xi_max, n_panels + 1)
-    ref = gauss_legendre(nodes_per_panel, 0.0, 1.0)
-    nodes = (edges[:-1, None] + np.diff(edges)[:, None] * ref.nodes[None, :]).ravel()
-    weights = (np.diff(edges)[:, None] * ref.weights[None, :]).ravel()
-    return XiGrid(nodes=nodes, weights=weights, cutoff=xi_max,
+    rule = gauss_legendre_panels(np.linspace(-xi_max, xi_max, n_panels + 1))
+    return XiGrid(nodes=rule.nodes, weights=rule.weights, cutoff=xi_max,
                   panel_width=panel_width)
 
 
@@ -183,13 +182,9 @@ def xi_grid(n: int, q: float = 1.0, c_holder: float = 1.0, tol: float = 1e-8,
 # The Gram eigenvalue field and the asymptotic coefficients
 # ---------------------------------------------------------------------------
 
-def gram_eigen_field(selector, grid: XiGrid) -> np.ndarray:
-    """Clamped Gram eigenvalues at every grid node, shape (N, m).
-
-    A single level l has the 1x1 Gram matrix lambda_l, the top rung of the
-    occupation ladder (m = 1); levels up to n diagonalise the (n+1)x(n+1)
-    overlap table node by node (m = n+1, eigenvalues in decreasing order).
-    """
+def gram_eigen_field(selector: LevelSelector, grid: XiGrid) -> np.ndarray:
+    """Clamped Gram eigenvalues at every grid node, shape (N, m): m = 1 for
+    single:l, m = n+1 in decreasing order for upto:n."""
     n = selector.index
     if selector.kind == "single":
         vals = occupations(n, grid.nodes)[n][:, None]
@@ -199,12 +194,13 @@ def gram_eigen_field(selector, grid: XiGrid) -> np.ndarray:
     return clamp_unit(vals, CLAMP, f"gram_eigen_field({selector.kind}:{n})")
 
 
-def coeff_with_error(selector, fns, tol: float = 1e-8) -> list[tuple[float, float]]:
+def coeff_with_error(selector: LevelSelector, fns: list[SpectralFunction],
+                     tol: float = 1e-8) -> list[tuple[float, float]]:
     """(1/2pi) integral of tr[f(G) - f(1) G] over xi for each f in `fns`, with
     an error estimate (coarse-vs-fine grid plus tail bound).
 
-    `selector` is a LevelSelector-like with .kind and .index. Each distinct
-    grid's field is built once per call and shared by every f that uses it.
+    Each distinct grid's field is built once per call and shared by every f
+    that uses it.
     """
     n = selector.index
     fields = {}
@@ -216,13 +212,13 @@ def coeff_with_error(selector, fns, tol: float = 1e-8) -> list[tuple[float, floa
         mu = fields[key]
         vals = np.asarray(f(mu.ravel()), dtype=float).reshape(mu.shape)
         trace = vals.sum(axis=1) - f.value_at_one * mu.sum(axis=1)
-        return float(np.dot(grid.weights, trace)) / _TWO_PI
+        return float(np.dot(grid.weights, trace)) / (2.0 * math.pi)
 
     rows = []
     for f in fns:
         q, c = f.endpoint_exponent, f.holder_constant
-        fine, coarse = (xi_grid(n, q=q, c_holder=c, tol=tol, panel_width=width)
-                        for width in (0.25, 0.5))
+        fine = xi_grid(n, q=q, c_holder=c, tol=tol, panel_width=0.25)
+        coarse = xi_grid(n, q=q, c_holder=c, tol=tol, panel_width=0.5)
         value = integral(f, fine)
         rows.append((value, abs(value - integral(f, coarse))
                      + _tail_bound(n, q, c, fine.cutoff)))

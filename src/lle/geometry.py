@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, CapabilityError, DomainError, NumericError
-from .specfun import gauss_legendre
+from .specfun import gauss_legendre_panels
 
 
 @dataclass(frozen=True)
@@ -445,10 +445,8 @@ def _panels(events: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     counts = np.maximum(1, np.rint((ends - events) * _PANELS_PER_TURN / (2.0 * math.pi)))
     left = np.concatenate([np.linspace(a, b, int(n), endpoint=False)
                            for a, b, n in zip(events, ends, counts)])
-    width = np.diff(np.append(left, ends[-1]))
-    ref = gauss_legendre(16, 0.0, 1.0)
-    return ((left[:, None] + width[:, None] * ref.nodes).ravel(),
-            (width[:, None] * ref.weights).ravel())
+    rule = gauss_legendre_panels(np.append(left, ends[-1]))
+    return rule.nodes, rule.weights
 
 
 def _smooth_intersection_area(region, family: TranslateFamily) -> float:

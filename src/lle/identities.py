@@ -63,16 +63,6 @@ class SubstitutionPlan:
         return s
 
     @property
-    def a_matrix(self) -> np.ndarray:
-        m, q = self.m, self.q
-        a = np.zeros((m - 1, m - 1), dtype=object)
-        for i in range(1, m):
-            for j in range(1, m):
-                if 1 <= i <= j <= q or q + 1 <= j <= i:
-                    a[i - 1, j - 1] = 1
-        return a
-
-    @property
     def a_inverse(self) -> np.ndarray:
         m, q = self.m, self.q
         ai = np.zeros((m - 1, m - 1), dtype=object)

@@ -35,7 +35,6 @@ class ScalingSeries:
 
     scales: np.ndarray
     values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.scales = np.asarray(self.scales, dtype=float)

@@ -33,6 +33,9 @@ from .errors import CapabilityError, DomainError, NumericError
 # asymptotic (Plancherel-Rotach) regime would need dedicated code.
 LEVEL_CAP = 60
 
+# Gauss-Legendre nodes per panel of the composite rules (xi grids, polar arcs)
+NODES_PER_PANEL = 16
+
 
 def _check_level(ell: int) -> int:
     ell = int(ell)
@@ -186,49 +189,31 @@ class QuadratureRule:
     weights: np.ndarray
 
 
-def _legendre_and_derivative(n: int, x: np.ndarray):
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for k in range(2, n + 1):
-        p, p_prev = ((2 * k - 1) * x * p - (k - 1) * p_prev) / k, p
-    dp = n * (x * p - p_prev) / (x * x - 1.0)
-    return p, dp
-
-
 def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
-    """n-point Gauss-Legendre rule on [a, b], nodes by Newton iteration.
-
-    Newton runs on the Legendre recurrence from the Chebyshev-like initial
-    guess; each node must converge to 1e-15 or a NumericError naming the node
-    is raised.
-    """
+    """n-point Gauss-Legendre rule on [a, b], nodes increasing, from numpy's
+    leggauss."""
     n = int(n)
     if n < 1:
         raise DomainError(f"node count must be >= 1, got {n}")
     if not a < b:
         raise DomainError(f"need a < b, got [{a}, {b}]")
-    if n == 1:
-        return QuadratureRule(np.array([0.5 * (a + b)]), np.array([float(b - a)]))
-    i = np.arange(1, n + 1)
-    x = np.cos(math.pi * (i - 0.25) / (n + 0.5))
-    converged = np.zeros(n, dtype=bool)
-    for _ in range(100):
-        p, dp = _legendre_and_derivative(n, x)
-        dx = p / dp
-        x -= dx
-        converged = np.abs(dx) < 1e-15
-        if converged.all():
-            break
-    else:
-        bad = int(np.argmax(~converged))
-        raise NumericError(f"Legendre Newton iteration stalled at node {bad}")
-    p, dp = _legendre_and_derivative(n, x)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    # flip to increasing order and map onto [a, b]
-    x = x[::-1].copy()
-    w = w[::-1].copy()
+    x, w = np.polynomial.legendre.leggauss(n)
     half = 0.5 * (b - a)
     return QuadratureRule(half * x + 0.5 * (a + b), half * w)
+
+
+# leggauss solves an eigenproblem per call, and xi grids and polar arcs are
+# built per coefficient and per area: the reference panel is built once
+_PANEL_RULE = gauss_legendre(NODES_PER_PANEL, 0.0, 1.0)
+
+
+def gauss_legendre_panels(edges) -> QuadratureRule:
+    """Composite rule: NODES_PER_PANEL Gauss-Legendre nodes on every panel
+    between consecutive edges, flattened panel by panel."""
+    edges = np.asarray(edges, dtype=float)
+    width = np.diff(edges)[:, None]
+    return QuadratureRule((edges[:-1, None] + width * _PANEL_RULE.nodes).ravel(),
+                          (width * _PANEL_RULE.weights).ravel())
 
 
 # ---------------------------------------------------------------------------

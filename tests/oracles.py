@@ -848,9 +848,21 @@ def sign_flip(plan) -> np.ndarray:
     return np.diag(np.array(d, dtype=object))
 
 
+def a_matrix(plan) -> np.ndarray:
+    """The 0/1 substitution matrix A of a SubstitutionPlan, the inverse of
+    plan.a_inverse, as exact ints: A_ij = 1 for i <= j <= q or q+1 <= j <= i."""
+    m, q = plan.m, plan.q
+    a = np.zeros((m - 1, m - 1), dtype=object)
+    for i in range(1, m):
+        for j in range(1, m):
+            if 1 <= i <= j <= q or q + 1 <= j <= i:
+                a[i - 1, j - 1] = 1
+    return a
+
+
 def det_a(plan) -> int:
-    """Determinant of plan.a_matrix by fraction-free (Bareiss) elimination."""
-    a = [[int(v) for v in row] for row in plan.a_matrix]
+    """Determinant of a_matrix(plan) by fraction-free (Bareiss) elimination."""
+    a = [[int(v) for v in row] for row in a_matrix(plan)]
     n = len(a)
     sign = 1
     prev = 1

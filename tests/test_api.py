@@ -1,6 +1,6 @@
-"""The public API: the exported names, a library that holds only code its
-entry points reach, and a library that runs without the test oracles or
-mpmath."""
+"""The public API: the exported names, a library that holds only code and
+class members its entry points reach, and a library that runs without the
+test oracles or mpmath."""
 
 import ast
 import os
@@ -53,9 +53,10 @@ def _library_definitions():
     return defs, binds
 
 
-def test_every_library_definition_is_reached_from_the_entry_points():
-    # walk the Name and Attribute references of each reached definition,
-    # from lle.cli.main and the names lle.__all__ exports
+def _reached_definitions():
+    """The definitions of `_library_definitions` and the keys of those reached
+    from lle.cli.main and the names lle.__all__ exports, by walking the Name
+    and Attribute references of each reached definition."""
     defs, binds = _library_definitions()
 
     def resolve(mod, name):
@@ -84,9 +85,30 @@ def test_every_library_definition_is_reached_from_the_entry_points():
                     found = resolve(target[0], node.attr)
             if found is not None:
                 todo.append(found)
+    return defs, reached
+
+
+def test_every_library_definition_is_reached_from_the_entry_points():
+    defs, reached = _reached_definitions()
     unreached = sorted(f"{mod}.{name}" for mod, name in defs
                        if (mod, name) not in reached and not name.startswith("__"))
     assert not unreached, f"no entry point reaches {unreached}"
+
+
+def test_every_internal_class_member_is_used_by_a_reached_definition():
+    # lle.__all__ exports its classes' members as API; the methods and
+    # properties of any other class must be read, by attribute name, in some
+    # definition the entry points reach
+    defs, reached = _reached_definitions()
+    used = {node.attr for key in reached for node in ast.walk(defs[key])
+            if isinstance(node, ast.Attribute)}
+    unused = sorted(f"{mod}.{name}.{item.name}"
+                    for (mod, name), node in defs.items()
+                    if isinstance(node, ast.ClassDef) and name not in lle.__all__
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not item.name.startswith("__") and item.name not in used)
+    assert not unused, f"no reached definition uses {unused}"
 
 
 def test_library_runs_without_oracles_or_mpmath(tmp_path):

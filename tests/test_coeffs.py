@@ -64,7 +64,7 @@ def test_spectral_function_holder_fit():
 def test_spectral_function_spec_parsing():
     assert cf.spectral_function_from_spec("renyi:2").label == "renyi:2"
     assert cf.spectral_function_from_spec("monomial:3").label == "monomial:3"
-    assert cf.spectral_function_from_spec("gtilde").kind == "gtilde"
+    assert cf.spectral_function_from_spec("gtilde").label == "gtilde"
     with pytest.raises(DomainError):
         cf.spectral_function_from_spec("fourier:2")
 

@@ -182,6 +182,21 @@ def test_gauss_legendre_t8():
     assert np.dot(rule.weights, rule.nodes ** 8) == pytest.approx(2.0 / 9.0, abs=1e-14)
 
 
+def test_gauss_legendre_panels_are_exact_on_every_panel():
+    edges = np.array([-1.0, -0.2, 0.5, 3.0])
+    rule = sf.gauss_legendre_panels(edges)
+    shape = (3, sf.NODES_PER_PANEL)
+    assert rule.nodes.size == rule.weights.size == 3 * sf.NODES_PER_PANEL
+    assert np.all(np.diff(rule.nodes) > 0) and np.all(rule.weights > 0)
+    for a, b, nodes, weights in zip(edges[:-1], edges[1:], rule.nodes.reshape(shape),
+                                    rule.weights.reshape(shape)):
+        assert np.all((a < nodes) & (nodes < b))
+        assert weights.sum() == pytest.approx(b - a, abs=1e-14)
+    for k in range(2 * sf.NODES_PER_PANEL):
+        exact = (edges[-1] ** (k + 1) - edges[0] ** (k + 1)) / (k + 1)
+        assert np.dot(rule.weights, rule.nodes ** k) == pytest.approx(exact, rel=1e-13)
+
+
 def test_gauss_legendre_vs_adaptive_oracle():
     rule = sf.gauss_legendre(64, 0.0, 3.0)
     fixed = np.dot(rule.weights, np.exp(-rule.nodes ** 2))
