@@ -188,28 +188,24 @@ def test_m_le_0_equals_m_0():
 
 
 def test_m_le_1_h1_series_sandwich_oracle():
-    for sel in (LevelSelector.single(1), LevelSelector.upto(1)):
-        _series_sandwich(sel)
-
-
-def _series_sandwich(sel):
     # polynomial approximation of h1 through its positive series
     # h1(t) = sum_j (1/j) [t^j (1-t) + (1-t)^j t], truncated at J, evaluated
     # through the trace-moment field; the truncation tail is bounded by
     # (1/(J+1)) integral of tr[K^{J+1} + (1-K)^{J+1} K]
-    [(target, _)] = cf.coeff_with_error(sel, [cf.SpectralFunction.renyi(1.0)])
-    grid = cf.xi_grid(sel.index, q=0.9, c_holder=4.0)
-    mu = cf.gram_eigen_field(sel, grid)
     J = 2000
-    approx = np.zeros(mu.shape[0])
-    for j in range(1, J + 1):
-        term = mu ** j * (1.0 - mu) + (1.0 - mu) ** j * mu
-        approx += term.sum(axis=1) / j
-    series_value = float(np.dot(grid.weights, approx)) / (2 * math.pi)
-    tail = (mu ** (J + 1) + (1.0 - mu) ** (J + 1) * mu).sum(axis=1)
-    tail_bound = float(np.dot(grid.weights, tail)) / (2 * math.pi) / (J + 1)
-    assert abs(target - series_value) <= tail_bound + 1e-8
-    assert tail_bound < 5e-3
+    for sel in (LevelSelector.single(1), LevelSelector.upto(1)):
+        [(target, _)] = cf.coeff_with_error(sel, [cf.SpectralFunction.renyi(1.0)])
+        grid = cf.xi_grid(1, q=0.9, c_holder=4.0)
+        mu = cf.gram_eigen_field(sel, grid)
+        approx = np.zeros(mu.shape[0])
+        for j in range(1, J + 1):
+            term = mu ** j * (1.0 - mu) + (1.0 - mu) ** j * mu
+            approx += term.sum(axis=1) / j
+        series_value = float(np.dot(grid.weights, approx)) / (2 * math.pi)
+        tail = (mu ** (J + 1) + (1.0 - mu) ** (J + 1) * mu).sum(axis=1)
+        tail_bound = float(np.dot(grid.weights, tail)) / (2 * math.pi) / (J + 1)
+        assert abs(target - series_value) <= tail_bound + 1e-8
+        assert tail_bound < 5e-3
 
 
 def test_monotone_quadrature_convergence():
