@@ -6,6 +6,9 @@ and the up-to-n coefficients are one xi integral, (1/2pi) int tr[f(G) - f(1) G].
 `gram_eigen_field` gives the eigenvalues of G along a whole grid: the top rung
 of the erfc ladder for a single level (specfun.occupations), the closed-form
 overlap table diagonalised node by node up to n (specfun.build_overlap_table).
+The xi grid is mirrored about 0 and psi_j(-t) = (-1)^j psi_j(t) gives
+G(-xi) = I - S G(xi) S with S = diag((-1)^k), so the field is evaluated on
+the positive half only and the negative half is 1 - its eigenvalues.
 `coeff_with_error` integrates every requested f over fields it builds once per
 call. The per-xi adaptive-quadrature Gram matrix, its dual-route trace
 moments, the panel-quadrature overlap table and the Nystrom discretization of
@@ -166,6 +169,10 @@ def xi_grid(n: int, q: float = 1.0, c_holder: float = 1.0, tol: float = 1e-8,
 
     The integrand is analytic with Gaussian decay, so the fixed grid converges
     spectrally; Xi is pushed further out if the tail bound exceeds tol/10.
+    The grid is mirrored bitwise, nodes == -nodes[::-1] and weights ==
+    weights[::-1]: the upper half of the panel rule on
+    linspace(-Xi, Xi, n_panels + 1) is reflected onto the lower half. An even
+    node count per panel keeps every node off 0.
     """
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tolerance must be finite and positive, got {tol}")
@@ -174,8 +181,11 @@ def xi_grid(n: int, q: float = 1.0, c_holder: float = 1.0, tol: float = 1e-8,
         xi_max += 0.5
     n_panels = int(math.ceil(2.0 * xi_max / panel_width))
     rule = gauss_legendre_panels(np.linspace(-xi_max, xi_max, n_panels + 1))
-    return XiGrid(nodes=rule.nodes, weights=rule.weights, cutoff=xi_max,
-                  panel_width=panel_width)
+    half = rule.nodes.size // 2
+    nodes, weights = rule.nodes[half:], rule.weights[half:]
+    return XiGrid(nodes=np.concatenate([-nodes[::-1], nodes]),
+                  weights=np.concatenate([weights[::-1], weights]),
+                  cutoff=xi_max, panel_width=panel_width)
 
 
 # ---------------------------------------------------------------------------
@@ -184,14 +194,44 @@ def xi_grid(n: int, q: float = 1.0, c_holder: float = 1.0, tol: float = 1e-8,
 
 def gram_eigen_field(selector: LevelSelector, grid: XiGrid) -> np.ndarray:
     """Clamped Gram eigenvalues at every grid node, shape (N, m): m = 1 for
-    single:l, m = n+1 in decreasing order for upto:n."""
+    single:l, m = n+1 in decreasing order for upto:n.
+
+    Only the N/2 positive nodes are evaluated. The grid must be mirrored
+    (as `xi_grid` builds it): the eigenvalues at -xi are 1 minus those at xi,
+    G(-xi) = I - S G(xi) S, in reversed order.
+    """
     n = selector.index
+    half = grid.nodes.size // 2
+    upper = grid.nodes[half:]
+    if not (grid.nodes.size % 2 == 0 and upper[0] > 0.0
+            and np.array_equal(grid.nodes[:half], -upper[::-1])):
+        raise DomainError("xi grid must be mirrored about 0 with no node at 0")
     if selector.kind == "single":
-        vals = occupations(n, grid.nodes)[n][:, None]
+        vals = occupations(n, upper)[n][:, None]
     else:
-        table = build_overlap_table(n, grid.nodes)
+        table = build_overlap_table(n, upper)
         vals = np.linalg.eigvalsh(np.moveaxis(table.values, 2, 0))[:, ::-1]
+    vals = np.concatenate([1.0 - vals[::-1, ::-1], vals])
     return clamp_unit(vals, CLAMP, f"gram_eigen_field({selector.kind}:{n})")
+
+
+def _grid_for(selector: LevelSelector, f: SpectralFunction, tol: float,
+              panel_width: float) -> XiGrid:
+    return xi_grid(selector.index, q=f.endpoint_exponent,
+                   c_holder=f.holder_constant, tol=tol, panel_width=panel_width)
+
+
+def _integral(selector: LevelSelector, f: SpectralFunction, grid: XiGrid,
+              fields: dict) -> float:
+    """(1/2pi) quadrature of tr[f(G) - f(1) G] on `grid`; `fields` keeps each
+    grid's field for the other functions of the same call."""
+    key = (grid.cutoff, grid.panel_width)
+    if key not in fields:
+        fields[key] = gram_eigen_field(selector, grid)
+    mu = fields[key]
+    vals = np.asarray(f(mu.ravel()), dtype=float).reshape(mu.shape)
+    trace = vals.sum(axis=1) - f.value_at_one * mu.sum(axis=1)
+    return float(np.dot(grid.weights, trace)) / (2.0 * math.pi)
 
 
 def coeff_with_error(selector: LevelSelector, fns: list[SpectralFunction],
@@ -202,34 +242,27 @@ def coeff_with_error(selector: LevelSelector, fns: list[SpectralFunction],
     Each distinct grid's field is built once per call and shared by every f
     that uses it.
     """
-    n = selector.index
-    fields = {}
-
-    def integral(f, grid):
-        key = (grid.cutoff, grid.panel_width)
-        if key not in fields:
-            fields[key] = gram_eigen_field(selector, grid)
-        mu = fields[key]
-        vals = np.asarray(f(mu.ravel()), dtype=float).reshape(mu.shape)
-        trace = vals.sum(axis=1) - f.value_at_one * mu.sum(axis=1)
-        return float(np.dot(grid.weights, trace)) / (2.0 * math.pi)
-
+    fields: dict = {}
     rows = []
     for f in fns:
-        q, c = f.endpoint_exponent, f.holder_constant
-        fine = xi_grid(n, q=q, c_holder=c, tol=tol, panel_width=0.25)
-        coarse = xi_grid(n, q=q, c_holder=c, tol=tol, panel_width=0.5)
-        value = integral(f, fine)
-        rows.append((value, abs(value - integral(f, coarse))
-                     + _tail_bound(n, q, c, fine.cutoff)))
+        fine = _grid_for(selector, f, tol, 0.25)
+        value = _integral(selector, f, fine, fields)
+        coarse = _integral(selector, f, _grid_for(selector, f, tol, 0.5), fields)
+        rows.append((value, abs(value - coarse) + _tail_bound(
+            selector.index, f.endpoint_exponent, f.holder_constant, fine.cutoff)))
     return rows
+
+
+def _value(selector: LevelSelector, f: SpectralFunction, tol: float) -> float:
+    # the value of coeff_with_error without the coarse grid of its error bar
+    return _integral(selector, f, _grid_for(selector, f, tol, 0.25), {})
 
 
 def coeff_M_ell(ell: int, f: SpectralFunction, tol: float = 1e-8) -> float:
     """Single-level boundary coefficient: integral of f(lambda_ell) - f(1) lambda_ell."""
-    return coeff_with_error(LevelSelector.single(ell), [f], tol)[0][0]
+    return _value(LevelSelector.single(ell), f, tol)
 
 
 def coeff_M_le_n(n: int, f: SpectralFunction, tol: float = 1e-8) -> float:
     """Multi-level boundary coefficient over the Gram eigenvalue field."""
-    return coeff_with_error(LevelSelector.upto(n), [f], tol)[0][0]
+    return _value(LevelSelector.upto(n), f, tol)

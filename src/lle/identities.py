@@ -338,7 +338,7 @@ def verify_hermite_identity(ell: int, xi: float, tau: float) -> VerifyResult:
     a power of two, so the sum is one integer numerator over one integer
     denominator, and their division rounds it once, correctly. Non-finite
     inputs, and inputs whose left side or term mass overflows a double,
-    raise DomainError. Relative tolerance 1e-9 with a floor of 1e-10 times
+    raise DomainError. Relative tolerance 1e-9 with a floor of 1e-13 times
     the term mass, the same sum over absolute terms, which scales the
     rounding of a double evaluation where the terms cancel (near the Hermite
     zeros).
@@ -365,7 +365,7 @@ def verify_hermite_identity(ell: int, xi: float, tau: float) -> VerifyResult:
     full = denom * q ** ell * s ** ell
     try:
         lhs = math.sqrt(2.0) * (num / full)
-        floor = 1e-10 * math.sqrt(2.0) * (mass / full)
+        floor = 1e-13 * math.sqrt(2.0) * (mass / full)
     except OverflowError:
         lhs = math.inf
     if math.isinf(lhs):

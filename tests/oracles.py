@@ -386,6 +386,25 @@ def overlap_mp(ell1: int, ell2: int, xi: float, dps: int = 30) -> float:
     return float(val)
 
 
+def gram_matrix_mp(n: int, xi: float) -> mp.matrix:
+    """Overlap Gram matrix up to level n at one node in the caller's mpmath
+    precision, in closed form: the erfc ladder on the diagonal and the
+    Hermite Wronskian off it."""
+    t = mp.mpf(xi)
+    psi = _hermite_fn_table_mp(t, mp.mp.dps)
+    g = mp.matrix(n + 1, n + 1)
+    lam = mp.erfc(t) / 2
+    for i in range(n + 1):
+        if i:
+            lam += psi[i] * psi[i - 1] / mp.sqrt(2 * i)
+        g[i, i] = lam
+        for j in range(i):
+            lowered_j = mp.sqrt(2 * j) * psi[j - 1] if j else 0
+            g[i, j] = g[j, i] = (mp.sqrt(2 * i) * psi[i - 1] * psi[j]
+                                 - psi[i] * lowered_j) / (2 * (i - j))
+    return g
+
+
 def gram_matrix(n: int, xi: float) -> np.ndarray:
     """Overlap Gram matrix G[l, l'] = overlap_lambda(l, l', xi), one entry at
     a time."""
@@ -893,7 +912,7 @@ def verify_hermite_identity_fraction(ell: int, xi: float, tau: float):
              for (a, b), c in idn._hermite_lhs_table(ell).items()]
     lhs = math.sqrt(2.0) * float(sum(terms))
     mass = sum(abs(term) for term in terms)
-    tol = max(1e-9 * abs(rhs), 1e-10 * math.sqrt(2.0) * float(mass))
+    tol = max(1e-9 * abs(rhs), 1e-13 * math.sqrt(2.0) * float(mass))
     return idn._result(abs(lhs - rhs), tol, ell=ell, xi=xi, tau=tau,
                        lhs=[lhs, 0.0], rhs=rhs)
 

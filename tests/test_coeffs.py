@@ -140,6 +140,54 @@ def test_gram_eigen_field_matches_per_xi_oracle():
             np.testing.assert_allclose(field[i], want, atol=1e-11)
 
 
+@pytest.mark.parametrize("n, panel_width", [(3, 0.25), (3, 0.5)])
+def test_xi_grid_is_bitwise_mirrored(n, panel_width):
+    grid = cf.xi_grid(n, panel_width=panel_width)
+    # 86 and 43 panels: an even and an odd panel count
+    n_panels = grid.nodes.size // sf.NODES_PER_PANEL
+    assert n_panels == math.ceil(2.0 * grid.cutoff / panel_width)
+    assert n_panels % 2 == (panel_width == 0.5)
+    assert np.array_equal(grid.nodes, -grid.nodes[::-1])
+    assert np.array_equal(grid.weights, grid.weights[::-1])
+    assert not np.any(grid.nodes == 0.0)
+    # the same panel edges as an unmirrored composite rule
+    rule = sf.gauss_legendre_panels(np.linspace(-grid.cutoff, grid.cutoff,
+                                                n_panels + 1))
+    assert np.max(np.abs(grid.nodes - rule.nodes)) < 1e-14
+    assert np.max(np.abs(grid.weights - rule.weights)) < 1e-15
+
+
+@pytest.mark.parametrize("sel", _SELECTORS, ids=_selector_id)
+def test_gram_eigen_field_evaluates_the_positive_half_only(sel, monkeypatch):
+    seen = []
+
+    def spy(fn):
+        def wrapper(max_level, xi_grid):
+            seen.append(np.array(xi_grid))
+            return fn(max_level, xi_grid)
+        return wrapper
+
+    monkeypatch.setattr(cf, "occupations", spy(sf.occupations))
+    monkeypatch.setattr(cf, "build_overlap_table", spy(sf.build_overlap_table))
+    grid = cf.xi_grid(3)
+    field = cf.gram_eigen_field(sel, grid)
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], grid.nodes[grid.nodes.size // 2:])
+    assert np.all(seen[0] > 0.0)
+    # the lower half is the reflection of the upper half
+    half = grid.nodes.size // 2
+    assert np.array_equal(field[:half], 1.0 - field[half:][::-1, ::-1])
+
+
+@pytest.mark.parametrize("sel", _SELECTORS, ids=_selector_id)
+def test_gram_eigen_field_refuses_an_unmirrored_grid(sel):
+    grid = cf.xi_grid(3)
+    shifted = cf.XiGrid(nodes=grid.nodes + 1e-3, weights=grid.weights,
+                        cutoff=grid.cutoff, panel_width=grid.panel_width)
+    with pytest.raises(DomainError, match="mirrored"):
+        cf.gram_eigen_field(sel, shifted)
+
+
 def test_gram_eigenvalues_vs_jacobi_oracle():
     g = oracles.gram_matrix(3, 0.8)
     ours = oracles.gram_spectrum(3, 0.8)
@@ -218,6 +266,32 @@ def test_monotone_quadrature_convergence():
         trace = np.asarray(f(mu)).sum(axis=1) - f.value_at_one * mu.sum(axis=1)
         v_finer = float(np.dot(finer.weights, trace)) / (2 * math.pi)
         assert abs(v_finer - value) <= err + 1e-14
+
+
+@pytest.mark.parametrize("spec, bound", [("renyi:0.25", 5e-5),
+                                         ("renyi:0.5", 1e-8)])
+def test_renyi_below_one_against_mpmath_on_the_same_grid(spec, bound):
+    # h_alpha amplifies the roundoff of eigenvalues near 0 and 1; against a
+    # 40-digit evaluation of the same quadrature sum the production value
+    # must hold these bounds. h_alpha(1 - t) = h_alpha(t) and G(-xi) has
+    # the eigenvalues 1 - those of G(xi), so the integrand is even and the
+    # positive half of the mirrored grid carries half the sum.
+    import mpmath as mp
+    n = 3
+    f = cf.spectral_function_from_spec(spec)
+    alpha = mp.mpf(spec.partition(":")[2])
+    grid = cf.xi_grid(n, q=f.endpoint_exponent, c_holder=f.holder_constant)
+    half = grid.nodes.size // 2
+    with mp.workdps(40):
+        total = mp.mpf(0)
+        for xi, w in zip(grid.nodes[half:], grid.weights[half:]):
+            for t in mp.eigsy(oracles.gram_matrix_mp(n, float(xi)),
+                              eigvals_only=True):
+                if 0 < t < 1:
+                    total += w * mp.log(t ** alpha + (1 - t) ** alpha) / (1 - alpha)
+        reference = float(total / mp.pi)
+    value = cf.coeff_M_le_n(n, f)
+    assert abs(value - reference) <= bound * reference
 
 
 def test_positivity_of_entropy_coefficients():
@@ -306,6 +380,23 @@ def test_shared_fields_match_one_function_calls(monkeypatch):
         assert {round(cutoff, 2) for cutoff, _ in builds} == {10.65, 21.65}
         for f, row in zip(fns, rows):
             assert row == cf.coeff_with_error(sel, [f])[0]
+
+
+@pytest.mark.parametrize("wrapper, kind", [(cf.coeff_M_ell, "single"),
+                                           (cf.coeff_M_le_n, "upto")])
+def test_wrappers_build_one_field_and_equal_the_integrator(wrapper, kind,
+                                                           monkeypatch):
+    build = cf.gram_eigen_field
+    for spec in ("renyi:1", "renyi:0.05", "monomial:3"):
+        f = cf.spectral_function_from_spec(spec)
+        builds = []
+        monkeypatch.setattr(cf, "gram_eigen_field", lambda s, grid: (
+            builds.append(grid.panel_width) or build(s, grid)))
+        value = wrapper(10, f)
+        assert builds == [0.25]
+        monkeypatch.setattr(cf, "gram_eigen_field", build)
+        sel = getattr(LevelSelector, kind)(10)
+        assert value == cf.coeff_with_error(sel, [f])[0][0]
 
 
 @pytest.mark.parametrize("sel", _SELECTORS, ids=_selector_id)

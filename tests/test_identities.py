@@ -246,6 +246,24 @@ def test_hermite_identity_floor_stays_below_the_left_side():
     assert res.tolerance == 1e-9 * abs(res.inputs["rhs"])
 
 
+def test_hermite_identity_floor_catches_an_error_of_1e_11_of_the_mass(monkeypatch):
+    # at the zero 1/sqrt(2) of H_2 the right side vanishes and the floor,
+    # 1e-13 sqrt(2) times the term mass, is in charge: a right side off by
+    # 1e-11 of that mass must fail (a 1e-10 factor would pass it)
+    ell, xi, tau = 2, 2 ** -0.5, 1.0
+    assert idn.verify_hermite_identity(ell, xi, tau).ok
+    mass = math.sqrt(2.0) * sum(abs(float(c)) * abs(xi) ** a * abs(tau) ** b
+                                for (a, b), c in idn._hermite_lhs_table(ell).items())
+    herm = idn.hermite_poly_normalized
+    shift = 1e-11 * mass / (math.sqrt(2.0) * herm(ell, tau))
+    monkeypatch.setattr(idn, "hermite_poly_normalized", lambda l, t: (
+        herm(l, t) + (shift if t == xi else 0.0)))
+    res = idn.verify_hermite_identity(ell, xi, tau)
+    assert res.max_error == pytest.approx(1e-11 * mass, rel=1e-3)
+    assert res.tolerance == pytest.approx(1e-13 * mass, rel=1e-12)
+    assert not res.ok
+
+
 def test_hermite_identity_term_mass_overflow():
     # near the top zero of H_12 the left side 2.8e292 is a double, but the
     # sum of its absolute terms is not

@@ -311,6 +311,21 @@ def test_overlap_table_against_mpmath_up_to_the_cap():
             assert abs(table[l1, l2, i] - oracles.overlap_mp(l1, l2, xi)) < 1e-14
 
 
+@pytest.mark.parametrize("n", [0, 3, 20, sf.LEVEL_CAP])
+def test_overlap_table_and_occupations_reflect(n):
+    # psi_j(-t) = (-1)^j psi_j(t) gives G(-xi) = I - S G(xi) S with
+    # S = diag((-1)^k), so lambda_l(-xi) = 1 - lambda_l(xi)
+    x = cf.xi_grid(n).nodes
+    x = x[x > 0.0]
+    sign = (-1.0) ** np.arange(n + 1)
+    table = sf.build_overlap_table(n, x).values
+    mirrored = np.eye(n + 1)[:, :, None] - sign[:, None, None] * table * sign[None, :, None]
+    reflected = sf.build_overlap_table(n, -x[::-1]).values
+    assert np.max(np.abs(reflected - mirrored[:, :, ::-1])) <= 1e-15
+    lam = sf.occupations(n, x)
+    assert np.max(np.abs(sf.occupations(n, -x[::-1]) - (1.0 - lam[:, ::-1]))) <= 1e-15
+
+
 def test_occupations_ladder_against_erfc_and_quadrature():
     xi = np.linspace(-7.0, 7.0, 57)
     lam = sf.occupations(9, xi)
