@@ -170,12 +170,12 @@ def test_gram_eigen_field_evaluates_the_positive_half_only(sel, monkeypatch):
     monkeypatch.setattr(cf, "occupations", spy(sf.occupations))
     monkeypatch.setattr(cf, "build_overlap_table", spy(sf.build_overlap_table))
     grid = cf.xi_grid(3)
+    half = grid.nodes.size // 2
     field = cf.gram_eigen_field(sel, grid)
     assert len(seen) == 1
-    assert np.array_equal(seen[0], grid.nodes[grid.nodes.size // 2:])
+    assert np.array_equal(seen[0], grid.nodes[half:])
     assert np.all(seen[0] > 0.0)
     # the lower half is the reflection of the upper half
-    half = grid.nodes.size // 2
     assert np.array_equal(field[:half], 1.0 - field[half:][::-1, ::-1])
 
 
@@ -186,6 +186,11 @@ def test_gram_eigen_field_refuses_an_unmirrored_grid(sel):
                         cutoff=grid.cutoff, panel_width=grid.panel_width)
     with pytest.raises(DomainError, match="mirrored"):
         cf.gram_eigen_field(sel, shifted)
+    # mirrored, but with a node at 0
+    odd = cf.XiGrid(nodes=np.array([-1.0, 0.0, 0.0, 1.0]), weights=np.ones(4),
+                    cutoff=1.0, panel_width=1.0)
+    with pytest.raises(DomainError, match="mirrored"):
+        cf.gram_eigen_field(sel, odd)
 
 
 def test_gram_eigenvalues_vs_jacobi_oracle():
