@@ -203,7 +203,7 @@ def gram_eigen_field(selector: LevelSelector, grid: XiGrid) -> np.ndarray:
     n = selector.index
     half = grid.nodes.size // 2
     upper = grid.nodes[half:]
-    if not (grid.nodes.size % 2 == 0 and np.all(upper > 0.0)
+    if not (np.all(upper > 0.0)
             and np.array_equal(grid.nodes[:half], -upper[::-1])):
         raise DomainError("xi grid must be mirrored about 0 with no node at 0")
     if selector.kind == "single":
