@@ -87,56 +87,69 @@ def radial_profiles(a_max: int, kappa, x) -> np.ndarray:
     return lag * np.exp(log_env + log_norm)
 
 
-def _level_profiles(levels: np.ndarray, ks: np.ndarray,
-                    x: np.ndarray) -> np.ndarray:
+def _sector_layout(b: float, r_total: float, levels) -> tuple:
+    """Angular sectors k = -n_top..sector_window of radius r_total, and the
+    radial quantum number a = min(l, l + k) of each level in each, shape
+    (ks, levels); a < 0 marks a level absent from the sector."""
+    levels = np.asarray(levels)
+    n_top = int(levels[-1])
+    ks = np.arange(-n_top, sector_window(b, r_total, n_top) + 1)
+    return ks, np.minimum(levels[None, :], levels[None, :] + ks[:, None])
+
+
+def _check_window(ks: np.ndarray, top: float, cutoff: float):
+    """WindowError if the top sector ks[-1] still holds `top` >= cutoff."""
+    if top >= cutoff:
+        raise WindowError(f"sector window |k| <= {ks[-1]} exhausted: the top "
+                          f"sector holds {top:.3e} >= cutoff {cutoff:.1e}")
+
+
+def _level_profiles(ks: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Radial profiles of each level in each sector, shape (ks, levels, nodes).
 
-    Level ell enters sector k with radial quantum number min(ell, ell + k)
-    and angular weight |k|; `x` holds one row of nodes per sector. Levels
-    with ell + k < 0 are absent from the sector and get zero rows.
+    Levels enter sector k with the radial quantum numbers a of
+    `_sector_layout` and angular weight |k|; `x` holds one row of nodes per
+    sector. Absent levels (a < 0) get zero rows.
     """
-    a = np.minimum(levels[None, :], levels[None, :] + ks[:, None])
-    prof = radial_profiles(int(levels[-1]), np.abs(ks)[:, None], x)
+    prof = radial_profiles(max(int(a.max()), 0), np.abs(ks)[:, None], x)
     rows = prof[np.maximum(a, 0), np.arange(ks.size)[:, None]]
     rows[a < 0] = 0.0
     return rows
 
 
-def _sector_grams(selector: LevelSelector, ks: np.ndarray,
-                  x_cut: float) -> np.ndarray:
+def _sector_grams(ks: np.ndarray, a: np.ndarray, x_cut: float) -> np.ndarray:
     """Truncated-disk radial Gram matrices of sectors ks, shape (ks, m, m).
 
     Entry (i, j) integrates p_a p_b over x in [0, X], X = x_cut, for the
-    radial quantum numbers a, b of levels l_i, l_j in the sector (weight
-    kappa = |k| for both), from profile values at X alone. Off the diagonal
-    the Laguerre Wronskian gives -p_a p_b + [sqrt(a(a+kappa)) p_{a-1} p_b -
-    sqrt(b(b+kappa)) p_a p_{b-1}] / (a - b); on it the Landau-raising ladder
-    gives P(N+1, X) + sum_{j=1..a} sqrt(X/j) p_j^{N-j} p_{j-1}^{N-j+1} with
-    N = a + kappa and P the regularized lower incomplete gamma. A level
-    absent from a sector keeps a decoupled diagonal entry of -1, which
-    eigvalsh sorts below every true eigenvalue.
+    radial quantum numbers a, b (rows of `_sector_layout`) of levels i, j in
+    the sector (weight kappa = |k| for both), from profile values at X
+    alone. Off the diagonal the Laguerre Wronskian gives -p_a p_b +
+    [sqrt(a(a+kappa)) p_{a-1} p_b - sqrt(b(b+kappa)) p_a p_{b-1}] / (a - b);
+    on it the Landau-raising ladder gives P(N+1, X) + sum_{j=1..a} sqrt(X/j)
+    p_j^{N-j} p_{j-1}^{N-j+1} with N = a + kappa and P the regularized lower
+    incomplete gamma. A level absent from a sector keeps a decoupled
+    diagonal entry of -1, which eigvalsh sorts below every true eigenvalue.
     """
-    levels = np.array(selector.levels())
-    n_top = int(levels[-1])
     kappa = np.abs(ks)[:, None]
-    a = np.minimum(levels[None, :], levels[None, :] + ks[:, None])
     present = a >= 0
+    # a - l is one constant per sector, so any row of a gives the level gaps
+    gap = a[0][:, None] - a[0][None, :] + np.eye(a.shape[1], dtype=int)
     a = np.maximum(a, 0)
-    n_max = int(kappa.max()) + n_top
-    prof = radial_profiles(n_top, np.arange(n_max + 1), x_cut)
+    a_top = int(a.max())
+    n_max = int(kappa.max()) + a_top
+    prof = radial_profiles(a_top, np.arange(n_max + 1), x_cut)
     # ladder[j, N] = sqrt(X/j) p_j^{N-j} p_{j-1}^{N-j+1}, zero for N < j
     ladder = np.zeros(prof.shape)
-    for j in range(1, n_top + 1):
+    for j in range(1, a_top + 1):
         ladder[j, j:] = (math.sqrt(x_cut / j) * prof[j, :n_max + 1 - j]
                          * prof[j - 1, 1:n_max + 2 - j])
     diag = gammainc(np.arange(1.0, n_max + 2.0), x_cut) \
         + np.cumsum(ladder, axis=0)
     p = prof[a, kappa] * present
     u = np.sqrt(a * (a + kappa)) * prof[np.maximum(a - 1, 0), kappa] * present
-    gap = levels[:, None] - levels[None, :] + np.eye(levels.size, dtype=int)
     grams = (u[:, :, None] * p[:, None, :] - p[:, :, None] * u[:, None, :]) \
         / gap - p[:, :, None] * p[:, None, :]
-    on = np.arange(levels.size)
+    on = np.arange(a.shape[1])
     grams[:, on, on] = np.where(present, diag[a, a + kappa], -1.0)
     return grams
 
@@ -155,23 +168,16 @@ def disk_spectrum(setup: MagneticSetup, selector: LevelSelector,
         raise DomainError(f"disk radius must be finite and positive, got {r_total}")
     if not 0.0 < cutoff < math.inf:
         raise DomainError(f"retention cutoff must be finite and positive, got {cutoff}")
-    n_top = max(selector.levels())
-    kmax = sector_window(setup.b, r_total, n_top)
     x_cut = 0.5 * setup.b * r_total * r_total
-    ks = np.arange(-n_top, kmax + 1)
-    vals = np.linalg.eigvalsh(_sector_grams(selector, ks, x_cut))
-    # the decoupled -1 entries of absent levels sort first
-    absent = np.count_nonzero(np.array(selector.levels()) + ks[:, None] < 0,
-                              axis=1)
-    present = np.arange(selector.count)[None, :] >= absent[:, None]
+    ks, a = _sector_layout(setup.b, r_total, selector.levels())
+    vals = np.linalg.eigvalsh(_sector_grams(ks, a, x_cut))
+    # absent levels are a sector's lowest, and their decoupled -1 entries
+    # sort first
+    present = a >= 0
     vals = clamp_unit(np.where(present, vals, 0.0), _CLAMP, "disk_spectrum")
     keep = present & (vals >= cutoff)
     dropped = int(np.count_nonzero(present) - np.count_nonzero(keep))
-    boundary_top = float(vals[-1].max(initial=0.0))
-    if boundary_top >= cutoff:
-        raise WindowError(
-            f"sector window |k| <= {kmax} exhausted while the boundary sector "
-            f"still holds {boundary_top:.3e} >= cutoff {cutoff:.1e}")
+    _check_window(ks, float(vals[-1].max(initial=0.0)), cutoff)
     return LocalSpectrum(eigenvalues=np.sort(vals[keep])[::-1], b=setup.b,
                          selector=selector, region={"type": "disk", "R": 1.0},
                          scale=r_total, solver="disk-sector/gram",

@@ -18,8 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disk_spectra import LocalSpectrum, _level_profiles, sector_window
-from .errors import CapabilityError, DomainError, FitError, WindowError
+from .disk_spectra import (
+    LocalSpectrum,
+    _check_window,
+    _level_profiles,
+    _sector_layout,
+)
+from .errors import CapabilityError, DomainError, FitError
 from .geometry import Disk, Polygon, Region, SmoothStar, region_to_json
 from .landau import LevelSelector, MagneticSetup
 from .specfun import clamp_unit, gauss_legendre
@@ -152,27 +157,24 @@ def _angular_factor(setup: MagneticSetup, selector: LevelSelector,
     """Angular factor A (dim x m) of the Nystrom matrix M = A A^H.
 
     The kernel sums phi_lk(x) conj phi_lk(y) over levels l and sectors k,
-    phi_lk = sqrt(B/2pi) p_a(B r^2/2) e^{-ik theta} with a = min(l, l + k)
-    and weight |k|; A = diag(sqrt w) Phi over k = -n_top..window(largest node
-    radius). WindowError if the top sector's Gram diagonal reaches `cutoff`.
+    phi_lk = sqrt(B/2pi) p_a(B r^2/2) e^{-ik theta} with the radial number a
+    and weight |k| of `_sector_layout` at the largest node radius;
+    A = diag(sqrt w) Phi. WindowError if the top sector's Gram diagonal
+    reaches `cutoff`.
     """
     n_theta = resolution[1]
     pts, w = _polar_nodes(region, L, *resolution)
     r2 = np.sum(pts * pts, axis=1)
-    levels = np.array(selector.levels())
-    kmax = sector_window(setup.b, math.sqrt(r2.max()), int(levels[-1]))
-    ks = np.arange(-int(levels[-1]), kmax + 1)
+    ks, a = _sector_layout(setup.b, math.sqrt(r2.max()), selector.levels())
     # k times the node's angle index, reduced first so the phase stays exact
     turns = (ks[:, None] * (np.arange(r2.size) % n_theta)) % n_theta
     phase = np.exp(-2j * math.pi / n_theta * turns) \
         * np.sqrt(w * setup.b / (2.0 * math.pi))
-    present = levels[None, :] + ks[:, None] >= 0
-    rows = _level_profiles(levels, ks, 0.5 * setup.b * r2[None, :])[present]
+    present = a >= 0
+    rows = _level_profiles(ks, a, 0.5 * setup.b * r2[None, :])[present]
     rows = phase[present.nonzero()[0]] * rows
-    top = float(np.max(np.sum(np.abs(rows[-levels.size:]) ** 2, axis=1)))
-    if top >= cutoff:
-        raise WindowError(f"sector window |k| <= {kmax} exhausted: the top "
-                          f"sector holds {top:.3e} >= cutoff {cutoff:.1e}")
+    top = np.sum(np.abs(rows[-a.shape[1]:]) ** 2, axis=1)
+    _check_window(ks, float(top.max()), cutoff)
     return rows.T
 
 

@@ -50,27 +50,29 @@ def _check_level(ell: int) -> int:
 # Hermite polynomials and functions
 # ---------------------------------------------------------------------------
 
-def hermite_sweep(ell: int, t):
-    """Yield H_0(t), ..., H_ell(t), each over sqrt(2^k k!), by the
-    normalized recurrence h_{k+1} = sqrt(2/(k+1)) t h_k - sqrt(k/(k+1)) h_{k-1}.
+def hermite_sweep(ell: int, t, h0=1.0):
+    """Yield h_0(t), ..., h_ell(t) of the normalized recurrence
+    h_{k+1} = sqrt(2/(k+1)) t h_k - sqrt(k/(k+1)) h_{k-1} from h_0 = h0.
 
-    A Python int or float t runs on Python floats; anything else goes
-    through np.asarray and yields arrays of its shape. Both take the same
-    operations in the same order, so they agree bitwise.
+    With h0 = 1 these are H_k(t) / sqrt(2^k k!), with the Gaussian
+    pi^{-1/4} e^{-t^2/2} the oscillator functions psi_k(t). A Python int or
+    float t runs on Python floats; anything else goes through np.asarray and
+    yields arrays of its shape. Both take the same operations in the same
+    order, so they agree bitwise.
     """
     ell = int(ell)
     if ell < 0:
         raise DomainError(f"level index must be >= 0, got {ell}")
     if isinstance(t, (int, float)):
         t = float(t)
-        h_prev = 1.0
+        h_prev = float(h0)
     else:
         t = np.asarray(t, dtype=float)
-        h_prev = np.ones_like(t)
+        h_prev = np.full_like(t, h0)
     yield h_prev
     if ell == 0:
         return
-    h = math.sqrt(2.0) * t
+    h = math.sqrt(2.0) * t * h_prev
     yield h
     for k in range(1, ell):
         h, h_prev = (math.sqrt(2.0 / (k + 1)) * t * h
@@ -92,31 +94,21 @@ def hermite_poly_normalized(ell: int, t):
 
 
 def hermite_fn(ell: int, t):
-    """Orthonormal oscillator eigenfunction psi_ell(t).
-
-    The normalization (sqrt(pi) 2^ell ell!)^{-1/2} is folded into the
-    recurrence (log-free but equivalent to lgamma accumulation), so degrees
-    up to the cap never touch an explicit factorial.
-    """
-    ell = _check_level(ell)
+    """Orthonormal oscillator eigenfunction psi_ell(t), the last row of
+    `hermite_fn_table`; a scalar or 0-d input gives a Python float."""
     t = np.asarray(t, dtype=float)
-    val = hermite_poly_normalized(ell, t) * np.exp(-0.5 * t * t) * math.pi ** -0.25
-    return val if np.ndim(val) else float(val)
+    psi = hermite_fn_table(ell, t.ravel())[-1].reshape(t.shape)
+    return psi if psi.ndim else float(psi)
 
 
 def hermite_fn_table(nmax: int, t: np.ndarray) -> np.ndarray:
-    """psi_0..psi_nmax evaluated on an array, shape (nmax+1, len(t))."""
+    """psi_0..psi_nmax on an array, shape (nmax+1, len(t)): the rows of
+    `hermite_sweep` seeded with the Gaussian pi^{-1/4} e^{-t^2/2}, so the
+    normalization (sqrt(pi) 2^l l!)^{-1/2} never forms a factorial."""
     nmax = _check_level(nmax)
     t = np.asarray(t, dtype=float)
-    out = np.empty((nmax + 1, t.size))
-    gauss = np.exp(-0.5 * t * t) * math.pi ** -0.25
-    out[0] = gauss
-    if nmax >= 1:
-        out[1] = math.sqrt(2.0) * t * gauss
-    for k in range(1, nmax):
-        out[k + 1] = (math.sqrt(2.0 / (k + 1)) * t * out[k]
-                      - math.sqrt(k / (k + 1)) * out[k - 1])
-    return out
+    return np.array(list(hermite_sweep(
+        nmax, t, np.exp(-0.5 * t * t) * math.pi ** -0.25)))
 
 
 # ---------------------------------------------------------------------------
@@ -229,19 +221,22 @@ def _check_grid(xi_grid) -> np.ndarray:
     return xi
 
 
-def occupations(max_level: int, xi_grid) -> np.ndarray:
-    """lambda_0..lambda_max_level on a xi grid, shape (max_level+1, N).
+def _ladder(psi: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Overwrite a psi_0..psi_n table on xi with lambda_0..lambda_n, the
+    integrals of psi_l^2 over [xi, inf), by the ladder lambda_0 = erfc(xi)/2,
+    lambda_l = lambda_{l-1} + psi_l psi_{l-1}/sqrt(2l): both sides have
+    derivative psi_{l-1}^2 - psi_l^2 and vanish at +inf."""
+    psi[1:] *= psi[:-1] / np.sqrt(2.0 * np.arange(1, len(psi)))[:, None]
+    psi[0] = 0.5 * erfc(xi)
+    return np.cumsum(psi, axis=0, out=psi)
 
-    lambda_l(xi), the integral of psi_l^2 over [xi, inf), by the ladder
-    lambda_0 = erfc(xi)/2, lambda_l = lambda_{l-1} + psi_l psi_{l-1}/sqrt(2l):
-    both sides have derivative psi_{l-1}^2 - psi_l^2 and vanish at +inf.
-    """
+
+def occupations(max_level: int, xi_grid) -> np.ndarray:
+    """lambda_0..lambda_max_level on a xi grid, shape (max_level+1, N), by
+    the erfc ladder."""
     max_level = _check_level(max_level)
     xi = _check_grid(xi_grid)
-    lam = hermite_fn_table(max_level, xi)
-    lam[1:] *= lam[:-1] / np.sqrt(2.0 * np.arange(1, max_level + 1))[:, None]
-    lam[0] = 0.5 * erfc(xi)
-    return np.cumsum(lam, axis=0, out=lam)
+    return _ladder(hermite_fn_table(max_level, xi), xi)
 
 
 @dataclass
@@ -250,8 +245,8 @@ class OverlapTable:
 
     values[l1, l2, i] is the integral of psi_l1 psi_l2 over [xi_grid[i], inf),
     in closed form from psi_0..psi_max_level at the nodes alone: the
-    occupations lambda_l on the diagonal come from `occupations`' ladder sum,
-    and off the diagonal the Wronskian W = psi_i' psi_j - psi_i psi_j', with
+    occupations lambda_l on the diagonal come from the erfc ladder, and off
+    the diagonal the Wronskian W = psi_i' psi_j - psi_i psi_j', with
     W' = -2(i-j) psi_i psi_j, gives
     (sqrt(2i) psi_{i-1} psi_j - sqrt(2j) psi_i psi_{j-1}) / (2(i-j)).
     """
@@ -278,5 +273,5 @@ def build_overlap_table(max_level: int, xi_grid: np.ndarray) -> OverlapTable:
         np.multiply(lowered[i], psi, out=row)
         row -= psi[i] * lowered
         row /= gap[i][:, None]
-    vals[np.arange(n), np.arange(n)] = occupations(max_level, xi)
+    vals[np.arange(n), np.arange(n)] = _ladder(psi, xi)
     return OverlapTable(xi_grid=xi, max_level=max_level, values=vals)

@@ -534,11 +534,19 @@ def radial_sector_kernel(setup, selector, k: int, r: float, s: float,
     return coef.real
 
 
+def radial_numbers(selector, ks: np.ndarray) -> np.ndarray:
+    """Radial quantum number min(l, l + k) of each level in each sector k,
+    shape (ks, levels); negative where the level is absent."""
+    levels = np.array(selector.levels())
+    return np.minimum(levels[None, :], levels[None, :] + ks[:, None])
+
+
 def sector_kernel_closed_form(setup, selector, k: int, r) -> np.ndarray:
     """Factorized sector kernel: rows R_{ell,k}(r_i)/sqrt(2pi) per level,
     from the radial profiles the sector Gram solver integrates."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    rows = ds._level_profiles(np.array(selector.levels()), np.array([k]),
+    ks = np.array([k])
+    rows = ds._level_profiles(ks, radial_numbers(selector, ks),
                               0.5 * setup.b * r[None, :] * r[None, :])[0]
     return rows * math.sqrt(setup.b / (2.0 * math.pi))
 
@@ -614,7 +622,8 @@ def sector_grams_quadrature(selector, ks: np.ndarray,
         lo, hi = _gram_window(np.abs(kb).astype(float), int(levels[-1]), x_cut)
         x = lo[:, None] + (hi - lo)[:, None] * _GRAM_RULE.nodes[None, :]
         sqw = np.sqrt((hi - lo)[:, None] * _GRAM_RULE.weights[None, :])
-        rows = ds._level_profiles(levels, kb, x) * sqw[:, None, :]
+        rows = ds._level_profiles(kb, radial_numbers(selector, kb), x) \
+            * sqw[:, None, :]
         g = rows @ rows.transpose(0, 2, 1)
         sec, lev = np.nonzero(levels[None, :] + kb[:, None] < 0)
         g[sec, lev, lev] = -1.0

@@ -158,7 +158,7 @@ def test_sector_grams_match_quadrature_oracle(sel):
     for x in (1.0, 50.0, 450.0, 3200.0):
         kmax = ds.sector_window(1.0, math.sqrt(2.0 * x), n_top)
         ks = np.arange(-n_top, kmax + 1)
-        closed = ds._sector_grams(sel, ks, x)
+        closed = ds._sector_grams(ks, oracles.radial_numbers(sel, ks), x)
         quad = oracles.sector_grams_quadrature(sel, ks, x)
         assert closed.shape == (ks.size, sel.count, sel.count)
         assert np.max(np.abs(closed - quad)) <= 2e-11
@@ -179,7 +179,8 @@ def test_sector_grams_match_quadrature_oracle(sel):
 def test_sector_grams_match_extended_precision(x, k, sel):
     # rows of the present levels: radial quantum numbers 0..n_top - |k|
     # for k < 0, 0..n_top for k >= 0, all at weight |k|
-    g = ds._sector_grams(sel, np.array([k]), x)[0]
+    ks = np.array([k])
+    g = ds._sector_grams(ks, oracles.radial_numbers(sel, ks), x)[0]
     first = max(0, -k)
     exact = oracles.sector_gram_mp(max(sel.levels()) - first, abs(k), x)
     assert np.max(np.abs(g[first:, first:] - exact)) <= 1e-11
