@@ -18,15 +18,7 @@ import numpy as np
 
 from . import coeffs, geometry, identities, region_sim
 from .disk_spectra import disk_spectrum, entropy_from_spectrum
-from .errors import (
-    CapabilityError,
-    DomainError,
-    FitError,
-    LleError,
-    NumericError,
-    UsageError,
-    WindowError,
-)
+from .errors import CapabilityError, DomainError, LleError, UsageError
 from .landau import LevelSelector, MagneticSetup
 
 EXIT_OK = 0
@@ -52,18 +44,6 @@ def _parse_region(text: str) -> geometry.Region:
     except json.JSONDecodeError as exc:
         raise UsageError(f"region is not valid JSON: {exc}") from exc
     return geometry.region_from_json(obj)
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("LLE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise UsageError(f"LLE_THREADS must be an integer, got {env!r}") from exc
-    return os.cpu_count() or 1
 
 
 def _write(path: str | None, text: str):
@@ -158,7 +138,7 @@ def cmd_scaling(args) -> int:
                              cutoff=args.cutoff)
         return entropy_from_spectrum(spec, f)
 
-    with ThreadPoolExecutor(max_workers=_threads(args)) as pool:
+    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
         values = list(pool.map(one, scales))
     series = region_sim.ScalingSeries(scales=scales, values=np.asarray(values))
     fit = region_sim.scaling_fit(series, model="linear")
@@ -235,8 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lle",
         description="Boundary coefficients and spectra of localized "
                     "Landau-level projections")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: env LLE_THREADS or all cores)")
+    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                        help="worker threads (default: all cores)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("coeff", help="boundary coefficients M(f)")
@@ -304,11 +284,8 @@ def main(argv=None) -> int:
     except (UsageError, DomainError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NumericError, CapabilityError, WindowError, FitError) as exc:
-        print(f"numeric/capability error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except LleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"numeric/capability error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

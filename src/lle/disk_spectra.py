@@ -23,13 +23,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc, gammaln
 
-from .errors import DomainError, WindowError
+from .errors import CapabilityError, DomainError, WindowError
 from .landau import LevelSelector, MagneticSetup
 from .specfun import clamp_unit, laguerre_sweep
 
 # eigenvalues may stray outside [0,1] by at most this much before we suspect
 # an assembly bug rather than roundoff
 _CLAMP = 1e-9
+# cap on sectors x (levels x (top level + 1) + 6), which measures a disk
+# spectrum's peak memory (Grams, profile ladder, per-sector vectors) in units
+# of about 16 bytes: the cap keeps it near 0.5 GiB
+_LAYOUT_BUDGET = 1 << 25
 
 
 @dataclass
@@ -61,10 +65,21 @@ class LocalSpectrum:
         }
 
 
+def _edge_x(b: float, r: float) -> float:
+    """x = B r^2/2 at radius r; DomainError if it overflows."""
+    x = 0.5 * b * r * r
+    if not math.isfinite(x):
+        raise DomainError(f"B r^2/2 overflows at B = {b:g}, r = {r:g}")
+    return x
+
+
 def sector_window(b: float, r_total: float, n: int) -> int:
-    """Angular-momentum cutoff: occupations collapse Gaussianly beyond it."""
-    x = b * r_total * r_total / 2.0
-    return int(math.ceil(x + 12.0 * math.sqrt(x + 1.0) + n + 20))
+    """Angular-momentum cutoff: level n reaches into sector k down to its
+    inner turning point near x = k - 2 sqrt(n k), and its occupations
+    collapse Gaussianly past x = B r_total^2/2 plus that spread."""
+    x = _edge_x(b, r_total)
+    return int(math.ceil(x + 12.0 * math.sqrt(x + 1.0) + n + 20
+                         + 2.0 * math.sqrt(n * x)))
 
 
 def radial_profiles(a_max: int, kappa, x) -> np.ndarray:
@@ -93,7 +108,12 @@ def _sector_layout(b: float, r_total: float, levels) -> tuple:
     (ks, levels); a < 0 marks a level absent from the sector."""
     levels = np.asarray(levels)
     n_top = int(levels[-1])
-    ks = np.arange(-n_top, sector_window(b, r_total, n_top) + 1)
+    count = sector_window(b, r_total, n_top) + n_top + 1
+    size = count * (levels.size * (n_top + 1) + 6)
+    if size > _LAYOUT_BUDGET:
+        raise CapabilityError(f"{count} sectors for levels up to {n_top} exceed "
+                              f"the layout budget ({size} > {_LAYOUT_BUDGET})")
+    ks = np.arange(count) - n_top
     return ks, np.minimum(levels[None, :], levels[None, :] + ks[:, None])
 
 
@@ -105,12 +125,9 @@ def _check_window(ks: np.ndarray, top: float, cutoff: float):
 
 
 def _level_profiles(ks: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Radial profiles of each level in each sector, shape (ks, levels, nodes).
-
-    Levels enter sector k with the radial quantum numbers a of
-    `_sector_layout` and angular weight |k|; `x` holds one row of nodes per
-    sector. Absent levels (a < 0) get zero rows.
-    """
+    """Radial profiles of each level in each sector, shape (ks, levels, nodes),
+    at the radial numbers a of `_sector_layout` and angular weight |k|; `x`
+    holds one row of nodes per sector. Absent levels (a < 0) get zero rows."""
     prof = radial_profiles(max(int(a.max()), 0), np.abs(ks)[:, None], x)
     rows = prof[np.maximum(a, 0), np.arange(ks.size)[:, None]]
     rows[a < 0] = 0.0
@@ -168,7 +185,7 @@ def disk_spectrum(setup: MagneticSetup, selector: LevelSelector,
         raise DomainError(f"disk radius must be finite and positive, got {r_total}")
     if not 0.0 < cutoff < math.inf:
         raise DomainError(f"retention cutoff must be finite and positive, got {cutoff}")
-    x_cut = 0.5 * setup.b * r_total * r_total
+    x_cut = _edge_x(setup.b, r_total)
     ks, a = _sector_layout(setup.b, r_total, selector.levels())
     vals = np.linalg.eigvalsh(_sector_grams(ks, a, x_cut))
     # absent levels are a sector's lowest, and their decoupled -1 entries

@@ -21,6 +21,7 @@ import numpy as np
 from .disk_spectra import (
     LocalSpectrum,
     _check_window,
+    _edge_x,
     _level_profiles,
     _sector_layout,
 )
@@ -129,7 +130,7 @@ def default_resolution(setup: MagneticSetup, region: Region, L: float
     cross-solver contract asks for.
     """
     r_eff = L * _radial_profile_max(region)
-    x = 0.5 * setup.b * r_eff * r_eff
+    x = _edge_x(setup.b, r_eff)
     n_theta = 2 * int(math.ceil(0.5 * x + 5.0 * math.sqrt(x + 1.0) + 12.0))
     n_radial = 24 + 5 * int(math.ceil(math.sqrt(setup.b) * r_eff))
     return n_radial, n_theta

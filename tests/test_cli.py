@@ -300,3 +300,44 @@ def test_bad_scale_or_case_count_exits_2(capsys, argv):
 def test_bad_flag_exits_2():
     assert main(["coeff", "--levels", "single:0"]) == 2  # missing --f
     assert main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("spectrum", "--region", DISK, "--B", "1", "--levels", "single:0",
+      "--L", "1e7"), 3),
+    (("spectrum", "--region", DISK, "--B", "1e300", "--levels", "single:0",
+      "--L", "1e10"), 2),
+    (("spectrum", "--region", DISK, "--B", "1e300", "--levels", "single:0",
+      "--L", "1e10", "--solver", "nystrom2d"), 2),
+    (("scaling", "--region", DISK, "--B", "1", "--levels", "single:0",
+      "--alpha", "1", "--L-min", "1e7", "--L-max", "1.000001e7"), 3),
+    (("scaling", "--region", DISK, "--B", "1e300", "--levels", "single:0",
+      "--alpha", "1", "--L-min", "1e10", "--L-max", "1.000001e10",
+      "--L-step", "4000"), 2),
+])
+def test_oversized_scale_exits_by_contract(capsys, argv, code):
+    # an overflowing B L^2/2 is a usage error, a sector layout past the
+    # budget a capability error; neither may escape as a traceback
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code and out == ""
+    assert err.startswith("usage error" if code == 2
+                          else "numeric/capability error")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, code", [
+    ("LleError", 3), ("DomainError", 2), ("CapabilityError", 3),
+    ("NumericError", 3), ("AccuracyError", 3), ("WindowError", 3),
+    ("FitError", 3), ("UsageError", 2)])
+def test_every_error_class_maps_to_its_exit_code(capsys, monkeypatch, name,
+                                                 code):
+    from lle import cli, errors
+
+    def fail(args):
+        raise getattr(errors, name)("injected")
+    monkeypatch.setattr(cli, "cmd_coeff", fail)
+    got, out, err = run_cli(capsys, "coeff", "--levels", "single:0",
+                            "--f", "renyi:1")
+    assert got == code and out == ""
+    prefix = "usage error" if code == 2 else "numeric/capability error"
+    assert err == f"{prefix}: injected\n"

@@ -218,6 +218,35 @@ def test_lowest_level_disk_spectrum_is_incomplete_gamma(r):
     assert np.max(np.abs(spec.eigenvalues - keep)) <= 1e-15
 
 
+@pytest.mark.parametrize("sel, r", [
+    (LevelSelector.upto(20), 52.0), (LevelSelector.upto(30), 21.0),
+    (LevelSelector.single(45), 16.0), (LevelSelector.single(60), 15.0)],
+    ids=lambda v: f"{v.kind}:{v.index}" if isinstance(v, LevelSelector) else v)
+def test_sector_window_reaches_the_turning_point_of_high_levels(sel, r):
+    # level n reaches into sector k down to its inner turning point near
+    # k - 2 sqrt(n k), so a window of x + O(sqrt x) alone left these spectra
+    # with a top sector above the cutoff
+    spec = ds.disk_spectrum(SETUP, sel, r)
+    assert spec.eigenvalues.size > 0
+
+
+@pytest.mark.parametrize("r", [0.1, 1.5, 3.0, 10.0, 40.0, 80.0])
+def test_lowest_level_sector_window_unchanged(r):
+    x = SETUP.b * r * r / 2.0
+    assert ds.sector_window(SETUP.b, r, 0) \
+        == int(math.ceil(x + 12.0 * math.sqrt(x + 1.0) + 20))
+
+
+def test_top_sector_mass_of_a_high_level_is_inside_the_window():
+    # single:30 at L = 22 still holds 1.84e-12 in sector k = 480, above the
+    # default cutoff: the window must reach past it
+    sel = LevelSelector.single(30)
+    ks, a = ds._sector_layout(SETUP.b, 22.0, sel.levels())
+    assert ks[-1] > 480
+    g = oracles.sector_grams_quadrature(sel, np.array([480]), 0.5 * 22.0 ** 2)
+    assert g[0, 0, 0] == pytest.approx(1.84e-12, rel=0.01)
+
+
 @pytest.mark.parametrize("sel", [LevelSelector.upto(2), LevelSelector.single(3)],
                          ids=lambda s: f"{s.kind}:{s.index}")
 def test_disk_spectrum_window_error_closed_form(sel, monkeypatch):
