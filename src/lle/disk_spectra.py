@@ -74,9 +74,10 @@ def _edge_x(b: float, r: float) -> float:
 
 
 def sector_window(b: float, r_total: float, n: int) -> int:
-    """Angular-momentum cutoff: level n reaches into sector k down to its
-    inner turning point near x = k - 2 sqrt(n k), and its occupations
-    collapse Gaussianly past x = B r_total^2/2 plus that spread."""
+    """Angular-momentum cutoff at the edge x = B r_total^2/2: level n spreads
+    inward in sector k to its turning point near k - 2 sqrt(n k), so it
+    reaches sectors up to about x + 2 sqrt(n x), past which its occupations
+    collapse Gaussianly."""
     x = _edge_x(b, r_total)
     return int(math.ceil(x + 12.0 * math.sqrt(x + 1.0) + n + 20
                          + 2.0 * math.sqrt(n * x)))

@@ -241,7 +241,7 @@ def test_top_sector_mass_of_a_high_level_is_inside_the_window():
     # single:30 at L = 22 still holds 1.84e-12 in sector k = 480, above the
     # default cutoff: the window must reach past it
     sel = LevelSelector.single(30)
-    ks, a = ds._sector_layout(SETUP.b, 22.0, sel.levels())
+    ks, _ = ds._sector_layout(SETUP.b, 22.0, sel.levels())
     assert ks[-1] > 480
     g = oracles.sector_grams_quadrature(sel, np.array([480]), 0.5 * 22.0 ** 2)
     assert g[0, 0, 0] == pytest.approx(1.84e-12, rel=0.01)
