@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 from .errors import CapabilityError, DomainError, WindowError
 from .landau import LevelSelector, MagneticSetup
@@ -93,6 +92,7 @@ def radial_profiles(a_max: int, kappa, x) -> np.ndarray:
     sqrt(B) p_a(B r^2/2) is normalized against r dr. The magnitude factors
     are assembled in log space so large kappa stays finite.
     """
+    from scipy.special import gammaln
     kappa = np.asarray(kappa, dtype=float)
     x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -148,6 +148,7 @@ def _sector_grams(ks: np.ndarray, a: np.ndarray, x_cut: float) -> np.ndarray:
     incomplete gamma. A level absent from a sector keeps a decoupled
     diagonal entry of -1, which eigvalsh sorts below every true eigenvalue.
     """
+    from scipy.special import gammainc
     kappa = np.abs(ks)[:, None]
     present = a >= 0
     # a - l is one constant per sector, so any row of a gives the level gaps

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .disk_spectra import (
+    _LAYOUT_BUDGET,
     LocalSpectrum,
     _check_window,
     _edge_x,
@@ -137,6 +138,12 @@ def default_resolution(setup: MagneticSetup, region: Region, L: float
 
 
 def _polar_nodes(region: Region, L: float, n_radial: int, n_theta: int):
+    # leggauss builds an (n_radial, n_radial) companion matrix, the rule
+    # itself n_radial * n_theta nodes: both must fit before either is built
+    size = max(n_radial * n_radial, n_radial * n_theta)
+    if size > _LAYOUT_BUDGET:
+        raise CapabilityError(f"polar rule {n_radial}x{n_theta} exceeds the "
+                              f"layout budget ({size} > {_LAYOUT_BUDGET})")
     rule = gauss_legendre(n_radial, 0.0, 1.0)
     theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
     if isinstance(region, Disk):

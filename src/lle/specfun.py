@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import CapabilityError, DomainError, NumericError
 
@@ -226,6 +225,7 @@ def _ladder(psi: np.ndarray, xi: np.ndarray) -> np.ndarray:
     integrals of psi_l^2 over [xi, inf), by the ladder lambda_0 = erfc(xi)/2,
     lambda_l = lambda_{l-1} + psi_l psi_{l-1}/sqrt(2l): both sides have
     derivative psi_{l-1}^2 - psi_l^2 and vanish at +inf."""
+    from scipy.special import erfc
     psi[1:] *= psi[:-1] / np.sqrt(2.0 * np.arange(1, len(psi)))[:, None]
     psi[0] = 0.5 * erfc(xi)
     return np.cumsum(psi, axis=0, out=psi)

@@ -1,6 +1,7 @@
 """The public API: the exported names, a library that holds only code and
-class members its entry points reach, and a library that runs without the
-test oracles or mpmath."""
+class members its entry points reach, a library that runs without the test
+oracles or mpmath, and identity and translate-intersection routes that run
+without scipy."""
 
 import ast
 import os
@@ -22,6 +23,23 @@ import lle
 from lle.cli import main
 assert main(["coeff", "--levels", "single:0", "--f", "renyi:1"]) == 0
 sys.exit(main(["verify", "--suite", "all", "--cases", "5"]))
+"""
+
+_NO_SCIPY = """
+import sys
+
+sys.modules["scipy"] = None
+from lle.cli import main
+assert main(["verify", "--suite", "all", "--cases", "5"]) == 0
+for region in ('{"type":"disk","R":1.0}',
+               '{"type":"polygon","vertices":[[0,0],[1,0],[1,1],[0,1]]}'):
+    assert main(["rocca", "--region", region, "--vectors", "[[1,0]]",
+                 "--eps-min-exp", "3", "--eps-max-exp", "4"]) == 0
+try:
+    main(["coeff", "--levels", "single:0", "--f", "renyi:1"])
+except ImportError:
+    sys.exit(0)
+sys.exit("coeff ran although scipy was blocked")
 """
 
 
@@ -117,3 +135,11 @@ def test_library_runs_without_oracles_or_mpmath(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert '"renyi:1"' in proc.stdout
+
+
+def test_verify_and_rocca_run_without_scipy(tmp_path):
+    # the spectral routes need scipy, so the coeff call proves the block holds
+    env = dict(os.environ, PYTHONPATH=str(Path(lle.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

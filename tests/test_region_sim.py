@@ -129,6 +129,17 @@ def test_trace_moment_first_order_not_guarded():
     assert tr == pytest.approx(72.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("L, resolution", [(1e7, None), (1.0, (10**6, 1))])
+def test_trace_moment_first_order_polar_rule_budget(L, resolution, monkeypatch):
+    # leggauss would build an (n_radial, n_radial) matrix: refused before it
+    def built(*args):
+        raise AssertionError("Gauss-Legendre rule built past the budget")
+    monkeypatch.setattr(rs, "gauss_legendre", built)
+    with pytest.raises(CapabilityError, match="layout budget"):
+        rs.region_trace_moment(SETUP, LevelSelector.upto(0), DISK, L, 1,
+                               resolution=resolution)
+
+
 def test_polygon_not_supported():
     square = ge.Polygon(((0, 0), (1, 0), (1, 1), (0, 1)))
     with pytest.raises(CapabilityError):
