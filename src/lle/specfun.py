@@ -12,7 +12,11 @@ lambda_0 = erfc(xi)/2, lambda_l = lambda_{l-1} + psi_l psi_{l-1}/sqrt(2l)
 (`build_overlap_table`). Adaptive quadrature, the per-xi quadrature and the
 panel sweep of the overlaps, the raw Hermite polynomials and the
 extended-precision erfc and incomplete gamma are test oracles
-(tests/oracles.py); the library takes erfc and the incomplete gamma from scipy.
+(tests/oracles.py). The library takes erfc (in `_ladder`), gammaln and the
+incomplete gamma (in `disk_spectra.radial_profiles` and `_sector_grams`) from
+scipy.special, each imported inside the function that calls it, so the
+identity and translate-intersection routes (`lle verify`, `lle rocca`) never
+load scipy. A new scipy call follows the same rule.
 
 Everything here is pure and reentrant: fixed inputs give bitwise-identical
 outputs regardless of evaluation order, so callers may fan grids out across
