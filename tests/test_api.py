@@ -129,17 +129,20 @@ def test_every_internal_class_member_is_used_by_a_reached_definition():
     assert not unused, f"no reached definition uses {unused}"
 
 
-def test_library_runs_without_oracles_or_mpmath(tmp_path):
+def _run_fresh(script: str, cwd: Path) -> subprocess.CompletedProcess:
+    """Run a script in a fresh interpreter that finds lle but not tests/."""
     env = dict(os.environ, PYTHONPATH=str(Path(lle.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", _STANDALONE], cwd=tmp_path,
-                          env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_library_runs_without_oracles_or_mpmath(tmp_path):
+    proc = _run_fresh(_STANDALONE, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert '"renyi:1"' in proc.stdout
 
 
 def test_verify_and_rocca_run_without_scipy(tmp_path):
     # the spectral routes need scipy, so the coeff call proves the block holds
-    env = dict(os.environ, PYTHONPATH=str(Path(lle.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY], cwd=tmp_path,
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = _run_fresh(_NO_SCIPY, tmp_path)
     assert proc.returncode == 0, proc.stderr
