@@ -12,7 +12,6 @@ from .disk_spectra import (
     LocalSpectrum,
     disk_spectrum,
     entropy_from_spectrum,
-    schatten_cross_norm,
 )
 from .errors import (
     AccuracyError,
@@ -44,7 +43,6 @@ from .region_sim import (
     AsymptoticFit,
     ScalingSeries,
     region_spectrum,
-    region_trace_moment,
     scaling_fit,
 )
 from .specfun import (
@@ -62,7 +60,6 @@ __all__ = [
     "WindowError", "__version__", "coeff_M_ell", "coeff_M_le_n",
     "disk_spectrum", "entropy_from_spectrum", "gauss_legendre", "hermite_fn",
     "intersect_translates_area", "laguerre", "nu_from_mu", "region_from_json",
-    "region_spectrum", "region_trace_moment", "renyi_h",
-    "roccaforte_first_order", "roccaforte_second_order", "scaling_fit",
-    "schatten_cross_norm",
+    "region_spectrum", "renyi_h", "roccaforte_first_order",
+    "roccaforte_second_order", "scaling_fit",
 ]

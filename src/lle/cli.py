@@ -162,6 +162,8 @@ def cmd_scaling(args) -> int:
 def cmd_verify(args) -> int:
     if args.cases < 1:
         raise UsageError(f"--cases must be at least 1, got {args.cases}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
     if args.suite == "all":
         report = identities.run_all_suites(cases=args.cases, seed=args.seed)
     else:
@@ -170,7 +172,7 @@ def cmd_verify(args) -> int:
     passed = report["passed"]
     report = {"config": {"suite": args.suite, "cases": args.cases,
                          "seed": args.seed}} | report
-    _write(args.out, identities.report_to_json(report))
+    _write(args.out, _dump(report))
     return EXIT_OK if passed else EXIT_VERIFY_FAIL
 
 
@@ -184,6 +186,13 @@ def cmd_rocca(args) -> int:
     if args.eps_min_exp > args.eps_max_exp:
         raise UsageError(f"empty eps range: --eps-min-exp {args.eps_min_exp} > "
                          f"--eps-max-exp {args.eps_max_exp}")
+    # eps^2 = 2^-2k must stay below the overflow threshold 2^max_exp and at or
+    # above the smallest subnormal 2^(min_exp - mant_dig); eps then does too
+    fmt = sys.float_info
+    k_lo, k_hi = -((fmt.max_exp - 1) // 2), (fmt.mant_dig - fmt.min_exp) // 2
+    if args.eps_min_exp < k_lo or args.eps_max_exp > k_hi:
+        raise UsageError(f"eps = 2^-k needs {k_lo} <= k <= {k_hi}, so that eps "
+                         f"and eps^2 are finite and nonzero doubles")
     t1 = geometry.roccaforte_first_order(region, vectors)
     try:
         t2 = geometry.roccaforte_second_order(region, vectors)

@@ -48,9 +48,6 @@ class LocalSpectrum:
     cutoff: float
     dropped_count: int = 0
 
-    def trace(self) -> float:
-        return float(np.sum(self.eigenvalues))
-
     def to_json(self) -> dict:
         return {
             "B": self.b,
@@ -211,15 +208,3 @@ def entropy_from_spectrum(spectrum: LocalSpectrum, f) -> float:
     most dropped_count * |f(cutoff)|.
     """
     return float(np.sum(np.asarray(f(spectrum.eigenvalues), dtype=float)))
-
-
-def schatten_cross_norm(spectrum: LocalSpectrum, p: float) -> float:
-    """p-th Schatten power of the inside/outside cross operator.
-
-    Its singular values are sqrt(mu(1-mu)) over the localized spectrum, so
-    the norm power is sum (mu(1-mu))^{p/2}.
-    """
-    if not p > 0.0:
-        raise DomainError(f"Schatten exponent must be positive, got {p}")
-    mu = spectrum.eigenvalues
-    return float(np.sum((mu * (1.0 - mu)) ** (0.5 * p)))

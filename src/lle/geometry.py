@@ -166,50 +166,40 @@ def perimeter(region: Region) -> float:
     return float(np.sum(np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1)))
 
 
+def boundary_radius(region: Region, theta, order: int = 0):
+    """Boundary profile r(theta) of a smooth region, or its theta-derivative
+    of the given order; a disk is the star of constant profile."""
+    if isinstance(region, SmoothStar):
+        return region.radius(theta, order)
+    if isinstance(region, Disk):
+        out = np.full(np.shape(theta), region.radius if order == 0 else 0.0)
+        return out if out.ndim else float(out)
+    raise CapabilityError("a polygon has no smooth boundary profile r(theta)")
+
+
 def inward_normal(region: Region, theta):
     """Unit inward normal at the boundary point with polar angle theta."""
     theta = np.asarray(theta, dtype=float)
-    if isinstance(region, Disk):
-        return np.stack([-np.cos(theta), -np.sin(theta)], axis=-1)
-    if isinstance(region, SmoothStar):
-        r = region.radius(theta)
-        rp = region.radius(theta, order=1)
-        tx = rp * np.cos(theta) - r * np.sin(theta)
-        ty = rp * np.sin(theta) + r * np.cos(theta)
-        norm = np.sqrt(tx * tx + ty * ty)
-        return np.stack([-ty / norm, tx / norm], axis=-1)
-    raise CapabilityError("normals by angle are defined for smooth variants")
+    r = boundary_radius(region, theta)
+    rp = boundary_radius(region, theta, order=1)
+    cos, sin = np.cos(theta), np.sin(theta)
+    tx = rp * cos - r * sin
+    ty = rp * sin + r * cos
+    norm = np.sqrt(tx * tx + ty * ty)
+    return np.stack([-ty / norm, tx / norm], axis=-1)
 
 
 def curvature(region: Region, theta):
     """Signed curvature (positive where the region is locally convex)."""
-    scalar = np.ndim(theta) == 0
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if isinstance(region, Disk):
-        out = np.full(theta.shape, 1.0 / region.radius)
-    elif isinstance(region, SmoothStar):
-        r = region.radius(theta)
-        rp = region.radius(theta, order=1)
-        rpp = region.radius(theta, order=2)
-        out = (r * r + 2.0 * rp * rp - r * rpp) / (r * r + rp * rp) ** 1.5
-    else:
-        raise CapabilityError("curvature requested on a polygon")
-    return float(out[0]) if scalar else out
+    r, rp, rpp = (boundary_radius(region, theta, order) for order in range(3))
+    return (r * r + 2.0 * rp * rp - r * rpp) / (r * r + rp * rp) ** 1.5
 
 
 def arc_element(region: Region, theta):
     """|dA/dtheta| along the boundary of a smooth region."""
-    scalar = np.ndim(theta) == 0
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if isinstance(region, Disk):
-        out = np.full(theta.shape, float(region.radius))
-    elif isinstance(region, SmoothStar):
-        r = region.radius(theta)
-        rp = region.radius(theta, order=1)
-        out = np.sqrt(r * r + rp * rp)
-    else:
-        raise CapabilityError("arc element by angle is defined for smooth variants")
-    return float(out[0]) if scalar else out
+    r = boundary_radius(region, theta)
+    rp = boundary_radius(region, theta, order=1)
+    return np.sqrt(r * r + rp * rp)
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +259,9 @@ class TranslateFamily:
 def contains(region: Region, pts: np.ndarray) -> np.ndarray:
     """Vectorized indicator of the closed region."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if isinstance(region, Disk):
-        return np.linalg.norm(pts, axis=1) <= region.radius
-    if isinstance(region, SmoothStar):
+    if not isinstance(region, Polygon):
         th = np.arctan2(pts[:, 1], pts[:, 0])
-        return np.linalg.norm(pts, axis=1) <= region.radius(th)
+        return np.linalg.norm(pts, axis=1) <= boundary_radius(region, th)
     v = region.vertex_array()
     x, y = pts[:, 0], pts[:, 1]
     inside = np.zeros(pts.shape[0], dtype=bool)

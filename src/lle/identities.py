@@ -21,7 +21,6 @@ denominator, rounded once by the integer division.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -552,7 +551,3 @@ def run_all_suites(cases: int = 1000, seed: int = 0) -> dict:
     reports = {name: run_suite(name, cases=cases, seed=seed) for name in SUITES}
     return {"suites": reports,
             "passed": all(r["passed"] for r in reports.values())}
-
-
-def report_to_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, default=float)

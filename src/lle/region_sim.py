@@ -7,7 +7,8 @@ angular-momentum sectors, and the solver diagonalises the small Gram matrix
 of that factor. Entropy scaling series come from the disk sector solver
 (`lle scaling`); this module validates universality at moderate scales and
 turns series into boundary coefficients. The dense kernel matrix on the same
-rule and the Monte Carlo estimate of tr(P - P^2), which also reaches
+rule, the trace moments tr P^m taken from its angular factor without an
+eigensolve, and the Monte Carlo estimate of tr(P - P^2), which also reaches
 polygons, are test oracles (tests/oracles.py).
 """
 
@@ -27,7 +28,7 @@ from .disk_spectra import (
     _sector_layout,
 )
 from .errors import CapabilityError, DomainError, FitError
-from .geometry import Disk, Polygon, Region, SmoothStar, region_to_json
+from .geometry import Region, boundary_radius, region_to_json
 from .landau import LevelSelector, MagneticSetup
 from .specfun import clamp_unit, gauss_legendre
 
@@ -114,12 +115,8 @@ def scaling_fit(series: ScalingSeries, model: str = "linear") -> AsymptoticFit:
 # ---------------------------------------------------------------------------
 
 def _radial_profile_max(region: Region) -> float:
-    if isinstance(region, Disk):
-        return region.radius
-    if isinstance(region, SmoothStar):
-        th = np.linspace(0, 2 * math.pi, 4096, endpoint=False)
-        return float(np.max(region.radius(th)))
-    raise CapabilityError("the Nystrom path needs a smooth star-shaped region")
+    th = np.linspace(0, 2 * math.pi, 4096, endpoint=False)
+    return float(np.max(boundary_radius(region, th)))
 
 
 def default_resolution(setup: MagneticSetup, region: Region, L: float
@@ -144,12 +141,9 @@ def _polar_nodes(region: Region, L: float, n_radial: int, n_theta: int):
     if size > _LAYOUT_BUDGET:
         raise CapabilityError(f"polar rule {n_radial}x{n_theta} exceeds the "
                               f"layout budget ({size} > {_LAYOUT_BUDGET})")
-    rule = gauss_legendre(n_radial, 0.0, 1.0)
     theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
-    if isinstance(region, Disk):
-        rad = np.full(n_theta, L * region.radius)
-    else:
-        rad = L * region.radius(theta)
+    rad = L * boundary_radius(region, theta)
+    rule = gauss_legendre(n_radial, 0.0, 1.0)
     rr = rule.nodes[:, None] * rad[None, :]            # (n_radial, n_theta)
     x = rr * np.cos(theta)[None, :]
     y = rr * np.sin(theta)[None, :]
@@ -204,13 +198,13 @@ def region_spectrum(setup: MagneticSetup, selector: LevelSelector,
     guard) is A A^H: eigvalsh of the m x m Gram A^H A gives its nonzero
     eigenvalues, the other dim - m count as dropped zeros. Clamped to [0, 1]
     within 1e-4 (quadrature noise), beyond which it aborts; cutoff in (0, inf).
+    The rule follows `geometry.boundary_radius`, so a polygon raises
+    CapabilityError.
     """
     if not 0.0 < L < math.inf:
         raise DomainError(f"scale L must be finite and positive, got {L}")
     if not 0.0 < cutoff < math.inf:
         raise DomainError(f"retention cutoff must be finite and positive, got {cutoff}")
-    if isinstance(region, Polygon):
-        raise CapabilityError("polygons are outside the Nystrom path")
     n_radial, n_theta = resolution or default_resolution(setup, region, L)
     dim = _guard_dim(n_radial, n_theta)
     a = _angular_factor(setup, selector, region, L, (n_radial, n_theta), cutoff)
@@ -221,26 +215,3 @@ def region_spectrum(setup: MagneticSetup, selector: LevelSelector,
                          region=region_to_json(region), scale=L,
                          solver=f"nystrom2d/{n_radial}x{n_theta}",
                          cutoff=cutoff, dropped_count=dim - keep.size)
-
-
-def region_trace_moment(setup: MagneticSetup, selector: LevelSelector,
-                        region: Region, L: float, m: int,
-                        resolution: tuple[int, int] | None = None) -> float:
-    """tr of the m-th power of the localized projection, no eigensolve.
-
-    m = 1 integrates the constant kernel diagonal over the polar rule; m >= 2
-    is tr G^m of the Gram G = A^H A of the angular factor (m = 2: its squared
-    Frobenius norm), window checked at the cutoff 1e-14, and
-    under region_spectrum's dimension guard, since the factor has dim rows.
-    """
-    if m < 1:
-        raise DomainError(f"moment order must be >= 1, got {m}")
-    if not 0.0 < L < math.inf:
-        raise DomainError(f"scale L must be finite and positive, got {L}")
-    res = resolution or default_resolution(setup, region, L)
-    if m == 1:
-        w = _polar_nodes(region, L, *res)[1]
-        return float(np.sum(w) * (setup.b / (2.0 * math.pi) * selector.count))
-    _guard_dim(*res)
-    a = _angular_factor(setup, selector, region, L, res, 1e-14)
-    return float(np.real(np.trace(np.linalg.matrix_power(a.conj().T @ a, m))))

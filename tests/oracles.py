@@ -11,7 +11,8 @@ Christoffel-Darboux kernel at a point pair and on a grid, the projection
 kernel between point sets, the angular Fourier transform of the kernel, the
 radial-Nystrom disk solver, the windowed quadrature of the disk sector Gram
 matrices, the lowest-level incomplete-gamma disk eigenvalues, the dense 2-D
-Nystrom kernel matrix, the Monte Carlo cross term tr(P - P^2) that also
+Nystrom kernel matrix, the trace moments of the 2-D Nystrom matrix without an
+eigensolve, the Monte Carlo cross term tr(P - P^2) that also
 reaches polygons, the per-degree normalized Hermite recurrence on numpy
 arrays with the Christoffel-Darboux sum and verifier built on it, the
 Fraction-sum Hermite-identity verifier, and the determinant and sign flip of
@@ -30,11 +31,11 @@ from scipy.special import gammainc
 from lle import disk_spectra as ds
 from lle import geometry as ge
 from lle import identities as idn
+from lle import region_sim as rs
 from lle.coeffs import CLAMP
 from lle.errors import DomainError, LleError, NumericError, WindowError
 from lle.geometry import Region
 from lle.landau import LevelSelector, MagneticSetup
-from lle.region_sim import _polar_nodes, _radial_profile_max, default_resolution
 from lle.specfun import (
     LEVEL_CAP,
     OverlapTable,
@@ -691,16 +692,16 @@ def disk_trace_moment(setup: MagneticSetup, selector: LevelSelector,
 
 
 # ---------------------------------------------------------------------------
-# the dense 2-D Nystrom kernel matrix: the oracle of region_sim's angular
-# factor
+# the dense 2-D Nystrom kernel matrix and the trace moments tr P^m: the
+# oracles of region_sim's angular factor and spectrum
 # ---------------------------------------------------------------------------
 
 def region_kernel_matrix(setup: MagneticSetup, selector: LevelSelector,
                          region: Region, L: float,
                          resolution: tuple[int, int] | None = None):
     """Weight-symmetrized kernel matrix on the polar rule, plus weights."""
-    n_radial, n_theta = resolution or default_resolution(setup, region, L)
-    pts, w = _polar_nodes(region, L, n_radial, n_theta)
+    n_radial, n_theta = resolution or rs.default_resolution(setup, region, L)
+    pts, w = rs._polar_nodes(region, L, n_radial, n_theta)
     sq = np.sqrt(w)
     n = pts.shape[0]
     mat = np.empty((n, n), dtype=complex)
@@ -710,6 +711,29 @@ def region_kernel_matrix(setup: MagneticSetup, selector: LevelSelector,
         mat[i0:i1] = kernel_block(setup, selector, pts[i0:i1], pts)
         mat[i0:i1] *= sq[i0:i1, None] * sq[None, :]
     return mat, pts, w
+
+
+def region_trace_moment(setup: MagneticSetup, selector: LevelSelector,
+                        region: Region, L: float, m: int,
+                        resolution: tuple[int, int] | None = None) -> float:
+    """tr of the m-th power of the localized projection, no eigensolve.
+
+    m = 1 integrates the constant kernel diagonal over the polar rule; m >= 2
+    is tr G^m of the Gram G = A^H A of the angular factor (m = 2: its squared
+    Frobenius norm), window checked at the cutoff 1e-14, and
+    under region_spectrum's dimension guard, since the factor has dim rows.
+    """
+    if m < 1:
+        raise DomainError(f"moment order must be >= 1, got {m}")
+    if not 0.0 < L < math.inf:
+        raise DomainError(f"scale L must be finite and positive, got {L}")
+    res = resolution or rs.default_resolution(setup, region, L)
+    if m == 1:
+        w = rs._polar_nodes(region, L, *res)[1]
+        return float(np.sum(w) * (setup.b / (2.0 * math.pi) * selector.count))
+    rs._guard_dim(*res)
+    a = rs._angular_factor(setup, selector, region, L, res, 1e-14)
+    return float(np.real(np.trace(np.linalg.matrix_power(a.conj().T @ a, m))))
 
 
 # ---------------------------------------------------------------------------
@@ -785,7 +809,7 @@ def mc_cross_hs_norm(setup: MagneticSetup, selector: LevelSelector,
         v = big.vertex_array()
         lo, hi = v.min(axis=0), v.max(axis=0)
     else:
-        r_eff = L * _radial_profile_max(region)
+        r_eff = L * rs._radial_profile_max(region)
         lo, hi = np.array([-r_eff, -r_eff]), np.array([r_eff, r_eff])
     box = float(np.prod(hi - lo))
     total = 0.0

@@ -199,7 +199,9 @@ def test_criterion_8_schatten_linear_growth(capsys):
         vals = []
         for L in (10.0, 20.0, 30.0, 40.0):
             spec = ds.disk_spectrum(SETUP, LevelSelector.single(0), L)
-            vals.append(ds.schatten_cross_norm(spec, p) / L)
+            cross = ds.entropy_from_spectrum(
+                spec, lambda mu: (mu * (1.0 - mu)) ** (0.5 * p))
+            vals.append(cross / L)
         vals = np.asarray(vals)
         ratios[p] = float(vals.max() / vals.min())
     ok = all(r < 1.25 for r in ratios.values())
@@ -217,7 +219,7 @@ def test_criterion_9_cross_solver_equivalence(capsys):
     b = sector.eigenvalues[sector.eigenvalues > 1e-6]
     n = min(a.size, b.size)
     max_diff = float(np.max(np.abs(a[:n] - b[:n])))
-    trace = rs.region_trace_moment(SETUP, sel, DISK, 4.0, 1)
+    trace = oracles.region_trace_moment(SETUP, sel, DISK, 4.0, 1)
     trace_dev = abs(trace / (2 * 16.0 / 2.0) - 1.0)
     ok = a.size == b.size and max_diff < 1e-4 and trace_dev < 1e-3
     with capsys.disabled():
@@ -233,7 +235,7 @@ def test_criterion_10_boundary_coefficient_universality(capsys):
     norm = {}
     c2_dev = {}
     for region, name in ((DISK, "disk"), (STAR15, "star")):
-        vals = [rs.region_trace_moment(SETUP, sel, region, float(L), 2)
+        vals = [oracles.region_trace_moment(SETUP, sel, region, float(L), 2)
                 for L in scales]
         fit = rs.scaling_fit(rs.ScalingSeries(scales=scales,
                                               values=np.asarray(vals)),

@@ -268,6 +268,9 @@ def test_malformed_region_exits_2(capsys, region):
 @pytest.mark.parametrize("extra", [
     ("--vectors", "[]"),
     ("--vectors", "[[1,0]]", "--eps-min-exp", "3", "--eps-max-exp", "2"),
+    # 2^1024 overflows; 2^-1076, the square of 2^-538, underflows to 0
+    ("--vectors", "[[1,0]]", "--eps-min-exp", "-1024"),
+    ("--vectors", "[[1,0]]", "--eps-max-exp", "538"),
 ])
 def test_rocca_empty_request_exits_2(capsys, extra):
     code, out, err = run_cli(capsys, "rocca", "--region", DISK, *extra)
@@ -290,6 +293,7 @@ def test_rocca_empty_request_exits_2(capsys, extra):
      "--alpha", "1", "--L-min", "4", "--L-max", "nan"),
     ("verify", "--cases", "0"),
     ("verify", "--cases", "-1"),
+    ("verify", "--seed", "-1"),
 ])
 def test_bad_scale_or_case_count_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -6,7 +6,7 @@ import pytest
 
 from lle import coeffs as cf
 from lle import disk_spectra as ds
-from lle.errors import DomainError, WindowError
+from lle.errors import WindowError
 from lle.landau import LevelSelector, MagneticSetup
 
 import oracles
@@ -75,7 +75,7 @@ def test_disk_spectrum_trace():
     for sel, r in [(LevelSelector.single(0), 8.0), (LevelSelector.upto(2), 6.0)]:
         spec = ds.disk_spectrum(SETUP, sel, r)
         expect = sel.count * SETUP.b * r * r / 2.0
-        assert spec.trace() == pytest.approx(expect, rel=1e-6)
+        assert np.sum(spec.eigenvalues) == pytest.approx(expect, rel=1e-6)
 
 
 @pytest.mark.parametrize("n", range(11))
@@ -87,7 +87,7 @@ def test_disk_spectrum_domain_sweep(n):
         spec = ds.disk_spectrum(SETUP, sel, r)
         assert np.all((spec.eigenvalues >= 0.0) & (spec.eigenvalues <= 1.0))
         expect = sel.count * SETUP.b * r * r / 2.0
-        assert spec.trace() == pytest.approx(expect, rel=1e-6)
+        assert np.sum(spec.eigenvalues) == pytest.approx(expect, rel=1e-6)
 
 
 def test_disk_spectrum_lowest_level_value():
@@ -129,7 +129,7 @@ def test_disk_spectrum_field_strength_scaling():
     # trace scales with B at fixed radius
     setup = MagneticSetup(2.4)
     spec = ds.disk_spectrum(setup, LevelSelector.single(0), 4.0)
-    assert spec.trace() == pytest.approx(2.4 * 16.0 / 2.0, rel=1e-6)
+    assert np.sum(spec.eigenvalues) == pytest.approx(2.4 * 16.0 / 2.0, rel=1e-6)
 
 
 def test_local_spectrum_json_roundtrip():
@@ -331,24 +331,28 @@ def test_entropy_finite_all_alpha():
             assert math.isfinite(val) and val > 0.0
 
 
+def schatten_cross(p):
+    """(mu(1-mu))^{p/2}: summed over the localized spectrum, the p-th
+    Schatten power of the inside/outside cross operator."""
+    return lambda mu: (mu * (1.0 - mu)) ** (0.5 * p)
+
+
 def test_schatten_cross_norm():
     spec = ds.LocalSpectrum(eigenvalues=np.array([1.0, 0.0, 1.0]), b=1.0,
                             selector=LevelSelector.single(0), region={},
                             scale=1.0, solver="synthetic", cutoff=1e-12)
-    assert ds.schatten_cross_norm(spec, 0.5) == 0.0
+    assert ds.entropy_from_spectrum(spec, schatten_cross(0.5)) == 0.0
     real = ds.disk_spectrum(SETUP, LevelSelector.single(0), 9.0)
-    hs = ds.schatten_cross_norm(real, 2.0)
+    hs = ds.entropy_from_spectrum(real, schatten_cross(2.0))
     mu = real.eigenvalues
     assert hs == pytest.approx(float(np.sum(mu * (1 - mu))), abs=1e-13)
-    with pytest.raises(DomainError):
-        ds.schatten_cross_norm(real, 0.0)
 
 
 def test_schatten_linear_growth_ratio():
     vals = {}
     for r in (20.0, 40.0):
         spec = ds.disk_spectrum(SETUP, LevelSelector.single(0), r)
-        vals[r] = ds.schatten_cross_norm(spec, 1.0)
+        vals[r] = ds.entropy_from_spectrum(spec, schatten_cross(1.0))
     assert 1.8 <= vals[40.0] / vals[20.0] <= 2.2
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lle import geometry as ge
+from lle import region_sim as rs
 from lle.errors import CapabilityError, DomainError
 
 import oracles
@@ -72,6 +73,26 @@ def test_disk_accessors():
     assert ge.arc_element(ge.Disk(2.0), 0.0) == 2.0
     assert ge.contains(ge.Disk(2.0), [[2.0, 0.0], [2.0 + 1e-12, 0.0]]).tolist() \
         == [True, False]
+
+
+@pytest.mark.parametrize("R", [0.8, 1.0, 1.3, 2.0, 7.5])
+def test_disk_is_the_star_of_constant_profile(R):
+    # disk and star share the boundary-profile route; the disk's closed
+    # forms still hold, the normal to one ulp of its unit length
+    disk, star = ge.Disk(R), ge.SmoothStar((R,))
+    th = np.linspace(0.0, 2.0 * math.pi, 100001)
+    normal = np.stack([-np.cos(th), -np.sin(th)], axis=-1)
+    for region in (disk, star):
+        np.testing.assert_allclose(ge.inward_normal(region, th), normal,
+                                   rtol=0.0, atol=np.finfo(float).eps)
+        assert np.array_equal(ge.curvature(region, th), np.full(th.shape, 1.0 / R))
+        assert np.array_equal(ge.arc_element(region, th), np.full(th.shape, R))
+        assert rs._radial_profile_max(region) == R
+    assert np.array_equal(ge.inward_normal(disk, th), ge.inward_normal(star, th))
+    pts = np.random.default_rng(0).uniform(-1.5 * R, 1.5 * R, size=(4000, 2))
+    inside = np.linalg.norm(pts, axis=1) <= R
+    assert np.array_equal(ge.contains(disk, pts), inside)
+    assert np.array_equal(ge.contains(star, pts), inside)
 
 
 def test_star_curvature_matches_finite_differences():

@@ -75,7 +75,7 @@ def test_scaling_series_validation_and_csv():
 def test_trace_identity_unit_area_star():
     star = unit_area_star()
     sel = LevelSelector.upto(1)
-    tr = rs.region_trace_moment(SETUP, sel, star, 4.0, 1)
+    tr = oracles.region_trace_moment(SETUP, sel, star, 4.0, 1)
     expect = sel.count * SETUP.b * 16.0 * ge.area(star) / (2 * math.pi)
     assert tr == pytest.approx(expect, rel=1e-3)
 
@@ -116,16 +116,18 @@ def test_trace_moment_dimension_guard(m, monkeypatch):
         raise AssertionError("angular factor built past the guard")
     monkeypatch.setattr(rs, "_angular_factor", built)
     with pytest.raises(CapabilityError):
-        rs.region_trace_moment(SETUP, LevelSelector.upto(3), star, 12.0, m)
+        oracles.region_trace_moment(SETUP, LevelSelector.upto(3), star, 12.0,
+                                    m)
     with pytest.raises(CapabilityError):
-        rs.region_trace_moment(SETUP, LevelSelector.single(0), DISK, 2.0, m,
-                               resolution=(61, 100))
+        oracles.region_trace_moment(SETUP, LevelSelector.single(0), DISK, 2.0,
+                                    m, resolution=(61, 100))
 
 
 def test_trace_moment_first_order_not_guarded():
     # m = 1 integrates the kernel diagonal and builds no factor, so the
     # guard does not apply: tr P = B R^2 / 2 per level on the polar rule
-    tr = rs.region_trace_moment(SETUP, LevelSelector.single(0), DISK, 12.0, 1)
+    tr = oracles.region_trace_moment(SETUP, LevelSelector.single(0), DISK,
+                                     12.0, 1)
     assert tr == pytest.approx(72.0, rel=1e-12)
 
 
@@ -136,8 +138,8 @@ def test_trace_moment_first_order_polar_rule_budget(L, resolution, monkeypatch):
         raise AssertionError("Gauss-Legendre rule built past the budget")
     monkeypatch.setattr(rs, "gauss_legendre", built)
     with pytest.raises(CapabilityError, match="layout budget"):
-        rs.region_trace_moment(SETUP, LevelSelector.upto(0), DISK, L, 1,
-                               resolution=resolution)
+        oracles.region_trace_moment(SETUP, LevelSelector.upto(0), DISK, L, 1,
+                                    resolution=resolution)
 
 
 def test_polygon_not_supported():
@@ -161,7 +163,8 @@ def test_hs_cross_term_matches_moment_prediction():
 def test_trace_moment_m3_matches_eigensolve():
     sel = LevelSelector.upto(1)
     res = (28, 48)
-    tr3 = rs.region_trace_moment(SETUP, sel, DISK, 2.5, 3, resolution=res)
+    tr3 = oracles.region_trace_moment(SETUP, sel, DISK, 2.5, 3,
+                                      resolution=res)
     spec = rs.region_spectrum(SETUP, sel, DISK, 2.5, resolution=res)
     assert tr3 == pytest.approx(float(np.sum(spec.eigenvalues ** 3)), abs=1e-8)
 
@@ -218,8 +221,8 @@ def test_trace_moment_matches_dense_oracle(case, m):
     for _ in range(m - 2):
         power = power @ mat
     dense = float(np.real(np.sum(power * mat.T)))
-    tr = rs.region_trace_moment(SETUP, selector, reg, case[2], m,
-                                resolution=case[3])
+    tr = oracles.region_trace_moment(SETUP, selector, reg, case[2], m,
+                                     resolution=case[3])
     assert tr == pytest.approx(dense, rel=1e-12)
 
 
@@ -242,7 +245,8 @@ def test_region_spectrum_rejects_nonpositive_cutoff(cutoff):
 @pytest.mark.parametrize("L", [-2.0, 0.0, math.nan, math.inf])
 def test_trace_moment_rejects_bad_scale(L, m):
     with pytest.raises(DomainError):
-        rs.region_trace_moment(SETUP, LevelSelector.single(0), DISK, L, m)
+        oracles.region_trace_moment(SETUP, LevelSelector.single(0), DISK, L,
+                                    m)
 
 
 def test_second_order_probe_trace_identity():
