@@ -41,7 +41,6 @@ from .landau import (
 )
 from .region_sim import (
     AsymptoticFit,
-    ScalingSeries,
     region_spectrum,
     scaling_fit,
 )
@@ -55,9 +54,9 @@ from .specfun import (
 __all__ = [
     "AccuracyError", "AsymptoticFit", "CapabilityError", "Disk", "DomainError",
     "FitError", "LevelSelector", "LleError", "LocalSpectrum", "MagneticSetup",
-    "NumericError", "Polygon", "QuadratureRule", "Region", "ScalingSeries",
-    "SmoothStar", "SpectralFunction", "TranslateFamily", "UsageError",
-    "WindowError", "__version__", "coeff_M_ell", "coeff_M_le_n",
+    "NumericError", "Polygon", "QuadratureRule", "Region", "SmoothStar",
+    "SpectralFunction", "TranslateFamily", "UsageError", "WindowError",
+    "__version__", "coeff_M_ell", "coeff_M_le_n",
     "disk_spectrum", "entropy_from_spectrum", "gauss_legendre", "hermite_fn",
     "intersect_translates_area", "laguerre", "nu_from_mu", "region_from_json",
     "region_spectrum", "renyi_h", "roccaforte_first_order",

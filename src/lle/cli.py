@@ -91,25 +91,14 @@ def cmd_spectrum(args) -> int:
     config = {"region": geometry.region_to_json(region), "B": args.B,
               "levels": args.levels, "L": args.L, "solver": args.solver,
               "cutoff": args.cutoff}
-    is_disk = isinstance(region, geometry.Disk)
-    if args.solver in ("disk", "both") and not is_disk:
-        raise UsageError("the disk sector solver needs a disk region")
-    result = {}
-    if args.solver in ("disk", "both"):
-        spec = disk_spectrum(setup, selector, args.L * region.radius,
-                             cutoff=args.cutoff)
-        spec.region = geometry.region_to_json(region)
-        spec.scale = args.L
-        result["disk"] = spec.to_json()
-    if args.solver in ("nystrom2d", "both"):
-        spec2 = region_sim.region_spectrum(setup, selector, region, args.L,
-                                           cutoff=args.cutoff)
-        result["nystrom2d"] = spec2.to_json()
+    # looked up per call, so that a name patched on its module is the one run
+    solvers = {"disk": disk_spectrum, "nystrom2d": region_sim.region_spectrum}
+    names = ("disk", "nystrom2d") if args.solver == "both" else (args.solver,)
+    result = {name: solvers[name](setup, selector, region, args.L,
+                                  cutoff=args.cutoff).to_json() for name in names}
     if args.solver == "both":
-        a = np.asarray(result["disk"]["eigenvalues"])
-        b = np.asarray(result["nystrom2d"]["eigenvalues"])
-        a = a[a > 1e-6]
-        b = b[b > 1e-6]
+        a, b = (np.asarray(result[name]["eigenvalues"]) for name in names)
+        a, b = a[a > 1e-6], b[b > 1e-6]
         n = min(a.size, b.size)
         result["max_abs_diff"] = float(np.max(np.abs(a[:n] - b[:n]))) if n else 0.0
         result["count_diff"] = abs(a.size - b.size)
@@ -120,8 +109,6 @@ def cmd_spectrum(args) -> int:
 
 def cmd_scaling(args) -> int:
     region = _parse_region(args.region)
-    if not isinstance(region, geometry.Disk):
-        raise UsageError("entropy scaling runs use the disk sector solver")
     setup = MagneticSetup(args.B)
     selector = _parse_selector(args.levels)
     if not args.L_step > 0.0:
@@ -134,14 +121,12 @@ def cmd_scaling(args) -> int:
     f = coeffs.SpectralFunction.renyi(args.alpha)
 
     def one(L):
-        spec = disk_spectrum(setup, selector, float(L) * region.radius,
-                             cutoff=args.cutoff)
+        spec = disk_spectrum(setup, selector, region, float(L), cutoff=args.cutoff)
         return entropy_from_spectrum(spec, f)
 
     with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
         values = list(pool.map(one, scales))
-    series = region_sim.ScalingSeries(scales=scales, values=np.asarray(values))
-    fit = region_sim.scaling_fit(series, model="linear")
+    fit = region_sim.scaling_fit(scales, values, model="linear")
     [(m_coeff, m_err)] = coeffs.coeff_with_error(selector, [f], tol=1e-8)
     predicted = math.sqrt(args.B) * geometry.perimeter(region) * m_coeff
     report = {
@@ -154,7 +139,8 @@ def cmd_scaling(args) -> int:
         "ratio": fit.c1 / predicted,
     }
     if args.csv:
-        _write(args.csv, series.to_csv())
+        rows = [f"{L:.12g},{v:.16g}" for L, v in zip(scales, values)]
+        _write(args.csv, "\n".join(["L,value"] + rows) + "\n")
     _write(args.out, _dump(report))
     return EXIT_OK
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, DomainError, WindowError
+from .geometry import Disk, Region, region_to_json
 from .landau import LevelSelector, MagneticSetup
 from .specfun import clamp_unit, laguerre_sweep
 
@@ -170,34 +171,49 @@ def _sector_grams(ks: np.ndarray, a: np.ndarray, x_cut: float) -> np.ndarray:
     return grams
 
 
-def disk_spectrum(setup: MagneticSetup, selector: LevelSelector,
-                  r_total: float, cutoff: float = 1e-12) -> LocalSpectrum:
-    """Full eigenvalue multiset of the projection localized to a disk.
-
-    Each angular sector is solved through its radial Gram matrix (all
-    sectors |k| <= the window at once). Eigenvalues below `cutoff` are
-    dropped (counted); the window must exhaust the boundary sectors, else
-    WindowError. The cutoff must be finite and positive: the window test
-    compares the boundary sector with it.
-    """
-    if not 0.0 < r_total < math.inf:
-        raise DomainError(f"disk radius must be finite and positive, got {r_total}")
+def _check_request(L: float, cutoff: float):
+    """DomainError unless L and the retention cutoff are finite and positive."""
+    if not 0.0 < L < math.inf:
+        raise DomainError(f"scale L must be finite and positive, got {L}")
     if not 0.0 < cutoff < math.inf:
         raise DomainError(f"retention cutoff must be finite and positive, got {cutoff}")
+
+
+def _finish(vals: np.ndarray, total: int, slack: float, where: str, solver: str,
+            setup, selector, region, L: float, cutoff: float) -> LocalSpectrum:
+    """Clamp `vals`, keep the ones >= cutoff descending, drop the rest of `total`."""
+    vals = clamp_unit(vals, slack, where)
+    keep = np.sort(vals[vals >= cutoff])[::-1]
+    return LocalSpectrum(eigenvalues=keep, b=setup.b, selector=selector,
+                         region=region_to_json(region), scale=L, solver=solver,
+                         cutoff=cutoff, dropped_count=total - keep.size)
+
+
+def disk_spectrum(setup: MagneticSetup, selector: LevelSelector, region: Region,
+                  L: float, cutoff: float = 1e-12) -> LocalSpectrum:
+    """Full eigenvalue multiset of the projection localized to L * region, a
+    centred disk (DomainError for any other region).
+
+    Each angular sector of the disk of radius L R is solved through its
+    radial Gram matrix (all sectors |k| <= the window at once). Eigenvalues
+    below `cutoff` are dropped (counted); the window must exhaust the
+    boundary sectors, else WindowError.
+    """
+    if not isinstance(region, Disk):
+        raise DomainError("the disk sector solver needs a disk region")
+    _check_request(L, cutoff)
+    r_total = L * region.radius
     x_cut = _edge_x(setup.b, r_total)
     ks, a = _sector_layout(setup.b, r_total, selector.levels())
     vals = np.linalg.eigvalsh(_sector_grams(ks, a, x_cut))
-    # absent levels are a sector's lowest, and their decoupled -1 entries
-    # sort first
+    # absent levels are a sector's lowest: their decoupled -1 entries sort first
     present = a >= 0
-    vals = clamp_unit(np.where(present, vals, 0.0), _CLAMP, "disk_spectrum")
-    keep = present & (vals >= cutoff)
-    dropped = int(np.count_nonzero(present) - np.count_nonzero(keep))
-    _check_window(ks, float(vals[-1].max(initial=0.0)), cutoff)
-    return LocalSpectrum(eigenvalues=np.sort(vals[keep])[::-1], b=setup.b,
-                         selector=selector, region={"type": "disk", "R": 1.0},
-                         scale=r_total, solver="disk-sector/gram",
-                         cutoff=cutoff, dropped_count=dropped)
+    spec = _finish(vals[present], int(np.count_nonzero(present)), _CLAMP,
+                   "disk_spectrum", "disk-sector/gram", setup, selector, region,
+                   L, cutoff)
+    # the window test reads the clamped top sector, once the clamp has passed
+    _check_window(ks, float(np.clip(vals[-1], 0.0, 1.0).max()), cutoff)
+    return spec
 
 
 def entropy_from_spectrum(spectrum: LocalSpectrum, f) -> float:

@@ -25,8 +25,9 @@ class Disk:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0.0:
-            raise DomainError(f"disk radius must be positive, got {self.radius}")
+        r = self.radius
+        if not (r > 0.0 and math.isfinite(math.pi * r * r)):
+            raise DomainError(f"disk radius must be positive with a finite area: {r}")
 
 
 @dataclass(frozen=True)
@@ -45,8 +46,11 @@ class SmoothStar:
         if not np.all(np.isfinite(self.coeffs)):
             raise DomainError(f"star coefficients must be finite, got {self.coeffs}")
         th = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
-        if np.min(self.radius(th)) <= 0.0:
+        r = self.radius(th)
+        if np.min(r) <= 0.0:
             raise DomainError("star radius profile must be positive everywhere")
+        w = 2.0 * math.pi / th.size  # the finer of the two sums `area` takes
+        _check_area("star", lambda: 0.5 * float(np.sum(r * r)) * w)
 
     def _harmonics(self):
         a0 = self.coeffs[0]
@@ -88,7 +92,7 @@ class Polygon:
             raise DomainError("polygon vertices must be finite")
         if v.shape[0] < 3:
             raise DomainError("polygon needs at least 3 vertices")
-        if _polygon_signed_area(v) <= 0.0:
+        if _check_area("polygon", lambda: _polygon_signed_area(v)) <= 0.0:
             raise DomainError("polygon vertices must be counterclockwise")
         if _polygon_self_intersects(v):
             raise DomainError("polygon must be simple (non-self-intersecting)")
@@ -98,6 +102,15 @@ class Polygon:
 
 
 Region = Disk | SmoothStar | Polygon
+
+
+def _check_area(kind: str, area_of) -> float:
+    """`area_of()`, a region's area; DomainError unless it is a finite double."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = area_of()
+    if not math.isfinite(value):
+        raise DomainError(f"{kind} area overflows a double")
+    return value
 
 
 def _polygon_signed_area(v: np.ndarray) -> float:
@@ -223,7 +236,7 @@ def region_from_json(obj: dict) -> Region:
         if kind == "star":
             return SmoothStar(coeffs=tuple(float(c) for c in obj["coeffs"]))
         return Polygon(vertices=tuple((float(x), float(y)) for x, y in obj["vertices"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed {kind} region {obj!r}: {exc!r}") from exc
 
 
@@ -247,13 +260,12 @@ class TranslateFamily:
     eps: float
 
     def __post_init__(self):
-        if len(self.vectors) < 1:
-            raise DomainError("need at least one translate vector")
-        if self.eps < 0.0:
-            raise DomainError(f"eps must be >= 0, got {self.eps}")
+        _translate_vectors(self.vectors)
+        if not 0.0 <= self.eps < math.inf:
+            raise DomainError(f"eps must be finite and >= 0, got {self.eps}")
 
     def shifts(self) -> np.ndarray:
-        return self.eps * np.asarray(self.vectors, dtype=float)
+        return self.eps * _translate_vectors(self.vectors)
 
 
 def contains(region: Region, pts: np.ndarray) -> np.ndarray:

@@ -54,24 +54,21 @@ class SubstitutionPlan:
     @property
     def skew(self) -> np.ndarray:
         """S with -1 above, 0 on, +1 below the diagonal ((m-1) x (m-1))."""
-        m = self.m
-        s = np.zeros((m - 1, m - 1), dtype=object)
-        for i in range(m - 1):
-            for j in range(m - 1):
-                s[i, j] = -1 if i < j else (1 if i > j else 0)
-        return s
+        i = np.arange(self.m - 1)
+        return np.sign(i[:, None] - i[None, :])
 
     @property
     def a_inverse(self) -> np.ndarray:
         m, q = self.m, self.q
-        ai = np.zeros((m - 1, m - 1), dtype=object)
-        for i in range(1, m):
-            ai[i - 1, i - 1] = 1
-        for i in range(1, q):
-            ai[i - 1, i] = -1
-        for i in range(q + 2, m):
-            ai[i - 1, i - 2] = -1
+        ai = np.eye(m - 1, dtype=int)
+        ai[np.arange(q - 1), np.arange(1, q)] = -1
+        ai[np.arange(q + 1, m - 1), np.arange(q, m - 2)] = -1
         return ai
+
+    @property
+    def flip(self) -> np.ndarray:
+        """+1 on the first q variables, -1 on the other m-1-q."""
+        return np.array([1.0] * self.q + [-1.0] * (self.m - 1 - self.q))
 
     def xi_shift(self, tau: np.ndarray) -> float:
         # for q = m-1 the negative block is empty and t_m collapses to tau_1
@@ -87,9 +84,7 @@ class SubstitutionPlan:
             raise DomainError(f"tau must have {self.m - 1} components")
         if undo_tau_shift:
             tau = tau - xi
-        flip = np.array([1.0] * self.q + [-1.0] * (self.m - 1 - self.q))
-        ainv = np.asarray(self.a_inverse, dtype=float)
-        t = ainv @ (flip * tau)
+        t = self.a_inverse @ (self.flip * tau)
         xi0 = -xi - self.xi_shift(tau)
         return xi0, t
 
@@ -114,7 +109,8 @@ def _check_finite(**values) -> None:
 
 
 def _result(err: float, tol: float, **inputs) -> VerifyResult:
-    clean = {k: (v.tolist() if isinstance(v, np.ndarray) else v)
+    clean = {k: (v.tolist() if isinstance(v, np.ndarray)
+                 else [v.real, v.imag] if isinstance(v, complex) else v)
              for k, v in inputs.items()}
     return VerifyResult(ok=bool(err <= tol), max_error=float(err),
                         tolerance=float(tol), inputs=clean)
@@ -123,6 +119,12 @@ def _result(err: float, tol: float, **inputs) -> VerifyResult:
 # ---------------------------------------------------------------------------
 # chain-of-kernels phase and frame identities
 # ---------------------------------------------------------------------------
+
+def _phase_sum(ys: np.ndarray) -> float:
+    """The y-only double sum sum_{i<j} <y_i|J y_j> of the chain phase."""
+    return sum((symplectic(ys[:i].sum(axis=0), ys[i])
+                for i in range(1, ys.shape[0])), 0.0)
+
 
 def verify_phase_telescoping(m: int, x, ys) -> VerifyResult:
     """Telescoped symplectic phase of an m-step kernel chain.
@@ -139,9 +141,7 @@ def verify_phase_telescoping(m: int, x, ys) -> VerifyResult:
         pts.append(pts[-1] - ys[i])
     pts.append(x)  # x_m := x
     lhs = sum(symplectic(pts[i], pts[i + 1]) for i in range(m))
-    rhs = 0.0
-    for i in range(1, m - 1):
-        rhs += symplectic(ys[:i].sum(axis=0), ys[i])
+    rhs = _phase_sum(ys)
     scale = 1.0 + float(np.max(np.abs(ys))) ** 2 + float(np.max(np.abs(x))) ** 2
     return _result(abs(lhs - rhs), 1e-12 * scale, m=m, x=x, ys=ys,
                    lhs=lhs, rhs=rhs)
@@ -161,12 +161,8 @@ def verify_local_frame_reduction(ys, normal) -> VerifyResult:
         rec = -z[i] * jn + t[i] * n
         err = max(err, float(np.max(np.abs(rec - ys[i]))))
         err = max(err, abs(float(ys[i] @ ys[i]) - (z[i] ** 2 + t[i] ** 2)))
-    lhs = 0.0
-    for i in range(1, m - 1):
-        lhs += symplectic(ys[:i].sum(axis=0), ys[i])
-    plan = SubstitutionPlan(m=m, q=1)
-    s = np.asarray(plan.skew, dtype=float)
-    rhs = float(z @ (s @ t))
+    lhs = _phase_sum(ys)
+    rhs = float(z @ (SubstitutionPlan(m=m, q=1).skew @ t))
     err = max(err, abs(lhs - rhs))
     scale = 1.0 + float(np.max(np.abs(ys))) ** 2
     return _result(err, 1e-12 * scale, m=m, ys=ys, normal=n)
@@ -177,8 +173,7 @@ def verify_local_frame_reduction(ys, normal) -> VerifyResult:
 # ---------------------------------------------------------------------------
 
 def _chain_data(plan: SubstitutionPlan, t: np.ndarray):
-    s = np.asarray(plan.skew, dtype=float)
-    big_t = s @ t
+    big_t = plan.skew @ t
     big_t_full = np.concatenate([big_t, [0.0]])          # T_m := 0
     t_full = np.concatenate([t, [t.sum()]])              # t_m := sum t_i
     return big_t_full, t_full
@@ -212,14 +207,12 @@ def verify_T_in_tau(m: int, q: int, tau) -> VerifyResult:
         raise DomainError("the four-branch tables assume 1 <= q <= m-2")
     plan = SubstitutionPlan(m=m, q=q)
     tau = np.asarray(tau, dtype=float)
-    ainv = np.asarray(plan.a_inverse, dtype=float)
-    s = np.asarray(plan.skew, dtype=float)
-    flip = np.array([1.0] * q + [-1.0] * (m - 1 - q))
+    ainv, s = plan.a_inverse, plan.skew
     err = 0.0
 
     t_plain = ainv @ tau
     big_plain = s @ t_plain
-    t_flip = ainv @ (flip * tau)
+    t_flip = ainv @ (plan.flip * tau)
     big_flip = s @ t_flip
     shift = tau[0] + tau[-1]
     for j in range(1, m):

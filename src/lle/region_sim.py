@@ -22,40 +22,21 @@ import numpy as np
 from .disk_spectra import (
     _LAYOUT_BUDGET,
     LocalSpectrum,
+    _check_request,
     _check_window,
     _edge_x,
+    _finish,
     _level_profiles,
     _sector_layout,
 )
 from .errors import CapabilityError, DomainError, FitError
-from .geometry import Region, boundary_radius, region_to_json
+from .geometry import Region, boundary_radius
 from .landau import LevelSelector, MagneticSetup
-from .specfun import clamp_unit, gauss_legendre
+from .specfun import gauss_legendre
 
 _DIM_GUARD = 6000
 # coarser than the disk solver: 2-D quadrature noise
 _CLAMP_ABORT = 1e-4
-
-
-@dataclass
-class ScalingSeries:
-    """Entropy/trace values against the scaling parameter L."""
-
-    scales: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.scales = np.asarray(self.scales, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.scales.size < 2 or np.any(np.diff(self.scales) <= 0):
-            raise DomainError("need >= 2 strictly increasing scales")
-        if self.scales.size != self.values.size:
-            raise DomainError("scales and values must align")
-
-    def to_csv(self) -> str:
-        lines = ["L,value"]
-        lines += [f"{L:.12g},{v:.16g}" for L, v in zip(self.scales, self.values)]
-        return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -76,14 +57,19 @@ class AsymptoticFit:
                 "window": list(self.window), "drift": self.drift}
 
 
-def scaling_fit(series: ScalingSeries, model: str = "linear") -> AsymptoticFit:
-    """Fit c2 L^2 + c1 L + c0 (quadratic) or c1 L + c0 (linear) to the series.
+def scaling_fit(scales, values, model: str = "linear") -> AsymptoticFit:
+    """Fit c2 L^2 + c1 L + c0 (quadratic) or c1 L + c0 (linear) to values
+    aligned with two or more strictly increasing scales (else DomainError).
 
     Also records successive-difference slope estimates as a drift diagnostic;
     windows with design-matrix condition number above 1e10 are rejected.
     """
-    L = series.scales
-    y = series.values
+    L = np.asarray(scales, dtype=float)
+    y = np.asarray(values, dtype=float)
+    if L.size < 2 or np.any(np.diff(L) <= 0):
+        raise DomainError("need >= 2 strictly increasing scales")
+    if L.size != y.size:
+        raise DomainError("scales and values must align")
     if model == "linear":
         if L.size < 3:
             raise FitError("linear model needs >= 3 points")
@@ -201,17 +187,10 @@ def region_spectrum(setup: MagneticSetup, selector: LevelSelector,
     The rule follows `geometry.boundary_radius`, so a polygon raises
     CapabilityError.
     """
-    if not 0.0 < L < math.inf:
-        raise DomainError(f"scale L must be finite and positive, got {L}")
-    if not 0.0 < cutoff < math.inf:
-        raise DomainError(f"retention cutoff must be finite and positive, got {cutoff}")
+    _check_request(L, cutoff)
     n_radial, n_theta = resolution or default_resolution(setup, region, L)
     dim = _guard_dim(n_radial, n_theta)
     a = _angular_factor(setup, selector, region, L, (n_radial, n_theta), cutoff)
-    vals = clamp_unit(np.linalg.eigvalsh(a.conj().T @ a)[::-1], _CLAMP_ABORT,
-                      "region_spectrum")
-    keep = vals[vals >= cutoff]
-    return LocalSpectrum(eigenvalues=keep, b=setup.b, selector=selector,
-                         region=region_to_json(region), scale=L,
-                         solver=f"nystrom2d/{n_radial}x{n_theta}",
-                         cutoff=cutoff, dropped_count=dim - keep.size)
+    return _finish(np.linalg.eigvalsh(a.conj().T @ a), dim, _CLAMP_ABORT,
+                   "region_spectrum", f"nystrom2d/{n_radial}x{n_theta}", setup,
+                   selector, region, L, cutoff)

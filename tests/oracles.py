@@ -687,7 +687,8 @@ def disk_trace_moment(setup: MagneticSetup, selector: LevelSelector,
     """tr of the m-th power of the localized projection on a disk."""
     if m < 1:
         raise DomainError(f"moment order must be >= 1, got {m}")
-    spec = ds.disk_spectrum(setup, selector, r_total, cutoff=cutoff)
+    spec = ds.disk_spectrum(setup, selector, ge.Disk(1.0), r_total,
+                            cutoff=cutoff)
     return float(np.sum(spec.eigenvalues ** m))
 
 

@@ -38,15 +38,14 @@ def _report(num, ok, desc):
 
 
 def _linear_slope(scales, values):
-    fit = rs.scaling_fit(rs.ScalingSeries(scales=scales, values=values),
-                         model="linear")
+    fit = rs.scaling_fit(scales, values, model="linear")
     return fit.c1
 
 
 def _entropy_series(selector, alpha, scales=SCALES):
     f = cf.SpectralFunction.renyi(alpha)
     return np.array([ds.entropy_from_spectrum(
-        ds.disk_spectrum(SETUP, selector, float(L)), f) for L in scales])
+        ds.disk_spectrum(SETUP, selector, DISK, float(L)), f) for L in scales])
 
 
 def test_criterion_1_coefficient_reproduction(capsys):
@@ -198,7 +197,7 @@ def test_criterion_8_schatten_linear_growth(capsys):
     for p in (0.5, 1.0):
         vals = []
         for L in (10.0, 20.0, 30.0, 40.0):
-            spec = ds.disk_spectrum(SETUP, LevelSelector.single(0), L)
+            spec = ds.disk_spectrum(SETUP, LevelSelector.single(0), DISK, L)
             cross = ds.entropy_from_spectrum(
                 spec, lambda mu: (mu * (1.0 - mu)) ** (0.5 * p))
             vals.append(cross / L)
@@ -214,7 +213,7 @@ def test_criterion_8_schatten_linear_growth(capsys):
 def test_criterion_9_cross_solver_equivalence(capsys):
     sel = LevelSelector.upto(1)
     nys = rs.region_spectrum(SETUP, sel, DISK, 4.0)
-    sector = ds.disk_spectrum(SETUP, sel, 4.0)
+    sector = ds.disk_spectrum(SETUP, sel, DISK, 4.0)
     a = nys.eigenvalues[nys.eigenvalues > 1e-6]
     b = sector.eigenvalues[sector.eigenvalues > 1e-6]
     n = min(a.size, b.size)
@@ -237,9 +236,7 @@ def test_criterion_10_boundary_coefficient_universality(capsys):
     for region, name in ((DISK, "disk"), (STAR15, "star")):
         vals = [oracles.region_trace_moment(SETUP, sel, region, float(L), 2)
                 for L in scales]
-        fit = rs.scaling_fit(rs.ScalingSeries(scales=scales,
-                                              values=np.asarray(vals)),
-                             model="quadratic")
+        fit = rs.scaling_fit(scales, vals, model="quadratic")
         norm[name] = fit.c1 / (math.sqrt(SETUP.b) * ge.perimeter(region))
         c2_dev[name] = abs(fit.c2 / (SETUP.b * ge.area(region) / (2 * math.pi))
                            - 1.0)

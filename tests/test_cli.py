@@ -114,10 +114,57 @@ def test_scaling_report(tmp_path, capsys):
     assert report["config"]["alpha"] == 1.0
     lines = csv_path.read_text().strip().split("\n")
     assert lines[0] == "L,value"
+    assert lines[1].startswith("10,")
     assert len(lines) == 9
     # the entropy grows with the disk
     values = np.array([float(line.split(",")[1]) for line in lines[1:]])
     assert np.all(np.diff(values) > 0)
+
+
+STAR = '{"type":"star","coeffs":[1.0,0.0,0.0,0.0,0.0,0.15]}'
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--region", STAR, "--B", "1", "--levels", "upto:0",
+     "--L", "2", "--solver", "disk"),
+    ("spectrum", "--region", STAR, "--B", "1", "--levels", "upto:0",
+     "--L", "2", "--solver", "both"),
+    ("scaling", "--region", STAR, "--B", "1", "--levels", "upto:0",
+     "--alpha", "1", "--L-min", "10", "--L-max", "14"),
+    ("scaling", "--region", SQUARE, "--B", "1", "--levels", "upto:0",
+     "--alpha", "1", "--L-min", "10", "--L-max", "14"),
+], ids=["spectrum-disk-star", "spectrum-both-star", "scaling-star",
+        "scaling-polygon"])
+def test_disk_solver_on_other_regions_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "usage error: the disk sector solver needs a disk region\n"
+
+
+def test_solvers_run_through_their_module_names(capsys, monkeypatch):
+    # perfbench traces the solvers by patching these names, so the CLI must
+    # look them up there on every call
+    from lle import cli, region_sim
+    calls = []
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+    spy(cli, "disk_spectrum")
+    spy(region_sim, "region_spectrum")
+    spy(region_sim, "scaling_fit")
+    code, _, _ = run_cli(capsys, "spectrum", "--region", DISK, "--B", "1",
+                         "--levels", "upto:0", "--L", "2", "--solver", "both")
+    assert code == 0 and calls == ["disk_spectrum", "region_spectrum"]
+    calls.clear()
+    code, _, _ = run_cli(capsys, "--threads", "1", "scaling", "--region", DISK,
+                         "--B", "1", "--levels", "upto:0", "--alpha", "1",
+                         "--L-min", "4", "--L-max", "8")
+    assert code == 0 and calls == ["disk_spectrum"] * 3 + ["scaling_fit"]
 
 
 @pytest.mark.parametrize("step", ["0", "-2"])
@@ -213,6 +260,23 @@ def test_verify_failure_exits_1_with_dump(capsys, monkeypatch):
             if not r["passed"]] == ["mehler"]
 
 
+def test_verify_laguerre_maps_failure_exits_1_with_dump(capsys, monkeypatch):
+    # omega is complex: the dump writes it as [re, im]
+    claimed = idn._claimed_laguerre_argument
+    monkeypatch.setattr(idn, "_claimed_laguerre_argument",
+                        lambda *args: claimed(*args) + 1.0)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "laguerre-maps",
+                           "--cases", "3")
+    assert code == 1
+    report = json.loads(out)
+    assert not report["passed"]
+    assert [f["case"] for f in report["failures"]] == [0, 1, 2]
+    for failure in report["failures"]:
+        re_im = failure["omega"]
+        assert len(re_im) == 2 and all(isinstance(v, float) for v in re_im)
+        assert failure["max_error"] > failure["tolerance"]
+
+
 def test_verify_all_small(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--cases", "25",
                            "--seed", "5")
@@ -257,6 +321,13 @@ def test_rocca_eps_zero_row():
     '{"type":"star","coeffs":[NaN]}', '{"type":"polygon","vertices":[1,2,3]}',
     '{"type":"polygon","vertices":[[0,0],[1,0],[Infinity,1]]}',
     '{"type":["disk"]}',
+    # sizes whose area is not a finite double
+    '{"type":"disk","R":1e155}', '{"type":"disk","R":1e309}',
+    '{"type":"star","coeffs":[1e200,0.1]}',
+    '{"type":"polygon","vertices":[[-1e200,-1e200],[1e200,-1e200],'
+    '[1e200,1e200],[-1e200,1e200]]}',
+    # an integer too large for a double
+    '{"type":"disk","R":1' + '0' * 400 + '}',
 ])
 def test_malformed_region_exits_2(capsys, region):
     code, _, err = run_cli(capsys, "rocca", "--region", region,

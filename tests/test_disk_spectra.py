@@ -6,12 +6,14 @@ import pytest
 
 from lle import coeffs as cf
 from lle import disk_spectra as ds
-from lle.errors import WindowError
+from lle import geometry as ge
+from lle.errors import DomainError, WindowError
 from lle.landau import LevelSelector, MagneticSetup
 
 import oracles
 
 SETUP = MagneticSetup(1.0)
+DISK = ge.Disk(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +75,7 @@ def test_sector_kernel_matches_closed_form():
 
 def test_disk_spectrum_trace():
     for sel, r in [(LevelSelector.single(0), 8.0), (LevelSelector.upto(2), 6.0)]:
-        spec = ds.disk_spectrum(SETUP, sel, r)
+        spec = ds.disk_spectrum(SETUP, sel, DISK, r)
         expect = sel.count * SETUP.b * r * r / 2.0
         assert np.sum(spec.eigenvalues) == pytest.approx(expect, rel=1e-6)
 
@@ -84,7 +86,7 @@ def test_disk_spectrum_domain_sweep(n):
     # sector eigenvalues stay inside the clamp and the trace identity holds
     sel = LevelSelector.upto(n)
     for r in (10.0, 40.0, 100.0):
-        spec = ds.disk_spectrum(SETUP, sel, r)
+        spec = ds.disk_spectrum(SETUP, sel, DISK, r)
         assert np.all((spec.eigenvalues >= 0.0) & (spec.eigenvalues <= 1.0))
         expect = sel.count * SETUP.b * r * r / 2.0
         assert np.sum(spec.eigenvalues) == pytest.approx(expect, rel=1e-6)
@@ -106,7 +108,7 @@ def test_disk_spectrum_exhaustion():
 
 def test_disk_spectrum_gram_vs_nystrom():
     for sel in (LevelSelector.upto(1), LevelSelector.single(2)):
-        a = ds.disk_spectrum(SETUP, sel, 6.0).eigenvalues
+        a = ds.disk_spectrum(SETUP, sel, DISK, 6.0).eigenvalues
         b = oracles.disk_spectrum_nystrom(SETUP, sel, 6.0)
         n = min(a.size, b.size)
         assert np.max(np.abs(a[:n] - b[:n])) < 1e-9
@@ -119,21 +121,30 @@ def test_disk_spectrum_nystrom_rank_assertion_runs():
     assert vals.size > 0
 
 
+@pytest.mark.parametrize("region", [
+    ge.SmoothStar((1.0, 0.0, 0.0, 0.0, 0.0, 0.15)),
+    ge.Polygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))],
+    ids=["star", "polygon"])
+def test_disk_spectrum_refuses_other_regions(region):
+    with pytest.raises(DomainError, match="needs a disk region"):
+        ds.disk_spectrum(SETUP, LevelSelector.single(0), region, 2.0)
+
+
 def test_disk_spectrum_window_error(monkeypatch):
     monkeypatch.setattr(ds, "sector_window", lambda b, r, n: 3)
     with pytest.raises(WindowError):
-        ds.disk_spectrum(SETUP, LevelSelector.single(0), 6.0)
+        ds.disk_spectrum(SETUP, LevelSelector.single(0), DISK, 6.0)
 
 
 def test_disk_spectrum_field_strength_scaling():
     # trace scales with B at fixed radius
     setup = MagneticSetup(2.4)
-    spec = ds.disk_spectrum(setup, LevelSelector.single(0), 4.0)
+    spec = ds.disk_spectrum(setup, LevelSelector.single(0), DISK, 4.0)
     assert np.sum(spec.eigenvalues) == pytest.approx(2.4 * 16.0 / 2.0, rel=1e-6)
 
 
 def test_local_spectrum_json_roundtrip():
-    spec = ds.disk_spectrum(SETUP, LevelSelector.upto(1), 3.0)
+    spec = ds.disk_spectrum(SETUP, LevelSelector.upto(1), DISK, 3.0)
     text = json.dumps(spec.to_json(), sort_keys=True)
     back = json.loads(text)
     np.testing.assert_allclose(back["eigenvalues"], spec.eigenvalues)
@@ -210,7 +221,7 @@ def test_diagonal_ladder_against_adaptive_quadrature():
 @pytest.mark.parametrize("r", [1.5, 3.0, 10.0, 40.0])
 def test_lowest_level_disk_spectrum_is_incomplete_gamma(r):
     # single:0 sectors are the 1 x 1 Gram entries P(k+1, B R^2/2) themselves
-    spec = ds.disk_spectrum(SETUP, LevelSelector.single(0), r)
+    spec = ds.disk_spectrum(SETUP, LevelSelector.single(0), DISK, r)
     lll = oracles.lll_disk_eigenvalues(SETUP.b, r, ds.sector_window(SETUP.b, r, 0))
     keep = np.sort(lll[lll >= spec.cutoff])[::-1]
     assert spec.eigenvalues.size == keep.size
@@ -226,7 +237,7 @@ def test_sector_window_reaches_the_turning_point_of_high_levels(sel, r):
     # level n reaches into sector k down to its inner turning point near
     # k - 2 sqrt(n k), so a window of x + O(sqrt x) alone left these spectra
     # with a top sector above the cutoff
-    spec = ds.disk_spectrum(SETUP, sel, r)
+    spec = ds.disk_spectrum(SETUP, sel, DISK, r)
     assert spec.eigenvalues.size > 0
 
 
@@ -253,7 +264,7 @@ def test_disk_spectrum_window_error_closed_form(sel, monkeypatch):
     # a window that stops inside the transition leaves its top sector full
     monkeypatch.setattr(ds, "sector_window", lambda b, r, n: 20)
     with pytest.raises(WindowError):
-        ds.disk_spectrum(SETUP, sel, 6.0)
+        ds.disk_spectrum(SETUP, sel, DISK, 6.0)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +299,7 @@ def test_lll_validated_against_sector_solver():
 
 def test_entropy_trace_functional():
     sel = LevelSelector.upto(1)
-    spec = ds.disk_spectrum(SETUP, sel, 5.0)
+    spec = ds.disk_spectrum(SETUP, sel, DISK, 5.0)
     ident = cf.SpectralFunction.monomial(1)
     total = ds.entropy_from_spectrum(spec, ident)
     assert total == pytest.approx(sel.count * SETUP.b * 25.0 / 2.0, rel=1e-6)
@@ -305,16 +316,16 @@ def test_entropy_vanishes_on_binary_spectrum():
 def test_entropy_stable_under_cutoff_halving():
     f = cf.SpectralFunction.renyi(1.0)
     s1 = ds.entropy_from_spectrum(ds.disk_spectrum(SETUP, LevelSelector.single(0),
-                                                   20.0, cutoff=1e-12), f)
+                                                   DISK, 20.0, cutoff=1e-12), f)
     s2 = ds.entropy_from_spectrum(ds.disk_spectrum(SETUP, LevelSelector.single(0),
-                                                   20.0, cutoff=5e-13), f)
+                                                   DISK, 20.0, cutoff=5e-13), f)
     assert s1 == pytest.approx(s2, abs=1e-6)
     assert s1 > 0.0 and math.isfinite(s1)
 
 
 def test_entropy_bias_reported():
     f = cf.SpectralFunction.renyi(0.5)
-    spec = ds.disk_spectrum(SETUP, LevelSelector.single(0), 10.0)
+    spec = ds.disk_spectrum(SETUP, LevelSelector.single(0), DISK, 10.0)
     val = ds.entropy_from_spectrum(spec, f)
     # |f(cutoff)| per dropped eigenvalue plus an allowance for the window tail
     bias = (spec.dropped_count + 32) * abs(float(f(np.array([spec.cutoff]))[0]))
@@ -326,7 +337,7 @@ def test_entropy_finite_all_alpha():
     for alpha in (0.5, 1.0, 2.0):
         f = cf.SpectralFunction.renyi(alpha)
         for r in (5.0, 12.0):
-            spec = ds.disk_spectrum(SETUP, LevelSelector.upto(1), r)
+            spec = ds.disk_spectrum(SETUP, LevelSelector.upto(1), DISK, r)
             val = ds.entropy_from_spectrum(spec, f)
             assert math.isfinite(val) and val > 0.0
 
@@ -342,7 +353,7 @@ def test_schatten_cross_norm():
                             selector=LevelSelector.single(0), region={},
                             scale=1.0, solver="synthetic", cutoff=1e-12)
     assert ds.entropy_from_spectrum(spec, schatten_cross(0.5)) == 0.0
-    real = ds.disk_spectrum(SETUP, LevelSelector.single(0), 9.0)
+    real = ds.disk_spectrum(SETUP, LevelSelector.single(0), DISK, 9.0)
     hs = ds.entropy_from_spectrum(real, schatten_cross(2.0))
     mu = real.eigenvalues
     assert hs == pytest.approx(float(np.sum(mu * (1 - mu))), abs=1e-13)
@@ -351,7 +362,7 @@ def test_schatten_cross_norm():
 def test_schatten_linear_growth_ratio():
     vals = {}
     for r in (20.0, 40.0):
-        spec = ds.disk_spectrum(SETUP, LevelSelector.single(0), r)
+        spec = ds.disk_spectrum(SETUP, LevelSelector.single(0), DISK, r)
         vals[r] = ds.entropy_from_spectrum(spec, schatten_cross(1.0))
     assert 1.8 <= vals[40.0] / vals[20.0] <= 2.2
 

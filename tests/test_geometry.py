@@ -334,6 +334,17 @@ def test_boundary_integrals_reject_bad_vectors(vectors):
         ge.roccaforte_second_order(STAR, vectors)
 
 
+@pytest.mark.parametrize("vectors, eps", [
+    (((float("nan"), 0.0),), 0.1), (((1.0, 0.0),), float("nan")),
+    (((1.0, 0.0),), float("inf")), (((1.0, 0.0, 0.0),), 0.1),
+    ((), 0.1), (((1.0, 0.0),), -0.1),
+])
+def test_translate_family_rejects_unusable_translates(vectors, eps):
+    # the check the boundary integrals use, so no region sees them
+    with pytest.raises(DomainError):
+        ge.TranslateFamily(vectors=vectors, eps=eps)
+
+
 def test_polygon_first_order_slab():
     t1 = ge.roccaforte_first_order(SQUARE, [(1.0, 0.0)])
     assert t1 == pytest.approx(1.0, abs=1e-14)

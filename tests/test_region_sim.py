@@ -26,9 +26,8 @@ def unit_area_star():
 # ---------------------------------------------------------------------------
 
 def test_scaling_fit_exact_line():
-    series = rs.ScalingSeries(scales=np.array([1.0, 2.0, 3.0, 4.0]),
-                              values=np.array([5.0, 7.0, 9.0, 11.0]))
-    fit = rs.scaling_fit(series, model="linear")
+    fit = rs.scaling_fit(np.array([1.0, 2.0, 3.0, 4.0]),
+                         np.array([5.0, 7.0, 9.0, 11.0]), model="linear")
     assert fit.c1 == pytest.approx(2.0, abs=1e-12)
     assert fit.c0 == pytest.approx(3.0, abs=1e-12)
     assert fit.residual_norm == pytest.approx(0.0, abs=1e-12)
@@ -37,35 +36,32 @@ def test_scaling_fit_exact_line():
 
 def test_scaling_fit_exact_quadratic():
     scales = np.array([2.0, 3.0, 4.0, 5.0, 6.0])
-    series = rs.ScalingSeries(scales=scales,
-                              values=0.5 * scales ** 2 - 1.5 * scales + 0.25)
-    fit = rs.scaling_fit(series, model="quadratic")
+    fit = rs.scaling_fit(scales, 0.5 * scales ** 2 - 1.5 * scales + 0.25,
+                         model="quadratic")
     assert fit.c2 == pytest.approx(0.5, abs=1e-10)
     assert fit.c1 == pytest.approx(-1.5, abs=1e-10)
     assert fit.c0 == pytest.approx(0.25, abs=1e-9)
 
 
 def test_scaling_fit_guards():
-    series = rs.ScalingSeries(scales=np.array([1.0, 2.0]),
-                              values=np.array([1.0, 2.0]))
+    scales, values = np.array([1.0, 2.0]), np.array([1.0, 2.0])
     with pytest.raises(FitError):
-        rs.scaling_fit(series, model="linear")
-    bad = rs.ScalingSeries(
-        scales=np.array([1e8, 1e8 + 1e-4, 1e8 + 2e-4]),
-        values=np.array([1.0, 1.0, 1.0]))
+        rs.scaling_fit(scales, values, model="linear")
     with pytest.raises(FitError):
-        rs.scaling_fit(bad, model="linear")
+        rs.scaling_fit(np.array([1e8, 1e8 + 1e-4, 1e8 + 2e-4]),
+                       np.array([1.0, 1.0, 1.0]), model="linear")
     with pytest.raises(DomainError):
-        rs.scaling_fit(series, model="cubic")
+        rs.scaling_fit(scales, values, model="cubic")
 
 
-def test_scaling_series_validation_and_csv():
-    with pytest.raises(DomainError):
-        rs.ScalingSeries(scales=np.array([2.0, 1.0]), values=np.array([0., 0.]))
-    s = rs.ScalingSeries(scales=np.array([1.0, 2.0]), values=np.array([3.0, 4.0]))
-    lines = s.to_csv().strip().split("\n")
-    assert lines[0] == "L,value"
-    assert lines[1].startswith("1,")
+def test_scaling_fit_validation():
+    # decreasing, repeated, too short, misaligned
+    for scales, values in (([2.0, 1.0], [0.0, 0.0]),
+                           ([1.0, 1.0, 2.0], [0.0, 0.0, 0.0]),
+                           ([1.0], [0.0]),
+                           ([1.0, 2.0, 3.0], [0.0, 0.0])):
+        with pytest.raises(DomainError):
+            rs.scaling_fit(np.array(scales), np.array(values))
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +79,7 @@ def test_trace_identity_unit_area_star():
 def test_cross_solver_agreement_small():
     sel = LevelSelector.upto(1)
     nys = rs.region_spectrum(SETUP, sel, DISK, 3.0, resolution=(32, 56))
-    sector = ds.disk_spectrum(SETUP, sel, 3.0)
+    sector = ds.disk_spectrum(SETUP, sel, DISK, 3.0)
     a = nys.eigenvalues[nys.eigenvalues > 1e-6]
     b = sector.eigenvalues[sector.eigenvalues > 1e-6]
     assert a.size == b.size
@@ -255,7 +251,7 @@ def test_second_order_probe_trace_identity():
     f = cf.SpectralFunction.monomial(1)
     area_coeff = sel.count * SETUP.b * math.pi / (2 * math.pi)
     resid = [ds.entropy_from_spectrum(
-                 ds.disk_spectrum(SETUP, sel, L, cutoff=1e-14), f)
+                 ds.disk_spectrum(SETUP, sel, DISK, L, cutoff=1e-14), f)
              - area_coeff * L * L for L in (4.0, 8.0, 12.0)]
     assert np.max(np.abs(resid)) < 1e-7
 
