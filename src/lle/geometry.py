@@ -3,7 +3,9 @@
 Regions come in three variants: disks, smooth star-shaped regions given by a
 truncated Fourier radius profile, and simple polygons. Smooth variants carry
 analytic normals and curvature so the asymptotic fits downstream are not
-contaminated by geometric discretization error.
+contaminated by geometric discretization error. A star keeps one harmonic
+table; a polygon's perimeter, convexity, first-order boundary integral and
+translate intersection (its edges pushed inward) read one edge table.
 """
 
 from __future__ import annotations
@@ -52,30 +54,27 @@ class SmoothStar:
         w = 2.0 * math.pi / th.size  # the finer of the two sums `area` takes
         _check_area("star", lambda: 0.5 * float(np.sum(r * r)) * w)
 
+    @functools.cached_property
     def _harmonics(self):
-        a0 = self.coeffs[0]
+        """(a0, a, b, j), read-only; b_j = 0 past the stored ones."""
         rest = self.coeffs[1:]
         a = np.array(rest[0::2], dtype=float)
-        b = np.array(list(rest[1::2]) + [0.0] * (len(rest[0::2]) - len(rest[1::2])),
-                     dtype=float)
+        b = np.zeros_like(a)
+        b[:len(rest) // 2] = rest[1::2]
         j = np.arange(1, a.size + 1, dtype=float)
-        return float(a0), a, b, j
+        for arr in (a, b, j):
+            arr.flags.writeable = False
+        return float(self.coeffs[0]), a, b, j
 
     def radius(self, theta, order: int = 0):
         """Radius profile or its theta-derivative of given order."""
         theta = np.asarray(theta, dtype=float)
-        a0, a, b, j = self._harmonics()
+        a0, a, b, j = self._harmonics
         arg = np.multiply.outer(theta, j)
+        cos_part, sin_part = np.cos(arg), np.sin(arg)
+        for _ in range(order % 4):  # d/dtheta maps (cos, sin) to j (-sin, cos)
+            cos_part, sin_part = -sin_part, cos_part
         jp = j ** order
-        phase = order % 4
-        if phase == 0:
-            cos_part, sin_part = np.cos(arg), np.sin(arg)
-        elif phase == 1:
-            cos_part, sin_part = -np.sin(arg), np.cos(arg)
-        elif phase == 2:
-            cos_part, sin_part = -np.cos(arg), -np.sin(arg)
-        else:
-            cos_part, sin_part = np.sin(arg), -np.cos(arg)
         out = cos_part @ (jp * a) + sin_part @ (jp * b)
         if order == 0:
             out = out + a0
@@ -116,6 +115,14 @@ def _check_area(kind: str, area_of) -> float:
 def _polygon_signed_area(v: np.ndarray) -> float:
     x, y = v[:, 0], v[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def _edges(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge vectors e_i = v_{i+1} - v_i, lengths and unit inward normals of a
+    counterclockwise polygon; hypot keeps the length of a subnormal edge."""
+    e = np.roll(v, -1, axis=0) - v
+    length = np.hypot(e[:, 0], e[:, 1])
+    return e, length, np.stack([-e[:, 1], e[:, 0]], axis=1) / length[:, None]
 
 
 def _segments_intersect(p1, p2, p3, p4) -> bool:
@@ -175,8 +182,7 @@ def perimeter(region: Region) -> float:
         return 2.0 * math.pi * region.radius
     if isinstance(region, SmoothStar):
         return _star_measures(region)[1]
-    v = region.vertex_array()
-    return float(np.sum(np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1)))
+    return float(np.sum(_edges(region.vertex_array())[1]))
 
 
 def boundary_radius(region: Region, theta, order: int = 0):
@@ -277,10 +283,7 @@ def contains(region: Region, pts: np.ndarray) -> np.ndarray:
     v = region.vertex_array()
     x, y = pts[:, 0], pts[:, 1]
     inside = np.zeros(pts.shape[0], dtype=bool)
-    n = v.shape[0]
-    for i in range(n):
-        x1, y1 = v[i]
-        x2, y2 = v[(i + 1) % n]
+    for (x1, y1), (x2, y2) in zip(v, np.roll(v, -1, axis=0)):
         crosses = (y1 > y) != (y2 > y)
         with np.errstate(divide="ignore", invalid="ignore"):
             xin = (x2 - x1) * (y - y1) / (y2 - y1) + x1
@@ -299,47 +302,17 @@ def _lens_removed_area(radius: float, d: float) -> float:
     return math.pi * radius ** 2 - inter
 
 
-def _clip_convex(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
-    """Sutherland-Hodgman clip of `subject` against the convex CCW `clip`."""
-    out = [tuple(p) for p in subject]
-    n = clip.shape[0]
-    for i in range(n):
-        if not out:
-            return np.zeros((0, 2))
-        a, b = clip[i], clip[(i + 1) % n]
-        edge = b - a
-
-        def inside(p):
-            return edge[0] * (p[1] - a[1]) - edge[1] * (p[0] - a[0]) >= -1e-14
-
-        def intersect(p, q):
-            d = np.asarray(q) - np.asarray(p)
-            denom = edge[0] * d[1] - edge[1] * d[0]
-            t = (edge[0] * (a[1] - p[1]) - edge[1] * (a[0] - p[0])) / denom
-            return (p[0] + t * d[0], p[1] + t * d[1])
-
-        new = []
-        prev = out[-1]
-        for cur in out:
-            if inside(cur):
-                if not inside(prev):
-                    new.append(intersect(prev, cur))
-                new.append(cur)
-            elif inside(prev):
-                new.append(intersect(prev, cur))
-            prev = cur
-        out = new
-    return np.asarray(out) if out else np.zeros((0, 2))
-
-
-def _polygon_is_convex(v: np.ndarray) -> bool:
-    n = v.shape[0]
-    cross = []
-    for i in range(n):
-        a, b, c = v[i], v[(i + 1) % n], v[(i + 2) % n]
-        cross.append((b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0]))
-    cross = np.asarray(cross)
-    return bool(np.all(cross >= -1e-12))
+def _clip_half_plane(p: np.ndarray, normal: np.ndarray, offset: float) -> np.ndarray:
+    """Sutherland-Hodgman step: the part of the convex polygon p where
+    <normal|x> >= offset."""
+    d = p @ normal - offset
+    out = []
+    for i in range(p.shape[0]):
+        if d[i - 1] < 0.0 < d[i] or d[i] < 0.0 < d[i - 1]:
+            out.append(p[i - 1] + d[i - 1] / (d[i - 1] - d[i]) * (p[i] - p[i - 1]))
+        if d[i] >= 0.0:
+            out.append(p[i])
+    return np.reshape(out, (-1, 2))
 
 
 def _bisect(f, a, b) -> np.ndarray:
@@ -379,7 +352,7 @@ def _star_translate_radius(region, shift: np.ndarray, theta: np.ndarray) -> np.n
         if np.any(disc <= 0.0):
             raise NumericError("translate lost sight of the origin")
         return proj + np.sqrt(disc)
-    a0, a, b, _ = region._harmonics()
+    a0, a, b, _ = region._harmonics
     bound = a0 + float(np.sum(np.hypot(a, b))) + float(np.hypot(*shift))
     cross = ux * shift[1] - uy * shift[0]
     phi = np.array(theta, dtype=float)
@@ -468,16 +441,18 @@ def intersect_translates_area(region: Region, family: TranslateFamily
                               ) -> tuple[float, float]:
     """Areas (|Lambda_eps|, |Lambda \\ Lambda_eps|) of the translate intersection.
 
-    Disk with a single vector uses the exact lens formula; polygons use exact
-    iterated half-plane clipping (convex only). Smooth regions integrate
-    1/2 rho_min^2 over the polar angle, rho_q being the radial function of
-    the q-th translate (for stars, a Newton ray solve with bisection as the
-    per-ray fallback): the kinks where the nearest translate changes are
-    found on a 4096-node grid and refined by bisection, and GL-16 panels, 128
-    per turn, are split there. This matches a 2^18-node trapezoid rule to
-    ~1e-12 on the stars of the tests. Translates
-    whose union of shifts leaves the origin outside one of them raise
-    CapabilityError.
+    Exact for a disk with a single vector (the lens formula) and for a convex
+    polygon: the intersection is the polygon with edge i pushed inward by
+    push_i = max(0, max_q <s_q|n_i>), cut by the half-planes
+    <n_i|x> >= <n_i|v_i> + push_i with push_i > 0; other polygons raise
+    CapabilityError. Smooth regions integrate 1/2 rho_min^2 over the polar
+    angle, rho_q being the radial function of the q-th translate (for stars,
+    a Newton ray solve with bisection as the per-ray fallback): the kinks
+    where the nearest translate changes are found on a 4096-node grid and
+    refined by bisection, and GL-16 panels, 128 per turn, are split there.
+    This matches a 2^18-node trapezoid rule to ~1e-12 on the stars of the
+    tests. Translates whose union of shifts leaves the origin outside one of
+    them raise CapabilityError.
     """
     base = area(region)
     shifts = family.shifts()
@@ -488,11 +463,15 @@ def intersect_translates_area(region: Region, family: TranslateFamily
         return base - removed, removed
     if isinstance(region, Polygon):
         v = region.vertex_array()
-        if not _polygon_is_convex(v):
+        e, _, normal = _edges(v)
+        if np.any(e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
+                  < -1e-12):
             raise CapabilityError("iterated half-plane clipping needs a convex polygon")
+        push = np.maximum(0.0, np.max(normal @ shifts.T, axis=1))
+        offset = np.sum(normal * v, axis=1) + push
         cur = v
-        for s in shifts:
-            cur = _clip_convex(cur, v + s)
+        for i in np.flatnonzero(push > 0.0):
+            cur = _clip_half_plane(cur, normal[i], offset[i])
             if cur.shape[0] < 3:
                 return 0.0, base
         inter = _polygon_signed_area(cur)
@@ -506,7 +485,10 @@ def intersect_translates_area(region: Region, family: TranslateFamily
 # ---------------------------------------------------------------------------
 
 def _translate_vectors(vectors) -> np.ndarray:
-    v = np.atleast_2d(np.asarray(vectors, dtype=float))
+    try:
+        v = np.atleast_2d(np.asarray(vectors, dtype=float))
+    except (TypeError, ValueError):  # ragged or non-numeric entries
+        v = np.empty((0, 2))
     if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] != 2 or not np.all(np.isfinite(v)):
         raise DomainError("vectors must be a non-empty list of finite (x, y) pairs")
     return v
@@ -535,15 +517,8 @@ def roccaforte_first_order(region: Region, vectors) -> float:
     if np.max(np.abs(v)) == 0.0:
         return 0.0
     if isinstance(region, Polygon):
-        verts = region.vertex_array()
-        total = 0.0
-        n_vert = verts.shape[0]
-        for i in range(n_vert):
-            edge = verts[(i + 1) % n_vert] - verts[i]
-            length = float(np.linalg.norm(edge))
-            inward = np.array([-edge[1], edge[0]]) / length
-            total += length * max(0.0, float(np.max(v @ inward)))
-        return total
+        _, length, normal = _edges(region.vertex_array())
+        return float(np.sum(length * np.maximum(0.0, np.max(normal @ v.T, axis=1))))
     t, w, g = _boundary_rule(region, v)
     integrand = np.maximum(0.0, np.max(g, axis=0))
     return float(np.dot(w, integrand * arc_element(region, t)))

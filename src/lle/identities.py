@@ -220,22 +220,26 @@ def verify_T_in_tau(m: int, q: int, tau) -> VerifyResult:
         if j <= q - 1:
             plain = tau[0] - tj - tau[j] - tau[-1]
             flp = tau[0] - tj - tau[j] + tau[-1]
+            tilde = -tj - tau[j]
             tilde_t = tau[j - 1] - tau[j]
         elif j == q:
             plain = tau[0] - tau[q - 1] - tau[-1]
             flp = tau[0] - tau[q - 1] + tau[-1]
+            tilde = -tau[q - 1]
             tilde_t = tau[q - 1]
         elif j == q + 1:
             plain = tau[0] + tau[q] - tau[-1]
             flp = tau[0] - tau[q] + tau[-1]
+            tilde = -tau[q]
             tilde_t = -tau[q]
         else:
             plain = tau[0] + tau[j - 2] + tau[j - 1] - tau[-1]
             flp = tau[0] - tau[j - 2] - tau[j - 1] + tau[-1]
+            tilde = -tau[j - 2] - tau[j - 1]
             tilde_t = tau[j - 2] - tau[j - 1]
         err = max(err, abs(big_plain[j - 1] - plain))
         err = max(err, abs(big_flip[j - 1] - flp))
-        err = max(err, abs(big_flip[j - 1] - shift - (flp - shift)))
+        err = max(err, abs(big_flip[j - 1] - shift - tilde))
         err = max(err, abs(t_flip[j - 1] - tilde_t))
     scale = 1.0 + float(np.max(np.abs(tau)))
     return _result(err, 1e-12 * scale, m=m, q=q, tau=tau)

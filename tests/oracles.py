@@ -839,7 +839,7 @@ def mc_cross_hs_norm(setup: MagneticSetup, selector: LevelSelector,
 
 def translate_bound(star, shift) -> float:
     """a0 + sum_j hypot(a_j, b_j) + |shift|: no point of star + shift lies farther out."""
-    a0, a, b, _ = star._harmonics()
+    a0, a, b, _ = star._harmonics
     return a0 + float(np.sum(np.hypot(a, b))) + float(np.hypot(*shift))
 
 

@@ -299,6 +299,17 @@ def test_rocca_square_slab_exact(capsys):
         assert float(first) == pytest.approx(float(eps), abs=1e-14)
 
 
+def test_rocca_polygon_with_subnormal_edge(capsys):
+    # the edge from (0, 1e-300) to the origin is 1e-300 long
+    region = '{"type":"polygon","vertices":[[0,0],[1,0],[1,1],[0,1],[0,1e-300]]}'
+    code, out, _ = run_cli(capsys, "rocca", "--region", region,
+                           "--vectors", "[[1,0.5]]",
+                           "--eps-min-exp", "3", "--eps-max-exp", "3")
+    assert code == 0
+    eps, removed, first, *_ = out.strip().split("\n")[1].split(",")
+    assert float(eps) == 0.125 and float(first) == 0.1875
+
+
 def test_rocca_disk_residual_trend(capsys):
     code, out, _ = run_cli(capsys, "rocca", "--region", DISK,
                            "--vectors", "[[1,0]]",

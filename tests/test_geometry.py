@@ -95,6 +95,25 @@ def test_disk_is_the_star_of_constant_profile(R):
     assert np.array_equal(ge.contains(star, pts), inside)
 
 
+@pytest.mark.parametrize("coeffs", [
+    (1.0, 0.1, -0.05, 0.07, 0.02),
+    (1.0, 0.1, -0.05, 0.07, 0.02, 0.03),  # a_3 closes the list: b_3 = 0
+])
+@pytest.mark.parametrize("k", range(6))
+def test_star_radius_derivatives_match_shifted_phase_sum(coeffs, k):
+    # d^k/dtheta^k of cos(j theta) is j^k cos(j theta + k pi/2), likewise sin
+    theta = np.linspace(0.0, 2.0 * math.pi, 37)
+    a, b = coeffs[1::2], coeffs[2::2]
+    b = b + (0.0,) * (len(a) - len(b))
+    want = sum(j ** k * (aj * np.cos(j * theta + k * math.pi / 2)
+                         + bj * np.sin(j * theta + k * math.pi / 2))
+               for j, (aj, bj) in enumerate(zip(a, b), start=1))
+    if k == 0:
+        want = want + coeffs[0]
+    got = ge.SmoothStar(coeffs).radius(theta, k)
+    assert np.max(np.abs(got - want)) < 1e-13 * 3 ** k
+
+
 def test_star_curvature_matches_finite_differences():
     for th0 in (0.0, 0.77, 2.3, 4.9):
         p = lambda t: STAR.radius(t) * np.array([math.cos(t), math.sin(t)])
@@ -140,6 +159,44 @@ def test_square_two_vector_clip():
     # intersection is the [0.25,1]^2 square
     assert inter == pytest.approx(0.75 ** 2, abs=1e-14)
     assert removed == pytest.approx(1 - 0.75 ** 2, abs=1e-14)
+
+
+HEXAGON = ge.Polygon(tuple((math.cos(t), math.sin(t))
+                           for t in np.arange(6) * math.pi / 3))
+TRIANGLE = ge.Polygon(((0.0, 0.0), (2.0, 0.3), (0.6, 1.5)))
+
+
+@pytest.mark.parametrize("region, vectors, eps, seed", [
+    (HEXAGON, ((1.0, 0.2), (-0.3, 0.7)), 0.15, 21),
+    (HEXAGON, ((1.0, 0.2), (-0.3, 0.7), (0.1, -0.9)), 0.3, 22),
+    (TRIANGLE, ((0.5, 0.5), (-1.0, 0.1)), 0.2, 23),
+    (TRIANGLE, ((0.5, 0.5), (-1.0, 0.1), (0.2, -0.8)), 0.1, 24),
+])
+def test_polygon_intersection_matches_monte_carlo(region, vectors, eps, seed):
+    fam = ge.TranslateFamily(vectors=vectors, eps=eps)
+    _, removed = ge.intersect_translates_area(region, fam)
+    est, se = oracles.mc_intersect_area(region, fam, n_samples=2_000_000, seed=seed)
+    assert abs(removed - est) < 3.5 * se
+
+
+@pytest.mark.parametrize("vector", [(1.0, 0.5), (-0.7, 0.3), (0.2, -1.3), (0.0, 1.0)])
+@pytest.mark.parametrize("eps", [0.25, 2.0 ** -7])
+def test_rectangle_one_vector_exact(vector, eps):
+    w, h = 3.0, 2.0
+    x, y = -1.0, 0.5
+    rect = ge.Polygon(((x, y), (x + w, y), (x + w, y + h), (x, y + h)))
+    fam = ge.TranslateFamily(vectors=(vector,), eps=eps)
+    _, removed = ge.intersect_translates_area(rect, fam)
+    a, b = abs(vector[0]), abs(vector[1])
+    want = w * h - (w - eps * a) * (h - eps * b)
+    assert removed == pytest.approx(want, rel=1e-13)
+
+
+def test_polygon_with_subnormal_edge_has_finite_first_order():
+    # the last edge is 1e-300 long: its length must not square to 0
+    poly = ge.Polygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 1e-300)))
+    assert ge.roccaforte_first_order(poly, [(1.0, 0.5)]) == 1.5
+    assert ge.perimeter(poly) == 4.0
 
 
 def test_nonconvex_polygon_clip_refused():
@@ -326,7 +383,8 @@ def test_boundary_integrals_parallel_vectors():
             ge.roccaforte_second_order(region, single), abs=1e-13)
 
 
-@pytest.mark.parametrize("vectors", [[], [[1.0, 0.0, 2.0]], [[float("nan"), 0.0]]])
+@pytest.mark.parametrize("vectors", [[], [[1.0, 0.0, 2.0]], [[float("nan"), 0.0]],
+                                     [[1, 0], [1]]])
 def test_boundary_integrals_reject_bad_vectors(vectors):
     with pytest.raises(DomainError):
         ge.roccaforte_first_order(STAR, vectors)
@@ -337,7 +395,7 @@ def test_boundary_integrals_reject_bad_vectors(vectors):
 @pytest.mark.parametrize("vectors, eps", [
     (((float("nan"), 0.0),), 0.1), (((1.0, 0.0),), float("nan")),
     (((1.0, 0.0),), float("inf")), (((1.0, 0.0, 0.0),), 0.1),
-    ((), 0.1), (((1.0, 0.0),), -0.1),
+    ((), 0.1), (((1.0, 0.0),), -0.1), (((1.0, 0.0), (1.0,)), 0.1),
 ])
 def test_translate_family_rejects_unusable_translates(vectors, eps):
     # the check the boundary integrals use, so no region sees them
