@@ -9,10 +9,12 @@ overlap table diagonalised node by node up to n (specfun.build_overlap_table).
 The xi grid is mirrored about 0 and psi_j(-t) = (-1)^j psi_j(t) gives
 G(-xi) = I - S G(xi) S with S = diag((-1)^k), so the field is evaluated on
 the positive half only and the negative half is 1 - its eigenvalues.
-`coeff_with_error` integrates every requested f over fields it builds once per
-call. The per-xi adaptive-quadrature Gram matrix, its dual-route trace
-moments, the panel-quadrature overlap table and the Nystrom discretization of
-the integral kernel are test oracles (tests/oracles.py).
+`coeff_with_error` integrates every requested f over grids and fields it
+builds once per call and per distinct (cutoff, panel width); a cutoff held at
+XI_CAP with its tail bound above tol/10 is an AccuracyError. The per-xi
+adaptive-quadrature Gram matrix, its dual-route trace moments, the
+panel-quadrature overlap table and the Nystrom discretization of the integral
+kernel are test oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import AccuracyError, DomainError
 from .landau import LevelSelector
 from .specfun import (
     build_overlap_table,
@@ -34,6 +36,9 @@ from .specfun import (
 # clamp window for Gram eigenvalues; violations beyond it abort instead of
 # being silently absorbed into h_alpha's domain
 CLAMP = 1e-10
+
+# the xi cutoff is pushed out no further than this
+XI_CAP = 40.0
 
 
 def renyi_h(alpha: float, t):
@@ -163,22 +168,18 @@ def _tail_bound(n: int, q: float, c_holder: float, xi_max: float) -> float:
     return amp * math.exp(-rate * xi_max * xi_max) / (2.0 * rate * xi_max) / math.pi
 
 
-def xi_grid(n: int, q: float = 1.0, c_holder: float = 1.0, tol: float = 1e-8,
-            panel_width: float = 0.25) -> XiGrid:
-    """Composite Gauss-Legendre grid on [-Xi, Xi], Xi = 8 + sqrt(2n+1).
-
-    The integrand is analytic with Gaussian decay, so the fixed grid converges
-    spectrally; Xi is pushed further out if the tail bound exceeds tol/10.
-    The grid is mirrored bitwise, nodes == -nodes[::-1] and weights ==
-    weights[::-1]: the upper half of the panel rule on
-    linspace(-Xi, Xi, n_panels + 1) is reflected onto the lower half. An even
-    node count per panel keeps every node off 0.
-    """
+def _xi_cutoff(n: int, q: float, c_holder: float, tol: float) -> float:
+    # Xi = 8 + sqrt(2n+1), pushed out in steps of 0.5 while the tail bound
+    # exceeds tol/10, up to XI_CAP
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tolerance must be finite and positive, got {tol}")
     xi_max = 8.0 + math.sqrt(2.0 * n + 1.0)
-    while _tail_bound(n, q, c_holder, xi_max) > 0.1 * tol and xi_max < 40.0:
+    while _tail_bound(n, q, c_holder, xi_max) > 0.1 * tol and xi_max < XI_CAP:
         xi_max += 0.5
+    return xi_max
+
+
+def _mirrored_grid(xi_max: float, panel_width: float) -> XiGrid:
     n_panels = int(math.ceil(2.0 * xi_max / panel_width))
     rule = gauss_legendre_panels(np.linspace(-xi_max, xi_max, n_panels + 1))
     half = rule.nodes.size // 2
@@ -186,6 +187,21 @@ def xi_grid(n: int, q: float = 1.0, c_holder: float = 1.0, tol: float = 1e-8,
     return XiGrid(nodes=np.concatenate([-nodes[::-1], nodes]),
                   weights=np.concatenate([weights[::-1], weights]),
                   cutoff=xi_max, panel_width=panel_width)
+
+
+def xi_grid(n: int, q: float = 1.0, c_holder: float = 1.0, tol: float = 1e-8,
+            panel_width: float = 0.25) -> XiGrid:
+    """Composite Gauss-Legendre grid on [-Xi, Xi], Xi = 8 + sqrt(2n+1).
+
+    The integrand is analytic with Gaussian decay, so the fixed grid converges
+    spectrally; Xi is pushed further out, up to XI_CAP, if the tail bound
+    exceeds tol/10 (the coefficients refuse a cutoff whose bound still does).
+    The grid is mirrored bitwise, nodes == -nodes[::-1] and weights ==
+    weights[::-1]: the upper half of the panel rule on
+    linspace(-Xi, Xi, n_panels + 1) is reflected onto the lower half. An even
+    node count per panel keeps every node off 0.
+    """
+    return _mirrored_grid(_xi_cutoff(n, q, c_holder, tol), panel_width)
 
 
 # ---------------------------------------------------------------------------
@@ -215,23 +231,26 @@ def gram_eigen_field(selector: LevelSelector, grid: XiGrid) -> np.ndarray:
     return clamp_unit(vals, CLAMP, f"gram_eigen_field({selector.kind}:{n})")
 
 
-def _grid_for(selector: LevelSelector, f: SpectralFunction, tol: float,
-              panel_width: float) -> XiGrid:
-    return xi_grid(selector.index, q=f.endpoint_exponent,
-                   c_holder=f.holder_constant, tol=tol, panel_width=panel_width)
-
-
-def _integral(selector: LevelSelector, f: SpectralFunction, grid: XiGrid,
-              fields: dict) -> float:
-    """(1/2pi) quadrature of tr[f(G) - f(1) G] on `grid`; `fields` keeps each
-    grid's field for the other functions of the same call."""
-    key = (grid.cutoff, grid.panel_width)
-    if key not in fields:
-        fields[key] = gram_eigen_field(selector, grid)
-    mu = fields[key]
+def _integral(f: SpectralFunction, weights: np.ndarray, mu: np.ndarray) -> float:
+    """(1/2pi) quadrature of tr[f(G) - f(1) G] over a field with its grid
+    weights."""
     vals = np.asarray(f(mu.ravel()), dtype=float).reshape(mu.shape)
     trace = vals.sum(axis=1) - f.value_at_one * mu.sum(axis=1)
-    return float(np.dot(grid.weights, trace)) / (2.0 * math.pi)
+    return float(np.dot(weights, trace)) / (2.0 * math.pi)
+
+
+def _checked_tail(selector: LevelSelector, f: SpectralFunction, tol: float,
+                  cutoff: float) -> float:
+    """The tail bound past f's xi cutoff; AccuracyError if it still exceeds
+    tol/10, which happens only at XI_CAP."""
+    tail = _tail_bound(selector.index, f.endpoint_exponent, f.holder_constant,
+                       cutoff)
+    if tail > 0.1 * tol:
+        raise AccuracyError(
+            f"{f.label} at {selector.kind}:{selector.index}: xi cutoff capped "
+            f"at {cutoff:g} leaves a tail bound of {tail:.2e} > tol/10 = "
+            f"{0.1 * tol:.1e}", achieved=tail)
+    return tail
 
 
 def coeff_with_error(selector: LevelSelector, fns: list[SpectralFunction],
@@ -239,23 +258,33 @@ def coeff_with_error(selector: LevelSelector, fns: list[SpectralFunction],
     """(1/2pi) integral of tr[f(G) - f(1) G] over xi for each f in `fns`, with
     an error estimate (coarse-vs-fine grid plus tail bound).
 
-    Each distinct grid's field is built once per call and shared by every f
-    that uses it.
+    Each distinct (cutoff, panel width) grid and its field are built once per
+    call and shared by every f that uses them.
     """
     fields: dict = {}
+
+    def integral(f: SpectralFunction, cutoff: float, panel_width: float) -> float:
+        key = (cutoff, panel_width)
+        if key not in fields:
+            grid = _mirrored_grid(cutoff, panel_width)
+            fields[key] = grid.weights, gram_eigen_field(selector, grid)
+        return _integral(f, *fields[key])
+
     rows = []
     for f in fns:
-        fine = _grid_for(selector, f, tol, 0.25)
-        value = _integral(selector, f, fine, fields)
-        coarse = _integral(selector, f, _grid_for(selector, f, tol, 0.5), fields)
-        rows.append((value, abs(value - coarse) + _tail_bound(
-            selector.index, f.endpoint_exponent, f.holder_constant, fine.cutoff)))
+        cutoff = _xi_cutoff(selector.index, f.endpoint_exponent,
+                            f.holder_constant, tol)
+        tail = _checked_tail(selector, f, tol, cutoff)
+        value = integral(f, cutoff, 0.25)
+        rows.append((value, abs(value - integral(f, cutoff, 0.5)) + tail))
     return rows
 
 
 def _value(selector: LevelSelector, f: SpectralFunction, tol: float) -> float:
     # the value of coeff_with_error without the coarse grid of its error bar
-    return _integral(selector, f, _grid_for(selector, f, tol, 0.25), {})
+    grid = xi_grid(selector.index, f.endpoint_exponent, f.holder_constant, tol)
+    _checked_tail(selector, f, tol, grid.cutoff)
+    return _integral(f, grid.weights, gram_eigen_field(selector, grid))
 
 
 def coeff_M_ell(ell: int, f: SpectralFunction, tol: float = 1e-8) -> float:

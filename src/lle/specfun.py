@@ -12,11 +12,13 @@ lambda_0 = erfc(xi)/2, lambda_l = lambda_{l-1} + psi_l psi_{l-1}/sqrt(2l)
 (`build_overlap_table`). Adaptive quadrature, the per-xi quadrature and the
 panel sweep of the overlaps, the raw Hermite polynomials and the
 extended-precision erfc and incomplete gamma are test oracles
-(tests/oracles.py). The library takes erfc (in `_ladder`), gammaln and the
-incomplete gamma (in `disk_spectra.radial_profiles` and `_sector_grams`) from
-scipy.special, each imported inside the function that calls it, so the
-identity and translate-intersection routes (`lle verify`, `lle rocca`) never
-load scipy. A new scipy call follows the same rule.
+(tests/oracles.py). erfc comes from the C library (`math.erfc`, in
+`_ladder`), so this module needs numpy and the standard library alone. The
+library takes only gammaln and the incomplete gamma from scipy.special, each
+imported inside the function that calls it (`disk_spectra.radial_profiles`,
+`_sector_grams`), so the identity, translate-intersection and coefficient
+routes (`lle verify`, `lle rocca`, `lle coeff`) never load scipy. A new scipy
+call follows the same rule.
 
 Everything here is pure and reentrant: fixed inputs give bitwise-identical
 outputs regardless of evaluation order, so callers may fan grids out across
@@ -228,10 +230,12 @@ def _ladder(psi: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Overwrite a psi_0..psi_n table on xi with lambda_0..lambda_n, the
     integrals of psi_l^2 over [xi, inf), by the ladder lambda_0 = erfc(xi)/2,
     lambda_l = lambda_{l-1} + psi_l psi_{l-1}/sqrt(2l): both sides have
-    derivative psi_{l-1}^2 - psi_l^2 and vanish at +inf."""
-    from scipy.special import erfc
+    derivative psi_{l-1}^2 - psi_l^2 and vanish at +inf. erfc is the C
+    library's (`math.erfc`): within an ulp or so, and nonzero down to the
+    smallest subnormal, near xi = 27.2."""
     psi[1:] *= psi[:-1] / np.sqrt(2.0 * np.arange(1, len(psi)))[:, None]
-    psi[0] = 0.5 * erfc(xi)
+    psi[0] = np.fromiter(map(math.erfc, xi.tolist()), float, xi.size)
+    psi[0] *= 0.5
     return np.cumsum(psi, axis=0, out=psi)
 
 

@@ -1,7 +1,7 @@
 """The public API: the exported names, a library that holds only code and
 class members its entry points reach, a library that runs without the test
-oracles or mpmath, and identity and translate-intersection routes that run
-without scipy."""
+oracles or mpmath, and identity, translate-intersection and coefficient routes
+that run without scipy."""
 
 import ast
 import os
@@ -36,10 +36,22 @@ for region in ('{"type":"disk","R":1.0}',
     assert main(["rocca", "--region", region, "--vectors", "[[1,0]]",
                  "--eps-min-exp", "3", "--eps-max-exp", "4"]) == 0
 try:
-    main(["coeff", "--levels", "single:0", "--f", "renyi:1"])
+    main(["spectrum", "--region", '{"type":"disk","R":1.0}', "--B", "1",
+          "--levels", "upto:0", "--L", "2"])
 except ImportError:
     sys.exit(0)
-sys.exit("coeff ran although scipy was blocked")
+sys.exit("spectrum ran although scipy was blocked")
+"""
+
+_COEFF_NO_SCIPY = """
+import sys
+
+sys.modules["scipy"] = None
+import lle
+from lle.cli import main
+assert main(["coeff", "--levels", "single:2,upto:3",
+             "--f", "renyi:1,renyi:0.5,gtilde"]) == 0
+print(lle.coeff_M_le_n(2, lle.SpectralFunction.renyi(2.0)))
 """
 
 
@@ -143,6 +155,13 @@ def test_library_runs_without_oracles_or_mpmath(tmp_path):
 
 
 def test_verify_and_rocca_run_without_scipy(tmp_path):
-    # the spectral routes need scipy, so the coeff call proves the block holds
+    # the disk spectrum needs scipy's gammainc, so its call proves the block
+    # holds
     proc = _run_fresh(_NO_SCIPY, tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_coeff_runs_without_scipy(tmp_path):
+    proc = _run_fresh(_COEFF_NO_SCIPY, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout.splitlines()[-1]) > 0.0

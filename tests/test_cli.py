@@ -211,6 +211,17 @@ def test_coeff_bad_tolerance_exits_2(capsys, tol):
     assert "usage error" in err and out == ""
 
 
+def test_coeff_capped_cutoff_exits_3(capsys):
+    # renyi:0.01 misses its tail bound at the xi cap; renyi:0.02 does not
+    code, out, err = run_cli(capsys, "coeff", "--levels", "single:0",
+                             "--f", "renyi:0.01")
+    assert code == 3
+    assert "tail bound" in err and out == ""
+    code, _, _ = run_cli(capsys, "coeff", "--levels", "single:0,upto:45",
+                         "--f", "renyi:0.02")
+    assert code == 0
+
+
 def test_scaling_zero_cutoff_exits_2(capsys):
     code, _, err = run_cli(capsys, "scaling", "--region", DISK, "--B", "1",
                            "--levels", "upto:0", "--alpha", "1",

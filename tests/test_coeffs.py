@@ -7,7 +7,7 @@ from scipy.special import erfc
 
 from lle import coeffs as cf
 from lle import specfun as sf
-from lle.errors import DomainError
+from lle.errors import AccuracyError, DomainError
 from lle.landau import LevelSelector
 
 import oracles
@@ -385,6 +385,56 @@ def test_shared_fields_match_one_function_calls(monkeypatch):
         assert {round(cutoff, 2) for cutoff, _ in builds} == {10.65, 21.65}
         for f, row in zip(fns, rows):
             assert row == cf.coeff_with_error(sel, [f])[0]
+
+
+_SIX_FUNCTIONS = ("renyi:1", "renyi:0.5", "renyi:2", "gtilde", "monomial:2",
+                  "monomial:3")
+
+
+def test_one_grid_per_cutoff_and_panel_width(monkeypatch):
+    # the six functions share the cutoff 15 at single:24, so the call builds
+    # the fine and the coarse grid once each, not twice per function
+    fns = [cf.spectral_function_from_spec(s) for s in _SIX_FUNCTIONS]
+    panels = cf.gauss_legendre_panels
+    built = []
+    monkeypatch.setattr(cf, "gauss_legendre_panels", lambda edges: (
+        built.append((edges[-1], len(edges))) or panels(edges)))
+    cf.coeff_with_error(LevelSelector.single(24), fns)
+    assert built == [(15.0, 121), (15.0, 61)]
+
+
+@pytest.mark.parametrize("sel", [LevelSelector.single(24), LevelSelector.upto(5)],
+                         ids=_selector_id)
+def test_six_function_rows_equal_one_function_calls(sel):
+    fns = [cf.spectral_function_from_spec(s) for s in _SIX_FUNCTIONS]
+    rows = cf.coeff_with_error(sel, fns)
+    for f, row in zip(fns, rows):
+        assert row == cf.coeff_with_error(sel, [f])[0]
+
+
+@pytest.mark.parametrize("sel", [LevelSelector.single(0), LevelSelector.upto(45)],
+                         ids=_selector_id)
+def test_capped_cutoff_with_a_missed_tail_bound_raises(sel):
+    # at alpha = 0.01 the tail bound at the cap of 40 is 2.5e-7 (single:0)
+    # and 1.1e-5 (upto:45) against tol/10 = 1e-9
+    f = cf.SpectralFunction.renyi(0.01)
+    with pytest.raises(AccuracyError, match="tail bound") as info:
+        cf.coeff_with_error(sel, [f])
+    assert info.value.achieved > 1e-7
+    wrapper = cf.coeff_M_ell if sel.kind == "single" else cf.coeff_M_le_n
+    with pytest.raises(AccuracyError):
+        wrapper(sel.index, f)
+
+
+@pytest.mark.parametrize("sel, cutoff", [(LevelSelector.single(0), 33.0),
+                                         (LevelSelector.upto(45), 36.04)],
+                         ids=["single:0", "upto:45"])
+def test_renyi_0_02_meets_its_tail_bound_below_the_cap(sel, cutoff):
+    f = cf.SpectralFunction.renyi(0.02)
+    grid = cf.xi_grid(sel.index, q=f.endpoint_exponent, c_holder=f.holder_constant)
+    assert grid.cutoff == pytest.approx(cutoff, abs=5e-3)
+    [(value, error)] = cf.coeff_with_error(sel, [f])
+    assert math.isfinite(value) and error > 0.0
 
 
 @pytest.mark.parametrize("wrapper, kind", [(cf.coeff_M_ell, "single"),

@@ -326,6 +326,15 @@ def test_overlap_table_and_occupations_reflect(n):
     assert np.max(np.abs(sf.occupations(n, -x[::-1]) - (1.0 - lam[:, ::-1]))) <= 1e-15
 
 
+def test_lowest_occupation_takes_erfc_to_a_few_ulp():
+    # lambda_0 = erfc(xi)/2 on both sides of the grids and into the subnormal
+    # tail, against 40-digit mpmath
+    xi = np.linspace(-6.0, 26.0, 1601)
+    np.testing.assert_allclose(sf.occupations(0, xi)[0],
+                               [0.5 * oracles.erfc_mp(x) for x in xi],
+                               rtol=1e-15, atol=0.0)
+
+
 def test_occupations_ladder_against_erfc_and_quadrature():
     xi = np.linspace(-7.0, 7.0, 57)
     lam = sf.occupations(9, xi)
