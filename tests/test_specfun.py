@@ -327,8 +327,8 @@ def test_overlap_table_and_occupations_reflect(n):
 
 
 def test_lowest_occupation_takes_erfc_to_a_few_ulp():
-    # lambda_0 = erfc(xi)/2 on both sides of the grids and into the subnormal
-    # tail, against 40-digit mpmath
+    # lambda_0 = erfc(xi)/2 against 40-digit mpmath, from 1 down to 1e-296
+    # at xi = 26; scipy's erfc is off by up to 5.7e-14 relative there
     xi = np.linspace(-6.0, 26.0, 1601)
     np.testing.assert_allclose(sf.occupations(0, xi)[0],
                                [0.5 * oracles.erfc_mp(x) for x in xi],
