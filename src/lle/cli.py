@@ -18,7 +18,7 @@ import numpy as np
 
 from . import coeffs, geometry, identities, region_sim
 from .disk_spectra import disk_spectrum, entropy_from_spectrum
-from .errors import CapabilityError, DomainError, LleError, UsageError
+from .errors import AccuracyError, DomainError, LleError, UsageError
 from .landau import LevelSelector, MagneticSetup
 
 EXIT_OK = 0
@@ -162,6 +162,30 @@ def cmd_verify(args) -> int:
     return EXIT_OK if passed else EXIT_VERIFY_FAIL
 
 
+def _check_resolved(region, vectors, t1: float, smooth: bool, ks) -> None:
+    """AccuracyError if some eps = 2^-k in ks leaves a row to roundoff.
+
+    The removed area is area - intersection, whose budget is delta, 64 ulps
+    of the area: the first order eps t1 must stay above 2^20 delta, and on a
+    smooth region the residual's roundoff delta/eps^2 below its O(eps) size
+    eps max|v|^3. Zero vectors remove nothing and are exact.
+    """
+    v_max = max(math.hypot(x, y) for x, y in vectors)
+    if v_max == 0.0:
+        return
+    delta = 2.0 ** -46 * geometry.area(region)
+    for k in ks:
+        eps = 2.0 ** -k
+        c = eps * v_max
+        if eps * t1 < 2.0 ** 20 * delta or (smooth and delta > c * c * c):
+            raise AccuracyError(
+                f"eps = 2^-{k}: area - intersection carries a roundoff of "
+                f"about {delta:.2g}, which the first order {eps * t1:.2g} "
+                f"(and on a smooth region the residual term "
+                f"eps^3 max|v|^3 = {c * c * c:.2g}) does not resolve",
+                achieved=delta)
+
+
 def cmd_rocca(args) -> int:
     region = _parse_region(args.region)
     try:
@@ -180,10 +204,10 @@ def cmd_rocca(args) -> int:
         raise UsageError(f"eps = 2^-k needs {k_lo} <= k <= {k_hi}, so that eps "
                          f"and eps^2 are finite and nonzero doubles")
     t1 = geometry.roccaforte_first_order(region, vectors)
-    try:
-        t2 = geometry.roccaforte_second_order(region, vectors)
-    except CapabilityError:
-        t2 = None  # polygons carry no curvature term
+    smooth = not isinstance(region, geometry.Polygon)  # polygons: no curvature
+    _check_resolved(region, vectors, t1, smooth,
+                    range(args.eps_min_exp, args.eps_max_exp + 1))
+    t2 = geometry.roccaforte_second_order(region, vectors) if smooth else None
     lines = ["eps,exact_removed,first_order,second_order,residual_over_eps2"]
     for k in range(args.eps_min_exp, args.eps_max_exp + 1):
         eps = 2.0 ** -k

@@ -3,18 +3,18 @@
 The rank-(n+1) truncated-Hermite operator is finite rank, so its nonzero
 spectrum is that of the (n+1)x(n+1) overlap Gram matrix G, and the single-level
 and the up-to-n coefficients are one xi integral, (1/2pi) int tr[f(G) - f(1) G].
-`gram_eigen_field` gives the eigenvalues of G along a whole grid: the top rung
-of the erfc ladder for a single level (specfun.occupations), the closed-form
-overlap table diagonalised node by node up to n (specfun.build_overlap_table).
-The xi grid is mirrored about 0 and psi_j(-t) = (-1)^j psi_j(t) gives
-G(-xi) = I - S G(xi) S with S = diag((-1)^k), so the field is evaluated on
-the positive half only and the negative half is 1 - its eigenvalues.
-`coeff_with_error` integrates every requested f over grids and fields it
-builds once per call and per distinct (cutoff, panel width); a cutoff held at
-XI_CAP with its tail bound above tol/10 is an AccuracyError. The per-xi
-adaptive-quadrature Gram matrix, its dual-route trace moments, the
-panel-quadrature overlap table and the Nystrom discretization of the integral
-kernel are test oracles (tests/oracles.py).
+psi_j(-t) = (-1)^j psi_j(t) gives G(-xi) = I - S G(xi) S with S = diag((-1)^k),
+which pairs each eigenvalue mu at xi with 1 - mu at -xi, so the integral runs
+over xi > 0 alone, of sum_j f(mu_j) + f(1 - mu_j) - f(1), on the positive half
+of a panel rule on [-Xi, Xi] (`_half_rule`). `gram_eigen_field` gives the
+eigenvalues of G at the nodes: the top rung of the erfc ladder for a single
+level (specfun.occupations), the closed-form overlap table diagonalised node
+by node up to n (specfun.build_overlap_table). `coeff_with_error` integrates
+every requested f over fields it builds once per call and per distinct
+(cutoff, panel width); a cutoff held at XI_CAP with its tail bound above
+tol/10 is an AccuracyError. The per-xi adaptive-quadrature Gram matrix, its
+dual-route trace moments, the panel-quadrature overlap table and the Nystrom
+discretization of the integral kernel are test oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import numpy as np
 from .errors import AccuracyError, DomainError
 from .landau import LevelSelector
 from .specfun import (
+    QuadratureRule,
     build_overlap_table,
     clamp_unit,
     gauss_legendre_panels,
@@ -149,16 +150,8 @@ def spectral_function_from_spec(spec: str) -> SpectralFunction:
 
 
 # ---------------------------------------------------------------------------
-# xi-integration grid
+# xi cutoff and half-line rule
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class XiGrid:
-    nodes: np.ndarray
-    weights: np.ndarray
-    cutoff: float
-    panel_width: float
-
 
 def _tail_bound(n: int, q: float, c_holder: float, xi_max: float) -> float:
     # the occupations collapse Gaussianly, so the integrand decays like
@@ -168,123 +161,100 @@ def _tail_bound(n: int, q: float, c_holder: float, xi_max: float) -> float:
     return amp * math.exp(-rate * xi_max * xi_max) / (2.0 * rate * xi_max) / math.pi
 
 
-def _xi_cutoff(n: int, q: float, c_holder: float, tol: float) -> float:
-    # Xi = 8 + sqrt(2n+1), pushed out in steps of 0.5 while the tail bound
-    # exceeds tol/10, up to XI_CAP
+def _xi_cutoff(selector: LevelSelector, f: SpectralFunction,
+               tol: float) -> tuple[float, float]:
+    """(Xi, tail bound past Xi) for f: Xi = 8 + sqrt(2n+1), pushed out in
+    steps of 0.5 while the tail bound exceeds tol/10, up to XI_CAP. A bound
+    still above tol/10 at the cap is an AccuracyError."""
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tolerance must be finite and positive, got {tol}")
+    n = selector.index
+    q, c_holder = f.endpoint_exponent, f.holder_constant
     xi_max = 8.0 + math.sqrt(2.0 * n + 1.0)
     while _tail_bound(n, q, c_holder, xi_max) > 0.1 * tol and xi_max < XI_CAP:
         xi_max += 0.5
-    return xi_max
+    tail = _tail_bound(n, q, c_holder, xi_max)
+    if tail > 0.1 * tol:
+        raise AccuracyError(
+            f"{f.label} at {selector.kind}:{n}: xi cutoff capped at "
+            f"{xi_max:g} leaves a tail bound of {tail:.2e} > tol/10 = "
+            f"{0.1 * tol:.1e}", achieved=tail)
+    return xi_max, tail
 
 
-def _mirrored_grid(xi_max: float, panel_width: float) -> XiGrid:
-    n_panels = int(math.ceil(2.0 * xi_max / panel_width))
-    rule = gauss_legendre_panels(np.linspace(-xi_max, xi_max, n_panels + 1))
+def _half_rule(cutoff: float, panel_width: float) -> QuadratureRule:
+    """The nodes xi > 0 of the composite Gauss-Legendre rule on
+    linspace(-Xi, Xi, n_panels + 1), n_panels = ceil(2 Xi / panel_width).
+    The panel nodes are symmetric and even in number, so no node is 0 and
+    the upper half is exactly the positive one."""
+    n_panels = int(math.ceil(2.0 * cutoff / panel_width))
+    rule = gauss_legendre_panels(np.linspace(-cutoff, cutoff, n_panels + 1))
     half = rule.nodes.size // 2
-    nodes, weights = rule.nodes[half:], rule.weights[half:]
-    return XiGrid(nodes=np.concatenate([-nodes[::-1], nodes]),
-                  weights=np.concatenate([weights[::-1], weights]),
-                  cutoff=xi_max, panel_width=panel_width)
-
-
-def xi_grid(n: int, q: float = 1.0, c_holder: float = 1.0, tol: float = 1e-8,
-            panel_width: float = 0.25) -> XiGrid:
-    """Composite Gauss-Legendre grid on [-Xi, Xi], Xi = 8 + sqrt(2n+1).
-
-    The integrand is analytic with Gaussian decay, so the fixed grid converges
-    spectrally; Xi is pushed further out, up to XI_CAP, if the tail bound
-    exceeds tol/10 (the coefficients refuse a cutoff whose bound still does).
-    The grid is mirrored bitwise, nodes == -nodes[::-1] and weights ==
-    weights[::-1]: the upper half of the panel rule on
-    linspace(-Xi, Xi, n_panels + 1) is reflected onto the lower half. An even
-    node count per panel keeps every node off 0.
-    """
-    return _mirrored_grid(_xi_cutoff(n, q, c_holder, tol), panel_width)
+    return QuadratureRule(rule.nodes[half:], rule.weights[half:])
 
 
 # ---------------------------------------------------------------------------
 # The Gram eigenvalue field and the asymptotic coefficients
 # ---------------------------------------------------------------------------
 
-def gram_eigen_field(selector: LevelSelector, grid: XiGrid) -> np.ndarray:
-    """Clamped Gram eigenvalues at every grid node, shape (N, m): m = 1 for
-    single:l, m = n+1 in decreasing order for upto:n.
-
-    Only the N/2 positive nodes are evaluated. The grid must be mirrored
-    (as `xi_grid` builds it): the eigenvalues at -xi are 1 minus those at xi,
-    G(-xi) = I - S G(xi) S, in reversed order.
-    """
+def gram_eigen_field(selector: LevelSelector, xi) -> np.ndarray:
+    """Clamped Gram eigenvalues at the nodes xi, shape (N, m): m = 1 for
+    single:l, m = n+1 in decreasing order for upto:n."""
     n = selector.index
-    half = grid.nodes.size // 2
-    upper = grid.nodes[half:]
-    if not (np.all(upper > 0.0)
-            and np.array_equal(grid.nodes[:half], -upper[::-1])):
-        raise DomainError("xi grid must be mirrored about 0 with no node at 0")
     if selector.kind == "single":
-        vals = occupations(n, upper)[n][:, None]
+        vals = occupations(n, xi)[n][:, None]
     else:
-        table = build_overlap_table(n, upper)
+        table = build_overlap_table(n, xi)
         vals = np.linalg.eigvalsh(np.moveaxis(table.values, 2, 0))[:, ::-1]
-    vals = np.concatenate([1.0 - vals[::-1, ::-1], vals])
     return clamp_unit(vals, CLAMP, f"gram_eigen_field({selector.kind}:{n})")
 
 
-def _integral(f: SpectralFunction, weights: np.ndarray, mu: np.ndarray) -> float:
-    """(1/2pi) quadrature of tr[f(G) - f(1) G] over a field with its grid
-    weights."""
-    vals = np.asarray(f(mu.ravel()), dtype=float).reshape(mu.shape)
-    trace = vals.sum(axis=1) - f.value_at_one * mu.sum(axis=1)
+def _field(selector: LevelSelector, cutoff: float, panel_width: float):
+    # the half rule's weights and the eigenvalues mu at its nodes, side by
+    # side with 1 - mu, the eigenvalues of G at -xi
+    rule = _half_rule(cutoff, panel_width)
+    mu = gram_eigen_field(selector, rule.nodes)
+    return rule.weights, np.concatenate([mu, 1.0 - mu], axis=1)
+
+
+def _integral(f: SpectralFunction, weights: np.ndarray, pair: np.ndarray) -> float:
+    """(1/2pi) quadrature over xi > 0 of sum_j f(mu_j) + f(1 - mu_j) - f(1),
+    from the (N, 2m) eigenvalue pairs of `_field`."""
+    vals = np.asarray(f(pair.ravel()), dtype=float).reshape(pair.shape)
+    trace = vals.sum(axis=1) - f.value_at_one * (pair.shape[1] // 2)
     return float(np.dot(weights, trace)) / (2.0 * math.pi)
-
-
-def _checked_tail(selector: LevelSelector, f: SpectralFunction, tol: float,
-                  cutoff: float) -> float:
-    """The tail bound past f's xi cutoff; AccuracyError if it still exceeds
-    tol/10, which happens only at XI_CAP."""
-    tail = _tail_bound(selector.index, f.endpoint_exponent, f.holder_constant,
-                       cutoff)
-    if tail > 0.1 * tol:
-        raise AccuracyError(
-            f"{f.label} at {selector.kind}:{selector.index}: xi cutoff capped "
-            f"at {cutoff:g} leaves a tail bound of {tail:.2e} > tol/10 = "
-            f"{0.1 * tol:.1e}", achieved=tail)
-    return tail
 
 
 def coeff_with_error(selector: LevelSelector, fns: list[SpectralFunction],
                      tol: float = 1e-8) -> list[tuple[float, float]]:
     """(1/2pi) integral of tr[f(G) - f(1) G] over xi for each f in `fns`, with
-    an error estimate (coarse-vs-fine grid plus tail bound).
+    an error estimate: the gap to the coarse rule plus the tail bound. The
+    estimate omits the roundoff of 1 - mu that h_alpha amplifies for
+    alpha < 1.
 
-    Each distinct (cutoff, panel width) grid and its field are built once per
-    call and shared by every f that uses them.
+    Each distinct (cutoff, panel width) field is built once per call and
+    shared by every f that uses it.
     """
     fields: dict = {}
 
     def integral(f: SpectralFunction, cutoff: float, panel_width: float) -> float:
         key = (cutoff, panel_width)
         if key not in fields:
-            grid = _mirrored_grid(cutoff, panel_width)
-            fields[key] = grid.weights, gram_eigen_field(selector, grid)
+            fields[key] = _field(selector, cutoff, panel_width)
         return _integral(f, *fields[key])
 
     rows = []
     for f in fns:
-        cutoff = _xi_cutoff(selector.index, f.endpoint_exponent,
-                            f.holder_constant, tol)
-        tail = _checked_tail(selector, f, tol, cutoff)
+        cutoff, tail = _xi_cutoff(selector, f, tol)
         value = integral(f, cutoff, 0.25)
         rows.append((value, abs(value - integral(f, cutoff, 0.5)) + tail))
     return rows
 
 
 def _value(selector: LevelSelector, f: SpectralFunction, tol: float) -> float:
-    # the value of coeff_with_error without the coarse grid of its error bar
-    grid = xi_grid(selector.index, f.endpoint_exponent, f.holder_constant, tol)
-    _checked_tail(selector, f, tol, grid.cutoff)
-    return _integral(f, grid.weights, gram_eigen_field(selector, grid))
+    # the value of coeff_with_error without the coarse rule of its error bar
+    cutoff, _ = _xi_cutoff(selector, f, tol)
+    return _integral(f, *_field(selector, cutoff, 0.25))
 
 
 def coeff_M_ell(ell: int, f: SpectralFunction, tol: float = 1e-8) -> float:

@@ -219,10 +219,8 @@ def gauss_legendre_panels(edges) -> QuadratureRule:
 
 def _check_grid(xi_grid) -> np.ndarray:
     xi = np.asarray(xi_grid, dtype=float)
-    if xi.ndim != 1 or xi.size < 1:
-        raise DomainError("xi grid must be a nonempty 1-D array")
-    if np.any(np.diff(xi) <= 0):
-        raise DomainError("xi grid must be strictly increasing")
+    if xi.ndim != 1 or xi.size < 1 or not np.all(np.isfinite(xi)):
+        raise DomainError("xi grid must be a nonempty 1-D array of finite nodes")
     return xi
 
 

@@ -305,7 +305,8 @@ def k_kernel_matrix(n: int, xi: float, tau: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # per-xi adaptive quadrature of the truncated-Hermite overlaps: the oracle
-# of specfun.build_overlap_table and coeffs.gram_eigen_field
+# of specfun.build_overlap_table and coeffs.gram_eigen_field, at nodes on
+# either side of 0 (the coefficients integrate over xi > 0 alone)
 # ---------------------------------------------------------------------------
 
 def _upper_cutoff(xi: float) -> float:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from lle import cli, geometry
 from lle import identities as idn
 from lle.cli import main
 
@@ -335,6 +336,54 @@ def test_rocca_eps_zero_row():
     code = main(["rocca", "--region", DISK, "--vectors", "[[0,0]]",
                  "--eps-min-exp", "3", "--eps-max-exp", "3"])
     assert code == 0
+
+
+ROCCA_STAR = '{"type":"star","coeffs":[1,0.1,0.05,0,0.08]}'
+ROCCA_VECTORS = "[[1,0.3],[-0.4,0.9]]"
+
+
+def test_rocca_star_residual_stays_first_order_down_to_2_pow_14(capsys):
+    # residual_over_eps2 halves with eps while area - intersection still
+    # resolves it; from 2^-16 on it is roundoff over eps^2
+    code, out, _ = run_cli(capsys, "rocca", "--region", ROCCA_STAR,
+                           "--vectors", ROCCA_VECTORS,
+                           "--eps-min-exp", "8", "--eps-max-exp", "14")
+    assert code == 0
+    resid = [float(r.split(",")[4]) for r in out.strip().split("\n")[1:]]
+    assert len(resid) == 7
+    ratios = np.array(resid[1:]) / np.array(resid[:-1])
+    assert np.all((0.49 < ratios) & (ratios < 0.51))
+
+
+@pytest.mark.parametrize("region, vectors, k_min, k_max, first_refused", [
+    (ROCCA_STAR, ROCCA_VECTORS, 8, 40, 15),
+    (ROCCA_STAR, ROCCA_VECTORS, 8, 15, 15),
+    (ROCCA_STAR, ROCCA_VECTORS, 535, 537, 535),
+    # the removed area eps |dLambda| is under the roundoff of the area
+    ('{"type":"disk","R":1e150}', "[[1,0]]", 3, 4, 3),
+    ('{"type":"star","coeffs":[1e150,1e149]}', "[[1,0]]", 3, 4, 3),
+], ids=["star-8-40", "star-8-15", "star-535-537", "disk-1e150", "star-1e150"])
+def test_rocca_refuses_eps_below_the_area_roundoff(capsys, region, vectors,
+                                                   k_min, k_max, first_refused):
+    code, out, err = run_cli(capsys, "rocca", "--region", region,
+                             "--vectors", vectors,
+                             "--eps-min-exp", str(k_min),
+                             "--eps-max-exp", str(k_max))
+    assert code == 3 and out == ""
+    assert f"eps = 2^-{first_refused}:" in err and "roundoff" in err
+
+
+@pytest.mark.parametrize("text", [
+    '{"type":"disk","R":1.5}', '{"type":"star","coeffs":[1.5,0.1,0,0.05]}',
+    '{"type":"polygon","vertices":[[-1,-1],[1,-1],[1,1],[-1,1]]}'])
+def test_rocca_check_leaves_unit_size_requests_a_wide_margin(text):
+    # regions of unit size, |v| = 0.5 and eps down to 2^-9 still pass with
+    # the first order cut by 5e3 and |v|^3 by 5e3
+    region = geometry.region_from_json(json.loads(text))
+    t1 = geometry.roccaforte_first_order(region, [(0.5, 0.0)])
+    smooth = not isinstance(region, geometry.Polygon)
+    v = 0.5 * 5e3 ** (-1.0 / 3.0)
+    cli._check_resolved(region, [(v, 0.0)], t1 / 5e3, smooth, range(3, 10))
 
 
 @pytest.mark.parametrize("region", [

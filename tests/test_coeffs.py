@@ -126,39 +126,69 @@ def _selector_id(sel):
     return f"{sel.kind}:{sel.index}"
 
 
+def _rule(n, spec="gtilde", panel_width=0.25):
+    # the half rule that coeff_with_error integrates f over at level index n;
+    # gtilde (q = 1, C = 1) has the plain cutoff 8 + sqrt(2n+1)
+    f = cf.spectral_function_from_spec(spec)
+    cutoff, _ = cf._xi_cutoff(LevelSelector.upto(n), f, 1e-8)
+    return cf._half_rule(cutoff, panel_width)
+
+
+def _full_nodes(rule):
+    # the half rule's nodes and their reflections onto xi < 0, increasing
+    return np.concatenate([-rule.nodes[::-1], rule.nodes])
+
+
 def test_gram_eigen_field_matches_per_xi_oracle():
     # the production field (the occupation ladder, or one overlap-table sweep
     # per grid) against the per-xi adaptive-quadrature Gram spectrum at
-    # scattered grid nodes
-    grid = cf.xi_grid(3)
+    # scattered nodes on both sides of 0
+    nodes = _full_nodes(_rule(3))
     for sel in _SELECTORS:
-        field = cf.gram_eigen_field(sel, grid)
-        for i in range(0, grid.nodes.size, 97):
-            xi = grid.nodes[i]
+        field = cf.gram_eigen_field(sel, nodes)
+        for i in range(0, nodes.size, 97):
+            xi = nodes[i]
             want = ([oracles.lambda_ell(3, xi)] if sel.kind == "single"
                     else oracles.gram_spectrum(3, xi))
             np.testing.assert_allclose(field[i], want, atol=1e-11)
 
 
 @pytest.mark.parametrize("n, panel_width", [(3, 0.25), (3, 0.5)])
-def test_xi_grid_is_bitwise_mirrored(n, panel_width):
-    grid = cf.xi_grid(n, panel_width=panel_width)
+def test_half_rule_is_the_positive_half_of_the_panel_rule(n, panel_width):
+    cutoff = 8.0 + math.sqrt(2.0 * n + 1.0)
+    rule = cf._half_rule(cutoff, panel_width)
     # 86 and 43 panels: an even and an odd panel count
-    n_panels = grid.nodes.size // sf.NODES_PER_PANEL
-    assert n_panels == math.ceil(2.0 * grid.cutoff / panel_width)
+    n_panels = 2 * rule.nodes.size // sf.NODES_PER_PANEL
+    assert n_panels == math.ceil(2.0 * cutoff / panel_width)
     assert n_panels % 2 == (panel_width == 0.5)
-    assert np.array_equal(grid.nodes, -grid.nodes[::-1])
-    assert np.array_equal(grid.weights, grid.weights[::-1])
-    assert not np.any(grid.nodes == 0.0)
-    # the same panel edges as an unmirrored composite rule
-    rule = sf.gauss_legendre_panels(np.linspace(-grid.cutoff, grid.cutoff,
-                                                n_panels + 1))
-    assert np.max(np.abs(grid.nodes - rule.nodes)) < 1e-14
-    assert np.max(np.abs(grid.weights - rule.weights)) < 1e-15
+    assert np.all(rule.nodes > 0.0) and np.all(np.diff(rule.nodes) > 0.0)
+    # the upper half of the composite rule on [-Xi, Xi], whose lower half is
+    # its reflection to roundoff
+    full = sf.gauss_legendre_panels(np.linspace(-cutoff, cutoff, n_panels + 1))
+    half = rule.nodes.size
+    assert np.array_equal(full.nodes[half:], rule.nodes)
+    assert np.array_equal(full.weights[half:], rule.weights)
+    assert np.max(np.abs(full.nodes[:half] + rule.nodes[::-1])) < 1e-14
+    assert np.max(np.abs(full.weights[:half] - rule.weights[::-1])) < 1e-15
 
 
-@pytest.mark.parametrize("sel", _SELECTORS, ids=_selector_id)
-def test_gram_eigen_field_evaluates_the_positive_half_only(sel, monkeypatch):
+@pytest.mark.parametrize("panel_width", [0.25, 0.5])
+def test_half_rule_integrates_the_whole_line(panel_width):
+    # sum w [F(xi) + F(-xi)] on the half rule is the full rule's sum w F,
+    # at an even (86) and an odd (43) panel count
+    cutoff = 8.0 + math.sqrt(7.0)
+    rule = cf._half_rule(cutoff, panel_width)
+    n_panels = int(math.ceil(2.0 * cutoff / panel_width))
+    full = sf.gauss_legendre_panels(np.linspace(-cutoff, cutoff, n_panels + 1))
+    for F in (lambda x: 0.5 * erfc(x) ** 2, lambda x: np.exp(-(x - 0.3) ** 2),
+              lambda x: (1.0 + x + x ** 3) * np.exp(-x * x)):
+        whole = float(np.dot(full.weights, F(full.nodes)))
+        halves = float(np.dot(rule.weights, F(rule.nodes) + F(-rule.nodes)))
+        assert abs(halves - whole) <= 1e-15 * abs(whole)
+
+
+def _spy_on_field_builders(monkeypatch):
+    # the nodes of every occupations / build_overlap_table call in coeffs
     seen = []
 
     def spy(fn):
@@ -169,28 +199,32 @@ def test_gram_eigen_field_evaluates_the_positive_half_only(sel, monkeypatch):
 
     monkeypatch.setattr(cf, "occupations", spy(sf.occupations))
     monkeypatch.setattr(cf, "build_overlap_table", spy(sf.build_overlap_table))
-    grid = cf.xi_grid(3)
-    half = grid.nodes.size // 2
-    field = cf.gram_eigen_field(sel, grid)
-    assert len(seen) == 1
-    assert np.array_equal(seen[0], grid.nodes[half:])
-    assert np.all(seen[0] > 0.0)
-    # the lower half is the reflection of the upper half
-    assert np.array_equal(field[:half], 1.0 - field[half:][::-1, ::-1])
+    return seen
 
 
 @pytest.mark.parametrize("sel", _SELECTORS, ids=_selector_id)
-def test_gram_eigen_field_refuses_an_unmirrored_grid(sel):
-    grid = cf.xi_grid(3)
-    shifted = cf.XiGrid(nodes=grid.nodes + 1e-3, weights=grid.weights,
-                        cutoff=grid.cutoff, panel_width=grid.panel_width)
-    with pytest.raises(DomainError, match="mirrored"):
-        cf.gram_eigen_field(sel, shifted)
-    # mirrored, but with a node at 0
-    odd = cf.XiGrid(nodes=np.array([-1.0, 0.0, 0.0, 1.0]), weights=np.ones(4),
-                    cutoff=1.0, panel_width=1.0)
-    with pytest.raises(DomainError, match="mirrored"):
-        cf.gram_eigen_field(sel, odd)
+def test_gram_eigen_field_evaluates_the_positive_half_only(sel, monkeypatch):
+    seen = _spy_on_field_builders(monkeypatch)
+    rule = _rule(3)
+    field = cf.gram_eigen_field(sel, rule.nodes)
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], rule.nodes)
+    # the eigenvalues at -xi are 1 minus those at xi, in reversed order
+    seen.clear()
+    reflected = cf.gram_eigen_field(sel, -rule.nodes)
+    assert np.max(np.abs(reflected - (1.0 - field[:, ::-1]))) < 1e-14
+
+
+@pytest.mark.parametrize("sel", _SELECTORS, ids=_selector_id)
+def test_coeff_with_error_hands_only_positive_nodes_to_the_field(sel,
+                                                                 monkeypatch):
+    seen = _spy_on_field_builders(monkeypatch)
+    specs = ("renyi:1", "renyi:0.05")  # cutoffs 10.65 and 21.65
+    cf.coeff_with_error(sel, [cf.spectral_function_from_spec(s) for s in specs])
+    want = [_rule(3, s, width).nodes for s in specs for width in (0.25, 0.5)]
+    assert len(seen) == len(want) == 4
+    for nodes, rule_nodes in zip(seen, want):
+        assert np.all(nodes > 0.0) and np.array_equal(nodes, rule_nodes)
 
 
 def test_gram_eigenvalues_vs_jacobi_oracle():
@@ -248,15 +282,17 @@ def test_m_le_1_h1_series_sandwich_oracle():
     J = 2000
     for sel in (LevelSelector.single(1), LevelSelector.upto(1)):
         [(target, _)] = cf.coeff_with_error(sel, [cf.SpectralFunction.renyi(1.0)])
-        grid = cf.xi_grid(1, q=0.9, c_holder=4.0)
-        mu = cf.gram_eigen_field(sel, grid)
+        rule = _rule(1, "renyi:1")
+        # the eigenvalues at xi > 0 and, side by side, those at -xi
+        mu = cf.gram_eigen_field(sel, rule.nodes)
+        mu = np.concatenate([mu, 1.0 - mu], axis=1)
         approx = np.zeros(mu.shape[0])
         for j in range(1, J + 1):
             term = mu ** j * (1.0 - mu) + (1.0 - mu) ** j * mu
             approx += term.sum(axis=1) / j
-        series_value = float(np.dot(grid.weights, approx)) / (2 * math.pi)
+        series_value = float(np.dot(rule.weights, approx)) / (2 * math.pi)
         tail = (mu ** (J + 1) + (1.0 - mu) ** (J + 1) * mu).sum(axis=1)
-        tail_bound = float(np.dot(grid.weights, tail)) / (2 * math.pi) / (J + 1)
+        tail_bound = float(np.dot(rule.weights, tail)) / (2 * math.pi) / (J + 1)
         assert abs(target - series_value) <= tail_bound + 1e-8
         assert tail_bound < 5e-3
 
@@ -264,10 +300,11 @@ def test_m_le_1_h1_series_sandwich_oracle():
 def test_monotone_quadrature_convergence():
     # halving the panel width changes M by less than the reported estimate
     f = cf.SpectralFunction.renyi(1.0)
-    finer = cf.xi_grid(1, q=0.9, c_holder=4.0, panel_width=0.125)
+    finer = _rule(1, "renyi:1", panel_width=0.125)
     for sel in (LevelSelector.single(1), LevelSelector.upto(1)):
         [(value, err)] = cf.coeff_with_error(sel, [f])
-        mu = cf.gram_eigen_field(sel, finer)
+        mu = cf.gram_eigen_field(sel, finer.nodes)
+        mu = np.concatenate([mu, 1.0 - mu], axis=1)  # xi and -xi
         trace = np.asarray(f(mu)).sum(axis=1) - f.value_at_one * mu.sum(axis=1)
         v_finer = float(np.dot(finer.weights, trace)) / (2 * math.pi)
         assert abs(v_finer - value) <= err + 1e-14
@@ -278,18 +315,16 @@ def test_monotone_quadrature_convergence():
 def test_renyi_below_one_against_mpmath_on_the_same_grid(spec, bound):
     # h_alpha amplifies the roundoff of eigenvalues near 0 and 1; against a
     # 40-digit evaluation of the same quadrature sum the production value
-    # must hold these bounds. h_alpha(1 - t) = h_alpha(t) and G(-xi) has
-    # the eigenvalues 1 - those of G(xi), so the integrand is even and the
-    # positive half of the mirrored grid carries half the sum.
+    # must hold these bounds. h_alpha(1 - t) = h_alpha(t), so the half-rule
+    # integrand f(mu) + f(1 - mu) is twice f(mu).
     import mpmath as mp
     n = 3
     f = cf.spectral_function_from_spec(spec)
     alpha = mp.mpf(spec.partition(":")[2])
-    grid = cf.xi_grid(n, q=f.endpoint_exponent, c_holder=f.holder_constant)
-    half = grid.nodes.size // 2
+    rule = _rule(n, spec)
     with mp.workdps(40):
         total = mp.mpf(0)
-        for xi, w in zip(grid.nodes[half:], grid.weights[half:]):
+        for xi, w in zip(rule.nodes, rule.weights):
             for t in mp.eigsy(oracles.gram_matrix_mp(n, float(xi)),
                               eigvals_only=True):
                 if 0 < t < 1:
@@ -354,10 +389,12 @@ def test_poly_boundary_coeff():
     # M_ell(t^m): the integral of (lambda_ell^m - lambda_ell) / 2pi
     moment = lambda ell, m: cf.coeff_M_ell(ell, cf.SpectralFunction.monomial(m))
     assert moment(2, 1) == pytest.approx(0.0, abs=1e-12)
-    grid = cf.xi_grid(0)
-    lam = cf.gram_eigen_field(LevelSelector.single(0), grid)[:, 0]
+    rule = _rule(0)
+    lam = cf.gram_eigen_field(LevelSelector.single(0), rule.nodes)[:, 0]
+    lam = np.concatenate([lam, 1.0 - lam])  # xi and -xi
+    weights = np.concatenate([rule.weights, rule.weights])
     assert moment(0, 2) == pytest.approx(
-        float(np.dot(grid.weights, lam ** 2 - lam)) / (2 * math.pi), abs=1e-10)
+        float(np.dot(weights, lam ** 2 - lam)) / (2 * math.pi), abs=1e-10)
     # dense-grid oracle for level 1, fourth moment: lambda_1 by reverse
     # cumulative trapezoid of psi_1^2 on a fine grid
     xi = np.linspace(-12.0, 12.0, 800001)
@@ -371,17 +408,19 @@ def test_poly_boundary_coeff():
 
 def test_shared_fields_match_one_function_calls(monkeypatch):
     # renyi:0.05 pushes the cutoff to 21.65 against 10.65 for the other two,
-    # so each panel width needs two grids; sharing them within the call must
-    # not change a single bit of any row
+    # so each panel width needs two rules; sharing their fields within the
+    # call must not change a single bit of any row
     fns = [cf.spectral_function_from_spec(s)
            for s in ("renyi:1", "renyi:0.05", "gtilde")]
-    build = cf.gram_eigen_field
+    build, half_rule = cf.gram_eigen_field, cf._half_rule
     for sel in _SELECTORS:
-        builds = []
-        monkeypatch.setattr(cf, "gram_eigen_field", lambda s, grid: (
-            builds.append((grid.cutoff, grid.panel_width)) or build(s, grid)))
+        builds, fields = [], []
+        monkeypatch.setattr(cf, "_half_rule", lambda cutoff, width: (
+            builds.append((cutoff, width)) or half_rule(cutoff, width)))
+        monkeypatch.setattr(cf, "gram_eigen_field", lambda s, xi: (
+            fields.append(xi.size) or build(s, xi)))
         rows = cf.coeff_with_error(sel, fns)
-        assert len(builds) == len(set(builds)) == 4
+        assert len(builds) == len(set(builds)) == len(fields) == 4
         assert {round(cutoff, 2) for cutoff, _ in builds} == {10.65, 21.65}
         for f, row in zip(fns, rows):
             assert row == cf.coeff_with_error(sel, [f])[0]
@@ -431,8 +470,8 @@ def test_capped_cutoff_with_a_missed_tail_bound_raises(sel):
                          ids=["single:0", "upto:45"])
 def test_renyi_0_02_meets_its_tail_bound_below_the_cap(sel, cutoff):
     f = cf.SpectralFunction.renyi(0.02)
-    grid = cf.xi_grid(sel.index, q=f.endpoint_exponent, c_holder=f.holder_constant)
-    assert grid.cutoff == pytest.approx(cutoff, abs=5e-3)
+    got, tail = cf._xi_cutoff(sel, f, 1e-8)
+    assert got == pytest.approx(cutoff, abs=5e-3) and tail <= 1e-9
     [(value, error)] = cf.coeff_with_error(sel, [f])
     assert math.isfinite(value) and error > 0.0
 
@@ -441,14 +480,17 @@ def test_renyi_0_02_meets_its_tail_bound_below_the_cap(sel, cutoff):
                                            (cf.coeff_M_le_n, "upto")])
 def test_wrappers_build_one_field_and_equal_the_integrator(wrapper, kind,
                                                            monkeypatch):
-    build = cf.gram_eigen_field
+    build, half_rule = cf.gram_eigen_field, cf._half_rule
     for spec in ("renyi:1", "renyi:0.05", "monomial:3"):
         f = cf.spectral_function_from_spec(spec)
-        builds = []
-        monkeypatch.setattr(cf, "gram_eigen_field", lambda s, grid: (
-            builds.append(grid.panel_width) or build(s, grid)))
+        builds, fields = [], []
+        monkeypatch.setattr(cf, "_half_rule", lambda cutoff, width: (
+            builds.append(width) or half_rule(cutoff, width)))
+        monkeypatch.setattr(cf, "gram_eigen_field", lambda s, xi: (
+            fields.append(xi.size) or build(s, xi)))
         value = wrapper(10, f)
-        assert builds == [0.25]
+        assert builds == [0.25] and len(fields) == 1
+        monkeypatch.setattr(cf, "_half_rule", half_rule)
         monkeypatch.setattr(cf, "gram_eigen_field", build)
         sel = getattr(LevelSelector, kind)(10)
         assert value == cf.coeff_with_error(sel, [f])[0][0]
@@ -458,8 +500,7 @@ def test_wrappers_build_one_field_and_equal_the_integrator(wrapper, kind,
 def test_writing_into_a_returned_field_leaves_coefficients_unchanged(sel):
     f = cf.SpectralFunction.renyi(1.0)
     [before] = cf.coeff_with_error(sel, [f])
-    cf.gram_eigen_field(sel, cf.xi_grid(3, q=f.endpoint_exponent,
-                                        c_holder=f.holder_constant))[:] = 0.5
+    cf.gram_eigen_field(sel, _rule(3, "renyi:1").nodes)[:] = 0.5
     assert cf.coeff_with_error(sel, [f]) == [before]
 
 
@@ -488,19 +529,19 @@ def test_gram_eigen_field_aborts_on_broken_table(monkeypatch):
     for sel in (LevelSelector.single(2), LevelSelector.upto(2)):
         with pytest.raises(NumericError,
                            match=re.escape(f"gram_eigen_field({_selector_id(sel)})")):
-            cf.gram_eigen_field(sel, cf.xi_grid(2))
+            cf.gram_eigen_field(sel, _rule(2).nodes)
 
 
 def test_gram_field_at_the_level_cap_on_the_widest_grid():
-    # a small Hoelder exponent pushes the cutoff to the xi_grid cap of 40;
-    # wide panels keep the (61, 61, N) table small
-    grid = cf.xi_grid(sf.LEVEL_CAP, q=1e-3, panel_width=2.0)
-    assert grid.cutoff >= 40.0
-    table = sf.build_overlap_table(sf.LEVEL_CAP, grid.nodes).values
+    # a small Hoelder exponent pushes the cutoff to its cap of 40; wide
+    # panels keep the (61, 61, N) table small
+    nodes = _full_nodes(cf._half_rule(cf.XI_CAP, 2.0))
+    assert nodes[-1] > 39.0
+    table = sf.build_overlap_table(sf.LEVEL_CAP, nodes).values
     assert np.all(np.isfinite(table))
     # gram_eigen_field passes every row through clamp_unit, which raises on
     # a violation
     for sel, width in ((LevelSelector.single(sf.LEVEL_CAP), 1),
                        (LevelSelector.upto(sf.LEVEL_CAP), sf.LEVEL_CAP + 1)):
-        field = cf.gram_eigen_field(sel, grid)
-        assert field.shape == (grid.nodes.size, width)
+        field = cf.gram_eigen_field(sel, nodes)
+        assert field.shape == (nodes.size, width)

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from lle import coeffs as cf
 from lle import specfun as sf
 from lle.errors import CapabilityError, DomainError, NumericError
+from lle.landau import LevelSelector
 
 import oracles
 
@@ -294,9 +295,18 @@ def test_overlap_table_matches_adaptive_op():
                     oracles.overlap_lambda(l1, l2, grid[i]), abs=1e-12)
 
 
+def _coefficient_nodes(n, panel_width=0.25):
+    # the nodes coeff_with_error integrates gtilde over at level index n
+    cutoff, _ = cf._xi_cutoff(LevelSelector.upto(n), cf.SpectralFunction.gtilde(),
+                              1e-8)
+    return cf._half_rule(cutoff, panel_width).nodes
+
+
 @pytest.mark.parametrize("panel_width", [0.25, 0.5])
 def test_overlap_table_matches_panel_sweep_on_coefficient_grids(panel_width):
-    nodes = cf.xi_grid(48, panel_width=panel_width).nodes
+    # the coefficient nodes and their reflections onto xi < 0
+    nodes = _coefficient_nodes(48, panel_width)
+    nodes = np.concatenate([-nodes[::-1], nodes])
     closed = sf.build_overlap_table(48, nodes).values
     panel = oracles.overlap_table_panel(48, nodes).values
     assert np.max(np.abs(closed - panel)) < 1e-14
@@ -315,8 +325,7 @@ def test_overlap_table_against_mpmath_up_to_the_cap():
 def test_overlap_table_and_occupations_reflect(n):
     # psi_j(-t) = (-1)^j psi_j(t) gives G(-xi) = I - S G(xi) S with
     # S = diag((-1)^k), so lambda_l(-xi) = 1 - lambda_l(xi)
-    x = cf.xi_grid(n).nodes
-    x = x[x > 0.0]
+    x = _coefficient_nodes(n)
     sign = (-1.0) ** np.arange(n + 1)
     table = sf.build_overlap_table(n, x).values
     mirrored = np.eye(n + 1)[:, :, None] - sign[:, None, None] * table * sign[None, :, None]
@@ -324,6 +333,25 @@ def test_overlap_table_and_occupations_reflect(n):
     assert np.max(np.abs(reflected - mirrored[:, :, ::-1])) <= 1e-15
     lam = sf.occupations(n, x)
     assert np.max(np.abs(sf.occupations(n, -x[::-1]) - (1.0 - lam[:, ::-1]))) <= 1e-15
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_overlap_evaluators_refuse_non_finite_nodes(bad):
+    for grid in ([bad], [-1.0, bad, 2.0]):
+        with pytest.raises(DomainError, match="finite"):
+            sf.occupations(3, grid)
+        with pytest.raises(DomainError, match="finite"):
+            sf.build_overlap_table(3, np.array(grid))
+
+
+@pytest.mark.parametrize("n", [0, 3, 20, sf.LEVEL_CAP])
+def test_overlap_evaluators_are_pointwise_in_the_nodes(n):
+    # a reversed grid gives the reversed table bit for bit
+    x = np.linspace(-7.0, 30.0, 301)
+    np.testing.assert_array_equal(sf.occupations(n, x[::-1]),
+                                  sf.occupations(n, x)[:, ::-1])
+    np.testing.assert_array_equal(sf.build_overlap_table(n, x[::-1]).values,
+                                  sf.build_overlap_table(n, x).values[:, :, ::-1])
 
 
 def test_lowest_occupation_takes_erfc_to_a_few_ulp():
