@@ -8,6 +8,8 @@ Its entries need no quadrature: the incomplete-gamma ladder gives the
 diagonal and Laguerre Wronskians the rest, from the radial profiles at the
 disk edge alone. That Gram route is the solver, at every level: on the
 lowest level each sector's Gram matrix is the single entry P(k+1, B R^2/2).
+The incomplete gamma and the log-factorials of the profile norms come from
+`specfun` in numpy and the standard library, so the solver loads no scipy.
 The windowed Gauss-Legendre quadrature of the same entries, the angular
 Fourier transform of the kernel, the radial-Nystrom discretization of each
 sector and the lowest-level incomplete-gamma eigenvalues are independent
@@ -25,7 +27,8 @@ import numpy as np
 from .errors import CapabilityError, DomainError, WindowError
 from .geometry import Disk, Region, region_to_json
 from .landau import LevelSelector, MagneticSetup
-from .specfun import clamp_unit, laguerre_sweep
+from .specfun import (clamp_unit, incomplete_gamma_p, laguerre_sweep,
+                      log_factorial)
 
 # eigenvalues may stray outside [0,1] by at most this much before we suspect
 # an assembly bug rather than roundoff
@@ -88,15 +91,16 @@ def radial_profiles(a_max: int, kappa, x) -> np.ndarray:
     and all taken from one recurrence sweep; the angular weight kappa = |k|
     broadcasts against x. Each p_a^2 integrates to 1 over x in [0, inf), so
     sqrt(B) p_a(B r^2/2) is normalized against r dr. The magnitude factors
-    are assembled in log space so large kappa stays finite.
+    are assembled in log space so large kappa stays finite: the envelope
+    kappa/2 log x - x/2 per node, and the norm (log a! - log (a+kappa)!)/2
+    per radial number and value of kappa, from `specfun.log_factorial`.
     """
-    from scipy.special import gammaln
     kappa = np.asarray(kappa, dtype=float)
     x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_env = np.where(kappa > 0.0, 0.5 * kappa * np.log(x), 0.0) - 0.5 * x
-    a = np.arange(a_max + 1).reshape((-1,) + (1,) * log_env.ndim)
-    log_norm = 0.5 * (gammaln(a + 1.0) - gammaln(a + kappa + 1.0))
+    a = np.arange(a_max + 1.0).reshape((-1,) + (1,) * log_env.ndim)
+    log_norm = 0.5 * (log_factorial(a) - log_factorial(a + kappa))
     lag = np.stack(list(laguerre_sweep(a_max, kappa, x)))
     return lag * np.exp(log_env + log_norm)
 
@@ -145,8 +149,9 @@ def _sector_grams(ks: np.ndarray, a: np.ndarray, x_cut: float) -> np.ndarray:
     p_j^{N-j} p_{j-1}^{N-j+1} with N = a + kappa and P the regularized lower
     incomplete gamma. A level absent from a sector keeps a decoupled
     diagonal entry of -1, which eigvalsh sorts below every true eigenvalue.
+    P(N+1, X) for N = 0..max |k| + max a comes from one array of Poisson
+    weights (`specfun.incomplete_gamma_p`).
     """
-    from scipy.special import gammainc
     kappa = np.abs(ks)[:, None]
     present = a >= 0
     # a - l is one constant per sector, so any row of a gives the level gaps
@@ -160,8 +165,7 @@ def _sector_grams(ks: np.ndarray, a: np.ndarray, x_cut: float) -> np.ndarray:
     for j in range(1, a_top + 1):
         ladder[j, j:] = (math.sqrt(x_cut / j) * prof[j, :n_max + 1 - j]
                          * prof[j - 1, 1:n_max + 2 - j])
-    diag = gammainc(np.arange(1.0, n_max + 2.0), x_cut) \
-        + np.cumsum(ladder, axis=0)
+    diag = incomplete_gamma_p(n_max, x_cut) + np.cumsum(ladder, axis=0)
     p = prof[a, kappa] * present
     u = np.sqrt(a * (a + kappa)) * prof[np.maximum(a - 1, 0), kappa] * present
     grams = (u[:, :, None] * p[:, None, :] - p[:, :, None] * u[:, None, :]) \

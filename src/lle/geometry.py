@@ -209,9 +209,16 @@ def inward_normal(region: Region, theta):
 
 
 def curvature(region: Region, theta):
-    """Signed curvature (positive where the region is locally convex)."""
+    """Signed curvature (positive where the region is locally convex).
+
+    r, r' and r'' are divided by m = max(|r|, |r'|) first, and the curvature
+    of that scaled profile by m after, so no power of the size overflows or
+    underflows; a disk gives 1/R exactly.
+    """
     r, rp, rpp = (boundary_radius(region, theta, order) for order in range(3))
-    return (r * r + 2.0 * rp * rp - r * rpp) / (r * r + rp * rp) ** 1.5
+    m = np.maximum(np.abs(r), np.abs(rp))
+    r, rp, rpp = r / m, rp / m, rpp / m
+    return (r * r + 2.0 * rp * rp - r * rpp) / (r * r + rp * rp) ** 1.5 / m
 
 
 def arc_element(region: Region, theta):

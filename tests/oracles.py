@@ -643,6 +643,17 @@ def sector_gram(setup, selector, k: int,
     return [levels[i] for i in present], g[np.ix_(present, present)]
 
 
+def radial_profile_mp(a: int, kappa: int, x: float, dps: int = 50) -> float:
+    """The radial profile p_a at weight kappa (disk_spectra.radial_profiles)
+    in extended precision, from the explicit sum of L_a^kappa."""
+    with mp.workdps(dps):
+        xm = mp.mpf(x)
+        lag = mp.fsum((-1) ** i * mp.binomial(a + kappa, a - i) * xm ** i
+                      / mp.factorial(i) for i in range(a + 1))
+        return float(mp.sqrt(mp.factorial(a) / mp.factorial(a + kappa))
+                     * xm ** (mp.mpf(kappa) / 2) * mp.exp(-xm / 2) * lag)
+
+
 def sector_gram_mp(a_max: int, kappa: int, x: float,
                    dps: int = 60) -> np.ndarray:
     """Integrals of p_a p_b over [0, x] at weight kappa, for a, b <= a_max.

@@ -1,7 +1,7 @@
 """The public API: the exported names, a library that holds only code and
 class members its entry points reach, a library that runs without the test
-oracles or mpmath, and identity, translate-intersection and coefficient routes
-that run without scipy."""
+oracles or mpmath, and a library and CLI that neither import nor load
+scipy."""
 
 import ast
 import os
@@ -25,22 +25,50 @@ assert main(["coeff", "--levels", "single:0", "--f", "renyi:1"]) == 0
 sys.exit(main(["verify", "--suite", "all", "--cases", "5"]))
 """
 
+# every subcommand, each solver of `spectrum` and the CSV of `scaling`
+_SUBCOMMANDS = """
+DISK, STAR = '{"type":"disk","R":1.0}', '{"type":"star","coeffs":[1.0,0.1]}'
+SUBCOMMANDS = [
+    ["spectrum", "--region", DISK, "--B", "1", "--levels", "upto:1", "--L", "2"],
+    ["spectrum", "--region", STAR, "--B", "1", "--levels", "upto:0", "--L", "1",
+     "--solver", "nystrom2d"],
+    ["spectrum", "--region", DISK, "--B", "1", "--levels", "upto:0", "--L", "1",
+     "--solver", "both"],
+    ["scaling", "--region", DISK, "--B", "1", "--levels", "upto:0",
+     "--alpha", "1", "--L-min", "4", "--L-max", "8", "--csv", "scaling.csv"],
+    ["coeff", "--levels", "single:0", "--f", "renyi:1"],
+    ["verify", "--suite", "all", "--cases", "5"],
+    ["rocca", "--region", DISK, "--vectors", "[[1,0]]",
+     "--eps-min-exp", "3", "--eps-max-exp", "4"],
+    ["rocca", "--region", '{"type":"polygon","vertices":[[0,0],[1,0],[1,1],[0,1]]}',
+     "--vectors", "[[1,0]]", "--eps-min-exp", "3", "--eps-max-exp", "4"],
+]
+"""
+
 _NO_SCIPY = """
 import sys
 
 sys.modules["scipy"] = None
-from lle.cli import main
-assert main(["verify", "--suite", "all", "--cases", "5"]) == 0
-for region in ('{"type":"disk","R":1.0}',
-               '{"type":"polygon","vertices":[[0,0],[1,0],[1,1],[0,1]]}'):
-    assert main(["rocca", "--region", region, "--vectors", "[[1,0]]",
-                 "--eps-min-exp", "3", "--eps-max-exp", "4"]) == 0
 try:
-    main(["spectrum", "--region", '{"type":"disk","R":1.0}', "--B", "1",
-          "--levels", "upto:0", "--L", "2"])
+    import scipy
 except ImportError:
-    sys.exit(0)
-sys.exit("spectrum ran although scipy was blocked")
+    pass
+else:
+    sys.exit("scipy imported although it was blocked")
+from lle.cli import main
+""" + _SUBCOMMANDS + """
+for argv in SUBCOMMANDS:
+    assert main(argv) == 0, argv
+"""
+
+_SCIPY_UNLOADED = """
+import sys
+
+from lle.cli import main
+""" + _SUBCOMMANDS + """
+for argv in SUBCOMMANDS:
+    assert main(argv) == 0, argv
+    assert "scipy" not in sys.modules, argv
 """
 
 _COEFF_NO_SCIPY = """
@@ -154,11 +182,32 @@ def test_library_runs_without_oracles_or_mpmath(tmp_path):
     assert '"renyi:1"' in proc.stdout
 
 
-def test_verify_and_rocca_run_without_scipy(tmp_path):
-    # the disk spectrum needs scipy's gammainc, so its call proves the block
-    # holds
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    # the script first checks that `import scipy` fails inside it
     proc = _run_fresh(_NO_SCIPY, tmp_path)
     assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "scaling.csv").is_file()
+
+
+def test_no_subcommand_loads_scipy(tmp_path):
+    proc = _run_fresh(_SCIPY_UNLOADED, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_no_library_module_imports_scipy():
+    # at any depth: module level, inside functions, and relative or absolute
+    found = []
+    for path in sorted(_SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert not found, f"scipy imports in the library: {found}"
 
 
 def test_coeff_runs_without_scipy(tmp_path):

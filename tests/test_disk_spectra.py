@@ -9,6 +9,7 @@ from lle import disk_spectra as ds
 from lle import geometry as ge
 from lle.errors import DomainError, WindowError
 from lle.landau import LevelSelector, MagneticSetup
+from lle.specfun import laguerre_sweep
 
 import oracles
 
@@ -195,6 +196,28 @@ def test_sector_grams_match_extended_precision(x, k, sel):
     first = max(0, -k)
     exact = oracles.sector_gram_mp(max(sel.levels()) - first, abs(k), x)
     assert np.max(np.abs(g[first:, first:] - exact)) <= 1e-11
+
+
+@pytest.mark.parametrize("x", [0.5, 3.0, 40.0, 800.0, 3200.0, 6000.0])
+def test_radial_profiles_against_mpmath_up_to_kappa_6400(x):
+    # the magnitude is exp of a sum of logs of size kappa log x and
+    # log kappa!, so a few of their ulps set the relative error: 4.8e-12 at
+    # x = 3200 and 8.5e-12 at x = 6000, as with scipy's gammaln in place of
+    # log_factorial
+    from scipy.special import gammaln
+    kappa = np.array([0, 1, 2, 7, 14, 15, 16, 30, 100, 799, 800, 801, 3000,
+                      3200, 3300, 6000, 6400])
+    a = np.arange(4)[:, None]
+    ref = np.array([[oracles.radial_profile_mp(i, int(k), x) for k in kappa]
+                    for i in a[:, 0]])
+    lag = np.stack(list(laguerre_sweep(3, kappa, x)))
+    scipy_norm = lag * np.exp(0.5 * kappa * math.log(x) - 0.5 * x
+                              + 0.5 * (gammaln(a + 1.0) - gammaln(a + kappa + 1.0)))
+    kept = np.abs(ref) > 1e-290
+    err = np.abs(ds.radial_profiles(3, kappa, x) - ref)[kept] / np.abs(ref[kept])
+    err_scipy = np.abs(scipy_norm - ref)[kept] / np.abs(ref[kept])
+    assert err.max() <= 1.01 * err_scipy.max()
+    assert err.max() <= 1e-11
 
 
 def test_diagonal_ladder_against_adaptive_quadrature():

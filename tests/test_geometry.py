@@ -124,6 +124,29 @@ def test_star_curvature_matches_finite_differences():
         assert ge.curvature(STAR, th0) == pytest.approx(kappa_fd, abs=1e-6)
 
 
+def test_curvature_holds_at_every_size():
+    # r^3 overflows past about 5.6e102, yet the curvature of L * region is
+    # the curvature of the region over L; a disk gives 1/R exactly
+    assert np.array_equal(ge.curvature(ge.Disk(1e150), [0.0]), [1e-150])
+    assert ge.curvature(ge.Disk(1e-150), 0.3) == 1e150
+    th = np.linspace(0.0, 2.0 * math.pi, 37)
+    unit = ge.SmoothStar((1.0, 0.1, 0.05))
+    for size in (1e-150, 1e150):
+        star = ge.SmoothStar(tuple(size * c for c in unit.coeffs))
+        np.testing.assert_allclose(size * ge.curvature(star, th),
+                                   ge.curvature(unit, th), rtol=1e-15, atol=0.0)
+        assert size * ge.curvature(star, 0.77) == pytest.approx(
+            ge.curvature(unit, 0.77), rel=1e-15)
+    # the second-order term is scale-free: -1/2 for two orthogonal unit
+    # vectors on any disk
+    vectors = [(1.0, 0.0), (0.0, 1.0)]
+    for radius in (1e-150, 1e150):
+        assert ge.roccaforte_second_order(ge.Disk(radius), vectors) \
+            == pytest.approx(ge.roccaforte_second_order(DISK, vectors), rel=1e-15)
+    assert ge.roccaforte_second_order(ge.Disk(1e150), vectors) \
+        == pytest.approx(-0.5, rel=1e-15)
+
+
 def test_polygon_curvature_is_capability_error():
     with pytest.raises(CapabilityError):
         ge.curvature(SQUARE, 0.1)

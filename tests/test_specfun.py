@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lle import coeffs as cf
+from lle import disk_spectra as ds
 from lle import specfun as sf
 from lle.errors import CapabilityError, DomainError, NumericError
 from lle.landau import LevelSelector
@@ -152,6 +153,67 @@ def test_clamp_unit_names_worst_value_of_2d_array():
     inside = np.array([[-1e-10, 0.5], [1.0 + 1e-10, 0.0]])
     np.testing.assert_array_equal(sf.clamp_unit(inside, 1e-9, "test"),
                                   [[0.0, 0.5], [1.0, 0.0]])
+
+
+# ---------------------------------------------------------------------------
+# log-gamma and the incomplete gamma of integer order
+# ---------------------------------------------------------------------------
+
+def test_log_factorial_matches_the_c_library_lgamma():
+    # integers and fractions on both sides of the switch to the Stirling
+    # series at kappa = 15, out to 1e7
+    kappa = np.concatenate([np.arange(0.0, 200.0), np.linspace(0.0, 40.0, 801),
+                            [14.999999, 15.0, 15.000001],
+                            np.geomspace(1.0, 1e7, 400)])
+    np.testing.assert_allclose(sf.log_factorial(kappa),
+                               [math.lgamma(k + 1.0) for k in kappa],
+                               rtol=1e-15, atol=0.0)
+    # the shape of kappa, a 0-d input included
+    assert sf.log_factorial(np.zeros((3, 1))).shape == (3, 1)
+    assert float(sf.log_factorial(20.0)) == pytest.approx(math.lgamma(21.0),
+                                                          rel=1e-16)
+
+
+@pytest.mark.parametrize("x", [0.2, 0.9, 3.0, 15.5, 50.0, 123.4, 800.0,
+                               3200.0, 6400.0])
+def test_incomplete_gamma_p_against_mpmath_across_the_sector_window(x):
+    # N over the disk's whole lowest-level sector window at x = B R^2/2 and
+    # through the transition x +- 3 sqrt(x); scipy's gammainc misses this
+    # bound at every x here, by 1.2e-14 to 1.6e-13
+    n_max = ds.sector_window(1.0, math.sqrt(2.0 * x), 0)
+    p = sf.incomplete_gamma_p(n_max, x)
+    assert p.shape == (n_max + 1,)
+    lo = max(0, math.floor(x - 3.0 * math.sqrt(x)))
+    hi = min(n_max, math.ceil(x + 3.0 * math.sqrt(x)))
+    ns = sorted(set(range(0, n_max + 1, max(1, n_max // 40)))
+                | set(range(lo, hi + 1, max(1, (hi - lo) // 60))) | {n_max})
+    ref = np.array([oracles.reg_lower_gamma_mp(n + 1, x) for n in ns])
+    np.testing.assert_allclose(p[ns], ref, rtol=1e-14, atol=0.0)
+
+
+def test_incomplete_gamma_p_edge_cases():
+    assert np.array_equal(sf.incomplete_gamma_p(5, 0.0), np.zeros(6))
+    # all of N below x: the lower branch alone, to 1 - e^-x at N = 0
+    p = sf.incomplete_gamma_p(3, 1000.0)
+    assert np.array_equal(p, np.ones(4))
+    assert sf.incomplete_gamma_p(0, 5.0)[0] == pytest.approx(
+        -math.expm1(-5.0), rel=1e-15)
+    # an integer x puts the mode on N + 1 = x, where the upper branch starts
+    p = sf.incomplete_gamma_p(40, 20.0)
+    np.testing.assert_allclose(p[18:21], [oracles.reg_lower_gamma_mp(n, 20.0)
+                                          for n in (19, 20, 21)],
+                               rtol=1e-15, atol=0.0)
+    assert np.all(np.diff(p) < 0.0)
+
+
+def test_incomplete_gamma_p_tail_bound_of_its_docstring():
+    # the weights left out past J = n_max + 1 + K, K = ceil(12 sqrt(x)) + 40,
+    # are at most x^K x! / (x+K)! * x/(K+1) of P(n_max+1, x)
+    for x in np.geomspace(1e-3, 1e7, 2001):
+        k = math.ceil(12.0 * math.sqrt(x)) + 40
+        log_bound = (k * math.log(x) + math.lgamma(x + 1.0)
+                     - math.lgamma(x + k + 1.0) + math.log(x / (k + 1)))
+        assert log_bound < math.log(1e-24), x
 
 
 # ---------------------------------------------------------------------------
