@@ -66,12 +66,22 @@ class SmoothStar:
             arr.flags.writeable = False
         return float(self.coeffs[0]), a, b, j
 
-    def radius(self, theta, order: int = 0):
-        """Radius profile or its theta-derivative of given order."""
+    def radius(self, theta, order: int | tuple[int, ...] = 0):
+        """Radius profile or its theta-derivative of given order.
+
+        A tuple of orders returns one profile per order, all read from one
+        cos/sin table; each equals the single-order call bitwise.
+        """
         theta = np.asarray(theta, dtype=float)
+        arg = np.multiply.outer(theta, self._harmonics[3])
+        table = np.cos(arg), np.sin(arg)
+        if isinstance(order, tuple):
+            return tuple(self._derivative(table, k) for k in order)
+        return self._derivative(table, order)
+
+    def _derivative(self, table, order: int):
         a0, a, b, j = self._harmonics
-        arg = np.multiply.outer(theta, j)
-        cos_part, sin_part = np.cos(arg), np.sin(arg)
+        cos_part, sin_part = table
         for _ in range(order % 4):  # d/dtheta maps (cos, sin) to j (-sin, cos)
             cos_part, sin_part = -sin_part, cos_part
         jp = j ** order
@@ -155,8 +165,7 @@ _STAR_NODES = 2048
 def _star_measures(star: SmoothStar) -> tuple[float, float]:
     def measures(n):
         th = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        r = star.radius(th)
-        rp = star.radius(th, order=1)
+        r, rp = star.radius(th, (0, 1))
         w = 2.0 * math.pi / n
         return (0.5 * float(np.sum(r * r)) * w,
                 float(np.sum(np.sqrt(r * r + rp * rp))) * w)
@@ -185,12 +194,15 @@ def perimeter(region: Region) -> float:
     return float(np.sum(_edges(region.vertex_array())[1]))
 
 
-def boundary_radius(region: Region, theta, order: int = 0):
+def boundary_radius(region: Region, theta, order: int | tuple[int, ...] = 0):
     """Boundary profile r(theta) of a smooth region, or its theta-derivative
-    of the given order; a disk is the star of constant profile."""
+    of the given order, or a tuple of them for a tuple of orders (see
+    SmoothStar.radius); a disk is the star of constant profile."""
     if isinstance(region, SmoothStar):
         return region.radius(theta, order)
     if isinstance(region, Disk):
+        if isinstance(order, tuple):
+            return tuple(boundary_radius(region, theta, k) for k in order)
         out = np.full(np.shape(theta), region.radius if order == 0 else 0.0)
         return out if out.ndim else float(out)
     raise CapabilityError("a polygon has no smooth boundary profile r(theta)")
@@ -199,8 +211,7 @@ def boundary_radius(region: Region, theta, order: int = 0):
 def inward_normal(region: Region, theta):
     """Unit inward normal at the boundary point with polar angle theta."""
     theta = np.asarray(theta, dtype=float)
-    r = boundary_radius(region, theta)
-    rp = boundary_radius(region, theta, order=1)
+    r, rp = boundary_radius(region, theta, (0, 1))
     cos, sin = np.cos(theta), np.sin(theta)
     tx = rp * cos - r * sin
     ty = rp * sin + r * cos
@@ -215,7 +226,7 @@ def curvature(region: Region, theta):
     of that scaled profile by m after, so no power of the size overflows or
     underflows; a disk gives 1/R exactly.
     """
-    r, rp, rpp = (boundary_radius(region, theta, order) for order in range(3))
+    r, rp, rpp = boundary_radius(region, theta, (0, 1, 2))
     m = np.maximum(np.abs(r), np.abs(rp))
     r, rp, rpp = r / m, rp / m, rpp / m
     return (r * r + 2.0 * rp * rp - r * rpp) / (r * r + rp * rp) ** 1.5 / m
@@ -223,8 +234,7 @@ def curvature(region: Region, theta):
 
 def arc_element(region: Region, theta):
     """|dA/dtheta| along the boundary of a smooth region."""
-    r = boundary_radius(region, theta)
-    rp = boundary_radius(region, theta, order=1)
+    r, rp = boundary_radius(region, theta, (0, 1))
     return np.sqrt(r * r + rp * rp)
 
 
@@ -322,18 +332,66 @@ def _clip_half_plane(p: np.ndarray, normal: np.ndarray, offset: float) -> np.nda
     return np.reshape(out, (-1, 2))
 
 
-def _bisect(f, a, b) -> np.ndarray:
-    """Vectorised bisection, one bracket [a, b] per element.
+_SPARE_STEPS = 10  # evaluations a root search may spend beyond bisection's
 
-    Returns where f changes from <= 0 (at a) to > 0 (at b). 64 halvings take
-    every bracket used here below one ulp.
+
+def _bracketed_root(f, a, b, fa, fb) -> np.ndarray:
+    """Vectorised bracketed root finder, one bracket [a, b] per element.
+
+    Returns where f changes from <= 0 (at a, f(a) = fa) to > 0 (at b,
+    f(b) = fb): an iterate where f is exactly 0, or else the midpoint of a
+    final bracket at most 2 tol wide, tol = 4 eps max(|a|, |b|), so within
+    tol of the change. A bracket with fb <= 0 (a tie at its right end)
+    returns b, one with fa > 0 returns a. f maps one point per element to
+    one value per element; elements already found are evaluated at their
+    root.
+
+    Chandrupatla's method (Adv. Eng. Softw. 28, 1997): a secant step, then
+    inverse quadratic interpolation through the last three points where it
+    is monotone on the bracket, and halving where it is not, unless the two
+    points on one side share their value (a plateau of rounding), where the
+    secant step is taken. A step moves at least tol, so the step after the
+    root is reached straddles it. Each iterate is then kept within the ITP
+    bound (Oliveira and Takahashi, ACM TOMS 47, 2020) around the bracket's
+    midpoint, so a search takes at most _SPARE_STEPS evaluations more than
+    halving would, 60 in all. Kink brackets mostly take 3-6 evaluations;
+    where the rounding of f spans many tol, the last steps only halve.
     """
-    for _ in range(64):
-        mid = 0.5 * (a + b)
-        low = f(mid) <= 0.0
-        a = np.where(low, mid, a)
-        b = np.where(low, b, mid)
-    return 0.5 * (a + b)
+    a, b, fa, fb = (np.array(x, dtype=float) for x in (a, b, fa, fb))
+    tol = 4.0 * np.finfo(float).eps * np.maximum(np.abs(a), np.abs(b))
+    root = np.where(fb <= 0.0, b, np.where(fa > 0.0, a, 0.5 * (a + b)))
+    live = np.flatnonzero((fa <= 0.0) & (fb > 0.0) & (b - a > 2.0 * tol))
+    # x1 is the newest point and x2 the other end of the bracket; x3, on the
+    # side of x1, is the point that x1 displaced
+    x1, f1, x2, f2, tol = a[live], fa[live], b[live], fb[live], tol[live]
+    # reach bounds the bracket's width and halves with every evaluation; it
+    # starts at 2 tol 2^n with n = _SPARE_STEPS + the halvings bisection needs
+    reach = tol * 2.0 ** (np.ceil(np.log2((x2 - x1) / (2.0 * tol))) + _SPARE_STEPS + 1)
+    t = f1 / (f1 - f2)
+    while live.size:
+        width = np.abs(x2 - x1)
+        tl = tol / width
+        mid, slack = 0.5 * (x1 + x2), np.maximum(0.5 * (reach - width), 0.0)
+        xt = np.clip(x1 + np.clip(t, tl, 1.0 - tl) * (x2 - x1), mid - slack, mid + slack)
+        x = root.copy()
+        x[live] = xt
+        ft = f(x)[live]
+        same = (ft > 0.0) == (f1 > 0.0)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1, reach = xt, ft, 0.5 * reach
+        done = (ft == 0.0) | (np.abs(x2 - x1) <= 2.0 * tol)
+        root[live[done]] = np.where(ft == 0.0, xt, 0.5 * (x1 + x2))[done]
+        live, x1, f1, x2, f2, x3, f3, tol, reach = (
+            v[~done] for v in (live, x1, f1, x2, f2, x3, f3, tol, reach))
+        xi = (x1 - x2) / (x3 - x2)
+        phi = (f1 - f2) / (f3 - f2)
+        i = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
+        p1, p2, p3 = f1[i], f2[i], f3[i]
+        t = np.where(f1 == f3, f1 / (f1 - f2), 0.5)
+        t[i] = (p1 / (p2 - p1) * p3 / (p2 - p3)
+                + (x3[i] - x1[i]) / (x2[i] - x1[i]) * p1 / (p3 - p1) * p2 / (p3 - p2))
+    return root
 
 
 _NEWTON_STEPS = 30
@@ -343,15 +401,19 @@ _RAY_RESIDUAL = 8.0 * np.finfo(float).eps  # times the bracket bound
 def _star_translate_radius(region, shift: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Radial function of (region + shift) seen from the origin, per ray.
 
-    Closed form for the disk. For a star, Newton's method on the polar angle
-    phi of the boundary point solves u(theta) x (shift + r(phi) e(phi)) = 0
-    from phi = theta, and the radius is u.shift + r(phi) cos(phi - theta).
-    A ray falls back to bisection between the origin and the bound
+    The unshifted region returns its profile r(theta) as it is. Closed form
+    for the disk. For a star, Newton's method on the polar angle phi of the
+    boundary point solves u(theta) x (shift + r(phi) e(phi)) = 0 from
+    phi = theta, each step reading r and r' from one table, and the radius
+    is u.shift + r(phi) cos(phi - theta). A ray falls back to
+    _bracketed_root between the origin and the bound
     a0 + sum_j hypot(a_j, b_j) + |shift| of the translate wherever Newton
     ends outside (0, bound] or its boundary point misses the ray by more than
     8 ulps of the bound. Valid while the origin lies inside the translate,
     which the caller guarantees.
     """
+    if not np.any(shift):
+        return boundary_radius(region, theta)
     ux, uy = np.cos(theta), np.sin(theta)
     if isinstance(region, Disk):
         proj = ux * shift[0] + uy * shift[1]
@@ -368,7 +430,7 @@ def _star_translate_radius(region, shift: np.ndarray, theta: np.ndarray) -> np.n
         if live.size == 0:
             break
         p, d = phi[live], phi[live] - theta[live]
-        r, rp = region.radius(p), region.radius(p, order=1)
+        r, rp = region.radius(p, order=(0, 1))
         step = (r * np.sin(d) + cross[live]) / (rp * np.sin(d) + r * np.cos(d))
         phi[live] = p - step
         live = live[np.abs(step) > 1e-10]
@@ -384,7 +446,8 @@ def _star_translate_radius(region, shift: np.ndarray, theta: np.ndarray) -> np.n
             py = t * by - shift[1]
             return px * px + py * py - region.radius(np.arctan2(py, px)) ** 2
 
-        rho[bad] = _bisect(outside, np.zeros(bx.size), np.full(bx.size, bound))
+        lo, hi = np.zeros(bx.size), np.full(bx.size, bound)
+        rho[bad] = _bracketed_root(outside, lo, hi, outside(lo), outside(hi))
     return rho
 
 
@@ -396,23 +459,28 @@ def _leader_changes(rows) -> np.ndarray:
     """Sorted angles in [0, 2pi) where the argmax over the rows of rows(theta) changes.
 
     rows maps n angles to an (m, n) array. Changes are located on a uniform
-    grid of _EVENT_NODES angles and refined by bisection on the difference of
-    the two rows involved.
+    grid of _EVENT_NODES angles and refined by _bracketed_root on the
+    difference of the two rows involved, seeded with its values on the grid.
     """
     h = 2.0 * math.pi / _EVENT_NODES
     th = h * np.arange(_EVENT_NODES)
-    leader = np.argmax(rows(th), axis=0)
+    vals = rows(th)
+    leader = np.argmax(vals, axis=0)
     cells = np.flatnonzero(leader != np.roll(leader, -1))
     if cells.size == 0:
         return np.zeros(1)
-    old, new = leader[cells], leader[(cells + 1) % _EVENT_NODES]
+    ends = (cells + 1) % _EVENT_NODES
+    old, new = leader[cells], leader[ends]
     pick = np.arange(cells.size)
 
     def gap(t):
         vals = rows(t)
         return vals[new, pick] - vals[old, pick]
 
-    return np.sort(np.mod(_bisect(gap, th[cells], th[cells] + h), 2.0 * math.pi))
+    kinks = _bracketed_root(gap, th[cells], th[cells] + h,
+                            vals[new, cells] - vals[old, cells],
+                            vals[new, ends] - vals[old, ends])
+    return np.sort(np.mod(kinks, 2.0 * math.pi))
 
 
 def _panels(events: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -454,9 +522,10 @@ def intersect_translates_area(region: Region, family: TranslateFamily
     <n_i|x> >= <n_i|v_i> + push_i with push_i > 0; other polygons raise
     CapabilityError. Smooth regions integrate 1/2 rho_min^2 over the polar
     angle, rho_q being the radial function of the q-th translate (for stars,
-    a Newton ray solve with bisection as the per-ray fallback): the kinks
-    where the nearest translate changes are found on a 4096-node grid and
-    refined by bisection, and GL-16 panels, 128 per turn, are split there.
+    a Newton ray solve with _bracketed_root as the per-ray fallback): the
+    kinks where the nearest translate changes are found on a 4096-node grid
+    and refined by _bracketed_root, and GL-16 panels, 128 per turn, are
+    split there.
     This matches a 2^18-node trapezoid rule to ~1e-12 on the stars of the
     tests. Translates whose union of shifts leaves the origin outside one of
     them raise CapabilityError.
@@ -501,17 +570,28 @@ def _translate_vectors(vectors) -> np.ndarray:
     return v
 
 
-def _boundary_rule(region: Region, v: np.ndarray):
+@functools.lru_cache(maxsize=8)
+def _boundary_rule(region: Region, vectors: tuple[tuple[float, float], ...]):
     """Panel nodes t and weights w split at the kinks of max{0, <v_q|n>}.
 
-    Also returns g = <v_q|n(t)>, shape (r, nodes).
+    Also returns g = <v_q|n(t)>, shape (r, nodes). The arrays are read-only:
+    both boundary integrals of one (region, vectors) share them.
     """
+    v = np.array(vectors)
+
     def rows(t):  # [0; <v_q|n>]: the leader changes are the kinks
         g = v @ inward_normal(region, t).T
         return np.vstack([np.zeros((1, g.shape[1])), g])
 
     t, w = _panels(_leader_changes(rows))
-    return t, w, v @ inward_normal(region, t).T
+    out = t, w, v @ inward_normal(region, t).T
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def _shared_boundary_rule(region: Region, v: np.ndarray):
+    return _boundary_rule(region, tuple(map(tuple, v.tolist())))
 
 
 def roccaforte_first_order(region: Region, vectors) -> float:
@@ -526,7 +606,7 @@ def roccaforte_first_order(region: Region, vectors) -> float:
     if isinstance(region, Polygon):
         _, length, normal = _edges(region.vertex_array())
         return float(np.sum(length * np.maximum(0.0, np.max(normal @ v.T, axis=1))))
-    t, w, g = _boundary_rule(region, v)
+    t, w, g = _shared_boundary_rule(region, v)
     integrand = np.maximum(0.0, np.max(g, axis=0))
     return float(np.dot(w, integrand * arc_element(region, t)))
 
@@ -543,7 +623,7 @@ def roccaforte_second_order(region: Region, vectors) -> float:
     v = _translate_vectors(vectors)
     if np.max(np.abs(v)) == 0.0:
         return 0.0
-    t, w, g = _boundary_rule(region, v)
+    t, w, g = _shared_boundary_rule(region, v)
     lead = np.argmax(g, axis=0)
     top = g[lead, np.arange(t.size)]
     if v.shape[0] > 1:

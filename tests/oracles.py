@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the code paths it is used to check:
 extended-precision explicit sums via mpmath, plain dense and adaptive
-quadrature, seeded Monte Carlo areas, a 64-step ray bisection, a dense
-trapezoid rule for translate intersections on Newton ray solves, a
-cyclic-Jacobi eigensolver, finite differences, and the slower second routes
+quadrature, seeded Monte Carlo areas, 64-step bisection (of rays and of
+the kinks between translates), a dense trapezoid rule for translate
+intersections on Newton ray solves, a cyclic-Jacobi eigensolver, finite
+differences, and the slower second routes
 of the library's problems (per-xi adaptive quadrature of the overlap Gram
 matrix, the cumulative panel sweep of the overlap table, the
 Christoffel-Darboux kernel at a point pair and on a grid, the projection
@@ -845,8 +846,8 @@ def mc_cross_hs_norm(setup: MagneticSetup, selector: LevelSelector,
 
 
 # ---------------------------------------------------------------------------
-# ray solves of star translates, and the dense trapezoid of 1/2 rho_min^2
-# (no kink events, no panels, no bisection)
+# bisection, ray solves of star translates, and the dense trapezoid of
+# 1/2 rho_min^2 (no kink events, no panels, no root search)
 # ---------------------------------------------------------------------------
 
 def translate_bound(star, shift) -> float:
@@ -855,22 +856,53 @@ def translate_bound(star, shift) -> float:
     return a0 + float(np.sum(np.hypot(a, b))) + float(np.hypot(*shift))
 
 
+def bisect_root(f, a, b) -> np.ndarray:
+    """Vectorised bisection, one bracket [a, b] per element.
+
+    Returns where f changes from <= 0 (at a) to > 0 (at b); f is never
+    evaluated at a or b. 64 halvings take every bracket of the tests below
+    one ulp. The library's `geometry._bracketed_root` keeps this contract.
+    """
+    for _ in range(64):
+        mid = 0.5 * (a + b)
+        low = f(mid) <= 0.0
+        a = np.where(low, mid, a)
+        b = np.where(low, b, mid)
+    return 0.5 * (a + b)
+
+
+def bisect_leader_changes(rows, nodes: int = 4096) -> np.ndarray:
+    """Sorted angles in [0, 2pi) where the argmax over the rows changes:
+    found on a uniform grid of nodes angles, refined by bisect_root on the
+    difference of the two rows involved."""
+    h = 2.0 * math.pi / nodes
+    th = h * np.arange(nodes)
+    leader = np.argmax(rows(th), axis=0)
+    cells = np.flatnonzero(leader != np.roll(leader, -1))
+    old, new = leader[cells], leader[(cells + 1) % nodes]
+    pick = np.arange(cells.size)
+
+    def gap(t):
+        vals = rows(t)
+        return vals[new, pick] - vals[old, pick]
+
+    return np.sort(np.mod(bisect_root(gap, th[cells], th[cells] + h), 2.0 * math.pi))
+
+
 def bisect_translate_radius(star, shift, theta) -> np.ndarray:
-    """Radial function of (star + shift) on the rays theta, by 64 bisection steps.
+    """Radial function of (star + shift) on the rays theta, by bisect_root.
 
     Each ray is bracketed by the origin and translate_bound; valid while the
     origin lies inside the translate.
     """
     ux, uy = np.cos(theta), np.sin(theta)
-    lo = np.zeros_like(ux)
-    hi = np.full_like(ux, translate_bound(star, shift))
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        px, py = mid * ux - shift[0], mid * uy - shift[1]
-        inside = px * px + py * py - star.radius(np.arctan2(py, px)) ** 2 <= 0.0
-        lo = np.where(inside, mid, lo)
-        hi = np.where(inside, hi, mid)
-    return 0.5 * (lo + hi)
+
+    def outside(t):
+        px, py = t * ux - shift[0], t * uy - shift[1]
+        return px * px + py * py - star.radius(np.arctan2(py, px)) ** 2
+
+    return bisect_root(outside, np.zeros_like(ux),
+                       np.full_like(ux, translate_bound(star, shift)))
 
 
 def newton_translate_radius(star, shift, theta) -> np.ndarray:

@@ -355,6 +355,24 @@ def test_rocca_star_residual_stays_first_order_down_to_2_pow_14(capsys):
     assert np.all((0.49 < ratios) & (ratios < 0.51))
 
 
+def test_rocca_star_finds_the_boundary_kinks_once(capsys, monkeypatch):
+    # both boundary integrals read one kink search; each eps adds its own
+    calls = []
+    leader_changes = geometry._leader_changes
+
+    def spy(rows):
+        calls.append(1)
+        return leader_changes(rows)
+
+    monkeypatch.setattr(geometry, "_leader_changes", spy)
+    geometry._boundary_rule.cache_clear()
+    code, out, _ = run_cli(capsys, "rocca", "--region", ROCCA_STAR,
+                           "--vectors", ROCCA_VECTORS,
+                           "--eps-min-exp", "3", "--eps-max-exp", "5")
+    assert code == 0 and len(out.strip().split("\n")) == 1 + 3
+    assert len(calls) == 1 + 3
+
+
 @pytest.mark.parametrize("region, vectors, k_min, k_max, first_refused", [
     (ROCCA_STAR, ROCCA_VECTORS, 8, 40, 15),
     (ROCCA_STAR, ROCCA_VECTORS, 8, 15, 15),

@@ -114,6 +114,19 @@ def test_star_radius_derivatives_match_shifted_phase_sum(coeffs, k):
     assert np.max(np.abs(got - want)) < 1e-13 * 3 ** k
 
 
+def test_fused_orders_equal_single_order_calls():
+    # one cos/sin table serves every order of a tuple, with the operations
+    # of the single-order call in the same order
+    theta = np.linspace(0.0, 2.0 * math.pi, 1001)
+    for region in (LOPSIDED, STAR, ge.Disk(1.3)):
+        fused = ge.boundary_radius(region, theta, (0, 1, 2, 5))
+        for k, got in zip((0, 1, 2, 5), fused):
+            np.testing.assert_array_equal(got, ge.boundary_radius(region, theta, k))
+    r, rp = LOPSIDED.radius(0.7, (0, 1))
+    assert (r, rp) == (LOPSIDED.radius(0.7), LOPSIDED.radius(0.7, 1))
+    assert isinstance(r, float) and isinstance(rp, float)
+
+
 def test_star_curvature_matches_finite_differences():
     for th0 in (0.0, 0.77, 2.3, 4.9):
         p = lambda t: STAR.radius(t) * np.array([math.cos(t), math.sin(t)])
@@ -290,14 +303,14 @@ def test_ray_solve_falls_back_to_bisection_on_failed_rays(monkeypatch):
     newton = oracles.newton_translate_radius(FOLDED, shift, th)
     failed = ~((newton > 0.0) & (newton <= bound))
     assert np.count_nonzero(failed) == 8
-    bisect, solved = ge._bisect, []
+    find_root, solved = ge._bracketed_root, []
 
-    def spy(f, a, b):
-        out = bisect(f, a, b)
+    def spy(f, a, b, fa, fb):
+        out = find_root(f, a, b, fa, fb)
         solved.append(out)
         return out
 
-    monkeypatch.setattr(ge, "_bisect", spy)
+    monkeypatch.setattr(ge, "_bracketed_root", spy)
     rho = ge._star_translate_radius(FOLDED, shift, th)
     assert len(solved) == 1
     np.testing.assert_array_equal(solved[0], rho[failed])
@@ -308,14 +321,162 @@ def test_ray_solve_falls_back_to_bisection_on_failed_rays(monkeypatch):
 
 def test_ray_solve_round_star_needs_no_fallback(monkeypatch):
     # the unshifted ray lands exactly on the bound a0
-    def no_fallback(f, a, b):
-        raise AssertionError("a ray fell back to bisection")
+    def no_fallback(f, a, b, fa, fb):
+        raise AssertionError("a ray fell back to the bracketed search")
 
-    monkeypatch.setattr(ge, "_bisect", no_fallback)
+    monkeypatch.setattr(ge, "_bracketed_root", no_fallback)
     star = ge.SmoothStar((1.0408,))
     th = np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False)
     rho = ge._star_translate_radius(star, np.zeros(2), th)
     np.testing.assert_array_equal(rho, star.radius(th))
+
+
+# ---------------------------------------------------------------------------
+# the bracketed root finder, against 64-step bisection (oracles.bisect_root)
+# ---------------------------------------------------------------------------
+
+ROOTS = np.array([1.0 / 3.0, 0.1, 0.7071, 0.9, 0.999, 1e-3])
+UNIT = np.zeros(ROOTS.size), np.ones(ROOTS.size)
+EPS = np.finfo(float).eps
+
+
+def _search(f, a, b):
+    """_bracketed_root on f over [a, b] with numpy's float errors raised
+    (so no step may divide by 0 or form 0 * inf); also returns every
+    (point, value) pair f was evaluated at, the ends included."""
+    seen = []
+
+    def spy(x):
+        y = f(x)
+        seen.append((x.copy(), y.copy()))
+        return y
+
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        fa, fb = f(a), f(b)
+        root = ge._bracketed_root(spy, a, b, fa, fb)
+    return root, [(a, fa), (b, fb)] + seen, len(seen)
+
+
+def _assert_certified(root, seen, a, b):
+    # each root is an evaluated exact zero, or the midpoint of a bracket of
+    # evaluated points, f <= 0 at its left end and > 0 at its right, no wider
+    # than 2 tol with tol = 4 eps max(|a|, |b|); a found root is evaluated
+    # again while other elements search, so its own point is no bracket end
+    x = np.array([p for p, _ in seen])
+    y = np.array([v for _, v in seen])
+    tol = 4.0 * EPS * np.maximum(np.abs(a), np.abs(b))
+    for i in range(root.size):
+        if np.any((x[:, i] == root[i]) & (y[:, i] == 0.0)):
+            continue
+        lo = np.max(x[:, i][(x[:, i] < root[i]) & (y[:, i] <= 0.0)])
+        hi = np.min(x[:, i][(x[:, i] > root[i]) & (y[:, i] > 0.0)])
+        assert hi - lo <= 2.0 * tol[i] and root[i] == 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("f, most", [
+    (lambda x: x - ROOTS, 2),
+    (lambda x: x ** 3 + x - (ROOTS ** 3 + ROOTS), 8),
+    (lambda x: np.exp(20.0 * (x - ROOTS)) - 1.0, 12),
+    # no interpolation helps here: the ITP bound allows 10 evaluations beyond
+    # what halving to the final bracket needs, 60 in all, against bisection's 64
+    (lambda x: (x - ROOTS) ** 3, 60),  # flat at the root
+    (lambda x: np.where(x <= ROOTS, -1.0, 1.0), 60),
+], ids=["linear", "cubic", "exponential", "flat-at-root", "step"])
+def test_bracketed_root_matches_bisection(f, most):
+    root, seen, evals = _search(f, *UNIT)
+    _assert_certified(root, seen, *UNIT)
+    np.testing.assert_allclose(root, oracles.bisect_root(f, *UNIT),
+                               rtol=0.0, atol=4.0 * EPS)
+    assert evals <= most
+
+
+@pytest.mark.parametrize("slope", [1.0, 1e-3])
+def test_bracketed_root_on_a_noisy_function(slope):
+    # 1e-16 of noise makes a band of sign changes 2e-16 / slope wide
+    def f(x):
+        return slope * (x - ROOTS) + 1e-16 * np.sin(1e17 * x)
+
+    root, seen, evals = _search(f, *UNIT)
+    _assert_certified(root, seen, *UNIT)
+    assert np.all(np.abs(root - ROOTS) <= 2e-16 / slope + 4.0 * EPS)
+    assert evals <= 16
+
+
+def test_bracketed_root_ties_and_exact_zeros():
+    a, b = UNIT
+    # f(b) == 0, an argmax tie at the right end of a kink cell: bisection
+    # converges to b, and so must the search, without evaluating f
+    root, _, evals = _search(lambda x: x - 1.0, a, b)
+    assert evals == 0
+    np.testing.assert_array_equal(root, b)
+    np.testing.assert_array_equal(oracles.bisect_root(lambda x: x - 1.0, a, b), b)
+    # an exact zero at an iterate ends the search there: the secant step of
+    # x - 1/2 lands on 1/2
+    root, _, evals = _search(lambda x: x - 0.5, a, b)
+    assert evals == 1
+    np.testing.assert_array_equal(root, 0.5)
+    # f(a) == 0 and f > 0 beyond: within tol of a, as bisection
+    root, seen, _ = _search(lambda x: x, a, b)
+    _assert_certified(root, seen, a, b)
+    assert np.all(root <= 4.0 * EPS)
+    # empty brackets and brackets already within tol cost nothing
+    c = np.array([0.3, 0.3])
+    root, _, evals = _search(lambda x: x - 0.3, c, c + np.array([0.0, EPS]))
+    assert evals == 0
+    np.testing.assert_allclose(root, 0.3, rtol=0.0, atol=EPS)
+
+
+def test_leader_changes_match_bisection_through_an_argmax_tie():
+    # rows [0; sin c - sin t] tie exactly at the grid angle c = pi/4, where
+    # the argmax falls to row 0: the kink cell ends on the tie, f(b) == 0
+    c = 512 * 2.0 * math.pi / 4096
+
+    def rows(t):
+        return np.vstack([np.zeros(np.size(t)), math.sin(c) - np.sin(t)])
+
+    kinks = ge._leader_changes(rows)
+    np.testing.assert_allclose(kinks, oracles.bisect_leader_changes(rows),
+                               rtol=0.0, atol=16.0 * EPS)
+    np.testing.assert_allclose(kinks, [c, math.pi - c], rtol=0.0, atol=16.0 * EPS)
+
+
+KINK_FAMILIES = [((1.0, 0.2), (-0.3, 0.7), (-0.6, -0.8)), ((1.0, 0.0),),
+                 ((1.0, 0.2), (-0.3, 0.7))]
+
+
+@pytest.mark.parametrize("star", [LOPSIDED, WAVY5, WAVY24],
+                         ids=["lopsided", "wavy5", "wavy24"])
+def test_kink_searches_take_few_evaluations(monkeypatch, star):
+    # one call evaluates every kink of a search, so a count per call bounds
+    # every kink's; bisection took 64
+    find_root, evals = ge._bracketed_root, []
+
+    def spy(f, a, b, fa, fb):
+        evals.append(0)
+
+        def counted(x):
+            evals[-1] += 1
+            return f(x)
+
+        return find_root(counted, a, b, fa, fb)
+
+    monkeypatch.setattr(ge, "_bracketed_root", spy)
+    for vectors in KINK_FAMILIES:
+        ge._boundary_rule.cache_clear()
+        ge.roccaforte_first_order(star, vectors)
+        for k in range(3, 10):
+            ge.intersect_translates_area(
+                star, ge.TranslateFamily(vectors=vectors, eps=2.0 ** -k))
+    assert len(evals) == 3 * 8
+    assert max(evals) <= 8 and np.median(evals) <= 6
+    # below eps = 2^-9 the band where rounding decides the sign of the gap
+    # between two translates widens like 1/eps, and its last steps halve
+    del evals[:]
+    for vectors in KINK_FAMILIES:
+        for k in (2, 10, 11, 12):
+            ge.intersect_translates_area(
+                star, ge.TranslateFamily(vectors=vectors, eps=2.0 ** -k))
+    assert max(evals) <= 12
 
 
 @pytest.mark.parametrize("vectors, k", [
@@ -387,6 +548,24 @@ def test_second_order_disk_single_vector():
         tol=1e-13)
     assert t2 == pytest.approx(oracle, abs=1e-10)
     assert t2 == pytest.approx(0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("region", [LOPSIDED, WAVY24, DISK],
+                         ids=["lopsided", "wavy24", "disk"])
+def test_boundary_integrals_share_one_rule_bitwise(region):
+    # the cached rule gives the integrals the unshared route gives
+    vectors = [(1.0, 0.2), (-0.3, 0.7), (-0.6, -0.8)]
+    ge._boundary_rule.cache_clear()
+    shared = (ge.roccaforte_first_order(region, vectors),
+              ge.roccaforte_second_order(region, vectors))
+    assert ge._boundary_rule.cache_info().misses == 1
+    unshared = []
+    for integral in (ge.roccaforte_first_order, ge.roccaforte_second_order):
+        ge._boundary_rule.cache_clear()
+        unshared.append(integral(region, vectors))
+    assert shared == tuple(unshared)
+    t, w, g = ge._boundary_rule(region, tuple(vectors))
+    assert not (t.flags.writeable or w.flags.writeable or g.flags.writeable)
 
 
 def test_second_order_degenerate_family_flagged():
