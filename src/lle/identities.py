@@ -1,27 +1,34 @@
 """Executable verification of the substitution-chain and special-function identities.
 
-Each verifier checks one identity pointwise at given inputs and returns a
-result carrying the inputs and the achieved error, so a failing case is
-immediately reproducible. The randomized suites draw per-case seeds from one
-master seed and report as JSON.
+Each identity has one batched evaluator: it takes a block of cases as arrays,
+one row per case, and returns the error and the tolerance of every row plus a
+function giving the inputs of any one row, so that a failing case is
+immediately reproducible. The single-case verifiers are one-row calls of
+these evaluators. The randomized suites draw their cases in blocks of BLOCK
+rows, block b of a suite from the generator keyed (seed, crc32 of the suite
+name, b), so case i depends on the seed, the suite and i alone, and report
+as JSON.
 
 The change-of-variables checks run in the inverse direction: starting from
 the final variables (xi, tau) they reconstruct the original ones and compare
 both sides, which turns the interleaved integral renamings into a pure
 pointwise algebra check. For the branch q = m-1 (hence for all of m = 2) the
 xi-shift is tau_1/2 rather than (tau_1 + tau_{m-1})/2; with that reading every
-identity holds for all m >= 2.
+identity holds for all m >= 2. A block of chains of different lengths pads
+each row's chain variables with zeros beyond its m-1 components.
 
-The special-function checks run on Python floats: one `hermite_sweep` per
-argument gives every Hermite degree a check needs, and the exact
-Hermite-identity left side is one integer numerator over one integer
-denominator, rounded once by the integer division.
+The special-function checks run `hermite_sweep` on arrays, which is bitwise
+equal to its scalar form; the exact Hermite-identity left side is, row by
+row, one integer numerator over one integer denominator, rounded once by the
+integer division.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
+import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -32,6 +39,11 @@ from .landau import symplectic
 from .specfun import hermite_poly_normalized, hermite_sweep
 
 M_CAP = 8  # randomized suites stop here: all index-branch patterns occur by m = 8
+BLOCK = 1024  # cases per keyed draw: case i is row i % BLOCK of block i // BLOCK
+
+# the evaluators' overflows and 0/0s become inf and nan, as on Python floats;
+# the checks after them turn those into DomainError or a failed row
+_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 # ---------------------------------------------------------------------------
@@ -40,53 +52,84 @@ M_CAP = 8  # randomized suites stop here: all index-branch patterns occur by m =
 
 @dataclass(frozen=True)
 class SubstitutionPlan:
-    """Integer matrices of the sector-q substitution chain for chain length m."""
+    """The sector-q substitution chain for chain length m.
+
+    m and q may also be integer arrays of one shape, one plan per row of a
+    block whose chain variables are padded with zeros beyond m-1 components.
+    """
 
     m: int
     q: int
 
     def __post_init__(self):
-        if self.m < 2:
-            raise DomainError(f"chain length must be >= 2, got {self.m}")
-        if not 1 <= self.q <= self.m - 1:
-            raise DomainError(f"branch index must lie in 1..{self.m - 1}")
+        m, q = np.asarray(self.m), np.asarray(self.q)
+        if np.any(m < 2):
+            raise DomainError(f"chain length must be >= 2, got {m.min()}")
+        bad = np.flatnonzero((q < 1) | (q > m - 1))
+        if bad.size:
+            i = bad[0]
+            raise DomainError(f"branch index must lie in 1..{m.flat[i] - 1}, "
+                              f"got {q.flat[i]}")
 
-    @property
-    def skew(self) -> np.ndarray:
-        """S with -1 above, 0 on, +1 below the diagonal ((m-1) x (m-1))."""
-        i = np.arange(self.m - 1)
-        return np.sign(i[:, None] - i[None, :])
-
-    @property
-    def a_inverse(self) -> np.ndarray:
-        m, q = self.m, self.q
-        ai = np.eye(m - 1, dtype=int)
-        ai[np.arange(q - 1), np.arange(1, q)] = -1
-        ai[np.arange(q + 1, m - 1), np.arange(q, m - 2)] = -1
-        return ai
-
-    @property
-    def flip(self) -> np.ndarray:
-        """+1 on the first q variables, -1 on the other m-1-q."""
-        return np.array([1.0] * self.q + [-1.0] * (self.m - 1 - self.q))
-
-    def xi_shift(self, tau: np.ndarray) -> float:
+    def xi_shift(self, tau):
         # for q = m-1 the negative block is empty and t_m collapses to tau_1
-        if self.q == self.m - 1:
-            return 0.5 * float(tau[0])
-        return 0.5 * float(tau[0] + tau[-1])
+        last = np.where(np.asarray(self.q) == np.asarray(self.m) - 1, 0.0,
+                        _at(tau, np.asarray(self.m) - 2))
+        return 0.5 * (tau[..., 0] + last)
 
-    def original_variables(self, xi: float, tau: np.ndarray,
-                           undo_tau_shift: bool = False):
+    def original_variables(self, xi, tau, undo_tau_shift: bool = False):
         """Invert the chain: final (xi, tau) -> original (xi0, t)."""
         tau = np.asarray(tau, dtype=float)
-        if tau.size != self.m - 1:
-            raise DomainError(f"tau must have {self.m - 1} components")
         if undo_tau_shift:
-            tau = tau - xi
-        t = self.a_inverse @ (self.flip * tau)
-        xi0 = -xi - self.xi_shift(tau)
-        return xi0, t
+            tau = _live_only(self.m, tau - np.asarray(xi)[..., None])
+        i = np.arange(tau.shape[-1])
+        flipped = np.where(i < np.asarray(self.q)[..., None], tau, -tau)
+        return -xi - self.xi_shift(tau), _a_inverse_times(self, flipped)
+
+
+def _live(m, width: int) -> np.ndarray:
+    """Mask of the chain variables 0..m-2 in rows padded to `width`."""
+    return np.arange(width) < np.asarray(m)[..., None] - 1
+
+
+def _live_only(m, values: np.ndarray) -> np.ndarray:
+    """values with the entries beyond each row's m-1 chain variables zeroed;
+    the chain axis follows the axes of m (an (x, y) axis may follow it)."""
+    live = _live(m, values.shape[np.ndim(m)])
+    return np.where(live.reshape(live.shape + (1,) * (values.ndim - live.ndim)),
+                    values, 0.0)
+
+
+def _at(v: np.ndarray, k):
+    """v[..., k] row by row, for one index or one per row (clipped into the
+    row: out-of-range indices belong to branches that a select discards)."""
+    k = np.clip(k, 0, v.shape[-1] - 1)
+    return np.take_along_axis(v, np.broadcast_to(k, v.shape[:-1])[..., None],
+                              axis=-1)[..., 0]
+
+
+def _a_inverse_times(plan: SubstitutionPlan, v: np.ndarray) -> np.ndarray:
+    """A^{-1} v on padded rows, as two shifted differences: v_i - v_{i+1}
+    for i < q-1 and v_i - v_{i-1} for i > q (A_ij = 1 for i <= j <= q or
+    q+1 <= j <= i, else 0)."""
+    i = np.arange(v.shape[-1])
+    q = np.asarray(plan.q)[..., None]
+    out = (v - np.where(i < q - 1, np.roll(v, -1, axis=-1), 0.0)
+           - np.where(i > q, np.roll(v, 1, axis=-1), 0.0))
+    return _live_only(plan.m, out)
+
+
+def _sums_before(v: np.ndarray) -> np.ndarray:
+    """Sum of the entries before each one along the last axis (0 first)."""
+    out = np.zeros_like(v)
+    out[..., 1:] = np.cumsum(v[..., :-1], axis=-1)
+    return out
+
+
+def _skew_times(t: np.ndarray) -> np.ndarray:
+    """S t on padded rows, S with -1 above, 0 on, +1 below the diagonal:
+    sum_{j<i} t_j - sum_{j>i} t_j (entries beyond the chain are not zeroed)."""
+    return _sums_before(t) - _sums_before(t[..., ::-1])[..., ::-1]
 
 
 @dataclass
@@ -104,26 +147,71 @@ class VerifyResult:
 
 def _check_finite(**values) -> None:
     for name, v in values.items():
-        if not math.isfinite(v):
-            raise DomainError(f"{name} must be finite, got {v!r}")
+        bad = ~np.isfinite(v)
+        if np.any(bad):
+            raise DomainError(f"{name} must be finite, "
+                              f"got {float(np.asarray(v)[bad].flat[0])!r}")
+
+
+def _clean(v):
+    """One input value as JSON-ready data: arrays as lists, complex numbers
+    as [re, im], numpy scalars as Python numbers."""
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    if isinstance(v, complex):
+        return [float(v.real), float(v.imag)]
+    if isinstance(v, np.generic):
+        return v.item()
+    return v
 
 
 def _result(err: float, tol: float, **inputs) -> VerifyResult:
-    clean = {k: (v.tolist() if isinstance(v, np.ndarray)
-                 else [v.real, v.imag] if isinstance(v, complex) else v)
-             for k, v in inputs.items()}
     return VerifyResult(ok=bool(err <= tol), max_error=float(err),
-                        tolerance=float(tol), inputs=clean)
+                        tolerance=float(tol),
+                        inputs={k: _clean(v) for k, v in inputs.items()})
+
+
+def _one_row(evaluate, *values, **options) -> VerifyResult:
+    """A single-case check: `evaluate` on a block of one row, whose input
+    and side columns become the result's inputs."""
+    err, tol, columns = evaluate(*(np.asarray(v)[None] for v in values),
+                                 **options)
+    return _result(err[0], tol[0], **{k: v[0] for k, v in columns.items()})
+
+
+def _chain_tau(m: int, q: int, tau) -> np.ndarray:
+    SubstitutionPlan(m=m, q=q)
+    tau = np.asarray(tau, dtype=float)
+    if tau.shape != (m - 1,):
+        raise DomainError(f"tau must have {m - 1} components")
+    return tau
 
 
 # ---------------------------------------------------------------------------
 # chain-of-kernels phase and frame identities
 # ---------------------------------------------------------------------------
 
-def _phase_sum(ys: np.ndarray) -> float:
-    """The y-only double sum sum_{i<j} <y_i|J y_j> of the chain phase."""
-    return sum((symplectic(ys[:i].sum(axis=0), ys[i])
-                for i in range(1, ys.shape[0])), 0.0)
+def _phase_sum(ys: np.ndarray) -> np.ndarray:
+    """The y-only double sum sum_{i<j} <y_i|J y_j> of the chain phase, per
+    row of the steps ys (..., m-1, 2)."""
+    before = np.zeros_like(ys)
+    before[..., 1:, :] = np.cumsum(ys[..., :-1, :], axis=-2)
+    return symplectic(before, ys).sum(axis=-1)
+
+
+@_quiet
+def _batch_phase(m, x, ys):
+    # x_0 = x, x_i = x - y_0 - ... - y_{i-1} for i < m, and x_i = x from
+    # i = m on, where the terms <x|J x> vanish
+    steps = np.concatenate([x[:, None], x[:, None] - np.cumsum(ys, axis=1),
+                            x[:, None]], axis=1)
+    k = np.arange(steps.shape[1])[:, None]
+    pts = np.where(k >= m[:, None, None], x[:, None], steps)
+    lhs = symplectic(pts[:, :-1], pts[:, 1:]).sum(axis=-1)
+    rhs = _phase_sum(ys)
+    scale = 1.0 + np.abs(ys).max(axis=(1, 2)) ** 2 + np.abs(x).max(axis=1) ** 2
+    return np.abs(lhs - rhs), 1e-12 * scale, dict(m=m, x=x, ys=ys, lhs=lhs,
+                                                   rhs=rhs)
 
 
 def verify_phase_telescoping(m: int, x, ys) -> VerifyResult:
@@ -134,38 +222,29 @@ def verify_phase_telescoping(m: int, x, ys) -> VerifyResult:
     """
     if m < 2:
         raise DomainError(f"chain length must be >= 2, got {m}")
-    x = np.asarray(x, dtype=float)
-    ys = np.asarray(ys, dtype=float).reshape(m - 1, 2)
-    pts = [x]
-    for i in range(m - 1):
-        pts.append(pts[-1] - ys[i])
-    pts.append(x)  # x_m := x
-    lhs = sum(symplectic(pts[i], pts[i + 1]) for i in range(m))
-    rhs = _phase_sum(ys)
-    scale = 1.0 + float(np.max(np.abs(ys))) ** 2 + float(np.max(np.abs(x))) ** 2
-    return _result(abs(lhs - rhs), 1e-12 * scale, m=m, x=x, ys=ys,
-                   lhs=lhs, rhs=rhs)
+    return _one_row(_batch_phase, m, np.asarray(x, dtype=float),
+                    np.asarray(ys, dtype=float).reshape(m - 1, 2))
+
+
+@_quiet
+def _batch_frame(m, ys, normal):
+    n = normal / np.linalg.norm(normal, axis=-1, keepdims=True)
+    jn = np.stack([n[:, 1], -n[:, 0]], axis=-1)  # J n
+    z = -(ys[..., 0] * jn[:, None, 0] + ys[..., 1] * jn[:, None, 1])
+    t = ys[..., 0] * n[:, None, 0] + ys[..., 1] * n[:, None, 1]
+    rec = -z[..., None] * jn[:, None] + t[..., None] * n[:, None]
+    err = np.maximum(np.abs(rec - ys).max(axis=(1, 2)),
+                     np.abs(np.sum(ys * ys, axis=-1) - (z ** 2 + t ** 2)).max(axis=1))
+    err = np.maximum(err, np.abs(_phase_sum(ys) - np.sum(z * _skew_times(t), axis=-1)))
+    scale = 1.0 + np.abs(ys).max(axis=(1, 2)) ** 2
+    return err, 1e-12 * scale, dict(m=m, ys=ys, normal=n)
 
 
 def verify_local_frame_reduction(ys, normal) -> VerifyResult:
     """Tangent/normal decomposition y = -z Jn + t n and the skew phase form."""
     ys = np.asarray(ys, dtype=float).reshape(-1, 2)
-    m = ys.shape[0] + 1
-    n = np.asarray(normal, dtype=float)
-    n = n / np.linalg.norm(n)
-    jn = np.array([n[1], -n[0]])  # J n
-    z = -ys @ jn
-    t = ys @ n
-    err = 0.0
-    for i in range(m - 1):
-        rec = -z[i] * jn + t[i] * n
-        err = max(err, float(np.max(np.abs(rec - ys[i]))))
-        err = max(err, abs(float(ys[i] @ ys[i]) - (z[i] ** 2 + t[i] ** 2)))
-    lhs = _phase_sum(ys)
-    rhs = float(z @ (SubstitutionPlan(m=m, q=1).skew @ t))
-    err = max(err, abs(lhs - rhs))
-    scale = 1.0 + float(np.max(np.abs(ys))) ** 2
-    return _result(err, 1e-12 * scale, m=m, ys=ys, normal=n)
+    return _one_row(_batch_frame, ys.shape[0] + 1, ys,
+                    np.asarray(normal, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +252,26 @@ def verify_local_frame_reduction(ys, normal) -> VerifyResult:
 # ---------------------------------------------------------------------------
 
 def _chain_data(plan: SubstitutionPlan, t: np.ndarray):
-    big_t = plan.skew @ t
-    big_t_full = np.concatenate([big_t, [0.0]])          # T_m := 0
-    t_full = np.concatenate([t, [t.sum()]])              # t_m := sum t_i
-    return big_t_full, t_full
+    """(T_1..T_m, t_1..t_m) per row with T_m := 0 and t_m := sum t_i, one
+    column longer than the padded t."""
+    pad = np.zeros(t.shape[:-1] + (1,))
+    big_t = _live_only(plan.m, np.concatenate([_skew_times(t), pad], axis=-1))
+    last = np.arange(t.shape[-1] + 1) == np.asarray(plan.m)[..., None] - 1
+    t_full = np.where(last, t.sum(axis=-1)[..., None],
+                      np.concatenate([t, pad], axis=-1))
+    return big_t, t_full
+
+
+@_quiet
+def _batch_exponent(m, q, xi, tau):
+    plan = SubstitutionPlan(m=m, q=q)
+    xi0, t = plan.original_variables(xi, tau)
+    big_t, t_full = _chain_data(plan, t)
+    lhs = (m * xi0 ** 2 + xi0 * big_t.sum(axis=1)
+           + 0.25 * np.sum(big_t ** 2, axis=1) + 0.25 * np.sum(t_full ** 2, axis=1))
+    rhs = xi ** 2 + np.sum(_live_only(m, xi[:, None] + tau) ** 2, axis=1)
+    return np.abs(lhs - rhs), 1e-11 * (1.0 + np.abs(lhs) + np.abs(rhs)), \
+        dict(m=m, q=q, xi=xi, tau=tau, lhs=lhs, rhs=rhs, xi0=xi0, t=t)
 
 
 def verify_exponent_identity(m: int, q: int, xi: float, tau) -> VerifyResult:
@@ -185,16 +280,40 @@ def verify_exponent_identity(m: int, q: int, xi: float, tau) -> VerifyResult:
     m xi0^2 + xi0 sum T_i + (sum T_i^2)/4 + (sum t_i^2)/4, evaluated at the
     reconstructed original variables, must equal xi^2 + sum_j (xi + tau_j)^2.
     """
+    return _one_row(_batch_exponent, m, q, float(xi), _chain_tau(m, q, tau))
+
+
+@_quiet
+def _batch_t_tables(m, q, tau):
+    bad = np.flatnonzero((q < 1) | (q > m - 2))
+    if bad.size:
+        raise DomainError(f"the four-branch tables assume 1 <= q <= m-2, got "
+                          f"(m={m[bad[0]]}, q={q[bad[0]]})")
     plan = SubstitutionPlan(m=m, q=q)
-    tau = np.asarray(tau, dtype=float)
-    xi0, t = plan.original_variables(xi, tau)
-    big_t, t_full = _chain_data(plan, t)
-    lhs = (m * xi0 ** 2 + xi0 * big_t.sum()
-           + 0.25 * np.sum(big_t ** 2) + 0.25 * np.sum(t_full ** 2))
-    rhs = xi ** 2 + float(np.sum((xi + tau) ** 2))
-    scale = 1.0 + abs(lhs) + abs(rhs)
-    return _result(abs(lhs - rhs), 1e-11 * scale, m=m, q=q, xi=xi, tau=tau,
-                   lhs=float(lhs), rhs=float(rhs), xi0=xi0, t=t)
+    i = np.arange(tau.shape[1])
+    t_plain = _a_inverse_times(plan, tau)
+    big_plain = _skew_times(t_plain)
+    t_flip = _a_inverse_times(plan, np.where(i < q[:, None], tau, -tau))
+    big_flip = _skew_times(t_flip)
+    # column j-1 holds factor j: tau_{j-1}, tau_j and tau_{j+1} in the paper's
+    # 1-based names are prv, cur and nxt (wrapped entries sit in dropped branches)
+    prv, cur, nxt = np.roll(tau, 1, axis=1), tau, np.roll(tau, -1, axis=1)
+    first, last = tau[:, :1], _at(tau, m - 2)[:, None]
+    at_q, after_q = _at(tau, q - 1)[:, None], _at(tau, q)[:, None]
+    j, qc = i + 1, q[:, None]
+    branch = [j <= qc - 1, j == qc, j == qc + 1]
+    plain = np.select(branch, [first - cur - nxt - last, first - at_q - last,
+                               first + after_q - last], first + prv + cur - last)
+    flp = np.select(branch, [first - cur - nxt + last, first - at_q + last,
+                             first - after_q + last], first - prv - cur + last)
+    tilde = np.select(branch, [-cur - nxt, -at_q, -after_q], -prv - cur)
+    tilde_t = np.select(branch, [cur - nxt, at_q, -after_q], prv - cur)
+    shift = first + last
+    gaps = np.maximum.reduce([np.abs(big_plain - plain), np.abs(big_flip - flp),
+                              np.abs(big_flip - shift - tilde),
+                              np.abs(t_flip - tilde_t)])
+    err = np.where(_live(m, tau.shape[1]), gaps, 0.0).max(axis=1)
+    return err, 1e-12 * (1.0 + np.abs(tau).max(axis=1)), dict(m=m, q=q, tau=tau)
 
 
 def verify_T_in_tau(m: int, q: int, tau) -> VerifyResult:
@@ -203,64 +322,37 @@ def verify_T_in_tau(m: int, q: int, tau) -> VerifyResult:
     Checks the plain, post-sign-flip, and post-shift (tilde) tables, plus the
     tilde-t table.
     """
-    if not 1 <= q <= m - 2:
-        raise DomainError("the four-branch tables assume 1 <= q <= m-2")
-    plan = SubstitutionPlan(m=m, q=q)
-    tau = np.asarray(tau, dtype=float)
-    ainv, s = plan.a_inverse, plan.skew
-    err = 0.0
-
-    t_plain = ainv @ tau
-    big_plain = s @ t_plain
-    t_flip = ainv @ (plan.flip * tau)
-    big_flip = s @ t_flip
-    shift = tau[0] + tau[-1]
-    for j in range(1, m):
-        tj = tau[j - 1]
-        if j <= q - 1:
-            plain = tau[0] - tj - tau[j] - tau[-1]
-            flp = tau[0] - tj - tau[j] + tau[-1]
-            tilde = -tj - tau[j]
-            tilde_t = tau[j - 1] - tau[j]
-        elif j == q:
-            plain = tau[0] - tau[q - 1] - tau[-1]
-            flp = tau[0] - tau[q - 1] + tau[-1]
-            tilde = -tau[q - 1]
-            tilde_t = tau[q - 1]
-        elif j == q + 1:
-            plain = tau[0] + tau[q] - tau[-1]
-            flp = tau[0] - tau[q] + tau[-1]
-            tilde = -tau[q]
-            tilde_t = -tau[q]
-        else:
-            plain = tau[0] + tau[j - 2] + tau[j - 1] - tau[-1]
-            flp = tau[0] - tau[j - 2] - tau[j - 1] + tau[-1]
-            tilde = -tau[j - 2] - tau[j - 1]
-            tilde_t = tau[j - 2] - tau[j - 1]
-        err = max(err, abs(big_plain[j - 1] - plain))
-        err = max(err, abs(big_flip[j - 1] - flp))
-        err = max(err, abs(big_flip[j - 1] - shift - tilde))
-        err = max(err, abs(t_flip[j - 1] - tilde_t))
-    scale = 1.0 + float(np.max(np.abs(tau)))
-    return _result(err, 1e-12 * scale, m=m, q=q, tau=tau)
+    return _one_row(_batch_t_tables, m, q, _chain_tau(m, q, tau))
 
 
-def _claimed_laguerre_argument(plan: SubstitutionPlan, j: int, omega, xi: float,
+def _claimed_laguerre_argument(plan: SubstitutionPlan, j: int, omega, xi,
                                tau: np.ndarray):
+    """The claimed two-root product of Laguerre factor j: plan.m, plan.q,
+    omega and xi are one value or one per row of tau."""
     m, q = plan.m, plan.q
-    root = lambda v: omega - 2.0j * v
-    if j <= q - 1:
-        return root(tau[j - 1]) * root(tau[j])
-    if j == q:
-        return root(xi) * root(tau[q - 1])
-    if j == m:
-        # for q = m-1 the closing factor supplies the second xi root
-        if q == m - 1:
-            return root(xi) * root(tau[0])
-        return root(tau[0]) * root(tau[m - 2])
-    if j == q + 1:
-        return root(xi) * root(tau[q])
-    return root(tau[j - 2]) * root(tau[j - 1])
+    root = lambda k: omega - 2.0j * _at(tau, k)
+    root_xi = omega - 2.0j * xi
+    return np.select(
+        [j <= q - 1, j == q,
+         # for q = m-1 the closing factor supplies the second xi root
+         (j == m) & (q == m - 1), j == m, j == q + 1],
+        [root(j - 1) * root(j), root_xi * root(q - 1), root_xi * root(0),
+         root(0) * root(m - 2), root_xi * root(q)],
+        root(j - 2) * root(j - 1))
+
+
+@_quiet
+def _batch_laguerre_maps(m, q, omega, xi, tau):
+    plan = SubstitutionPlan(m=m, q=q)
+    xi0, t = plan.original_variables(xi, tau, undo_tau_shift=True)
+    big_t, t_full = _chain_data(plan, t)
+    pre = (omega[:, None] + 1j * (2.0 * xi0[:, None] + big_t)) ** 2 + t_full ** 2
+    err = np.zeros(len(m))
+    for j in range(1, pre.shape[1] + 1):
+        gap = np.abs(pre[:, j - 1] - _claimed_laguerre_argument(plan, j, omega, xi, tau))
+        err = np.where(j <= m, np.maximum(err, gap), err)
+    scale = 1.0 + np.abs(omega) ** 2 + np.abs(tau).max(axis=1) ** 2 + xi * xi
+    return err, 1e-11 * scale, dict(m=m, q=q, omega=omega, xi=xi, tau=tau)
 
 
 def verify_laguerre_argument_maps(m: int, q: int, omega, xi: float,
@@ -271,18 +363,8 @@ def verify_laguerre_argument_maps(m: int, q: int, omega, xi: float,
     evaluated at the reconstructed originals (including the final global
     tau -> tau - xi shift), must equal the claimed two-root product.
     """
-    plan = SubstitutionPlan(m=m, q=q)
-    tau = np.asarray(tau, dtype=float)
-    xi0, t = plan.original_variables(xi, tau, undo_tau_shift=True)
-    big_t, t_full = _chain_data(plan, t)
-    err = 0.0
-    scale = 1.0 + abs(complex(omega)) ** 2 + float(np.max(np.abs(tau))) ** 2 + xi * xi
-    for j in range(1, m + 1):
-        pre = (omega + 1j * (2.0 * xi0 + big_t[j - 1])) ** 2 + t_full[j - 1] ** 2
-        claimed = _claimed_laguerre_argument(plan, j, omega, xi, tau)
-        err = max(err, abs(pre - claimed))
-    return _result(err, 1e-11 * scale, m=m, q=q, omega=complex(omega), xi=xi,
-                   tau=tau)
+    return _one_row(_batch_laguerre_maps, m, q, complex(omega), float(xi),
+                    _chain_tau(m, q, tau))
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +406,61 @@ def _hermite_lhs_table(ell: int) -> dict:
     return {key: Fraction(v, denom) for key, v in scaled.items() if v}
 
 
+def _hermite_lhs(ell: int, xs: np.ndarray, ts: np.ndarray):
+    """Exact Hermite-identity left sides at rows (xs, ts) of one degree, and
+    their floors 1e-13 sqrt(2) (term mass), as two arrays."""
+    # xi = p/2^j and tau = r/2^k; no power exceeds ell, so the sum is one
+    # integer over ell! 2^ell 2^(j ell) 2^(k ell); the terms of one power of
+    # xi share one sum over the powers of tau
+    denom = math.factorial(ell) * 2 ** ell
+    by_power: dict = {}
+    for (a, b), c in _hermite_lhs_table(ell).items():
+        by_power.setdefault(a, []).append((b, c.numerator * (denom // c.denominator)))
+    rows = [(a, [b for b, _ in bc], [c for _, c in bc], [abs(c) for _, c in bc])
+            for a, bc in by_power.items()]
+    out = []
+    for xi, tau in zip(xs.tolist(), ts.tolist()):
+        p, q = xi.as_integer_ratio()
+        r, s = tau.as_integer_ratio()
+        j, k = q.bit_length() - 1, s.bit_length() - 1
+        tp = [r ** b << k * (ell - b) for b in range(ell + 1)]
+        num = mass = 0
+        for a, bs, cs, abs_cs in rows:
+            xa = p ** a << j * (ell - a)
+            tb = list(map(tp.__getitem__, bs))
+            num += xa * sum(map(operator.mul, cs, tb))
+            mass += abs(xa) * sum(map(operator.mul, abs_cs, map(abs, tb)))
+        full = denom << (j + k) * ell
+        try:
+            lhs = math.sqrt(2.0) * (num / full)
+            floor = 1e-13 * math.sqrt(2.0) * (mass / full)
+        except OverflowError:
+            lhs = math.inf
+        if math.isinf(lhs):
+            raise DomainError(f"Hermite-identity left side or its term mass "
+                              f"overflows a double at (ell={ell}, xi={xi!r}, "
+                              f"tau={tau!r})")
+        out.append((lhs, floor))
+    return np.array(out).T
+
+
+@_quiet
+def _batch_hermite(ell, xi, tau):
+    if np.any(ell > 12):
+        raise DomainError("the Hermite identity tables stop at ell = 12")
+    _check_finite(xi=xi, tau=tau)
+    rhs, lhs, floor = np.empty((3, len(ell)))
+    for degree in np.unique(ell).tolist():
+        rows = np.flatnonzero(ell == degree)
+        # sqrt(2) H_l(xi) H_l(tau) / (2^l l!) in the normalized basis
+        rhs[rows] = (math.sqrt(2.0) * hermite_poly_normalized(degree, xi[rows])
+                     * hermite_poly_normalized(degree, tau[rows]))
+        lhs[rows], floor[rows] = _hermite_lhs(degree, xi[rows], tau[rows])
+    return np.abs(lhs - rhs), np.maximum(1e-9 * np.abs(rhs), floor), dict(
+        ell=ell, xi=xi, tau=tau, lhs=np.stack([lhs, np.zeros_like(lhs)], axis=1),
+        rhs=rhs)
+
+
 def verify_hermite_identity(ell: int, xi: float, tau: float) -> VerifyResult:
     """Gaussian integral of a two-root Laguerre argument against Hermite pairs.
 
@@ -339,38 +476,54 @@ def verify_hermite_identity(ell: int, xi: float, tau: float) -> VerifyResult:
     rounding of a double evaluation where the terms cancel (near the Hermite
     zeros).
     """
-    if ell > 12:
-        raise DomainError("the Hermite identity tables stop at ell = 12")
-    _check_finite(xi=xi, tau=tau)
-    # sqrt(2) H_l(xi) H_l(tau) / (2^l l!) in the normalized basis
-    hx = hermite_poly_normalized(ell, xi)
-    ht = hermite_poly_normalized(ell, tau)
-    rhs = math.sqrt(2.0) * hx * ht
-    # xi = p/q and tau = r/s; no power exceeds ell, so the sum is one integer
-    # over ell! 2^ell q^ell s^ell
-    denom = math.factorial(ell) * 2 ** ell
-    p, q = float(xi).as_integer_ratio()
-    r, s = float(tau).as_integer_ratio()
-    xp = [p ** a * q ** (ell - a) for a in range(ell + 1)]
-    tp = [r ** b * s ** (ell - b) for b in range(ell + 1)]
-    num = mass = 0
-    for (a, b), c in _hermite_lhs_table(ell).items():
-        term = c.numerator * (denom // c.denominator) * xp[a] * tp[b]
-        num += term
-        mass += abs(term)
-    full = denom * q ** ell * s ** ell
+    return _one_row(_batch_hermite, ell, float(xi), float(tau))
+
+
+def _mehler_closed(xi: float, tau: float, t: float) -> float:
     try:
-        lhs = math.sqrt(2.0) * (num / full)
-        floor = 1e-13 * math.sqrt(2.0) * (mass / full)
+        return (1.0 - t * t) ** -0.5 * math.exp(
+            2.0 * xi * tau * t / (1.0 - t) - t * t * (xi + tau) ** 2 / (1.0 - t * t))
     except OverflowError:
-        lhs = math.inf
-    if math.isinf(lhs):
-        raise DomainError(f"Hermite-identity left side or its term mass "
-                          f"overflows a double at (ell={ell}, xi={xi!r}, "
-                          f"tau={tau!r})")
-    tol = max(1e-9 * abs(rhs), floor)
-    return _result(abs(lhs - rhs), tol, ell=ell, xi=xi, tau=tau,
-                   lhs=[lhs, 0.0], rhs=rhs)
+        raise DomainError(f"Mehler closed form overflows a double at "
+                          f"(xi={xi!r}, tau={tau!r}, t={t!r})") from None
+
+
+@_quiet
+def _batch_mehler(xi, tau, t, n_cap: int = 200):
+    bad = np.flatnonzero(~(np.abs(t) < 1.0))
+    if bad.size:
+        raise DomainError(f"Mehler series needs |t| < 1, got {t[bad[0]]}")
+    _check_finite(xi=xi, tau=tau)
+    closed = np.array([_mehler_closed(*row) for row in
+                       zip(xi.tolist(), tau.tolist(), t.tolist())])
+    # normalized recurrence, so H_l(x) t^l / (2^l l!)-type terms stay bounded
+    pairs = zip(hermite_sweep(n_cap, xi), hermite_sweep(n_cap, tau))
+    h_x, h_t = next(pairs)
+    total = h_x * h_t
+    mass = np.abs(total)  # cancellation mass: sum of |terms|
+    power = np.ones_like(t)
+    small_run = np.zeros(len(t), dtype=int)
+    running = np.ones(len(t), dtype=bool)
+    for ell, (h_x, h_t) in enumerate(pairs, start=1):
+        power = power * t
+        term = h_x * h_t * power
+        total = np.where(running, total + term, total)
+        mass = np.where(running, mass + np.abs(term), mass)
+        # h-tilde oscillates in ell, so one small term proves nothing; a row
+        # stops after a run of six, before trusting the tail to be gone
+        small = (np.abs(term) < 1e-13 * np.maximum(1.0, np.abs(total))) & (ell > 8)
+        small_run = np.where(small, small_run + 1, 0)
+        running &= small_run < 6
+        if not running.any():
+            break
+    else:
+        i = np.flatnonzero(running)[0]
+        raise NumericError(f"Mehler series not converged within {n_cap} terms "
+                           f"at (xi={xi[i]}, tau={tau[i]}, t={t[i]})")
+    # the accumulated-roundoff floor 1e-15 * mass is the best doubles can do
+    return np.abs(total - closed), \
+        1e-9 * np.maximum(1.0, np.abs(closed)) + 1e-15 * mass, \
+        dict(xi=xi, tau=tau, t=t, series=total, closed=closed)
 
 
 def verify_mehler(xi: float, tau: float, t: float,
@@ -382,131 +535,129 @@ def verify_mehler(xi: float, tau: float, t: float,
     series length. Non-finite inputs, and inputs whose closed form overflows
     a double, raise DomainError.
     """
-    if not abs(t) < 1.0:
-        raise DomainError(f"Mehler series needs |t| < 1, got {t}")
-    _check_finite(xi=xi, tau=tau)
-    try:
-        closed = (1.0 - t * t) ** -0.5 * math.exp(
-            2.0 * xi * tau * t / (1.0 - t) - t * t * (xi + tau) ** 2 / (1.0 - t * t))
-    except OverflowError:
-        raise DomainError(f"Mehler closed form overflows a double at "
-                          f"(xi={xi!r}, tau={tau!r}, t={t!r})") from None
-    # normalized recurrence, so H_l(x) t^l / (2^l l!)-type terms stay bounded
-    pairs = zip(hermite_sweep(n_cap, xi), hermite_sweep(n_cap, tau))
-    h_x, h_t = next(pairs)
-    total = h_x * h_t
-    mass = abs(total)  # cancellation mass: sum of |terms|
-    power = 1.0
-    small_run = 0
-    converged = False
-    for ell, (h_x, h_t) in enumerate(pairs, start=1):
-        power *= t
-        total += h_x * h_t * power
-        mass += abs(h_x * h_t * power)
-        # h-tilde oscillates in ell, so one small term proves nothing; demand
-        # a run of six before trusting the tail to be gone
-        if abs(h_x * h_t * power) < 1e-13 * max(1.0, abs(total)) and ell > 8:
-            small_run += 1
-            if small_run >= 6:
-                converged = True
-                break
-        else:
-            small_run = 0
-    if not converged:
-        raise NumericError(f"Mehler series not converged within {n_cap} terms "
-                           f"at (xi={xi}, tau={tau}, t={t})")
-    err = abs(total - closed)
-    # the accumulated-roundoff floor 1e-15 * mass is the best doubles can do
-    return _result(err, 1e-9 * max(1.0, abs(closed)) + 1e-15 * mass,
-                   xi=xi, tau=tau, t=t, series=total, closed=closed)
+    return _one_row(_batch_mehler, float(xi), float(tau), float(t), n_cap=n_cap)
+
+
+@_quiet
+def _batch_christoffel_darboux(n, tau, taup):
+    if np.any(n > 20):
+        raise DomainError("Christoffel-Darboux check capped at n = 20")
+    if np.any(n < 0):
+        raise DomainError(f"top degree must be >= 0, got {n.min()}")
+    _check_finite(tau=tau, taup=taup)
+    # one sweep to degree n + 2 per argument serves the direct sum, the
+    # quotient, its confluent form and the envelope of the rounding floor
+    top, rows = int(n.max()) + 2, np.arange(len(n))
+    ht = np.array(list(hermite_sweep(top, tau)))
+    hp = np.array(list(hermite_sweep(top, taup)))
+    direct = np.cumsum(ht * hp, axis=0)[n, rows]  # accumulates in degree order
+    h_n, h_n1, h_n2 = ht[n, rows], ht[n + 1, rows], ht[n + 2, rows]
+    p_n, p_n1 = hp[n, rows], hp[n + 1, rows]
+    confluent = tau == taup
+    gap = np.where(confluent, 1.0, tau - taup)
+    root = np.sqrt((n + 1.0) / 2.0)
+    quot = np.where(
+        confluent,
+        (n + 1.0) * h_n1 * h_n1 - np.sqrt((n + 1.0) * (n + 2.0)) * h_n * h_n2,
+        root * (p_n * h_n1 - h_n * p_n1) / gap)
+    bad = np.flatnonzero(~(np.isfinite(direct) & np.isfinite(quot)))
+    if bad.size:
+        i = bad[0]
+        raise DomainError(f"normalized Hermite values overflow a double at "
+                          f"(n={n[i]}, tau={tau[i].item()!r}, "
+                          f"taup={taup[i].item()!r})")
+    # the quotient cancels to rounding of its products over |tau - taup|:
+    # the floor scales that rounding by the largest h_k, k <= n + 1, of
+    # either argument (h_n alone can sit at a zero)
+    env_t = np.maximum.accumulate(np.abs(ht), axis=0)[n + 1, rows]
+    env_p = np.maximum.accumulate(np.abs(hp), axis=0)[n + 1, rows]
+    floor = np.where(confluent, 0.0, 1e-13 * root * env_t * env_p / np.abs(gap))
+    tol = np.maximum(1e-10 * np.maximum(1.0, np.abs(direct)), floor)
+    return np.abs(direct - quot), tol, dict(n=n, tau=tau, taup=taup,
+                                            direct=direct, quotient=quot)
 
 
 def verify_christoffel_darboux(n: int, tau: float, taup: float) -> VerifyResult:
     """Direct normalized Hermite sum against the divided-difference quotient.
 
     One `hermite_sweep` to degree n + 2 per argument serves the direct sum,
-    the quotient and, at tau == taup, its confluent form. Non-finite inputs,
-    and inputs whose Hermite values overflow a double, raise DomainError.
+    the quotient and, at tau == taup, its confluent form. The tolerance is
+    1e-10 relative with a floor, off the confluent diagonal, of
+    1e-13 sqrt((n+1)/2) max_k |h_k(tau)| max_k |h_k(taup)| / |tau - taup|
+    over k <= n + 1, the rounding of the quotient's cancelling products.
+    Non-finite inputs, and inputs whose Hermite values overflow a double,
+    raise DomainError.
     """
-    if n > 20:
-        raise DomainError("Christoffel-Darboux check capped at n = 20")
-    if n < 0:
-        raise DomainError(f"top degree must be >= 0, got {n}")
-    _check_finite(tau=tau, taup=taup)
-    ht = list(hermite_sweep(n + 2, tau))
-    hp = list(hermite_sweep(n + 2, taup))
-    direct = sum(a * b for a, b in zip(ht[:n + 1], hp))
-    if tau == taup:
-        quot = (n + 1.0) * ht[n + 1] * ht[n + 1] \
-            - math.sqrt((n + 1.0) * (n + 2.0)) * ht[n] * ht[n + 2]
-    else:
-        quot = math.sqrt((n + 1.0) / 2.0) * (
-            hp[n] * ht[n + 1] - ht[n] * hp[n + 1]) / (tau - taup)
-    if not (math.isfinite(direct) and math.isfinite(quot)):
-        raise DomainError(f"normalized Hermite values overflow a double at "
-                          f"(n={n}, tau={tau!r}, taup={taup!r})")
-    err = abs(direct - quot)
-    return _result(err, 1e-10 * max(1.0, abs(direct)), n=n, tau=tau, taup=taup,
-                   direct=direct, quotient=quot)
+    return _one_row(_batch_christoffel_darboux, n, float(tau), float(taup))
 
 
 # ---------------------------------------------------------------------------
-# randomized suites
+# randomized suites: each draws one block of BLOCK cases from its generator
+# and returns its batched evaluator, the case columns and the single-case
+# check of one row of them
 # ---------------------------------------------------------------------------
 
-def _suite_phase(rng) -> VerifyResult:
-    m = int(rng.integers(2, M_CAP + 1))
-    return verify_phase_telescoping(m, rng.normal(size=2),
-                                    rng.normal(size=(m - 1, 2)))
+def _suite_phase(rng):
+    m = rng.integers(2, M_CAP + 1, BLOCK)
+    x = rng.normal(size=(BLOCK, 2))
+    ys = _live_only(m, rng.normal(size=(BLOCK, M_CAP - 1, 2)))
+    return _batch_phase, (m, x, ys), lambda m, x, ys: \
+        verify_phase_telescoping(m, x, ys[:m - 1])
 
 
-def _suite_frame(rng) -> VerifyResult:
-    m = int(rng.integers(2, M_CAP + 1))
-    ang = rng.uniform(0, 2 * math.pi)
-    return verify_local_frame_reduction(rng.normal(size=(m - 1, 2)),
-                                        (math.cos(ang), math.sin(ang)))
+def _suite_frame(rng):
+    m = rng.integers(2, M_CAP + 1, BLOCK)
+    ys = _live_only(m, rng.normal(size=(BLOCK, M_CAP - 1, 2)))
+    ang = rng.uniform(0, 2 * math.pi, BLOCK)
+    normal = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    return _batch_frame, (m, ys, normal), lambda m, ys, normal: \
+        verify_local_frame_reduction(ys[:m - 1], normal)
 
 
-def _suite_exponent(rng) -> VerifyResult:
-    m = int(rng.integers(2, M_CAP + 1))
-    q = int(rng.integers(1, m))
-    return verify_exponent_identity(m, q, float(rng.normal()),
-                                    rng.uniform(0.05, 3.0, size=m - 1))
+def _suite_exponent(rng):
+    m = rng.integers(2, M_CAP + 1, BLOCK)
+    q = rng.integers(1, m)
+    xi = rng.normal(size=BLOCK)
+    tau = _live_only(m, rng.uniform(0.05, 3.0, size=(BLOCK, M_CAP - 1)))
+    return _batch_exponent, (m, q, xi, tau), lambda m, q, xi, tau: \
+        verify_exponent_identity(m, q, xi, tau[:m - 1])
 
 
-def _suite_t_tables(rng) -> VerifyResult:
-    m = int(rng.integers(3, M_CAP + 1))
-    q = int(rng.integers(1, m - 1))
-    return verify_T_in_tau(m, q, rng.uniform(0.05, 3.0, size=m - 1))
+def _suite_t_tables(rng):
+    m = rng.integers(3, M_CAP + 1, BLOCK)
+    q = rng.integers(1, m - 1)
+    tau = _live_only(m, rng.uniform(0.05, 3.0, size=(BLOCK, M_CAP - 1)))
+    return _batch_t_tables, (m, q, tau), lambda m, q, tau: \
+        verify_T_in_tau(m, q, tau[:m - 1])
 
 
-def _suite_laguerre_maps(rng) -> VerifyResult:
-    m = int(rng.integers(2, M_CAP + 1))
-    q = int(rng.integers(1, m))
-    omega = complex(rng.normal(), rng.normal())
-    return verify_laguerre_argument_maps(m, q, omega, float(rng.normal()),
-                                         rng.uniform(0.05, 3.0, size=m - 1))
+def _suite_laguerre_maps(rng):
+    m = rng.integers(2, M_CAP + 1, BLOCK)
+    q = rng.integers(1, m)
+    re, im, xi = rng.normal(size=(3, BLOCK))
+    tau = _live_only(m, rng.uniform(0.05, 3.0, size=(BLOCK, M_CAP - 1)))
+    return _batch_laguerre_maps, (m, q, re + 1j * im, xi, tau), \
+        lambda m, q, omega, xi, tau: verify_laguerre_argument_maps(
+            m, q, omega, xi, tau[:m - 1])
 
 
-def _suite_hermite_identity(rng) -> VerifyResult:
-    ell = int(rng.integers(0, 13))
-    return verify_hermite_identity(ell, float(rng.uniform(-4, 4)),
-                                   float(rng.uniform(-4, 4)))
+def _suite_hermite_identity(rng):
+    ell = rng.integers(0, 13, BLOCK)
+    xi, tau = rng.uniform(-4, 4, size=(2, BLOCK))
+    return _batch_hermite, (ell, xi, tau), verify_hermite_identity
 
 
-def _suite_mehler(rng) -> VerifyResult:
-    return verify_mehler(float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)),
-                         float(rng.uniform(-0.8, 0.8)))
+def _suite_mehler(rng):
+    xi, tau = rng.uniform(-3, 3, size=(2, BLOCK))
+    t = rng.uniform(-0.8, 0.8, BLOCK)
+    return _batch_mehler, (xi, tau, t), verify_mehler
 
 
-def _suite_cd(rng) -> VerifyResult:
-    n = int(rng.integers(0, 21))
-    tau = float(rng.uniform(-3, 3))
-    if rng.random() < 0.15:
-        taup = tau
-    else:
-        taup = float(rng.uniform(-3, 3))
-    return verify_christoffel_darboux(n, tau, taup)
+def _suite_cd(rng):
+    n = rng.integers(0, 21, BLOCK)
+    tau, other = rng.uniform(-3, 3, size=(2, BLOCK))
+    taup = np.where(rng.random(BLOCK) < 0.15, tau, other)
+    return _batch_christoffel_darboux, (n, tau, taup), verify_christoffel_darboux
 
 
 SUITES = {
@@ -521,23 +672,41 @@ SUITES = {
 }
 
 
+def _check_run(cases, seed) -> None:
+    if not isinstance(cases, (int, np.integer)) or cases < 1:
+        raise DomainError(f"cases must be an integer >= 1, got {cases!r}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def run_suite(name: str, cases: int = 1000, seed: int = 0) -> dict:
-    """Run one randomized suite; returns a JSON-ready report."""
+    """Run one randomized suite; returns a JSON-ready report.
+
+    Case i is drawn in block i // BLOCK from the generator keyed
+    (seed, crc32(name), block), so it is the same for every case count and
+    whether the suite runs alone or in `run_all_suites`. A failing case is
+    checked again alone by its single-case verifier, whose result, with the
+    case number, is its failure dump.
+    """
     if name not in SUITES:
         raise DomainError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
-    gen = SUITES[name]
+    _check_run(cases, seed)
+    suite, key = SUITES[name], zlib.crc32(name.encode())
     failures = []
     max_err = 0.0
     max_ratio = 0.0
-    for case in range(cases):
-        rng = np.random.default_rng([seed, case])
-        res = gen(rng)
-        max_err = max(max_err, res.max_error)
-        max_ratio = max(max_ratio, res.max_error / max(res.tolerance, 1e-300))
-        if not res.ok:
+    for start in range(0, cases, BLOCK):
+        rng = np.random.default_rng([seed, key, start // BLOCK])
+        evaluate, columns, verify = suite(rng)
+        columns = [c[:cases - start] for c in columns]
+        err, tol, _ = evaluate(*columns)
+        max_err = max(max_err, float(err.max()))
+        max_ratio = max(max_ratio, float((err / np.maximum(tol, 1e-300)).max()))
+        for i in np.flatnonzero(~(err <= tol)).tolist():
+            res = verify(*(c[i] for c in columns))
             failures.append(res.inputs | {"max_error": res.max_error,
                                           "tolerance": res.tolerance,
-                                          "case": case})
+                                          "case": start + i})
     return {"identity": name, "cases": cases, "seed": seed,
             "failures": failures, "max_error": max_err,
             "max_error_over_tolerance": max_ratio,
@@ -545,6 +714,7 @@ def run_suite(name: str, cases: int = 1000, seed: int = 0) -> dict:
 
 
 def run_all_suites(cases: int = 1000, seed: int = 0) -> dict:
+    _check_run(cases, seed)
     reports = {name: run_suite(name, cases=cases, seed=seed) for name in SUITES}
     return {"suites": reports,
             "passed": all(r["passed"] for r in reports.values())}

@@ -63,9 +63,9 @@ class LevelSelector:
         return {"type": self.kind, "index": self.index}
 
 
-def symplectic(x, y) -> float:
-    """<x|J y> = x1*y2 - x2*y1."""
-    return float(x[0] * y[1] - x[1] * y[0])
+def symplectic(x, y):
+    """<x|J y> = x1*y2 - x2*y1 over the trailing axis of arrays."""
+    return x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0]
 
 
 def nu_from_mu(mu: float, b: float) -> int:

@@ -16,8 +16,10 @@ Nystrom kernel matrix, the trace moments of the 2-D Nystrom matrix without an
 eigensolve, the Monte Carlo cross term tr(P - P^2) that also
 reaches polygons, the per-degree normalized Hermite recurrence on numpy
 arrays with the Christoffel-Darboux sum and verifier built on it, the
-Fraction-sum Hermite-identity verifier, and the determinant and sign flip of
-the substitution plan). The library never imports this module.
+Fraction-sum Hermite-identity verifier, the per-case bodies of the other
+identity checks on Python floats and the plan's integer matrices, and the
+determinant and sign flip of the substitution plan). The library never
+imports this module.
 """
 
 import functools
@@ -36,7 +38,7 @@ from lle import region_sim as rs
 from lle.coeffs import CLAMP
 from lle.errors import DomainError, LleError, NumericError, WindowError
 from lle.geometry import Region
-from lle.landau import LevelSelector, MagneticSetup
+from lle.landau import LevelSelector, MagneticSetup, symplectic
 from lle.specfun import (
     LEVEL_CAP,
     OverlapTable,
@@ -946,8 +948,8 @@ def sign_flip(plan) -> np.ndarray:
 
 
 def a_matrix(plan) -> np.ndarray:
-    """The 0/1 substitution matrix A of a SubstitutionPlan, the inverse of
-    plan.a_inverse, as exact ints: A_ij = 1 for i <= j <= q or q+1 <= j <= i."""
+    """The 0/1 substitution matrix A of a SubstitutionPlan as exact ints:
+    A_ij = 1 for i <= j <= q or q+1 <= j <= i."""
     m, q = plan.m, plan.q
     a = np.zeros((m - 1, m - 1), dtype=object)
     for i in range(1, m):
@@ -955,6 +957,22 @@ def a_matrix(plan) -> np.ndarray:
             if 1 <= i <= j <= q or q + 1 <= j <= i:
                 a[i - 1, j - 1] = 1
     return a
+
+
+def a_inverse(plan) -> np.ndarray:
+    """The inverse of a_matrix(plan) as ints: the identity with -1 at
+    (i, i+1) for i < q-1 and at (i, i-1) for i > q (0-based)."""
+    m, q = plan.m, plan.q
+    ai = np.eye(m - 1, dtype=int)
+    ai[np.arange(q - 1), np.arange(1, q)] = -1
+    ai[np.arange(q + 1, m - 1), np.arange(q, m - 2)] = -1
+    return ai
+
+
+def skew(plan) -> np.ndarray:
+    """S with -1 above, 0 on, +1 below the diagonal ((m-1) x (m-1))."""
+    i = np.arange(plan.m - 1)
+    return np.sign(i[:, None] - i[None, :])
 
 
 def det_a(plan) -> int:
@@ -1002,13 +1020,215 @@ def verify_christoffel_darboux_per_degree(n: int, tau: float, taup: float):
         raise DomainError("Christoffel-Darboux check capped at n = 20")
     h = hermite_poly_normalized_array
     direct = sum(h(ell, tau) * h(ell, taup) for ell in range(n + 1))
+    floor = 0.0
     if tau == taup:
         hn, hn1, hn2 = h(n, tau), h(n + 1, tau), h(n + 2, tau)
         quot = (n + 1.0) * hn1 * hn1 - math.sqrt((n + 1.0) * (n + 2.0)) * hn * hn2
     else:
-        quot = math.sqrt((n + 1.0) / 2.0) * (
-            h(n, taup) * h(n + 1, tau) - h(n, tau) * h(n + 1, taup)
-        ) / (tau - taup)
+        root = math.sqrt((n + 1.0) / 2.0)
+        quot = root * (h(n, taup) * h(n + 1, tau) - h(n, tau) * h(n + 1, taup)
+                       ) / (tau - taup)
+        env_t = max(abs(h(k, tau)) for k in range(n + 2))
+        env_p = max(abs(h(k, taup)) for k in range(n + 2))
+        floor = 1e-13 * root * env_t * env_p / abs(tau - taup)
     err = abs(direct - quot)
-    return idn._result(err, 1e-10 * max(1.0, abs(direct)), n=n, tau=tau,
-                       taup=taup, direct=direct, quotient=quot)
+    return idn._result(err, max(1e-10 * max(1.0, abs(direct)), floor), n=n,
+                       tau=tau, taup=taup, direct=direct, quotient=quot)
+
+
+# the per-case bodies of the identity checks: Python floats, the plan's
+# integer matrices, and one Hermite recurrence per case and argument
+
+def _original_variables(plan, xi: float, tau, undo_tau_shift: bool = False):
+    """plan.original_variables of one case through the matrix a_inverse."""
+    tau = np.asarray(tau, dtype=float)
+    if tau.size != plan.m - 1:
+        raise DomainError(f"tau must have {plan.m - 1} components")
+    if undo_tau_shift:
+        tau = tau - xi
+    flip = np.array([1.0] * plan.q + [-1.0] * (plan.m - 1 - plan.q))
+    t = a_inverse(plan) @ (flip * tau)
+    if plan.q == plan.m - 1:
+        shift = 0.5 * float(tau[0])
+    else:
+        shift = 0.5 * float(tau[0] + tau[-1])
+    return -xi - shift, t
+
+
+def _chain_data(plan, t: np.ndarray):
+    big_t = skew(plan) @ t
+    return np.concatenate([big_t, [0.0]]), np.concatenate([t, [t.sum()]])
+
+
+def _phase_sum(ys: np.ndarray) -> float:
+    return sum((float(symplectic(ys[:i].sum(axis=0), ys[i]))
+                for i in range(1, ys.shape[0])), 0.0)
+
+
+def verify_phase_telescoping_scalar(m: int, x, ys):
+    """identities.verify_phase_telescoping, one case on Python floats."""
+    x = np.asarray(x, dtype=float)
+    ys = np.asarray(ys, dtype=float).reshape(m - 1, 2)
+    pts = [x]
+    for i in range(m - 1):
+        pts.append(pts[-1] - ys[i])
+    pts.append(x)  # x_m := x
+    lhs = sum(float(symplectic(pts[i], pts[i + 1])) for i in range(m))
+    rhs = _phase_sum(ys)
+    scale = 1.0 + float(np.max(np.abs(ys))) ** 2 + float(np.max(np.abs(x))) ** 2
+    return idn._result(abs(lhs - rhs), 1e-12 * scale, m=m, x=x, ys=ys,
+                       lhs=lhs, rhs=rhs)
+
+
+def verify_local_frame_reduction_scalar(ys, normal):
+    """identities.verify_local_frame_reduction, one case through the skew
+    matrix."""
+    ys = np.asarray(ys, dtype=float).reshape(-1, 2)
+    m = ys.shape[0] + 1
+    n = np.asarray(normal, dtype=float)
+    n = n / np.linalg.norm(n)
+    jn = np.array([n[1], -n[0]])  # J n
+    z = -ys @ jn
+    t = ys @ n
+    err = 0.0
+    for i in range(m - 1):
+        rec = -z[i] * jn + t[i] * n
+        err = max(err, float(np.max(np.abs(rec - ys[i]))))
+        err = max(err, abs(float(ys[i] @ ys[i]) - (z[i] ** 2 + t[i] ** 2)))
+    rhs = float(z @ (skew(idn.SubstitutionPlan(m=m, q=1)) @ t))
+    err = max(err, abs(_phase_sum(ys) - rhs))
+    scale = 1.0 + float(np.max(np.abs(ys))) ** 2
+    return idn._result(err, 1e-12 * scale, m=m, ys=ys, normal=n)
+
+
+def verify_exponent_identity_scalar(m: int, q: int, xi: float, tau):
+    """identities.verify_exponent_identity, one case through the plan's
+    matrices."""
+    plan = idn.SubstitutionPlan(m=m, q=q)
+    tau = np.asarray(tau, dtype=float)
+    xi0, t = _original_variables(plan, xi, tau)
+    big_t, t_full = _chain_data(plan, t)
+    lhs = (m * xi0 ** 2 + xi0 * big_t.sum()
+           + 0.25 * np.sum(big_t ** 2) + 0.25 * np.sum(t_full ** 2))
+    rhs = xi ** 2 + float(np.sum((xi + tau) ** 2))
+    scale = 1.0 + abs(lhs) + abs(rhs)
+    return idn._result(abs(lhs - rhs), 1e-11 * scale, m=m, q=q, xi=xi, tau=tau,
+                       lhs=float(lhs), rhs=float(rhs), xi0=xi0, t=t)
+
+
+def verify_T_in_tau_scalar(m: int, q: int, tau):
+    """identities.verify_T_in_tau, one case and one branch at a time."""
+    if not 1 <= q <= m - 2:
+        raise DomainError("the four-branch tables assume 1 <= q <= m-2")
+    plan = idn.SubstitutionPlan(m=m, q=q)
+    tau = np.asarray(tau, dtype=float)
+    ainv, s = a_inverse(plan), skew(plan)
+    err = 0.0
+    t_plain = ainv @ tau
+    big_plain = s @ t_plain
+    t_flip = ainv @ (np.array([1.0] * q + [-1.0] * (m - 1 - q)) * tau)
+    big_flip = s @ t_flip
+    shift = tau[0] + tau[-1]
+    for j in range(1, m):
+        tj = tau[j - 1]
+        if j <= q - 1:
+            plain = tau[0] - tj - tau[j] - tau[-1]
+            flp = tau[0] - tj - tau[j] + tau[-1]
+            tilde = -tj - tau[j]
+            tilde_t = tau[j - 1] - tau[j]
+        elif j == q:
+            plain = tau[0] - tau[q - 1] - tau[-1]
+            flp = tau[0] - tau[q - 1] + tau[-1]
+            tilde = -tau[q - 1]
+            tilde_t = tau[q - 1]
+        elif j == q + 1:
+            plain = tau[0] + tau[q] - tau[-1]
+            flp = tau[0] - tau[q] + tau[-1]
+            tilde = -tau[q]
+            tilde_t = -tau[q]
+        else:
+            plain = tau[0] + tau[j - 2] + tau[j - 1] - tau[-1]
+            flp = tau[0] - tau[j - 2] - tau[j - 1] + tau[-1]
+            tilde = -tau[j - 2] - tau[j - 1]
+            tilde_t = tau[j - 2] - tau[j - 1]
+        err = max(err, abs(big_plain[j - 1] - plain))
+        err = max(err, abs(big_flip[j - 1] - flp))
+        err = max(err, abs(big_flip[j - 1] - shift - tilde))
+        err = max(err, abs(t_flip[j - 1] - tilde_t))
+    scale = 1.0 + float(np.max(np.abs(tau)))
+    return idn._result(err, 1e-12 * scale, m=m, q=q, tau=tau)
+
+
+def claimed_laguerre_argument_scalar(plan, j: int, omega, xi: float, tau):
+    """identities._claimed_laguerre_argument of one case, branch by branch."""
+    m, q = plan.m, plan.q
+    root = lambda v: omega - 2.0j * v
+    if j <= q - 1:
+        return root(tau[j - 1]) * root(tau[j])
+    if j == q:
+        return root(xi) * root(tau[q - 1])
+    if j == m:
+        if q == m - 1:
+            return root(xi) * root(tau[0])
+        return root(tau[0]) * root(tau[m - 2])
+    if j == q + 1:
+        return root(xi) * root(tau[q])
+    return root(tau[j - 2]) * root(tau[j - 1])
+
+
+def verify_laguerre_argument_maps_scalar(m: int, q: int, omega, xi: float, tau):
+    """identities.verify_laguerre_argument_maps, one case and one factor at a
+    time."""
+    plan = idn.SubstitutionPlan(m=m, q=q)
+    tau = np.asarray(tau, dtype=float)
+    xi0, t = _original_variables(plan, xi, tau, undo_tau_shift=True)
+    big_t, t_full = _chain_data(plan, t)
+    err = 0.0
+    scale = 1.0 + abs(complex(omega)) ** 2 + float(np.max(np.abs(tau))) ** 2 + xi * xi
+    for j in range(1, m + 1):
+        pre = (omega + 1j * (2.0 * xi0 + big_t[j - 1])) ** 2 + t_full[j - 1] ** 2
+        claimed = claimed_laguerre_argument_scalar(plan, j, omega, xi, tau)
+        err = max(err, abs(pre - claimed))
+    return idn._result(err, 1e-11 * scale, m=m, q=q, omega=complex(omega),
+                       xi=xi, tau=tau)
+
+
+def verify_mehler_scalar(xi: float, tau: float, t: float, n_cap: int = 200):
+    """identities.verify_mehler, one case on Python floats."""
+    if not abs(t) < 1.0:
+        raise DomainError(f"Mehler series needs |t| < 1, got {t}")
+    closed = (1.0 - t * t) ** -0.5 * math.exp(
+        2.0 * xi * tau * t / (1.0 - t) - t * t * (xi + tau) ** 2 / (1.0 - t * t))
+    pairs = zip(hermite_sweep(n_cap, xi), hermite_sweep(n_cap, tau))
+    h_x, h_t = next(pairs)
+    total = h_x * h_t
+    mass = abs(total)
+    power = 1.0
+    small_run = 0
+    for ell, (h_x, h_t) in enumerate(pairs, start=1):
+        power *= t
+        total += h_x * h_t * power
+        mass += abs(h_x * h_t * power)
+        if abs(h_x * h_t * power) < 1e-13 * max(1.0, abs(total)) and ell > 8:
+            small_run += 1
+            if small_run >= 6:
+                break
+        else:
+            small_run = 0
+    else:
+        raise NumericError(f"Mehler series not converged within {n_cap} terms")
+    return idn._result(abs(total - closed),
+                       1e-9 * max(1.0, abs(closed)) + 1e-15 * mass,
+                       xi=xi, tau=tau, t=t, series=total, closed=closed)
+
+
+def batch_of(verify):
+    """A batched identity evaluator, returning (error, tolerance, row) like
+    the library's, made of one `verify` call per row."""
+    def batch(*columns, **options):
+        results = [verify(*(c[i].tolist() for c in columns), **options)
+                   for i in range(len(columns[0]))]
+        return (np.array([r.max_error for r in results]),
+                np.array([r.tolerance for r in results]),
+                lambda i: results[i].inputs)
+    return batch

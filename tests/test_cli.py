@@ -252,10 +252,10 @@ def test_verify_pass_and_fail_paths(capsys):
 
 
 def test_verify_failure_exits_1_with_dump(capsys, monkeypatch):
-    def failing(rng):
-        return idn.VerifyResult(ok=False, max_error=1.0, tolerance=1e-9,
-                                inputs={"xi": 0.25, "tau": -1.5})
-    monkeypatch.setitem(idn.SUITES, "mehler", failing)
+    def failing(xi, tau, t, n_cap=200):
+        return (np.full(len(xi), 1.0), np.full(len(xi), 1e-9),
+                {"xi": np.full(len(xi), 0.25), "tau": np.full(len(xi), -1.5)})
+    monkeypatch.setattr(idn, "_batch_mehler", failing)
     dump = {"case": 0, "xi": 0.25, "tau": -1.5, "max_error": 1.0,
             "tolerance": 1e-9}
     code, out, _ = run_cli(capsys, "verify", "--suite", "mehler",
@@ -287,6 +287,20 @@ def test_verify_laguerre_maps_failure_exits_1_with_dump(capsys, monkeypatch):
         re_im = failure["omega"]
         assert len(re_im) == 2 and all(isinstance(v, float) for v in re_im)
         assert failure["max_error"] > failure["tolerance"]
+
+
+def test_verify_repeats_byte_for_byte_and_one_suite_matches_all(capsys):
+    # 1030 cases reach into a second block of draws
+    argv = ("verify", "--suite", "all", "--cases", "1030", "--seed", "3")
+    _, first, _ = run_cli(capsys, *argv)
+    _, second, _ = run_cli(capsys, *argv)
+    assert first == second
+    for suite in ("local-frame", "mehler"):
+        _, one, _ = run_cli(capsys, "verify", "--suite", suite,
+                            "--cases", "1030", "--seed", "3")
+        one = json.loads(one)
+        assert one.pop("config") == {"suite": suite, "cases": 1030, "seed": 3}
+        assert one == json.loads(first)["suites"][suite]
 
 
 def test_verify_all_small(capsys):

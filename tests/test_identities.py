@@ -27,12 +27,12 @@ def test_integer_matrices_exact():
         for q in range(1, m):
             plan = idn.SubstitutionPlan(m, q)
             a = oracles.a_matrix(plan)
-            ai = plan.a_inverse
+            ai = oracles.a_inverse(plan)
             prod = a @ ai
             assert (prod == np.eye(m - 1, dtype=object)).all()
             assert (ai @ a == np.eye(m - 1, dtype=object)).all()
             assert oracles.det_a(plan) == 1
-            s = plan.skew
+            s = oracles.skew(plan)
             assert (s == -s.T).all()
             flip = oracles.sign_flip(plan)
             assert (flip @ flip == np.eye(m - 1, dtype=object)).all()
@@ -43,6 +43,21 @@ def test_plan_validation():
         idn.SubstitutionPlan(1, 1)
     with pytest.raises(DomainError):
         idn.SubstitutionPlan(4, 4)
+
+
+def test_shifted_differences_equal_the_integer_matrices():
+    # every (m, q) pattern as one block of plans, padded to M_CAP - 1
+    m, q = np.array([(m, q) for m in range(2, idn.M_CAP + 1)
+                     for q in range(1, m)]).T
+    v = idn._live_only(m, np.random.default_rng(6).normal(size=(len(m), 7)))
+    inv = idn._a_inverse_times(idn.SubstitutionPlan(m=m, q=q), v)
+    skew = idn._skew_times(v)
+    for i, (mi, qi) in enumerate(zip(m.tolist(), q.tolist())):
+        plan = idn.SubstitutionPlan(mi, qi)
+        assert (inv[i, :mi - 1] == oracles.a_inverse(plan) @ v[i, :mi - 1]).all()
+        assert (inv[i, mi - 1:] == 0.0).all()
+        assert np.allclose(skew[i, :mi - 1], oracles.skew(plan) @ v[i, :mi - 1],
+                           rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +199,12 @@ def test_hermite_lhs_table_low_degrees():
 
 
 def test_import_builds_no_hermite_table():
-    code = ("import lle, lle.cli\n"
+    code = ("import numpy as np, lle, lle.cli\n"
+            "from lle import identities\n"
             "from lle.identities import _hermite_lhs_table\n"
-            "assert _hermite_lhs_table.cache_info().currsize == 0\n")
+            "assert _hermite_lhs_table.cache_info().currsize == 0\n"
+            "assert not [k for k, v in vars(identities).items()\n"
+            "            if isinstance(v, np.ndarray)]\n")
     env = dict(os.environ, PYTHONPATH=str(Path(idn.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
@@ -272,6 +290,45 @@ def test_hermite_identity_term_mass_overflow():
         idn.verify_hermite_identity(12, 3.889724897869777, 3e25)
 
 
+# tau, where the first failing case was found, and a point where h_16 is
+# near a zero, so that a floor from the two products alone misses
+_CD_NEAR_CONFLUENT = [(n, -2.4873271207466656, d)
+                      for n in (0, 5, 16, 20) for d in (1e-6, 1e-8, 1e-10)] \
+    + [(16, -2.55, 1.2e-10)]
+
+
+@pytest.mark.parametrize("n, tau, d", _CD_NEAR_CONFLUENT)
+def test_christoffel_darboux_near_confluence(n, tau, d):
+    # the quotient's rounding grows like 1/|tau - taup|; the floor follows it
+    res = idn.verify_christoffel_darboux(n, tau, tau + d)
+    assert res.ok, res
+    want = oracles.verify_christoffel_darboux_per_degree(n, tau, tau + d)
+    assert _bits(dataclasses.asdict(res)) == _bits(dataclasses.asdict(want))
+
+
+def test_christoffel_darboux_floor_catches_an_error_of_1e_11_of_the_mass(
+        monkeypatch):
+    # near confluence the floor, 1e-13 times the mass
+    # sqrt((n+1)/2) max|h_k(tau)| max|h_k(taup)| / |tau - taup|, is in
+    # charge: a direct sum off by 1e-11 of that mass must fail
+    n, tau, taup = 5, -2.4873271207466656, -2.4873271207466656 + 1e-6
+    assert idn.verify_christoffel_darboux(n, tau, taup).ok
+    h = oracles.hermite_poly_normalized_array
+    mass = (math.sqrt((n + 1) / 2) * max(abs(h(k, tau)) for k in range(n + 2))
+            * max(abs(h(k, taup)) for k in range(n + 2)) / abs(tau - taup))
+    sweep = idn.hermite_sweep
+
+    def shifted(ell, t, h0=1.0):
+        # h_0(tau) enters the direct sum alone, never the quotient (n >= 2)
+        for k, value in enumerate(sweep(ell, t, h0)):
+            yield value + (1e-11 * mass if k == 0 and t[0] == tau else 0.0)
+    monkeypatch.setattr(idn, "hermite_sweep", shifted)
+    res = idn.verify_christoffel_darboux(n, tau, taup)
+    assert res.max_error == pytest.approx(1e-11 * mass, rel=1e-2)
+    assert res.tolerance == pytest.approx(1e-13 * mass, rel=1e-12)
+    assert not res.ok
+
+
 def test_christoffel_darboux_rejects_nan_and_negative_degree():
     with pytest.raises(DomainError):
         idn.verify_christoffel_darboux(3, math.nan, 0.2)
@@ -335,10 +392,12 @@ def test_christoffel_darboux_bitwise_against_per_degree_oracle(n):
 def test_suite_reports_equal_oracle_reports(seed, monkeypatch):
     fast = json.dumps(idn.run_all_suites(200, seed), sort_keys=True,
                       default=float)
-    monkeypatch.setattr(idn, "verify_hermite_identity",
-                        oracles.verify_hermite_identity_fraction)
-    monkeypatch.setattr(idn, "verify_christoffel_darboux",
-                        oracles.verify_christoffel_darboux_per_degree)
+    monkeypatch.setattr(idn, "_batch_hermite", oracles.batch_of(
+        oracles.verify_hermite_identity_fraction))
+    monkeypatch.setattr(idn, "_batch_mehler", oracles.batch_of(
+        oracles.verify_mehler_scalar))
+    monkeypatch.setattr(idn, "_batch_christoffel_darboux", oracles.batch_of(
+        oracles.verify_christoffel_darboux_per_degree))
     assert json.dumps(idn.run_all_suites(200, seed), sort_keys=True,
                       default=float) == fast
 
@@ -382,3 +441,144 @@ def test_suites_deterministic():
 def test_mehler_convergence_error_path():
     with pytest.raises(NumericError):
         idn.verify_mehler(3.0, 3.0, 0.8, n_cap=5)
+
+
+# suite -> (its batched evaluator, the relative tolerance factor of its
+# chain identity or None for a bitwise check, the per-case oracle on the
+# row's unpadded inputs)
+_SUITE_ORACLES = {
+    "phase-telescoping": ("_batch_phase", 1e-12, lambda m, x, ys:
+                          oracles.verify_phase_telescoping_scalar(m, x, ys[:m - 1])),
+    "local-frame": ("_batch_frame", 1e-12, lambda m, ys, normal:
+                    oracles.verify_local_frame_reduction_scalar(ys[:m - 1], normal)),
+    "exponent": ("_batch_exponent", 1e-11, lambda m, q, xi, tau:
+                 oracles.verify_exponent_identity_scalar(m, q, xi, tau[:m - 1])),
+    "t-tables": ("_batch_t_tables", 1e-12, lambda m, q, tau:
+                 oracles.verify_T_in_tau_scalar(m, q, tau[:m - 1])),
+    "laguerre-maps": ("_batch_laguerre_maps", 1e-11, lambda m, q, omega, xi, tau:
+                      oracles.verify_laguerre_argument_maps_scalar(
+                          m, q, omega, xi, tau[:m - 1])),
+    "hermite-identity": ("_batch_hermite", None,
+                         oracles.verify_hermite_identity_fraction),
+    "mehler": ("_batch_mehler", None, oracles.verify_mehler_scalar),
+    "christoffel-darboux": ("_batch_christoffel_darboux", None,
+                            oracles.verify_christoffel_darboux_per_degree),
+}
+
+
+def _record(monkeypatch, name):
+    """Patch the batched evaluator `name` to record its input columns and its
+    (error, tolerance, row) output, call by call."""
+    calls = []
+    evaluate = getattr(idn, name)
+
+    def recording(*columns, **options):
+        out = evaluate(*columns, **options)
+        calls.append((columns, out))
+        return out
+    monkeypatch.setattr(idn, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize("suite", sorted(_SUITE_ORACLES))
+def test_batched_evaluator_agrees_with_per_case_oracle(suite, monkeypatch):
+    # every drawn row of two blocks, checked again one case at a time: the
+    # same pass/fail everywhere; bitwise where both sides take the same
+    # operations, else within 1e-12 of the identity's scale
+    name, rel, oracle = _SUITE_ORACLES[suite]
+    calls = _record(monkeypatch, name)
+    idn.run_suite(suite, cases=idn.BLOCK + 76, seed=11)
+    assert [len(cols[0]) for cols, _ in calls] == [idn.BLOCK, 76]
+    for columns, (err, tol, sides) in calls:
+        for i in range(len(err)):
+            want = oracle(*(c[i].tolist() for c in columns))
+            assert bool(err[i] <= tol[i]) == want.ok
+            if rel is None:
+                got = idn._result(err[i], tol[i],
+                                  **{k: v[i] for k, v in sides.items()})
+                assert _bits(dataclasses.asdict(got)) == \
+                    _bits(dataclasses.asdict(want)), (suite, i)
+            else:
+                scale = want.tolerance / rel
+                assert abs(err[i] - want.max_error) <= 1e-12 * scale, (suite, i)
+                assert tol[i] == pytest.approx(want.tolerance, rel=1e-12)
+
+
+def _drawn_rows(monkeypatch, suite, cases, seed=4):
+    """The input rows a suite run draws, as lists, in case order."""
+    calls = _record(monkeypatch, _SUITE_ORACLES[suite][0])
+    idn.run_suite(suite, cases=cases, seed=seed)
+    monkeypatch.undo()
+    return [[c[i].tolist() for c in cols]
+            for cols, _ in calls for i in range(len(cols[0]))]
+
+
+@pytest.mark.parametrize("suite", sorted(_SUITE_ORACLES))
+def test_case_draws_are_prefix_stable_across_the_block_edge(suite, monkeypatch):
+    longest = _drawn_rows(monkeypatch, suite, idn.BLOCK + 1)
+    for cases in (40, idn.BLOCK - 1, idn.BLOCK):
+        assert _drawn_rows(monkeypatch, suite, cases) == longest[:cases]
+    # another seed draws other cases
+    assert _drawn_rows(monkeypatch, suite, 40, seed=5) != longest[:40]
+
+
+def test_one_suite_equals_its_entry_of_all_suites(monkeypatch):
+    every = idn.run_all_suites(cases=300, seed=8)["suites"]
+    for suite in idn.SUITES:
+        assert idn.run_suite(suite, cases=300, seed=8) == every[suite]
+    # a suite's cases do not depend on which other suites exist
+    monkeypatch.delitem(idn.SUITES, "phase-telescoping")
+    assert idn.run_all_suites(cases=300, seed=8)["suites"] == {
+        k: v for k, v in every.items() if k != "phase-telescoping"}
+
+
+def test_suite_dumps_failing_rows_only(monkeypatch):
+    # cases 3 and BLOCK + 2 fail; each is checked again alone, as its
+    # single-case verifier would, and only that check builds its dump
+    cases, seed = idn.BLOCK + 5, 2
+    rows = _drawn_rows(monkeypatch, "christoffel-darboux", cases, seed)
+    bad = {tuple(rows[3]), tuple(rows[idn.BLOCK + 2])}
+    evaluate = idn._batch_christoffel_darboux
+    blocks = []
+
+    def failing(n, tau, taup):
+        err, tol, sides = evaluate(n, tau, taup)
+        blocks.append(len(n))
+        hit = [tuple(r) in bad for r in zip(n.tolist(), tau.tolist(),
+                                             taup.tolist())]
+        return np.where(hit, 2.0 * tol, err), tol, sides
+    monkeypatch.setattr(idn, "_batch_christoffel_darboux", failing)
+    report = idn.run_suite("christoffel-darboux", cases=cases, seed=seed)
+    assert not report["passed"] and blocks == [idn.BLOCK, 1, 5, 1]
+    assert [f["case"] for f in report["failures"]] == [3, idn.BLOCK + 2]
+    assert report["max_error_over_tolerance"] == 2.0
+    for failure, row in zip(report["failures"], sorted(bad)):
+        assert set(failure) == {"n", "tau", "taup", "direct", "quotient",
+                                "max_error", "tolerance", "case"}
+        assert failure["max_error"] == 2.0 * failure["tolerance"]
+        again = idn.verify_christoffel_darboux(*[failure[k] for k in
+                                                 ("n", "tau", "taup")])
+        assert again.inputs == {k: failure[k] for k in again.inputs}
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"cases": 0}, {"cases": -5}, {"cases": 2.5}, {"seed": -1}, {"seed": 1.5},
+])
+def test_suites_reject_bad_case_counts_and_seeds(kwargs):
+    with pytest.raises(DomainError):
+        idn.run_suite("mehler", **kwargs)
+    with pytest.raises(DomainError):
+        idn.run_all_suites(**kwargs)
+
+
+def test_batched_rows_outside_the_domain_name_their_inputs():
+    with pytest.raises(DomainError, match="1e\\+200"):
+        idn._batch_christoffel_darboux(np.array([3, 20]), np.array([0.1, 1e200]),
+                                       np.array([0.2, 2.0]))
+    with pytest.raises(DomainError, match="xi=400.0"):
+        idn._batch_mehler(np.array([0.5, 400.0]), np.array([0.1, 400.0]),
+                          np.array([0.2, 0.5]))
+    # the first row converges within 20 terms, the second does not
+    with pytest.raises(NumericError, match="xi=3.0"):
+        idn._batch_mehler(np.array([0.0, 3.0]), np.array([0.0, 3.0]),
+                          np.array([0.0, 0.8]), n_cap=20)
