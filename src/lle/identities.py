@@ -1,10 +1,11 @@
 """Executable verification of the substitution-chain and special-function identities.
 
-Each identity has one batched evaluator: it takes a block of cases as arrays,
-one row per case, and returns the error and the tolerance of every row plus a
-function giving the inputs of any one row, so that a failing case is
-immediately reproducible. The single-case verifiers are one-row calls of
-these evaluators. The randomized suites draw their cases in blocks of BLOCK
+Each identity has one batched evaluator: it checks a block of cases given as
+arrays, one row per case, and returns the error and the tolerance of every
+row with the columns of its inputs and of both sides. The single-case
+verifiers are one-row calls of these evaluators and return a result that
+carries the inputs and the achieved error, so a failing case is immediately
+reproducible. The randomized suites draw their cases in blocks of BLOCK
 rows, block b of a suite from the generator keyed (seed, crc32 of the suite
 name, b), so case i depends on the seed, the suite and i alone, and report
 as JSON.
@@ -14,8 +15,8 @@ the final variables (xi, tau) they reconstruct the original ones and compare
 both sides, which turns the interleaved integral renamings into a pure
 pointwise algebra check. For the branch q = m-1 (hence for all of m = 2) the
 xi-shift is tau_1/2 rather than (tau_1 + tau_{m-1})/2; with that reading every
-identity holds for all m >= 2. A block of chains of different lengths pads
-each row's chain variables with zeros beyond its m-1 components.
+identity holds for all m >= 2. In a block, chains shorter than the longest
+pad their variables with zeros beyond their m-1 components.
 
 The special-function checks run `hermite_sweep` on arrays, which is bitwise
 equal to its scalar form; the exact Hermite-identity left side is, row by
@@ -30,7 +31,6 @@ import math
 import operator
 import zlib
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -41,61 +41,48 @@ from .specfun import hermite_poly_normalized, hermite_sweep
 M_CAP = 8  # randomized suites stop here: all index-branch patterns occur by m = 8
 BLOCK = 1024  # cases per keyed draw: case i is row i % BLOCK of block i // BLOCK
 
-# the evaluators' overflows and 0/0s become inf and nan, as on Python floats;
-# the checks after them turn those into DomainError or a failed row
+# overflows and 0/0s become inf and nan, as on Python floats; the checks
+# after them raise DomainError or fail the row
 _quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 # ---------------------------------------------------------------------------
-# integer substitution data
+# the substitution chain on padded rows
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SubstitutionPlan:
-    """The sector-q substitution chain for chain length m.
-
-    m and q may also be integer arrays of one shape, one plan per row of a
-    block whose chain variables are padded with zeros beyond m-1 components.
-    """
+    """The sector-q substitution chain for chain length m; m and q may also
+    be integer arrays, one plan per row of a block."""
 
     m: int
     q: int
 
     def __post_init__(self):
         m, q = np.asarray(self.m), np.asarray(self.q)
-        if np.any(m < 2):
-            raise DomainError(f"chain length must be >= 2, got {m.min()}")
-        bad = np.flatnonzero((q < 1) | (q > m - 1))
-        if bad.size:
-            i = bad[0]
-            raise DomainError(f"branch index must lie in 1..{m.flat[i] - 1}, "
-                              f"got {q.flat[i]}")
+        if np.any(m < 2) or np.any((q < 1) | (q >= m)):
+            raise DomainError(f"a chain needs m >= 2 and 1 <= q <= m-1, "
+                              f"got m={self.m}, q={self.q}")
 
     def xi_shift(self, tau):
         # for q = m-1 the negative block is empty and t_m collapses to tau_1
-        last = np.where(np.asarray(self.q) == np.asarray(self.m) - 1, 0.0,
-                        _at(tau, np.asarray(self.m) - 2))
-        return 0.5 * (tau[..., 0] + last)
+        m, q = np.asarray(self.m), np.asarray(self.q)
+        return 0.5 * (tau[..., 0] + np.where(q == m - 1, 0.0, _at(tau, m - 2)))
 
     def original_variables(self, xi, tau, undo_tau_shift: bool = False):
         """Invert the chain: final (xi, tau) -> original (xi0, t)."""
         tau = np.asarray(tau, dtype=float)
         if undo_tau_shift:
             tau = _live_only(self.m, tau - np.asarray(xi)[..., None])
-        i = np.arange(tau.shape[-1])
-        flipped = np.where(i < np.asarray(self.q)[..., None], tau, -tau)
-        return -xi - self.xi_shift(tau), _a_inverse_times(self, flipped)
-
-
-def _live(m, width: int) -> np.ndarray:
-    """Mask of the chain variables 0..m-2 in rows padded to `width`."""
-    return np.arange(width) < np.asarray(m)[..., None] - 1
+        flip = np.arange(tau.shape[-1]) < np.asarray(self.q)[..., None]
+        return -xi - self.xi_shift(tau), _a_inverse_times(
+            self, np.where(flip, tau, -tau))
 
 
 def _live_only(m, values: np.ndarray) -> np.ndarray:
     """values with the entries beyond each row's m-1 chain variables zeroed;
     the chain axis follows the axes of m (an (x, y) axis may follow it)."""
-    live = _live(m, values.shape[np.ndim(m)])
+    live = np.arange(values.shape[np.ndim(m)]) < np.asarray(m)[..., None] - 1
     return np.where(live.reshape(live.shape + (1,) * (values.ndim - live.ndim)),
                     values, 0.0)
 
@@ -103,20 +90,16 @@ def _live_only(m, values: np.ndarray) -> np.ndarray:
 def _at(v: np.ndarray, k):
     """v[..., k] row by row, for one index or one per row (clipped into the
     row: out-of-range indices belong to branches that a select discards)."""
-    k = np.clip(k, 0, v.shape[-1] - 1)
-    return np.take_along_axis(v, np.broadcast_to(k, v.shape[:-1])[..., None],
-                              axis=-1)[..., 0]
+    k = np.broadcast_to(np.clip(k, 0, v.shape[-1] - 1), v.shape[:-1])
+    return np.take_along_axis(v, k[..., None], axis=-1)[..., 0]
 
 
 def _a_inverse_times(plan: SubstitutionPlan, v: np.ndarray) -> np.ndarray:
-    """A^{-1} v on padded rows, as two shifted differences: v_i - v_{i+1}
-    for i < q-1 and v_i - v_{i-1} for i > q (A_ij = 1 for i <= j <= q or
-    q+1 <= j <= i, else 0)."""
-    i = np.arange(v.shape[-1])
-    q = np.asarray(plan.q)[..., None]
-    out = (v - np.where(i < q - 1, np.roll(v, -1, axis=-1), 0.0)
-           - np.where(i > q, np.roll(v, 1, axis=-1), 0.0))
-    return _live_only(plan.m, out)
+    """A^{-1} v as two shifted differences, v_i - v_{i+1} for i < q-1 and
+    v_i - v_{i-1} for i > q, where A_ij = 1 for i <= j <= q or q+1 <= j <= i."""
+    i, q = np.arange(v.shape[-1]), np.asarray(plan.q)[..., None]
+    return _live_only(plan.m, v - np.where(i < q - 1, np.roll(v, -1, -1), 0.0)
+                      - np.where(i > q, np.roll(v, 1, -1), 0.0))
 
 
 def _sums_before(v: np.ndarray) -> np.ndarray:
@@ -127,9 +110,18 @@ def _sums_before(v: np.ndarray) -> np.ndarray:
 
 
 def _skew_times(t: np.ndarray) -> np.ndarray:
-    """S t on padded rows, S with -1 above, 0 on, +1 below the diagonal:
-    sum_{j<i} t_j - sum_{j>i} t_j (entries beyond the chain are not zeroed)."""
+    """S t with S_ij = sign(i - j): sum_{j<i} t_j - sum_{j>i} t_j."""
     return _sums_before(t) - _sums_before(t[..., ::-1])[..., ::-1]
+
+
+def _chain_data(plan: SubstitutionPlan, t: np.ndarray):
+    """(T_1..T_m, t_1..t_m) with T_m := 0 and t_m := sum t_i, one column
+    longer than the padded t."""
+    pad = np.zeros(t.shape[:-1] + (1,))
+    big_t = _live_only(plan.m, np.concatenate([_skew_times(t), pad], axis=-1))
+    last = np.arange(t.shape[-1] + 1) == np.asarray(plan.m)[..., None] - 1
+    return big_t, np.where(last, t.sum(axis=-1)[..., None],
+                           np.concatenate([t, pad], axis=-1))
 
 
 @dataclass
@@ -147,33 +139,27 @@ class VerifyResult:
 
 def _check_finite(**values) -> None:
     for name, v in values.items():
-        bad = ~np.isfinite(v)
-        if np.any(bad):
+        if not np.isfinite(v).all():
             raise DomainError(f"{name} must be finite, "
-                              f"got {float(np.asarray(v)[bad].flat[0])!r}")
+                              f"got {v[~np.isfinite(v)][0].item()!r}")
 
 
-def _clean(v):
-    """One input value as JSON-ready data: arrays as lists, complex numbers
-    as [re, im], numpy scalars as Python numbers."""
-    if isinstance(v, np.ndarray):
-        return v.tolist()
+def _json(v):
+    """Arrays as lists, complex numbers as [re, im], numpy scalars as Python
+    numbers."""
     if isinstance(v, complex):
         return [float(v.real), float(v.imag)]
-    if isinstance(v, np.generic):
-        return v.item()
-    return v
+    return v.tolist() if isinstance(v, (np.ndarray, np.generic)) else v
 
 
 def _result(err: float, tol: float, **inputs) -> VerifyResult:
     return VerifyResult(ok=bool(err <= tol), max_error=float(err),
                         tolerance=float(tol),
-                        inputs={k: _clean(v) for k, v in inputs.items()})
+                        inputs={k: _json(v) for k, v in inputs.items()})
 
 
 def _one_row(evaluate, *values, **options) -> VerifyResult:
-    """A single-case check: `evaluate` on a block of one row, whose input
-    and side columns become the result's inputs."""
+    """A single-case check: `evaluate` on a block of one row."""
     err, tol, columns = evaluate(*(np.asarray(v)[None] for v in values),
                                  **options)
     return _result(err[0], tol[0], **{k: v[0] for k, v in columns.items()})
@@ -195,23 +181,22 @@ def _phase_sum(ys: np.ndarray) -> np.ndarray:
     """The y-only double sum sum_{i<j} <y_i|J y_j> of the chain phase, per
     row of the steps ys (..., m-1, 2)."""
     before = np.zeros_like(ys)
-    before[..., 1:, :] = np.cumsum(ys[..., :-1, :], axis=-2)
+    before[:, 1:] = np.cumsum(ys[:, :-1], axis=1)
     return symplectic(before, ys).sum(axis=-1)
 
 
 @_quiet
 def _batch_phase(m, x, ys):
-    # x_0 = x, x_i = x - y_0 - ... - y_{i-1} for i < m, and x_i = x from
-    # i = m on, where the terms <x|J x> vanish
-    steps = np.concatenate([x[:, None], x[:, None] - np.cumsum(ys, axis=1),
-                            x[:, None]], axis=1)
-    k = np.arange(steps.shape[1])[:, None]
-    pts = np.where(k >= m[:, None, None], x[:, None], steps)
+    # x_0 = x, x_i = x - y_0 - ... - y_{i-1} for i < m, then x_i = x, where
+    # the terms <x|J x> vanish
+    x = x[:, None]
+    pts = np.concatenate([x, x - np.cumsum(ys, axis=1), x], axis=1)
+    pts = np.where(np.arange(pts.shape[1])[:, None] >= m[:, None, None], x, pts)
     lhs = symplectic(pts[:, :-1], pts[:, 1:]).sum(axis=-1)
     rhs = _phase_sum(ys)
-    scale = 1.0 + np.abs(ys).max(axis=(1, 2)) ** 2 + np.abs(x).max(axis=1) ** 2
-    return np.abs(lhs - rhs), 1e-12 * scale, dict(m=m, x=x, ys=ys, lhs=lhs,
-                                                   rhs=rhs)
+    scale = 1.0 + np.abs(ys).max(axis=(1, 2)) ** 2 + np.abs(x).max(axis=(1, 2)) ** 2
+    return np.abs(lhs - rhs), 1e-12 * scale, dict(m=m, x=x[:, 0], ys=ys,
+                                                   lhs=lhs, rhs=rhs)
 
 
 def verify_phase_telescoping(m: int, x, ys) -> VerifyResult:
@@ -228,16 +213,16 @@ def verify_phase_telescoping(m: int, x, ys) -> VerifyResult:
 
 @_quiet
 def _batch_frame(m, ys, normal):
-    n = normal / np.linalg.norm(normal, axis=-1, keepdims=True)
-    jn = np.stack([n[:, 1], -n[:, 0]], axis=-1)  # J n
-    z = -(ys[..., 0] * jn[:, None, 0] + ys[..., 1] * jn[:, None, 1])
-    t = ys[..., 0] * n[:, None, 0] + ys[..., 1] * n[:, None, 1]
-    rec = -z[..., None] * jn[:, None] + t[..., None] * n[:, None]
+    n = (normal / np.linalg.norm(normal, axis=-1, keepdims=True))[:, None]
+    jn = np.stack([n[..., 1], -n[..., 0]], axis=-1)  # J n
+    z = -symplectic(ys, n)  # -<y, J n>
+    t = np.sum(ys * n, axis=-1)
+    rec = -z[..., None] * jn + t[..., None] * n
     err = np.maximum(np.abs(rec - ys).max(axis=(1, 2)),
                      np.abs(np.sum(ys * ys, axis=-1) - (z ** 2 + t ** 2)).max(axis=1))
     err = np.maximum(err, np.abs(_phase_sum(ys) - np.sum(z * _skew_times(t), axis=-1)))
-    scale = 1.0 + np.abs(ys).max(axis=(1, 2)) ** 2
-    return err, 1e-12 * scale, dict(m=m, ys=ys, normal=n)
+    return err, 1e-12 * (1.0 + np.abs(ys).max(axis=(1, 2)) ** 2), dict(
+        m=m, ys=ys, normal=n[:, 0])
 
 
 def verify_local_frame_reduction(ys, normal) -> VerifyResult:
@@ -251,17 +236,6 @@ def verify_local_frame_reduction(ys, normal) -> VerifyResult:
 # the B.1/B.2 substitution-chain identities
 # ---------------------------------------------------------------------------
 
-def _chain_data(plan: SubstitutionPlan, t: np.ndarray):
-    """(T_1..T_m, t_1..t_m) per row with T_m := 0 and t_m := sum t_i, one
-    column longer than the padded t."""
-    pad = np.zeros(t.shape[:-1] + (1,))
-    big_t = _live_only(plan.m, np.concatenate([_skew_times(t), pad], axis=-1))
-    last = np.arange(t.shape[-1] + 1) == np.asarray(plan.m)[..., None] - 1
-    t_full = np.where(last, t.sum(axis=-1)[..., None],
-                      np.concatenate([t, pad], axis=-1))
-    return big_t, t_full
-
-
 @_quiet
 def _batch_exponent(m, q, xi, tau):
     plan = SubstitutionPlan(m=m, q=q)
@@ -270,8 +244,8 @@ def _batch_exponent(m, q, xi, tau):
     lhs = (m * xi0 ** 2 + xi0 * big_t.sum(axis=1)
            + 0.25 * np.sum(big_t ** 2, axis=1) + 0.25 * np.sum(t_full ** 2, axis=1))
     rhs = xi ** 2 + np.sum(_live_only(m, xi[:, None] + tau) ** 2, axis=1)
-    return np.abs(lhs - rhs), 1e-11 * (1.0 + np.abs(lhs) + np.abs(rhs)), \
-        dict(m=m, q=q, xi=xi, tau=tau, lhs=lhs, rhs=rhs, xi0=xi0, t=t)
+    return np.abs(lhs - rhs), 1e-11 * (1.0 + np.abs(lhs) + np.abs(rhs)), dict(
+        m=m, q=q, xi=xi, tau=tau, lhs=lhs, rhs=rhs, xi0=xi0, t=t)
 
 
 def verify_exponent_identity(m: int, q: int, xi: float, tau) -> VerifyResult:
@@ -285,34 +259,28 @@ def verify_exponent_identity(m: int, q: int, xi: float, tau) -> VerifyResult:
 
 @_quiet
 def _batch_t_tables(m, q, tau):
-    bad = np.flatnonzero((q < 1) | (q > m - 2))
-    if bad.size:
-        raise DomainError(f"the four-branch tables assume 1 <= q <= m-2, got "
-                          f"(m={m[bad[0]]}, q={q[bad[0]]})")
+    if np.any(q > m - 2):
+        raise DomainError("the four-branch tables assume 1 <= q <= m-2")
     plan = SubstitutionPlan(m=m, q=q)
-    i = np.arange(tau.shape[1])
+    j = np.arange(1, tau.shape[1] + 1)  # factor j sits in column j-1
     t_plain = _a_inverse_times(plan, tau)
-    big_plain = _skew_times(t_plain)
-    t_flip = _a_inverse_times(plan, np.where(i < q[:, None], tau, -tau))
-    big_flip = _skew_times(t_flip)
-    # column j-1 holds factor j: tau_{j-1}, tau_j and tau_{j+1} in the paper's
-    # 1-based names are prv, cur and nxt (wrapped entries sit in dropped branches)
+    t_flip = _a_inverse_times(plan, np.where(j <= q[:, None], tau, -tau))
+    big_plain, big_flip = _skew_times(t_plain), _skew_times(t_flip)
+    # tau_{j-2}, tau_{j-1}, tau_j (0-based) by column; the wrapped entries
+    # sit in branches the select drops
     prv, cur, nxt = np.roll(tau, 1, axis=1), tau, np.roll(tau, -1, axis=1)
     first, last = tau[:, :1], _at(tau, m - 2)[:, None]
     at_q, after_q = _at(tau, q - 1)[:, None], _at(tau, q)[:, None]
-    j, qc = i + 1, q[:, None]
-    branch = [j <= qc - 1, j == qc, j == qc + 1]
-    plain = np.select(branch, [first - cur - nxt - last, first - at_q - last,
-                               first + after_q - last], first + prv + cur - last)
-    flp = np.select(branch, [first - cur - nxt + last, first - at_q + last,
-                             first - after_q + last], first - prv - cur + last)
-    tilde = np.select(branch, [-cur - nxt, -at_q, -after_q], -prv - cur)
-    tilde_t = np.select(branch, [cur - nxt, at_q, -after_q], prv - cur)
-    shift = first + last
-    gaps = np.maximum.reduce([np.abs(big_plain - plain), np.abs(big_flip - flp),
-                              np.abs(big_flip - shift - tilde),
-                              np.abs(t_flip - tilde_t)])
-    err = np.where(_live(m, tau.shape[1]), gaps, 0.0).max(axis=1)
+    branch = [j <= q[:, None] - 1, j == q[:, None], j == q[:, None] + 1]
+    table = lambda *forms: np.select(branch, forms[:3], forms[3])
+    gaps = [
+        big_plain - table(first - cur - nxt - last, first - at_q - last,
+                          first + after_q - last, first + prv + cur - last),
+        big_flip - table(first - cur - nxt + last, first - at_q + last,
+                         first - after_q + last, first - prv - cur + last),
+        big_flip - (first + last) - table(-cur - nxt, -at_q, -after_q, -prv - cur),
+        t_flip - table(cur - nxt, at_q, -after_q, prv - cur)]
+    err = _live_only(m, np.abs(gaps).max(axis=0)).max(axis=1)
     return err, 1e-12 * (1.0 + np.abs(tau).max(axis=1)), dict(m=m, q=q, tau=tau)
 
 
@@ -383,6 +351,8 @@ def _hermite_lhs_table(ell: int) -> dict:
     -(u^2 + 2u(xi + tau) + 4 xi tau)/2 and u^{2m} has the moment
     sqrt(2) (-2)^m (2m-1)!!.
     """
+    from fractions import Fraction  # imported on first use: lle.cli skips it
+
     # z = -zz/2 with the integer polynomial zz, keys (u, xi, tau); the sums
     # run in integers scaled by ell! 2^ell
     zz = {(2, 0, 0): 1, (1, 1, 0): 2, (1, 0, 1): 2, (0, 1, 1): 4}
@@ -413,11 +383,10 @@ def _hermite_lhs(ell: int, xs: np.ndarray, ts: np.ndarray):
     # integer over ell! 2^ell 2^(j ell) 2^(k ell); the terms of one power of
     # xi share one sum over the powers of tau
     denom = math.factorial(ell) * 2 ** ell
-    by_power: dict = {}
+    rows: dict = {}
     for (a, b), c in _hermite_lhs_table(ell).items():
-        by_power.setdefault(a, []).append((b, c.numerator * (denom // c.denominator)))
-    rows = [(a, [b for b, _ in bc], [c for _, c in bc], [abs(c) for _, c in bc])
-            for a, bc in by_power.items()]
+        rows.setdefault(a, []).append((b, c.numerator * (denom // c.denominator)))
+    rows = [(a, [b for b, _ in r], [c for _, c in r]) for a, r in rows.items()]
     out = []
     for xi, tau in zip(xs.tolist(), ts.tolist()):
         p, q = xi.as_integer_ratio()
@@ -425,11 +394,11 @@ def _hermite_lhs(ell: int, xs: np.ndarray, ts: np.ndarray):
         j, k = q.bit_length() - 1, s.bit_length() - 1
         tp = [r ** b << k * (ell - b) for b in range(ell + 1)]
         num = mass = 0
-        for a, bs, cs, abs_cs in rows:
+        for a, bs, cs in rows:
             xa = p ** a << j * (ell - a)
-            tb = list(map(tp.__getitem__, bs))
-            num += xa * sum(map(operator.mul, cs, tb))
-            mass += abs(xa) * sum(map(operator.mul, abs_cs, map(abs, tb)))
+            terms = list(map(operator.mul, cs, map(tp.__getitem__, bs)))
+            num += xa * sum(terms)
+            mass += abs(xa) * sum(map(abs, terms))
         full = denom << (j + k) * ell
         try:
             lhs = math.sqrt(2.0) * (num / full)
@@ -450,15 +419,14 @@ def _batch_hermite(ell, xi, tau):
         raise DomainError("the Hermite identity tables stop at ell = 12")
     _check_finite(xi=xi, tau=tau)
     rhs, lhs, floor = np.empty((3, len(ell)))
-    for degree in np.unique(ell).tolist():
-        rows = np.flatnonzero(ell == degree)
+    for degree in sorted(set(ell.tolist())):
+        rows = ell == degree
         # sqrt(2) H_l(xi) H_l(tau) / (2^l l!) in the normalized basis
         rhs[rows] = (math.sqrt(2.0) * hermite_poly_normalized(degree, xi[rows])
                      * hermite_poly_normalized(degree, tau[rows]))
         lhs[rows], floor[rows] = _hermite_lhs(degree, xi[rows], tau[rows])
     return np.abs(lhs - rhs), np.maximum(1e-9 * np.abs(rhs), floor), dict(
-        ell=ell, xi=xi, tau=tau, lhs=np.stack([lhs, np.zeros_like(lhs)], axis=1),
-        rhs=rhs)
+        ell=ell, xi=xi, tau=tau, lhs=np.stack([lhs, np.zeros_like(lhs)], axis=1), rhs=rhs)
 
 
 def verify_hermite_identity(ell: int, xi: float, tau: float) -> VerifyResult:
@@ -490,30 +458,27 @@ def _mehler_closed(xi: float, tau: float, t: float) -> float:
 
 @_quiet
 def _batch_mehler(xi, tau, t, n_cap: int = 200):
-    bad = np.flatnonzero(~(np.abs(t) < 1.0))
-    if bad.size:
-        raise DomainError(f"Mehler series needs |t| < 1, got {t[bad[0]]}")
+    if not (np.abs(t) < 1.0).all():
+        raise DomainError(f"Mehler series needs |t| < 1, got {t[~(np.abs(t) < 1.0)][0]}")
     _check_finite(xi=xi, tau=tau)
-    closed = np.array([_mehler_closed(*row) for row in
-                       zip(xi.tolist(), tau.tolist(), t.tolist())])
+    closed = np.array(list(map(_mehler_closed, xi.tolist(), tau.tolist(),
+                               t.tolist())))
     # normalized recurrence, so H_l(x) t^l / (2^l l!)-type terms stay bounded
     pairs = zip(hermite_sweep(n_cap, xi), hermite_sweep(n_cap, tau))
     h_x, h_t = next(pairs)
     total = h_x * h_t
     mass = np.abs(total)  # cancellation mass: sum of |terms|
-    power = np.ones_like(t)
-    small_run = np.zeros(len(t), dtype=int)
-    running = np.ones(len(t), dtype=bool)
+    power, small_run, running = 1.0, 0, True
     for ell, (h_x, h_t) in enumerate(pairs, start=1):
         power = power * t
         term = h_x * h_t * power
         total = np.where(running, total + term, total)
         mass = np.where(running, mass + np.abs(term), mass)
         # h-tilde oscillates in ell, so one small term proves nothing; a row
-        # stops after a run of six, before trusting the tail to be gone
+        # stops at a run of six before trusting the tail to be gone
         small = (np.abs(term) < 1e-13 * np.maximum(1.0, np.abs(total))) & (ell > 8)
         small_run = np.where(small, small_run + 1, 0)
-        running &= small_run < 6
+        running = running & (small_run < 6)
         if not running.any():
             break
     else:
@@ -540,19 +505,17 @@ def verify_mehler(xi: float, tau: float, t: float,
 
 @_quiet
 def _batch_christoffel_darboux(n, tau, taup):
-    if np.any(n > 20):
-        raise DomainError("Christoffel-Darboux check capped at n = 20")
-    if np.any(n < 0):
-        raise DomainError(f"top degree must be >= 0, got {n.min()}")
+    if np.any((n < 0) | (n > 20)):
+        raise DomainError(f"Christoffel-Darboux check needs 0 <= n <= 20, "
+                          f"got {n[(n < 0) | (n > 20)][0]}")
     _check_finite(tau=tau, taup=taup)
-    # one sweep to degree n + 2 per argument serves the direct sum, the
+    # one sweep of both arguments to degree n + 2 serves the direct sum, the
     # quotient, its confluent form and the envelope of the rounding floor
-    top, rows = int(n.max()) + 2, np.arange(len(n))
-    ht = np.array(list(hermite_sweep(top, tau)))
-    hp = np.array(list(hermite_sweep(top, taup)))
-    direct = np.cumsum(ht * hp, axis=0)[n, rows]  # accumulates in degree order
-    h_n, h_n1, h_n2 = ht[n, rows], ht[n + 1, rows], ht[n + 2, rows]
-    p_n, p_n1 = hp[n, rows], hp[n + 1, rows]
+    h = np.array(list(hermite_sweep(int(n.max()) + 2, np.stack([tau, taup]))))
+    at = lambda v, k: np.take_along_axis(v, np.broadcast_to(k, v.shape[1:])[None], 0)[0]
+    direct = at(np.cumsum(h[:, 0] * h[:, 1], axis=0), n)  # in degree order
+    (h_n, p_n), (h_n1, p_n1), (h_n2, _) = at(h, n), at(h, n + 1), at(h, n + 2)
+    np.maximum.accumulate(np.abs(h, out=h), axis=0, out=h)  # the envelopes
     confluent = tau == taup
     gap = np.where(confluent, 1.0, tau - taup)
     root = np.sqrt((n + 1.0) / 2.0)
@@ -569,12 +532,11 @@ def _batch_christoffel_darboux(n, tau, taup):
     # the quotient cancels to rounding of its products over |tau - taup|:
     # the floor scales that rounding by the largest h_k, k <= n + 1, of
     # either argument (h_n alone can sit at a zero)
-    env_t = np.maximum.accumulate(np.abs(ht), axis=0)[n + 1, rows]
-    env_p = np.maximum.accumulate(np.abs(hp), axis=0)[n + 1, rows]
+    env_t, env_p = at(h, n + 1)
     floor = np.where(confluent, 0.0, 1e-13 * root * env_t * env_p / np.abs(gap))
-    tol = np.maximum(1e-10 * np.maximum(1.0, np.abs(direct)), floor)
-    return np.abs(direct - quot), tol, dict(n=n, tau=tau, taup=taup,
-                                            direct=direct, quotient=quot)
+    return np.abs(direct - quot), \
+        np.maximum(1e-10 * np.maximum(1.0, np.abs(direct)), floor), \
+        dict(n=n, tau=tau, taup=taup, direct=direct, quotient=quot)
 
 
 def verify_christoffel_darboux(n: int, tau: float, taup: float) -> VerifyResult:
@@ -601,40 +563,37 @@ def _suite_phase(rng):
     m = rng.integers(2, M_CAP + 1, BLOCK)
     x = rng.normal(size=(BLOCK, 2))
     ys = _live_only(m, rng.normal(size=(BLOCK, M_CAP - 1, 2)))
-    return _batch_phase, (m, x, ys), lambda m, x, ys: \
-        verify_phase_telescoping(m, x, ys[:m - 1])
+    return _batch_phase, (m, x, ys), \
+        lambda m, x, ys: verify_phase_telescoping(m, x, ys[:m - 1])
 
 
 def _suite_frame(rng):
     m = rng.integers(2, M_CAP + 1, BLOCK)
     ys = _live_only(m, rng.normal(size=(BLOCK, M_CAP - 1, 2)))
     ang = rng.uniform(0, 2 * math.pi, BLOCK)
-    normal = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    return _batch_frame, (m, ys, normal), lambda m, ys, normal: \
-        verify_local_frame_reduction(ys[:m - 1], normal)
+    return _batch_frame, (m, ys, np.stack([np.cos(ang), np.sin(ang)], axis=1)), \
+        lambda m, ys, normal: verify_local_frame_reduction(ys[:m - 1], normal)
 
 
 def _suite_exponent(rng):
     m = rng.integers(2, M_CAP + 1, BLOCK)
-    q = rng.integers(1, m)
-    xi = rng.normal(size=BLOCK)
+    q, xi = rng.integers(1, m), rng.normal(size=BLOCK)
     tau = _live_only(m, rng.uniform(0.05, 3.0, size=(BLOCK, M_CAP - 1)))
-    return _batch_exponent, (m, q, xi, tau), lambda m, q, xi, tau: \
-        verify_exponent_identity(m, q, xi, tau[:m - 1])
+    return _batch_exponent, (m, q, xi, tau), \
+        lambda m, q, xi, tau: verify_exponent_identity(m, q, xi, tau[:m - 1])
 
 
 def _suite_t_tables(rng):
     m = rng.integers(3, M_CAP + 1, BLOCK)
     q = rng.integers(1, m - 1)
     tau = _live_only(m, rng.uniform(0.05, 3.0, size=(BLOCK, M_CAP - 1)))
-    return _batch_t_tables, (m, q, tau), lambda m, q, tau: \
-        verify_T_in_tau(m, q, tau[:m - 1])
+    return _batch_t_tables, (m, q, tau), \
+        lambda m, q, tau: verify_T_in_tau(m, q, tau[:m - 1])
 
 
 def _suite_laguerre_maps(rng):
     m = rng.integers(2, M_CAP + 1, BLOCK)
-    q = rng.integers(1, m)
-    re, im, xi = rng.normal(size=(3, BLOCK))
+    q, (re, im, xi) = rng.integers(1, m), rng.normal(size=(3, BLOCK))
     tau = _live_only(m, rng.uniform(0.05, 3.0, size=(BLOCK, M_CAP - 1)))
     return _batch_laguerre_maps, (m, q, re + 1j * im, xi, tau), \
         lambda m, q, omega, xi, tau: verify_laguerre_argument_maps(
@@ -643,14 +602,13 @@ def _suite_laguerre_maps(rng):
 
 def _suite_hermite_identity(rng):
     ell = rng.integers(0, 13, BLOCK)
-    xi, tau = rng.uniform(-4, 4, size=(2, BLOCK))
-    return _batch_hermite, (ell, xi, tau), verify_hermite_identity
+    return _batch_hermite, (ell, *rng.uniform(-4, 4, size=(2, BLOCK))), \
+        verify_hermite_identity
 
 
 def _suite_mehler(rng):
     xi, tau = rng.uniform(-3, 3, size=(2, BLOCK))
-    t = rng.uniform(-0.8, 0.8, BLOCK)
-    return _batch_mehler, (xi, tau, t), verify_mehler
+    return _batch_mehler, (xi, tau, rng.uniform(-0.8, 0.8, BLOCK)), verify_mehler
 
 
 def _suite_cd(rng):
@@ -672,13 +630,6 @@ SUITES = {
 }
 
 
-def _check_run(cases, seed) -> None:
-    if not isinstance(cases, (int, np.integer)) or cases < 1:
-        raise DomainError(f"cases must be an integer >= 1, got {cases!r}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
-
-
 def run_suite(name: str, cases: int = 1000, seed: int = 0) -> dict:
     """Run one randomized suite; returns a JSON-ready report.
 
@@ -690,14 +641,14 @@ def run_suite(name: str, cases: int = 1000, seed: int = 0) -> dict:
     """
     if name not in SUITES:
         raise DomainError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
-    _check_run(cases, seed)
-    suite, key = SUITES[name], zlib.crc32(name.encode())
+    for label, value, low in (("cases", cases, 1), ("seed", seed, 0)):
+        if not isinstance(value, (int, np.integer)) or value < low:
+            raise DomainError(f"{label} must be an integer >= {low}, got {value!r}")
     failures = []
-    max_err = 0.0
-    max_ratio = 0.0
+    max_err = max_ratio = 0.0
     for start in range(0, cases, BLOCK):
-        rng = np.random.default_rng([seed, key, start // BLOCK])
-        evaluate, columns, verify = suite(rng)
+        rng = np.random.default_rng([seed, zlib.crc32(name.encode()), start // BLOCK])
+        evaluate, columns, verify = SUITES[name](rng)
         columns = [c[:cases - start] for c in columns]
         err, tol, _ = evaluate(*columns)
         max_err = max(max_err, float(err.max()))
@@ -714,7 +665,6 @@ def run_suite(name: str, cases: int = 1000, seed: int = 0) -> dict:
 
 
 def run_all_suites(cases: int = 1000, seed: int = 0) -> dict:
-    _check_run(cases, seed)
     reports = {name: run_suite(name, cases=cases, seed=seed) for name in SUITES}
     return {"suites": reports,
             "passed": all(r["passed"] for r in reports.values())}

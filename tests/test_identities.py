@@ -321,7 +321,7 @@ def test_christoffel_darboux_floor_catches_an_error_of_1e_11_of_the_mass(
     def shifted(ell, t, h0=1.0):
         # h_0(tau) enters the direct sum alone, never the quotient (n >= 2)
         for k, value in enumerate(sweep(ell, t, h0)):
-            yield value + (1e-11 * mass if k == 0 and t[0] == tau else 0.0)
+            yield value + (k == 0) * np.where(t == tau, 1e-11 * mass, 0.0)
     monkeypatch.setattr(idn, "hermite_sweep", shifted)
     res = idn.verify_christoffel_darboux(n, tau, taup)
     assert res.max_error == pytest.approx(1e-11 * mass, rel=1e-2)
