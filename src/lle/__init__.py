@@ -4,8 +4,7 @@ __version__ = "0.1.0"
 
 from .coeffs import (
     SpectralFunction,
-    coeff_M_ell,
-    coeff_M_le_n,
+    coeff_with_error,
     renyi_h,
 )
 from .disk_spectra import (
@@ -56,7 +55,7 @@ __all__ = [
     "FitError", "LevelSelector", "LleError", "LocalSpectrum", "MagneticSetup",
     "NumericError", "Polygon", "QuadratureRule", "Region", "SmoothStar",
     "SpectralFunction", "TranslateFamily", "UsageError", "WindowError",
-    "__version__", "coeff_M_ell", "coeff_M_le_n",
+    "__version__", "coeff_with_error",
     "disk_spectrum", "entropy_from_spectrum", "gauss_legendre", "hermite_fn",
     "intersect_translates_area", "laguerre", "nu_from_mu", "region_from_json",
     "region_spectrum", "renyi_h", "roccaforte_first_order",

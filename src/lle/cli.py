@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import coeffs, geometry, identities, region_sim
+from . import coeffs, geometry, region_sim
 from .disk_spectra import disk_spectrum, entropy_from_spectrum
 from .errors import AccuracyError, DomainError, LleError, UsageError
 from .landau import LevelSelector, MagneticSetup
@@ -146,6 +146,9 @@ def cmd_scaling(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # loaded here alone: no other subcommand pays for compiling it
+    from . import identities
+
     if args.cases < 1:
         raise UsageError(f"--cases must be at least 1, got {args.cases}")
     if args.seed < 0:
@@ -274,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="identity verification suites")
     p.add_argument("--suite", default="all",
-                   help="all or one of: " + ", ".join(sorted(identities.SUITES)))
+                   help="all or the name of one suite (an unknown name is "
+                        "refused with the list of suites)")
     p.add_argument("--cases", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-")

@@ -5,16 +5,20 @@ spectrum is that of the (n+1)x(n+1) overlap Gram matrix G, and the single-level
 and the up-to-n coefficients are one xi integral, (1/2pi) int tr[f(G) - f(1) G].
 psi_j(-t) = (-1)^j psi_j(t) gives G(-xi) = I - S G(xi) S with S = diag((-1)^k),
 which pairs each eigenvalue mu at xi with 1 - mu at -xi, so the integral runs
-over xi > 0 alone, of sum_j f(mu_j) + f(1 - mu_j) - f(1), on the positive half
-of a panel rule on [-Xi, Xi] (`_half_rule`). `gram_eigen_field` gives the
-eigenvalues of G at the nodes: the top rung of the erfc ladder for a single
-level (specfun.occupations), the closed-form overlap table diagonalised node
-by node up to n (specfun.build_overlap_table). `coeff_with_error` integrates
-every requested f over fields it builds once per call and per distinct
-(cutoff, panel width); a cutoff held at XI_CAP with its tail bound above
-tol/10 is an AccuracyError. The per-xi adaptive-quadrature Gram matrix, its
-dual-route trace moments, the panel-quadrature overlap table and the Nystrom
-discretization of the integral kernel are test oracles (tests/oracles.py).
+over xi > 0 alone, of sum_j f(mu_j) + f(1 - mu_j) - f(1). The rule on [0, Xi]
+is the 33-point Gauss-Kronrod extension of 16-point Gauss-Legendre on panels
+at most 0.5 wide (`_half_rule`): its Kronrod sum is the value, and the gap to
+the embedded Gauss sum on the same nodes is the quadrature part of the error
+bar, so one field serves both. `gram_eigen_field` gives the eigenvalues of G
+at the nodes: the top rung of the erfc ladder for a single level
+(specfun.occupations), the closed-form overlap table diagonalised node by
+node up to n (specfun.build_overlap_table), in blocks of FIELD_BLOCK nodes.
+`coeff_with_error` integrates every requested f over fields it builds once
+per call and per distinct cutoff, evaluating each f once; a cutoff held at
+XI_CAP with its tail bound above tol/10 is an AccuracyError. The per-xi
+adaptive-quadrature Gram matrix, its dual-route trace moments, the
+panel-quadrature overlap table and the Nystrom discretization of the
+integral kernel are test oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -27,10 +31,11 @@ import numpy as np
 from .errors import AccuracyError, DomainError
 from .landau import LevelSelector
 from .specfun import (
-    QuadratureRule,
+    KronrodRule,
+    _check_grid,
     build_overlap_table,
     clamp_unit,
-    gauss_legendre_panels,
+    gauss_kronrod_panels,
     occupations,
 )
 
@@ -40,6 +45,12 @@ CLAMP = 1e-10
 
 # the xi cutoff is pushed out no further than this
 XI_CAP = 40.0
+
+# the Gauss-Kronrod panels on [0, Xi] are at most this wide
+PANEL_WIDTH = 0.5
+
+# nodes per overlap table and batched eigvalsh of the multi-level field
+FIELD_BLOCK = 256
 
 
 def renyi_h(alpha: float, t):
@@ -182,15 +193,11 @@ def _xi_cutoff(selector: LevelSelector, f: SpectralFunction,
     return xi_max, tail
 
 
-def _half_rule(cutoff: float, panel_width: float) -> QuadratureRule:
-    """The nodes xi > 0 of the composite Gauss-Legendre rule on
-    linspace(-Xi, Xi, n_panels + 1), n_panels = ceil(2 Xi / panel_width).
-    The panel nodes are symmetric and even in number, so no node is 0 and
-    the upper half is exactly the positive one."""
-    n_panels = int(math.ceil(2.0 * cutoff / panel_width))
-    rule = gauss_legendre_panels(np.linspace(-cutoff, cutoff, n_panels + 1))
-    half = rule.nodes.size // 2
-    return QuadratureRule(rule.nodes[half:], rule.weights[half:])
+def _half_rule(cutoff: float) -> KronrodRule:
+    """The composite Gauss-Kronrod rule on ceil(Xi / PANEL_WIDTH) equal panels
+    of [0, Xi]. Its nodes lie strictly inside the panels, so none is 0."""
+    n_panels = int(math.ceil(cutoff / PANEL_WIDTH))
+    return gauss_kronrod_panels(np.linspace(0.0, cutoff, n_panels + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -199,69 +206,57 @@ def _half_rule(cutoff: float, panel_width: float) -> QuadratureRule:
 
 def gram_eigen_field(selector: LevelSelector, xi) -> np.ndarray:
     """Clamped Gram eigenvalues at the nodes xi, shape (N, m): m = 1 for
-    single:l, m = n+1 in decreasing order for upto:n."""
+    single:l, m = n+1 in decreasing order for upto:n. The overlap table and
+    its eigenvalues are built FIELD_BLOCK nodes at a time: both depend on each
+    node alone, so the blocks give the whole grid's values bit for bit in a
+    fraction of its memory."""
     n = selector.index
     if selector.kind == "single":
         vals = occupations(n, xi)[n][:, None]
     else:
-        table = build_overlap_table(n, xi)
-        vals = np.linalg.eigvalsh(np.moveaxis(table.values, 2, 0))[:, ::-1]
+        xi = _check_grid(xi)
+        vals = np.concatenate([
+            np.linalg.eigvalsh(np.moveaxis(
+                build_overlap_table(n, xi[i:i + FIELD_BLOCK]).values, 2, 0))[:, ::-1]
+            for i in range(0, xi.size, FIELD_BLOCK)])
     return clamp_unit(vals, CLAMP, f"gram_eigen_field({selector.kind}:{n})")
 
 
-def _field(selector: LevelSelector, cutoff: float, panel_width: float):
-    # the half rule's weights and the eigenvalues mu at its nodes, side by
-    # side with 1 - mu, the eigenvalues of G at -xi
-    rule = _half_rule(cutoff, panel_width)
+def _field(selector: LevelSelector, cutoff: float):
+    # the half rule's Kronrod and Gauss weights and the eigenvalues mu at its
+    # nodes, side by side with 1 - mu, the eigenvalues of G at -xi
+    rule = _half_rule(cutoff)
     mu = gram_eigen_field(selector, rule.nodes)
-    return rule.weights, np.concatenate([mu, 1.0 - mu], axis=1)
+    return rule, np.concatenate([mu, 1.0 - mu], axis=1)
 
 
-def _integral(f: SpectralFunction, weights: np.ndarray, pair: np.ndarray) -> float:
+def _integral(f: SpectralFunction, rule: KronrodRule,
+              pair: np.ndarray) -> tuple[float, float]:
     """(1/2pi) quadrature over xi > 0 of sum_j f(mu_j) + f(1 - mu_j) - f(1),
-    from the (N, 2m) eigenvalue pairs of `_field`."""
+    from the (N, 2m) eigenvalue pairs of `_field`: f runs once, and the
+    Kronrod and the embedded Gauss sums share its values."""
     vals = np.asarray(f(pair.ravel()), dtype=float).reshape(pair.shape)
     trace = vals.sum(axis=1) - f.value_at_one * (pair.shape[1] // 2)
-    return float(np.dot(weights, trace)) / (2.0 * math.pi)
+    return (float(np.dot(rule.weights, trace)) / (2.0 * math.pi),
+            float(np.dot(rule.gauss_weights, trace)) / (2.0 * math.pi))
 
 
 def coeff_with_error(selector: LevelSelector, fns: list[SpectralFunction],
                      tol: float = 1e-8) -> list[tuple[float, float]]:
     """(1/2pi) integral of tr[f(G) - f(1) G] over xi for each f in `fns`, with
-    an error estimate: the gap to the coarse rule plus the tail bound. The
-    estimate omits the roundoff of 1 - mu that h_alpha amplifies for
-    alpha < 1.
+    an error estimate: the gap between the Kronrod sum (the value) and the
+    embedded Gauss sum, plus the tail bound. The estimate omits the roundoff
+    of 1 - mu that h_alpha amplifies for alpha < 1.
 
-    Each distinct (cutoff, panel width) field is built once per call and
-    shared by every f that uses it.
+    Each distinct cutoff's field is built once per call and shared by every f
+    that uses it.
     """
     fields: dict = {}
-
-    def integral(f: SpectralFunction, cutoff: float, panel_width: float) -> float:
-        key = (cutoff, panel_width)
-        if key not in fields:
-            fields[key] = _field(selector, cutoff, panel_width)
-        return _integral(f, *fields[key])
-
     rows = []
     for f in fns:
         cutoff, tail = _xi_cutoff(selector, f, tol)
-        value = integral(f, cutoff, 0.25)
-        rows.append((value, abs(value - integral(f, cutoff, 0.5)) + tail))
+        if cutoff not in fields:
+            fields[cutoff] = _field(selector, cutoff)
+        value, coarse = _integral(f, *fields[cutoff])
+        rows.append((value, abs(value - coarse) + tail))
     return rows
-
-
-def _value(selector: LevelSelector, f: SpectralFunction, tol: float) -> float:
-    # the value of coeff_with_error without the coarse rule of its error bar
-    cutoff, _ = _xi_cutoff(selector, f, tol)
-    return _integral(f, *_field(selector, cutoff, 0.25))
-
-
-def coeff_M_ell(ell: int, f: SpectralFunction, tol: float = 1e-8) -> float:
-    """Single-level boundary coefficient: integral of f(lambda_ell) - f(1) lambda_ell."""
-    return _value(LevelSelector.single(ell), f, tol)
-
-
-def coeff_M_le_n(n: int, f: SpectralFunction, tol: float = 1e-8) -> float:
-    """Multi-level boundary coefficient over the Gram eigenvalue field."""
-    return _value(LevelSelector.upto(n), f, tol)

@@ -1,4 +1,4 @@
-"""Orthogonal polynomials, Gauss-Legendre rules and one-dimensional overlap integrals.
+"""Orthogonal polynomials, Gauss-Legendre and Gauss-Kronrod rules and one-dimensional overlap integrals.
 
 Hermite functions and Laguerre polynomials come from their three-term
 recurrences. `hermite_sweep` is the one normalized-Hermite recurrence: it
@@ -9,10 +9,15 @@ sweep. The truncated-Hermite overlaps of a whole xi grid need no
 quadrature: from psi_0..psi_n at the nodes, the occupations follow the ladder
 lambda_0 = erfc(xi)/2, lambda_l = lambda_{l-1} + psi_l psi_{l-1}/sqrt(2l)
 (`occupations`), and the cross overlaps are Wronskian quotients
-(`build_overlap_table`). Adaptive quadrature, the per-xi quadrature and the
-panel sweep of the overlaps, the raw Hermite polynomials and the
-extended-precision erfc and incomplete gamma are test oracles
-(tests/oracles.py). The disk solver's special functions are here too:
+(`build_overlap_table`). The coefficient integrals run on
+`gauss_kronrod_panels`, the 33-point Kronrod extension of the 16-point
+Gauss-Legendre panel, which carries the embedded Gauss weights on the same
+nodes, so one evaluation gives a value and an error estimate; its reference
+panel is a table rounded from 80-digit values. Adaptive quadrature, the
+per-xi quadrature and the panel sweep of the overlaps, the raw Hermite
+polynomials, the extended-precision erfc and incomplete gamma and the
+extended-precision Gauss-Kronrod rule that regenerates the table are test
+oracles (tests/oracles.py). The disk solver's special functions are here too:
 `log_factorial` (the Stirling series, with the C library's lgamma for small
 arguments) and `incomplete_gamma_p`, the regularized incomplete gamma
 P(N+1, x) of every integer order up to a cap from one array of Poisson
@@ -306,6 +311,72 @@ def gauss_legendre_panels(edges) -> QuadratureRule:
     width = np.diff(edges)[:, None]
     return QuadratureRule((edges[:-1, None] + width * _PANEL_RULE.nodes).ravel(),
                           (width * _PANEL_RULE.weights).ravel())
+
+
+# The 33-point Gauss-Kronrod extension of the 16-point Gauss-Legendre rule on
+# [0, 1], rounded from 80-digit values (tests/oracles.gauss_kronrod_mp): the
+# nodes, increasing, the Gauss nodes at the odd indices 1, 3, ..., 31; the
+# Kronrod weights, exact to degree 49; the Gauss weights of nodes[1::2],
+# exact to degree 31 (Laurie, Math. Comp. 66, 1997)
+_KRONROD_NODES = (
+    0.0008803629272777429, 0.005299532504175033, 0.014247024515303703,
+    0.02771248846338371, 0.045421166493828526, 0.06718439880608412,
+    0.09287985646877776, 0.12229779582249849, 0.15512944665911885,
+    0.19106187779867811, 0.22979616182393012, 0.2709916111713863,
+    0.31425810956079187, 0.35919822461037054, 0.40541571049095815,
+    0.4524937450811813, 0.5, 0.5475062549188188, 0.5945842895090419,
+    0.6408017753896295, 0.6857418904392082, 0.7290083888286137,
+    0.7702038381760699, 0.8089381222013219, 0.8448705533408811,
+    0.8777022041775016, 0.9071201435312223, 0.9328156011939158,
+    0.9545788335061715, 0.9722875115366163, 0.9857529754846963,
+    0.994700467495825, 0.9991196370727222)
+_KRONROD_WEIGHTS = (
+    0.002371388524623659, 0.006628965344045579, 0.011249429720024722,
+    0.015630271823690263, 0.019756475601210983, 0.023753107988203508,
+    0.027602816547711087, 0.031179403005917428, 0.03443149759576562,
+    0.037384911942799776, 0.04002697063185964, 0.04229790189629532,
+    0.044168751289556364, 0.04564601641409583, 0.04671933703046061,
+    0.04736420062361502, 0.04757710804024915, 0.04736420062361502,
+    0.04671933703046061, 0.04564601641409583, 0.044168751289556364,
+    0.04229790189629532, 0.04002697063185964, 0.037384911942799776,
+    0.03443149759576562, 0.031179403005917428, 0.027602816547711087,
+    0.023753107988203508, 0.019756475601210983, 0.015630271823690263,
+    0.011249429720024722, 0.006628965344045579, 0.002371388524623659)
+_KRONROD_GAUSS_WEIGHTS = (
+    0.013576229705877048, 0.031126761969323947, 0.04757925584124639,
+    0.06231448562776694, 0.07479799440828837, 0.08457825969750127,
+    0.09130170752246179, 0.09472530522753425, 0.09472530522753425,
+    0.09130170752246179, 0.08457825969750127, 0.07479799440828837,
+    0.06231448562776694, 0.04757925584124639, 0.031126761969323947,
+    0.013576229705877048)
+
+
+@dataclass(frozen=True)
+class KronrodRule(QuadratureRule):
+    """A composite Gauss-Kronrod rule: `weights` are the Kronrod weights and
+    `gauss_weights` those of the embedded Gauss rule on the same nodes, zero
+    at the nodes the Kronrod extension added."""
+
+    gauss_weights: np.ndarray
+
+
+# the reference panel, the Gauss weights padded with a zero at every added node
+_KRONROD_PANEL = KronrodRule(
+    np.array(_KRONROD_NODES), np.array(_KRONROD_WEIGHTS),
+    np.insert(_KRONROD_GAUSS_WEIGHTS, np.arange(NODES_PER_PANEL + 1), 0.0))
+
+
+def gauss_kronrod_panels(edges) -> KronrodRule:
+    """Composite rule: the 33 Gauss-Kronrod nodes of NODES_PER_PANEL-point
+    Gauss-Legendre on every panel between consecutive edges, flattened panel
+    by panel, with both weight vectors. All nodes lie strictly inside their
+    panel; the Kronrod sum is exact to degree 49 per panel and the Gauss sum
+    to degree 31."""
+    edges = np.asarray(edges, dtype=float)
+    width = np.diff(edges)[:, None]
+    return KronrodRule((edges[:-1, None] + width * _KRONROD_PANEL.nodes).ravel(),
+                       (width * _KRONROD_PANEL.weights).ravel(),
+                       (width * _KRONROD_PANEL.gauss_weights).ravel())
 
 
 # ---------------------------------------------------------------------------

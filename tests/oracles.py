@@ -126,6 +126,71 @@ def reg_lower_gamma_mp(a: float, x: float) -> float:
     return float(mp.gammainc(mp.mpf(a), 0, mp.mpf(x), regularized=True))
 
 
+def _legendre_values(n: int, x) -> list:
+    # P_0(x) .. P_n(x) by Bonnet's recurrence, in the working precision
+    vals = [mp.mpf(1), x]
+    for k in range(1, n):
+        vals.append(((2 * k + 1) * x * vals[k] - k * vals[k - 1]) / (k + 1))
+    return vals[:n + 1]
+
+
+def _real_roots(coeffs) -> list:
+    # the roots of a polynomial (ascending coefficients) whose roots are all
+    # real, increasing
+    roots = mp.polyroots(coeffs[::-1], maxsteps=400, extraprec=4 * mp.mp.prec)
+    return sorted(mp.re(r) for r in roots)
+
+
+def _weights_from_moments(nodes: list, degree: int) -> list:
+    # the weights that integrate P_0 .. P_degree exactly over [-1, 1]
+    mat = mp.matrix([_legendre_values(degree, x) for x in nodes]).T
+    rhs = mp.matrix([2] + [0] * degree)
+    return list(mp.lu_solve(mat, rhs))
+
+
+@functools.cache
+def gauss_kronrod_mp(n: int = 16, dps: int = 80) -> tuple:
+    """The (2n+1)-point Gauss-Kronrod rule of the n-point Gauss-Legendre rule,
+    mapped to [0, 1]: (nodes, Kronrod weights, Gauss weights), mpf tuples,
+    the nodes increasing and the Gauss weights those of nodes[1::2].
+
+    The Kronrod nodes are the roots of the Stieltjes polynomial E_{n+1}, the
+    monic polynomial of degree n+1 orthogonal to x^0 .. x^n against the sign
+    changing weight P_n on [-1, 1]: its coefficients c_j solve the moment
+    system sum_j c_j m_{j+k} = -m_{n+1+k}, k = 0..n, with
+    m_i = int_{-1}^{1} P_n x^i dx. The Gauss nodes are the roots of P_n. The
+    Kronrod weights make the 2n+1 nodes exact for P_0 .. P_2n and the Gauss
+    weights the n Gauss nodes for P_0 .. P_{n-1}; the rule is then exact to
+    degree 3n+1 (Laurie 1997). Printing float() of each value regenerates
+    specfun._KRONROD_PANEL.
+    """
+    with mp.workdps(dps):
+        # P_n's coefficients, ascending, from the recurrence on coefficient lists
+        prev, cur = [mp.mpf(1)], [mp.mpf(0), mp.mpf(1)]
+        for k in range(1, n):
+            nxt = [mp.mpf(0)] + [(2 * k + 1) * c / (k + 1) for c in cur]
+            for i, c in enumerate(prev):
+                nxt[i] -= k * c / (k + 1)
+            prev, cur = cur, nxt
+        legendre = cur if n >= 1 else prev
+
+        def moment(i):
+            return mp.fsum(c * mp.mpf(2) / (i + j + 1)
+                           for j, c in enumerate(legendre) if (i + j) % 2 == 0)
+
+        mat = mp.matrix([[moment(j + k) for j in range(n + 1)] for k in range(n + 1)])
+        rhs = mp.matrix([-moment(n + 1 + k) for k in range(n + 1)])
+        stieltjes = list(mp.lu_solve(mat, rhs)) + [mp.mpf(1)]
+        gauss = _real_roots(legendre)
+        nodes = sorted(gauss + _real_roots(stieltjes))
+        if nodes[1::2] != gauss:
+            raise ValueError("Kronrod nodes do not interlace with the Gauss nodes")
+        kronrod_w = _weights_from_moments(nodes, 2 * n)
+        gauss_w = _weights_from_moments(gauss, n - 1)
+        return (tuple((1 + x) / 2 for x in nodes), tuple(w / 2 for w in kronrod_w),
+                tuple(w / 2 for w in gauss_w))
+
+
 def dense_trapezoid(f, a: float, b: float, n: int = 200001) -> float:
     x = np.linspace(a, b, n)
     return float(np.trapezoid(f(x), x))

@@ -66,7 +66,9 @@ def test_criterion_2_degenerate_coincidence(capsys):
     worst = 0.0
     for alpha in (0.5, 1.0, 2.0):
         f = cf.SpectralFunction.renyi(alpha)
-        worst = max(worst, abs(cf.coeff_M_le_n(0, f) - cf.coeff_M_ell(0, f)))
+        [(upto, _)] = cf.coeff_with_error(LevelSelector.upto(0), [f])
+        [(single, _)] = cf.coeff_with_error(LevelSelector.single(0), [f])
+        worst = max(worst, abs(upto - single))
     ok = worst <= 1e-9
     with capsys.disabled():
         _report(2, ok, f"max |M_<=0 - M_0| = {worst:.2e} <= 1e-9 over alpha in (0.5,1,2)")
@@ -79,7 +81,7 @@ def test_criterion_3_entropy_area_law_slope(capsys):
     for nu in (0, 1):
         sel = LevelSelector.upto(nu)
         slope = _linear_slope(SCALES, _entropy_series(sel, 1.0))
-        m = cf.coeff_M_le_n(nu, cf.SpectralFunction.renyi(1.0))
+        [(m, _)] = cf.coeff_with_error(sel, [cf.SpectralFunction.renyi(1.0)])
         ratios[nu] = slope / (2.0 * math.pi * m)
     elapsed = time.perf_counter() - start
     ok = all(0.99 <= r <= 1.01 for r in ratios.values()) and elapsed < 300.0
@@ -96,7 +98,7 @@ def test_criterion_4_single_level_slopes(capsys):
         sel = LevelSelector.single(ell)
         for alpha in (1.0, 2.0):
             slope = _linear_slope(SCALES, _entropy_series(sel, alpha))
-            m = cf.coeff_M_ell(ell, cf.SpectralFunction.renyi(alpha))
+            [(m, _)] = cf.coeff_with_error(sel, [cf.SpectralFunction.renyi(alpha)])
             devs[(ell, alpha)] = abs(slope / (2.0 * math.pi * m) - 1.0)
     worst = max(devs.values())
     ok = worst <= 0.015
@@ -110,7 +112,8 @@ def _moment_residuals():
     out = {}
     for ell in (0, 1, 2):
         for m in (2, 3):
-            j = cf.coeff_M_ell(ell, cf.SpectralFunction.monomial(m))
+            [(j, _)] = cf.coeff_with_error(LevelSelector.single(ell),
+                                           [cf.SpectralFunction.monomial(m)])
             res = {}
             for L in SCALES:
                 tr = oracles.disk_trace_moment(SETUP, LevelSelector.single(ell),

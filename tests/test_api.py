@@ -79,7 +79,8 @@ import lle
 from lle.cli import main
 assert main(["coeff", "--levels", "single:2,upto:3",
              "--f", "renyi:1,renyi:0.5,gtilde"]) == 0
-print(lle.coeff_M_le_n(2, lle.SpectralFunction.renyi(2.0)))
+print(lle.coeff_with_error(lle.LevelSelector.upto(2),
+                           [lle.SpectralFunction.renyi(2.0)])[0][0])
 """
 
 
@@ -90,13 +91,15 @@ def test_public_names_resolve():
 
 def _library_definitions():
     """Module-level functions, classes and constants of src/lle, keyed by
-    (module, name), and each module's relative-import bindings: a local name
-    maps to a (module, name) definition or, for `from . import m`, to (m,)."""
+    (module, name), and each module's relative-import bindings, at module
+    level or inside a function: a local name maps to a (module, name)
+    definition or, for `from . import m`, to (m,)."""
     defs, binds = {}, {}
     for path in sorted(_SRC.glob("*.py")):
         mod = path.stem
         binds[mod] = {}
-        for node in ast.parse(path.read_text()).body:
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs[mod, node.name] = node
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -104,7 +107,8 @@ def _library_definitions():
                 for target in targets:
                     if isinstance(target, ast.Name):
                         defs[mod, target.id] = node
-            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
                 for alias in node.names:
                     target = (node.module, alias.name) if node.module else (alias.name,)
                     binds[mod][alias.asname or alias.name] = target
@@ -208,6 +212,25 @@ def test_no_library_module_imports_scipy():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.split(".")[0] == "scipy"]
     assert not found, f"scipy imports in the library: {found}"
+
+
+_IDENTITIES_ON_DEMAND = """
+import sys
+
+from lle.cli import main
+""" + _SUBCOMMANDS + """
+for argv in SUBCOMMANDS:
+    if argv[0] != "verify":
+        assert main(argv) == 0, argv
+        assert "lle.identities" not in sys.modules, argv
+assert main(["verify", "--suite", "mehler", "--cases", "5"]) == 0
+assert "lle.identities" in sys.modules
+"""
+
+
+def test_only_verify_loads_the_identity_suites(tmp_path):
+    proc = _run_fresh(_IDENTITIES_ON_DEMAND, tmp_path)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_coeff_runs_without_scipy(tmp_path):

@@ -251,6 +251,13 @@ def test_verify_pass_and_fail_paths(capsys):
     assert code == 2
 
 
+def test_verify_refuses_an_unknown_suite_with_the_list_of_suites(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "bogus")
+    assert code == 2 and out == ""
+    assert "unknown suite 'bogus'" in err
+    assert all(name in err for name in idn.SUITES)
+
+
 def test_verify_failure_exits_1_with_dump(capsys, monkeypatch):
     def failing(xi, tau, t, n_cap=200):
         return (np.full(len(xi), 1.0), np.full(len(xi), 1e-9),

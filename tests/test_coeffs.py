@@ -126,12 +126,15 @@ def _selector_id(sel):
     return f"{sel.kind}:{sel.index}"
 
 
-def _rule(n, spec="gtilde", panel_width=0.25):
-    # the half rule that coeff_with_error integrates f over at level index n;
+def _cutoff(sel, spec="gtilde"):
     # gtilde (q = 1, C = 1) has the plain cutoff 8 + sqrt(2n+1)
-    f = cf.spectral_function_from_spec(spec)
-    cutoff, _ = cf._xi_cutoff(LevelSelector.upto(n), f, 1e-8)
-    return cf._half_rule(cutoff, panel_width)
+    cutoff, _ = cf._xi_cutoff(sel, cf.spectral_function_from_spec(spec), 1e-8)
+    return cutoff
+
+
+def _rule(n, spec="gtilde"):
+    # the half rule that coeff_with_error integrates f over at level index n
+    return cf._half_rule(_cutoff(LevelSelector.upto(n), spec))
 
 
 def _full_nodes(rule):
@@ -153,38 +156,46 @@ def test_gram_eigen_field_matches_per_xi_oracle():
             np.testing.assert_allclose(field[i], want, atol=1e-11)
 
 
-@pytest.mark.parametrize("n, panel_width", [(3, 0.25), (3, 0.5)])
-def test_half_rule_is_the_positive_half_of_the_panel_rule(n, panel_width):
-    cutoff = 8.0 + math.sqrt(2.0 * n + 1.0)
-    rule = cf._half_rule(cutoff, panel_width)
-    # 86 and 43 panels: an even and an odd panel count
-    n_panels = 2 * rule.nodes.size // sf.NODES_PER_PANEL
-    assert n_panels == math.ceil(2.0 * cutoff / panel_width)
-    assert n_panels % 2 == (panel_width == 0.5)
-    assert np.all(rule.nodes > 0.0) and np.all(np.diff(rule.nodes) > 0.0)
-    # the upper half of the composite rule on [-Xi, Xi], whose lower half is
-    # its reflection to roundoff
-    full = sf.gauss_legendre_panels(np.linspace(-cutoff, cutoff, n_panels + 1))
-    half = rule.nodes.size
-    assert np.array_equal(full.nodes[half:], rule.nodes)
-    assert np.array_equal(full.weights[half:], rule.weights)
-    assert np.max(np.abs(full.nodes[:half] + rule.nodes[::-1])) < 1e-14
-    assert np.max(np.abs(full.weights[:half] - rule.weights[::-1])) < 1e-15
+def test_half_rule_embeds_the_positive_half_of_the_panel_rule():
+    # at n = 3 and n = 45: 22 and 36 panels of width at most 0.5 on [0, Xi]
+    for n in (3, 45):
+        cutoff = 8.0 + math.sqrt(2.0 * n + 1.0)
+        rule = cf._half_rule(cutoff)
+        n_panels = rule.nodes.size // 33
+        assert n_panels == math.ceil(cutoff / cf.PANEL_WIDTH)
+        assert np.all(rule.nodes > 0.0) and np.all(rule.nodes < cutoff)
+        assert np.all(np.diff(rule.nodes) > 0.0)
+        edges = np.linspace(0.0, cutoff, n_panels + 1)
+        built = sf.gauss_kronrod_panels(edges)
+        for name in ("nodes", "weights", "gauss_weights"):
+            assert np.array_equal(getattr(built, name), getattr(rule, name))
+        # the embedded Gauss rule is the composite Gauss-Legendre rule on the
+        # same panels, the upper half of the one on [-Xi, Xi], to roundoff
+        gauss = rule.gauss_weights > 0.0
+        assert gauss.sum() == n_panels * sf.NODES_PER_PANEL
+        for panels in (sf.gauss_legendre_panels(edges), sf.gauss_legendre_panels(
+                np.linspace(-cutoff, cutoff, 2 * n_panels + 1))):
+            upper = panels.nodes.size - gauss.sum()
+            assert np.max(np.abs(panels.nodes[upper:] - rule.nodes[gauss])) < 1e-14
+            assert np.max(np.abs(panels.weights[upper:]
+                                 - rule.gauss_weights[gauss])) < 1e-15
 
 
 @pytest.mark.parametrize("panel_width", [0.25, 0.5])
 def test_half_rule_integrates_the_whole_line(panel_width):
-    # sum w [F(xi) + F(-xi)] on the half rule is the full rule's sum w F,
-    # at an even (86) and an odd (43) panel count
+    # sum w [F(xi) + F(-xi)] on the half rule, with its Kronrod and with its
+    # Gauss weights, is the whole-line Gauss-Legendre panel rule's sum w F at
+    # panel width 0.25 and 0.5
     cutoff = 8.0 + math.sqrt(7.0)
-    rule = cf._half_rule(cutoff, panel_width)
+    rule = cf._half_rule(cutoff)
     n_panels = int(math.ceil(2.0 * cutoff / panel_width))
     full = sf.gauss_legendre_panels(np.linspace(-cutoff, cutoff, n_panels + 1))
     for F in (lambda x: 0.5 * erfc(x) ** 2, lambda x: np.exp(-(x - 0.3) ** 2),
               lambda x: (1.0 + x + x ** 3) * np.exp(-x * x)):
         whole = float(np.dot(full.weights, F(full.nodes)))
-        halves = float(np.dot(rule.weights, F(rule.nodes) + F(-rule.nodes)))
-        assert abs(halves - whole) <= 1e-15 * abs(whole)
+        for weights in (rule.weights, rule.gauss_weights):
+            halves = float(np.dot(weights, F(rule.nodes) + F(-rule.nodes)))
+            assert abs(halves - whole) <= 1e-15 * abs(whole)
 
 
 def _spy_on_field_builders(monkeypatch):
@@ -207,24 +218,46 @@ def test_gram_eigen_field_evaluates_the_positive_half_only(sel, monkeypatch):
     seen = _spy_on_field_builders(monkeypatch)
     rule = _rule(3)
     field = cf.gram_eigen_field(sel, rule.nodes)
-    assert len(seen) == 1
-    assert np.array_equal(seen[0], rule.nodes)
+    # one occupation sweep, or overlap tables of FIELD_BLOCK nodes
+    sizes = [block.size for block in seen]
+    if sel.kind == "single":
+        assert sizes == [rule.nodes.size]
+    else:
+        assert sizes[:-1] == [cf.FIELD_BLOCK] * (len(sizes) - 1)
+        assert 0 < sizes[-1] <= cf.FIELD_BLOCK
+    assert np.array_equal(np.concatenate(seen), rule.nodes)
     # the eigenvalues at -xi are 1 minus those at xi, in reversed order
     seen.clear()
     reflected = cf.gram_eigen_field(sel, -rule.nodes)
     assert np.max(np.abs(reflected - (1.0 - field[:, ::-1]))) < 1e-14
 
 
+@pytest.mark.parametrize("n", [9, 27, 45])
+def test_blocked_field_equals_the_whole_grid_bitwise(n):
+    # each node's table column and eigenvalues depend on that node alone
+    nodes = _rule(n).nodes
+    assert nodes.size > 3 * cf.FIELD_BLOCK
+    table = sf.build_overlap_table(n, nodes).values
+    whole = np.linalg.eigvalsh(np.moveaxis(table, 2, 0))[:, ::-1]
+    np.testing.assert_array_equal(cf.gram_eigen_field(LevelSelector.upto(n), nodes),
+                                  sf.clamp_unit(whole, cf.CLAMP, "whole grid"))
+
+
 @pytest.mark.parametrize("sel", _SELECTORS, ids=_selector_id)
 def test_coeff_with_error_hands_only_positive_nodes_to_the_field(sel,
                                                                  monkeypatch):
     seen = _spy_on_field_builders(monkeypatch)
+    build, fields = cf.gram_eigen_field, []
+    monkeypatch.setattr(cf, "gram_eigen_field", lambda s, xi: (
+        fields.append(xi) or build(s, xi)))
     specs = ("renyi:1", "renyi:0.05")  # cutoffs 10.65 and 21.65
     cf.coeff_with_error(sel, [cf.spectral_function_from_spec(s) for s in specs])
-    want = [_rule(3, s, width).nodes for s in specs for width in (0.25, 0.5)]
-    assert len(seen) == len(want) == 4
-    for nodes, rule_nodes in zip(seen, want):
-        assert np.all(nodes > 0.0) and np.array_equal(nodes, rule_nodes)
+    want = [_rule(3, s).nodes for s in specs]
+    assert len(fields) == len(want) == 2
+    for nodes, rule_nodes in zip(fields, want):
+        assert np.array_equal(nodes, rule_nodes)
+    assert np.all(np.concatenate(seen) > 0.0)
+    assert np.array_equal(np.concatenate(seen), np.concatenate(want))
 
 
 def test_gram_eigenvalues_vs_jacobi_oracle():
@@ -239,12 +272,14 @@ def test_gram_eigenvalues_vs_jacobi_oracle():
 # ---------------------------------------------------------------------------
 
 def test_m_ell_vanishes_for_identity():
-    assert cf.coeff_M_ell(0, cf.SpectralFunction.monomial(1)) == pytest.approx(0.0, abs=1e-12)
-    assert cf.coeff_M_le_n(2, cf.SpectralFunction.monomial(1)) == pytest.approx(0.0, abs=1e-11)
+    f = cf.SpectralFunction.monomial(1)
+    assert cf.coeff_with_error(LevelSelector.single(0), [f])[0][0] == pytest.approx(0.0, abs=1e-12)
+    assert cf.coeff_with_error(LevelSelector.upto(2), [f])[0][0] == pytest.approx(0.0, abs=1e-11)
 
 
 def test_m0_h1_paper_value():
-    value = cf.coeff_M_ell(0, cf.SpectralFunction.renyi(1.0))
+    [(value, _)] = cf.coeff_with_error(LevelSelector.single(0),
+                                       [cf.SpectralFunction.renyi(1.0)])
     assert value == pytest.approx(0.203, abs=2e-3)
 
 
@@ -259,7 +294,8 @@ def test_m0_h1_convergence_digits():
 def test_m0_t2_dense_grid_oracle():
     # sign is trivial (lambda^2 - lambda <= 0), magnitude from a trapezoid
     # oracle on lambda_0 = erfc/2
-    value = cf.coeff_M_ell(0, cf.SpectralFunction.monomial(2))
+    [(value, _)] = cf.coeff_with_error(LevelSelector.single(0),
+                                       [cf.SpectralFunction.monomial(2)])
     assert value < 0.0
     xi = np.linspace(-10.0, 10.0, 400001)
     lam = 0.5 * erfc(xi)
@@ -270,8 +306,9 @@ def test_m0_t2_dense_grid_oracle():
 def test_m_le_0_equals_m_0():
     for alpha in (0.5, 1.0, 2.0):
         f = cf.SpectralFunction.renyi(alpha)
-        assert cf.coeff_M_le_n(0, f) == pytest.approx(cf.coeff_M_ell(0, f),
-                                                      abs=1e-9)
+        [(upto, _)] = cf.coeff_with_error(LevelSelector.upto(0), [f])
+        [(single, _)] = cf.coeff_with_error(LevelSelector.single(0), [f])
+        assert upto == pytest.approx(single, abs=1e-9)
 
 
 def test_m_le_1_h1_series_sandwich_oracle():
@@ -298,16 +335,29 @@ def test_m_le_1_h1_series_sandwich_oracle():
 
 
 def test_monotone_quadrature_convergence():
-    # halving the panel width changes M by less than the reported estimate
-    f = cf.SpectralFunction.renyi(1.0)
-    finer = _rule(1, "renyi:1", panel_width=0.125)
-    for sel in (LevelSelector.single(1), LevelSelector.upto(1)):
+    # a finer rule, 16-node Gauss-Legendre panels of width 0.125 on [0, Xi],
+    # changes M by less than the reported estimate: at level 1 and at the
+    # coeff-table extremes single:48 and upto:45. alpha < 1 is left out, as
+    # its estimate omits the roundoff of 1 - mu.
+    cases = [(sel, "renyi:1") for sel in (LevelSelector.single(1),
+                                          LevelSelector.upto(1))]
+    cases += [(sel, spec) for sel in (LevelSelector.single(48), LevelSelector.upto(45))
+              for spec in ("renyi:1", "renyi:2", "renyi:3.778", "monomial:3", "gtilde")]
+    fields = {}
+    for sel, spec in cases:
+        f = cf.spectral_function_from_spec(spec)
         [(value, err)] = cf.coeff_with_error(sel, [f])
-        mu = cf.gram_eigen_field(sel, finer.nodes)
-        mu = np.concatenate([mu, 1.0 - mu], axis=1)  # xi and -xi
+        cutoff = _cutoff(sel, spec)
+        key = (sel, cutoff)
+        if key not in fields:
+            edges = np.linspace(0.0, cutoff, int(math.ceil(cutoff / 0.125)) + 1)
+            finer = sf.gauss_legendre_panels(edges)
+            mu = cf.gram_eigen_field(sel, finer.nodes)
+            fields[key] = finer, np.concatenate([mu, 1.0 - mu], axis=1)  # xi, -xi
+        finer, mu = fields[key]
         trace = np.asarray(f(mu)).sum(axis=1) - f.value_at_one * mu.sum(axis=1)
         v_finer = float(np.dot(finer.weights, trace)) / (2 * math.pi)
-        assert abs(v_finer - value) <= err + 1e-14
+        assert abs(v_finer - value) <= err + 1e-14, (sel, spec)
 
 
 @pytest.mark.parametrize("spec, bound", [("renyi:0.25", 5e-5),
@@ -330,14 +380,15 @@ def test_renyi_below_one_against_mpmath_on_the_same_grid(spec, bound):
                 if 0 < t < 1:
                     total += w * mp.log(t ** alpha + (1 - t) ** alpha) / (1 - alpha)
         reference = float(total / mp.pi)
-    value = cf.coeff_M_le_n(n, f)
+    [(value, _)] = cf.coeff_with_error(LevelSelector.upto(n), [f])
     assert abs(value - reference) <= bound * reference
 
 
 def test_positivity_of_entropy_coefficients():
     for n in range(4):
         for alpha in (0.5, 1.0, 2.0):
-            assert cf.coeff_M_le_n(n, cf.SpectralFunction.renyi(alpha)) > 0.0
+            f = cf.SpectralFunction.renyi(alpha)
+            assert cf.coeff_with_error(LevelSelector.upto(n), [f])[0][0] > 0.0
 
 
 def test_trace_norm_gaussian_tail_bound():
@@ -387,7 +438,8 @@ def test_trace_moment_refuses_blowup():
 
 def test_poly_boundary_coeff():
     # M_ell(t^m): the integral of (lambda_ell^m - lambda_ell) / 2pi
-    moment = lambda ell, m: cf.coeff_M_ell(ell, cf.SpectralFunction.monomial(m))
+    moment = lambda ell, m: cf.coeff_with_error(
+        LevelSelector.single(ell), [cf.SpectralFunction.monomial(m)])[0][0]
     assert moment(2, 1) == pytest.approx(0.0, abs=1e-12)
     rule = _rule(0)
     lam = cf.gram_eigen_field(LevelSelector.single(0), rule.nodes)[:, 0]
@@ -408,20 +460,20 @@ def test_poly_boundary_coeff():
 
 def test_shared_fields_match_one_function_calls(monkeypatch):
     # renyi:0.05 pushes the cutoff to 21.65 against 10.65 for the other two,
-    # so each panel width needs two rules; sharing their fields within the
-    # call must not change a single bit of any row
+    # so the call needs two rules; sharing their fields within the call must
+    # not change a single bit of any row
     fns = [cf.spectral_function_from_spec(s)
            for s in ("renyi:1", "renyi:0.05", "gtilde")]
     build, half_rule = cf.gram_eigen_field, cf._half_rule
     for sel in _SELECTORS:
         builds, fields = [], []
-        monkeypatch.setattr(cf, "_half_rule", lambda cutoff, width: (
-            builds.append((cutoff, width)) or half_rule(cutoff, width)))
+        monkeypatch.setattr(cf, "_half_rule", lambda cutoff: (
+            builds.append(cutoff) or half_rule(cutoff)))
         monkeypatch.setattr(cf, "gram_eigen_field", lambda s, xi: (
             fields.append(xi.size) or build(s, xi)))
         rows = cf.coeff_with_error(sel, fns)
-        assert len(builds) == len(set(builds)) == len(fields) == 4
-        assert {round(cutoff, 2) for cutoff, _ in builds} == {10.65, 21.65}
+        assert len(builds) == len(set(builds)) == len(fields) == 2
+        assert {round(cutoff, 2) for cutoff in builds} == {10.65, 21.65}
         for f, row in zip(fns, rows):
             assert row == cf.coeff_with_error(sel, [f])[0]
 
@@ -432,14 +484,33 @@ _SIX_FUNCTIONS = ("renyi:1", "renyi:0.5", "renyi:2", "gtilde", "monomial:2",
 
 def test_one_grid_per_cutoff_and_panel_width(monkeypatch):
     # the six functions share the cutoff 15 at single:24, so the call builds
-    # the fine and the coarse grid once each, not twice per function
+    # one grid of 30 Gauss-Kronrod panels on [0, 15], not one per function;
+    # its Kronrod and Gauss weights give both the value and the error bar
     fns = [cf.spectral_function_from_spec(s) for s in _SIX_FUNCTIONS]
-    panels = cf.gauss_legendre_panels
+    panels = cf.gauss_kronrod_panels
     built = []
-    monkeypatch.setattr(cf, "gauss_legendre_panels", lambda edges: (
-        built.append((edges[-1], len(edges))) or panels(edges)))
+    monkeypatch.setattr(cf, "gauss_kronrod_panels", lambda edges: (
+        built.append((edges[0], edges[-1], len(edges))) or panels(edges)))
     cf.coeff_with_error(LevelSelector.single(24), fns)
-    assert built == [(15.0, 121), (15.0, 61)]
+    assert built == [(0.0, 15.0, 31)]
+
+
+def test_each_function_is_evaluated_once_per_call():
+    # f runs once on the (mu, 1 - mu) pairs of its field; the Kronrod value
+    # and the Gauss sum of the error bar share those values
+    fns = [cf.spectral_function_from_spec(s)
+           for s in _SIX_FUNCTIONS + ("renyi:0.05",)]
+    calls = {f.label: [] for f in fns}
+    for f in fns:
+        f.fn = lambda t, fn=f.fn, seen=calls[f.label]: seen.append(np.size(t)) or fn(t)
+    for sel in _SELECTORS:
+        for seen in calls.values():
+            seen.clear()
+        cf.coeff_with_error(sel, fns)
+        for f in fns:
+            nodes = _rule(3, f.label).nodes.size
+            width = 1 if sel.kind == "single" else 4
+            assert calls[f.label] == [2 * width * nodes], f.label
 
 
 @pytest.mark.parametrize("sel", [LevelSelector.single(24), LevelSelector.upto(5)],
@@ -460,9 +531,6 @@ def test_capped_cutoff_with_a_missed_tail_bound_raises(sel):
     with pytest.raises(AccuracyError, match="tail bound") as info:
         cf.coeff_with_error(sel, [f])
     assert info.value.achieved > 1e-7
-    wrapper = cf.coeff_M_ell if sel.kind == "single" else cf.coeff_M_le_n
-    with pytest.raises(AccuracyError):
-        wrapper(sel.index, f)
 
 
 @pytest.mark.parametrize("sel, cutoff", [(LevelSelector.single(0), 33.0),
@@ -476,24 +544,20 @@ def test_renyi_0_02_meets_its_tail_bound_below_the_cap(sel, cutoff):
     assert math.isfinite(value) and error > 0.0
 
 
-@pytest.mark.parametrize("wrapper, kind", [(cf.coeff_M_ell, "single"),
-                                           (cf.coeff_M_le_n, "upto")])
-def test_wrappers_build_one_field_and_equal_the_integrator(wrapper, kind,
-                                                           monkeypatch):
+@pytest.mark.parametrize("sel", [LevelSelector.single(10), LevelSelector.upto(10)],
+                         ids=_selector_id)
+def test_one_function_builds_one_field_for_value_and_error(sel, monkeypatch):
     build, half_rule = cf.gram_eigen_field, cf._half_rule
     for spec in ("renyi:1", "renyi:0.05", "monomial:3"):
         f = cf.spectral_function_from_spec(spec)
         builds, fields = [], []
-        monkeypatch.setattr(cf, "_half_rule", lambda cutoff, width: (
-            builds.append(width) or half_rule(cutoff, width)))
+        monkeypatch.setattr(cf, "_half_rule", lambda cutoff: (
+            builds.append(cutoff) or half_rule(cutoff)))
         monkeypatch.setattr(cf, "gram_eigen_field", lambda s, xi: (
             fields.append(xi.size) or build(s, xi)))
-        value = wrapper(10, f)
-        assert builds == [0.25] and len(fields) == 1
-        monkeypatch.setattr(cf, "_half_rule", half_rule)
-        monkeypatch.setattr(cf, "gram_eigen_field", build)
-        sel = getattr(LevelSelector, kind)(10)
-        assert value == cf.coeff_with_error(sel, [f])[0][0]
+        [(value, err)] = cf.coeff_with_error(sel, [f])
+        assert len(builds) == len(fields) == 1
+        assert math.isfinite(value) and err > 0.0
 
 
 @pytest.mark.parametrize("sel", _SELECTORS, ids=_selector_id)
@@ -535,7 +599,7 @@ def test_gram_eigen_field_aborts_on_broken_table(monkeypatch):
 def test_gram_field_at_the_level_cap_on_the_widest_grid():
     # a small Hoelder exponent pushes the cutoff to its cap of 40; wide
     # panels keep the (61, 61, N) table small
-    nodes = _full_nodes(cf._half_rule(cf.XI_CAP, 2.0))
+    nodes = _full_nodes(sf.gauss_legendre_panels(np.linspace(0.0, cf.XI_CAP, 21)))
     assert nodes[-1] > 39.0
     table = sf.build_overlap_table(sf.LEVEL_CAP, nodes).values
     assert np.all(np.isfinite(table))

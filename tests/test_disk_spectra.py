@@ -395,7 +395,8 @@ def test_schatten_linear_growth_ratio():
 # ---------------------------------------------------------------------------
 
 def test_moment_residual_band_spot():
-    J = cf.coeff_M_ell(0, cf.SpectralFunction.monomial(2))
+    [(J, _)] = cf.coeff_with_error(LevelSelector.single(0),
+                                   [cf.SpectralFunction.monomial(2)])
     for L in (10.0, 25.0):
         tr = oracles.disk_trace_moment(SETUP, LevelSelector.single(0), L, 2)
         resid = tr - L * L * math.pi / (2 * math.pi) - L * 2 * math.pi * J

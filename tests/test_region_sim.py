@@ -151,7 +151,8 @@ def test_hs_cross_term_matches_moment_prediction():
     spec = rs.region_spectrum(SETUP, sel, DISK, L, resolution=(32, 64))
     mu = spec.eigenvalues
     hs = float(np.sum(mu * (1 - mu)))
-    j2 = cf.coeff_M_ell(0, cf.SpectralFunction.monomial(2))
+    [(j2, _)] = cf.coeff_with_error(LevelSelector.single(0),
+                                    [cf.SpectralFunction.monomial(2)])
     predicted = -L * math.sqrt(SETUP.b) * ge.perimeter(DISK) * j2
     assert abs(hs - predicted) < 0.5  # O(1) band of the moment law
 
@@ -263,7 +264,8 @@ def test_mc_cross_hs_on_square_lipschitz_spot():
     L = 10.0
     est = oracles.mc_cross_hs_norm(SETUP, LevelSelector.single(0), square, L,
                                    n_samples=600_000, seed=12)
-    j2 = cf.coeff_M_ell(0, cf.SpectralFunction.monomial(2))
+    [(j2, _)] = cf.coeff_with_error(LevelSelector.single(0),
+                                    [cf.SpectralFunction.monomial(2)])
     predicted = -L * math.sqrt(SETUP.b) * ge.perimeter(square) * j2
     assert est > 0
     assert abs(est / predicted - 1.0) < 0.25

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -260,6 +261,58 @@ def test_gauss_legendre_panels_are_exact_on_every_panel():
         assert np.dot(rule.weights, rule.nodes ** k) == pytest.approx(exact, rel=1e-13)
 
 
+def test_kronrod_table_matches_the_mpmath_oracle():
+    # the table is the 80-digit Gauss-Kronrod rule of tests/oracles rounded
+    # to doubles; that rule is exact through degree 3n + 1 = 49
+    nodes, kronrod, gauss = oracles.gauss_kronrod_mp(16)
+    for table, exact in ((sf._KRONROD_NODES, nodes), (sf._KRONROD_WEIGHTS, kronrod),
+                         (sf._KRONROD_GAUSS_WEIGHTS, gauss)):
+        assert len(table) == len(exact)
+        assert max(abs(mp.mpf(v) - e) for v, e in zip(table, exact)) <= 2e-16
+    with mp.workdps(80):
+        for k in (0, 17, 48, 49):
+            got = mp.fsum(w * x ** k for w, x in zip(kronrod, nodes))
+            assert abs(got - mp.mpf(1) / (k + 1)) < mp.mpf(10) ** -70
+    assert float(min(kronrod)) == pytest.approx(0.0047 / 2, rel=0.01)
+
+
+def test_kronrod_embedded_nodes_are_the_gauss_legendre_nodes():
+    x, _ = np.polynomial.legendre.leggauss(sf.NODES_PER_PANEL)
+    nodes = np.array(sf._KRONROD_NODES)
+    np.testing.assert_allclose(nodes[1::2], 0.5 * x + 0.5, rtol=0.0, atol=2.3e-16)
+    # the nodes the extension adds interlace with them, strictly inside (0, 1)
+    assert np.all(np.diff(nodes) > 0.0) and 0.0 < nodes[0] and nodes[-1] < 1.0
+
+
+def test_kronrod_weights_are_positive():
+    for weights in (sf._KRONROD_WEIGHTS, sf._KRONROD_GAUSS_WEIGHTS):
+        assert min(weights) > 0.0
+        assert math.fsum(weights) == pytest.approx(1.0, abs=4e-16)
+
+
+def test_gauss_kronrod_panels_are_exact_on_every_panel():
+    # the Kronrod sum integrates every Legendre polynomial of degree <= 49
+    # and the embedded Gauss sum every one of degree <= 31 on each panel;
+    # the Gauss weights vanish at the added nodes
+    edges = np.array([-1.0, -0.2, 0.5, 3.0])
+    rule = sf.gauss_kronrod_panels(edges)
+    shape = (3, 2 * sf.NODES_PER_PANEL + 1)
+    assert rule.nodes.size == rule.weights.size == rule.gauss_weights.size == 99
+    assert np.all(np.diff(rule.nodes) > 0.0) and np.all(rule.weights > 0.0)
+    for a, b, nodes, weights, gauss in zip(
+            edges[:-1], edges[1:], rule.nodes.reshape(shape),
+            rule.weights.reshape(shape), rule.gauss_weights.reshape(shape)):
+        assert np.all((a < nodes) & (nodes < b))
+        assert np.all(gauss[0::2] == 0.0) and np.all(gauss[1::2] > 0.0)
+        t = (2.0 * nodes - a - b) / (b - a)
+        for k in range(50):
+            p_k = np.polynomial.legendre.legval(t, np.eye(k + 1)[k])
+            exact = (b - a) if k == 0 else 0.0
+            assert abs(np.dot(weights, p_k) - exact) < 1e-14 * (b - a), k
+            if k < 2 * sf.NODES_PER_PANEL:
+                assert abs(np.dot(gauss, p_k) - exact) < 1e-14 * (b - a), k
+
+
 def test_gauss_legendre_vs_adaptive_oracle():
     rule = sf.gauss_legendre(64, 0.0, 3.0)
     fixed = np.dot(rule.weights, np.exp(-rule.nodes ** 2))
@@ -357,16 +410,19 @@ def test_overlap_table_matches_adaptive_op():
                     oracles.overlap_lambda(l1, l2, grid[i]), abs=1e-12)
 
 
-def _coefficient_nodes(n, panel_width=0.25):
-    # the nodes coeff_with_error integrates gtilde over at level index n
+def _coefficient_nodes(n, panel_width=cf.PANEL_WIDTH):
+    # the Gauss-Kronrod nodes on [0, Xi] for gtilde at level index n; at the
+    # default panel width, the nodes coeff_with_error integrates it over
     cutoff, _ = cf._xi_cutoff(LevelSelector.upto(n), cf.SpectralFunction.gtilde(),
                               1e-8)
-    return cf._half_rule(cutoff, panel_width).nodes
+    edges = np.linspace(0.0, cutoff, int(math.ceil(cutoff / panel_width)) + 1)
+    return sf.gauss_kronrod_panels(edges).nodes
 
 
 @pytest.mark.parametrize("panel_width", [0.25, 0.5])
 def test_overlap_table_matches_panel_sweep_on_coefficient_grids(panel_width):
-    # the coefficient nodes and their reflections onto xi < 0
+    # the coefficient grid (0.5) and its refinement (0.25), with their
+    # reflections onto xi < 0
     nodes = _coefficient_nodes(48, panel_width)
     nodes = np.concatenate([-nodes[::-1], nodes])
     closed = sf.build_overlap_table(48, nodes).values
