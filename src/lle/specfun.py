@@ -1,4 +1,4 @@
-"""Orthogonal polynomials, Gauss-Legendre and Gauss-Kronrod rules and one-dimensional overlap integrals.
+"""Orthogonal polynomials, quadrature panel rules and one-dimensional overlap integrals.
 
 Hermite functions and Laguerre polynomials come from their three-term
 recurrences. `hermite_sweep` is the one normalized-Hermite recurrence: it

@@ -18,8 +18,9 @@ reaches polygons, the per-degree normalized Hermite recurrence on numpy
 arrays with the Christoffel-Darboux sum and verifier built on it, the
 Fraction-sum Hermite-identity verifier, the per-case bodies of the other
 identity checks on Python floats and the plan's integer matrices, and the
-determinant and sign flip of the substitution plan). The library never
-imports this module.
+determinant and sign flip of the substitution plan, and the 80-digit
+Gauss-Kronrod rule whose rounded values are the library's table). The
+library never imports this module.
 """
 
 import functools
@@ -162,7 +163,7 @@ def gauss_kronrod_mp(n: int = 16, dps: int = 80) -> tuple:
     Kronrod weights make the 2n+1 nodes exact for P_0 .. P_2n and the Gauss
     weights the n Gauss nodes for P_0 .. P_{n-1}; the rule is then exact to
     degree 3n+1 (Laurie 1997). Printing float() of each value regenerates
-    specfun._KRONROD_PANEL.
+    specfun's _KRONROD_NODES, _KRONROD_WEIGHTS and _KRONROD_GAUSS_WEIGHTS.
     """
     with mp.workdps(dps):
         # P_n's coefficients, ascending, from the recurrence on coefficient lists
@@ -172,7 +173,7 @@ def gauss_kronrod_mp(n: int = 16, dps: int = 80) -> tuple:
             for i, c in enumerate(prev):
                 nxt[i] -= k * c / (k + 1)
             prev, cur = cur, nxt
-        legendre = cur if n >= 1 else prev
+        legendre = cur
 
         def moment(i):
             return mp.fsum(c * mp.mpf(2) / (i + j + 1)
