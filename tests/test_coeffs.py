@@ -156,29 +156,45 @@ def test_gram_eigen_field_matches_per_xi_oracle():
             np.testing.assert_allclose(field[i], want, atol=1e-11)
 
 
-def test_half_rule_embeds_the_positive_half_of_the_panel_rule():
-    # at n = 3 and n = 45: 22 and 36 panels of width at most 0.5 on [0, Xi]
-    for n in (3, 45):
-        cutoff = 8.0 + math.sqrt(2.0 * n + 1.0)
+@pytest.mark.parametrize("n, panel_width",
+                         [(3, 0.25), (3, 0.5), (45, 0.25), (45, 0.5)])
+def test_half_rule_is_the_positive_half_of_the_panel_rule(n, panel_width):
+    # Gauss-Kronrod panels of width at most panel_width on [0, Xi] are the
+    # upper half of those on [-Xi, Xi], and their embedded Gauss rule is the
+    # upper half of the Gauss-Legendre panel rule on [-Xi, Xi]; at
+    # PANEL_WIDTH (22 and 36 panels at n = 3 and 45) that half is _half_rule
+    cutoff = 8.0 + math.sqrt(2.0 * n + 1.0)
+    n_panels = math.ceil(cutoff / panel_width)
+    edges = np.linspace(0.0, cutoff, n_panels + 1)
+    half = sf.gauss_kronrod_panels(edges)
+    assert half.nodes.size == 33 * n_panels
+    assert np.all(half.nodes > 0.0) and np.all(half.nodes < cutoff)
+    assert np.all(np.diff(half.nodes) > 0.0)
+    if panel_width == cf.PANEL_WIDTH:
         rule = cf._half_rule(cutoff)
-        n_panels = rule.nodes.size // 33
-        assert n_panels == math.ceil(cutoff / cf.PANEL_WIDTH)
-        assert np.all(rule.nodes > 0.0) and np.all(rule.nodes < cutoff)
-        assert np.all(np.diff(rule.nodes) > 0.0)
-        edges = np.linspace(0.0, cutoff, n_panels + 1)
-        built = sf.gauss_kronrod_panels(edges)
         for name in ("nodes", "weights", "gauss_weights"):
-            assert np.array_equal(getattr(built, name), getattr(rule, name))
-        # the embedded Gauss rule is the composite Gauss-Legendre rule on the
-        # same panels, the upper half of the one on [-Xi, Xi], to roundoff
-        gauss = rule.gauss_weights > 0.0
-        assert gauss.sum() == n_panels * sf.NODES_PER_PANEL
-        for panels in (sf.gauss_legendre_panels(edges), sf.gauss_legendre_panels(
-                np.linspace(-cutoff, cutoff, 2 * n_panels + 1))):
-            upper = panels.nodes.size - gauss.sum()
-            assert np.max(np.abs(panels.nodes[upper:] - rule.nodes[gauss])) < 1e-14
-            assert np.max(np.abs(panels.weights[upper:]
-                                 - rule.gauss_weights[gauss])) < 1e-15
+            assert np.array_equal(getattr(half, name), getattr(rule, name))
+    # the whole-line Kronrod rule: upper half to roundoff, lower half its
+    # reflection
+    full = sf.gauss_kronrod_panels(np.linspace(-cutoff, cutoff, 2 * n_panels + 1))
+    upper = full.nodes.size - half.nodes.size
+    assert upper == half.nodes.size
+    assert np.max(np.abs(full.nodes[upper:] - half.nodes)) < 1e-14
+    assert np.max(np.abs(full.nodes[:upper] + half.nodes[::-1])) < 1e-14
+    for name in ("weights", "gauss_weights"):
+        w_full, w_half = getattr(full, name), getattr(half, name)
+        assert np.max(np.abs(w_full[upper:] - w_half)) < 1e-15
+        assert np.max(np.abs(w_full[:upper] - w_half[::-1])) < 1e-15
+    # the embedded Gauss rule is the composite Gauss-Legendre rule on the
+    # same panels, the upper half of the one on [-Xi, Xi], to roundoff
+    gauss = half.gauss_weights > 0.0
+    assert gauss.sum() == n_panels * sf.NODES_PER_PANEL
+    for panels in (sf.gauss_legendre_panels(edges), sf.gauss_legendre_panels(
+            np.linspace(-cutoff, cutoff, 2 * n_panels + 1))):
+        upper = panels.nodes.size - gauss.sum()
+        assert np.max(np.abs(panels.nodes[upper:] - half.nodes[gauss])) < 1e-14
+        assert np.max(np.abs(panels.weights[upper:]
+                             - half.gauss_weights[gauss])) < 1e-15
 
 
 @pytest.mark.parametrize("panel_width", [0.25, 0.5])
