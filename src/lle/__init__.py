@@ -44,7 +44,6 @@ from .region_sim import (
     scaling_fit,
 )
 from .specfun import (
-    QuadratureRule,
     gauss_legendre,
     hermite_fn,
     laguerre,
@@ -53,7 +52,7 @@ from .specfun import (
 __all__ = [
     "AccuracyError", "AsymptoticFit", "CapabilityError", "Disk", "DomainError",
     "FitError", "LevelSelector", "LleError", "LocalSpectrum", "MagneticSetup",
-    "NumericError", "Polygon", "QuadratureRule", "Region", "SmoothStar",
+    "NumericError", "Polygon", "Region", "SmoothStar",
     "SpectralFunction", "TranslateFamily", "UsageError", "WindowError",
     "__version__", "coeff_with_error",
     "disk_spectrum", "entropy_from_spectrum", "gauss_legendre", "hermite_fn",

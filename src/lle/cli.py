@@ -19,7 +19,7 @@ import numpy as np
 from . import coeffs, geometry, region_sim
 from .disk_spectra import disk_spectrum, entropy_from_spectrum
 from .errors import AccuracyError, DomainError, LleError, UsageError
-from .landau import LevelSelector, MagneticSetup
+from .landau import LevelSelector, MagneticSetup, nu_from_mu
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -110,7 +110,9 @@ def cmd_spectrum(args) -> int:
 def cmd_scaling(args) -> int:
     region = _parse_region(args.region)
     setup = MagneticSetup(args.B)
-    selector = _parse_selector(args.levels)
+    # the ground state at chemical potential mu fills the levels up to nu
+    levels = args.levels if args.mu is None else f"upto:{nu_from_mu(args.mu, args.B)}"
+    selector = _parse_selector(levels)
     if not args.L_step > 0.0:
         raise UsageError(f"--L-step must be positive, got {args.L_step}")
     if not (math.isfinite(args.L_min) and math.isfinite(args.L_max)):
@@ -129,10 +131,13 @@ def cmd_scaling(args) -> int:
     fit = region_sim.scaling_fit(scales, values, model="linear")
     [(m_coeff, m_err)] = coeffs.coeff_with_error(selector, [f], tol=1e-8)
     predicted = math.sqrt(args.B) * geometry.perimeter(region) * m_coeff
+    config = {"region": geometry.region_to_json(region), "B": args.B,
+              "levels": levels, "alpha": args.alpha,
+              "L": [float(v) for v in scales], "cutoff": args.cutoff}
+    if args.mu is not None:
+        config["mu"] = args.mu
     report = {
-        "config": {"region": geometry.region_to_json(region), "B": args.B,
-                   "levels": args.levels, "alpha": args.alpha,
-                   "L": [float(v) for v in scales], "cutoff": args.cutoff},
+        "config": config,
         "fit": fit.to_json(),
         "coefficient": {"M": m_coeff, "error": m_err},
         "predicted_c1": predicted,
@@ -265,7 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scaling", help="entropy area-law scaling fit")
     p.add_argument("--region", required=True)
     p.add_argument("--B", type=float, required=True)
-    p.add_argument("--levels", required=True)
+    levels = p.add_mutually_exclusive_group(required=True)
+    levels.add_argument("--levels", help="single:<l> or upto:<n>")
+    levels.add_argument("--mu", type=float,
+                        help="chemical potential: the levels up to "
+                             "nu = floor((mu/B - 1)/2)")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--L-min", type=float, required=True)
     p.add_argument("--L-max", type=float, required=True)

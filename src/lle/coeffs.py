@@ -7,15 +7,19 @@ psi_j(-t) = (-1)^j psi_j(t) gives G(-xi) = I - S G(xi) S with S = diag((-1)^k),
 which pairs each eigenvalue mu at xi with 1 - mu at -xi, so the integral runs
 over xi > 0 alone, of sum_j f(mu_j) + f(1 - mu_j) - f(1). The rule on [0, Xi]
 is the 33-point Gauss-Kronrod extension of 16-point Gauss-Legendre on panels
-at most 0.5 wide (`_half_rule`): its Kronrod sum is the value, and the gap to
-the embedded Gauss sum on the same nodes is the quadrature part of the error
-bar, so one field serves both. `gram_eigen_field` gives the eigenvalues of G
-at the nodes: the top rung of the erfc ladder for a single level
-(specfun.occupations), the closed-form overlap table diagonalised node by
-node up to n (specfun.build_overlap_table), in blocks of FIELD_BLOCK nodes.
-`coeff_with_error` integrates every requested f over fields it builds once
-per call and per distinct cutoff, evaluating each f once; a cutoff held at
-XI_CAP with its tail bound above tol/10 is an AccuracyError. The per-xi
+PANEL_WIDTH = 0.5 wide (`_half_rule`): its Kronrod sum is the value, and the
+gap to the embedded Gauss sum on the same nodes is the quadrature part of the
+error bar, so one field serves both. Each f's cutoff Xi is the first panel
+edge past the top turning point sqrt(2n+1) where a closed-form bound on the
+integral beyond Xi, built from the levels' own Hermite functions there, falls
+to tol/10 (`_xi_cutoffs`); a bound still above it at XI_CAP is an
+AccuracyError. `gram_eigen_field` gives the eigenvalues of G at the nodes:
+the top rung of the erfc ladder for a single level (specfun.occupations), the
+closed-form overlap table diagonalised node by node up to n
+(specfun.build_overlap_table), in blocks of FIELD_BLOCK nodes.
+`coeff_with_error` builds one field per call, on the rule of the largest
+cutoff; the edges are multiples of PANEL_WIDTH, so every smaller rule is a
+prefix of it, and each f is evaluated once, on its own prefix. The per-xi
 adaptive-quadrature Gram matrix, its dual-route trace moments, the
 panel-quadrature overlap table and the Nystrom discretization of the
 integral kernel are test oracles (tests/oracles.py).
@@ -33,9 +37,11 @@ from .landau import LevelSelector
 from .specfun import (
     KronrodRule,
     _check_grid,
+    _check_level,
     build_overlap_table,
     clamp_unit,
     gauss_kronrod_panels,
+    hermite_sweep,
     occupations,
 )
 
@@ -50,7 +56,7 @@ XI_CAP = 40.0
 PANEL_WIDTH = 0.5
 
 # nodes per overlap table and batched eigvalsh of the multi-level field
-FIELD_BLOCK = 256
+FIELD_BLOCK = 128
 
 
 def renyi_h(alpha: float, t):
@@ -78,39 +84,66 @@ def renyi_h(alpha: float, t):
 
 
 def _holder_exponent_for_renyi(alpha: float) -> float:
-    if alpha < 1.0:
-        return alpha
+    # the limit branch first: within 1e-8 of 1, renyi_h is the Shannon entropy
     if abs(alpha - 1.0) < 1e-8:
         return 0.9
-    return 1.0
+    return alpha if alpha < 1.0 else 1.0
+
+
+def _renyi_end_limit(alpha: float) -> float:
+    # h_alpha(t) / (t (1-t))^q as t -> 0 (and 1): h_alpha ~ t^alpha / (1-alpha)
+    # below 1, ~ alpha t / (alpha-1) above 1, and t log(1/t) = o(t^0.9) at 1
+    if abs(alpha - 1.0) < 1e-8:
+        return 0.0
+    return 1.0 / (1.0 - alpha) if alpha < 1.0 else alpha / (alpha - 1.0)
+
+
+# Hoelder samples: 0 (where f must vanish), then 999 equispaced points
+# k/1000, so t = 1/2, the peak of the symmetric families, is one, and ten
+# per decade from 1e-12 to 1e-3 toward both ends. Below 1e-12 the rounding
+# of h_alpha itself inflates the ratio (3.96 at t = 1e-32 for alpha = 0.5,
+# whose supremum is 2).
+_HOLDER_ENDS = np.logspace(-12.0, -3.0, 91)
+_HOLDER_SAMPLES = np.unique(np.concatenate([
+    np.linspace(0.0, 1.0, 1001)[:-1], _HOLDER_ENDS, 1.0 - _HOLDER_ENDS]))
+
+# the sampled maximum is raised by this much, to cover the peak between
+# samples and the rounding of f near the ends (1.1e-16 / t relative for
+# alpha > 1); against 1e5 log-spaced points the built-in families miss at
+# most 5.4e-5
+_HOLDER_MARGIN = 1e-3
 
 
 @dataclass
 class SpectralFunction:
     """Test function f on [0,1] with f(0) = 0 and endpoint-Hoelder metadata.
 
-    `fn` must be vectorized. Construction verifies f(0) = 0 and fits the
-    constant in |f(t) - f(1) t| <= C t^q (1-t)^q on a 1000-point grid;
-    functions violating either are rejected, which is what makes the
-    coefficient integrals convergent.
+    `fn` must be vectorized. Construction verifies f(0) = 0 and bounds the
+    constant C in |f(t) - f(1) t| <= C t^q (1-t)^q by the larger of the
+    sampled maximum of the ratio, raised by _HOLDER_MARGIN, and `end_limit`,
+    its limit at the ends, which no sample reaches and which the family
+    constructors give in closed form. Functions violating either are
+    rejected, which is what makes the coefficient integrals convergent; the
+    xi cutoff needs C to be a true supremum.
     """
 
     fn: object
     value_at_one: float
     endpoint_exponent: float
     label: str = "custom"
+    end_limit: float = 0.0
     holder_constant: float = field(init=False, default=0.0)
 
     def __post_init__(self):
-        if not self.endpoint_exponent > 0.0:
+        q = self.endpoint_exponent
+        if not q > 0.0:
             raise DomainError("endpoint exponent q must be positive")
-        f0 = float(np.asarray(self.fn(np.array([0.0])))[0])
-        if abs(f0) > 1e-12:
-            raise DomainError(f"spectral function must vanish at 0, got f(0)={f0}")
-        t = np.linspace(0.0, 1.0, 1002)[1:-1]
-        dev = np.abs(self.fn(t) - self.value_at_one * t)
-        env = t ** self.endpoint_exponent * (1.0 - t) ** self.endpoint_exponent
-        c = float(np.max(dev / env))
+        vals = np.asarray(self.fn(_HOLDER_SAMPLES), dtype=float)
+        if abs(vals[0]) > 1e-12:
+            raise DomainError(f"spectral function must vanish at 0, got f(0)={vals[0]}")
+        t = _HOLDER_SAMPLES[1:]
+        ratio = np.abs(vals[1:] - self.value_at_one * t) / (t ** q * (1.0 - t) ** q)
+        c = max(float(np.max(ratio)) * (1.0 + _HOLDER_MARGIN), self.end_limit)
         if not math.isfinite(c):
             raise DomainError("Hoelder envelope fit diverged; f is not admissible")
         self.holder_constant = c
@@ -126,21 +159,23 @@ class SpectralFunction:
             text = repr(alpha)
         return cls(fn=lambda t, a=alpha: renyi_h(a, t), value_at_one=0.0,
                    endpoint_exponent=_holder_exponent_for_renyi(alpha),
-                   label=f"renyi:{text}")
+                   label=f"renyi:{text}", end_limit=_renyi_end_limit(alpha))
 
     @classmethod
     def monomial(cls, m: int) -> "SpectralFunction":
         m = int(m)
         if m < 1:
             raise DomainError(f"monomial degree must be >= 1, got {m}")
+        # (t - t^m) / (t (1-t)) = 1 + t + ... + t^(m-2) rises to m - 1 at t = 1
         return cls(fn=lambda t, m=m: np.asarray(t, dtype=float) ** m,
                    value_at_one=1.0, endpoint_exponent=1.0,
-                   label=f"monomial:{m}")
+                   label=f"monomial:{m}", end_limit=float(m - 1))
 
     @classmethod
     def gtilde(cls) -> "SpectralFunction":
         return cls(fn=lambda t: np.asarray(t, dtype=float) * (1.0 - np.asarray(t, dtype=float)),
-                   value_at_one=0.0, endpoint_exponent=1.0, label="gtilde")
+                   value_at_one=0.0, endpoint_exponent=1.0, label="gtilde",
+                   end_limit=1.0)
 
 
 def spectral_function_from_spec(spec: str) -> SpectralFunction:
@@ -164,38 +199,134 @@ def spectral_function_from_spec(spec: str) -> SpectralFunction:
 # xi cutoff and half-line rule
 # ---------------------------------------------------------------------------
 
-def _tail_bound(n: int, q: float, c_holder: float, xi_max: float) -> float:
-    # the occupations collapse Gaussianly, so the integrand decays like
-    # exp(-delta q xi^2), delta = 0.9; integrate the majorant past the cutoff
-    rate = 0.9 * min(q, 1.0)
-    amp = (n + 1) * max(c_holder, 1.0)
-    return amp * math.exp(-rate * xi_max * xi_max) / (2.0 * rate * xi_max) / math.pi
+class _HermiteTail:
+    """The levels' Hermite tail at the panel edges X_j = j PANEL_WIDTH past
+    the top turning point, where s_j = sqrt(X_j^2 - c) > 0, c = 2n+1.
+
+    There psi_k'' = (xi^2 - (2k+1)) psi_k and the Riccati argument give
+    -psi_k'/psi_k >= sqrt(xi^2 - (2k+1)) >= s(xi), so with K(X) the sum of
+    psi_k(X)^2 over the levels,
+      tr G(xi) <= K(X) e^{-2 s(X) (xi - X)} / (2 s(X))   for xi >= X.
+    `swept(j)` is (log(K(X_j) / 2 s_j), log s_j), from one scalar Hermite
+    sweep with h_0 = 1: log K = -X^2 - log(pi)/2 + log sum h_k^2, so nothing
+    underflows. `upper(j)` bounds the same log from above with no sweep of
+    its own: the Riccati decay from the first edge X_f gives
+    log K(X) <= log K(X_f) - 2 int_{X_f}^X s. Both are kept per edge, so
+    the cutoffs of several functions share them.
+    """
+
+    def __init__(self, selector: LevelSelector):
+        self.selector = selector
+        self.c = 2.0 * selector.index + 1.0
+        self.first = int(math.sqrt(self.c) / PANEL_WIDTH) + 1
+        self._swept: dict[int, tuple[float, float]] = {}
+        self._upper: list[tuple[float, float]] = []
+        self._start = 0.0  # log K(X_f) + log s_f + 2 int^{X_f} s, once swept
+
+    def rate(self, j: int) -> float:
+        x = j * PANEL_WIDTH
+        return math.sqrt(x * x - self.c)
+
+    def _decay(self, j: int) -> float:
+        # log s + 2 int^X s, with x s - c log(x + s) twice an antiderivative
+        x, s = j * PANEL_WIDTH, self.rate(j)
+        return math.log(s) + x * s - self.c * math.log(x + s)
+
+    def swept(self, j: int) -> tuple[float, float]:
+        if j not in self._swept:
+            x = j * PANEL_WIDTH
+            total = 0.0
+            for h in hermite_sweep(self.selector.index, x):
+                total = h * h if self.selector.kind == "single" else total + h * h
+            log_s = math.log(self.rate(j))
+            self._swept[j] = (-x * x - _HALF_LOG_PI + math.log(total)
+                              - _LOG_2 - log_s, log_s)
+        return self._swept[j]
+
+    def upper(self, j: int) -> tuple[float, float]:
+        if not self._upper:
+            self._start = self.swept(self.first)[0] + self._decay(self.first)
+        while len(self._upper) <= j - self.first:
+            k = self.first + len(self._upper)
+            self._upper.append((self._start - self._decay(k),
+                                math.log(self.rate(k))))
+        return self._upper[j - self.first]
 
 
-def _xi_cutoff(selector: LevelSelector, f: SpectralFunction,
-               tol: float) -> tuple[float, float]:
-    """(Xi, tail bound past Xi) for f: Xi = 8 + sqrt(2n+1), pushed out in
-    steps of 0.5 while the tail bound exceeds tol/10, up to XI_CAP. A bound
-    still above tol/10 at the cap is an AccuracyError."""
+_HALF_LOG_PI = 0.5 * math.log(math.pi)
+_LOG_2 = math.log(2.0)
+
+
+def _xi_cutoffs(selector: LevelSelector, fns: list[SpectralFunction],
+                tol: float) -> list[tuple[float, float]]:
+    """(Xi, tail bound past Xi) for each f: Xi is the first panel edge past
+    the top turning point where the bound falls to tol/10.
+
+    |f(mu) + f(1-mu) - f(1)| <= 2C mu^q (1-mu)^q with q = min(q_f, 1), and
+    sum_j mu_j^q <= m^(1-q) (tr G)^q over the m eigenvalues, so by
+    `_HermiteTail` the integral past X is at most
+      2C m^(1-q) (K/2s)^q / (2 s q) / 2pi,
+    which falls with X. The search goes to the first edge where the bound
+    from the `upper` envelope passes, where the swept bound passes too, and
+    steps down while the swept bound one edge lower passes. A step is ruled
+    out without its sweep when the Riccati decay the other way,
+    K(X_{j-1}) >= K(X_j) e^{2 s_{j-1} PANEL_WIDTH}, already puts the bound
+    there above tol/10. Each search starts where the last one ended; the
+    edges it finds do not depend on that. A bound still above tol/10 at
+    XI_CAP is an AccuracyError.
+    """
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tolerance must be finite and positive, got {tol}")
-    n = selector.index
-    q, c_holder = f.endpoint_exponent, f.holder_constant
-    xi_max = 8.0 + math.sqrt(2.0 * n + 1.0)
-    while _tail_bound(n, q, c_holder, xi_max) > 0.1 * tol and xi_max < XI_CAP:
-        xi_max += 0.5
-    tail = _tail_bound(n, q, c_holder, xi_max)
-    if tail > 0.1 * tol:
-        raise AccuracyError(
-            f"{f.label} at {selector.kind}:{n}: xi cutoff capped at "
-            f"{xi_max:g} leaves a tail bound of {tail:.2e} > tol/10 = "
-            f"{0.1 * tol:.1e}", achieved=tail)
-    return xi_max, tail
+    _check_level(selector.index)  # up to the cap, X_f is below XI_CAP
+    tail = _HermiteTail(selector)
+    last = int(round(XI_CAP / PANEL_WIDTH))
+    target = math.log(0.1 * tol)
+    log_m = math.log(selector.count)
+    out = []
+    j = tail.first
+    for f in fns:
+        q, c_holder = min(f.endpoint_exponent, 1.0), f.holder_constant
+        if c_holder == 0.0:  # f(mu) + f(1 - mu) = f(1): nothing to cut
+            out.append((tail.first * PANEL_WIDTH, 0.0))
+            continue
+        head = (math.log(2.0 * c_holder) + (1.0 - q) * log_m
+                - math.log(4.0 * math.pi * q) - target)
+
+        def excess(log_env, log_s):
+            # log of the bound over tol/10
+            return head + q * log_env - log_s
+
+        while j > tail.first and excess(*tail.upper(j - 1)) <= 0.0:
+            j -= 1
+        while j < last and excess(*tail.upper(j)) > 0.0:
+            j += 1
+        log_env, log_s = tail.swept(j)
+        if excess(log_env, log_s) > 0.0:
+            achieved = math.exp(excess(log_env, log_s) + target)
+            raise AccuracyError(
+                f"{f.label} at {selector.kind}:{selector.index}: xi cutoff "
+                f"capped at {XI_CAP:g} leaves a tail bound of {achieved:.2e} "
+                f"> tol/10 = {0.1 * tol:.1e}", achieved=achieved)
+        cut = j
+        while cut > tail.first:
+            s_below = tail.rate(cut - 1)
+            log_s_below = math.log(s_below)
+            floor = log_env + log_s + 2.0 * s_below * PANEL_WIDTH - log_s_below
+            if excess(floor, log_s_below) > 0.0:
+                break
+            below = tail.swept(cut - 1)
+            if excess(*below) > 0.0:
+                break
+            cut, (log_env, log_s) = cut - 1, below
+        out.append((cut * PANEL_WIDTH, math.exp(excess(log_env, log_s) + target)))
+    return out
 
 
 def _half_rule(cutoff: float) -> KronrodRule:
     """The composite Gauss-Kronrod rule on ceil(Xi / PANEL_WIDTH) equal panels
-    of [0, Xi]. Its nodes lie strictly inside the panels, so none is 0."""
+    of [0, Xi]. Its nodes lie strictly inside the panels, so none is 0. At a
+    cutoff on a panel edge the edges are exactly k PANEL_WIDTH, so the rule
+    of a smaller such cutoff is a prefix of it, bit for bit."""
     n_panels = int(math.ceil(cutoff / PANEL_WIDTH))
     return gauss_kronrod_panels(np.linspace(0.0, cutoff, n_panels + 1))
 
@@ -230,15 +361,18 @@ def _field(selector: LevelSelector, cutoff: float):
     return rule, np.concatenate([mu, 1.0 - mu], axis=1)
 
 
-def _integral(f: SpectralFunction, rule: KronrodRule,
-              pair: np.ndarray) -> tuple[float, float]:
-    """(1/2pi) quadrature over xi > 0 of sum_j f(mu_j) + f(1 - mu_j) - f(1),
-    from the (N, 2m) eigenvalue pairs of `_field`: f runs once, and the
-    Kronrod and the embedded Gauss sums share its values."""
+def _integral(f: SpectralFunction, rule: KronrodRule, pair: np.ndarray,
+              cutoff: float) -> tuple[float, float]:
+    """(1/2pi) quadrature over 0 < xi < cutoff of sum_j f(mu_j) + f(1 - mu_j)
+    - f(1), from the (N, 2m) eigenvalue pairs of `_field` on the prefix of
+    the rule below the cutoff: f runs once, and the Kronrod and the embedded
+    Gauss sums share its values."""
+    size = int(np.searchsorted(rule.nodes, cutoff))
+    pair = pair[:size]
     vals = np.asarray(f(pair.ravel()), dtype=float).reshape(pair.shape)
     trace = vals.sum(axis=1) - f.value_at_one * (pair.shape[1] // 2)
-    return (float(np.dot(rule.weights, trace)) / (2.0 * math.pi),
-            float(np.dot(rule.gauss_weights, trace)) / (2.0 * math.pi))
+    return (float(np.dot(rule.weights[:size], trace)) / (2.0 * math.pi),
+            float(np.dot(rule.gauss_weights[:size], trace)) / (2.0 * math.pi))
 
 
 def coeff_with_error(selector: LevelSelector, fns: list[SpectralFunction],
@@ -248,15 +382,16 @@ def coeff_with_error(selector: LevelSelector, fns: list[SpectralFunction],
     embedded Gauss sum, plus the tail bound. The estimate omits the roundoff
     of 1 - mu that h_alpha amplifies for alpha < 1.
 
-    Each distinct cutoff's field is built once per call and shared by every f
-    that uses it.
+    One field is built per call, on the rule of the largest cutoff; each f is
+    integrated over the prefix below its own cutoff, so its row is the same,
+    bit for bit, as that of a call with f alone.
     """
-    fields: dict = {}
+    cutoffs = _xi_cutoffs(selector, fns, tol)
+    if not cutoffs:
+        return []
+    rule, pair = _field(selector, max(cutoff for cutoff, _ in cutoffs))
     rows = []
-    for f in fns:
-        cutoff, tail = _xi_cutoff(selector, f, tol)
-        if cutoff not in fields:
-            fields[cutoff] = _field(selector, cutoff)
-        value, coarse = _integral(f, *fields[cutoff])
+    for f, (cutoff, tail) in zip(fns, cutoffs):
+        value, coarse = _integral(f, rule, pair, cutoff)
         rows.append((value, abs(value - coarse) + tail))
     return rows

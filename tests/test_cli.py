@@ -213,11 +213,12 @@ def test_coeff_bad_tolerance_exits_2(capsys, tol):
 
 
 def test_coeff_capped_cutoff_exits_3(capsys):
-    # renyi:0.01 misses its tail bound at the xi cap; renyi:0.02 does not
+    # renyi:0.01 misses its tail bound at the xi cap (4.3e-8 against tol/10 =
+    # 1e-9 at single:0); renyi:0.02 does not
     code, out, err = run_cli(capsys, "coeff", "--levels", "single:0",
                              "--f", "renyi:0.01")
     assert code == 3
-    assert "tail bound" in err and out == ""
+    assert "tail bound of 4.31e-08" in err and out == ""
     code, _, _ = run_cli(capsys, "coeff", "--levels", "single:0,upto:45",
                          "--f", "renyi:0.02")
     assert code == 0
@@ -240,6 +241,34 @@ def test_scaling_single_level_against_coefficient(capsys):
     report = json.loads(out)
     assert 0.98 < report["ratio"] < 1.02
     assert report["coefficient"]["M"] == pytest.approx(0.3350585866, abs=1e-8)
+
+
+_MU_SCALING = ("scaling", "--region", DISK, "--alpha", "1",
+               "--L-min", "6", "--L-max", "10", "--L-step", "2")
+
+
+@pytest.mark.parametrize("mu, b, levels", [("3", "1", "upto:1"), ("2.999", "1", "upto:0"),
+                                           ("1", "1", "upto:0"), ("7", "1", "upto:3"),
+                                           ("1.5", "0.5", "upto:1"), ("2.5", "0.5", "upto:2")])
+def test_scaling_mu_resolves_to_the_filled_levels(capsys, mu, b, levels):
+    # level nu fills at mu/B = 2 nu + 1; the run is the --levels upto:nu run
+    # with mu echoed in the config
+    code, out, _ = run_cli(capsys, *_MU_SCALING, "--B", b, "--mu", mu)
+    assert code == 0
+    report = json.loads(out)
+    assert report["config"].pop("mu") == float(mu)
+    assert report["config"]["levels"] == levels
+    code, out, _ = run_cli(capsys, *_MU_SCALING, "--B", b, "--levels", levels)
+    assert code == 0 and json.loads(out) == report
+
+
+@pytest.mark.parametrize("extra", [("--mu", "0.5"), ("--mu", "0.999"),
+                                   ("--mu", "3", "--levels", "upto:1"), ()])
+def test_scaling_mu_below_the_field_or_with_levels_exits_2(capsys, extra):
+    # mu < B leaves no level filled; --mu and --levels exclude each other,
+    # and one of them is required
+    code, out, err = run_cli(capsys, *_MU_SCALING, "--B", "1", *extra)
+    assert code == 2 and out == ""
 
 
 def test_verify_pass_and_fail_paths(capsys):

@@ -61,6 +61,37 @@ def test_spectral_function_holder_fit():
         cf.SpectralFunction.monomial(0)
 
 
+_HOLDER_SPECS = ("renyi:0.01", "renyi:0.1", "renyi:0.5", "renyi:0.9", "renyi:0.999",
+                 "renyi:1", "renyi:1.5", "renyi:2", "renyi:3.778", "renyi:50",
+                 "monomial:1", "monomial:2", "monomial:5", "gtilde")
+
+
+@pytest.mark.parametrize("spec", _HOLDER_SPECS)
+def test_holder_constant_is_a_supremum_on_a_dense_log_grid(spec):
+    # 1e5 points log-spaced toward both ends of [1e-12, 1 - 1e-12], and the
+    # closed-form limit at the ends, stay below the constant, which exceeds
+    # neither by more than its 1e-3 margin and the grid's own miss
+    f = cf.spectral_function_from_spec(spec)
+    u = np.logspace(-12.0, math.log10(0.5), 50000)
+    t = np.concatenate([u, 1.0 - u[::-1]])
+    q = f.endpoint_exponent
+    ratio = np.abs(f(t) - f.value_at_one * t) / (t ** q * (1.0 - t) ** q)
+    sup = max(float(np.max(ratio)), f.end_limit)
+    assert sup <= f.holder_constant <= 1.002 * sup
+
+
+def test_holder_constant_reaches_the_end_limits():
+    # a 1000-point fit read 5.49, 1.94, 2.94 and 3.967 for these: the first
+    # three suprema are limits at the ends, the last a peak near 1 - 1.25e-4
+    for spec, sup in (("renyi:0.9", 10.0), ("renyi:0.5", 2.0),
+                      ("renyi:1.5", 3.0), ("renyi:1", 4.066)):
+        assert cf.spectral_function_from_spec(spec).holder_constant >= sup
+    # within 1e-8 of alpha = 1 renyi_h is the Shannon entropy, and so are its
+    # exponent and end limit
+    f = cf.SpectralFunction.renyi(1.0 - 1e-9)
+    assert (f.endpoint_exponent, f.end_limit) == (0.9, 0.0)
+
+
 def test_spectral_function_spec_parsing():
     assert cf.spectral_function_from_spec("renyi:2").label == "renyi:2"
     assert cf.spectral_function_from_spec("monomial:3").label == "monomial:3"
@@ -127,14 +158,14 @@ def _selector_id(sel):
 
 
 def _cutoff(sel, spec="gtilde"):
-    # gtilde (q = 1, C = 1) has the plain cutoff 8 + sqrt(2n+1)
-    cutoff, _ = cf._xi_cutoff(sel, cf.spectral_function_from_spec(spec), 1e-8)
+    # the panel edge below which coeff_with_error integrates f at tol 1e-8
+    [(cutoff, _)] = cf._xi_cutoffs(sel, [cf.spectral_function_from_spec(spec)], 1e-8)
     return cutoff
 
 
-def _rule(n, spec="gtilde"):
+def _rule(n, spec="gtilde", kind="upto"):
     # the half rule that coeff_with_error integrates f over at level index n
-    return cf._half_rule(_cutoff(LevelSelector.upto(n), spec))
+    return cf._half_rule(_cutoff(LevelSelector(kind, n), spec))
 
 
 def _full_nodes(rule):
@@ -266,14 +297,123 @@ def test_coeff_with_error_hands_only_positive_nodes_to_the_field(sel,
     build, fields = cf.gram_eigen_field, []
     monkeypatch.setattr(cf, "gram_eigen_field", lambda s, xi: (
         fields.append(xi) or build(s, xi)))
-    specs = ("renyi:1", "renyi:0.05")  # cutoffs 10.65 and 21.65
+    # one field on the rule of the larger cutoff, 5.5 against 20.0 (single:3)
+    # or 20.5 (upto:3); the smaller rule is a prefix of it
+    specs = ("renyi:1", "renyi:0.05")
     cf.coeff_with_error(sel, [cf.spectral_function_from_spec(s) for s in specs])
-    want = [_rule(3, s).nodes for s in specs]
-    assert len(fields) == len(want) == 2
-    for nodes, rule_nodes in zip(fields, want):
-        assert np.array_equal(nodes, rule_nodes)
+    small, large = (_rule(3, s, sel.kind).nodes for s in specs)
+    assert len(fields) == 1 and np.array_equal(fields[0], large)
+    assert np.array_equal(large[:small.size], small)
     assert np.all(np.concatenate(seen) > 0.0)
-    assert np.array_equal(np.concatenate(seen), np.concatenate(want))
+    assert np.array_equal(np.concatenate(seen), large)
+
+
+# ---------------------------------------------------------------------------
+# the xi cutoff: the levels' Hermite tail
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("k, xi", [(0, 1.5), (0, 6.0), (3, 3.0), (3, 9.0),
+                                   (45, 9.6), (45, 13.0), (60, 11.5), (60, 20.0)])
+def test_riccati_decay_past_the_turning_point(k, xi):
+    # -psi_k'/psi_k >= sqrt(xi^2 - (2k+1)) past sqrt(2k+1), in 50 digits, with
+    # psi_k' = -xi psi_k + sqrt(2k) psi_{k-1}
+    import mpmath as mp
+    with mp.workdps(50):
+        t = mp.mpf(xi)
+        psi = oracles._hermite_fn_table_mp(t, 50)
+        deriv = -t * psi[k] + (mp.sqrt(2 * k) * psi[k - 1] if k else 0)
+        assert psi[k] > 0 and -deriv / psi[k] >= mp.sqrt(t * t - (2 * k + 1))
+
+
+@pytest.mark.parametrize("sel", [LevelSelector.single(0), LevelSelector.single(48),
+                                 LevelSelector.upto(3), LevelSelector.upto(45),
+                                 LevelSelector.upto(sf.LEVEL_CAP)], ids=_selector_id)
+def test_hermite_tail_envelopes(sel):
+    # at every edge up to the cap: the swept log(K / 2s) is finite, equals the
+    # oscillator functions' sum where they are normal doubles, lies below the
+    # Riccati extrapolation from the first edge and above the Riccati decay
+    # back from the next edge
+    tail = cf._HermiteTail(sel)
+    assert (tail.first * cf.PANEL_WIDTH) ** 2 > 2 * sel.index + 1
+    assert ((tail.first - 1) * cf.PANEL_WIDTH) ** 2 <= 2 * sel.index + 1
+    for j in range(tail.first, int(cf.XI_CAP / cf.PANEL_WIDTH) + 1):
+        x = j * cf.PANEL_WIDTH
+        log_env, log_s = tail.swept(j)
+        assert math.isfinite(log_env) and log_s == math.log(tail.rate(j))
+        if x <= 20.0:
+            psi = sf.hermite_fn_table(sel.index, np.array([x]))[sel.levels(), 0]
+            want = math.log(float(np.sum(psi ** 2)) / (2.0 * tail.rate(j)))
+            assert log_env == pytest.approx(want, abs=1e-10)
+        assert tail.upper(j)[0] >= log_env - 1e-10
+        if j > tail.first:
+            s_below = tail.rate(j - 1)
+            floor = log_env + log_s + 2.0 * s_below * cf.PANEL_WIDTH - math.log(s_below)
+            assert tail.swept(j - 1)[0] >= floor - 1e-10
+
+
+def _swept_bound(tail, f, j):
+    # 2C m^(1-q) (K/2s)^q / (2 s q) / 2pi at edge j, from the swept envelope
+    q = min(f.endpoint_exponent, 1.0)
+    log_env, log_s = tail.swept(j)
+    return (2.0 * f.holder_constant * tail.selector.count ** (1.0 - q)
+            * math.exp(q * log_env - log_s) / (2.0 * q) / (2.0 * math.pi))
+
+
+@pytest.mark.parametrize("sel", [LevelSelector.single(0), LevelSelector.single(17),
+                                 LevelSelector.upto(2), LevelSelector.upto(30)],
+                         ids=_selector_id)
+def test_each_cutoff_is_the_first_edge_whose_bound_passes(sel):
+    # against every edge from the turning point to the cap, whatever the
+    # other functions of the call
+    specs = ("renyi:0.05", "renyi:0.3", "renyi:1", "renyi:2.5", "monomial:3", "gtilde")
+    fns = [cf.spectral_function_from_spec(s) for s in specs]
+    tail = cf._HermiteTail(sel)
+    edges = range(tail.first, int(cf.XI_CAP / cf.PANEL_WIDTH) + 1)
+    for tol in (1e-4, 1e-8, 1e-12):
+        rows = cf._xi_cutoffs(sel, fns, tol)
+        assert rows == cf._xi_cutoffs(sel, fns[::-1], tol)[::-1]
+        for f, (cutoff, bound) in zip(fns, rows):
+            j = next(j for j in edges if _swept_bound(tail, f, j) <= 0.1 * tol)
+            assert cutoff == j * cf.PANEL_WIDTH
+            assert bound == pytest.approx(_swept_bound(tail, f, j), rel=1e-12)
+
+
+@pytest.mark.parametrize("sel", [LevelSelector.single(0), LevelSelector.single(48),
+                                 LevelSelector.upto(3), LevelSelector.upto(45)],
+                         ids=_selector_id)
+@pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 1.0, 2.0])
+def test_tail_bound_covers_what_the_rule_leaves_out(sel, alpha):
+    # past the cutoff the integrand is at least h(mu_max) >= h(max_k lambda_k):
+    # the largest diagonal entry of G is at most its top eigenvalue, which
+    # stays below 1/2 there, where h_alpha increases. Its integral up to
+    # xi = 26, before erfc turns subnormal, is a lower bound of what the rule
+    # leaves out, and the reported tail must reach it.
+    f = cf.SpectralFunction.renyi(alpha)
+    [(cutoff, tail)] = cf._xi_cutoffs(sel, [f], 1e-8)
+    rule = sf.gauss_legendre_panels(
+        np.linspace(cutoff, 26.0, int(math.ceil((26.0 - cutoff) / 0.25)) + 1))
+    lam = sf.occupations(sel.index, rule.nodes)
+    top = lam[sel.index] if sel.kind == "single" else lam.max(axis=0)
+    assert np.all(top < 0.5)
+    left_out = float(np.dot(rule.weights, f(top))) / (2.0 * math.pi)
+    assert 0.0 < left_out <= tail
+
+
+def test_coeff_table_shape_builds_one_short_field(monkeypatch):
+    # the six-function shape of the coeff-table benchmark at upto:45 cuts at
+    # 11.5 and 13.0 and hands gram_eigen_field one field of 26 panels; a
+    # renyi:0.05 row next to renyi:1 adds no second field
+    build, sizes = cf.gram_eigen_field, []
+    monkeypatch.setattr(cf, "gram_eigen_field", lambda s, xi: (
+        sizes.append(xi.size) or build(s, xi)))
+    fns = [cf.spectral_function_from_spec(s) for s in (
+        "renyi:1", "renyi:0.5", "renyi:1.234", "renyi:3.5", "monomial:4", "gtilde")]
+    cf.coeff_with_error(LevelSelector.upto(45), fns)
+    assert sizes == [26 * 33]
+    sizes.clear()
+    cf.coeff_with_error(LevelSelector.upto(3), [cf.SpectralFunction.renyi(1.0),
+                                                cf.SpectralFunction.renyi(0.05)])
+    assert len(sizes) == 1
 
 
 def test_gram_eigenvalues_vs_jacobi_oracle():
@@ -300,9 +440,11 @@ def test_m0_h1_paper_value():
 
 
 def test_m0_h1_convergence_digits():
-    # our own convergence study pins further digits than the three published
+    # our own convergence study pins further digits than the three published;
+    # at tol 1e-12 the cut leaves a tail bound of at most 1e-13
     [(v_fine, err)] = cf.coeff_with_error(LevelSelector.single(0),
-                                          [cf.SpectralFunction.renyi(1.0)])
+                                          [cf.SpectralFunction.renyi(1.0)],
+                                          tol=1e-12)
     assert err < 1e-10
     assert v_fine == pytest.approx(0.2032908132265638, abs=1e-12)
 
@@ -475,21 +617,23 @@ def test_poly_boundary_coeff():
 
 
 def test_shared_fields_match_one_function_calls(monkeypatch):
-    # renyi:0.05 pushes the cutoff to 21.65 against 10.65 for the other two,
-    # so the call needs two rules; sharing their fields within the call must
-    # not change a single bit of any row
+    # renyi:0.05 pushes the cutoff to 20.0 (single:3) or 20.5 (upto:3)
+    # against 5.5 and 5.0 for the other two, so the call builds one field on
+    # the largest rule; integrating the others over its prefixes must not
+    # change a single bit of any row
     fns = [cf.spectral_function_from_spec(s)
            for s in ("renyi:1", "renyi:0.05", "gtilde")]
     build, half_rule = cf.gram_eigen_field, cf._half_rule
-    for sel in _SELECTORS:
+    for sel, largest in zip(_SELECTORS, (20.0, 20.5)):
         builds, fields = [], []
         monkeypatch.setattr(cf, "_half_rule", lambda cutoff: (
             builds.append(cutoff) or half_rule(cutoff)))
         monkeypatch.setattr(cf, "gram_eigen_field", lambda s, xi: (
             fields.append(xi.size) or build(s, xi)))
         rows = cf.coeff_with_error(sel, fns)
-        assert len(builds) == len(set(builds)) == len(fields) == 2
-        assert {round(cutoff, 2) for cutoff in builds} == {10.65, 21.65}
+        assert builds == [largest] and fields == [33 * int(2 * largest)]
+        assert [cutoff for cutoff, _ in cf._xi_cutoffs(sel, fns, 1e-8)] == \
+            [5.5, largest, 5.0]
         for f, row in zip(fns, rows):
             assert row == cf.coeff_with_error(sel, [f])[0]
 
@@ -499,16 +643,20 @@ _SIX_FUNCTIONS = ("renyi:1", "renyi:0.5", "renyi:2", "gtilde", "monomial:2",
 
 
 def test_one_grid_per_cutoff_and_panel_width(monkeypatch):
-    # the six functions share the cutoff 15 at single:24, so the call builds
-    # one grid of 30 Gauss-Kronrod panels on [0, 15], not one per function;
-    # its Kronrod and Gauss weights give both the value and the error bar
+    # the six functions cut at 9.0 to 10.5 at single:24, so the call builds
+    # one grid of 21 Gauss-Kronrod panels on [0, 10.5], not one per function
+    # or cutoff; its Kronrod and Gauss weights give both the value and the
+    # error bar
     fns = [cf.spectral_function_from_spec(s) for s in _SIX_FUNCTIONS]
+    sel = LevelSelector.single(24)
+    assert [cutoff for cutoff, _ in cf._xi_cutoffs(sel, fns, 1e-8)] == \
+        [9.5, 10.5, 9.0, 9.0, 9.0, 9.0]
     panels = cf.gauss_kronrod_panels
     built = []
     monkeypatch.setattr(cf, "gauss_kronrod_panels", lambda edges: (
         built.append((edges[0], edges[-1], len(edges))) or panels(edges)))
-    cf.coeff_with_error(LevelSelector.single(24), fns)
-    assert built == [(0.0, 15.0, 31)]
+    cf.coeff_with_error(sel, fns)
+    assert built == [(0.0, 10.5, 22)]
 
 
 def test_each_function_is_evaluated_once_per_call():
@@ -524,7 +672,7 @@ def test_each_function_is_evaluated_once_per_call():
             seen.clear()
         cf.coeff_with_error(sel, fns)
         for f in fns:
-            nodes = _rule(3, f.label).nodes.size
+            nodes = _rule(3, f.label, sel.kind).nodes.size
             width = 1 if sel.kind == "single" else 4
             assert calls[f.label] == [2 * width * nodes], f.label
 
@@ -541,21 +689,30 @@ def test_six_function_rows_equal_one_function_calls(sel):
 @pytest.mark.parametrize("sel", [LevelSelector.single(0), LevelSelector.upto(45)],
                          ids=_selector_id)
 def test_capped_cutoff_with_a_missed_tail_bound_raises(sel):
-    # at alpha = 0.01 the tail bound at the cap of 40 is 2.5e-7 (single:0)
-    # and 1.1e-5 (upto:45) against tol/10 = 1e-9
+    # at alpha = 0.01 the tail bound at the cap of 40 is 4.3e-8 (single:0)
+    # and 2.0e-5 (upto:45) against tol/10 = 1e-9
     f = cf.SpectralFunction.renyi(0.01)
     with pytest.raises(AccuracyError, match="tail bound") as info:
         cf.coeff_with_error(sel, [f])
-    assert info.value.achieved > 1e-7
+    assert info.value.achieved > 4e-8
 
 
-@pytest.mark.parametrize("sel, cutoff", [(LevelSelector.single(0), 33.0),
-                                         (LevelSelector.upto(45), 36.04)],
+def test_level_above_the_cap_is_a_capability_error():
+    # past LEVEL_CAP the turning point moves past XI_CAP; the cutoff search
+    # refuses the level before it sweeps
+    from lle.errors import CapabilityError
+    for sel in (LevelSelector.single(sf.LEVEL_CAP + 1), LevelSelector.upto(1000)):
+        with pytest.raises(CapabilityError):
+            cf.coeff_with_error(sel, [cf.SpectralFunction.renyi(1.0)])
+
+
+@pytest.mark.parametrize("sel, cutoff", [(LevelSelector.single(0), 31.5),
+                                         (LevelSelector.upto(45), 37.5)],
                          ids=["single:0", "upto:45"])
 def test_renyi_0_02_meets_its_tail_bound_below_the_cap(sel, cutoff):
     f = cf.SpectralFunction.renyi(0.02)
-    got, tail = cf._xi_cutoff(sel, f, 1e-8)
-    assert got == pytest.approx(cutoff, abs=5e-3) and tail <= 1e-9
+    [(got, tail)] = cf._xi_cutoffs(sel, [f], 1e-8)
+    assert got == cutoff and tail <= 1e-9
     [(value, error)] = cf.coeff_with_error(sel, [f])
     assert math.isfinite(value) and error > 0.0
 

@@ -413,8 +413,8 @@ def test_overlap_table_matches_adaptive_op():
 def _coefficient_nodes(n, panel_width=cf.PANEL_WIDTH):
     # the Gauss-Kronrod nodes on [0, Xi] for gtilde at level index n; at the
     # default panel width, the nodes coeff_with_error integrates it over
-    cutoff, _ = cf._xi_cutoff(LevelSelector.upto(n), cf.SpectralFunction.gtilde(),
-                              1e-8)
+    [(cutoff, _)] = cf._xi_cutoffs(LevelSelector.upto(n),
+                                   [cf.SpectralFunction.gtilde()], 1e-8)
     edges = np.linspace(0.0, cutoff, int(math.ceil(cutoff / panel_width)) + 1)
     return sf.gauss_kronrod_panels(edges).nodes
 
