@@ -98,14 +98,13 @@ def _renyi_end_limit(alpha: float) -> float:
     return 1.0 / (1.0 - alpha) if alpha < 1.0 else alpha / (alpha - 1.0)
 
 
-# Hoelder samples: 0 (where f must vanish), then 999 equispaced points
-# k/1000, so t = 1/2, the peak of the symmetric families, is one, and ten
-# per decade from 1e-12 to 1e-3 toward both ends. Below 1e-12 the rounding
-# of h_alpha itself inflates the ratio (3.96 at t = 1e-32 for alpha = 0.5,
-# whose supremum is 2).
+# Hoelder samples: 0 (where f must vanish), the points k/1000 (so t = 1/2,
+# the peak of the symmetric families, is one) and ten per decade from 1e-12
+# to 1e-3 toward both ends. Below 1e-12 the rounding of h_alpha itself
+# inflates the ratio (3.96 at t = 1e-32 for alpha = 0.5, whose supremum is 2).
 _HOLDER_ENDS = np.logspace(-12.0, -3.0, 91)
-_HOLDER_SAMPLES = np.unique(np.concatenate([
-    np.linspace(0.0, 1.0, 1001)[:-1], _HOLDER_ENDS, 1.0 - _HOLDER_ENDS]))
+_HOLDER_SAMPLES = np.concatenate([np.linspace(0.0, 1.0, 1001)[:-1],
+                                  _HOLDER_ENDS, 1.0 - _HOLDER_ENDS])
 
 # the sampled maximum is raised by this much, to cover the peak between
 # samples and the rounding of f near the ends (1.1e-16 / t relative for
