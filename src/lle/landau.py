@@ -76,6 +76,8 @@ def nu_from_mu(mu: float, b: float) -> int:
     """
     if not b > 0.0:
         raise DomainError(f"field strength must be positive, got {b}")
+    if not math.isfinite(mu):
+        raise DomainError(f"chemical potential must be finite, got {mu}")
     if mu < b:
         raise DomainError(
             f"mu = {mu} < B = {b}: Fermi projection is the zero operator")

@@ -263,10 +263,11 @@ def test_scaling_mu_resolves_to_the_filled_levels(capsys, mu, b, levels):
 
 
 @pytest.mark.parametrize("extra", [("--mu", "0.5"), ("--mu", "0.999"),
+                                   ("--mu", "nan"), ("--mu", "inf"),
                                    ("--mu", "3", "--levels", "upto:1"), ()])
 def test_scaling_mu_below_the_field_or_with_levels_exits_2(capsys, extra):
-    # mu < B leaves no level filled; --mu and --levels exclude each other,
-    # and one of them is required
+    # mu < B leaves no level filled, a non-finite mu names no level; --mu and
+    # --levels exclude each other, and one of them is required
     code, out, err = run_cli(capsys, *_MU_SCALING, "--B", "1", *extra)
     assert code == 2 and out == ""
 

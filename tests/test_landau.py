@@ -25,6 +25,13 @@ def test_nu_from_mu_rejects_empty_projection():
         lk.nu_from_mu(0.5, 1.0)
 
 
+@pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+def test_nu_from_mu_rejects_a_non_finite_potential(mu):
+    # NaN passes the mu < B test and floor() of NaN or inf is no level index
+    with pytest.raises(DomainError, match="finite"):
+        lk.nu_from_mu(mu, 1.0)
+
+
 def p_ell(setup, ell, x, y):
     """The ell-th level's projection kernel at one point pair."""
     return oracles.kernel_block(setup, lk.LevelSelector.single(ell),
