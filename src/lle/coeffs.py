@@ -64,22 +64,32 @@ def renyi_h(alpha: float, t):
 
     h_alpha(t) = ln(t^a + (1-t)^a)/(1-a); the alpha -> 1 limit branch
     (binary Shannon entropy) is taken for |alpha-1| < 1e-8. Arguments may
-    stray outside [0, 1] by at most 1e-10.
+    stray outside [0, 1] by at most 1e-10. Beyond the formula a call costs
+    two reductions, and a clip or an end fix only where an argument needs
+    it.
     """
     if not alpha > 0.0:
         raise DomainError(f"Renyi index must be positive, got {alpha}")
     t = np.asarray(t, dtype=float)
-    if np.any(t < -CLAMP) or np.any(t > 1.0 + CLAMP):
+    # fmin/fmax skip NaN, which passes through to the result
+    lo = np.fmin.reduce(t, axis=None) if t.size else 0.0
+    hi = np.fmax.reduce(t, axis=None) if t.size else 0.0
+    if lo < -CLAMP or hi > 1.0 + CLAMP:
         raise DomainError("argument outside [0,1] beyond the 1e-10 slack")
-    tc = np.clip(t, 0.0, 1.0)
+    # t[()] is t, or the scalar of a 0-d t: the power of a numpy scalar and
+    # of an array may differ in the last bit, and a clip gives the scalar
+    tc = t[()] if 0.0 <= lo and hi <= 1.0 else np.minimum(np.maximum(t, 0.0), 1.0)
     if abs(alpha - 1.0) < 1e-8:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = -np.where(tc > 0.0, tc * np.log(tc), 0.0) \
-                  - np.where(tc < 1.0, (1.0 - tc) * np.log1p(-tc), 0.0)
+        log_t = np.log(tc, out=np.zeros_like(tc), where=tc > 0.0)
+        log_u = np.log1p(-tc, out=np.zeros_like(tc), where=tc < 1.0)
+        val = -(tc * log_t) - (1.0 - tc) * log_u
     else:
+        # t^a + (1-t)^a >= 2^(1-a) underflows to 0 only for a past 1074
         with np.errstate(divide="ignore"):
             val = np.log(tc ** alpha + (1.0 - tc) ** alpha) / (1.0 - alpha)
-    val = np.where((tc == 0.0) | (tc == 1.0), 0.0, val)
+    if alpha > 1.0 - 1e-8 and not 0.0 < lo <= hi < 1.0:
+        # here the formulas give -0.0 at t = 0 or 1, where h reads +0.0
+        val = np.where((tc == 0.0) | (tc == 1.0), 0.0, val)
     return val if val.ndim else float(val)
 
 

@@ -8,9 +8,14 @@ Its entries need no quadrature: the incomplete-gamma ladder gives the
 diagonal and Laguerre Wronskians the rest, from the radial profiles at the
 disk edge alone. That Gram route is the solver, at every level: on the
 lowest level each sector's Gram matrix is the single entry P(k+1, B R^2/2).
-The incomplete gamma and the log-factorials of the profile norms come from
-`specfun` in numpy and the standard library, so the solver loads no scipy.
-The windowed Gauss-Legendre quadrature of the same entries, the angular
+One Poisson-weight ladder (`specfun.poisson_ladder`, numpy and the standard
+library, so the solver loads no scipy) gives both the incomplete gamma and
+the magnitudes of the edge profiles, so no log-space norm cancels at large
+angular momentum. Most sectors are diagonal to below half an ulp of 1 and
+take their diagonal as their spectrum; eigvalsh sees only the coupled ones,
+and single-level selectors never call it. The log-factorial norms of
+`radial_profiles` serve the nodal profiles of the 2-D Nystrom route. The
+windowed Gauss-Legendre quadrature of the same entries, the angular
 Fourier transform of the kernel, the radial-Nystrom discretization of each
 sector and the lowest-level incomplete-gamma eigenvalues are independent
 test oracles (tests/oracles.py), as is the 2-D Nystrom solver of
@@ -27,12 +32,14 @@ import numpy as np
 from .errors import CapabilityError, DomainError, WindowError
 from .geometry import Disk, Region, region_to_json
 from .landau import LevelSelector, MagneticSetup
-from .specfun import (clamp_unit, incomplete_gamma_p, laguerre_sweep,
-                      log_factorial)
+from .specfun import clamp_unit, laguerre_sweep, log_factorial, poisson_ladder
 
 # eigenvalues may stray outside [0,1] by at most this much before we suspect
 # an assembly bug rather than roundoff
 _CLAMP = 1e-9
+# a sector whose off-diagonal Frobenius norm is at most this much (half an
+# ulp of 1) takes its diagonal as its eigenvalues, without eigvalsh
+_DEFLATE = 2.0 ** -54
 # cap on sectors x (levels x (top level + 1) + 6), which measures a disk
 # spectrum's peak memory (Grams, profile ladder, per-sector vectors) in units
 # of about 16 bytes: the cap keeps it near 0.5 GiB
@@ -144,35 +151,78 @@ def _sector_grams(ks: np.ndarray, a: np.ndarray, x_cut: float) -> np.ndarray:
     radial quantum numbers a, b (rows of `_sector_layout`) of levels i, j in
     the sector (weight kappa = |k| for both), from profile values at X
     alone. Off the diagonal the Laguerre Wronskian gives -p_a p_b +
-    [sqrt(a(a+kappa)) p_{a-1} p_b - sqrt(b(b+kappa)) p_a p_{b-1}] / (a - b);
-    on it the Landau-raising ladder gives P(N+1, X) + sum_{j=1..a} sqrt(X/j)
+    [sqrt(a(a+kappa)) p_{a-1} p_b - sqrt(b(b+kappa)) p_a p_{b-1}] / (a - b),
+    assembled pair by pair as vectors over the sectors; on it the
+    Landau-raising ladder gives P(N+1, X) + sum_{j=1..a} sqrt(X/j)
     p_j^{N-j} p_{j-1}^{N-j+1} with N = a + kappa and P the regularized lower
     incomplete gamma. A level absent from a sector keeps a decoupled
-    diagonal entry of -1, which eigvalsh sorts below every true eigenvalue.
-    P(N+1, X) for N = 0..max |k| + max a comes from one array of Poisson
-    weights (`specfun.incomplete_gamma_p`).
+    diagonal entry of -1, below every true eigenvalue. One call of
+    `specfun.poisson_ladder` gives P(N+1, X) and the Poisson weights
+    w_kappa = X^kappa e^{-X}/kappa! for N, kappa = 0..max |k| + max a, and
+    the profiles at the edge are p_a^kappa(X) = sqrt(w_kappa / C(kappa+a, a))
+    L_a^{(kappa)}(X), the binomial a running product of (kappa+i)/i: no
+    term of size X log X is formed, so nothing cancels at kappa near X.
+    The stack is a view of an entry-major array, each entry one contiguous
+    vector over the sectors.
     """
-    kappa = np.abs(ks)[:, None]
-    present = a >= 0
+    kappa = np.abs(ks)
+    present = a.T >= 0
     # a - l is one constant per sector, so any row of a gives the level gaps
-    gap = a[0][:, None] - a[0][None, :] + np.eye(a.shape[1], dtype=int)
-    a = np.maximum(a, 0)
+    gap = a[0][:, None] - a[0][None, :]
+    a = np.maximum(a.T, 0)
     a_top = int(a.max())
     n_max = int(kappa.max()) + a_top
-    prof = radial_profiles(a_top, np.arange(n_max + 1), x_cut)
-    # ladder[j, N] = sqrt(X/j) p_j^{N-j} p_{j-1}^{N-j+1}, zero for N < j
-    ladder = np.zeros(prof.shape)
+    weight, p_low = poisson_ladder(n_max, x_cut)
+    order = np.arange(n_max + 1.0)
+    prof = np.empty((a_top + 1, n_max + 1))
+    binom = np.ones(n_max + 1)
+    for j, lag in enumerate(laguerre_sweep(a_top, order, x_cut)):
+        if j:
+            binom *= (order + j) / j
+        np.multiply(np.sqrt(weight / binom), lag, out=prof[j])
+    # lowered[a] = sqrt(a (a+kappa)) p_{a-1}^kappa, and diag[a, N] =
+    # P(N+1, X) + sum_{j=1..a} sqrt(X/j) p_j^{N-j} p_{j-1}^{N-j+1}
+    lowered = np.zeros_like(prof)
+    diag = np.empty_like(prof)
+    diag[0] = p_low
+    rung = np.zeros(n_max + 1)
     for j in range(1, a_top + 1):
-        ladder[j, j:] = (math.sqrt(x_cut / j) * prof[j, :n_max + 1 - j]
-                         * prof[j - 1, 1:n_max + 2 - j])
-    diag = incomplete_gamma_p(n_max, x_cut) + np.cumsum(ladder, axis=0)
-    p = prof[a, kappa] * present
-    u = np.sqrt(a * (a + kappa)) * prof[np.maximum(a - 1, 0), kappa] * present
-    grams = (u[:, :, None] * p[:, None, :] - p[:, :, None] * u[:, None, :]) \
-        / gap - p[:, :, None] * p[:, None, :]
-    on = np.arange(a.shape[1])
-    grams[:, on, on] = np.where(present, diag[a, a + kappa], -1.0)
-    return grams
+        np.multiply(np.sqrt(j * (order + j)), prof[j - 1], out=lowered[j])
+        rung[j:] += (math.sqrt(x_cut / j) * prof[j, :n_max + 1 - j]
+                     * prof[j - 1, 1:n_max + 2 - j])
+        np.add(p_low, rung, out=diag[j])
+    # flat index of (a, kappa) for each level (row) in each sector (column)
+    at = a * (n_max + 1) + kappa
+    p = prof.take(at) * present
+    u = lowered.take(at) * present
+    m = a.shape[0]
+    grams = np.empty((m, m, kappa.size))
+    for i in range(m):
+        grams[i, i] = np.where(present[i], diag.take(at[i] + a[i]), -1.0)
+        for j in range(i):
+            grams[i, j] = grams[j, i] = \
+                (u[i] * p[j] - p[i] * u[j]) / gap[i, j] - p[i] * p[j]
+    return grams.transpose(2, 0, 1)
+
+
+def _sector_eigenvalues(grams: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each sector's Gram matrix, shape (ks, m), a row in no
+    set order except that a sector's absent levels, its first columns, keep
+    their -1 first.
+
+    Only the coupled sectors, whose off-diagonal Frobenius norm exceeds
+    _DEFLATE, go to eigvalsh, which sorts. Every other sector keeps its
+    diagonal in level order: by Weyl's inequality that is its spectrum to
+    within the norm, closer than eigvalsh would give. Single-level sectors
+    have no off-diagonal and never call it.
+    """
+    low = np.tril_indices(grams.shape[1], -1)
+    off = grams[:, low[0], low[1]]
+    coupled = 2.0 * np.einsum("kp,kp->k", off, off) > _DEFLATE * _DEFLATE
+    vals = np.diagonal(grams, axis1=1, axis2=2).copy()
+    if coupled.any():
+        vals[coupled] = np.linalg.eigvalsh(grams[coupled])
+    return vals
 
 
 def _check_request(L: float, cutoff: float):
@@ -209,8 +259,8 @@ def disk_spectrum(setup: MagneticSetup, selector: LevelSelector, region: Region,
     r_total = L * region.radius
     x_cut = _edge_x(setup.b, r_total)
     ks, a = _sector_layout(setup.b, r_total, selector.levels())
-    vals = np.linalg.eigvalsh(_sector_grams(ks, a, x_cut))
-    # absent levels are a sector's lowest: their decoupled -1 entries sort first
+    vals = _sector_eigenvalues(_sector_grams(ks, a, x_cut))
+    # absent levels come first in every row, where the mask drops them
     present = a >= 0
     spec = _finish(vals[present], int(np.count_nonzero(present)), _CLAMP,
                    "disk_spectrum", "disk-sector/gram", setup, selector, region,

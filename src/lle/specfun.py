@@ -19,9 +19,10 @@ polynomials, the extended-precision erfc and incomplete gamma and the
 extended-precision Gauss-Kronrod rule that regenerates the table are test
 oracles (tests/oracles.py). The disk solver's special functions are here too:
 `log_factorial` (the Stirling series, with the C library's lgamma for small
-arguments) and `incomplete_gamma_p`, the regularized incomplete gamma
-P(N+1, x) of every integer order up to a cap from one array of Poisson
-weights. erfc comes from the C library (`math.erfc`, in `_ladder`). So this
+arguments), which the nodal radial profiles of the Nystrom route use, and
+`poisson_ladder`, one array of Poisson weights and from it the regularized
+incomplete gamma P(N+1, x) of every integer order up to a cap, which the
+sector Grams use. erfc comes from the C library (`math.erfc`, in `_ladder`). So this
 module, and with it the whole library, needs numpy and the standard library
 alone: no subcommand loads scipy, which only the test oracles use.
 
@@ -233,13 +234,13 @@ def _bd0(j: float, x: float) -> float:
         s = nxt
 
 
-def incomplete_gamma_p(n_max: int, x: float) -> np.ndarray:
-    """P(N+1, x) for N = 0..n_max, the regularized lower incomplete gamma of
-    integer order at x >= 0.
+def poisson_ladder(n_max: int, x: float) -> tuple:
+    """The Poisson weights w_N = x^N e^{-x}/N! and the regularized lower
+    incomplete gamma P(N+1, x) for N = 0..n_max at x >= 0, as two arrays.
 
     P(N+1, x) is the Poisson probability of more than N events at mean x,
-    the sum of the weights w_j = x^j e^{-x}/j! over j > N. The weight at the
-    mode j0 = floor(x) comes from Loader's saddle-point form
+    the sum of the weights w_j over j > N. The weight at the mode
+    j0 = floor(x) comes from Loader's saddle-point form
     exp(-stirlerr(j0) - bd0(j0, x)) / sqrt(2 pi j0) (e^{-x} at j0 = 0), and
     the others from the ratios w_{j+1}/w_j = x/(j+1) up and j/x down. While
     N+1 < x, P = 1 - sum_{j<=N} w_j, a sum below about 1/2, so nothing
@@ -249,9 +250,12 @@ def incomplete_gamma_p(n_max: int, x: float) -> np.ndarray:
     w_J x/(J+1-x). Against P(n_max+1) >= w_{n_max+1} that is at most
     x^K x! / (x+K)! * x/(K+1), below 1e-24 for every x. Each ratio step
     adds one rounding, so values far from the mode carry a few ulps more:
-    every value checked against 40-digit arithmetic up to x = 6400 is within
-    3e-15 relative (C. Loader, "Fast and accurate computation of binomial
-    probabilities", 2000).
+    against 40- to 60-digit arithmetic up to x = 6400, across the disk's
+    sector window, every P is within 3e-15 relative and every weight above
+    1e-290 within 1e-14 (below that the weights run into the subnormals).
+    The disk sector Grams take both arrays: P for their diagonal, the
+    weights for the profile magnitudes at the disk edge (C. Loader, "Fast
+    and accurate computation of binomial probabilities", 2000).
     """
     x = float(x)
     j0 = math.floor(x)
@@ -271,7 +275,7 @@ def incomplete_gamma_p(n_max: int, x: float) -> np.ndarray:
         w[:j0] *= w0
     below = 1.0 - np.cumsum(w[:n_max + 1])
     above = np.cumsum(w[::-1])[-2:-n_max - 3:-1]
-    return np.where(np.arange(1.0, n_max + 2.0) < x, below, above)
+    return w[:n_max + 1], np.where(np.arange(1.0, n_max + 2.0) < x, below, above)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,64 @@ def test_renyi_domain_error():
     assert cf.renyi_h(1.0, 1.0 + 5e-11) == 0.0
 
 
+def _renyi_h_direct(alpha, t):
+    # h_alpha written out plainly: range check, clip, the two branches, and
+    # +0.0 forced at both ends
+    if not alpha > 0.0:
+        raise DomainError(f"Renyi index must be positive, got {alpha}")
+    t = np.asarray(t, dtype=float)
+    if np.any(t < -cf.CLAMP) or np.any(t > 1.0 + cf.CLAMP):
+        raise DomainError("argument outside [0,1] beyond the 1e-10 slack")
+    tc = np.clip(t, 0.0, 1.0)
+    if abs(alpha - 1.0) < 1e-8:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            val = -np.where(tc > 0.0, tc * np.log(tc), 0.0) \
+                  - np.where(tc < 1.0, (1.0 - tc) * np.log1p(-tc), 0.0)
+    else:
+        with np.errstate(divide="ignore"):
+            val = np.log(tc ** alpha + (1.0 - tc) ** alpha) / (1.0 - alpha)
+    val = np.where((tc == 0.0) | (tc == 1.0), 0.0, val)
+    return val if val.ndim else float(val)
+
+
+_RENYI_EDGES = np.array([0.0, -0.0, 1.0, -1e-10, 1.0 + 1e-10, -5e-11,
+                         1.0 + 5e-11, 5e-324, 1e-300, 1e-20, 1e-16,
+                         1.0 - 2.0 ** -53, 1.0 - 1e-16, 0.5])
+_RENYI_GRID = np.concatenate([
+    _RENYI_EDGES, np.linspace(0.0, 1.0, 257), np.logspace(-30.0, -1.0, 60),
+    1.0 - np.logspace(-16.0, -1.0, 40),
+    np.random.default_rng(30).uniform(0.0, 1.0, 200)])
+
+
+@pytest.mark.parametrize("alpha", [0.02, 0.25, 0.5, 1.0 - 5e-9, 1.0,
+                                   1.0 + 5e-9, 1.5, 2.0, 3.0, 3.7, 50.0,
+                                   1100.0])
+def test_renyi_h_bitwise_equal_to_the_direct_formula(alpha):
+    # arrays with and without end points, subsets, scalars and 2-D shapes
+    # all give the bytes of the plain formula, signed zeros included
+    for t in (_RENYI_GRID, _RENYI_GRID[14:], _RENYI_EDGES[:3],
+              _RENYI_GRID[:240].reshape(12, 20), np.array([]),
+              np.array([0.3, 0.7]), np.array([2.0 ** -60, 0.25])):
+        got = np.asarray(cf.renyi_h(alpha, t))
+        want = np.asarray(_renyi_h_direct(alpha, t))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for t in _RENYI_EDGES.tolist():
+        got, want = cf.renyi_h(alpha, t), _renyi_h_direct(alpha, t)
+        assert type(got) is float and math.copysign(1.0, got) \
+            == math.copysign(1.0, want) and got == want
+
+
+@pytest.mark.parametrize("t", [-1.001e-10, 1.0 + 1.001e-10, -0.5,
+                               2.0, -math.inf, math.inf])
+def test_renyi_h_refuses_what_the_direct_formula_refuses(t):
+    for alpha in (0.5, 1.0, 2.0):
+        for arg in (t, np.array([0.5, t, 0.25])):
+            with pytest.raises(DomainError, match="beyond the 1e-10 slack"):
+                _renyi_h_direct(alpha, arg)
+            with pytest.raises(DomainError, match="beyond the 1e-10 slack"):
+                cf.renyi_h(alpha, arg)
+
+
 # ---------------------------------------------------------------------------
 # SpectralFunction admission
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from lle import disk_spectra as ds
 from lle import geometry as ge
 from lle.errors import DomainError, WindowError
 from lle.landau import LevelSelector, MagneticSetup
-from lle.specfun import laguerre_sweep
+from lle.specfun import laguerre_sweep, poisson_ladder
 
 import oracles
 
@@ -196,6 +196,80 @@ def test_sector_grams_match_extended_precision(x, k, sel):
     first = max(0, -k)
     exact = oracles.sector_gram_mp(max(sel.levels()) - first, abs(k), x)
     assert np.max(np.abs(g[first:, first:] - exact)) <= 1e-11
+
+
+@pytest.mark.parametrize("sel", [LevelSelector.upto(2), LevelSelector.single(3)],
+                         ids=lambda s: f"{s.kind}:{s.index}")
+@pytest.mark.parametrize("x", [2975.5, 3200.0])
+def test_sector_grams_to_roundoff_where_the_log_norms_cancelled(sel, x):
+    # near X = 3000 the log-space profile norms lost 2.6e-12 on these
+    # selectors; magnitudes from the Poisson weights keep every entry of the
+    # sectors across X +- 4 sqrt(X) within 1e-14 of 60-digit arithmetic
+    ks = np.unique(np.linspace(x - 4.0 * math.sqrt(x), x + 4.0 * math.sqrt(x),
+                               9).astype(int))
+    grams = ds._sector_grams(ks, oracles.radial_numbers(sel, ks), x)
+    first = min(sel.levels())
+    for k, g in zip(ks, grams):
+        exact = oracles.sector_gram_mp(max(sel.levels()), int(k), x)
+        assert np.max(np.abs(g - exact[first:, first:])) <= 1e-14
+
+
+DEFLATION_SELECTORS = [LevelSelector.upto(1), LevelSelector.upto(2),
+                       LevelSelector.upto(3), LevelSelector.single(3)]
+
+
+@pytest.mark.parametrize("sel", DEFLATION_SELECTORS,
+                         ids=lambda s: f"{s.kind}:{s.index}")
+@pytest.mark.parametrize("x", [1.0, 50.0, 800.0, 3200.0])
+def test_deflated_sector_eigenvalues_match_eigvalsh_of_every_sector(sel, x):
+    r = math.sqrt(2.0 * x)
+    x_cut = ds._edge_x(SETUP.b, r)
+    ks, a = ds._sector_layout(SETUP.b, r, sel.levels())
+    grams = ds._sector_grams(ks, a, x_cut)
+    full = np.linalg.eigvalsh(grams)
+    vals = ds._sector_eigenvalues(grams)
+    assert np.max(np.abs(np.sort(vals, axis=1) - full)) <= 4e-15
+    # disk_spectrum keeps and drops what eigvalsh of the whole stack would
+    present = a >= 0
+    full_kept = np.sort(full[present][full[present] >= 1e-12])[::-1]
+    spec = ds.disk_spectrum(SETUP, sel, DISK, r, cutoff=1e-12)
+    assert spec.eigenvalues.size == full_kept.size
+    assert spec.dropped_count == np.count_nonzero(present) - full_kept.size
+    assert np.max(np.abs(spec.eigenvalues - np.clip(full_kept, 0.0, 1.0))) \
+        <= 4e-15
+
+
+def test_eigvalsh_sees_only_the_coupled_sectors(monkeypatch):
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(stack, *args, **kwargs):
+        sizes.append(np.shape(stack)[0])
+        return eigvalsh(stack, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    # one level per sector: no off-diagonal, no eigvalsh
+    for n in range(5):
+        for x in (1.0, 50.0, 800.0, 3200.0):
+            ds.disk_spectrum(SETUP, LevelSelector.single(n), DISK,
+                             math.sqrt(2.0 * x))
+    assert sizes == []
+    # upto:2 at X = 3200 has 4064 sectors, about a quarter of them coupled
+    ds.disk_spectrum(SETUP, LevelSelector.upto(2), DISK, 80.0)
+    assert len(sizes) == 1 and 0 < sizes[0] <= 1100
+
+
+@pytest.mark.parametrize("sel", [LevelSelector.upto(0), LevelSelector.single(0)],
+                         ids=lambda s: f"{s.kind}:{s.index}")
+@pytest.mark.parametrize("x", [1.0, 50.0, 800.0, 3200.0])
+def test_lowest_level_disk_spectrum_is_the_ladder_bitwise(sel, x):
+    r = math.sqrt(2.0 * x)
+    spec = ds.disk_spectrum(SETUP, sel, DISK, r)
+    _, p = poisson_ladder(ds.sector_window(SETUP.b, r, 0),
+                          ds._edge_x(SETUP.b, r))
+    keep = np.sort(p[p >= spec.cutoff])[::-1]
+    assert spec.eigenvalues.tobytes() == keep.tobytes()
+    assert spec.dropped_count == p.size - keep.size
 
 
 @pytest.mark.parametrize("x", [0.5, 3.0, 40.0, 800.0, 3200.0, 6000.0])

@@ -182,7 +182,7 @@ def test_incomplete_gamma_p_against_mpmath_across_the_sector_window(x):
     # through the transition x +- 3 sqrt(x); scipy's gammainc misses this
     # bound at every x here, by 1.2e-14 to 1.6e-13
     n_max = ds.sector_window(1.0, math.sqrt(2.0 * x), 0)
-    p = sf.incomplete_gamma_p(n_max, x)
+    _, p = sf.poisson_ladder(n_max, x)
     assert p.shape == (n_max + 1,)
     lo = max(0, math.floor(x - 3.0 * math.sqrt(x)))
     hi = min(n_max, math.ceil(x + 3.0 * math.sqrt(x)))
@@ -192,15 +192,72 @@ def test_incomplete_gamma_p_against_mpmath_across_the_sector_window(x):
     np.testing.assert_allclose(p[ns], ref, rtol=1e-14, atol=0.0)
 
 
+@pytest.mark.parametrize("x", [0.2, 0.9, 3.0, 15.5, 50.0, 123.4, 800.0,
+                               3200.0, 6400.0])
+def test_poisson_weights_against_mpmath_across_the_sector_window(x):
+    # w_j = x^j e^-x / j! over the window of level 3, through x +- 14 sqrt(x)
+    # where the disk Grams read their profile magnitudes; relative wherever
+    # the weight is a normal double well above the subnormals
+    n_max = ds.sector_window(1.0, math.sqrt(2.0 * x), 3) + 3
+    w, p = sf.poisson_ladder(n_max, x)
+    assert w.shape == p.shape == (n_max + 1,)
+    lo = max(0, math.floor(x - 14.0 * math.sqrt(x)))
+    hi = min(n_max, math.ceil(x + 14.0 * math.sqrt(x)))
+    js = sorted(set(range(0, n_max + 1, max(1, n_max // 40)))
+                | set(range(lo, hi + 1, max(1, (hi - lo) // 80))) | {n_max})
+    with mp.workdps(60):
+        ref = np.array([float(mp.power(mp.mpf(x), j) * mp.exp(-mp.mpf(x))
+                              / mp.factorial(j)) for j in js])
+    kept = ref > 1e-290
+    assert np.count_nonzero(kept) >= 0.8 * len(js)
+    np.testing.assert_allclose(w[js][kept], ref[kept], rtol=1e-14, atol=0.0)
+
+
+def _incomplete_gamma_p_unsplit(n_max, x):
+    # the incomplete gamma P(N+1, x) as it was computed before the ladder
+    # returned its weights too, operation for operation
+    x = float(x)
+    j0 = math.floor(x)
+    if j0 == 0:
+        w0 = math.exp(-x)
+    else:
+        stirlerr = (sf._STIRLERR[j0] if j0 < len(sf._STIRLERR)
+                    else sf._stirling_series(float(j0)))
+        w0 = math.exp(-stirlerr - sf._bd0(float(j0), x)) \
+            / math.sqrt(2.0 * math.pi * j0)
+    top = max(n_max + 1 + math.ceil(12.0 * math.sqrt(x)) + 40, j0)
+    w = np.empty(top + 1)
+    w[j0] = w0
+    np.cumprod(x / np.arange(j0 + 1.0, top + 1.0), out=w[j0 + 1:])
+    w[j0 + 1:] *= w0
+    if j0:
+        np.cumprod(np.arange(j0, 0.0, -1.0) / x, out=w[j0 - 1::-1])
+        w[:j0] *= w0
+    below = 1.0 - np.cumsum(w[:n_max + 1])
+    above = np.cumsum(w[::-1])[-2:-n_max - 3:-1]
+    return np.where(np.arange(1.0, n_max + 2.0) < x, below, above)
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-3, 0.2, 0.9, 1.0, 3.0, 15.5, 16.0,
+                               20.0, 50.0, 123.4, 800.0, 3200.0, 6400.0,
+                               51200.0])
+def test_incomplete_gamma_p_is_the_unsplit_ladder_bitwise(x):
+    # the P of poisson_ladder has the bytes of the incomplete gamma before
+    # the split, at n_max below, at and past x
+    for n_max in (0, 5, int(x), ds.sector_window(1.0, math.sqrt(2.0 * x), 2)):
+        _, got = sf.poisson_ladder(n_max, x)
+        assert got.tobytes() == _incomplete_gamma_p_unsplit(n_max, x).tobytes()
+
+
 def test_incomplete_gamma_p_edge_cases():
-    assert np.array_equal(sf.incomplete_gamma_p(5, 0.0), np.zeros(6))
+    assert np.array_equal(sf.poisson_ladder(5, 0.0)[1], np.zeros(6))
     # all of N below x: the lower branch alone, to 1 - e^-x at N = 0
-    p = sf.incomplete_gamma_p(3, 1000.0)
+    _, p = sf.poisson_ladder(3, 1000.0)
     assert np.array_equal(p, np.ones(4))
-    assert sf.incomplete_gamma_p(0, 5.0)[0] == pytest.approx(
+    assert sf.poisson_ladder(0, 5.0)[1][0] == pytest.approx(
         -math.expm1(-5.0), rel=1e-15)
     # an integer x puts the mode on N + 1 = x, where the upper branch starts
-    p = sf.incomplete_gamma_p(40, 20.0)
+    _, p = sf.poisson_ladder(40, 20.0)
     np.testing.assert_allclose(p[18:21], [oracles.reg_lower_gamma_mp(n, 20.0)
                                           for n in (19, 20, 21)],
                                rtol=1e-15, atol=0.0)
