@@ -76,9 +76,14 @@ def renyi_h(alpha: float, t):
     hi = np.fmax.reduce(t, axis=None) if t.size else 0.0
     if lo < -CLAMP or hi > 1.0 + CLAMP:
         raise DomainError("argument outside [0,1] beyond the 1e-10 slack")
-    # t[()] is t, or the scalar of a 0-d t: the power of a numpy scalar and
-    # of an array may differ in the last bit, and a clip gives the scalar
-    tc = t[()] if 0.0 <= lo and hi <= 1.0 else np.minimum(np.maximum(t, 0.0), 1.0)
+    # a clip, or t itself where it needs none: t[()] is t, or the scalar of a
+    # 0-d t as a clip gives it, and only a C-contiguous t skips the copy. A
+    # numpy scalar and an array, or a strided and a contiguous array, may
+    # take power and log through loops that round differently.
+    if 0.0 <= lo and hi <= 1.0 and t.flags.c_contiguous:
+        tc = t[()]
+    else:
+        tc = np.minimum(np.maximum(t, 0.0), 1.0)
     if abs(alpha - 1.0) < 1e-8:
         log_t = np.log(tc, out=np.zeros_like(tc), where=tc > 0.0)
         log_u = np.log1p(-tc, out=np.zeros_like(tc), where=tc < 1.0)

@@ -74,10 +74,15 @@ _RENYI_GRID = np.concatenate([
                                    1.0 + 5e-9, 1.5, 2.0, 3.0, 3.7, 50.0,
                                    1100.0])
 def test_renyi_h_bitwise_equal_to_the_direct_formula(alpha):
-    # arrays with and without end points, subsets, scalars and 2-D shapes
-    # all give the bytes of the plain formula, signed zeros included
-    for t in (_RENYI_GRID, _RENYI_GRID[14:], _RENYI_EDGES[:3],
-              _RENYI_GRID[:240].reshape(12, 20), np.array([]),
+    # arrays with and without end points, subsets, reversed and strided
+    # views (a disk spectrum is a reversed view), scalars and 2-D shapes in
+    # either order all give the bytes of the plain formula, signed zeros
+    # included
+    inner = _RENYI_GRID[14:]
+    block = _RENYI_GRID[:240].reshape(12, 20)
+    for t in (_RENYI_GRID, inner, _RENYI_EDGES[:3], block, block.T,
+              np.asfortranarray(block), inner[::-1], inner[::3],
+              np.sort(inner)[::-1], _RENYI_GRID[::-2], np.array([]),
               np.array([0.3, 0.7]), np.array([2.0 ** -60, 0.25])):
         got = np.asarray(cf.renyi_h(alpha, t))
         want = np.asarray(_renyi_h_direct(alpha, t))
