@@ -70,17 +70,18 @@ def renyi_h(alpha: float, t):
     """
     if not alpha > 0.0:
         raise DomainError(f"Renyi index must be positive, got {alpha}")
-    t = np.asarray(t, dtype=float)
+    # numpy may round power and log differently on a strided array (a disk
+    # spectrum is a reversed view) than on a contiguous one, as the clip
+    # made it; the reductions are faster on it too
+    t = np.asarray(t, dtype=float, order="C")
     # fmin/fmax skip NaN, which passes through to the result
     lo = np.fmin.reduce(t, axis=None) if t.size else 0.0
     hi = np.fmax.reduce(t, axis=None) if t.size else 0.0
     if lo < -CLAMP or hi > 1.0 + CLAMP:
         raise DomainError("argument outside [0,1] beyond the 1e-10 slack")
-    # a clip, or t itself where it needs none: t[()] is t, or the scalar of a
-    # 0-d t as a clip gives it, and only a C-contiguous t skips the copy. A
-    # numpy scalar and an array, or a strided and a contiguous array, may
-    # take power and log through loops that round differently.
-    if 0.0 <= lo and hi <= 1.0 and t.flags.c_contiguous:
+    # t[()] is t, or the scalar of a 0-d t as a clip gives it: a numpy scalar
+    # and a 0-d array may also take power through different loops
+    if 0.0 <= lo and hi <= 1.0:
         tc = t[()]
     else:
         tc = np.minimum(np.maximum(t, 0.0), 1.0)

@@ -93,6 +93,14 @@ def test_renyi_h_bitwise_equal_to_the_direct_formula(alpha):
             == math.copysign(1.0, want) and got == want
 
 
+def test_renyi_h_passes_nan_through_on_every_branch():
+    # the Shannon branch used to map NaN to -0.0; every branch now keeps it
+    for alpha in (0.5, 1.0, 2.0):
+        assert math.isnan(cf.renyi_h(alpha, math.nan))
+        vals = cf.renyi_h(alpha, np.array([0.25, math.nan, 1.0]))
+        assert np.isnan(vals[1]) and not np.isnan(vals[[0, 2]]).any()
+
+
 @pytest.mark.parametrize("t", [-1.001e-10, 1.0 + 1.001e-10, -0.5,
                                2.0, -math.inf, math.inf])
 def test_renyi_h_refuses_what_the_direct_formula_refuses(t):
