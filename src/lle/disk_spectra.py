@@ -152,7 +152,7 @@ def _sector_grams(ks: np.ndarray, a: np.ndarray, x_cut: float) -> np.ndarray:
     the sector (weight kappa = |k| for both), from profile values at X
     alone. Off the diagonal the Laguerre Wronskian gives -p_a p_b +
     [sqrt(a(a+kappa)) p_{a-1} p_b - sqrt(b(b+kappa)) p_a p_{b-1}] / (a - b),
-    assembled pair by pair as vectors over the sectors; on it the
+    assembled row by row as blocks over the sectors; on it the
     Landau-raising ladder gives P(N+1, X) + sum_{j=1..a} sqrt(X/j)
     p_j^{N-j} p_{j-1}^{N-j+1} with N = a + kappa and P the regularized lower
     incomplete gamma. A level absent from a sector keeps a decoupled
@@ -199,9 +199,9 @@ def _sector_grams(ks: np.ndarray, a: np.ndarray, x_cut: float) -> np.ndarray:
     grams = np.empty((m, m, kappa.size))
     for i in range(m):
         grams[i, i] = np.where(present[i], diag.take(at[i] + a[i]), -1.0)
-        for j in range(i):
-            grams[i, j] = grams[j, i] = \
-                (u[i] * p[j] - p[i] * u[j]) / gap[i, j] - p[i] * p[j]
+        # row i left of the diagonal, one block over the sectors
+        grams[i, :i] = grams[:i, i] = \
+            (u[i] * p[:i] - p[i] * u[:i]) / gap[i, :i, None] - p[i] * p[:i]
     return grams.transpose(2, 0, 1)
 
 
