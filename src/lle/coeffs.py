@@ -64,38 +64,28 @@ def renyi_h(alpha: float, t):
 
     h_alpha(t) = ln(t^a + (1-t)^a)/(1-a); the alpha -> 1 limit branch
     (binary Shannon entropy) is taken for |alpha-1| < 1e-8. Arguments may
-    stray outside [0, 1] by at most 1e-10. Beyond the formula a call costs
-    two reductions, and a clip or an end fix only where an argument needs
-    it.
+    stray outside [0, 1] by at most 1e-10.
     """
     if not alpha > 0.0:
         raise DomainError(f"Renyi index must be positive, got {alpha}")
     # numpy may round power and log differently on a strided array (a disk
-    # spectrum is a reversed view) than on a contiguous one, as the clip
+    # spectrum is a reversed view) than on a contiguous one, as np.clip
     # made it; the reductions are faster on it too
     t = np.asarray(t, dtype=float, order="C")
-    # fmin/fmax skip NaN, which passes through to the result
-    lo = np.fmin.reduce(t, axis=None) if t.size else 0.0
-    hi = np.fmax.reduce(t, axis=None) if t.size else 0.0
-    if lo < -CLAMP or hi > 1.0 + CLAMP:
+    # fmin/fmax skip NaN, as the comparisons of a plain range check do
+    if t.size and (np.fmin.reduce(t, axis=None) < -CLAMP
+                   or np.fmax.reduce(t, axis=None) > 1.0 + CLAMP):
         raise DomainError("argument outside [0,1] beyond the 1e-10 slack")
-    # t[()] is t, or the scalar of a 0-d t as a clip gives it: a numpy scalar
-    # and a 0-d array may also take power through different loops
-    if 0.0 <= lo and hi <= 1.0:
-        tc = t[()]
-    else:
-        tc = np.minimum(np.maximum(t, 0.0), 1.0)
+    tc = np.minimum(np.maximum(t, 0.0), 1.0)
     if abs(alpha - 1.0) < 1e-8:
-        log_t = np.log(tc, out=np.zeros_like(tc), where=tc > 0.0)
-        log_u = np.log1p(-tc, out=np.zeros_like(tc), where=tc < 1.0)
-        val = -(tc * log_t) - (1.0 - tc) * log_u
+        with np.errstate(divide="ignore", invalid="ignore"):
+            val = -np.where(tc > 0.0, tc * np.log(tc), 0.0) \
+                  - np.where(tc < 1.0, (1.0 - tc) * np.log1p(-tc), 0.0)
     else:
         # t^a + (1-t)^a >= 2^(1-a) underflows to 0 only for a past 1074
         with np.errstate(divide="ignore"):
             val = np.log(tc ** alpha + (1.0 - tc) ** alpha) / (1.0 - alpha)
-    if alpha > 1.0 - 1e-8 and not 0.0 < lo <= hi < 1.0:
-        # here the formulas give -0.0 at t = 0 or 1, where h reads +0.0
-        val = np.where((tc == 0.0) | (tc == 1.0), 0.0, val)
+    val = np.where((tc == 0.0) | (tc == 1.0), 0.0, val)
     return val if val.ndim else float(val)
 
 

@@ -10,11 +10,13 @@ disk edge alone. That Gram route is the solver, at every level: on the
 lowest level each sector's Gram matrix is the single entry P(k+1, B R^2/2).
 One Poisson-weight ladder (`specfun.poisson_ladder`, numpy and the standard
 library, so the solver loads no scipy) gives both the incomplete gamma and
-the magnitudes of the edge profiles, so no log-space norm cancels at large
-angular momentum. Most sectors are diagonal to below half an ulp of 1 and
-take their diagonal as their spectrum; eigvalsh sees only the coupled ones,
-and single-level selectors never call it. The log-factorial norms of
-`radial_profiles` serve the nodal profiles of the 2-D Nystrom route. The
+the seeds of the normalized Laguerre recurrence for the edge profiles, so
+no log-space norm cancels at large angular momentum; only sectors whose
+weight lies below the normal doubles take a log-factorial seed. Most
+sectors are diagonal to below half an ulp of 1 and take their diagonal as
+their spectrum; eigvalsh sees only the coupled ones, and single-level
+selectors never call it. The log-factorial norms of `radial_profiles`
+serve the nodal profiles of the 2-D Nystrom route. The
 windowed Gauss-Legendre quadrature of the same entries, the angular
 Fourier transform of the kernel, the radial-Nystrom discretization of each
 sector and the lowest-level incomplete-gamma eigenvalues are independent
@@ -40,6 +42,11 @@ _CLAMP = 1e-9
 # a sector whose off-diagonal Frobenius norm is at most this much (half an
 # ulp of 1) takes its diagonal as its eigenvalues, without eigvalsh
 _DEFLATE = 2.0 ** -54
+# Poisson weights below this (2^-960, about 1e-289) seed their sector's edge
+# profiles from log space, and such a sector's profiles are scaled down by
+# 2^_RESCALE whenever they outgrow it
+_WEIGHT_FLOOR = 2.0 ** -960
+_RESCALE = 512
 # cap on sectors x (levels x (top level + 1) + 6), which measures a disk
 # spectrum's peak memory (Grams, profile ladder, per-sector vectors) in units
 # of about 16 bytes: the cap keeps it near 0.5 GiB
@@ -144,6 +151,54 @@ def _level_profiles(ks: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _edge_profiles(a_top: int, weight: np.ndarray, x: float) -> np.ndarray:
+    """Radial profiles p_a^kappa(x) at one point x, shape (a_top + 1, kappa):
+    rows a = 0..a_top, columns kappa = 0..weight.size - 1, from the Poisson
+    weights w_kappa = x^kappa e^{-x}/kappa! of `specfun.poisson_ladder`.
+
+    The normalized Laguerre recurrence sqrt((a+1)(a+1+kappa)) p_{a+1} =
+    (2a+1+kappa-x) p_a - sqrt(a(a+kappa)) p_{a-1} runs on the profiles
+    themselves from p_0 = sqrt(w_kappa), so it forms nothing larger than
+    the profiles, which are at most 1. A sector whose weight lies below
+    _WEIGHT_FLOOR, where the ladder's weights reach the subnormals, starts
+    instead from sqrt(w_kappa) as a mantissa times a power of two, the
+    power from log w_kappa = kappa log x - x - log kappa! (the log-space
+    norm, and its digits, of `radial_profiles`); its profiles carry that
+    power, raised whenever they outgrow 2^_RESCALE, until the end.
+    """
+    order = np.arange(float(weight.size))
+    prof = np.empty((a_top + 1, weight.size))
+    np.sqrt(weight, out=prof[0])
+    power = None
+    # row 0 alone needs no log seeds: below the floor it is under 2^-480
+    low = weight < _WEIGHT_FLOOR if a_top and x > 0.0 else None
+    if low is not None and low.any():
+        half_log2 = (0.5 / math.log(2.0)) * (order[low] * math.log(x) - x
+                                             - log_factorial(order[low]))
+        power = np.zeros(weight.size, dtype=np.intc)
+        power[low] = np.floor(half_log2)
+        prof[0, low] = np.exp2(half_log2 - power[low])
+    # a step multiplies the largest profile so far by at most
+    # 3 (kappa_max + x + 1), and the seeds are below 2: without overflow in
+    # sight the steps skip the rescaling test
+    rescale = power is not None and \
+        a_top * math.log2(3.0 * (weight.size + x)) > 1000.0
+    # lower = sqrt(a (a+kappa)) p_{a-1}, in the units of p_a
+    lower = np.zeros(weight.size)
+    for a in range(a_top):
+        up = np.sqrt((a + 1.0) * (a + 1.0 + order))
+        nxt = ((2.0 * a + 1.0) + order - x) * prof[a] - lower
+        lower = up * prof[a]
+        np.divide(nxt, up, out=prof[a + 1])
+        if rescale:
+            big = np.abs(prof[a + 1]) > 2.0 ** _RESCALE
+            if big.any():
+                prof[:a + 2, big] *= 2.0 ** -_RESCALE
+                lower[big] *= 2.0 ** -_RESCALE
+                power[big] += _RESCALE
+    return prof if power is None else np.ldexp(prof, power)
+
+
 def _sector_grams(ks: np.ndarray, a: np.ndarray, x_cut: float) -> np.ndarray:
     """Truncated-disk radial Gram matrices of sectors ks, shape (ks, m, m).
 
@@ -159,11 +214,10 @@ def _sector_grams(ks: np.ndarray, a: np.ndarray, x_cut: float) -> np.ndarray:
     diagonal entry of -1, below every true eigenvalue. One call of
     `specfun.poisson_ladder` gives P(N+1, X) and the Poisson weights
     w_kappa = X^kappa e^{-X}/kappa! for N, kappa = 0..max |k| + max a, and
-    the profiles at the edge are p_a^kappa(X) = sqrt(w_kappa / C(kappa+a, a))
-    L_a^{(kappa)}(X), the binomial a running product of (kappa+i)/i: no
-    term of size X log X is formed, so nothing cancels at kappa near X.
-    The stack is a view of an entry-major array, each entry one contiguous
-    vector over the sectors.
+    `_edge_profiles` the profiles at the edge from the weights: no term of
+    size X log X is formed wherever a weight is a normal double, so nothing
+    cancels at kappa near X. The stack is a view of an entry-major array,
+    each entry one contiguous vector over the sectors.
     """
     kappa = np.abs(ks)
     present = a.T >= 0
@@ -173,13 +227,8 @@ def _sector_grams(ks: np.ndarray, a: np.ndarray, x_cut: float) -> np.ndarray:
     a_top = int(a.max())
     n_max = int(kappa.max()) + a_top
     weight, p_low = poisson_ladder(n_max, x_cut)
+    prof = _edge_profiles(a_top, weight, x_cut)
     order = np.arange(n_max + 1.0)
-    prof = np.empty((a_top + 1, n_max + 1))
-    binom = np.ones(n_max + 1)
-    for j, lag in enumerate(laguerre_sweep(a_top, order, x_cut)):
-        if j:
-            binom *= (order + j) / j
-        np.multiply(np.sqrt(weight / binom), lag, out=prof[j])
     # lowered[a] = sqrt(a (a+kappa)) p_{a-1}^kappa, and diag[a, N] =
     # P(N+1, X) + sum_{j=1..a} sqrt(X/j) p_j^{N-j} p_{j-1}^{N-j+1}
     lowered = np.zeros_like(prof)

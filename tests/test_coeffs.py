@@ -93,12 +93,18 @@ def test_renyi_h_bitwise_equal_to_the_direct_formula(alpha):
             == math.copysign(1.0, want) and got == want
 
 
-def test_renyi_h_passes_nan_through_on_every_branch():
-    # the Shannon branch used to map NaN to -0.0; every branch now keeps it
+def test_renyi_h_gives_the_nan_results_of_the_direct_formula():
+    # NaN passes the range check; the Shannon branch maps it to -0.0 and
+    # the others keep it, as the plain formula does
     for alpha in (0.5, 1.0, 2.0):
-        assert math.isnan(cf.renyi_h(alpha, math.nan))
-        vals = cf.renyi_h(alpha, np.array([0.25, math.nan, 1.0]))
-        assert np.isnan(vals[1]) and not np.isnan(vals[[0, 2]]).any()
+        got = cf.renyi_h(alpha, math.nan)
+        want = _renyi_h_direct(alpha, math.nan)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        t = np.array([0.25, math.nan, 1.0, 0.0])
+        assert cf.renyi_h(alpha, t).tobytes() \
+            == _renyi_h_direct(alpha, t).tobytes()
+    assert math.isnan(cf.renyi_h(2.0, math.nan))
+    assert math.copysign(1.0, cf.renyi_h(1.0, math.nan)) == -1.0
 
 
 @pytest.mark.parametrize("t", [-1.001e-10, 1.0 + 1.001e-10, -0.5,

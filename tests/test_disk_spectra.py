@@ -214,6 +214,38 @@ def test_sector_grams_to_roundoff_where_the_log_norms_cancelled(sel, x):
         assert np.max(np.abs(g - exact[first:, first:])) <= 1e-14
 
 
+@pytest.mark.parametrize("n, x, ks", [(200, 2000.0, [0, 2450, 3260]),
+                                       (100, 4.8e4, [47000, 49000]),
+                                       (800, 3200.0, [0, 500])],
+                         ids=["single:200", "single:100", "single:800"])
+def test_edge_profiles_of_high_levels_against_mpmath(n, x, ks):
+    # a norm 1/C(kappa+n, n) overflows from kappa ~ 2450 at n = 200,
+    # X = 2000 and from X ~ 4.6e4 at n = 100, where these profiles are of
+    # order 1e-2; at n = 800, X = 3200 the weights of sectors 0 and 500
+    # underflow to 0, and their log seeds carry p_800 = 0.03 and -0.0096
+    weight, _ = poisson_ladder(max(ks), x)
+    prof = ds._edge_profiles(n, weight, x)
+    for k in ks:
+        for a in (0, n // 2, n):
+            dps = int(a * math.log10(max(x, k) + a + 1.0)) + 60
+            ref = oracles.radial_profile_mp(a, k, x, dps=dps)
+            assert abs(prof[a, k] - ref) <= 1e-14
+            if abs(ref) > 1e-290:
+                assert abs(prof[a, k] - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_high_level_disk_trace_at_x_2000(n):
+    # the trace of the localized projection onto one level is X: it failed
+    # by the sectors kappa ~ 2450..3260 whose profiles read 0 at n = 200
+    x = 2000.0
+    spec = ds.disk_spectrum(SETUP, LevelSelector.single(n), DISK,
+                            math.sqrt(2.0 * x))
+    assert np.all(np.isfinite(spec.eigenvalues))
+    assert abs(math.fsum(spec.eigenvalues) - x) \
+        <= 1e-12 * x + spec.cutoff * spec.dropped_count
+
+
 DEFLATION_SELECTORS = [LevelSelector.upto(1), LevelSelector.upto(2),
                        LevelSelector.upto(3), LevelSelector.single(3)]
 
