@@ -22,9 +22,10 @@ oracles (tests/oracles.py). The disk solver's special functions are here too:
 arguments), which the nodal radial profiles of the Nystrom route use, and
 `poisson_ladder`, one array of Poisson weights and from it the regularized
 incomplete gamma P(N+1, x) of every integer order up to a cap, which the
-sector Grams use. erfc comes from the C library (`math.erfc`, in `_ladder`). So this
-module, and with it the whole library, needs numpy and the standard library
-alone: no subcommand loads scipy, which only the test oracles use.
+sector Grams use (with `log_factorial` only where a weight underflows).
+erfc comes from the C library (`math.erfc`, in `_ladder`). So this module,
+and with it the whole library, needs numpy and the standard library alone:
+no subcommand loads scipy, which only the test oracles use.
 
 Everything here is pure and reentrant: fixed inputs give bitwise-identical
 outputs regardless of evaluation order, so callers may fan grids out across
