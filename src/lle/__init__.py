@@ -43,11 +43,7 @@ from .region_sim import (
     region_spectrum,
     scaling_fit,
 )
-from .specfun import (
-    gauss_legendre,
-    hermite_fn,
-    laguerre,
-)
+from .specfun import gauss_legendre
 
 __all__ = [
     "AccuracyError", "AsymptoticFit", "CapabilityError", "Disk", "DomainError",
@@ -55,8 +51,8 @@ __all__ = [
     "NumericError", "Polygon", "Region", "SmoothStar",
     "SpectralFunction", "TranslateFamily", "UsageError", "WindowError",
     "__version__", "coeff_with_error",
-    "disk_spectrum", "entropy_from_spectrum", "gauss_legendre", "hermite_fn",
-    "intersect_translates_area", "laguerre", "nu_from_mu", "region_from_json",
+    "disk_spectrum", "entropy_from_spectrum", "gauss_legendre",
+    "intersect_translates_area", "nu_from_mu", "region_from_json",
     "region_spectrum", "renyi_h", "roccaforte_first_order",
     "roccaforte_second_order", "scaling_fit",
 ]

@@ -15,9 +15,11 @@ no log-space norm cancels at large angular momentum; only sectors whose
 weight lies below the normal doubles take a log-factorial seed. Most
 sectors are diagonal to below half an ulp of 1 and take their diagonal as
 their spectrum; eigvalsh sees only the coupled ones, and single-level
-selectors never call it. The log-factorial norms of `radial_profiles`
-serve the nodal profiles of the 2-D Nystrom route. The
-windowed Gauss-Legendre quadrature of the same entries, the angular
+selectors never call it. `_radial_profiles` is the one evaluator of the
+radial profiles: the same recurrence gives the nodal profiles of the 2-D
+Nystrom route (`_level_profiles`), there seeded from Poisson weights formed
+in log space. The unnormalized Laguerre sweep times a log-factorial norm,
+the windowed Gauss-Legendre quadrature of the same entries, the angular
 Fourier transform of the kernel, the radial-Nystrom discretization of each
 sector and the lowest-level incomplete-gamma eigenvalues are independent
 test oracles (tests/oracles.py), as is the 2-D Nystrom solver of
@@ -34,7 +36,7 @@ import numpy as np
 from .errors import CapabilityError, DomainError, WindowError
 from .geometry import Disk, Region, region_to_json
 from .landau import LevelSelector, MagneticSetup
-from .specfun import clamp_unit, laguerre_sweep, log_factorial, poisson_ladder
+from .specfun import clamp_unit, log_factorial, poisson_ladder
 
 # eigenvalues may stray outside [0,1] by at most this much before we suspect
 # an assembly bug rather than roundoff
@@ -97,28 +99,6 @@ def sector_window(b: float, r_total: float, n: int) -> int:
                          + 2.0 * math.sqrt(n * x)))
 
 
-def radial_profiles(a_max: int, kappa, x) -> np.ndarray:
-    """Radial factors of the Landau eigenfunctions in x = B r^2/2 coordinates.
-
-    p_a(x) = sqrt(a!/(a+kappa)!) x^{kappa/2} e^{-x/2} L_a^{(kappa)}(x) for the
-    radial quantum numbers a = 0..a_max, stacked along a new leading axis
-    and all taken from one recurrence sweep; the angular weight kappa = |k|
-    broadcasts against x. Each p_a^2 integrates to 1 over x in [0, inf), so
-    sqrt(B) p_a(B r^2/2) is normalized against r dr. The magnitude factors
-    are assembled in log space so large kappa stays finite: the envelope
-    kappa/2 log x - x/2 per node, and the norm (log a! - log (a+kappa)!)/2
-    per radial number and value of kappa, from `specfun.log_factorial`.
-    """
-    kappa = np.asarray(kappa, dtype=float)
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_env = np.where(kappa > 0.0, 0.5 * kappa * np.log(x), 0.0) - 0.5 * x
-    a = np.arange(a_max + 1.0).reshape((-1,) + (1,) * log_env.ndim)
-    log_norm = 0.5 * (log_factorial(a) - log_factorial(a + kappa))
-    lag = np.stack(list(laguerre_sweep(a_max, kappa, x)))
-    return lag * np.exp(log_env + log_norm)
-
-
 def _sector_layout(b: float, r_total: float, levels) -> tuple:
     """Angular sectors k = -n_top..sector_window of radius r_total, and the
     radial quantum number a = min(l, l + k) of each level in each, shape
@@ -144,50 +124,66 @@ def _check_window(ks: np.ndarray, top: float, cutoff: float):
 def _level_profiles(ks: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Radial profiles of each level in each sector, shape (ks, levels, nodes),
     at the radial numbers a of `_sector_layout` and angular weight |k|; `x`
-    holds one row of nodes per sector. Absent levels (a < 0) get zero rows."""
-    prof = radial_profiles(max(int(a.max()), 0), np.abs(ks)[:, None], x)
+    holds one row of nodes per sector, or one row for all. Absent levels
+    (a < 0) get zero rows. The Poisson weights x^kappa e^{-x}/kappa! that
+    seed `_radial_profiles` come from log space, and an entry where they
+    underflow takes its log seed."""
+    kappa = np.abs(ks)[:, None].astype(float)
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_w = np.where(kappa > 0.0, kappa * np.log(x), 0.0) - x \
+            - log_factorial(kappa)
+    prof = _radial_profiles(max(int(a.max()), 0), kappa, x, np.exp(log_w))
     rows = prof[np.maximum(a, 0), np.arange(ks.size)[:, None]]
     rows[a < 0] = 0.0
     return rows
 
 
-def _edge_profiles(a_top: int, weight: np.ndarray, x: float) -> np.ndarray:
-    """Radial profiles p_a^kappa(x) at one point x, shape (a_top + 1, kappa):
-    rows a = 0..a_top, columns kappa = 0..weight.size - 1, from the Poisson
-    weights w_kappa = x^kappa e^{-x}/kappa! of `specfun.poisson_ladder`.
+def _radial_profiles(a_top: int, kappa, x, weight) -> np.ndarray:
+    """Radial factors of the Landau eigenfunctions in x = B r^2/2 coordinates.
+
+    p_a(x) = sqrt(a!/(a+kappa)!) x^{kappa/2} e^{-x/2} L_a^{(kappa)}(x) for the
+    radial quantum numbers a = 0..a_top, stacked along a new leading axis;
+    the angular weight kappa, the points x and the Poisson weights
+    w = x^kappa e^{-x}/kappa! broadcast against each other. Each p_a^2
+    integrates to 1 over x in [0, inf), so sqrt(B) p_a(B r^2/2) is
+    normalized against r dr.
 
     The normalized Laguerre recurrence sqrt((a+1)(a+1+kappa)) p_{a+1} =
     (2a+1+kappa-x) p_a - sqrt(a(a+kappa)) p_{a-1} runs on the profiles
-    themselves from p_0 = sqrt(w_kappa), so it forms nothing larger than
-    the profiles, which are at most 1. A sector whose weight lies below
-    _WEIGHT_FLOOR, where the ladder's weights reach the subnormals, starts
-    instead from sqrt(w_kappa) as a mantissa times a power of two, the
-    power from log w_kappa = kappa log x - x - log kappa! (the log-space
-    norm, and its digits, of `radial_profiles`); its profiles carry that
-    power, raised whenever they outgrow 2^_RESCALE, until the end.
+    themselves from p_0 = sqrt(w), so it forms nothing larger than the
+    profiles, which are at most 1. An entry whose weight lies below
+    _WEIGHT_FLOOR, where weights reach the subnormals, starts instead from
+    sqrt(w) as a mantissa times a power of two, the power from
+    log w = kappa log x - x - log kappa!; its profiles carry that power,
+    raised whenever they outgrow 2^_RESCALE, until the end.
     """
-    order = np.arange(float(weight.size))
-    prof = np.empty((a_top + 1, weight.size))
+    kappa = np.asarray(kappa, dtype=float)
+    x = np.asarray(x, dtype=float)
+    shape = np.broadcast_shapes(kappa.shape, x.shape, np.shape(weight))
+    prof = np.empty((a_top + 1,) + shape)
     np.sqrt(weight, out=prof[0])
     power = None
     # row 0 alone needs no log seeds: below the floor it is under 2^-480
-    low = weight < _WEIGHT_FLOOR if a_top and x > 0.0 else None
-    if low is not None and low.any():
-        half_log2 = (0.5 / math.log(2.0)) * (order[low] * math.log(x) - x
-                                             - log_factorial(order[low]))
-        power = np.zeros(weight.size, dtype=np.intc)
+    low = np.broadcast_to((weight < _WEIGHT_FLOOR) & (x > 0.0), shape)
+    if a_top and low.any():
+        k_low = np.broadcast_to(kappa, shape)[low]
+        x_low = np.broadcast_to(x, shape)[low]
+        half_log2 = (0.5 / math.log(2.0)) * (k_low * np.log(x_low) - x_low
+                                             - log_factorial(k_low))
+        power = np.zeros(shape, dtype=np.intc)
         power[low] = np.floor(half_log2)
-        prof[0, low] = np.exp2(half_log2 - power[low])
+        prof[0][low] = np.exp2(half_log2 - power[low])
     # a step multiplies the largest profile so far by at most
     # 3 (kappa_max + x + 1), and the seeds are below 2: without overflow in
     # sight the steps skip the rescaling test
     rescale = power is not None and \
-        a_top * math.log2(3.0 * (weight.size + x)) > 1000.0
+        a_top * math.log2(3.0 * (kappa.max() + 1.0 + x.max())) > 1000.0
     # lower = sqrt(a (a+kappa)) p_{a-1}, in the units of p_a
-    lower = np.zeros(weight.size)
+    lower = np.zeros(shape)
     for a in range(a_top):
-        up = np.sqrt((a + 1.0) * (a + 1.0 + order))
-        nxt = ((2.0 * a + 1.0) + order - x) * prof[a] - lower
+        up = np.sqrt((a + 1.0) * (a + 1.0 + kappa))
+        nxt = ((2.0 * a + 1.0) + kappa - x) * prof[a] - lower
         lower = up * prof[a]
         np.divide(nxt, up, out=prof[a + 1])
         if rescale:
@@ -214,7 +210,7 @@ def _sector_grams(ks: np.ndarray, a: np.ndarray, x_cut: float) -> np.ndarray:
     diagonal entry of -1, below every true eigenvalue. One call of
     `specfun.poisson_ladder` gives P(N+1, X) and the Poisson weights
     w_kappa = X^kappa e^{-X}/kappa! for N, kappa = 0..max |k| + max a, and
-    `_edge_profiles` the profiles at the edge from the weights: no term of
+    `_radial_profiles` the profiles at the edge from the weights: no term of
     size X log X is formed wherever a weight is a normal double, so nothing
     cancels at kappa near X. The stack is a view of an entry-major array,
     each entry one contiguous vector over the sectors.
@@ -227,8 +223,8 @@ def _sector_grams(ks: np.ndarray, a: np.ndarray, x_cut: float) -> np.ndarray:
     a_top = int(a.max())
     n_max = int(kappa.max()) + a_top
     weight, p_low = poisson_ladder(n_max, x_cut)
-    prof = _edge_profiles(a_top, weight, x_cut)
     order = np.arange(n_max + 1.0)
+    prof = _radial_profiles(a_top, order, x_cut, weight)
     # lowered[a] = sqrt(a (a+kappa)) p_{a-1}^kappa, and diag[a, N] =
     # P(N+1, X) + sum_{j=1..a} sqrt(X/j) p_j^{N-j} p_{j-1}^{N-j+1}
     lowered = np.zeros_like(prof)

@@ -1,7 +1,7 @@
 """Orthogonal polynomials, quadrature panel rules and one-dimensional overlap integrals.
 
-Hermite functions and Laguerre polynomials come from their three-term
-recurrences. `hermite_sweep` is the one normalized-Hermite recurrence: it
+Hermite functions come from their three-term recurrence.
+`hermite_sweep` is the one normalized-Hermite recurrence: it
 yields every degree up to the requested one, on Python floats for a scalar
 argument and on arrays otherwise, so a caller that needs several degrees at
 one point (a Christoffel-Darboux sum, a Mehler partial sum) pays for one
@@ -15,14 +15,17 @@ Gauss-Legendre panel, which carries the embedded Gauss weights on the same
 nodes, so one evaluation gives a value and an error estimate; its reference
 panel is a table rounded from 80-digit values. Adaptive quadrature, the
 per-xi quadrature and the panel sweep of the overlaps, the raw Hermite
-polynomials, the extended-precision erfc and incomplete gamma and the
-extended-precision Gauss-Kronrod rule that regenerates the table are test
-oracles (tests/oracles.py). The disk solver's special functions are here too:
-`log_factorial` (the Stirling series, with the C library's lgamma for small
-arguments), which the nodal radial profiles of the Nystrom route use, and
-`poisson_ladder`, one array of Poisson weights and from it the regularized
-incomplete gamma P(N+1, x) of every integer order up to a cap, which the
-sector Grams use (with `log_factorial` only where a weight underflows).
+polynomials, the oscillator function of one degree, the unnormalized
+Laguerre recurrence, the extended-precision erfc and incomplete gamma and
+the extended-precision Gauss-Kronrod rule that regenerates the table are
+test oracles (tests/oracles.py); the library's one Laguerre recurrence is
+the normalized one of the radial profiles (`disk_spectra`). Their special
+functions are here: `log_factorial` (the Stirling series, with the C
+library's lgamma for small arguments), from which the profiles form their
+Poisson weights in log space at the nodes of the Nystrom route and their
+seeds wherever a weight underflows, and `poisson_ladder`, one array of
+Poisson weights and from it the regularized incomplete gamma P(N+1, x) of
+every integer order up to a cap, which the sector Grams use.
 erfc comes from the C library (`math.erfc`, in `_ladder`). So this module,
 and with it the whole library, needs numpy and the standard library alone:
 no subcommand loads scipy, which only the test oracles use.
@@ -106,14 +109,6 @@ def hermite_poly_normalized(ell: int, t):
     return h if np.ndim(h) else float(h)
 
 
-def hermite_fn(ell: int, t):
-    """Orthonormal oscillator eigenfunction psi_ell(t), the last row of
-    `hermite_fn_table`; a scalar or 0-d input gives a Python float."""
-    t = np.asarray(t, dtype=float)
-    psi = hermite_fn_table(ell, t.ravel())[-1].reshape(t.shape)
-    return psi if psi.ndim else float(psi)
-
-
 def hermite_fn_table(nmax: int, t: np.ndarray) -> np.ndarray:
     """psi_0..psi_nmax on an array, shape (nmax+1, len(t)): the rows of
     `hermite_sweep` seeded with the Gaussian pi^{-1/4} e^{-t^2/2}, so the
@@ -125,46 +120,8 @@ def hermite_fn_table(nmax: int, t: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Generalized Laguerre polynomials and the [0, 1] eigenvalue clamp
+# The [0, 1] eigenvalue clamp
 # ---------------------------------------------------------------------------
-
-def laguerre_sweep(ell: int, k, z):
-    """Yield L_0^{(k)}(z), ..., L_ell^{(k)}(z) by the forward recurrence.
-
-    (j+1) L_{j+1} = (2j+1+k-z) L_j - (j+k) L_{j-1} is stable in the degree
-    where the explicit alternating sum cancels catastrophically (z near k
-    with large k). The superscript k may be an array broadcasting against z;
-    real arguments give real values, complex ones complex values.
-    """
-    ell = int(ell)
-    if ell < 0:
-        raise DomainError(f"degree must be >= 0, got {ell}")
-    k = np.asarray(k, dtype=float)
-    if np.any(k < -ell):
-        raise DomainError(f"superscript {k.min():g} below -degree {-ell}")
-    z = np.asarray(z)
-    prev = np.ones(np.broadcast_shapes(k.shape, z.shape),
-                   dtype=np.result_type(z, k))
-    yield prev
-    if ell == 0:
-        return
-    cur = (1.0 + k) - z
-    yield cur
-    for j in range(1, ell):
-        nxt = ((2 * j + 1) + k - z) * cur
-        nxt -= (j + k) * prev
-        nxt /= j + 1
-        prev, cur = cur, nxt
-        yield cur
-
-
-def laguerre(ell: int, k, z):
-    """Generalized Laguerre polynomial L_ell^{(k)}(z), the last value of
-    `laguerre_sweep`; 0-d input gives a Python scalar."""
-    for val in laguerre_sweep(ell, k, z):
-        pass
-    return val if val.ndim else val.item()
-
 
 def clamp_unit(vals, slack: float, where: str) -> np.ndarray:
     """Clip eigenvalues (any array shape) to [0, 1].

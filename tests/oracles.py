@@ -6,7 +6,9 @@ quadrature, seeded Monte Carlo areas, 64-step bisection (of rays and of
 the kinks between translates), a dense trapezoid rule for translate
 intersections on Newton ray solves, a cyclic-Jacobi eigensolver, finite
 differences, and the slower second routes
-of the library's problems (per-xi adaptive quadrature of the overlap Gram
+of the library's problems (the oscillator function of one degree, the
+unnormalized Laguerre recurrence and the radial profiles built on it with a
+log-factorial norm, per-xi adaptive quadrature of the overlap Gram
 matrix, the cumulative panel sweep of the overlap table, the
 Christoffel-Darboux kernel at a point pair and on a grid, the projection
 kernel between point sets, the angular Fourier transform of the kernel, the
@@ -46,12 +48,10 @@ from lle.specfun import (
     _check_level,
     clamp_unit,
     gauss_legendre,
-    hermite_fn,
     hermite_fn_table,
     hermite_poly_normalized,
     hermite_sweep,
-    laguerre,
-    laguerre_sweep,
+    log_factorial,
 )
 
 mp.mp.dps = 40
@@ -76,6 +76,14 @@ def hermite_poly(ell: int, t):
     for k in range(1, ell):
         h, h_prev = 2.0 * t * h - 2.0 * k * h_prev, h
     return h if h.ndim else float(h)
+
+
+def hermite_fn(ell: int, t):
+    """Orthonormal oscillator eigenfunction psi_ell(t), the last row of
+    `specfun.hermite_fn_table`; a scalar or 0-d input gives a Python float."""
+    t = np.asarray(t, dtype=float)
+    psi = hermite_fn_table(ell, t.ravel())[-1].reshape(t.shape)
+    return psi if psi.ndim else float(psi)
 
 
 def hermite_poly_normalized_array(ell: int, t):
@@ -290,6 +298,44 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-12) -> float:
 # ---------------------------------------------------------------------------
 # Laguerre and Christoffel-Darboux cross-checks
 # ---------------------------------------------------------------------------
+
+def laguerre_sweep(ell: int, k, z):
+    """Yield L_0^{(k)}(z), ..., L_ell^{(k)}(z) by the forward recurrence.
+
+    (j+1) L_{j+1} = (2j+1+k-z) L_j - (j+k) L_{j-1} is stable in the degree
+    where the explicit alternating sum cancels catastrophically (z near k
+    with large k). The superscript k may be an array broadcasting against z;
+    real arguments give real values, complex ones complex values.
+    """
+    ell = int(ell)
+    if ell < 0:
+        raise DomainError(f"degree must be >= 0, got {ell}")
+    k = np.asarray(k, dtype=float)
+    if np.any(k < -ell):
+        raise DomainError(f"superscript {k.min():g} below -degree {-ell}")
+    z = np.asarray(z)
+    prev = np.ones(np.broadcast_shapes(k.shape, z.shape),
+                   dtype=np.result_type(z, k))
+    yield prev
+    if ell == 0:
+        return
+    cur = (1.0 + k) - z
+    yield cur
+    for j in range(1, ell):
+        nxt = ((2 * j + 1) + k - z) * cur
+        nxt -= (j + k) * prev
+        nxt /= j + 1
+        prev, cur = cur, nxt
+        yield cur
+
+
+def laguerre(ell: int, k, z):
+    """Generalized Laguerre polynomial L_ell^{(k)}(z), the last value of
+    `laguerre_sweep`; 0-d input gives a Python scalar."""
+    for val in laguerre_sweep(ell, k, z):
+        pass
+    return val if val.ndim else val.item()
+
 
 def laguerre_sum_relation_error(n: int, t) -> float:
     """Pointwise error of sum_{l<=n} L_l = L_n^{(1)}, scaled to magnitude.
@@ -712,8 +758,36 @@ def sector_gram(setup, selector, k: int,
     return [levels[i] for i in present], g[np.ix_(present, present)]
 
 
+def radial_profiles(a_max: int, kappa, x) -> np.ndarray:
+    """The radial profiles p_a^kappa(x) of disk_spectra._radial_profiles for
+    a = 0..a_max, stacked along a new leading axis, by a second route: the
+    unnormalized Laguerre sweep times its magnitude, assembled in log space
+    as the envelope kappa/2 log x - x/2 per node and the norm
+    (log a! - log (a+kappa)!)/2 per radial number and value of kappa. The
+    sweep overflows at high levels (to NaN at a = 800, x = 3200), and the
+    log terms of size kappa log x cost a few of their ulps at kappa near x.
+    """
+    kappa = np.asarray(kappa, dtype=float)
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_env = np.where(kappa > 0.0, 0.5 * kappa * np.log(x), 0.0) - 0.5 * x
+    a = np.arange(a_max + 1.0).reshape((-1,) + (1,) * log_env.ndim)
+    log_norm = 0.5 * (log_factorial(a) - log_factorial(a + kappa))
+    lag = np.stack(list(laguerre_sweep(a_max, kappa, x)))
+    return lag * np.exp(log_env + log_norm)
+
+
+def level_profiles(ks: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """disk_spectra._level_profiles through `radial_profiles`: shape
+    (ks, levels, nodes), zero rows where a level is absent (a < 0)."""
+    prof = radial_profiles(max(int(a.max()), 0), np.abs(ks)[:, None], x)
+    rows = prof[np.maximum(a, 0), np.arange(ks.size)[:, None]]
+    rows[a < 0] = 0.0
+    return rows
+
+
 def radial_profile_mp(a: int, kappa: int, x: float, dps: int = 50) -> float:
-    """The radial profile p_a at weight kappa (disk_spectra.radial_profiles)
+    """The radial profile p_a at weight kappa (disk_spectra._radial_profiles)
     in extended precision, from the explicit sum of L_a^kappa."""
     with mp.workdps(dps):
         xm = mp.mpf(x)

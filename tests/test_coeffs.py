@@ -1,6 +1,7 @@
 import math
 import re
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import erfc
@@ -23,6 +24,21 @@ def test_renyi_endpoints_and_closed_values():
         assert cf.renyi_h(alpha, 1.0) == 0.0
     assert cf.renyi_h(1.0, 0.5) == pytest.approx(math.log(2.0), abs=1e-15)
     assert cf.renyi_h(2.0, 0.25) == pytest.approx(math.log(8.0 / 5.0), abs=1e-15)
+
+
+def test_renyi_h_stays_finite_past_alpha_1074():
+    # t^a + (1-t)^a underflows to 0 at t = 1/2 from a ~ 1074 on, where the
+    # plain formula gave inf and the envelope fit refused renyi:1100;
+    # h_a(1/2) = ln 2 for every a
+    assert cf.renyi_h(1100.0, 0.5) == pytest.approx(math.log(2.0), rel=1e-15)
+    t = [0.3, 0.49, 0.5, 0.52]
+    exact = [float(mp.log(mp.mpf(v) ** 1100 + (1 - mp.mpf(v)) ** 1100) / -1099)
+             for v in t]
+    np.testing.assert_allclose(cf.renyi_h(1100.0, np.array(t)), exact,
+                               rtol=1e-15)
+    fn = cf.SpectralFunction.renyi(1100.0)
+    assert fn.label == "renyi:1100"
+    assert fn(0.5) == pytest.approx(math.log(2.0), rel=1e-15)
 
 
 def test_renyi_limit_branch():
@@ -55,8 +71,15 @@ def _renyi_h_direct(alpha, t):
             val = -np.where(tc > 0.0, tc * np.log(tc), 0.0) \
                   - np.where(tc < 1.0, (1.0 - tc) * np.log1p(-tc), 0.0)
     else:
+        total = tc ** alpha + (1.0 - tc) ** alpha
         with np.errstate(divide="ignore"):
-            val = np.log(tc ** alpha + (1.0 - tc) ** alpha) / (1.0 - alpha)
+            val = np.log(total) / (1.0 - alpha)
+        # where the sum leaves the normal doubles (alpha past 1022) the
+        # larger power comes out of the logarithm
+        big = np.maximum(tc, 1.0 - tc)
+        factored = (alpha * np.log(big) + np.log1p(
+            (np.minimum(tc, 1.0 - tc) / big) ** alpha)) / (1.0 - alpha)
+        val = np.where(total < np.finfo(float).tiny, factored, val)
     val = np.where((tc == 0.0) | (tc == 1.0), 0.0, val)
     return val if val.ndim else float(val)
 
@@ -685,7 +708,7 @@ def test_poly_boundary_coeff():
     # dense-grid oracle for level 1, fourth moment: lambda_1 by reverse
     # cumulative trapezoid of psi_1^2 on a fine grid
     xi = np.linspace(-12.0, 12.0, 800001)
-    psi2 = sf.hermite_fn(1, xi) ** 2
+    psi2 = oracles.hermite_fn(1, xi) ** 2
     h = xi[1] - xi[0]
     seg = 0.5 * (psi2[:-1] + psi2[1:]) * h
     lam = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])

@@ -9,7 +9,7 @@ from lle import disk_spectra as ds
 from lle import geometry as ge
 from lle.errors import DomainError, WindowError
 from lle.landau import LevelSelector, MagneticSetup
-from lle.specfun import laguerre_sweep, poisson_ladder
+from lle.specfun import poisson_ladder
 
 import oracles
 
@@ -224,7 +224,8 @@ def test_edge_profiles_of_high_levels_against_mpmath(n, x, ks):
     # order 1e-2; at n = 800, X = 3200 the weights of sectors 0 and 500
     # underflow to 0, and their log seeds carry p_800 = 0.03 and -0.0096
     weight, _ = poisson_ladder(max(ks), x)
-    prof = ds._edge_profiles(n, weight, x)
+    prof = ds._radial_profiles(n, np.arange(weight.size, dtype=float), x,
+                               weight)
     for k in ks:
         for a in (0, n // 2, n):
             dps = int(a * math.log10(max(x, k) + a + 1.0)) + 60
@@ -316,14 +317,44 @@ def test_radial_profiles_against_mpmath_up_to_kappa_6400(x):
     a = np.arange(4)[:, None]
     ref = np.array([[oracles.radial_profile_mp(i, int(k), x) for k in kappa]
                     for i in a[:, 0]])
-    lag = np.stack(list(laguerre_sweep(3, kappa, x)))
+    lag = np.stack(list(oracles.laguerre_sweep(3, kappa, x)))
     scipy_norm = lag * np.exp(0.5 * kappa * math.log(x) - 0.5 * x
                               + 0.5 * (gammaln(a + 1.0) - gammaln(a + kappa + 1.0)))
     kept = np.abs(ref) > 1e-290
-    err = np.abs(ds.radial_profiles(3, kappa, x) - ref)[kept] / np.abs(ref[kept])
+    err = np.abs(oracles.radial_profiles(3, kappa, x) - ref)[kept] \
+        / np.abs(ref[kept])
     err_scipy = np.abs(scipy_norm - ref)[kept] / np.abs(ref[kept])
     assert err.max() <= 1.01 * err_scipy.max()
     assert err.max() <= 1e-11
+    # the library's nodal route: weights from the same log terms, then the
+    # normalized recurrence
+    nodal = ds._level_profiles(kappa, np.tile(a.T, (kappa.size, 1)),
+                               np.full((kappa.size, 1), x))[:, :, 0].T
+    assert np.max(np.abs(nodal - ref)[kept] / np.abs(ref[kept])) <= 1e-11
+
+
+def test_nodal_profiles_of_level_800_at_x_3200_against_mpmath():
+    # the unnormalized sweep overflows here and its log-norm product read
+    # NaN; the weights of both sectors underflow, so both take log seeds
+    ks = np.array([0, 500])
+    prof = ds._level_profiles(ks, np.full((2, 1), 800), np.full((2, 1), 3200.0))
+    assert np.all(np.isfinite(prof))
+    for k, p in zip(ks, prof[:, 0, 0]):
+        ref = oracles.radial_profile_mp(800, int(k), 3200.0,
+                                        dps=int(800 * math.log10(4001.0)) + 60)
+        assert abs(p - ref) <= 1e-14 and abs(p - ref) <= 1e-12 * abs(ref)
+
+
+def test_nodal_profiles_bitwise_equal_to_per_node_calls():
+    # every entry is its own recurrence: 257 nodes at once, x = 0 included,
+    # give the bytes of one call per node, across log-seeded sectors too
+    ks, a = ds._sector_layout(1.0, math.sqrt(480.0), list(range(31)))
+    x = np.linspace(0.0, 240.0, 257)[None, :]
+    rows = ds._level_profiles(ks, a, x)
+    assert rows.shape == (ks.size, 31, 257) and np.all(np.isfinite(rows))
+    for j in range(x.size):
+        assert rows[:, :, j].tobytes() \
+            == ds._level_profiles(ks, a, x[:, j:j + 1])[:, :, 0].tobytes()
 
 
 def test_diagonal_ladder_against_adaptive_quadrature():
@@ -331,7 +362,7 @@ def test_diagonal_ladder_against_adaptive_quadrature():
     # at X, and D(0, m) = P(m+1, X), with D the integral of p_a^2 over [0, X]
     def diag(a, kappa, x):
         return oracles.adaptive_quad(
-            lambda t: ds.radial_profiles(a, kappa, t)[a] ** 2, 0.0, x,
+            lambda t: oracles.radial_profiles(a, kappa, t)[a] ** 2, 0.0, x,
             tol=1e-14)
 
     for x in (0.5, 4.0, 20.0):
@@ -341,8 +372,8 @@ def test_diagonal_ladder_against_adaptive_quadrature():
         for a in range(4):
             for kappa in range(1, 4):
                 step = math.sqrt(x / (a + 1)) \
-                    * ds.radial_profiles(a + 1, kappa - 1, x)[a + 1] \
-                    * ds.radial_profiles(a, kappa, x)[a]
+                    * oracles.radial_profiles(a + 1, kappa - 1, x)[a + 1] \
+                    * oracles.radial_profiles(a, kappa, x)[a]
                 assert diag(a + 1, kappa - 1, x) - diag(a, kappa, x) \
                     == pytest.approx(float(step), abs=1e-12)
 

@@ -86,6 +86,24 @@ def test_cross_solver_agreement_small():
     assert np.max(np.abs(a - b)) < 1e-6
 
 
+@pytest.mark.parametrize("sel", ["upto:0", "upto:1", "upto:2", "single:1"])
+def test_region_spectrum_on_the_second_profile_route(sel, monkeypatch):
+    # the nodal profiles by the unnormalized Laguerre sweep and its
+    # log-factorial norm give the same spectra on a star
+    star = ge.SmoothStar((1.0, 0.0, 0.0, 0.0, 0.0, 0.15))
+    kind, index = sel.split(":")
+    selector = LevelSelector(kind, int(index))
+    scales = (0.6, 0.8, 3.0, 5.5)
+    library = [rs.region_spectrum(SETUP, selector, star, L) for L in scales]
+    monkeypatch.setattr(rs, "_level_profiles", oracles.level_profiles)
+    for L, spec in zip(scales, library):
+        second = rs.region_spectrum(SETUP, selector, star, L)
+        assert second.eigenvalues.size == spec.eigenvalues.size
+        assert second.dropped_count == spec.dropped_count
+        assert np.max(np.abs(second.eigenvalues - spec.eigenvalues),
+                      initial=0.0) <= 1e-13
+
+
 def test_resolution_convergence():
     # doubling the resolution moves eigenvalues above 1e-4 by < 1e-5
     sel = LevelSelector.single(0)
