@@ -85,15 +85,15 @@ def renyi_h(alpha: float, t):
         total = tc ** alpha + (1.0 - tc) ** alpha
         with np.errstate(divide="ignore"):
             val = np.log(total) / (1.0 - alpha)
-        # total >= 2^(1-a) leaves the normal doubles only for a past 1022,
+        # total >= 2^(1-a) leaves the normal doubles only for a past 1023,
         # and underflows to 0 past 1074: there the larger power comes out
         # of the logarithm
-        under = total < np.finfo(float).tiny
-        if np.any(under):
+        if alpha > 1023.0:
             big = np.maximum(tc, 1.0 - tc)
             small = np.minimum(tc, 1.0 - tc)
             log_total = alpha * np.log(big) + np.log1p((small / big) ** alpha)
-            val = np.where(under, log_total / (1.0 - alpha), val)
+            val = np.where(total < np.finfo(float).tiny,
+                           log_total / (1.0 - alpha), val)
     val = np.where((tc == 0.0) | (tc == 1.0), 0.0, val)
     return val if val.ndim else float(val)
 

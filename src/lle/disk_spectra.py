@@ -160,13 +160,14 @@ def _radial_profiles(a_top: int, kappa, x, weight) -> np.ndarray:
     """
     kappa = np.asarray(kappa, dtype=float)
     x = np.asarray(x, dtype=float)
-    shape = np.broadcast_shapes(kappa.shape, x.shape, np.shape(weight))
+    shape = np.broadcast(kappa, x, weight).shape
     prof = np.empty((a_top + 1,) + shape)
     np.sqrt(weight, out=prof[0])
     power = None
     # row 0 alone needs no log seeds: below the floor it is under 2^-480
-    low = np.broadcast_to((weight < _WEIGHT_FLOOR) & (x > 0.0), shape)
-    if a_top and low.any():
+    low = (weight < _WEIGHT_FLOOR) & (x > 0.0) if a_top else None
+    if low is not None and low.any():
+        low = np.broadcast_to(low, shape)
         k_low = np.broadcast_to(kappa, shape)[low]
         x_low = np.broadcast_to(x, shape)[low]
         half_log2 = (0.5 / math.log(2.0)) * (k_low * np.log(x_low) - x_low

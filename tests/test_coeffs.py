@@ -74,7 +74,7 @@ def _renyi_h_direct(alpha, t):
         total = tc ** alpha + (1.0 - tc) ** alpha
         with np.errstate(divide="ignore"):
             val = np.log(total) / (1.0 - alpha)
-        # where the sum leaves the normal doubles (alpha past 1022) the
+        # where the sum leaves the normal doubles (alpha past 1023) the
         # larger power comes out of the logarithm
         big = np.maximum(tc, 1.0 - tc)
         factored = (alpha * np.log(big) + np.log1p(
