@@ -44,9 +44,9 @@ _CLAMP = 1e-9
 # a sector whose off-diagonal Frobenius norm is at most this much (half an
 # ulp of 1) takes its diagonal as its eigenvalues, without eigvalsh
 _DEFLATE = 2.0 ** -54
-# Poisson weights below this (2^-960, about 1e-289) seed their sector's edge
-# profiles from log space, and such a sector's profiles are scaled down by
-# 2^_RESCALE whenever they outgrow it
+# Poisson weights below this (2^-960, about 1e-289) seed their profiles from
+# log space, and such profiles are scaled down by 2^_RESCALE whenever they
+# outgrow it
 _WEIGHT_FLOOR = 2.0 ** -960
 _RESCALE = 512
 # cap on sectors x (levels x (top level + 1) + 6), which measures a disk
