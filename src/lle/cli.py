@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -25,6 +23,9 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+
+# most scales one `lle scaling` request may ask for; each is a disk solve
+_MAX_SCALES = 10_000
 
 
 def _parse_selector(text: str) -> LevelSelector:
@@ -117,17 +118,19 @@ def cmd_scaling(args) -> int:
         raise UsageError(f"--L-step must be positive, got {args.L_step}")
     if not (math.isfinite(args.L_min) and math.isfinite(args.L_max)):
         raise UsageError(f"the L range must be finite, got {args.L_min}..{args.L_max}")
-    scales = np.arange(args.L_min, args.L_max + 1e-9, args.L_step)
+    # the count np.arange would allocate, refused before it does; a step far
+    # below the span overflows the quotient to inf
+    stop = args.L_max + 1e-9
+    if not (stop - args.L_min) / args.L_step <= _MAX_SCALES:
+        raise UsageError(f"the L range {args.L_min}..{args.L_max} in steps of "
+                         f"{args.L_step} holds more than {_MAX_SCALES} scales")
+    scales = np.arange(args.L_min, stop, args.L_step)
     if scales.size < 3:
         raise UsageError("need at least 3 scales in the L range")
     f = coeffs.SpectralFunction.renyi(args.alpha)
-
-    def one(L):
-        spec = disk_spectrum(setup, selector, region, float(L), cutoff=args.cutoff)
-        return entropy_from_spectrum(spec, f)
-
-    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
-        values = list(pool.map(one, scales))
+    values = [entropy_from_spectrum(disk_spectrum(setup, selector, region,
+                                                  float(L), cutoff=args.cutoff), f)
+              for L in scales]
     fit = region_sim.scaling_fit(scales, values, model="linear")
     [(m_coeff, m_err)] = coeffs.coeff_with_error(selector, [f], tol=1e-8)
     predicted = math.sqrt(args.B) * geometry.perimeter(region) * m_coeff
@@ -242,8 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lle",
         description="Boundary coefficients and spectra of localized "
                     "Landau-level projections")
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker threads (default: all cores)")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="no effect: every request runs on the calling "
+                             "thread; accepted for existing scripts and the "
+                             "benchmark")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("coeff", help="boundary coefficients M(f)")

@@ -168,8 +168,10 @@ def _radial_profiles(a_top: int, kappa, x, weight) -> np.ndarray:
     low = (weight < _WEIGHT_FLOOR) & (x > 0.0) if a_top else None
     if low is not None and low.any():
         low = np.broadcast_to(low, shape)
-        k_low = np.broadcast_to(kappa, shape)[low]
-        x_low = np.broadcast_to(x, shape)[low]
+        # masking a stride-0 view costs several times a real array: operands
+        # of the full shape are masked as they are, and a scalar x stays one
+        k_low, x_low = (v if v.ndim == 0 else v[low] if v.shape == shape
+                        else np.broadcast_to(v, shape)[low] for v in (kappa, x))
         half_log2 = (0.5 / math.log(2.0)) * (k_low * np.log(x_low) - x_low
                                              - log_factorial(k_low))
         power = np.zeros(shape, dtype=np.intc)
@@ -260,12 +262,14 @@ def _sector_eigenvalues(grams: np.ndarray) -> np.ndarray:
     _DEFLATE, go to eigvalsh, which sorts. Every other sector keeps its
     diagonal in level order: by Weyl's inequality that is its spectrum to
     within the norm, closer than eigvalsh would give. Single-level sectors
-    have no off-diagonal and never call it.
+    have no off-diagonal and return their diagonal without the test.
     """
+    vals = np.diagonal(grams, axis1=1, axis2=2).copy()
+    if grams.shape[1] == 1:
+        return vals
     low = np.tril_indices(grams.shape[1], -1)
     off = grams[:, low[0], low[1]]
     coupled = 2.0 * np.einsum("kp,kp->k", off, off) > _DEFLATE * _DEFLATE
-    vals = np.diagonal(grams, axis1=1, axis2=2).copy()
     if coupled.any():
         vals[coupled] = np.linalg.eigvalsh(grams[coupled])
     return vals

@@ -198,8 +198,9 @@ def test_no_subcommand_loads_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_no_library_module_imports_scipy():
-    # at any depth: module level, inside functions, and relative or absolute
+def _library_imports(packages):
+    """Every absolute import of one of `packages` in the library, at any
+    depth: module level and inside functions."""
     found = []
     for path in sorted(_SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -210,8 +211,19 @@ def test_no_library_module_imports_scipy():
             else:
                 continue
             found += [f"{path.name}:{node.lineno} {name}" for name in names
-                      if name.split(".")[0] == "scipy"]
+                      if name.split(".")[0] in packages]
+    return found
+
+
+def test_no_library_module_imports_scipy():
+    found = _library_imports({"scipy"})
     assert not found, f"scipy imports in the library: {found}"
+
+
+def test_no_library_module_imports_threads():
+    # every request runs on the calling thread: no route starts a pool
+    found = _library_imports({"concurrent", "threading", "multiprocessing"})
+    assert not found, f"thread or process pool imports in the library: {found}"
 
 
 _IDENTITIES_ON_DEMAND = """

@@ -1,4 +1,5 @@
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -168,13 +169,33 @@ def test_solvers_run_through_their_module_names(capsys, monkeypatch):
     assert code == 0 and calls == ["disk_spectrum"] * 3 + ["scaling_fit"]
 
 
-@pytest.mark.parametrize("step", ["0", "-2"])
-def test_scaling_nonpositive_step_exits_2(capsys, step):
+# 1e-300 asks for about 1e301 scales and 0.0014 for just over the cap of
+# cli._MAX_SCALES; both are refused before any array is allocated
+@pytest.mark.parametrize("step", ["0", "-2", "1e-300", "0.0014"])
+def test_scaling_bad_step_exits_2(capsys, step):
     code, _, err = run_cli(capsys, "scaling", "--region", DISK, "--B", "1",
                            "--levels", "upto:0", "--alpha", "1",
                            "--L-min", "10", "--L-max", "24", "--L-step", step)
     assert code == 2
     assert "usage error" in err
+
+
+def test_scaling_runs_on_the_calling_thread(tmp_path, capsys, monkeypatch):
+    # --threads is accepted but changes nothing, and no thread is started
+    def refuse(self):
+        raise AssertionError("lle started a thread")
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    runs = []
+    for threads in ("1", "3"):
+        csv_path = tmp_path / f"series-{threads}.csv"
+        code, out, err = run_cli(capsys, "--threads", threads, "scaling",
+                                 "--region", DISK, "--B", "1",
+                                 "--levels", "upto:1", "--alpha", "2",
+                                 "--L-min", "4", "--L-max", "12",
+                                 "--csv", str(csv_path))
+        assert code == 0, err
+        runs.append((out, csv_path.read_bytes()))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("cutoff", ["0", "-1", "inf"])
