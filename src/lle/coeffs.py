@@ -12,7 +12,8 @@ gap to the embedded Gauss sum on the same nodes is the quadrature part of the
 error bar, so one field serves both. Each f's cutoff Xi is the first panel
 edge past the top turning point sqrt(2n+1) where a closed-form bound on the
 integral beyond Xi, built from the levels' own Hermite functions there, falls
-to tol/10 (`_xi_cutoffs`); a bound still above it at XI_CAP is an
+to tol/10 (`_xi_cutoffs`), from one Hermite sweep over every edge up to
+XI_CAP (`_hermite_tail`); a bound still above it at XI_CAP is an
 AccuracyError. `gram_eigen_field` gives the eigenvalues of G at the nodes:
 the top rung of the erfc ladder for a single level (specfun.occupations), the
 closed-form overlap table diagonalised node by node up to n
@@ -213,62 +214,26 @@ def spectral_function_from_spec(spec: str) -> SpectralFunction:
 # xi cutoff and half-line rule
 # ---------------------------------------------------------------------------
 
-class _HermiteTail:
-    """The levels' Hermite tail at the panel edges X_j = j PANEL_WIDTH past
-    the top turning point, where s_j = sqrt(X_j^2 - c) > 0, c = 2n+1.
-
-    There psi_k'' = (xi^2 - (2k+1)) psi_k and the Riccati argument give
-    -psi_k'/psi_k >= sqrt(xi^2 - (2k+1)) >= s(xi), so with K(X) the sum of
-    psi_k(X)^2 over the levels,
-      tr G(xi) <= K(X) e^{-2 s(X) (xi - X)} / (2 s(X))   for xi >= X.
-    `swept(j)` is (log(K(X_j) / 2 s_j), log s_j), from one scalar Hermite
-    sweep with h_0 = 1: log K = -X^2 - log(pi)/2 + log sum h_k^2, so nothing
-    underflows. `upper(j)` bounds the same log from above with no sweep of
-    its own: the Riccati decay from the first edge X_f gives
-    log K(X) <= log K(X_f) - 2 int_{X_f}^X s. Both are kept per edge, so
-    the cutoffs of several functions share them.
-    """
-
-    def __init__(self, selector: LevelSelector):
-        self.selector = selector
-        self.c = 2.0 * selector.index + 1.0
-        self.first = int(math.sqrt(self.c) / PANEL_WIDTH) + 1
-        self._swept: dict[int, tuple[float, float]] = {}
-        self._upper: list[tuple[float, float]] = []
-        self._start = 0.0  # log K(X_f) + log s_f + 2 int^{X_f} s, once swept
-
-    def rate(self, j: int) -> float:
-        x = j * PANEL_WIDTH
-        return math.sqrt(x * x - self.c)
-
-    def _decay(self, j: int) -> float:
-        # log s + 2 int^X s, with x s - c log(x + s) twice an antiderivative
-        x, s = j * PANEL_WIDTH, self.rate(j)
-        return math.log(s) + x * s - self.c * math.log(x + s)
-
-    def swept(self, j: int) -> tuple[float, float]:
-        if j not in self._swept:
-            x = j * PANEL_WIDTH
-            total = 0.0
-            for h in hermite_sweep(self.selector.index, x):
-                total = h * h if self.selector.kind == "single" else total + h * h
-            log_s = math.log(self.rate(j))
-            self._swept[j] = (-x * x - _HALF_LOG_PI + math.log(total)
-                              - _LOG_2 - log_s, log_s)
-        return self._swept[j]
-
-    def upper(self, j: int) -> tuple[float, float]:
-        if not self._upper:
-            self._start = self.swept(self.first)[0] + self._decay(self.first)
-        while len(self._upper) <= j - self.first:
-            k = self.first + len(self._upper)
-            self._upper.append((self._start - self._decay(k),
-                                math.log(self.rate(k))))
-        return self._upper[j - self.first]
-
-
 _HALF_LOG_PI = 0.5 * math.log(math.pi)
 _LOG_2 = math.log(2.0)
+
+
+def _hermite_tail(selector: LevelSelector) -> tuple:
+    """(X, log(K(X) / 2s), log s) at every panel edge X from the first past
+    the top turning point to XI_CAP, with s = sqrt(X^2 - c), c = 2n+1, and
+    K(X) the levels' sum of psi_k(X)^2. There psi_k'' = (xi^2 - (2k+1)) psi_k
+    and the Riccati argument give -psi_k'/psi_k >= s(xi), so
+      tr G(xi) <= K(X) e^{-2 s(X) (xi - X)} / (2 s(X))   for xi >= X.
+    One sweep from h_0 = 1 serves every edge: log K = -X^2 - log(pi)/2 +
+    log sum h_k^2, so nothing underflows."""
+    c = 2.0 * selector.index + 1.0
+    first = int(math.sqrt(c) / PANEL_WIDTH) + 1
+    x = np.arange(first, int(round(XI_CAP / PANEL_WIDTH)) + 1) * PANEL_WIDTH
+    total = 0.0
+    for h in hermite_sweep(selector.index, x):
+        total = h * h if selector.kind == "single" else total + h * h
+    log_s = np.log(np.sqrt(x * x - c))
+    return x, -x * x - _HALF_LOG_PI + np.log(total) - _LOG_2 - log_s, log_s
 
 
 def _xi_cutoffs(selector: LevelSelector, fns: list[SpectralFunction],
@@ -278,61 +243,39 @@ def _xi_cutoffs(selector: LevelSelector, fns: list[SpectralFunction],
 
     |f(mu) + f(1-mu) - f(1)| <= 2C mu^q (1-mu)^q with q = min(q_f, 1), and
     sum_j mu_j^q <= m^(1-q) (tr G)^q over the m eigenvalues, so by
-    `_HermiteTail` the integral past X is at most
-      2C m^(1-q) (K/2s)^q / (2 s q) / 2pi,
-    which falls with X. The search goes to the first edge where the bound
-    from the `upper` envelope passes, where the swept bound passes too, and
-    steps down while the swept bound one edge lower passes. A step is ruled
-    out without its sweep when the Riccati decay the other way,
-    K(X_{j-1}) >= K(X_j) e^{2 s_{j-1} PANEL_WIDTH}, already puts the bound
-    there above tol/10. Each search starts where the last one ended; the
-    edges it finds do not depend on that. A bound still above tol/10 at
-    XI_CAP is an AccuracyError.
+    `_hermite_tail` the integral past X is at most
+      2C m^(1-q) (K/2s)^q / (2 s q) / 2pi
+    at every edge at once. A bound still above tol/10 at XI_CAP is an
+    AccuracyError.
     """
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tolerance must be finite and positive, got {tol}")
-    _check_level(selector.index)  # up to the cap, X_f is below XI_CAP
-    tail = _HermiteTail(selector)
-    last = int(round(XI_CAP / PANEL_WIDTH))
+    _check_level(selector.index)  # up to the cap, the first edge is below XI_CAP
+    edges, log_env, log_s = _hermite_tail(selector)
     target = math.log(0.1 * tol)
     log_m = math.log(selector.count)
     out = []
-    j = tail.first
     for f in fns:
         q, c_holder = min(f.endpoint_exponent, 1.0), f.holder_constant
         if c_holder == 0.0:  # f(mu) + f(1 - mu) = f(1): nothing to cut
-            out.append((tail.first * PANEL_WIDTH, 0.0))
+            out.append((float(edges[0]), 0.0))
             continue
         head = (math.log(2.0 * c_holder) + (1.0 - q) * log_m
                 - math.log(4.0 * math.pi * q) - target)
-
-        def excess(log_env, log_s):
-            # log of the bound over tol/10
-            return head + q * log_env - log_s
-
-        while j > tail.first and excess(*tail.upper(j - 1)) <= 0.0:
-            j -= 1
-        while j < last and excess(*tail.upper(j)) > 0.0:
-            j += 1
-        log_env, log_s = tail.swept(j)
-        if excess(log_env, log_s) > 0.0:
-            achieved = math.exp(excess(log_env, log_s) + target)
+        # log of the bound over tol/10 at every edge
+        excess = head + q * log_env - log_s
+        passed = np.flatnonzero(excess <= 0.0)
+        if not passed.size:
+            try:
+                achieved = math.exp(excess[-1] + target)
+            except OverflowError:  # past the doubles as q vanishes
+                achieved = math.inf
             raise AccuracyError(
                 f"{f.label} at {selector.kind}:{selector.index}: xi cutoff "
                 f"capped at {XI_CAP:g} leaves a tail bound of {achieved:.2e} "
                 f"> tol/10 = {0.1 * tol:.1e}", achieved=achieved)
-        cut = j
-        while cut > tail.first:
-            s_below = tail.rate(cut - 1)
-            log_s_below = math.log(s_below)
-            floor = log_env + log_s + 2.0 * s_below * PANEL_WIDTH - log_s_below
-            if excess(floor, log_s_below) > 0.0:
-                break
-            below = tail.swept(cut - 1)
-            if excess(*below) > 0.0:
-                break
-            cut, (log_env, log_s) = cut - 1, below
-        out.append((cut * PANEL_WIDTH, math.exp(excess(log_env, log_s) + target)))
+        j = passed[0]
+        out.append((float(edges[j]), math.exp(excess[j] + target)))
     return out
 
 

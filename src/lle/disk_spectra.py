@@ -99,17 +99,25 @@ def sector_window(b: float, r_total: float, n: int) -> int:
                          + 2.0 * math.sqrt(n * x)))
 
 
-def _sector_layout(b: float, r_total: float, levels) -> tuple:
+def _sector_layout(b: float, r_total: float, selector: LevelSelector) -> tuple:
     """Angular sectors k = -n_top..sector_window of radius r_total, and the
-    radial quantum number a = min(l, l + k) of each level in each, shape
-    (ks, levels); a < 0 marks a level absent from the sector."""
-    levels = np.asarray(levels)
-    n_top = int(levels[-1])
+    radial quantum number a = min(l, l + k) of each of the selector's levels
+    in each, shape (ks, levels); a < 0 marks a level absent from the sector."""
+    n_top = selector.index
+    per_sector = selector.count * (n_top + 1) + 6
+    # there are more than n_top and more than x sectors: both floors are
+    # checked before sector_window forms n x, the first in integers
+    if (n_top + 1) * per_sector > _LAYOUT_BUDGET \
+            or _edge_x(b, r_total) * per_sector > _LAYOUT_BUDGET:
+        raise CapabilityError(f"the sectors for levels up to {n_top} at "
+                              f"radius {r_total:g} exceed the layout budget "
+                              f"{_LAYOUT_BUDGET}")
     count = sector_window(b, r_total, n_top) + n_top + 1
-    size = count * (levels.size * (n_top + 1) + 6)
+    size = count * per_sector
     if size > _LAYOUT_BUDGET:
         raise CapabilityError(f"{count} sectors for levels up to {n_top} exceed "
                               f"the layout budget ({size} > {_LAYOUT_BUDGET})")
+    levels = np.asarray(selector.levels())
     ks = np.arange(count) - n_top
     return ks, np.minimum(levels[None, :], levels[None, :] + ks[:, None])
 
@@ -308,7 +316,7 @@ def disk_spectrum(setup: MagneticSetup, selector: LevelSelector, region: Region,
     _check_request(L, cutoff)
     r_total = L * region.radius
     x_cut = _edge_x(setup.b, r_total)
-    ks, a = _sector_layout(setup.b, r_total, selector.levels())
+    ks, a = _sector_layout(setup.b, r_total, selector)
     vals = _sector_eigenvalues(_sector_grams(ks, a, x_cut))
     # absent levels come first in every row, where the mask drops them
     present = a >= 0

@@ -52,7 +52,7 @@ class SmoothStar:
         if np.min(r) <= 0.0:
             raise DomainError("star radius profile must be positive everywhere")
         w = 2.0 * math.pi / th.size  # the finer of the two sums `area` takes
-        _check_area("star", lambda: 0.5 * float(np.sum(r * r)) * w)
+        _check_finite("star area", lambda: 0.5 * float(np.sum(r * r)) * w)
 
     @functools.cached_property
     def _harmonics(self):
@@ -101,7 +101,7 @@ class Polygon:
             raise DomainError("polygon vertices must be finite")
         if v.shape[0] < 3:
             raise DomainError("polygon needs at least 3 vertices")
-        if _check_area("polygon", lambda: _polygon_signed_area(v)) <= 0.0:
+        if _check_finite("polygon area", lambda: _polygon_signed_area(v)) <= 0.0:
             raise DomainError("polygon vertices must be counterclockwise")
         if _polygon_self_intersects(v):
             raise DomainError("polygon must be simple (non-self-intersecting)")
@@ -113,12 +113,13 @@ class Polygon:
 Region = Disk | SmoothStar | Polygon
 
 
-def _check_area(kind: str, area_of) -> float:
-    """`area_of()`, a region's area; DomainError unless it is a finite double."""
+def _check_finite(what: str, compute) -> float:
+    """`compute()`, a region's area or a boundary integral, as a float;
+    DomainError unless it is finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        value = area_of()
+        value = float(compute())
     if not math.isfinite(value):
-        raise DomainError(f"{kind} area overflows a double")
+        raise DomainError(f"{what} overflows a double")
     return value
 
 
@@ -605,10 +606,12 @@ def roccaforte_first_order(region: Region, vectors) -> float:
         return 0.0
     if isinstance(region, Polygon):
         _, length, normal = _edges(region.vertex_array())
-        return float(np.sum(length * np.maximum(0.0, np.max(normal @ v.T, axis=1))))
+        return _check_finite("the first-order boundary integral", lambda: np.sum(
+            length * np.maximum(0.0, np.max(normal @ v.T, axis=1))))
     t, w, g = _shared_boundary_rule(region, v)
     integrand = np.maximum(0.0, np.max(g, axis=0))
-    return float(np.dot(w, integrand * arc_element(region, t)))
+    return _check_finite("the first-order boundary integral",
+                         lambda: np.dot(w, integrand * arc_element(region, t)))
 
 
 def roccaforte_second_order(region: Region, vectors) -> float:
@@ -633,8 +636,11 @@ def roccaforte_second_order(region: Region, vectors) -> float:
             raise NumericError(
                 "near-degenerate argmax margin (<1e-9) inside an arc; "
                 "vector family is in the excluded measure-zero set")
-    integrand = np.where(top > 0.0,
-                         curvature(region, t) * (np.sum(v * v, axis=1)[lead]
-                                                 - 2.0 * top ** 2),
-                         0.0)
-    return 0.5 * float(np.dot(w, integrand * arc_element(region, t)))
+
+    def integral():  # |v|^2 may overflow
+        integrand = np.where(top > 0.0,
+                             curvature(region, t) * (np.sum(v * v, axis=1)[lead]
+                                                     - 2.0 * top ** 2),
+                             0.0)
+        return 0.5 * np.dot(w, integrand * arc_element(region, t))
+    return _check_finite("the second-order boundary integral", integral)

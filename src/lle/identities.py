@@ -18,10 +18,9 @@ xi-shift is tau_1/2 rather than (tau_1 + tau_{m-1})/2; with that reading every
 identity holds for all m >= 2. In a block, chains shorter than the longest
 pad their variables with zeros beyond their m-1 components.
 
-The special-function checks run `hermite_sweep` on arrays, which is bitwise
-equal to its scalar form; the exact Hermite-identity left side is, row by
-row, one integer numerator over one integer denominator, rounded once by the
-integer division.
+The special-function checks run `hermite_sweep` on arrays; the exact
+Hermite-identity left side is, row by row, one integer numerator over one
+integer denominator, rounded once by the integer division.
 """
 
 from __future__ import annotations

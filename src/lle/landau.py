@@ -57,7 +57,7 @@ class LevelSelector:
 
     @property
     def count(self) -> int:
-        return len(self.levels())
+        return 1 if self.kind == "single" else self.index + 1
 
     def to_json(self) -> dict:
         return {"type": self.kind, "index": self.index}
@@ -81,4 +81,6 @@ def nu_from_mu(mu: float, b: float) -> int:
     if mu < b:
         raise DomainError(
             f"mu = {mu} < B = {b}: Fermi projection is the zero operator")
+    if not math.isfinite(mu / b):
+        raise DomainError(f"mu/B = {mu}/{b} overflows a double")
     return int(math.floor((mu / b - 1.0) / 2.0))

@@ -153,7 +153,7 @@ def _angular_factor(setup: MagneticSetup, selector: LevelSelector,
     n_theta = resolution[1]
     pts, w = _polar_nodes(region, L, *resolution)
     r2 = np.sum(pts * pts, axis=1)
-    ks, a = _sector_layout(setup.b, math.sqrt(r2.max()), selector.levels())
+    ks, a = _sector_layout(setup.b, math.sqrt(r2.max()), selector)
     # k times the node's angle index, reduced first so the phase stays exact
     turns = (ks[:, None] * (np.arange(r2.size) % n_theta)) % n_theta
     phase = np.exp(-2j * math.pi / n_theta * turns) \

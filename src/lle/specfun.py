@@ -1,11 +1,11 @@
 """Orthogonal polynomials, quadrature panel rules and one-dimensional overlap integrals.
 
-Hermite functions come from their three-term recurrence.
-`hermite_sweep` is the one normalized-Hermite recurrence: it
-yields every degree up to the requested one, on Python floats for a scalar
-argument and on arrays otherwise, so a caller that needs several degrees at
-one point (a Christoffel-Darboux sum, a Mehler partial sum) pays for one
-sweep. The truncated-Hermite overlaps of a whole xi grid need no
+Hermite functions come from their three-term recurrence. `hermite_sweep` is
+the one normalized-Hermite recurrence: it yields every degree up to the
+requested one on arrays of its argument's shape, so a caller that needs
+several degrees at the same points (a Christoffel-Darboux sum, a Mehler
+partial sum, the Hermite tail at every panel edge of the xi cutoff) pays for
+one sweep. The truncated-Hermite overlaps of a whole xi grid need no
 quadrature: from psi_0..psi_n at the nodes, the occupations follow the ladder
 lambda_0 = erfc(xi)/2, lambda_l = lambda_{l-1} + psi_l psi_{l-1}/sqrt(2l)
 (`occupations`), and the cross overlaps are Wronskian quotients
@@ -30,9 +30,8 @@ erfc comes from the C library (`math.erfc`, in `_ladder`). So this module,
 and with it the whole library, needs numpy and the standard library alone:
 no subcommand loads scipy, which only the test oracles use.
 
-Everything here is pure and reentrant: fixed inputs give bitwise-identical
-outputs regardless of evaluation order, so callers may fan grids out across
-threads freely.
+Everything here is pure: fixed inputs give bitwise-identical outputs
+regardless of evaluation order.
 """
 
 from __future__ import annotations
@@ -71,26 +70,16 @@ def hermite_sweep(ell: int, t, h0=1.0):
     h_{k+1} = sqrt(2/(k+1)) t h_k - sqrt(k/(k+1)) h_{k-1} from h_0 = h0.
 
     With h0 = 1 these are H_k(t) / sqrt(2^k k!), with the Gaussian
-    pi^{-1/4} e^{-t^2/2} the oscillator functions psi_k(t). A Python int or
-    float t runs on Python floats; anything else goes through np.asarray and
-    yields arrays of its shape. Both take the same operations in the same
-    order, so they agree bitwise.
+    pi^{-1/4} e^{-t^2/2} the oscillator functions psi_k(t). t goes through
+    np.asarray, and every value has its shape: a scalar t gives 0-d values.
     """
     ell = int(ell)
     if ell < 0:
         raise DomainError(f"level index must be >= 0, got {ell}")
-    if isinstance(t, (int, float)):
-        t = float(t)
-        h_prev = float(h0)
-    else:
-        t = np.asarray(t, dtype=float)
-        h_prev = np.full_like(t, h0)
-    yield h_prev
-    if ell == 0:
-        return
-    h = math.sqrt(2.0) * t * h_prev
+    t = np.asarray(t, dtype=float)
+    h, h_prev = np.full_like(t, h0), np.zeros_like(t)
     yield h
-    for k in range(1, ell):
+    for k in range(ell):
         h, h_prev = (math.sqrt(2.0 / (k + 1)) * t * h
                      - math.sqrt(k / (k + 1)) * h_prev), h
         yield h

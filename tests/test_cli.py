@@ -240,6 +240,11 @@ def test_coeff_capped_cutoff_exits_3(capsys):
                              "--f", "renyi:0.01")
     assert code == 3
     assert "tail bound of 4.31e-08" in err and out == ""
+    # a subnormal index puts the bound past the doubles
+    code, out, err = run_cli(capsys, "coeff", "--levels", "single:0",
+                             "--f", "renyi:1e-320")
+    assert code == 3
+    assert "tail bound of inf" in err and out == ""
     code, _, _ = run_cli(capsys, "coeff", "--levels", "single:0,upto:45",
                          "--f", "renyi:0.02")
     assert code == 0
@@ -503,6 +508,9 @@ def test_malformed_region_exits_2(capsys, region):
     # 2^1024 overflows; 2^-1076, the square of 2^-538, underflows to 0
     ("--vectors", "[[1,0]]", "--eps-min-exp", "-1024"),
     ("--vectors", "[[1,0]]", "--eps-max-exp", "538"),
+    # |v|^2 overflows in the second order, and here the first order too
+    ("--vectors", "[[1e200,0]]"),
+    ("--vectors", "[[1e308,1e308]]"),
 ])
 def test_rocca_empty_request_exits_2(capsys, extra):
     code, out, err = run_cli(capsys, "rocca", "--region", DISK, *extra)
@@ -550,6 +558,20 @@ def test_bad_flag_exits_2():
     (("scaling", "--region", DISK, "--B", "1e300", "--levels", "single:0",
       "--alpha", "1", "--L-min", "1e10", "--L-max", "1.000001e10",
       "--L-step", "4000"), 2),
+    # level indices past the budget are refused before a level is listed or
+    # an index meets a float; mu/B overflowing is a usage error
+    (("spectrum", "--region", DISK, "--B", "1", "--levels",
+      "upto:99999999999999999999", "--L", "1"), 3),
+    (("spectrum", "--region", DISK, "--B", "1", "--levels",
+      "upto:99999999999999999999", "--L", "1", "--solver", "nystrom2d"), 3),
+    (("spectrum", "--region", DISK, "--B", "1", "--levels",
+      "single:" + "9" * 400, "--L", "1"), 3),
+    (("spectrum", "--region", DISK, "--B", "1e300", "--levels", "single:5000",
+      "--L", "1e4"), 3),
+    (("scaling", "--region", DISK, "--B", "1", "--mu", "1e308", "--alpha", "1",
+      "--L-min", "4", "--L-max", "8"), 3),
+    (("scaling", "--region", DISK, "--B", "1e-308", "--mu", "1e308",
+      "--alpha", "1", "--L-min", "4", "--L-max", "8"), 2),
 ])
 def test_oversized_scale_exits_by_contract(capsys, argv, code):
     # an overflowing B L^2/2 is a usage error, a sector layout past the

@@ -8,7 +8,7 @@ from scipy.special import erfc
 
 from lle import coeffs as cf
 from lle import specfun as sf
-from lle.errors import AccuracyError, DomainError
+from lle.errors import AccuracyError, CapabilityError, DomainError
 from lle.landau import LevelSelector
 
 import oracles
@@ -425,37 +425,43 @@ def test_riccati_decay_past_the_turning_point(k, xi):
         assert psi[k] > 0 and -deriv / psi[k] >= mp.sqrt(t * t - (2 * k + 1))
 
 
+def _hermite_tail_mp(sel):
+    # (X, log(K/2s), log s) at every panel edge X from the first past the
+    # turning point sqrt(2n+1) up to the cap, with K the levels' sum of
+    # 50-digit psi_k(X)^2 and s = sqrt(X^2 - (2n+1))
+    c = 2 * sel.index + 1
+    first = math.isqrt(4 * c) + 1  # (j/2)^2 > c
+    rows = []
+    with mp.workdps(50):
+        for j in range(first, int(cf.XI_CAP / cf.PANEL_WIDTH) + 1):
+            t = mp.mpf(j) / 2
+            psi = oracles._hermite_fn_table_mp(t, 50)
+            s = mp.sqrt(t * t - c)
+            k = mp.fsum(psi[level] ** 2 for level in sel.levels())
+            rows.append((float(t), float(mp.log(k / (2 * s))), float(mp.log(s))))
+    return rows
+
+
 @pytest.mark.parametrize("sel", [LevelSelector.single(0), LevelSelector.single(48),
                                  LevelSelector.upto(3), LevelSelector.upto(45),
                                  LevelSelector.upto(sf.LEVEL_CAP)], ids=_selector_id)
 def test_hermite_tail_envelopes(sel):
-    # at every edge up to the cap: the swept log(K / 2s) is finite, equals the
-    # oscillator functions' sum where they are normal doubles, lies below the
-    # Riccati extrapolation from the first edge and above the Riccati decay
-    # back from the next edge
-    tail = cf._HermiteTail(sel)
-    assert (tail.first * cf.PANEL_WIDTH) ** 2 > 2 * sel.index + 1
-    assert ((tail.first - 1) * cf.PANEL_WIDTH) ** 2 <= 2 * sel.index + 1
-    for j in range(tail.first, int(cf.XI_CAP / cf.PANEL_WIDTH) + 1):
-        x = j * cf.PANEL_WIDTH
-        log_env, log_s = tail.swept(j)
-        assert math.isfinite(log_env) and log_s == math.log(tail.rate(j))
-        if x <= 20.0:
-            psi = sf.hermite_fn_table(sel.index, np.array([x]))[sel.levels(), 0]
-            want = math.log(float(np.sum(psi ** 2)) / (2.0 * tail.rate(j)))
-            assert log_env == pytest.approx(want, abs=1e-10)
-        assert tail.upper(j)[0] >= log_env - 1e-10
-        if j > tail.first:
-            s_below = tail.rate(j - 1)
-            floor = log_env + log_s + 2.0 * s_below * cf.PANEL_WIDTH - math.log(s_below)
-            assert tail.swept(j - 1)[0] >= floor - 1e-10
+    # at every edge up to the cap, the log(K / 2s) the cutoff search uses
+    # against 50 digits, though K itself is far below the doubles there
+    edges, log_env, log_s = cf._hermite_tail(sel)
+    want = _hermite_tail_mp(sel)
+    assert edges.tolist() == [x for x, _, _ in want]
+    assert edges[-1] == cf.XI_CAP
+    np.testing.assert_allclose(log_env, [env for _, env, _ in want],
+                               rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(log_s, [ls for _, _, ls in want],
+                               rtol=0.0, atol=1e-14)
 
 
-def _swept_bound(tail, f, j):
-    # 2C m^(1-q) (K/2s)^q / (2 s q) / 2pi at edge j, from the swept envelope
+def _bound_mp(sel, f, log_env, log_s):
+    # 2C m^(1-q) (K/2s)^q / (2 s q) / 2pi at one edge of `_hermite_tail_mp`
     q = min(f.endpoint_exponent, 1.0)
-    log_env, log_s = tail.swept(j)
-    return (2.0 * f.holder_constant * tail.selector.count ** (1.0 - q)
+    return (2.0 * f.holder_constant * sel.count ** (1.0 - q)
             * math.exp(q * log_env - log_s) / (2.0 * q) / (2.0 * math.pi))
 
 
@@ -467,15 +473,33 @@ def test_each_cutoff_is_the_first_edge_whose_bound_passes(sel):
     # other functions of the call
     specs = ("renyi:0.05", "renyi:0.3", "renyi:1", "renyi:2.5", "monomial:3", "gtilde")
     fns = [cf.spectral_function_from_spec(s) for s in specs]
-    tail = cf._HermiteTail(sel)
-    edges = range(tail.first, int(cf.XI_CAP / cf.PANEL_WIDTH) + 1)
+    edges = _hermite_tail_mp(sel)
     for tol in (1e-4, 1e-8, 1e-12):
         rows = cf._xi_cutoffs(sel, fns, tol)
         assert rows == cf._xi_cutoffs(sel, fns[::-1], tol)[::-1]
         for f, (cutoff, bound) in zip(fns, rows):
-            j = next(j for j in edges if _swept_bound(tail, f, j) <= 0.1 * tol)
-            assert cutoff == j * cf.PANEL_WIDTH
-            assert bound == pytest.approx(_swept_bound(tail, f, j), rel=1e-12)
+            bounds = [(x, _bound_mp(sel, f, env, ls)) for x, env, ls in edges]
+            x, want = next((x, b) for x, b in bounds if b <= 0.1 * tol)
+            assert cutoff == x
+            assert bound == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("sel", [LevelSelector.single(48), LevelSelector.upto(45)],
+                         ids=_selector_id)
+def test_one_hermite_sweep_per_call(monkeypatch, sel):
+    # the cutoffs of the coeff-table benchmark's six functions come from one
+    # sweep over every edge; a level past the cap is refused before any
+    sweep, calls = cf.hermite_sweep, []
+    monkeypatch.setattr(cf, "hermite_sweep", lambda *args: (
+        calls.append(args) or sweep(*args)))
+    fns = [cf.spectral_function_from_spec(s) for s in (
+        "renyi:1", "renyi:0.5", "renyi:1.234", "renyi:3.5", "monomial:4", "gtilde")]
+    cf.coeff_with_error(sel, fns)
+    assert len(calls) == 1
+    calls.clear()
+    with pytest.raises(CapabilityError):
+        cf.coeff_with_error(LevelSelector(sel.kind, sf.LEVEL_CAP + 1), fns)
+    assert calls == []
 
 
 @pytest.mark.parametrize("sel", [LevelSelector.single(0), LevelSelector.single(48),
@@ -800,7 +824,6 @@ def test_capped_cutoff_with_a_missed_tail_bound_raises(sel):
 def test_level_above_the_cap_is_a_capability_error():
     # past LEVEL_CAP the turning point moves past XI_CAP; the cutoff search
     # refuses the level before it sweeps
-    from lle.errors import CapabilityError
     for sel in (LevelSelector.single(sf.LEVEL_CAP + 1), LevelSelector.upto(1000)):
         with pytest.raises(CapabilityError):
             cf.coeff_with_error(sel, [cf.SpectralFunction.renyi(1.0)])

@@ -257,7 +257,7 @@ DEFLATION_SELECTORS = [LevelSelector.upto(1), LevelSelector.upto(2),
 def test_deflated_sector_eigenvalues_match_eigvalsh_of_every_sector(sel, x):
     r = math.sqrt(2.0 * x)
     x_cut = ds._edge_x(SETUP.b, r)
-    ks, a = ds._sector_layout(SETUP.b, r, sel.levels())
+    ks, a = ds._sector_layout(SETUP.b, r, sel)
     grams = ds._sector_grams(ks, a, x_cut)
     full = np.linalg.eigvalsh(grams)
     vals = ds._sector_eigenvalues(grams)
@@ -348,7 +348,7 @@ def test_nodal_profiles_of_level_800_at_x_3200_against_mpmath():
 def test_nodal_profiles_bitwise_equal_to_per_node_calls():
     # every entry is its own recurrence: 257 nodes at once, x = 0 included,
     # give the bytes of one call per node, across log-seeded sectors too
-    ks, a = ds._sector_layout(1.0, math.sqrt(480.0), list(range(31)))
+    ks, a = ds._sector_layout(1.0, math.sqrt(480.0), LevelSelector.upto(30))
     x = np.linspace(0.0, 240.0, 257)[None, :]
     rows = ds._level_profiles(ks, a, x)
     assert rows.shape == (ks.size, 31, 257) and np.all(np.isfinite(rows))
@@ -412,7 +412,7 @@ def test_top_sector_mass_of_a_high_level_is_inside_the_window():
     # single:30 at L = 22 still holds 1.84e-12 in sector k = 480, above the
     # default cutoff: the window must reach past it
     sel = LevelSelector.single(30)
-    ks, _ = ds._sector_layout(SETUP.b, 22.0, sel.levels())
+    ks, _ = ds._sector_layout(SETUP.b, 22.0, sel)
     assert ks[-1] > 480
     g = oracles.sector_grams_quadrature(sel, np.array([480]), 0.5 * 22.0 ** 2)
     assert g[0, 0, 0] == pytest.approx(1.84e-12, rel=0.01)

@@ -76,8 +76,8 @@ _SWEEP_POINTS = [0.0, -0.0, 4.0, -4.0, 5e-324, -2.5e-310, 0.7, -1.3,
 
 
 def test_hermite_sweep_bitwise_against_per_degree_oracle():
-    # floats run on Python floats and arrays on numpy, yet every degree up to
-    # the cap agrees bitwise with hermite_poly_normalized and with the
+    # a float sweeps as a 0-d array, and every degree up to the cap agrees
+    # bitwise with the array sweep, with hermite_poly_normalized and with the
     # one-degree-per-call numpy recurrence it replaced
     arr = np.array(_SWEEP_POINTS)
     arr_sweep = list(sf.hermite_sweep(sf.LEVEL_CAP, arr))
@@ -85,9 +85,9 @@ def test_hermite_sweep_bitwise_against_per_degree_oracle():
     for i, t in enumerate(_SWEEP_POINTS):
         sweep = list(sf.hermite_sweep(sf.LEVEL_CAP, t))
         for ell, h in enumerate(sweep):
-            assert type(h) is float
+            assert np.ndim(h) == 0
             want = oracles.hermite_poly_normalized_array(ell, t).hex()
-            assert h.hex() == want, (ell, t)
+            assert float(h).hex() == want, (ell, t)
             assert sf.hermite_poly_normalized(ell, t).hex() == want, (ell, t)
             assert float(arr_sweep[ell][i]).hex() == want, (ell, t)
     for ell in range(sf.LEVEL_CAP + 1):
