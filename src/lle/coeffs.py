@@ -29,6 +29,7 @@ integral kernel are test oracles (tests/oracles.py).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,8 +68,8 @@ def renyi_h(alpha: float, t):
     (binary Shannon entropy) is taken for |alpha-1| < 1e-8. Arguments may
     stray outside [0, 1] by at most 1e-10.
     """
-    if not alpha > 0.0:
-        raise DomainError(f"Renyi index must be positive, got {alpha}")
+    if not 0.0 < alpha < math.inf:
+        raise DomainError(f"Renyi index must be positive and finite, got {alpha}")
     # numpy may round power and log differently on a strided array (a disk
     # spectrum is a reversed view) than on a contiguous one, as np.clip
     # made it; the reductions are faster on it too
@@ -181,6 +182,8 @@ class SpectralFunction:
         m = int(m)
         if m < 1:
             raise DomainError(f"monomial degree must be >= 1, got {m}")
+        if m - 1 > sys.float_info.max:
+            raise DomainError("monomial degree m needs m - 1 within double range")
         # (t - t^m) / (t (1-t)) = 1 + t + ... + t^(m-2) rises to m - 1 at t = 1
         return cls(fn=lambda t, m=m: np.asarray(t, dtype=float) ** m,
                    value_at_one=1.0, endpoint_exponent=1.0,

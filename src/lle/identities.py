@@ -18,9 +18,11 @@ xi-shift is tau_1/2 rather than (tau_1 + tau_{m-1})/2; with that reading every
 identity holds for all m >= 2. In a block, chains shorter than the longest
 pad their variables with zeros beyond their m-1 components.
 
-The special-function checks run `hermite_sweep` on arrays; the exact
-Hermite-identity left side is, row by row, one integer numerator over one
-integer denominator, rounded once by the integer division.
+The special-function checks run one `hermite_sweep` of both arguments per
+block, each row reading its own degree; the exact Hermite-identity left
+side is, row by row, one integer numerator over one integer denominator,
+rounded once by the integer division, from one integer table for every
+degree, built on first use.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .landau import symplectic
-from .specfun import hermite_poly_normalized, hermite_sweep
+from .specfun import hermite_sweep
 
 M_CAP = 8  # randomized suites stop here: all index-branch patterns occur by m = 8
 BLOCK = 1024  # cases per keyed draw: case i is row i % BLOCK of block i // BLOCK
@@ -339,66 +341,60 @@ def verify_laguerre_argument_maps(m: int, q: int, omega, xi: float,
 # ---------------------------------------------------------------------------
 
 @functools.cache
-def _hermite_lhs_table(ell: int) -> dict:
-    """Exact coefficients {(a, b): c} of the Hermite-identity left side.
+def _hermite_lhs_tables() -> tuple:
+    """Exact coefficients of the Hermite-identity left side for ell = 0..12,
+    scaled by ell! 2^ell: entry ell holds one (a, bs, cs) per power a of xi,
+    and (2pi)^{-1/2} integral of L_ell((w-2i xi)(w-2i tau)/2) e^{-w^2/4} dw
+    equals sqrt(2) sum c xi^a tau^b / (ell! 2^ell) over them.
 
-    (2pi)^{-1/2} integral of L_ell((w-2i xi)(w-2i tau)/2) e^{-w^2/4} dw equals
-    sqrt(2) sum c xi^a tau^b. Built from the Laguerre coefficients
-    (-1)^j C(ell, j) / j! and the Gaussian moments (2pi)^{-1/2} integral of
-    w^{2m} e^{-w^2/4} dw = sqrt(2) 2^m (2m-1)!! alone (odd moments vanish).
-    With u = i w the argument is the real polynomial
-    -(u^2 + 2u(xi + tau) + 4 xi tau)/2 and u^{2m} has the moment
-    sqrt(2) (-2)^m (2m-1)!!.
+    Built from the Laguerre coefficients (-1)^j C(ell, j) / j! and the
+    Gaussian moments (2pi)^{-1/2} integral of w^{2m} e^{-w^2/4} dw =
+    sqrt(2) 2^m (2m-1)!! alone (odd moments vanish). With u = i w the
+    argument is z = -zz/2, zz = (u + 2 xi)(u + 2 tau), and u^{2m} has the
+    moment sqrt(2) (-2)^m (2m-1)!!, so the moment of zz^j is one integer
+    polynomial in (xi, tau) for every degree: its xi^a tau^b term comes with
+    u^{2m}, 2m = 2j - a - b. Degree ell weighs it by
+    c_j (-1/2)^j ell! 2^ell = C(ell, j) ell!/j! 2^(ell-j).
     """
-    from fractions import Fraction  # imported on first use: lle.cli skips it
-
-    # z = -zz/2 with the integer polynomial zz, keys (u, xi, tau); the sums
-    # run in integers scaled by ell! 2^ell
-    zz = {(2, 0, 0): 1, (1, 1, 0): 2, (1, 0, 1): 2, (0, 1, 1): 4}
-    power = {(0, 0, 0): 1}
-    scaled: dict = {}
-    for j in range(ell + 1):
-        # c_j (-1/2)^j ell! 2^ell with c_j = (-1)^j C(ell, j) / j!
-        weight = math.comb(ell, j) * math.perm(ell, ell - j) * 2 ** (ell - j)
-        for (k, a, b), v in power.items():
-            if k % 2 == 0:
-                m = k // 2
-                moment = (-2) ** m * math.prod(range(1, 2 * m, 2))
-                scaled[a, b] = scaled.get((a, b), 0) + weight * v * moment
-        nxt: dict = {}
-        for (k1, a1, b1), v1 in power.items():
-            for (k2, a2, b2), v2 in zz.items():
-                key = (k1 + k2, a1 + a2, b1 + b2)
-                nxt[key] = nxt.get(key, 0) + v1 * v2
-        power = nxt
-    denom = math.factorial(ell) * 2 ** ell
-    return {key: Fraction(v, denom) for key, v in scaled.items() if v}
+    moments = [{(a, b): (math.comb(j, a) * math.comb(j, b) << a + b)
+                * (-2) ** m * math.prod(range(1, 2 * m, 2))
+                for a in range(j + 1) for b in range(a % 2, j + 1, 2)
+                for m in [j - (a + b) // 2]} for j in range(13)]
+    tables = []
+    for ell in range(13):
+        scaled: dict = {}
+        for j, moment in enumerate(moments[:ell + 1]):
+            weight = math.comb(ell, j) * math.perm(ell, ell - j) * 2 ** (ell - j)
+            for key, v in moment.items():
+                scaled[key] = scaled.get(key, 0) + weight * v
+        rows: dict = {}
+        for (a, b), c in scaled.items():
+            if c:
+                rows.setdefault(a, []).append((b, c))
+        tables.append(tuple((a, *zip(*r)) for a, r in rows.items()))
+    return tuple(tables)
 
 
-def _hermite_lhs(ell: int, xs: np.ndarray, ts: np.ndarray):
-    """Exact Hermite-identity left sides at rows (xs, ts) of one degree, and
-    their floors 1e-13 sqrt(2) (term mass), as two arrays."""
+def _hermite_lhs(ells: np.ndarray, xs: np.ndarray, ts: np.ndarray):
+    """Exact Hermite-identity left sides at rows (ells, xs, ts), each row of
+    its own degree, and their floors 1e-13 sqrt(2) (term mass), as two arrays."""
     # xi = p/2^j and tau = r/2^k; no power exceeds ell, so the sum is one
     # integer over ell! 2^ell 2^(j ell) 2^(k ell); the terms of one power of
     # xi share one sum over the powers of tau
-    denom = math.factorial(ell) * 2 ** ell
-    rows: dict = {}
-    for (a, b), c in _hermite_lhs_table(ell).items():
-        rows.setdefault(a, []).append((b, c.numerator * (denom // c.denominator)))
-    rows = [(a, [b for b, _ in r], [c for _, c in r]) for a, r in rows.items()]
+    tables = _hermite_lhs_tables()
     out = []
-    for xi, tau in zip(xs.tolist(), ts.tolist()):
+    for ell, xi, tau in zip(ells.tolist(), xs.tolist(), ts.tolist()):
         p, q = xi.as_integer_ratio()
         r, s = tau.as_integer_ratio()
         j, k = q.bit_length() - 1, s.bit_length() - 1
         tp = [r ** b << k * (ell - b) for b in range(ell + 1)]
         num = mass = 0
-        for a, bs, cs in rows:
+        for a, bs, cs in tables[ell]:
             xa = p ** a << j * (ell - a)
             terms = list(map(operator.mul, cs, map(tp.__getitem__, bs)))
             num += xa * sum(terms)
             mass += abs(xa) * sum(map(abs, terms))
-        full = denom << (j + k) * ell
+        full = math.factorial(ell) << (1 + j + k) * ell
         try:
             lhs = math.sqrt(2.0) * (num / full)
             floor = 1e-13 * math.sqrt(2.0) * (mass / full)
@@ -414,16 +410,17 @@ def _hermite_lhs(ell: int, xs: np.ndarray, ts: np.ndarray):
 
 @_quiet
 def _batch_hermite(ell, xi, tau):
-    if np.any(ell > 12):
-        raise DomainError("the Hermite identity tables stop at ell = 12")
+    if np.any((ell < 0) | (ell > 12)):
+        raise DomainError(f"the Hermite identity tables hold 0 <= ell <= 12, "
+                          f"got {ell[(ell < 0) | (ell > 12)][0]}")
     _check_finite(xi=xi, tau=tau)
-    rhs, lhs, floor = np.empty((3, len(ell)))
-    for degree in sorted(set(ell.tolist())):
-        rows = ell == degree
-        # sqrt(2) H_l(xi) H_l(tau) / (2^l l!) in the normalized basis
-        rhs[rows] = (math.sqrt(2.0) * hermite_poly_normalized(degree, xi[rows])
-                     * hermite_poly_normalized(degree, tau[rows]))
-        lhs[rows], floor[rows] = _hermite_lhs(degree, xi[rows], tau[rows])
+    # one sweep of both arguments to the block's top degree, read at each
+    # row's own: sqrt(2) H_l(xi) H_l(tau) / (2^l l!) in the normalized basis
+    h = np.array(list(hermite_sweep(int(ell.max()), np.stack([xi, tau]))))
+    h_x, h_t = np.take_along_axis(h, np.broadcast_to(ell, h.shape[1:])[None],
+                                  0)[0]
+    rhs = math.sqrt(2.0) * h_x * h_t
+    lhs, floor = _hermite_lhs(ell, xi, tau)
     return np.abs(lhs - rhs), np.maximum(1e-9 * np.abs(rhs), floor), dict(
         ell=ell, xi=xi, tau=tau, lhs=np.stack([lhs, np.zeros_like(lhs)], axis=1), rhs=rhs)
 
@@ -432,14 +429,15 @@ def verify_hermite_identity(ell: int, xi: float, tau: float) -> VerifyResult:
     """Gaussian integral of a two-root Laguerre argument against Hermite pairs.
 
     (2pi)^{-1/2} integral of L_ell((w-2i xi)(w-2i tau)/2) e^{-w^2/4} dw equals
-    sqrt(2) H_ell(xi) H_ell(tau) / (2^ell ell!). The left side is evaluated
-    exactly from `_hermite_lhs_table` at the float inputs: every coefficient
-    has a denominator dividing ell! 2^ell and every double is an integer over
-    a power of two, so the sum is one integer numerator over one integer
-    denominator, and their division rounds it once, correctly. Non-finite
-    inputs, and inputs whose left side or term mass overflows a double,
-    raise DomainError. Relative tolerance 1e-9 with a floor of 1e-13 times
-    the term mass, the same sum over absolute terms, which scales the
+    sqrt(2) H_ell(xi) H_ell(tau) / (2^ell ell!), the right side from one
+    `hermite_sweep` of both arguments. The left side is evaluated exactly
+    from `_hermite_lhs_tables` at the float inputs: every coefficient is an
+    integer over ell! 2^ell and every double is an integer over a power of
+    two, so the sum is one integer numerator over one integer denominator,
+    and their division rounds it once, correctly. A degree outside 0..12,
+    non-finite inputs, and inputs whose left side or term mass overflows a
+    double raise DomainError. Relative tolerance 1e-9 with a floor of 1e-13
+    times the term mass, the same sum over absolute terms, which scales the
     rounding of a double evaluation where the terms cancel (near the Hermite
     zeros).
     """
@@ -463,7 +461,7 @@ def _batch_mehler(xi, tau, t, n_cap: int = 200):
     closed = np.array(list(map(_mehler_closed, xi.tolist(), tau.tolist(),
                                t.tolist())))
     # normalized recurrence, so H_l(x) t^l / (2^l l!)-type terms stay bounded
-    pairs = zip(hermite_sweep(n_cap, xi), hermite_sweep(n_cap, tau))
+    pairs = hermite_sweep(n_cap, np.stack([xi, tau]))  # one sweep of both
     h_x, h_t = next(pairs)
     total = h_x * h_t
     mass = np.abs(total)  # cancellation mass: sum of |terms|
@@ -541,8 +539,8 @@ def _batch_christoffel_darboux(n, tau, taup):
 def verify_christoffel_darboux(n: int, tau: float, taup: float) -> VerifyResult:
     """Direct normalized Hermite sum against the divided-difference quotient.
 
-    One `hermite_sweep` to degree n + 2 per argument serves the direct sum,
-    the quotient and, at tau == taup, its confluent form. The tolerance is
+    One `hermite_sweep` of both arguments to degree n + 2 serves the direct
+    sum, the quotient and, at tau == taup, its confluent form. The tolerance is
     1e-10 relative with a floor, off the confluent diagonal, of
     1e-13 sqrt((n+1)/2) max_k |h_k(tau)| max_k |h_k(taup)| / |tau - taup|
     over k <= n + 1, the rounding of the quotient's cancelling products.

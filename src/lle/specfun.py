@@ -4,9 +4,10 @@ Hermite functions come from their three-term recurrence. `hermite_sweep` is
 the one normalized-Hermite recurrence: it yields every degree up to the
 requested one on arrays of its argument's shape, so a caller that needs
 several degrees at the same points (a Christoffel-Darboux sum, a Mehler
-partial sum, the Hermite tail at every panel edge of the xi cutoff) pays for
-one sweep. The truncated-Hermite overlaps of a whole xi grid need no
-quadrature: from psi_0..psi_n at the nodes, the occupations follow the ladder
+partial sum, the Hermite-identity right sides of a block of mixed degrees,
+the Hermite tail at every panel edge of the xi cutoff) pays for one sweep.
+The truncated-Hermite overlaps of a whole xi grid need no quadrature: from
+psi_0..psi_n at the nodes, the occupations follow the ladder
 lambda_0 = erfc(xi)/2, lambda_l = lambda_{l-1} + psi_l psi_{l-1}/sqrt(2l)
 (`occupations`), and the cross overlaps are Wronskian quotients
 (`build_overlap_table`). The coefficient integrals run on
@@ -69,7 +70,8 @@ def hermite_sweep(ell: int, t, h0=1.0):
     """Yield h_0(t), ..., h_ell(t) of the normalized recurrence
     h_{k+1} = sqrt(2/(k+1)) t h_k - sqrt(k/(k+1)) h_{k-1} from h_0 = h0.
 
-    With h0 = 1 these are H_k(t) / sqrt(2^k k!), with the Gaussian
+    With h0 = 1 these are H_k(t) / sqrt(2^k k!), O(e^{t^2/2}) at every
+    degree where the raw polynomials overflow; with the Gaussian
     pi^{-1/4} e^{-t^2/2} the oscillator functions psi_k(t). t goes through
     np.asarray, and every value has its shape: a scalar t gives 0-d values.
     """
@@ -83,19 +85,6 @@ def hermite_sweep(ell: int, t, h0=1.0):
         h, h_prev = (math.sqrt(2.0 / (k + 1)) * t * h
                      - math.sqrt(k / (k + 1)) * h_prev), h
         yield h
-
-
-def hermite_poly_normalized(ell: int, t):
-    """H_ell(t) / sqrt(2^ell ell!), the last value of `hermite_sweep`; a
-    scalar or 0-d input gives a Python float.
-
-    Stays O(e^{t^2/2}) for all degrees, which keeps Christoffel-Darboux
-    quotients and Mehler partial sums inside double range where the raw
-    polynomials would overflow.
-    """
-    for h in hermite_sweep(ell, t):
-        pass
-    return h if np.ndim(h) else float(h)
 
 
 def hermite_fn_table(nmax: int, t: np.ndarray) -> np.ndarray:

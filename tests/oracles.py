@@ -18,7 +18,8 @@ Nystrom kernel matrix, the trace moments of the 2-D Nystrom matrix without an
 eigensolve, the Monte Carlo cross term tr(P - P^2) that also
 reaches polygons, the per-degree normalized Hermite recurrence on numpy
 arrays with the Christoffel-Darboux sum and verifier built on it, the
-Fraction-sum Hermite-identity verifier, the per-case bodies of the other
+per-degree Fraction table of the Hermite-identity left side and the
+Fraction-sum verifier built on it, the per-case bodies of the other
 identity checks on Python floats and the plan's integer matrices, and the
 determinant and sign flip of the substitution plan, and the 80-digit
 Gauss-Kronrod rule whose rounded values are the library's table). The
@@ -49,7 +50,6 @@ from lle.specfun import (
     clamp_unit,
     gauss_legendre,
     hermite_fn_table,
-    hermite_poly_normalized,
     hermite_sweep,
     log_factorial,
 )
@@ -397,8 +397,8 @@ def cd_sum_per_degree(n: int, tau: float, taup: float) -> float:
 def k_kernel_matrix(n: int, xi: float, tau: np.ndarray) -> np.ndarray:
     """k_kernel on a grid x grid (vectorized Christoffel-Darboux form)."""
     tau = np.asarray(tau, dtype=float)
-    hn = hermite_poly_normalized(n, tau)
-    hn1 = hermite_poly_normalized(n + 1, tau)
+    hn = hermite_poly_normalized_array(n, tau)
+    hn1 = hermite_poly_normalized_array(n + 1, tau)
     diff = tau[:, None] - tau[None, :]
     num = np.outer(hn1, hn) - np.outer(hn, hn1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -407,9 +407,9 @@ def k_kernel_matrix(n: int, xi: float, tau: np.ndarray) -> np.ndarray:
     if np.any(near):
         mid = 0.5 * (tau[:, None] + tau[None, :])
         s = mid[near]
-        c_n = hermite_poly_normalized(n, s)
-        c_n1 = hermite_poly_normalized(n + 1, s)
-        c_n2 = hermite_poly_normalized(n + 2, s)
+        c_n = hermite_poly_normalized_array(n, s)
+        c_n1 = hermite_poly_normalized_array(n + 1, s)
+        c_n2 = hermite_poly_normalized_array(n + 2, s)
         quot[near] = ((n + 1.0) * c_n1 * c_n1
                       - math.sqrt((n + 1.0) * (n + 2.0)) * c_n * c_n2)
     gauss = np.exp(-0.5 * tau * tau) / math.pi ** 0.25
@@ -549,9 +549,9 @@ def _lambda_le_1_integral(n: int, xi: float) -> float:
     # trace via the confluent Christoffel-Darboux diagonal; independent of the
     # level-sum route
     def integrand(t):
-        hn = hermite_poly_normalized(n, t)
-        hn1 = hermite_poly_normalized(n + 1, t)
-        hn2 = hermite_poly_normalized(n + 2, t)
+        hn = hermite_poly_normalized_array(n, t)
+        hn1 = hermite_poly_normalized_array(n + 1, t)
+        hn2 = hermite_poly_normalized_array(n + 2, t)
         return np.exp(-t * t) / math.sqrt(math.pi) * (
             (n + 1.0) * hn1 * hn1 - math.sqrt((n + 1.0) * (n + 2.0)) * hn * hn2)
     return adaptive_quad(integrand, xi, _upper_cutoff(xi), tol=1e-12)
@@ -1135,6 +1135,33 @@ def det_a(plan) -> int:
     return sign * a[-1][-1]
 
 
+@functools.cache
+def hermite_lhs_table_fraction(ell: int) -> dict:
+    """Exact coefficients {(a, b): c} of the Hermite-identity left side of
+    one degree: (2pi)^{-1/2} integral of L_ell((w-2i xi)(w-2i tau)/2)
+    e^{-w^2/4} dw equals sqrt(2) sum c xi^a tau^b. Built degree by degree
+    from the Laguerre coefficients (-1)^j C(ell, j) / j! and the Gaussian
+    moments sqrt(2) (-2)^m (2m-1)!! of u^{2m}, u = i w, in which the
+    argument is -(u^2 + 2u(xi + tau) + 4 xi tau)/2."""
+    zz = {(2, 0, 0): 1, (1, 1, 0): 2, (1, 0, 1): 2, (0, 1, 1): 4}
+    power = {(0, 0, 0): Fraction(1)}
+    table: dict = {}
+    for j in range(ell + 1):
+        c_j = Fraction((-1) ** j * math.comb(ell, j), math.factorial(j))
+        for (k, a, b), v in power.items():
+            if k % 2 == 0:
+                moment = (-2) ** (k // 2) * math.prod(range(1, k, 2))
+                table[a, b] = (table.get((a, b), 0)
+                               + c_j * Fraction(-1, 2) ** j * v * moment)
+        nxt: dict = {}
+        for (k1, a1, b1), v1 in power.items():
+            for (k2, a2, b2), v2 in zz.items():
+                key = (k1 + k2, a1 + a2, b1 + b2)
+                nxt[key] = nxt.get(key, 0) + v1 * v2
+        power = nxt
+    return {key: c for key, c in table.items() if c}
+
+
 def verify_hermite_identity_fraction(ell: int, xi: float, tau: float):
     """identities.verify_hermite_identity with the left side summed term by
     term in Fraction arithmetic and per-degree Hermite values."""
@@ -1145,7 +1172,7 @@ def verify_hermite_identity_fraction(ell: int, xi: float, tau: float):
     rhs = math.sqrt(2.0) * hx * ht
     x, t = Fraction(xi), Fraction(tau)
     terms = [c * x ** a * t ** b
-             for (a, b), c in idn._hermite_lhs_table(ell).items()]
+             for (a, b), c in hermite_lhs_table_fraction(ell).items()]
     lhs = math.sqrt(2.0) * float(sum(terms))
     mass = sum(abs(term) for term in terms)
     tol = max(1e-9 * abs(rhs), 1e-13 * math.sqrt(2.0) * float(mass))

@@ -65,6 +65,25 @@ def test_coeff_unparsable_argument_exits_2(capsys, spec):
     assert "usage error" in err
 
 
+_SCALING = ("scaling", "--region", DISK, "--B", "1", "--levels", "upto:0",
+            "--L-min", "4", "--L-max", "12", "--alpha")
+
+
+# a monomial degree m whose m - 1 overflows a double, and a non-finite Renyi
+# index, are refused before f is sampled: no traceback, no RuntimeWarning
+@pytest.mark.parametrize("argv", [
+    ("coeff", "--levels", "single:0", "--f", "monomial:1" + "0" * 400),
+    ("coeff", "--levels", "single:0", "--f", "renyi:inf"),
+    ("coeff", "--levels", "single:0", "--f", "renyi:1e400"),
+    _SCALING + ("inf",),
+    _SCALING + ("1e400",),
+])
+def test_inadmissible_spectral_function_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "usage error" in err and "Warning" not in err and out == ""
+
+
 def test_spectrum_trace_and_determinism(capsys):
     args = ("spectrum", "--region", DISK, "--B", "1", "--levels", "upto:1",
             "--L", "12", "--solver", "disk")

@@ -187,28 +187,57 @@ def test_hermite_identity_spot():
         idn.verify_hermite_identity(13, 0.0, 0.0)
 
 
+def _lhs_table(ell: int) -> dict:
+    """The library's integer table of one degree as {(a, b): c}, over its
+    scale ell! 2^ell."""
+    return {(a, b): Fraction(c, math.factorial(ell) << ell)
+            for a, bs, cs in idn._hermite_lhs_tables()[ell] for b, c in zip(bs, cs)}
+
+
 def test_hermite_lhs_table_low_degrees():
     # L_1(z) = 1 - z with E[z] = sqrt(2) (1 - 2 xi tau): the left side is
     # 2 sqrt(2) xi tau
-    assert idn._hermite_lhs_table(1) == {(1, 1): 2}
+    assert _lhs_table(1) == {(1, 1): 2}
     # L_2 at xi = tau = 0: z = -u^2/2, so 1 - 2 E[z] + E[z^2]/2 over sqrt(2)
     # is 1 - 2 + 3/2
-    assert idn._hermite_lhs_table(2)[0, 0] == Fraction(1, 2)
+    assert _lhs_table(2)[0, 0] == Fraction(1, 2)
     res = idn.verify_hermite_identity(2, 0.3, -1.1)
     assert res.ok and res.inputs["lhs"][1] == 0.0
+
+
+@pytest.mark.parametrize("ell", range(13))
+def test_hermite_lhs_table_equals_fraction_oracle(ell):
+    # every coefficient of the one integer table, over ell! 2^ell, against
+    # the oracle's per-degree Fraction build
+    assert _lhs_table(ell) == oracles.hermite_lhs_table_fraction(ell)
 
 
 def test_import_builds_no_hermite_table():
     code = ("import numpy as np, lle, lle.cli\n"
             "from lle import identities\n"
-            "from lle.identities import _hermite_lhs_table\n"
-            "assert _hermite_lhs_table.cache_info().currsize == 0\n"
+            "from lle.identities import _hermite_lhs_tables\n"
+            "assert _hermite_lhs_tables.cache_info().currsize == 0\n"
             "assert not [k for k, v in vars(identities).items()\n"
             "            if isinstance(v, np.ndarray)]\n")
     env = dict(os.environ, PYTHONPATH=str(Path(idn.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("suite", ["hermite-identity", "mehler",
+                                   "christoffel-darboux"])
+def test_one_hermite_sweep_per_block(suite, monkeypatch):
+    # one block makes one sweep of both arguments, whatever its degrees
+    calls = []
+    sweep = idn.hermite_sweep
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return sweep(*args, **kwargs)
+    monkeypatch.setattr(idn, "hermite_sweep", counted)
+    assert idn.run_suite(suite, cases=idn.BLOCK, seed=5)["passed"]
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -272,11 +301,16 @@ def test_hermite_identity_floor_catches_an_error_of_1e_11_of_the_mass(monkeypatc
     ell, xi, tau = 2, 2 ** -0.5, 1.0
     assert idn.verify_hermite_identity(ell, xi, tau).ok
     mass = math.sqrt(2.0) * sum(abs(float(c)) * abs(xi) ** a * abs(tau) ** b
-                                for (a, b), c in idn._hermite_lhs_table(ell).items())
-    herm = idn.hermite_poly_normalized
-    shift = 1e-11 * mass / (math.sqrt(2.0) * herm(ell, tau))
-    monkeypatch.setattr(idn, "hermite_poly_normalized", lambda l, t: (
-        herm(l, t) + (shift if t == xi else 0.0)))
+                                for (a, b), c in _lhs_table(ell).items())
+    shift = 1e-11 * mass / (math.sqrt(2.0)
+                            * oracles.hermite_poly_normalized_array(ell, tau))
+    sweep = idn.hermite_sweep
+
+    def shifted(top, t, h0=1.0):
+        # h_ell(xi) alone moves: the right side by 1e-11 of the mass
+        for k, value in enumerate(sweep(top, t, h0)):
+            yield value + (k == ell) * np.where(t == xi, shift, 0.0)
+    monkeypatch.setattr(idn, "hermite_sweep", shifted)
     res = idn.verify_hermite_identity(ell, xi, tau)
     assert res.max_error == pytest.approx(1e-11 * mass, rel=1e-3)
     assert res.tolerance == pytest.approx(1e-13 * mass, rel=1e-12)

@@ -67,7 +67,7 @@ def test_hermite_normalized_matches_plain():
     for ell in (0, 3, 11):
         t = np.linspace(-4, 4, 7)
         ratio = math.sqrt(2.0 ** ell * math.factorial(ell))
-        np.testing.assert_allclose(sf.hermite_poly_normalized(ell, t) * ratio,
+        np.testing.assert_allclose(list(sf.hermite_sweep(ell, t))[-1] * ratio,
                                    oracles.hermite_poly(ell, t), rtol=1e-12)
 
 
@@ -77,8 +77,8 @@ _SWEEP_POINTS = [0.0, -0.0, 4.0, -4.0, 5e-324, -2.5e-310, 0.7, -1.3,
 
 def test_hermite_sweep_bitwise_against_per_degree_oracle():
     # a float sweeps as a 0-d array, and every degree up to the cap agrees
-    # bitwise with the array sweep, with hermite_poly_normalized and with the
-    # one-degree-per-call numpy recurrence it replaced
+    # bitwise with the array sweep and with the one-degree-per-call numpy
+    # recurrence it replaced
     arr = np.array(_SWEEP_POINTS)
     arr_sweep = list(sf.hermite_sweep(sf.LEVEL_CAP, arr))
     assert len(arr_sweep) == sf.LEVEL_CAP + 1
@@ -88,20 +88,16 @@ def test_hermite_sweep_bitwise_against_per_degree_oracle():
             assert np.ndim(h) == 0
             want = oracles.hermite_poly_normalized_array(ell, t).hex()
             assert float(h).hex() == want, (ell, t)
-            assert sf.hermite_poly_normalized(ell, t).hex() == want, (ell, t)
             assert float(arr_sweep[ell][i]).hex() == want, (ell, t)
     for ell in range(sf.LEVEL_CAP + 1):
         want = oracles.hermite_poly_normalized_array(ell, arr)
         assert arr_sweep[ell].tobytes() == want.tobytes()
-        assert sf.hermite_poly_normalized(ell, arr).tobytes() == want.tobytes()
 
 
 def test_hermite_sweep_scalar_kinds():
-    # ints, numpy scalars and 0-d arrays give the float values; 0-d arrays
-    # stay arrays inside the sweep and become floats at the end
+    # ints, numpy scalars and 0-d arrays give the values of the float
     for t in (2, np.float64(2.0), np.array(2.0)):
-        assert sf.hermite_poly_normalized(5, t) == sf.hermite_poly_normalized(5, 2.0)
-        assert type(sf.hermite_poly_normalized(5, t)) is float
+        assert list(sf.hermite_sweep(5, t)) == list(sf.hermite_sweep(5, 2.0))
     assert np.ndim(list(sf.hermite_sweep(3, np.array(2.0)))[-1]) == 0
     with pytest.raises(DomainError):
         list(sf.hermite_sweep(-1, 0.5))
