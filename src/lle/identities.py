@@ -415,7 +415,7 @@ def _batch_hermite(ell, xi, tau):
                           f"got {ell[(ell < 0) | (ell > 12)][0]}")
     _check_finite(xi=xi, tau=tau)
     # one sweep of both arguments to the block's top degree, read at each
-    # row's own: sqrt(2) H_l(xi) H_l(tau) / (2^l l!) in the normalized basis
+    # row's degree: sqrt(2) H_l(xi) H_l(tau) / (2^l l!) in normalized form
     h = np.array(list(hermite_sweep(int(ell.max()), np.stack([xi, tau]))))
     h_x, h_t = np.take_along_axis(h, np.broadcast_to(ell, h.shape[1:])[None],
                                   0)[0]

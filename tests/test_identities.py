@@ -231,11 +231,8 @@ def test_one_hermite_sweep_per_block(suite, monkeypatch):
     # one block makes one sweep of both arguments, whatever its degrees
     calls = []
     sweep = idn.hermite_sweep
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return sweep(*args, **kwargs)
-    monkeypatch.setattr(idn, "hermite_sweep", counted)
+    monkeypatch.setattr(idn, "hermite_sweep",
+                        lambda *args: calls.append(args) or sweep(*args))
     assert idn.run_suite(suite, cases=idn.BLOCK, seed=5)["passed"]
     assert len(calls) == 1
 
