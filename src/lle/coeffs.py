@@ -68,8 +68,7 @@ def renyi_h(alpha: float, t):
     (binary Shannon entropy) is taken for |alpha-1| < 1e-8. Arguments may
     stray outside [0, 1] by at most 1e-10.
     """
-    if not 0.0 < alpha < math.inf:
-        raise DomainError(f"Renyi index must be positive and finite, got {alpha}")
+    _check_renyi_index(alpha)
     # numpy may round power and log differently on a strided array (a disk
     # spectrum is a reversed view) than on a contiguous one, as np.clip
     # made it; the reductions are faster on it too
@@ -98,6 +97,11 @@ def renyi_h(alpha: float, t):
                            log_total / (1.0 - alpha), val)
     val = np.where((tc == 0.0) | (tc == 1.0), 0.0, val)
     return val if val.ndim else float(val)
+
+
+def _check_renyi_index(alpha: float):
+    if not 0.0 < alpha < math.inf:
+        raise DomainError(f"Renyi index must be positive and finite, got {alpha}")
 
 
 def _holder_exponent_for_renyi(alpha: float) -> float:
@@ -170,6 +174,8 @@ class SpectralFunction:
     @classmethod
     def renyi(cls, alpha: float) -> "SpectralFunction":
         alpha = float(alpha)
+        # before the Hoelder exponent, which takes a non-positive index as q
+        _check_renyi_index(alpha)
         text = f"{alpha:g}"
         if float(text) != alpha:  # distinct indices keep distinct labels
             text = repr(alpha)

@@ -4,8 +4,9 @@ Regions come in three variants: disks, smooth star-shaped regions given by a
 truncated Fourier radius profile, and simple polygons. Smooth variants carry
 analytic normals and curvature so the asymptotic fits downstream are not
 contaminated by geometric discretization error. A star keeps one harmonic
-table; a polygon's perimeter, convexity, first-order boundary integral and
-translate intersection (its edges pushed inward) read one edge table.
+table and its profile on one 4096-angle grid; a polygon's perimeter,
+convexity, first-order boundary integral and translate intersection (its
+edges pushed inward) read one edge table.
 """
 
 from __future__ import annotations
@@ -37,7 +38,11 @@ class SmoothStar:
     """Star-shaped region r(theta) = a0 + sum_j (a_j cos j theta + b_j sin j theta).
 
     Coefficients are stored interleaved as (a0, a1, b1, a2, b2, ...). The
-    profile must stay strictly positive.
+    profile must stay strictly positive. `_grid_profile` holds (r, r') on
+    the 4096-angle grid linspace(0, 2 pi, 4096, endpoint=False), read-only
+    and computed once per star (64 KiB): it equals `radius(grid, (0, 1))`
+    bitwise, and the positivity check, the finer sums of `area` and
+    `perimeter` and the Nystrom rule's largest radius read it.
     """
 
     coeffs: tuple[float, ...]
@@ -47,12 +52,23 @@ class SmoothStar:
             raise DomainError("star region needs at least the constant coefficient")
         if not np.all(np.isfinite(self.coeffs)):
             raise DomainError(f"star coefficients must be finite, got {self.coeffs}")
-        th = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
-        r = self.radius(th)
+        r = self._grid_profile[0]
         if np.min(r) <= 0.0:
             raise DomainError("star radius profile must be positive everywhere")
-        w = 2.0 * math.pi / th.size  # the finer of the two sums `area` takes
+        w = 2.0 * math.pi / r.size  # the finer of the two sums `area` takes
         _check_finite("star area", lambda: 0.5 * float(np.sum(r * r)) * w)
+
+    @functools.cached_property
+    def _grid_profile(self):
+        """(r, r') on the 4096-angle grid, read-only; not the cos/sin table,
+        since `_star_measures` keeps up to 256 stars alive."""
+        # r' of coefficients near the largest double may overflow where r
+        # does not; such a profile fails the positivity or area check
+        with np.errstate(over="ignore", invalid="ignore"):
+            profile = self.radius(_angle_grid(2 * _STAR_NODES), (0, 1))
+        for arr in profile:
+            arr.flags.writeable = False
+        return profile
 
     @functools.cached_property
     def _harmonics(self):
@@ -162,16 +178,18 @@ def _polygon_self_intersects(v: np.ndarray) -> bool:
 _STAR_NODES = 2048
 
 
+def _angle_grid(n: int) -> np.ndarray:
+    return np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+
+
 @functools.lru_cache(maxsize=256)
 def _star_measures(star: SmoothStar) -> tuple[float, float]:
-    def measures(n):
-        th = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        r, rp = star.radius(th, (0, 1))
-        w = 2.0 * math.pi / n
+    def measures(r, rp):
+        w = 2.0 * math.pi / r.size
         return (0.5 * float(np.sum(r * r)) * w,
                 float(np.sum(np.sqrt(r * r + rp * rp))) * w)
-    a1, p1 = measures(_STAR_NODES)
-    a2, p2 = measures(2 * _STAR_NODES)
+    a1, p1 = measures(*star.radius(_angle_grid(_STAR_NODES), (0, 1)))
+    a2, p2 = measures(*star._grid_profile)
     err = max(abs(a1 - a2), abs(p1 - p2))
     if err > 1e-10:
         raise AccuracyError(

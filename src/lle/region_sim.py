@@ -30,7 +30,7 @@ from .disk_spectra import (
     _sector_layout,
 )
 from .errors import CapabilityError, DomainError, FitError
-from .geometry import Region, boundary_radius
+from .geometry import Region, SmoothStar, boundary_radius
 from .landau import LevelSelector, MagneticSetup
 from .specfun import gauss_legendre
 
@@ -101,8 +101,11 @@ def scaling_fit(scales, values, model: str = "linear") -> AsymptoticFit:
 # ---------------------------------------------------------------------------
 
 def _radial_profile_max(region: Region) -> float:
-    th = np.linspace(0, 2 * math.pi, 4096, endpoint=False)
-    return float(np.max(boundary_radius(region, th)))
+    """Largest boundary radius: a star's on its 4096-angle grid profile, a
+    disk's radius; a polygon has no profile (CapabilityError)."""
+    if isinstance(region, SmoothStar):
+        return float(np.max(region._grid_profile[0]))
+    return boundary_radius(region, 0.0)
 
 
 def default_resolution(setup: MagneticSetup, region: Region, L: float
@@ -150,17 +153,21 @@ def _angular_factor(setup: MagneticSetup, selector: LevelSelector,
     A = diag(sqrt w) Phi. WindowError if the top sector's Gram diagonal
     reaches `cutoff`.
     """
-    n_theta = resolution[1]
-    pts, w = _polar_nodes(region, L, *resolution)
+    n_radial, n_theta = resolution
+    pts, w = _polar_nodes(region, L, n_radial, n_theta)
     r2 = np.sum(pts * pts, axis=1)
     ks, a = _sector_layout(setup.b, math.sqrt(r2.max()), selector)
-    # k times the node's angle index, reduced first so the phase stays exact
-    turns = (ks[:, None] * (np.arange(r2.size) % n_theta)) % n_theta
-    phase = np.exp(-2j * math.pi / n_theta * turns) \
-        * np.sqrt(w * setup.b / (2.0 * math.pi))
     present = a >= 0
-    rows = _level_profiles(ks, a, 0.5 * setup.b * r2[None, :])[present]
-    rows = phase[present.nonzero()[0]] * rows
+    # the phase of sector k at angle index j is the n_theta-th root of unity
+    # of index k j mod n_theta, the exponential of the same argument as a
+    # direct e^{-2 pi i k j / n_theta}
+    roots = np.exp(-2j * math.pi / n_theta * np.arange(n_theta))
+    turns = (ks[present.nonzero()[0], None] * np.arange(n_theta)) % n_theta
+    scale = np.sqrt(w * setup.b / (2.0 * math.pi)).reshape(n_radial, n_theta)
+    # the profiles first: the complex rows are not yet held while they build
+    profiles = _level_profiles(ks, a, 0.5 * setup.b * r2[None, :])[present]
+    rows = (roots[turns][:, None, :] * scale).reshape(profiles.shape)
+    rows *= profiles
     top = np.sum(np.abs(rows[-a.shape[1]:]) ** 2, axis=1)
     _check_window(ks, float(top.max()), cutoff)
     return rows.T

@@ -14,7 +14,8 @@ Christoffel-Darboux kernel at a point pair and on a grid, the projection
 kernel between point sets, the angular Fourier transform of the kernel, the
 radial-Nystrom disk solver, the windowed quadrature of the disk sector Gram
 matrices, the lowest-level incomplete-gamma disk eigenvalues, the dense 2-D
-Nystrom kernel matrix, the trace moments of the 2-D Nystrom matrix without an
+Nystrom kernel matrix, its angular factor with one complex exponential per
+sector and node, the trace moments of the 2-D Nystrom matrix without an
 eigensolve, the Monte Carlo cross term tr(P - P^2) that also
 reaches polygons, the per-degree normalized Hermite recurrence on numpy
 arrays with the Christoffel-Darboux sum and verifier built on it, the
@@ -867,6 +868,28 @@ def region_kernel_matrix(setup: MagneticSetup, selector: LevelSelector,
         mat[i0:i1] = kernel_block(setup, selector, pts[i0:i1], pts)
         mat[i0:i1] *= sq[i0:i1, None] * sq[None, :]
     return mat, pts, w
+
+
+def angular_factor_direct(setup: MagneticSetup, selector: LevelSelector,
+                          region: Region, L: float,
+                          resolution: tuple[int, int],
+                          cutoff: float) -> np.ndarray:
+    """region_sim._angular_factor with the phase of every (sector, node)
+    entry its own exponential e^{-2 pi i t / n_theta}, t = k j mod n_theta
+    for the node's angle index j."""
+    n_theta = resolution[1]
+    pts, w = rs._polar_nodes(region, L, *resolution)
+    r2 = np.sum(pts * pts, axis=1)
+    ks, a = ds._sector_layout(setup.b, math.sqrt(r2.max()), selector)
+    turns = (ks[:, None] * (np.arange(r2.size) % n_theta)) % n_theta
+    phase = np.exp(-2j * math.pi / n_theta * turns) \
+        * np.sqrt(w * setup.b / (2.0 * math.pi))
+    present = a >= 0
+    rows = ds._level_profiles(ks, a, 0.5 * setup.b * r2[None, :])[present]
+    rows = phase[present.nonzero()[0]] * rows
+    top = np.sum(np.abs(rows[-a.shape[1]:]) ** 2, axis=1)
+    ds._check_window(ks, float(top.max()), cutoff)
+    return rows.T
 
 
 def region_trace_moment(setup: MagneticSetup, selector: LevelSelector,

@@ -84,6 +84,37 @@ def test_inadmissible_spectral_function_exits_2(capsys, argv):
     assert "usage error" in err and "Warning" not in err and out == ""
 
 
+# a non-positive index is named as such, not as the Hoelder exponent q it
+# would become
+@pytest.mark.parametrize("spec, index", [("renyi:0", "0.0"), ("renyi:-1", "-1.0"),
+                                         ("renyi:-inf", "-inf")])
+def test_nonpositive_renyi_index_exits_2_naming_the_index(capsys, spec, index):
+    code, out, err = run_cli(capsys, "coeff", "--levels", "single:0", "--f", spec)
+    assert code == 2 and out == ""
+    assert f"Renyi index must be positive and finite, got {index}" in err
+    assert "exponent" not in err
+
+
+def test_nystrom_spectrum_evaluates_the_star_profile_grid_once(capsys,
+                                                               monkeypatch):
+    # the positivity check and the rule's largest radius share the star's
+    # one 4096-angle profile
+    sizes = []
+    radius = geometry.SmoothStar.radius
+
+    def spy(self, theta, order=0):
+        sizes.append(np.size(theta))
+        return radius(self, theta, order)
+
+    monkeypatch.setattr(geometry.SmoothStar, "radius", spy)
+    code, _, _ = run_cli(capsys, "spectrum", "--region",
+                         '{"type":"star","coeffs":[1.0,0.05,-0.03,0.02]}',
+                         "--B", "1", "--levels", "upto:1", "--L", "2",
+                         "--solver", "nystrom2d")
+    assert code == 0
+    assert sizes.count(4096) == 1
+
+
 def test_spectrum_trace_and_determinism(capsys):
     args = ("spectrum", "--region", DISK, "--B", "1", "--levels", "upto:1",
             "--L", "12", "--solver", "disk")
@@ -509,6 +540,8 @@ def test_rocca_check_leaves_unit_size_requests_a_wide_margin(text):
     # sizes whose area is not a finite double
     '{"type":"disk","R":1e155}', '{"type":"disk","R":1e309}',
     '{"type":"star","coeffs":[1e200,0.1]}',
+    # r' overflows on the star's grid where r does not, and r < 0 there
+    '{"type":"star","coeffs":[5e307,0,0,9.5e307]}',
     '{"type":"polygon","vertices":[[-1e200,-1e200],[1e200,-1e200],'
     '[1e200,1e200],[-1e200,1e200]]}',
     # an integer too large for a double

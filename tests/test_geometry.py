@@ -127,6 +127,26 @@ def test_fused_orders_equal_single_order_calls():
     assert isinstance(r, float) and isinstance(rp, float)
 
 
+@pytest.mark.parametrize("coeffs", [
+    (1.0, 0.0, 0.0, 0.0, 0.0, 0.2),
+    (1.0, 0.1, 0.0, 0.0, 0.2),
+    (0.9, 0.05, -0.03, 0.0, 0.01, 0.004, -0.002),
+])
+def test_star_grid_profile_equals_direct_evaluation(coeffs):
+    # the cached profile is radius(grid, (0, 1)) on the 4096-angle grid, and
+    # area, perimeter and the Nystrom rule's largest radius read it bitwise
+    star = ge.SmoothStar(coeffs)
+    grid = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+    r, rp = star.radius(grid, (0, 1))
+    cached = star._grid_profile
+    assert all(got.tobytes() == want.tobytes() and not got.flags.writeable
+               for got, want in zip(cached, (r, rp)))
+    w = 2.0 * math.pi / 4096
+    assert ge.area(star) == 0.5 * float(np.sum(r * r)) * w
+    assert ge.perimeter(star) == float(np.sum(np.sqrt(r * r + rp * rp))) * w
+    assert rs._radial_profile_max(star) == float(np.max(r))
+
+
 def test_star_curvature_matches_finite_differences():
     for th0 in (0.0, 0.77, 2.3, 4.9):
         p = lambda t: STAR.radius(t) * np.array([math.cos(t), math.sin(t)])

@@ -241,6 +241,21 @@ def test_trace_moment_matches_dense_oracle(case, m):
     assert tr == pytest.approx(dense, rel=1e-12)
 
 
+# the default rules have n_theta = 36 to 90, so k j wraps past n_theta, and
+# single:l and upto:l with l >= 1 reach the negative sectors k >= -l
+@pytest.mark.parametrize("b, L", [(0.02, 1.0), (0.6, 3.0), (2.5, 4.0)])
+@pytest.mark.parametrize("sel", ["upto:0", "upto:1", "upto:2", "upto:3",
+                                 "single:1", "single:2", "single:3"])
+@pytest.mark.parametrize("region", ["star", "disk"])
+def test_angular_factor_phases_equal_direct_exponentials(region, sel, b, L):
+    reg, selector = _factor_case(region, sel)
+    setup = MagneticSetup(b)
+    res = rs.default_resolution(setup, reg, L)
+    got = rs._angular_factor(setup, selector, reg, L, res, 1e-12)
+    want = oracles.angular_factor_direct(setup, selector, reg, L, res, 1e-12)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_angular_factor_window_error():
     # the top sector holds a tiny but nonzero mass; a cutoff below it is
     # not exhausted by the window
