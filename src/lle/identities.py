@@ -2,13 +2,12 @@
 
 Each identity has one batched evaluator: it checks a block of cases given as
 arrays, one row per case, and returns the error and the tolerance of every
-row with the columns of its inputs and of both sides. The single-case
-verifiers are one-row calls of these evaluators and return a result that
-carries the inputs and the achieved error, so a failing case is immediately
-reproducible. The randomized suites draw their cases in blocks of BLOCK
-rows, block b of a suite from the generator keyed (seed, crc32 of the suite
-name, b), so case i depends on the seed, the suite and i alone, and report
-as JSON.
+row with the columns of its inputs and of both sides. The randomized suites
+draw their cases in blocks of BLOCK rows, block b of a suite from the
+generator keyed (seed, crc32 of the suite name, b), so case i depends on the
+seed, the suite and i alone, and report as JSON. A failing case's dump is
+its row of the block, as the evaluator returned it; re-running its seed with
+`--cases case+1` reproduces it as the last case.
 
 The change-of-variables checks run in the inverse direction: starting from
 the final variables (xi, tau) they reconstruct the original ones and compare
@@ -31,7 +30,7 @@ import functools
 import math
 import operator
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,19 +124,6 @@ def _chain_data(plan: SubstitutionPlan, t: np.ndarray):
                            np.concatenate([t, pad], axis=-1))
 
 
-@dataclass
-class VerifyResult:
-    """Outcome of one identity check with reproduction data."""
-
-    ok: bool
-    max_error: float
-    tolerance: float
-    inputs: dict = field(default_factory=dict)
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def _check_finite(**values) -> None:
     for name, v in values.items():
         if not np.isfinite(v).all():
@@ -151,27 +137,6 @@ def _json(v):
     if isinstance(v, complex):
         return [float(v.real), float(v.imag)]
     return v.tolist() if isinstance(v, (np.ndarray, np.generic)) else v
-
-
-def _result(err: float, tol: float, **inputs) -> VerifyResult:
-    return VerifyResult(ok=bool(err <= tol), max_error=float(err),
-                        tolerance=float(tol),
-                        inputs={k: _json(v) for k, v in inputs.items()})
-
-
-def _one_row(evaluate, *values, **options) -> VerifyResult:
-    """A single-case check: `evaluate` on a block of one row."""
-    err, tol, columns = evaluate(*(np.asarray(v)[None] for v in values),
-                                 **options)
-    return _result(err[0], tol[0], **{k: v[0] for k, v in columns.items()})
-
-
-def _chain_tau(m: int, q: int, tau) -> np.ndarray:
-    SubstitutionPlan(m=m, q=q)
-    tau = np.asarray(tau, dtype=float)
-    if tau.shape != (m - 1,):
-        raise DomainError(f"tau must have {m - 1} components")
-    return tau
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +153,11 @@ def _phase_sum(ys: np.ndarray) -> np.ndarray:
 
 @_quiet
 def _batch_phase(m, x, ys):
+    """Telescoped symplectic phase of an m-step kernel chain.
+
+    sum_i <x_i|J x_{i+1}> over the cycle equals the y-only double sum; for
+    m = 2 both sides vanish.
+    """
     # x_0 = x, x_i = x - y_0 - ... - y_{i-1} for i < m, then x_i = x, where
     # the terms <x|J x> vanish
     x = x[:, None]
@@ -200,20 +170,9 @@ def _batch_phase(m, x, ys):
                                                    lhs=lhs, rhs=rhs)
 
 
-def verify_phase_telescoping(m: int, x, ys) -> VerifyResult:
-    """Telescoped symplectic phase of an m-step kernel chain.
-
-    sum_i <x_i|J x_{i+1}> over the cycle equals the y-only double sum; for
-    m = 2 both sides vanish.
-    """
-    if m < 2:
-        raise DomainError(f"chain length must be >= 2, got {m}")
-    return _one_row(_batch_phase, m, np.asarray(x, dtype=float),
-                    np.asarray(ys, dtype=float).reshape(m - 1, 2))
-
-
 @_quiet
 def _batch_frame(m, ys, normal):
+    """Tangent/normal decomposition y = -z Jn + t n and the skew phase form."""
     n = (normal / np.linalg.norm(normal, axis=-1, keepdims=True))[:, None]
     jn = np.stack([n[..., 1], -n[..., 0]], axis=-1)  # J n
     z = -symplectic(ys, n)  # -<y, J n>
@@ -226,19 +185,17 @@ def _batch_frame(m, ys, normal):
         m=m, ys=ys, normal=n[:, 0])
 
 
-def verify_local_frame_reduction(ys, normal) -> VerifyResult:
-    """Tangent/normal decomposition y = -z Jn + t n and the skew phase form."""
-    ys = np.asarray(ys, dtype=float).reshape(-1, 2)
-    return _one_row(_batch_frame, ys.shape[0] + 1, ys,
-                    np.asarray(normal, dtype=float))
-
-
 # ---------------------------------------------------------------------------
 # the B.1/B.2 substitution-chain identities
 # ---------------------------------------------------------------------------
 
 @_quiet
 def _batch_exponent(m, q, xi, tau):
+    """Quadratic-form identity of the exponent under the substitution chain.
+
+    m xi0^2 + xi0 sum T_i + (sum T_i^2)/4 + (sum t_i^2)/4, evaluated at the
+    reconstructed original variables, must equal xi^2 + sum_j (xi + tau_j)^2.
+    """
     plan = SubstitutionPlan(m=m, q=q)
     xi0, t = plan.original_variables(xi, tau)
     big_t, t_full = _chain_data(plan, t)
@@ -249,17 +206,13 @@ def _batch_exponent(m, q, xi, tau):
         m=m, q=q, xi=xi, tau=tau, lhs=lhs, rhs=rhs, xi0=xi0, t=t)
 
 
-def verify_exponent_identity(m: int, q: int, xi: float, tau) -> VerifyResult:
-    """Quadratic-form identity of the exponent under the substitution chain.
-
-    m xi0^2 + xi0 sum T_i + (sum T_i^2)/4 + (sum t_i^2)/4, evaluated at the
-    reconstructed original variables, must equal xi^2 + sum_j (xi + tau_j)^2.
-    """
-    return _one_row(_batch_exponent, m, q, float(xi), _chain_tau(m, q, tau))
-
-
 @_quiet
 def _batch_t_tables(m, q, tau):
+    """Closed four-branch forms of T_j in the tau variables (q <= m-2).
+
+    Checks the plain, post-sign-flip, and post-shift (tilde) tables, plus the
+    tilde-t table.
+    """
     if np.any(q > m - 2):
         raise DomainError("the four-branch tables assume 1 <= q <= m-2")
     plan = SubstitutionPlan(m=m, q=q)
@@ -285,15 +238,6 @@ def _batch_t_tables(m, q, tau):
     return err, 1e-12 * (1.0 + np.abs(tau).max(axis=1)), dict(m=m, q=q, tau=tau)
 
 
-def verify_T_in_tau(m: int, q: int, tau) -> VerifyResult:
-    """Closed four-branch forms of T_j in the tau variables (q <= m-2).
-
-    Checks the plain, post-sign-flip, and post-shift (tilde) tables, plus the
-    tilde-t table.
-    """
-    return _one_row(_batch_t_tables, m, q, _chain_tau(m, q, tau))
-
-
 def _claimed_laguerre_argument(plan: SubstitutionPlan, j: int, omega, xi,
                                tau: np.ndarray):
     """The claimed two-root product of Laguerre factor j: plan.m, plan.q,
@@ -312,6 +256,12 @@ def _claimed_laguerre_argument(plan: SubstitutionPlan, j: int, omega, xi,
 
 @_quiet
 def _batch_laguerre_maps(m, q, omega, xi, tau):
+    """Product forms of the Laguerre arguments after the full chain.
+
+    Factor j's pre-substitution argument (omega + i(2 xi0 + T_j))^2 + t_j^2,
+    evaluated at the reconstructed originals (including the final global
+    tau -> tau - xi shift), must equal the claimed two-root product.
+    """
     plan = SubstitutionPlan(m=m, q=q)
     xi0, t = plan.original_variables(xi, tau, undo_tau_shift=True)
     big_t, t_full = _chain_data(plan, t)
@@ -322,18 +272,6 @@ def _batch_laguerre_maps(m, q, omega, xi, tau):
         err = np.where(j <= m, np.maximum(err, gap), err)
     scale = 1.0 + np.abs(omega) ** 2 + np.abs(tau).max(axis=1) ** 2 + xi * xi
     return err, 1e-11 * scale, dict(m=m, q=q, omega=omega, xi=xi, tau=tau)
-
-
-def verify_laguerre_argument_maps(m: int, q: int, omega, xi: float,
-                                  tau) -> VerifyResult:
-    """Product forms of the Laguerre arguments after the full chain.
-
-    Factor j's pre-substitution argument (omega + i(2 xi0 + T_j))^2 + t_j^2,
-    evaluated at the reconstructed originals (including the final global
-    tau -> tau - xi shift), must equal the claimed two-root product.
-    """
-    return _one_row(_batch_laguerre_maps, m, q, complex(omega), float(xi),
-                    _chain_tau(m, q, tau))
 
 
 # ---------------------------------------------------------------------------
@@ -410,27 +348,12 @@ def _hermite_lhs(ells: np.ndarray, xs: np.ndarray, ts: np.ndarray):
 
 @_quiet
 def _batch_hermite(ell, xi, tau):
-    if np.any((ell < 0) | (ell > 12)):
-        raise DomainError(f"the Hermite identity tables hold 0 <= ell <= 12, "
-                          f"got {ell[(ell < 0) | (ell > 12)][0]}")
-    _check_finite(xi=xi, tau=tau)
-    # one sweep of both arguments to the block's top degree, read at each
-    # row's degree: sqrt(2) H_l(xi) H_l(tau) / (2^l l!) in normalized form
-    h = np.array(list(hermite_sweep(int(ell.max()), np.stack([xi, tau]))))
-    h_x, h_t = np.take_along_axis(h, np.broadcast_to(ell, h.shape[1:])[None],
-                                  0)[0]
-    rhs = math.sqrt(2.0) * h_x * h_t
-    lhs, floor = _hermite_lhs(ell, xi, tau)
-    return np.abs(lhs - rhs), np.maximum(1e-9 * np.abs(rhs), floor), dict(
-        ell=ell, xi=xi, tau=tau, lhs=np.stack([lhs, np.zeros_like(lhs)], axis=1), rhs=rhs)
-
-
-def verify_hermite_identity(ell: int, xi: float, tau: float) -> VerifyResult:
     """Gaussian integral of a two-root Laguerre argument against Hermite pairs.
 
     (2pi)^{-1/2} integral of L_ell((w-2i xi)(w-2i tau)/2) e^{-w^2/4} dw equals
     sqrt(2) H_ell(xi) H_ell(tau) / (2^ell ell!), the right side from one
-    `hermite_sweep` of both arguments. The left side is evaluated exactly
+    `hermite_sweep` of both arguments to the block's top degree, each row
+    read at its own degree. The left side is evaluated exactly
     from `_hermite_lhs_tables` at the float inputs: every coefficient is an
     integer over ell! 2^ell and every double is an integer over a power of
     two, so the sum is one integer numerator over one integer denominator,
@@ -441,7 +364,17 @@ def verify_hermite_identity(ell: int, xi: float, tau: float) -> VerifyResult:
     rounding of a double evaluation where the terms cancel (near the Hermite
     zeros).
     """
-    return _one_row(_batch_hermite, ell, float(xi), float(tau))
+    if np.any((ell < 0) | (ell > 12)):
+        raise DomainError(f"the Hermite identity tables hold 0 <= ell <= 12, "
+                          f"got {ell[(ell < 0) | (ell > 12)][0]}")
+    _check_finite(xi=xi, tau=tau)
+    h = np.array(list(hermite_sweep(int(ell.max()), np.stack([xi, tau]))))
+    h_x, h_t = np.take_along_axis(h, np.broadcast_to(ell, h.shape[1:])[None],
+                                  0)[0]
+    rhs = math.sqrt(2.0) * h_x * h_t
+    lhs, floor = _hermite_lhs(ell, xi, tau)
+    return np.abs(lhs - rhs), np.maximum(1e-9 * np.abs(rhs), floor), dict(
+        ell=ell, xi=xi, tau=tau, lhs=np.stack([lhs, np.zeros_like(lhs)], axis=1), rhs=rhs)
 
 
 def _mehler_closed(xi: float, tau: float, t: float) -> float:
@@ -455,6 +388,15 @@ def _mehler_closed(xi: float, tau: float, t: float) -> float:
 
 @_quiet
 def _batch_mehler(xi, tau, t, n_cap: int = 200):
+    """Hermite product generating function against its Gaussian closed form.
+
+    Partial sums run in the normalized-Hermite basis (term_l = htilde_l(xi)
+    htilde_l(tau) t^l); a row stops after six successive terms past l = 8
+    below 1e-13 max(1, |partial sum|), and a row still running at n_cap
+    terms raises NumericError. Tolerance 1e-9 max(1, |closed form|) plus
+    1e-15 times the sum of |terms|. Needs |t| < 1; non-finite inputs, and
+    inputs whose closed form overflows a double, raise DomainError.
+    """
     if not (np.abs(t) < 1.0).all():
         raise DomainError(f"Mehler series needs |t| < 1, got {t[~(np.abs(t) < 1.0)][0]}")
     _check_finite(xi=xi, tau=tau)
@@ -482,32 +424,27 @@ def _batch_mehler(xi, tau, t, n_cap: int = 200):
         i = np.flatnonzero(running)[0]
         raise NumericError(f"Mehler series not converged within {n_cap} terms "
                            f"at (xi={xi[i]}, tau={tau[i]}, t={t[i]})")
-    # the accumulated-roundoff floor 1e-15 * mass is the best doubles can do
     return np.abs(total - closed), \
         1e-9 * np.maximum(1.0, np.abs(closed)) + 1e-15 * mass, \
         dict(xi=xi, tau=tau, t=t, series=total, closed=closed)
 
 
-def verify_mehler(xi: float, tau: float, t: float,
-                  n_cap: int = 200) -> VerifyResult:
-    """Hermite product generating function against its Gaussian closed form.
-
-    Partial sums run in the normalized-Hermite basis (term_l = htilde_l(xi)
-    htilde_l(tau) t^l) until they stabilize; requires |t| < 1 and caps the
-    series length. Non-finite inputs, and inputs whose closed form overflows
-    a double, raise DomainError.
-    """
-    return _one_row(_batch_mehler, float(xi), float(tau), float(t), n_cap=n_cap)
-
-
 @_quiet
 def _batch_christoffel_darboux(n, tau, taup):
+    """Direct normalized Hermite sum against the divided-difference quotient.
+
+    One `hermite_sweep` of both arguments to degree n + 2 serves the direct
+    sum, the quotient and, at tau == taup, its confluent form. The tolerance is
+    1e-10 relative with a floor, off the confluent diagonal, of
+    1e-13 sqrt((n+1)/2) max_k |h_k(tau)| max_k |h_k(taup)| / |tau - taup|
+    over k <= n + 1, the rounding of the quotient's cancelling products.
+    A degree outside 0..20, non-finite inputs, and inputs whose Hermite
+    values overflow a double raise DomainError.
+    """
     if np.any((n < 0) | (n > 20)):
         raise DomainError(f"Christoffel-Darboux check needs 0 <= n <= 20, "
                           f"got {n[(n < 0) | (n > 20)][0]}")
     _check_finite(tau=tau, taup=taup)
-    # one sweep of both arguments to degree n + 2 serves the direct sum, the
-    # quotient, its confluent form and the envelope of the rounding floor
     h = np.array(list(hermite_sweep(int(n.max()) + 2, np.stack([tau, taup]))))
     at = lambda v, k: np.take_along_axis(v, np.broadcast_to(k, v.shape[1:])[None], 0)[0]
     direct = at(np.cumsum(h[:, 0] * h[:, 1], axis=0), n)  # in degree order
@@ -536,83 +473,71 @@ def _batch_christoffel_darboux(n, tau, taup):
         dict(n=n, tau=tau, taup=taup, direct=direct, quotient=quot)
 
 
-def verify_christoffel_darboux(n: int, tau: float, taup: float) -> VerifyResult:
-    """Direct normalized Hermite sum against the divided-difference quotient.
-
-    One `hermite_sweep` of both arguments to degree n + 2 serves the direct
-    sum, the quotient and, at tau == taup, its confluent form. The tolerance is
-    1e-10 relative with a floor, off the confluent diagonal, of
-    1e-13 sqrt((n+1)/2) max_k |h_k(tau)| max_k |h_k(taup)| / |tau - taup|
-    over k <= n + 1, the rounding of the quotient's cancelling products.
-    Non-finite inputs, and inputs whose Hermite values overflow a double,
-    raise DomainError.
-    """
-    return _one_row(_batch_christoffel_darboux, n, float(tau), float(taup))
-
-
 # ---------------------------------------------------------------------------
 # randomized suites: each draws one block of BLOCK cases from its generator
-# and returns its batched evaluator, the case columns and the single-case
-# check of one row of them
+# and returns its batched evaluator with the case columns; a failing case's
+# dump is its row of the columns that evaluator returned
 # ---------------------------------------------------------------------------
 
 def _suite_phase(rng):
     m = rng.integers(2, M_CAP + 1, BLOCK)
     x = rng.normal(size=(BLOCK, 2))
     ys = _live_only(m, rng.normal(size=(BLOCK, M_CAP - 1, 2)))
-    return _batch_phase, (m, x, ys), \
-        lambda m, x, ys: verify_phase_telescoping(m, x, ys[:m - 1])
+    return _batch_phase, (m, x, ys)
 
 
 def _suite_frame(rng):
     m = rng.integers(2, M_CAP + 1, BLOCK)
     ys = _live_only(m, rng.normal(size=(BLOCK, M_CAP - 1, 2)))
     ang = rng.uniform(0, 2 * math.pi, BLOCK)
-    return _batch_frame, (m, ys, np.stack([np.cos(ang), np.sin(ang)], axis=1)), \
-        lambda m, ys, normal: verify_local_frame_reduction(ys[:m - 1], normal)
+    return _batch_frame, (m, ys, np.stack([np.cos(ang), np.sin(ang)], axis=1))
 
 
 def _suite_exponent(rng):
     m = rng.integers(2, M_CAP + 1, BLOCK)
     q, xi = rng.integers(1, m), rng.normal(size=BLOCK)
     tau = _live_only(m, rng.uniform(0.05, 3.0, size=(BLOCK, M_CAP - 1)))
-    return _batch_exponent, (m, q, xi, tau), \
-        lambda m, q, xi, tau: verify_exponent_identity(m, q, xi, tau[:m - 1])
+    return _batch_exponent, (m, q, xi, tau)
 
 
 def _suite_t_tables(rng):
     m = rng.integers(3, M_CAP + 1, BLOCK)
     q = rng.integers(1, m - 1)
     tau = _live_only(m, rng.uniform(0.05, 3.0, size=(BLOCK, M_CAP - 1)))
-    return _batch_t_tables, (m, q, tau), \
-        lambda m, q, tau: verify_T_in_tau(m, q, tau[:m - 1])
+    return _batch_t_tables, (m, q, tau)
 
 
 def _suite_laguerre_maps(rng):
     m = rng.integers(2, M_CAP + 1, BLOCK)
     q, (re, im, xi) = rng.integers(1, m), rng.normal(size=(3, BLOCK))
     tau = _live_only(m, rng.uniform(0.05, 3.0, size=(BLOCK, M_CAP - 1)))
-    return _batch_laguerre_maps, (m, q, re + 1j * im, xi, tau), \
-        lambda m, q, omega, xi, tau: verify_laguerre_argument_maps(
-            m, q, omega, xi, tau[:m - 1])
+    return _batch_laguerre_maps, (m, q, re + 1j * im, xi, tau)
 
 
 def _suite_hermite_identity(rng):
     ell = rng.integers(0, 13, BLOCK)
-    return _batch_hermite, (ell, *rng.uniform(-4, 4, size=(2, BLOCK))), \
-        verify_hermite_identity
+    return _batch_hermite, (ell, *rng.uniform(-4, 4, size=(2, BLOCK)))
 
 
 def _suite_mehler(rng):
     xi, tau = rng.uniform(-3, 3, size=(2, BLOCK))
-    return _batch_mehler, (xi, tau, rng.uniform(-0.8, 0.8, BLOCK)), verify_mehler
+    return _batch_mehler, (xi, tau, rng.uniform(-0.8, 0.8, BLOCK))
 
 
 def _suite_cd(rng):
     n = rng.integers(0, 21, BLOCK)
     tau, other = rng.uniform(-3, 3, size=(2, BLOCK))
     taup = np.where(rng.random(BLOCK) < 0.15, tau, other)
-    return _batch_christoffel_darboux, (n, tau, taup), verify_christoffel_darboux
+    return _batch_christoffel_darboux, (n, tau, taup)
+
+
+def _row(columns: dict, i: int) -> dict:
+    """Row i of an evaluator's columns as JSON values, the chain variables
+    ys, tau and t cut to the row's m-1 live entries."""
+    row = {k: v[i] for k, v in columns.items()}
+    if "m" in row:
+        row |= {k: row[k][:row["m"] - 1] for k in ("ys", "tau", "t") if k in row}
+    return {k: _json(v) for k, v in row.items()}
 
 
 SUITES = {
@@ -632,9 +557,10 @@ def run_suite(name: str, cases: int = 1000, seed: int = 0) -> dict:
 
     Case i is drawn in block i // BLOCK from the generator keyed
     (seed, crc32(name), block), so it is the same for every case count and
-    whether the suite runs alone or in `run_all_suites`. A failing case is
-    checked again alone by its single-case verifier, whose result, with the
-    case number, is its failure dump.
+    whether the suite runs alone or in `run_all_suites`. Each block is
+    evaluated once; a failing case's dump is its row of the evaluator's
+    columns with its error, tolerance and case number, and running the same
+    seed with `cases = case + 1` reproduces it as the last case.
     """
     if name not in SUITES:
         raise DomainError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
@@ -645,16 +571,14 @@ def run_suite(name: str, cases: int = 1000, seed: int = 0) -> dict:
     max_err = max_ratio = 0.0
     for start in range(0, cases, BLOCK):
         rng = np.random.default_rng([seed, zlib.crc32(name.encode()), start // BLOCK])
-        evaluate, columns, verify = SUITES[name](rng)
-        columns = [c[:cases - start] for c in columns]
-        err, tol, _ = evaluate(*columns)
+        evaluate, columns = SUITES[name](rng)
+        err, tol, out = evaluate(*(c[:cases - start] for c in columns))
         max_err = max(max_err, float(err.max()))
         max_ratio = max(max_ratio, float((err / np.maximum(tol, 1e-300)).max()))
         for i in np.flatnonzero(~(err <= tol)).tolist():
-            res = verify(*(c[i] for c in columns))
-            failures.append(res.inputs | {"max_error": res.max_error,
-                                          "tolerance": res.tolerance,
-                                          "case": start + i})
+            failures.append(_row(out, i) | {"max_error": float(err[i]),
+                                            "tolerance": float(tol[i]),
+                                            "case": start + i})
     return {"identity": name, "cases": cases, "seed": seed,
             "failures": failures, "max_error": max_err,
             "max_error_over_tolerance": max_ratio,

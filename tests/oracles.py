@@ -21,12 +21,14 @@ reaches polygons, the per-degree normalized Hermite recurrence on numpy
 arrays with the Christoffel-Darboux sum and verifier built on it, the
 per-degree Fraction table of the Hermite-identity left side and the
 Fraction-sum verifier built on it, the per-case bodies of the other
-identity checks on Python floats and the plan's integer matrices, and the
-determinant and sign flip of the substitution plan, and the 80-digit
-Gauss-Kronrod rule whose rounded values are the library's table). The
-library never imports this module.
+identity checks on Python floats and the plan's integer matrices, with the
+result record they return and the one-row call of a library evaluator that
+returns the same record, and the determinant and sign flip of the
+substitution plan, and the 80-digit Gauss-Kronrod rule whose rounded
+values are the library's table). The library never imports this module.
 """
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -1158,6 +1160,33 @@ def det_a(plan) -> int:
     return sign * a[-1][-1]
 
 
+@dataclasses.dataclass
+class VerifyResult:
+    """Outcome of one identity check with reproduction data."""
+
+    ok: bool
+    max_error: float
+    tolerance: float
+    inputs: dict = dataclasses.field(default_factory=dict)
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+def _result(err: float, tol: float, **inputs) -> VerifyResult:
+    return VerifyResult(ok=bool(err <= tol), max_error=float(err),
+                        tolerance=float(tol),
+                        inputs={k: idn._json(v) for k, v in inputs.items()})
+
+
+def one_row(evaluate, *values, **options) -> VerifyResult:
+    """One case checked by a library evaluator: `evaluate` on a block of one
+    row, the row's columns as the result's inputs."""
+    err, tol, columns = evaluate(*(np.asarray(v)[None] for v in values),
+                                 **options)
+    return _result(err[0], tol[0], **{k: v[0] for k, v in columns.items()})
+
+
 @functools.cache
 def hermite_lhs_table_fraction(ell: int) -> dict:
     """Exact coefficients {(a, b): c} of the Hermite-identity left side of
@@ -1186,8 +1215,8 @@ def hermite_lhs_table_fraction(ell: int) -> dict:
 
 
 def verify_hermite_identity_fraction(ell: int, xi: float, tau: float):
-    """identities.verify_hermite_identity with the left side summed term by
-    term in Fraction arithmetic and per-degree Hermite values."""
+    """identities._batch_hermite of one case with the left side summed term
+    by term in Fraction arithmetic and per-degree Hermite values."""
     if ell > 12:
         raise DomainError("the Hermite identity tables stop at ell = 12")
     hx = hermite_poly_normalized_array(ell, xi)
@@ -1199,13 +1228,13 @@ def verify_hermite_identity_fraction(ell: int, xi: float, tau: float):
     lhs = math.sqrt(2.0) * float(sum(terms))
     mass = sum(abs(term) for term in terms)
     tol = max(1e-9 * abs(rhs), 1e-13 * math.sqrt(2.0) * float(mass))
-    return idn._result(abs(lhs - rhs), tol, ell=ell, xi=xi, tau=tau,
+    return _result(abs(lhs - rhs), tol, ell=ell, xi=xi, tau=tau,
                        lhs=[lhs, 0.0], rhs=rhs)
 
 
 def verify_christoffel_darboux_per_degree(n: int, tau: float, taup: float):
-    """identities.verify_christoffel_darboux with one Hermite recurrence per
-    degree and argument."""
+    """identities._batch_christoffel_darboux of one case with one Hermite
+    recurrence per degree and argument."""
     if n > 20:
         raise DomainError("Christoffel-Darboux check capped at n = 20")
     h = hermite_poly_normalized_array
@@ -1222,7 +1251,7 @@ def verify_christoffel_darboux_per_degree(n: int, tau: float, taup: float):
         env_p = max(abs(h(k, taup)) for k in range(n + 2))
         floor = 1e-13 * root * env_t * env_p / abs(tau - taup)
     err = abs(direct - quot)
-    return idn._result(err, max(1e-10 * max(1.0, abs(direct)), floor), n=n,
+    return _result(err, max(1e-10 * max(1.0, abs(direct)), floor), n=n,
                        tau=tau, taup=taup, direct=direct, quotient=quot)
 
 
@@ -1256,7 +1285,7 @@ def _phase_sum(ys: np.ndarray) -> float:
 
 
 def verify_phase_telescoping_scalar(m: int, x, ys):
-    """identities.verify_phase_telescoping, one case on Python floats."""
+    """identities._batch_phase, one case on Python floats."""
     x = np.asarray(x, dtype=float)
     ys = np.asarray(ys, dtype=float).reshape(m - 1, 2)
     pts = [x]
@@ -1266,13 +1295,12 @@ def verify_phase_telescoping_scalar(m: int, x, ys):
     lhs = sum(float(symplectic(pts[i], pts[i + 1])) for i in range(m))
     rhs = _phase_sum(ys)
     scale = 1.0 + float(np.max(np.abs(ys))) ** 2 + float(np.max(np.abs(x))) ** 2
-    return idn._result(abs(lhs - rhs), 1e-12 * scale, m=m, x=x, ys=ys,
+    return _result(abs(lhs - rhs), 1e-12 * scale, m=m, x=x, ys=ys,
                        lhs=lhs, rhs=rhs)
 
 
 def verify_local_frame_reduction_scalar(ys, normal):
-    """identities.verify_local_frame_reduction, one case through the skew
-    matrix."""
+    """identities._batch_frame, one case through the skew matrix."""
     ys = np.asarray(ys, dtype=float).reshape(-1, 2)
     m = ys.shape[0] + 1
     n = np.asarray(normal, dtype=float)
@@ -1288,12 +1316,11 @@ def verify_local_frame_reduction_scalar(ys, normal):
     rhs = float(z @ (skew(idn.SubstitutionPlan(m=m, q=1)) @ t))
     err = max(err, abs(_phase_sum(ys) - rhs))
     scale = 1.0 + float(np.max(np.abs(ys))) ** 2
-    return idn._result(err, 1e-12 * scale, m=m, ys=ys, normal=n)
+    return _result(err, 1e-12 * scale, m=m, ys=ys, normal=n)
 
 
 def verify_exponent_identity_scalar(m: int, q: int, xi: float, tau):
-    """identities.verify_exponent_identity, one case through the plan's
-    matrices."""
+    """identities._batch_exponent, one case through the plan's matrices."""
     plan = idn.SubstitutionPlan(m=m, q=q)
     tau = np.asarray(tau, dtype=float)
     xi0, t = _original_variables(plan, xi, tau)
@@ -1302,12 +1329,12 @@ def verify_exponent_identity_scalar(m: int, q: int, xi: float, tau):
            + 0.25 * np.sum(big_t ** 2) + 0.25 * np.sum(t_full ** 2))
     rhs = xi ** 2 + float(np.sum((xi + tau) ** 2))
     scale = 1.0 + abs(lhs) + abs(rhs)
-    return idn._result(abs(lhs - rhs), 1e-11 * scale, m=m, q=q, xi=xi, tau=tau,
+    return _result(abs(lhs - rhs), 1e-11 * scale, m=m, q=q, xi=xi, tau=tau,
                        lhs=float(lhs), rhs=float(rhs), xi0=xi0, t=t)
 
 
 def verify_T_in_tau_scalar(m: int, q: int, tau):
-    """identities.verify_T_in_tau, one case and one branch at a time."""
+    """identities._batch_t_tables, one case and one branch at a time."""
     if not 1 <= q <= m - 2:
         raise DomainError("the four-branch tables assume 1 <= q <= m-2")
     plan = idn.SubstitutionPlan(m=m, q=q)
@@ -1346,7 +1373,7 @@ def verify_T_in_tau_scalar(m: int, q: int, tau):
         err = max(err, abs(big_flip[j - 1] - shift - tilde))
         err = max(err, abs(t_flip[j - 1] - tilde_t))
     scale = 1.0 + float(np.max(np.abs(tau)))
-    return idn._result(err, 1e-12 * scale, m=m, q=q, tau=tau)
+    return _result(err, 1e-12 * scale, m=m, q=q, tau=tau)
 
 
 def claimed_laguerre_argument_scalar(plan, j: int, omega, xi: float, tau):
@@ -1367,8 +1394,7 @@ def claimed_laguerre_argument_scalar(plan, j: int, omega, xi: float, tau):
 
 
 def verify_laguerre_argument_maps_scalar(m: int, q: int, omega, xi: float, tau):
-    """identities.verify_laguerre_argument_maps, one case and one factor at a
-    time."""
+    """identities._batch_laguerre_maps, one case and one factor at a time."""
     plan = idn.SubstitutionPlan(m=m, q=q)
     tau = np.asarray(tau, dtype=float)
     xi0, t = _original_variables(plan, xi, tau, undo_tau_shift=True)
@@ -1379,12 +1405,12 @@ def verify_laguerre_argument_maps_scalar(m: int, q: int, omega, xi: float, tau):
         pre = (omega + 1j * (2.0 * xi0 + big_t[j - 1])) ** 2 + t_full[j - 1] ** 2
         claimed = claimed_laguerre_argument_scalar(plan, j, omega, xi, tau)
         err = max(err, abs(pre - claimed))
-    return idn._result(err, 1e-11 * scale, m=m, q=q, omega=complex(omega),
+    return _result(err, 1e-11 * scale, m=m, q=q, omega=complex(omega),
                        xi=xi, tau=tau)
 
 
 def verify_mehler_scalar(xi: float, tau: float, t: float, n_cap: int = 200):
-    """identities.verify_mehler, one case on Python floats."""
+    """identities._batch_mehler, one case on Python floats."""
     if not abs(t) < 1.0:
         raise DomainError(f"Mehler series needs |t| < 1, got {t}")
     closed = (1.0 - t * t) ** -0.5 * math.exp(
@@ -1407,18 +1433,19 @@ def verify_mehler_scalar(xi: float, tau: float, t: float, n_cap: int = 200):
             small_run = 0
     else:
         raise NumericError(f"Mehler series not converged within {n_cap} terms")
-    return idn._result(abs(total - closed),
+    return _result(abs(total - closed),
                        1e-9 * max(1.0, abs(closed)) + 1e-15 * mass,
                        xi=xi, tau=tau, t=t, series=total, closed=closed)
 
 
 def batch_of(verify):
-    """A batched identity evaluator, returning (error, tolerance, row) like
-    the library's, made of one `verify` call per row."""
+    """A batched identity evaluator, returning (error, tolerance, columns)
+    like the library's, made of one `verify` call per row; the columns hold
+    each row's result inputs."""
     def batch(*columns, **options):
         results = [verify(*(c[i].tolist() for c in columns), **options)
                    for i in range(len(columns[0]))]
         return (np.array([r.max_error for r in results]),
                 np.array([r.tolerance for r in results]),
-                lambda i: results[i].inputs)
+                {k: [r.inputs[k] for r in results] for k in results[0].inputs})
     return batch

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lle import identities as idn
+from lle.cli import main
 from lle.errors import DomainError, NumericError
 
 import oracles
@@ -65,28 +66,28 @@ def test_shifted_differences_equal_the_integer_matrices():
 # ---------------------------------------------------------------------------
 
 def test_phase_telescoping_m2_both_sides_zero():
-    res = idn.verify_phase_telescoping(2, (0.3, -0.8), [(1.2, 0.4)])
+    res = oracles.one_row(idn._batch_phase, 2, (0.3, -0.8), [(1.2, 0.4)])
     assert res.ok
     assert res.inputs["lhs"] == pytest.approx(0.0, abs=1e-14)
     assert res.inputs["rhs"] == 0.0
 
 
 def test_phase_telescoping_zero_ys():
-    res = idn.verify_phase_telescoping(4, (1.0, 2.0), np.zeros((3, 2)))
+    res = oracles.one_row(idn._batch_phase, 4, (1.0, 2.0), np.zeros((3, 2)))
     assert res.ok and res.max_error == 0.0
 
 
 @given(st.integers(2, 8))
 def test_phase_telescoping_random(m):
     rng = np.random.default_rng(m)
-    res = idn.verify_phase_telescoping(m, rng.normal(size=2),
-                                       rng.normal(size=(m - 1, 2)))
+    res = oracles.one_row(idn._batch_phase, m, rng.normal(size=2),
+                          rng.normal(size=(m - 1, 2)))
     assert res.ok
 
 
 def test_local_frame_axis_aligned():
     ys = np.array([[0.3, 1.7], [-0.2, 0.9]])
-    res = idn.verify_local_frame_reduction(ys, (0.0, 1.0))
+    res = oracles.one_row(idn._batch_frame, 3, ys, (0.0, 1.0))
     assert res.ok
 
 
@@ -94,8 +95,8 @@ def test_local_frame_random():
     rng = np.random.default_rng(3)
     for m in (2, 5):
         ang = rng.uniform(0, 2 * math.pi)
-        res = idn.verify_local_frame_reduction(
-            rng.normal(size=(m - 1, 2)), (math.cos(ang), math.sin(ang)))
+        res = oracles.one_row(idn._batch_frame, m, rng.normal(size=(m - 1, 2)),
+                              (math.cos(ang), math.sin(ang)))
         assert res.ok
 
 
@@ -106,14 +107,14 @@ def test_local_frame_random():
 def test_exponent_identity_spot_value():
     # m=3, q=1 at xi=1, tau=(1,1): both sides equal
     # 3 xi^2 + 2 xi (tau1+tau2) + tau1^2 + tau2^2 = 9
-    res = idn.verify_exponent_identity(3, 1, 1.0, [1.0, 1.0])
+    res = oracles.one_row(idn._batch_exponent, 3, 1, 1.0, [1.0, 1.0])
     assert res.ok
     assert res.inputs["lhs"] == pytest.approx(9.0, abs=1e-12)
     assert res.inputs["rhs"] == pytest.approx(9.0, abs=1e-12)
 
 
 def test_exponent_identity_zero_tau():
-    res = idn.verify_exponent_identity(4, 2, 0.7, [0.0, 0.0, 0.0])
+    res = oracles.one_row(idn._batch_exponent, 4, 2, 0.7, [0.0, 0.0, 0.0])
     assert res.ok
     assert res.inputs["lhs"] == pytest.approx(4 * 0.7 ** 2, abs=1e-12)
 
@@ -123,28 +124,31 @@ def test_exponent_identity_all_branches():
     for m in range(2, 9):
         for q in range(1, m):
             for _ in range(20):
-                res = idn.verify_exponent_identity(
-                    m, q, float(rng.normal()), rng.uniform(0.05, 3.0, size=m - 1))
+                res = oracles.one_row(
+                    idn._batch_exponent, m, q, float(rng.normal()),
+                    rng.uniform(0.05, 3.0, size=m - 1))
                 assert res.ok, (m, q, res.inputs)
 
 
 def test_t_tables_branch_values():
     # j=q branch reads tau_1 - tau_q - tau_{m-1}
-    res = idn.verify_T_in_tau(5, 2, [0.5, 1.5, 0.7, 2.2])
+    res = oracles.one_row(idn._batch_t_tables, 5, 2, [0.5, 1.5, 0.7, 2.2])
     assert res.ok
     # m=3, q=1: T_1 = -t_2 expressed in tau
-    res = idn.verify_T_in_tau(3, 1, [1.1, 0.4])
+    res = oracles.one_row(idn._batch_t_tables, 3, 1, [1.1, 0.4])
     assert res.ok
     with pytest.raises(DomainError):
-        idn.verify_T_in_tau(4, 3, [1.0, 1.0, 1.0])  # q = m-1 excluded
+        # q = m-1 excluded
+        oracles.one_row(idn._batch_t_tables, 4, 3, [1.0, 1.0, 1.0])
 
 
 def test_laguerre_maps_all_branches():
     rng = np.random.default_rng(17)
     for m in range(2, 9):
         for q in range(1, m):
-            res = idn.verify_laguerre_argument_maps(
-                m, q, complex(rng.normal(), rng.normal()),
+            res = oracles.one_row(
+                idn._batch_laguerre_maps, m, q,
+                complex(rng.normal(), rng.normal()),
                 float(rng.normal()), rng.uniform(0.05, 3.0, size=m - 1))
             assert res.ok, (m, q, res.inputs)
 
@@ -161,7 +165,7 @@ def test_laguerre_maps_claimed_factor_forms():
     assert got_q == pytest.approx((omega - 2j * xi) * (omega - 2j * 1.0))
     got_m = idn._claimed_laguerre_argument(plan, 5, omega, xi, tau)
     assert got_m == pytest.approx((omega - 2j * 0.5) * (omega - 2j * 2.0))
-    assert idn.verify_laguerre_argument_maps(5, 2, omega, xi, tau).ok
+    assert oracles.one_row(idn._batch_laguerre_maps, 5, 2, omega, xi, tau).ok
 
 
 # ---------------------------------------------------------------------------
@@ -169,22 +173,22 @@ def test_laguerre_maps_claimed_factor_forms():
 # ---------------------------------------------------------------------------
 
 def test_hermite_identity_ell0_is_sqrt2():
-    res = idn.verify_hermite_identity(0, 0.9, -2.2)
+    res = oracles.one_row(idn._batch_hermite, 0, 0.9, -2.2)
     assert res.ok
     assert res.inputs["rhs"] == pytest.approx(math.sqrt(2.0), abs=1e-12)
     assert res.inputs["lhs"][0] == pytest.approx(math.sqrt(2.0), abs=1e-10)
 
 
 def test_hermite_identity_odd_zero():
-    res = idn.verify_hermite_identity(1, 0.0, 0.0)
+    res = oracles.one_row(idn._batch_hermite, 1, 0.0, 0.0)
     assert res.ok
     assert abs(complex(*res.inputs["lhs"])) < 1e-11
 
 
 def test_hermite_identity_spot():
-    assert idn.verify_hermite_identity(7, 1.3, -0.4).ok
+    assert oracles.one_row(idn._batch_hermite, 7, 1.3, -0.4).ok
     with pytest.raises(DomainError):
-        idn.verify_hermite_identity(13, 0.0, 0.0)
+        oracles.one_row(idn._batch_hermite, 13, 0.0, 0.0)
 
 
 def _lhs_table(ell: int) -> dict:
@@ -201,7 +205,7 @@ def test_hermite_lhs_table_low_degrees():
     # L_2 at xi = tau = 0: z = -u^2/2, so 1 - 2 E[z] + E[z^2]/2 over sqrt(2)
     # is 1 - 2 + 3/2
     assert _lhs_table(2)[0, 0] == Fraction(1, 2)
-    res = idn.verify_hermite_identity(2, 0.3, -1.1)
+    res = oracles.one_row(idn._batch_hermite, 2, 0.3, -1.1)
     assert res.ok and res.inputs["lhs"][1] == 0.0
 
 
@@ -244,47 +248,47 @@ def test_hermite_identity_suite_every_seed(seed):
 
 
 def test_mehler_trivial_and_even():
-    res = idn.verify_mehler(1.3, -0.7, 0.0)
+    res = oracles.one_row(idn._batch_mehler, 1.3, -0.7, 0.0)
     assert res.ok and res.inputs["series"] == pytest.approx(1.0)
-    res = idn.verify_mehler(0.0, 0.0, 0.55)
+    res = oracles.one_row(idn._batch_mehler, 0.0, 0.0, 0.55)
     assert res.ok
     assert res.inputs["closed"] == pytest.approx((1 - 0.55 ** 2) ** -0.5, abs=1e-12)
 
 
 def test_mehler_spot():
-    assert idn.verify_mehler(1.0, 0.5, 0.6).ok
+    assert oracles.one_row(idn._batch_mehler, 1.0, 0.5, 0.6).ok
     with pytest.raises(DomainError):
-        idn.verify_mehler(0.0, 0.0, 1.0)
+        oracles.one_row(idn._batch_mehler, 0.0, 0.0, 1.0)
 
 
 def test_christoffel_darboux_cases():
-    assert idn.verify_christoffel_darboux(0, 0.7, -1.3).ok
-    assert idn.verify_christoffel_darboux(9, 0.3, -1.1).ok
-    conf = idn.verify_christoffel_darboux(6, 1.4, 1.4)
+    assert oracles.one_row(idn._batch_christoffel_darboux, 0, 0.7, -1.3).ok
+    assert oracles.one_row(idn._batch_christoffel_darboux, 9, 0.3, -1.1).ok
+    conf = oracles.one_row(idn._batch_christoffel_darboux, 6, 1.4, 1.4)
     assert conf.ok  # confluent branch against the direct sum
     with pytest.raises(DomainError):
-        idn.verify_christoffel_darboux(21, 0.0, 0.0)
+        oracles.one_row(idn._batch_christoffel_darboux, 21, 0.0, 0.0)
 
 
 def test_hermite_identity_rejects_nonfinite_and_negative_degree():
     with pytest.raises(DomainError):
-        idn.verify_hermite_identity(3, math.nan, 0.2)
+        oracles.one_row(idn._batch_hermite, 3, math.nan, 0.2)
     with pytest.raises(DomainError):
-        idn.verify_hermite_identity(3, 0.2, math.inf)
+        oracles.one_row(idn._batch_hermite, 3, 0.2, math.inf)
     with pytest.raises(DomainError):
-        idn.verify_hermite_identity(-1, 0.0, 0.0)
+        oracles.one_row(idn._batch_hermite, -1, 0.0, 0.0)
 
 
 def test_hermite_identity_left_side_overflow():
     with pytest.raises(DomainError):
-        idn.verify_hermite_identity(12, 1e30, 2.0)
+        oracles.one_row(idn._batch_hermite, 12, 1e30, 2.0)
 
 
 def test_hermite_identity_floor_stays_below_the_left_side():
     # a floor from the product of the Hermite magnitudes was 1.0e296 here,
     # against a left side of -2.36e16; the term mass leaves the relative
     # tolerance 2.4e7 in charge
-    res = idn.verify_hermite_identity(11, 1e28, 1e-290)
+    res = oracles.one_row(idn._batch_hermite, 11, 1e28, 1e-290)
     lhs = res.inputs["lhs"][0]
     assert lhs == pytest.approx(-2.3570226e16, rel=1e-7)
     assert res.ok and res.tolerance < abs(lhs)
@@ -296,7 +300,7 @@ def test_hermite_identity_floor_catches_an_error_of_1e_11_of_the_mass(monkeypatc
     # 1e-13 sqrt(2) times the term mass, is in charge: a right side off by
     # 1e-11 of that mass must fail (a 1e-10 factor would pass it)
     ell, xi, tau = 2, 2 ** -0.5, 1.0
-    assert idn.verify_hermite_identity(ell, xi, tau).ok
+    assert oracles.one_row(idn._batch_hermite, ell, xi, tau).ok
     mass = math.sqrt(2.0) * sum(abs(float(c)) * abs(xi) ** a * abs(tau) ** b
                                 for (a, b), c in _lhs_table(ell).items())
     shift = 1e-11 * mass / (math.sqrt(2.0)
@@ -308,7 +312,7 @@ def test_hermite_identity_floor_catches_an_error_of_1e_11_of_the_mass(monkeypatc
         for k, value in enumerate(sweep(top, t, h0)):
             yield value + (k == ell) * np.where(t == xi, shift, 0.0)
     monkeypatch.setattr(idn, "hermite_sweep", shifted)
-    res = idn.verify_hermite_identity(ell, xi, tau)
+    res = oracles.one_row(idn._batch_hermite, ell, xi, tau)
     assert res.max_error == pytest.approx(1e-11 * mass, rel=1e-3)
     assert res.tolerance == pytest.approx(1e-13 * mass, rel=1e-12)
     assert not res.ok
@@ -318,7 +322,7 @@ def test_hermite_identity_term_mass_overflow():
     # near the top zero of H_12 the left side 2.8e292 is a double, but the
     # sum of its absolute terms is not
     with pytest.raises(DomainError):
-        idn.verify_hermite_identity(12, 3.889724897869777, 3e25)
+        oracles.one_row(idn._batch_hermite, 12, 3.889724897869777, 3e25)
 
 
 # tau, where the first failing case was found, and a point where h_16 is
@@ -331,7 +335,7 @@ _CD_NEAR_CONFLUENT = [(n, -2.4873271207466656, d)
 @pytest.mark.parametrize("n, tau, d", _CD_NEAR_CONFLUENT)
 def test_christoffel_darboux_near_confluence(n, tau, d):
     # the quotient's rounding grows like 1/|tau - taup|; the floor follows it
-    res = idn.verify_christoffel_darboux(n, tau, tau + d)
+    res = oracles.one_row(idn._batch_christoffel_darboux, n, tau, tau + d)
     assert res.ok, res
     want = oracles.verify_christoffel_darboux_per_degree(n, tau, tau + d)
     assert _bits(dataclasses.asdict(res)) == _bits(dataclasses.asdict(want))
@@ -343,7 +347,7 @@ def test_christoffel_darboux_floor_catches_an_error_of_1e_11_of_the_mass(
     # sqrt((n+1)/2) max|h_k(tau)| max|h_k(taup)| / |tau - taup|, is in
     # charge: a direct sum off by 1e-11 of that mass must fail
     n, tau, taup = 5, -2.4873271207466656, -2.4873271207466656 + 1e-6
-    assert idn.verify_christoffel_darboux(n, tau, taup).ok
+    assert oracles.one_row(idn._batch_christoffel_darboux, n, tau, taup).ok
     h = oracles.hermite_poly_normalized_array
     mass = (math.sqrt((n + 1) / 2) * max(abs(h(k, tau)) for k in range(n + 2))
             * max(abs(h(k, taup)) for k in range(n + 2)) / abs(tau - taup))
@@ -354,7 +358,7 @@ def test_christoffel_darboux_floor_catches_an_error_of_1e_11_of_the_mass(
         for k, value in enumerate(sweep(ell, t, h0)):
             yield value + (k == 0) * np.where(t == tau, 1e-11 * mass, 0.0)
     monkeypatch.setattr(idn, "hermite_sweep", shifted)
-    res = idn.verify_christoffel_darboux(n, tau, taup)
+    res = oracles.one_row(idn._batch_christoffel_darboux, n, tau, taup)
     assert res.max_error == pytest.approx(1e-11 * mass, rel=1e-2)
     assert res.tolerance == pytest.approx(1e-13 * mass, rel=1e-12)
     assert not res.ok
@@ -362,21 +366,21 @@ def test_christoffel_darboux_floor_catches_an_error_of_1e_11_of_the_mass(
 
 def test_christoffel_darboux_rejects_nan_and_negative_degree():
     with pytest.raises(DomainError):
-        idn.verify_christoffel_darboux(3, math.nan, 0.2)
+        oracles.one_row(idn._batch_christoffel_darboux, 3, math.nan, 0.2)
     with pytest.raises(DomainError):
-        idn.verify_christoffel_darboux(-1, 0.2, 0.3)
+        oracles.one_row(idn._batch_christoffel_darboux, -1, 0.2, 0.3)
 
 
 def test_christoffel_darboux_overflow():
     with pytest.raises(DomainError):
-        idn.verify_christoffel_darboux(20, 1e200, 2.0)
+        oracles.one_row(idn._batch_christoffel_darboux, 20, 1e200, 2.0)
 
 
 def test_mehler_rejects_nan_and_overflow():
     with pytest.raises(DomainError):
-        idn.verify_mehler(math.nan, 0.1, 0.2)
+        oracles.one_row(idn._batch_mehler, math.nan, 0.1, 0.2)
     with pytest.raises(DomainError):
-        idn.verify_mehler(400.0, 400.0, 0.5)
+        oracles.one_row(idn._batch_mehler, 400.0, 400.0, 0.5)
 
 
 # signed zeros, subnormals of both signs and the suite's edges +-4
@@ -403,7 +407,7 @@ def _points(seed, count):
 def test_hermite_identity_bitwise_against_fraction_oracle(ell):
     pts = _points(ell, 5)
     for xi, tau in itertools.product(pts, pts):
-        got = idn.verify_hermite_identity(ell, xi, tau)
+        got = oracles.one_row(idn._batch_hermite, ell, xi, tau)
         want = oracles.verify_hermite_identity_fraction(ell, xi, tau)
         assert _bits(dataclasses.asdict(got)) == _bits(dataclasses.asdict(want)), \
             (ell, xi, tau)
@@ -413,24 +417,42 @@ def test_hermite_identity_bitwise_against_fraction_oracle(ell):
 def test_christoffel_darboux_bitwise_against_per_degree_oracle(n):
     pts = _points(100 + n, 4)
     for tau, taup in itertools.product(pts, pts):
-        got = idn.verify_christoffel_darboux(n, tau, taup)
+        got = oracles.one_row(idn._batch_christoffel_darboux, n, tau, taup)
         want = oracles.verify_christoffel_darboux_per_degree(n, tau, taup)
         assert _bits(dataclasses.asdict(got)) == _bits(dataclasses.asdict(want)), \
             (n, tau, taup)
 
 
+def _fail_every_row(evaluate):
+    """`evaluate` with every row's tolerance one ulp below its error, or -1
+    where the error is 0, so that every row fails."""
+    def failing(*columns, **options):
+        err, tol, out = evaluate(*columns, **options)
+        return err, np.where(err == 0.0, -1.0, np.nextafter(err, -np.inf)), out
+    return failing
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_suite_reports_equal_oracle_reports(seed, monkeypatch):
-    fast = json.dumps(idn.run_all_suites(200, seed), sort_keys=True,
-                      default=float)
-    monkeypatch.setattr(idn, "_batch_hermite", oracles.batch_of(
-        oracles.verify_hermite_identity_fraction))
-    monkeypatch.setattr(idn, "_batch_mehler", oracles.batch_of(
-        oracles.verify_mehler_scalar))
-    monkeypatch.setattr(idn, "_batch_christoffel_darboux", oracles.batch_of(
-        oracles.verify_christoffel_darboux_per_degree))
-    assert json.dumps(idn.run_all_suites(200, seed), sort_keys=True,
-                      default=float) == fast
+    # the reports agree, and so do their dumps when every row fails
+    oracle_of = {"_batch_hermite": oracles.verify_hermite_identity_fraction,
+                 "_batch_mehler": oracles.verify_mehler_scalar,
+                 "_batch_christoffel_darboux":
+                     oracles.verify_christoffel_darboux_per_degree}
+
+    def reports(fail):
+        with monkeypatch.context() as patch:
+            if fail:
+                for name in oracle_of:
+                    patch.setattr(idn, name, _fail_every_row(getattr(idn, name)))
+            return json.dumps(idn.run_all_suites(200, seed), sort_keys=True,
+                              default=float)
+    fast, fast_failing = reports(False), reports(True)
+    assert len(json.loads(fast_failing)["suites"]["mehler"]["failures"]) == 200
+    for name, verify in oracle_of.items():
+        monkeypatch.setattr(idn, name, oracles.batch_of(verify))
+    assert reports(False) == fast
+    assert reports(True) == fast_failing
 
 
 def test_laguerre_sum_relation_pointwise():
@@ -454,7 +476,7 @@ def test_suite_reports_failures_with_inputs():
     # a failing case must carry its inputs for reproduction
     report = idn.run_suite("mehler", cases=5, seed=1)
     assert report["passed"]
-    bad = idn._result(1.0, 1e-9, xi=0.5)
+    bad = oracles._result(1.0, 1e-9, xi=0.5)
     assert not bad.ok and bad.inputs["xi"] == 0.5
 
 
@@ -471,7 +493,7 @@ def test_suites_deterministic():
 
 def test_mehler_convergence_error_path():
     with pytest.raises(NumericError):
-        idn.verify_mehler(3.0, 3.0, 0.8, n_cap=5)
+        oracles.one_row(idn._batch_mehler, 3.0, 3.0, 0.8, n_cap=5)
 
 
 # suite -> (its batched evaluator, the relative tolerance factor of its
@@ -525,7 +547,7 @@ def test_batched_evaluator_agrees_with_per_case_oracle(suite, monkeypatch):
             want = oracle(*(c[i].tolist() for c in columns))
             assert bool(err[i] <= tol[i]) == want.ok
             if rel is None:
-                got = idn._result(err[i], tol[i],
+                got = oracles._result(err[i], tol[i],
                                   **{k: v[i] for k, v in sides.items()})
                 assert _bits(dataclasses.asdict(got)) == \
                     _bits(dataclasses.asdict(want)), (suite, i)
@@ -564,8 +586,8 @@ def test_one_suite_equals_its_entry_of_all_suites(monkeypatch):
 
 
 def test_suite_dumps_failing_rows_only(monkeypatch):
-    # cases 3 and BLOCK + 2 fail; each is checked again alone, as its
-    # single-case verifier would, and only that check builds its dump
+    # cases 3 and BLOCK + 2 fail; each block is evaluated once, and a dump
+    # is the failing row as that evaluation returned it
     cases, seed = idn.BLOCK + 5, 2
     rows = _drawn_rows(monkeypatch, "christoffel-darboux", cases, seed)
     bad = {tuple(rows[3]), tuple(rows[idn.BLOCK + 2])}
@@ -580,16 +602,54 @@ def test_suite_dumps_failing_rows_only(monkeypatch):
         return np.where(hit, 2.0 * tol, err), tol, sides
     monkeypatch.setattr(idn, "_batch_christoffel_darboux", failing)
     report = idn.run_suite("christoffel-darboux", cases=cases, seed=seed)
-    assert not report["passed"] and blocks == [idn.BLOCK, 1, 5, 1]
+    assert not report["passed"] and blocks == [idn.BLOCK, 5]
     assert [f["case"] for f in report["failures"]] == [3, idn.BLOCK + 2]
     assert report["max_error_over_tolerance"] == 2.0
     for failure, row in zip(report["failures"], sorted(bad)):
         assert set(failure) == {"n", "tau", "taup", "direct", "quotient",
                                 "max_error", "tolerance", "case"}
         assert failure["max_error"] == 2.0 * failure["tolerance"]
-        again = idn.verify_christoffel_darboux(*[failure[k] for k in
-                                                 ("n", "tau", "taup")])
+        again = oracles.one_row(evaluate, *[failure[k] for k in
+                                            ("n", "tau", "taup")])
         assert again.inputs == {k: failure[k] for k in again.inputs}
+
+
+@pytest.mark.parametrize("suite", sorted(_SUITE_ORACLES))
+def test_a_dump_is_the_row_that_failed(suite, monkeypatch):
+    # every row fails by one ulp: each dump carries its own row's error and
+    # tolerance, bit for bit, and its chain variables without the padding
+    name = _SUITE_ORACLES[suite][0]
+    monkeypatch.setattr(idn, name, _fail_every_row(getattr(idn, name)))
+    calls = _record(monkeypatch, name)
+    report = idn.run_suite(suite, cases=idn.BLOCK + 76, seed=11)
+    assert [len(err) for _, (err, _, _) in calls] == [idn.BLOCK, 76]
+    rows = [(err[i], tol[i], {k: v[i] for k, v in out.items()})
+            for _, (err, tol, out) in calls for i in range(len(err))]
+    assert [f["case"] for f in report["failures"]] == list(range(len(rows)))
+    for failure, (err, tol, row) in zip(report["failures"], rows):
+        assert _bits(failure["max_error"]) == _bits(float(err))
+        assert _bits(failure["tolerance"]) == _bits(float(tol))
+        assert failure["max_error"] > failure["tolerance"]
+        for k, v in row.items():
+            if "m" in row and k in ("ys", "tau", "t"):
+                assert len(failure[k]) == row["m"] - 1
+                v = v[:row["m"] - 1]
+            assert _bits(failure[k]) == _bits(idn._json(v)), (suite, k)
+
+
+@pytest.mark.parametrize("suite", sorted(_SUITE_ORACLES))
+def test_a_failure_is_reproduced_by_its_case_count(suite, monkeypatch, capsys):
+    # case i of a run is the last case of the same seed's run of i + 1 cases
+    name = _SUITE_ORACLES[suite][0]
+    monkeypatch.setattr(idn, name, _fail_every_row(getattr(idn, name)))
+
+    def dumps(cases):
+        assert main(["verify", "--suite", suite, "--cases", str(cases),
+                     "--seed", "6"]) == 1
+        return json.loads(capsys.readouterr().out)["failures"]
+    every = dumps(idn.BLOCK + 10)
+    for i in (7, idn.BLOCK + 3):
+        assert _bits(dumps(i + 1)[-1]) == _bits(every[i])
 
 
 @pytest.mark.parametrize("kwargs", [
