@@ -1229,7 +1229,7 @@ def verify_hermite_identity_fraction(ell: int, xi: float, tau: float):
     mass = sum(abs(term) for term in terms)
     tol = max(1e-9 * abs(rhs), 1e-13 * math.sqrt(2.0) * float(mass))
     return _result(abs(lhs - rhs), tol, ell=ell, xi=xi, tau=tau,
-                       lhs=[lhs, 0.0], rhs=rhs)
+                   lhs=[lhs, 0.0], rhs=rhs)
 
 
 def verify_christoffel_darboux_per_degree(n: int, tau: float, taup: float):
@@ -1252,7 +1252,7 @@ def verify_christoffel_darboux_per_degree(n: int, tau: float, taup: float):
         floor = 1e-13 * root * env_t * env_p / abs(tau - taup)
     err = abs(direct - quot)
     return _result(err, max(1e-10 * max(1.0, abs(direct)), floor), n=n,
-                       tau=tau, taup=taup, direct=direct, quotient=quot)
+                   tau=tau, taup=taup, direct=direct, quotient=quot)
 
 
 # the per-case bodies of the identity checks: Python floats, the plan's
@@ -1296,7 +1296,7 @@ def verify_phase_telescoping_scalar(m: int, x, ys):
     rhs = _phase_sum(ys)
     scale = 1.0 + float(np.max(np.abs(ys))) ** 2 + float(np.max(np.abs(x))) ** 2
     return _result(abs(lhs - rhs), 1e-12 * scale, m=m, x=x, ys=ys,
-                       lhs=lhs, rhs=rhs)
+                   lhs=lhs, rhs=rhs)
 
 
 def verify_local_frame_reduction_scalar(ys, normal):
@@ -1330,7 +1330,7 @@ def verify_exponent_identity_scalar(m: int, q: int, xi: float, tau):
     rhs = xi ** 2 + float(np.sum((xi + tau) ** 2))
     scale = 1.0 + abs(lhs) + abs(rhs)
     return _result(abs(lhs - rhs), 1e-11 * scale, m=m, q=q, xi=xi, tau=tau,
-                       lhs=float(lhs), rhs=float(rhs), xi0=xi0, t=t)
+                   lhs=float(lhs), rhs=float(rhs), xi0=xi0, t=t)
 
 
 def verify_T_in_tau_scalar(m: int, q: int, tau):
@@ -1406,7 +1406,7 @@ def verify_laguerre_argument_maps_scalar(m: int, q: int, omega, xi: float, tau):
         claimed = claimed_laguerre_argument_scalar(plan, j, omega, xi, tau)
         err = max(err, abs(pre - claimed))
     return _result(err, 1e-11 * scale, m=m, q=q, omega=complex(omega),
-                       xi=xi, tau=tau)
+                   xi=xi, tau=tau)
 
 
 def verify_mehler_scalar(xi: float, tau: float, t: float, n_cap: int = 200):
@@ -1434,8 +1434,8 @@ def verify_mehler_scalar(xi: float, tau: float, t: float, n_cap: int = 200):
     else:
         raise NumericError(f"Mehler series not converged within {n_cap} terms")
     return _result(abs(total - closed),
-                       1e-9 * max(1.0, abs(closed)) + 1e-15 * mass,
-                       xi=xi, tau=tau, t=t, series=total, closed=closed)
+                   1e-9 * max(1.0, abs(closed)) + 1e-15 * mass,
+                   xi=xi, tau=tau, t=t, series=total, closed=closed)
 
 
 def batch_of(verify):

@@ -521,7 +521,7 @@ _SUITE_ORACLES = {
 
 def _record(monkeypatch, name):
     """Patch the batched evaluator `name` to record its input columns and its
-    (error, tolerance, row) output, call by call."""
+    (error, tolerance, columns) output, call by call."""
     calls = []
     evaluate = getattr(idn, name)
 
@@ -548,7 +548,7 @@ def test_batched_evaluator_agrees_with_per_case_oracle(suite, monkeypatch):
             assert bool(err[i] <= tol[i]) == want.ok
             if rel is None:
                 got = oracles._result(err[i], tol[i],
-                                  **{k: v[i] for k, v in sides.items()})
+                                      **{k: v[i] for k, v in sides.items()})
                 assert _bits(dataclasses.asdict(got)) == \
                     _bits(dataclasses.asdict(want)), (suite, i)
             else:
