@@ -53,8 +53,13 @@ def _write(path: str | None, text: str):
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        # a path that cannot be written is the caller's error, not a failed
+        # verification: exit 1 is reserved for that
+        try:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _dump(obj) -> str:
@@ -255,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_coeff)
 
     p = sub.add_parser("spectrum", help="localized-projection eigenvalues")
     p.add_argument("--region", required=True, help="region JSON")
@@ -266,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="disk")
     p.add_argument("--cutoff", type=float, default=1e-12)
     p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("scaling", help="entropy area-law scaling fit")
     p.add_argument("--region", required=True)
@@ -283,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=float, default=1e-12)
     p.add_argument("--csv", default=None, help="also write the (L, S) series")
     p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_scaling)
 
     p = sub.add_parser("verify", help="identity verification suites")
     p.add_argument("--suite", default="all",
@@ -292,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cases", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("rocca", help="translate-intersection area expansion")
     p.add_argument("--region", required=True)
@@ -301,19 +302,35 @@ def build_parser() -> argparse.ArgumentParser:
                    help="smallest k in eps = 2^-k")
     p.add_argument("--eps-max-exp", type=int, default=9)
     p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_rocca)
     return parser
 
 
+# built once per process: it holds no request data, and main dispatches on
+# the subcommand's name, so the parser pins no cmd_* function
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one lle request given its arguments; return the exit code.
+
+    0 success; 1 a verification suite failed (``lle verify`` alone); 2 usage
+    error: a bad flag or value, a region or level outside the domain
+    (``UsageError``, ``DomainError``), or an ``--out``/``--csv`` path that
+    cannot be written; 3 any other numeric or capability error (``LleError``).
+    ``--help`` returns 0. Errors go to stderr, never as a traceback. main
+    may be called repeatedly in one process: every call parses with the one
+    module parser, which keeps nothing of a request.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse uses 2 for usage errors and 0 for --help; keep the contract
         return int(exc.code or 0)
+    # looked up per call, so that a name patched on this module is the one run
+    commands = {"coeff": cmd_coeff, "spectrum": cmd_spectrum,
+                "scaling": cmd_scaling, "verify": cmd_verify, "rocca": cmd_rocca}
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except (UsageError, DomainError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
