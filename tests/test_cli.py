@@ -1,5 +1,10 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -654,3 +659,85 @@ def test_every_error_class_maps_to_its_exit_code(capsys, monkeypatch, name,
     assert got == code and out == ""
     prefix = "usage error" if code == 2 else "numeric/capability error"
     assert err == f"{prefix}: injected\n"
+
+
+# one cheap valid request per subcommand
+_REQUESTS = {
+    "coeff": ("coeff", "--levels", "single:0", "--f", "renyi:1"),
+    "spectrum": ("spectrum", "--region", DISK, "--B", "1", "--levels",
+                 "single:0", "--L", "2"),
+    "scaling": ("scaling", "--region", DISK, "--B", "1", "--levels",
+                "single:0", "--alpha", "1", "--L-min", "4", "--L-max", "8"),
+    "verify": ("verify", "--cases", "3"),
+    "rocca": ("rocca", "--region", DISK, "--vectors", "[[1,0]]"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REQUESTS))
+def test_main_runs_the_cmd_patched_on_the_module(capsys, monkeypatch, name):
+    # the parser outlives every call, so it must not pin the cmd_* functions:
+    # main looks each one up on lle.cli when it dispatches
+    seen = []
+
+    def spy(args):
+        seen.append(args.command)
+        return 0
+    monkeypatch.setattr(cli, f"cmd_{name}", spy)
+    code, out, err = run_cli(capsys, *_REQUESTS[name])
+    assert (code, out, err) == (0, "", "") and seen == [name]
+
+
+@pytest.mark.parametrize("name, flag", [
+    *((name, "--out") for name in sorted(_REQUESTS)), ("scaling", "--csv")])
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_unwritable_output_path_exits_2(capsys, tmp_path, name, flag, target):
+    # exit 1 means a failed verification, so an output file that cannot be
+    # opened is a usage error, like every other bad argument
+    path = tmp_path / "missing" / "out.txt" if target == "missing" else tmp_path
+    code, out, err = run_cli(capsys, *_REQUESTS[name], flag, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"usage error: cannot write {path}: ")
+    assert "Traceback" not in err
+
+
+def _fresh_cli(argv):
+    """Exit code and stdout of one request in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "lle.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout
+
+
+_SPECTRUM = ("spectrum", "--region", DISK, "--B", "1", "--levels", "upto:1",
+             "--L", "3")
+_SCALING = ("scaling", "--region", DISK, "--B", "1", "--alpha", "1",
+            "--L-min", "4", "--L-max", "8")
+
+
+@pytest.mark.parametrize("first, first_code, later", [
+    ((*_SPECTRUM, "--solver", "both"), 0, _SPECTRUM),
+    ((*_SCALING, "--mu", "3.5"), 0, (*_SCALING, "--levels", "upto:1")),
+    ((*_REQUESTS["coeff"], "--format", "xml"), 2, _REQUESTS["coeff"]),
+    (("verify", "--help"), 0, _REQUESTS["verify"]),
+], ids=["solver", "mu-then-levels", "usage-error", "help"])
+def test_repeated_calls_in_one_process_share_no_state(capsys, first, first_code,
+                                                      later):
+    # an option of one call must not leak into the next through the parser
+    # that both share: the later call prints what it prints in a fresh process
+    assert run_cli(capsys, *first)[0] == first_code
+    code, out, err = run_cli(capsys, *later)
+    assert code == 0, err
+    assert (code, out) == _fresh_cli(later)
+
+
+def test_main_builds_no_parser_per_call(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for argv in [*_REQUESTS.values(), ("coeff", "--help"), ("frobnicate",)]:
+        run_cli(capsys, *argv)
+    assert built == []
