@@ -317,9 +317,10 @@ def main(argv=None) -> int:
     error: a bad flag or value, a region or level outside the domain
     (``UsageError``, ``DomainError``), or an ``--out``/``--csv`` path that
     cannot be written; 3 any other numeric or capability error (``LleError``).
-    ``--help`` returns 0. Errors go to stderr, never as a traceback. main
-    may be called repeatedly in one process: every call parses with the one
-    module parser, which keeps nothing of a request.
+    ``--help`` returns 0. A usage error or an ``LleError`` prints one message
+    to stderr and returns its code; it does not raise. main may be called
+    repeatedly in one process: every call parses with the one module parser,
+    which keeps nothing of a request.
     """
     try:
         args = _PARSER.parse_args(argv)
