@@ -43,7 +43,6 @@ from .region_sim import (
     region_spectrum,
     scaling_fit,
 )
-from .specfun import gauss_legendre
 
 __all__ = [
     "AccuracyError", "AsymptoticFit", "CapabilityError", "Disk", "DomainError",
@@ -51,7 +50,7 @@ __all__ = [
     "NumericError", "Polygon", "Region", "SmoothStar",
     "SpectralFunction", "TranslateFamily", "UsageError", "WindowError",
     "__version__", "coeff_with_error",
-    "disk_spectrum", "entropy_from_spectrum", "gauss_legendre",
+    "disk_spectrum", "entropy_from_spectrum",
     "intersect_translates_area", "nu_from_mu", "region_from_json",
     "region_spectrum", "renyi_h", "roccaforte_first_order",
     "roccaforte_second_order", "scaling_fit",

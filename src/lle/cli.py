@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -60,6 +61,14 @@ def _write(path: str | None, text: str):
                 handle.write(text)
         except OSError as exc:
             raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _check_writable(*paths):
+    """`_write`'s UsageError, before a request writes any of its files, for
+    a path that is a directory or whose parent directory is missing."""
+    for path in filter(lambda p: p not in (None, "-"), paths):
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            raise UsageError(f"cannot write {path}: not a file in a directory")
 
 
 def _dump(obj) -> str:
@@ -151,6 +160,7 @@ def cmd_scaling(args) -> int:
         "predicted_c1": predicted,
         "ratio": fit.c1 / predicted,
     }
+    _check_writable(args.csv, args.out)
     if args.csv:
         rows = [f"{L:.12g},{v:.16g}" for L, v in zip(scales, values)]
         _write(args.csv, "\n".join(["L,value"] + rows) + "\n")

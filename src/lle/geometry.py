@@ -4,9 +4,11 @@ Regions come in three variants: disks, smooth star-shaped regions given by a
 truncated Fourier radius profile, and simple polygons. Smooth variants carry
 analytic normals and curvature so the asymptotic fits downstream are not
 contaminated by geometric discretization error. A star keeps one harmonic
-table and its profile on one 4096-angle grid; a polygon's perimeter,
-convexity, first-order boundary integral and translate intersection (its
-edges pushed inward) read one edge table.
+table and its profile on one 4096-angle grid; its area and perimeter are
+read from that profile, checked against every second angle of it, with no
+cache. A polygon's perimeter, convexity, first-order boundary integral and
+translate intersection (its edges pushed inward) read one edge table;
+`contains` serves the smooth regions only.
 """
 
 from __future__ import annotations
@@ -41,8 +43,9 @@ class SmoothStar:
     profile must stay strictly positive. `_grid_profile` holds (r, r') on
     the 4096-angle grid linspace(0, 2 pi, 4096, endpoint=False), read-only
     and computed once per star (64 KiB): it equals `radius(grid, (0, 1))`
-    bitwise, and the positivity check, the finer sums of `area` and
-    `perimeter` and the Nystrom rule's largest radius read it.
+    bitwise, and the positivity check, both sums of `area` and `perimeter`
+    (the coarser on every second angle) and the Nystrom rule's largest
+    radius read it.
     """
 
     coeffs: tuple[float, ...]
@@ -61,11 +64,12 @@ class SmoothStar:
     @functools.cached_property
     def _grid_profile(self):
         """(r, r') on the 4096-angle grid, read-only; not the cos/sin table,
-        since `_star_measures` keeps up to 256 stars alive."""
+        which grows with the degree and would live as long as the star."""
         # r' of coefficients near the largest double may overflow where r
         # does not; such a profile fails the positivity or area check
         with np.errstate(over="ignore", invalid="ignore"):
-            profile = self.radius(_angle_grid(2 * _STAR_NODES), (0, 1))
+            grid = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+            profile = self.radius(grid, (0, 1))
         for arr in profile:
             arr.flags.writeable = False
         return profile
@@ -175,20 +179,13 @@ def _polygon_self_intersects(v: np.ndarray) -> bool:
 # areas, arc lengths, boundary accessors
 # ---------------------------------------------------------------------------
 
-_STAR_NODES = 2048
-
-
-def _angle_grid(n: int) -> np.ndarray:
-    return np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-
-
-@functools.lru_cache(maxsize=256)
 def _star_measures(star: SmoothStar) -> tuple[float, float]:
     def measures(r, rp):
         w = 2.0 * math.pi / r.size
         return (0.5 * float(np.sum(r * r)) * w,
                 float(np.sum(np.sqrt(r * r + rp * rp))) * w)
-    a1, p1 = measures(*star.radius(_angle_grid(_STAR_NODES), (0, 1)))
+    # the coarse sums read every second angle of the fine grid
+    a1, p1 = measures(*(arr[::2] for arr in star._grid_profile))
     a2, p2 = measures(*star._grid_profile)
     err = max(abs(a1 - a2), abs(p1 - p2))
     if err > 1e-10:
@@ -311,20 +308,11 @@ class TranslateFamily:
 
 
 def contains(region: Region, pts: np.ndarray) -> np.ndarray:
-    """Vectorized indicator of the closed region."""
+    """Vectorized indicator of a closed smooth region, by its boundary
+    profile; a polygon raises CapabilityError (see `boundary_radius`)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if not isinstance(region, Polygon):
-        th = np.arctan2(pts[:, 1], pts[:, 0])
-        return np.linalg.norm(pts, axis=1) <= boundary_radius(region, th)
-    v = region.vertex_array()
-    x, y = pts[:, 0], pts[:, 1]
-    inside = np.zeros(pts.shape[0], dtype=bool)
-    for (x1, y1), (x2, y2) in zip(v, np.roll(v, -1, axis=0)):
-        crosses = (y1 > y) != (y2 > y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xin = (x2 - x1) * (y - y1) / (y2 - y1) + x1
-        inside ^= crosses & (x < np.where(crosses, xin, np.inf))
-    return inside
+    th = np.arctan2(pts[:, 1], pts[:, 0])
+    return np.linalg.norm(pts, axis=1) <= boundary_radius(region, th)
 
 
 def _lens_removed_area(radius: float, d: float) -> float:

@@ -40,6 +40,7 @@ from .specfun import hermite_sweep
 
 M_CAP = 8  # randomized suites stop here: all index-branch patterns occur by m = 8
 BLOCK = 1024  # cases per keyed draw: case i is row i % BLOCK of block i // BLOCK
+MEHLER_TERMS = 200  # a Mehler row not converged within this many terms fails
 
 # overflows and 0/0s become inf and nan, as on Python floats; the checks
 # after them raise DomainError or fail the row
@@ -387,13 +388,13 @@ def _mehler_closed(xi: float, tau: float, t: float) -> float:
 
 
 @_quiet
-def _batch_mehler(xi, tau, t, n_cap: int = 200):
+def _batch_mehler(xi, tau, t):
     """Hermite product generating function against its Gaussian closed form.
 
     Partial sums run in the normalized-Hermite basis (term_l = htilde_l(xi)
     htilde_l(tau) t^l); a row stops after six successive terms past l = 8
-    below 1e-13 max(1, |partial sum|), and a row still running at n_cap
-    terms raises NumericError. Tolerance 1e-9 max(1, |closed form|) plus
+    below 1e-13 max(1, |partial sum|), and a row still running at
+    MEHLER_TERMS terms raises NumericError. Tolerance 1e-9 max(1, |closed form|) plus
     1e-15 times the sum of |terms|. Needs |t| < 1; non-finite inputs, and
     inputs whose closed form overflows a double, raise DomainError.
     """
@@ -403,7 +404,7 @@ def _batch_mehler(xi, tau, t, n_cap: int = 200):
     closed = np.array(list(map(_mehler_closed, xi.tolist(), tau.tolist(),
                                t.tolist())))
     # normalized recurrence, so H_l(x) t^l / (2^l l!)-type terms stay bounded
-    pairs = hermite_sweep(n_cap, np.stack([xi, tau]))  # one sweep of both
+    pairs = hermite_sweep(MEHLER_TERMS, np.stack([xi, tau]))  # one sweep of both
     h_x, h_t = next(pairs)
     total = h_x * h_t
     mass = np.abs(total)  # cancellation mass: sum of |terms|
@@ -422,7 +423,7 @@ def _batch_mehler(xi, tau, t, n_cap: int = 200):
             break
     else:
         i = np.flatnonzero(running)[0]
-        raise NumericError(f"Mehler series not converged within {n_cap} terms "
+        raise NumericError(f"Mehler series not converged within {MEHLER_TERMS} terms "
                            f"at (xi={xi[i]}, tau={tau[i]}, t={t[i]})")
     return np.abs(total - closed), \
         1e-9 * np.maximum(1.0, np.abs(closed)) + 1e-15 * mass, \

@@ -4,12 +4,15 @@ The polar tensor rule (Gauss-Legendre radially, periodic trapezoid in the
 angle) respects the boundary layer of width ~1/sqrt(B) where the eigenvalue
 transition happens. The Nystrom matrix on it factors through the kernel's
 angular-momentum sectors, and the solver diagonalises the small Gram matrix
-of that factor. Entropy scaling series come from the disk sector solver
-(`lle scaling`); this module validates universality at moderate scales and
-turns series into boundary coefficients. The dense kernel matrix on the same
-rule, the trace moments tr P^m taken from its angular factor without an
-eigensolve, and the Monte Carlo estimate of tr(P - P^2), which also reaches
-polygons, are test oracles (tests/oracles.py).
+of that factor. `region_spectrum` takes (setup, selector, region, L,
+cutoff=) like every spectral route; its rule is `default_resolution`'s,
+refused by the dimension guard before any node is built. Entropy scaling
+series come from the disk sector solver (`lle scaling`); this module
+validates universality at moderate scales and turns series into boundary
+coefficients. The dense kernel matrix on the same rule, the trace moments
+tr P^m taken from its angular factor without an eigensolve, and the Monte
+Carlo estimate of tr(P - P^2), which also reaches polygons, are test
+oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .disk_spectra import (
-    _LAYOUT_BUDGET,
     LocalSpectrum,
     _check_request,
     _check_window,
@@ -124,12 +126,6 @@ def default_resolution(setup: MagneticSetup, region: Region, L: float
 
 
 def _polar_nodes(region: Region, L: float, n_radial: int, n_theta: int):
-    # leggauss builds an (n_radial, n_radial) companion matrix, the rule
-    # itself n_radial * n_theta nodes: both must fit before either is built
-    size = max(n_radial * n_radial, n_radial * n_theta)
-    if size > _LAYOUT_BUDGET:
-        raise CapabilityError(f"polar rule {n_radial}x{n_theta} exceeds the "
-                              f"layout budget ({size} > {_LAYOUT_BUDGET})")
     theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
     rad = L * boundary_radius(region, theta)
     rule = gauss_legendre(n_radial, 0.0, 1.0)
@@ -183,7 +179,6 @@ def _guard_dim(n_radial: int, n_theta: int) -> int:
 
 def region_spectrum(setup: MagneticSetup, selector: LevelSelector,
                     region: Region, L: float,
-                    resolution: tuple[int, int] | None = None,
                     cutoff: float = 1e-12) -> LocalSpectrum:
     """Eigenvalues of the localized projection by 2-D Nystrom discretization.
 
@@ -195,7 +190,7 @@ def region_spectrum(setup: MagneticSetup, selector: LevelSelector,
     CapabilityError.
     """
     _check_request(L, cutoff)
-    n_radial, n_theta = resolution or default_resolution(setup, region, L)
+    n_radial, n_theta = default_resolution(setup, region, L)
     dim = _guard_dim(n_radial, n_theta)
     a = _angular_factor(setup, selector, region, L, (n_radial, n_theta), cutoff)
     return _finish(np.linalg.eigvalsh(a.conj().T @ a), dim, _CLAMP_ABORT,

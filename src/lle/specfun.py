@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -355,7 +355,7 @@ def occupations(max_level: int, xi_grid) -> np.ndarray:
 class OverlapTable:
     """Dense table of overlap integrals on a xi grid.
 
-    values[l1, l2, i] is the integral of psi_l1 psi_l2 over [xi_grid[i], inf),
+    values[l1, l2, i] is the integral of psi_l1 psi_l2 over [xi_i, inf),
     in closed form from psi_0..psi_max_level at the nodes alone: the
     occupations lambda_l on the diagonal come from the erfc ladder, and off
     the diagonal the Wronskian W = psi_i' psi_j - psi_i psi_j', with
@@ -363,9 +363,7 @@ class OverlapTable:
     (sqrt(2i) psi_{i-1} psi_j - sqrt(2j) psi_i psi_{j-1}) / (2(i-j)).
     """
 
-    xi_grid: np.ndarray
-    max_level: int
-    values: np.ndarray = field(repr=False)
+    values: np.ndarray
 
 
 def build_overlap_table(max_level: int, xi_grid: np.ndarray) -> OverlapTable:
@@ -386,4 +384,4 @@ def build_overlap_table(max_level: int, xi_grid: np.ndarray) -> OverlapTable:
         row -= psi[i] * lowered
         row /= gap[i][:, None]
     vals[np.arange(n), np.arange(n)] = _ladder(psi, xi)
-    return OverlapTable(xi_grid=xi, max_level=max_level, values=vals)
+    return OverlapTable(values=vals)

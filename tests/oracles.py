@@ -4,7 +4,8 @@ Everything here deliberately avoids the code paths it is used to check:
 extended-precision explicit sums via mpmath, plain dense and adaptive
 quadrature, seeded Monte Carlo areas, 64-step bisection (of rays and of
 the kinks between translates), a dense trapezoid rule for translate
-intersections on Newton ray solves, a cyclic-Jacobi eigensolver, finite
+intersections on Newton ray solves, the crossing-number indicator of a
+polygon, a cyclic-Jacobi eigensolver, finite
 differences, and the slower second routes
 of the library's problems (the oscillator function of one degree, the
 unnormalized Laguerre recurrence and the radial profiles built on it with a
@@ -14,7 +15,8 @@ Christoffel-Darboux kernel at a point pair and on a grid, the projection
 kernel between point sets, the angular Fourier transform of the kernel, the
 radial-Nystrom disk solver, the windowed quadrature of the disk sector Gram
 matrices, the lowest-level incomplete-gamma disk eigenvalues, the dense 2-D
-Nystrom kernel matrix, its angular factor with one complex exponential per
+Nystrom kernel matrix, its spectrum on a given polar rule, its angular
+factor with one complex exponential per
 sector and node, the trace moments of the 2-D Nystrom matrix without an
 eigensolve, the Monte Carlo cross term tr(P - P^2) that also
 reaches polygons, the per-degree normalized Hermite recurrence on numpy
@@ -43,7 +45,13 @@ from lle import geometry as ge
 from lle import identities as idn
 from lle import region_sim as rs
 from lle.coeffs import CLAMP
-from lle.errors import DomainError, LleError, NumericError, WindowError
+from lle.errors import (
+    CapabilityError,
+    DomainError,
+    LleError,
+    NumericError,
+    WindowError,
+)
 from lle.geometry import Region
 from lle.landau import LevelSelector, MagneticSetup, symplectic
 from lle.specfun import (
@@ -473,7 +481,7 @@ def overlap_table_panel(max_level: int, xi_grid: np.ndarray) -> OverlapTable:
     # cumulative from the right: lambda(x_i) = sum of segments beyond x_i
     cum = np.cumsum(segs[:, :, ::-1], axis=2)[:, :, ::-1]
     vals = cum[:, :, :xi.size]
-    return OverlapTable(xi_grid=xi, max_level=max_level, values=vals)
+    return OverlapTable(values=vals)
 
 
 @functools.lru_cache(maxsize=None)
@@ -872,6 +880,19 @@ def region_kernel_matrix(setup: MagneticSetup, selector: LevelSelector,
     return mat, pts, w
 
 
+def region_spectrum_at(setup: MagneticSetup, selector: LevelSelector,
+                       region: Region, L: float, resolution: tuple[int, int],
+                       cutoff: float = 1e-12):
+    """region_sim.region_spectrum on the given (n_radial, n_theta) polar
+    rule in place of its default_resolution."""
+    saved = rs.default_resolution
+    rs.default_resolution = lambda *args: tuple(resolution)
+    try:
+        return rs.region_spectrum(setup, selector, region, L, cutoff=cutoff)
+    finally:
+        rs.default_resolution = saved
+
+
 def angular_factor_direct(setup: MagneticSetup, selector: LevelSelector,
                           region: Region, L: float,
                           resolution: tuple[int, int],
@@ -899,10 +920,12 @@ def region_trace_moment(setup: MagneticSetup, selector: LevelSelector,
                         resolution: tuple[int, int] | None = None) -> float:
     """tr of the m-th power of the localized projection, no eigensolve.
 
-    m = 1 integrates the constant kernel diagonal over the polar rule; m >= 2
-    is tr G^m of the Gram G = A^H A of the angular factor (m = 2: its squared
-    Frobenius norm), window checked at the cutoff 1e-14, and
-    under region_spectrum's dimension guard, since the factor has dim rows.
+    m = 1 integrates the constant kernel diagonal over the polar rule, which
+    must fit the layout budget (leggauss builds an (n_radial, n_radial)
+    matrix); m >= 2 is tr G^m of the Gram G = A^H A of the angular factor
+    (m = 2: its squared Frobenius norm), window checked at the cutoff 1e-14,
+    and under region_spectrum's dimension guard, since the factor has dim
+    rows.
     """
     if m < 1:
         raise DomainError(f"moment order must be >= 1, got {m}")
@@ -910,6 +933,10 @@ def region_trace_moment(setup: MagneticSetup, selector: LevelSelector,
         raise DomainError(f"scale L must be finite and positive, got {L}")
     res = resolution or rs.default_resolution(setup, region, L)
     if m == 1:
+        size = max(res[0] * res[0], res[0] * res[1])
+        if size > ds._LAYOUT_BUDGET:
+            raise CapabilityError(f"polar rule {res[0]}x{res[1]} exceeds the "
+                                  f"layout budget ({size} > {ds._LAYOUT_BUDGET})")
         w = rs._polar_nodes(region, L, *res)[1]
         return float(np.sum(w) * (setup.b / (2.0 * math.pi) * selector.count))
     rs._guard_dim(*res)
@@ -920,6 +947,23 @@ def region_trace_moment(setup: MagneticSetup, selector: LevelSelector,
 # ---------------------------------------------------------------------------
 # seeded Monte Carlo areas: the oracle of geometry.intersect_translates_area
 # ---------------------------------------------------------------------------
+
+def contains(region: Region, pts) -> np.ndarray:
+    """Vectorized indicator of the closed region: geometry.contains on a
+    smooth region, the crossing-number test on a polygon."""
+    if not isinstance(region, ge.Polygon):
+        return ge.contains(region, pts)
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    v = region.vertex_array()
+    x, y = pts[:, 0], pts[:, 1]
+    inside = np.zeros(pts.shape[0], dtype=bool)
+    for (x1, y1), (x2, y2) in zip(v, np.roll(v, -1, axis=0)):
+        crosses = (y1 > y) != (y2 > y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xin = (x2 - x1) * (y - y1) / (y2 - y1) + x1
+        inside ^= crosses & (x < np.where(crosses, xin, np.inf))
+    return inside
+
 
 def mc_intersect_area(region, family,
                       n_samples: int = 10_000_000, seed: int = 0
@@ -945,10 +989,10 @@ def mc_intersect_area(region, family,
     while done < n_samples:
         m = min(chunk, n_samples - done)
         pts = lo + (hi - lo) * rng.random((m, 2))
-        in_base = ge.contains(region, pts)
+        in_base = contains(region, pts)
         in_all = in_base.copy()
         for s in shifts:
-            in_all &= ge.contains(region, pts - s)
+            in_all &= contains(region, pts - s)
         removed += int(np.count_nonzero(in_base & ~in_all))
         done += m
     p = removed / n_samples
@@ -999,10 +1043,10 @@ def mc_cross_hs_norm(setup: MagneticSetup, selector: LevelSelector,
     while count < n_samples:
         mcount = min(chunk, n_samples - count)
         x = lo + (hi - lo) * rng.random((mcount, 2))
-        inside = ge.contains(big, x)
+        inside = contains(big, x)
         g = rng.normal(0.0, 1.0 / math.sqrt(b), size=(mcount, 2))
         y = x + g
-        both = inside & ge.contains(big, y)
+        both = inside & contains(big, y)
         lag = selector_laguerre(selector, 0.5 * b * np.sum(g * g, axis=1))
         total += float(np.sum((lag ** 2)[both]))
         count += mcount

@@ -4,6 +4,7 @@ oracles or mpmath, and a library and CLI that neither import nor load
 scipy."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -87,6 +88,15 @@ print(lle.coeff_with_error(lle.LevelSelector.upto(2),
 def test_public_names_resolve():
     assert len(set(lle.__all__)) == len(lle.__all__)
     assert [name for name in lle.__all__ if not hasattr(lle, name)] == []
+
+
+def test_every_spectral_route_takes_the_same_arguments():
+    # (setup, selector, region, L, cutoff=): a route is swapped for another
+    # by name alone, as `lle spectrum --solver` does
+    def params(fn):
+        return [(p.name, p.kind, p.default)
+                for p in inspect.signature(fn).parameters.values()]
+    assert params(lle.region_spectrum) == params(lle.disk_spectrum)
 
 
 def _library_definitions():

@@ -370,7 +370,7 @@ def test_verify_refuses_an_unknown_suite_with_the_list_of_suites(capsys):
 
 
 def test_verify_failure_exits_1_with_dump(capsys, monkeypatch):
-    def failing(xi, tau, t, n_cap=200):
+    def failing(xi, tau, t):
         return (np.full(len(xi), 1.0), np.full(len(xi), 1e-9),
                 {"xi": np.full(len(xi), 0.25), "tau": np.full(len(xi), -1.5)})
     monkeypatch.setattr(idn, "_batch_mehler", failing)
@@ -698,6 +698,24 @@ def test_unwritable_output_path_exits_2(capsys, tmp_path, name, flag, target):
     assert code == 2 and out == ""
     assert err.startswith(f"usage error: cannot write {path}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad", ["--out", "--csv"])
+@pytest.mark.parametrize("existing", [False, True])
+def test_scaling_writes_neither_file_if_one_cannot_be_written(
+        capsys, tmp_path, bad, existing):
+    # both paths are checked before the first write, in either order: a
+    # refused path leaves no half of the output, and an existing file its bytes
+    good, missing = tmp_path / "good.txt", tmp_path / "missing" / "out.txt"
+    if existing:
+        good.write_bytes(b"L,value\n1,2\n")
+    other = "--csv" if bad == "--out" else "--out"
+    code, out, err = run_cli(capsys, *_REQUESTS["scaling"], bad, str(missing),
+                             other, str(good))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage error: cannot write {missing}: ")
+    assert not missing.exists() and not missing.parent.exists()
+    assert good.read_bytes() == b"L,value\n1,2\n" if existing else not good.exists()
 
 
 def _fresh_cli(argv):

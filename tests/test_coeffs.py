@@ -882,7 +882,7 @@ def test_gram_eigen_field_aborts_on_broken_table(monkeypatch):
         n = max_level + 1
         vals = np.zeros((n, n, len(xi_grid)))
         vals[range(n), range(n)] = 1.0 + 1e-8
-        return sf.OverlapTable(xi_grid=xi_grid, max_level=max_level, values=vals)
+        return sf.OverlapTable(values=vals)
 
     monkeypatch.setattr(cf, "occupations", broken_occupations)
     monkeypatch.setattr(cf, "build_overlap_table", broken_table)

@@ -147,6 +147,41 @@ def test_star_grid_profile_equals_direct_evaluation(coeffs):
     assert rs._radial_profile_max(star) == float(np.max(r))
 
 
+def test_star_coarse_grid_is_every_second_angle_of_the_profile():
+    # the 2048-angle sums of area and perimeter read _grid_profile[:, ::2],
+    # which equals the direct evaluation on that grid bitwise
+    rng = np.random.default_rng(39)
+    for n in rng.integers(0, 13, 40):
+        coeffs = (1.0, *(rng.uniform(-0.4, 0.4, 2 * n) / (1.0 + np.arange(2 * n))))
+        try:
+            star = ge.SmoothStar(coeffs)
+        except DomainError:  # a profile that dips to zero
+            continue
+        grid = np.linspace(0.0, 2.0 * math.pi, 2048, endpoint=False)
+        want = np.array(star.radius(grid, (0, 1)))
+        assert np.asarray(star._grid_profile)[:, ::2].tobytes() == want.tobytes()
+
+
+def test_star_measures_evaluate_the_profile_once(monkeypatch):
+    calls = []
+    radius = ge.SmoothStar.radius
+
+    def counting(self, theta, order=0):
+        calls.append(np.size(theta))
+        return radius(self, theta, order)
+    monkeypatch.setattr(ge.SmoothStar, "radius", counting)
+    star = ge.SmoothStar((1.0, 0.05, -0.03, 0.0, 0.02, 0.01))
+    ge.area(star), ge.perimeter(star), ge.area(star)
+    assert calls == [4096]
+
+
+def test_contains_refuses_a_polygon():
+    with pytest.raises(CapabilityError):
+        ge.contains(SQUARE, [[0.5, 0.5]])
+    assert oracles.contains(SQUARE, [[0.5, 0.5], [1.5, 0.5]]).tolist() \
+        == [True, False]
+
+
 def test_star_curvature_matches_finite_differences():
     for th0 in (0.0, 0.77, 2.3, 4.9):
         p = lambda t: STAR.radius(t) * np.array([math.cos(t), math.sin(t)])

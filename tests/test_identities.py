@@ -491,9 +491,10 @@ def test_suites_deterministic():
     assert a == b
 
 
-def test_mehler_convergence_error_path():
+def test_mehler_convergence_error_path(monkeypatch):
+    monkeypatch.setattr(idn, "MEHLER_TERMS", 5)
     with pytest.raises(NumericError):
-        oracles.one_row(idn._batch_mehler, 3.0, 3.0, 0.8, n_cap=5)
+        oracles.one_row(idn._batch_mehler, 3.0, 3.0, 0.8)
 
 
 # suite -> (its batched evaluator, the relative tolerance factor of its
@@ -662,7 +663,7 @@ def test_suites_reject_bad_case_counts_and_seeds(kwargs):
         idn.run_all_suites(**kwargs)
 
 
-def test_batched_rows_outside_the_domain_name_their_inputs():
+def test_batched_rows_outside_the_domain_name_their_inputs(monkeypatch):
     with pytest.raises(DomainError, match="1e\\+200"):
         idn._batch_christoffel_darboux(np.array([3, 20]), np.array([0.1, 1e200]),
                                        np.array([0.2, 2.0]))
@@ -670,6 +671,7 @@ def test_batched_rows_outside_the_domain_name_their_inputs():
         idn._batch_mehler(np.array([0.5, 400.0]), np.array([0.1, 400.0]),
                           np.array([0.2, 0.5]))
     # the first row converges within 20 terms, the second does not
+    monkeypatch.setattr(idn, "MEHLER_TERMS", 20)
     with pytest.raises(NumericError, match="xi=3.0"):
         idn._batch_mehler(np.array([0.0, 3.0]), np.array([0.0, 3.0]),
-                          np.array([0.0, 0.8]), n_cap=20)
+                          np.array([0.0, 0.8]))

@@ -78,7 +78,7 @@ def test_trace_identity_unit_area_star():
 
 def test_cross_solver_agreement_small():
     sel = LevelSelector.upto(1)
-    nys = rs.region_spectrum(SETUP, sel, DISK, 3.0, resolution=(32, 56))
+    nys = oracles.region_spectrum_at(SETUP, sel, DISK, 3.0, (32, 56))
     sector = ds.disk_spectrum(SETUP, sel, DISK, 3.0)
     a = nys.eigenvalues[nys.eigenvalues > 1e-6]
     b = sector.eigenvalues[sector.eigenvalues > 1e-6]
@@ -107,8 +107,8 @@ def test_region_spectrum_on_the_second_profile_route(sel, monkeypatch):
 def test_resolution_convergence():
     # doubling the resolution moves eigenvalues above 1e-4 by < 1e-5
     sel = LevelSelector.single(0)
-    lo = rs.region_spectrum(SETUP, sel, DISK, 2.5, resolution=(26, 36))
-    hi = rs.region_spectrum(SETUP, sel, DISK, 2.5, resolution=(52, 72))
+    lo = oracles.region_spectrum_at(SETUP, sel, DISK, 2.5, (26, 36))
+    hi = oracles.region_spectrum_at(SETUP, sel, DISK, 2.5, (52, 72))
     a = lo.eigenvalues[lo.eigenvalues > 1e-4]
     b = hi.eigenvalues[hi.eigenvalues > 1e-4]
     n = min(a.size, b.size)
@@ -156,6 +156,29 @@ def test_trace_moment_first_order_polar_rule_budget(L, resolution, monkeypatch):
                                     resolution=resolution)
 
 
+def test_default_rule_fits_the_layout_budget_wherever_the_guard_passes():
+    # the rule depends on B, the region and L only through sqrt(B) L max r:
+    # wherever dim = n_radial n_theta passes the guard, n_radial <= n_theta,
+    # so leggauss's (n_radial, n_radial) matrix is no larger than dim and the
+    # layout budget is out of region_spectrum's reach
+    scales = np.concatenate([np.geomspace(1e-12, 1e4, 8000),
+                             np.linspace(0.0, 60.0, 2001)[1:]])
+    rules = np.array([rs.default_resolution(SETUP, DISK, float(L))
+                      for L in scales])
+    guarded = rules[:, 0] * rules[:, 1] <= rs._DIM_GUARD
+    assert 1000 < guarded.sum() < scales.size
+    assert np.all(rules[guarded, 0] <= rules[guarded, 1])
+    assert rs._DIM_GUARD < ds._LAYOUT_BUDGET
+
+
+def test_region_spectrum_refuses_a_large_scale_before_the_rule(monkeypatch):
+    def built(*args):
+        raise AssertionError("Gauss-Legendre rule built past the guard")
+    monkeypatch.setattr(rs, "gauss_legendre", built)
+    with pytest.raises(CapabilityError, match="guard"):
+        rs.region_spectrum(SETUP, LevelSelector.upto(0), DISK, 1e7)
+
+
 def test_polygon_not_supported():
     square = ge.Polygon(((0, 0), (1, 0), (1, 1), (0, 1)))
     with pytest.raises(CapabilityError):
@@ -166,7 +189,7 @@ def test_hs_cross_term_matches_moment_prediction():
     # sum mu(1-mu) = tr P - tr P^2 against the boundary-coefficient law
     sel = LevelSelector.single(0)
     L = 4.0
-    spec = rs.region_spectrum(SETUP, sel, DISK, L, resolution=(32, 64))
+    spec = oracles.region_spectrum_at(SETUP, sel, DISK, L, (32, 64))
     mu = spec.eigenvalues
     hs = float(np.sum(mu * (1 - mu)))
     [(j2, _)] = cf.coeff_with_error(LevelSelector.single(0),
@@ -180,7 +203,7 @@ def test_trace_moment_m3_matches_eigensolve():
     res = (28, 48)
     tr3 = oracles.region_trace_moment(SETUP, sel, DISK, 2.5, 3,
                                       resolution=res)
-    spec = rs.region_spectrum(SETUP, sel, DISK, 2.5, resolution=res)
+    spec = oracles.region_spectrum_at(SETUP, sel, DISK, 2.5, res)
     assert tr3 == pytest.approx(float(np.sum(spec.eigenvalues ** 3)), abs=1e-8)
 
 
@@ -217,7 +240,7 @@ def test_angular_factor_reproduces_dense_kernel_matrix(case):
 @pytest.mark.parametrize("case", FACTOR_CASES, ids=lambda c: f"{c[0]}-{c[1]}")
 def test_region_spectrum_matches_dense_eigensolve(case):
     reg, selector = _factor_case(*case)
-    spec = rs.region_spectrum(SETUP, selector, reg, case[2], resolution=case[3])
+    spec = oracles.region_spectrum_at(SETUP, selector, reg, case[2], case[3])
     dense = np.linalg.eigvalsh(_dense_oracle(*case))[::-1]
     keep = dense[dense >= spec.cutoff]
     assert spec.solver == f"nystrom2d/{case[3][0]}x{case[3][1]}"
@@ -260,8 +283,8 @@ def test_angular_factor_window_error():
     # the top sector holds a tiny but nonzero mass; a cutoff below it is
     # not exhausted by the window
     with pytest.raises(WindowError):
-        rs.region_spectrum(SETUP, LevelSelector.upto(1), DISK, 2.0,
-                           resolution=(26, 36), cutoff=1e-300)
+        oracles.region_spectrum_at(SETUP, LevelSelector.upto(1), DISK, 2.0,
+                                   (26, 36), cutoff=1e-300)
 
 
 @pytest.mark.parametrize("cutoff", [0.0, -1.0, math.nan, math.inf])
