@@ -184,7 +184,7 @@ def _star_measures(star: SmoothStar) -> tuple[float, float]:
         w = 2.0 * math.pi / r.size
         return (0.5 * float(np.sum(r * r)) * w,
                 float(np.sum(np.sqrt(r * r + rp * rp))) * w)
-    # the coarse sums read every second angle of the fine grid
+    # every second angle of the 4096-angle grid is the 2048-angle grid, bitwise
     a1, p1 = measures(*(arr[::2] for arr in star._grid_profile))
     a2, p2 = measures(*star._grid_profile)
     err = max(abs(a1 - a2), abs(p1 - p2))

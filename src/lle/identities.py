@@ -393,8 +393,8 @@ def _batch_mehler(xi, tau, t):
 
     Partial sums run in the normalized-Hermite basis (term_l = htilde_l(xi)
     htilde_l(tau) t^l); a row stops after six successive terms past l = 8
-    below 1e-13 max(1, |partial sum|), and a row still running at
-    MEHLER_TERMS terms raises NumericError. Tolerance 1e-9 max(1, |closed form|) plus
+    below 1e-13 max(1, |partial sum|), and a row still running at MEHLER_TERMS
+    terms raises NumericError. Tolerance 1e-9 max(1, |closed form|) plus
     1e-15 times the sum of |terms|. Needs |t| < 1; non-finite inputs, and
     inputs whose closed form overflows a double, raise DomainError.
     """

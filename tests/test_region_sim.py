@@ -147,7 +147,8 @@ def test_trace_moment_first_order_not_guarded():
 
 @pytest.mark.parametrize("L, resolution", [(1e7, None), (1.0, (10**6, 1))])
 def test_trace_moment_first_order_polar_rule_budget(L, resolution, monkeypatch):
-    # leggauss would build an (n_radial, n_radial) matrix: refused before it
+    # leggauss would build an (n_radial, n_radial) matrix: the oracle's m = 1
+    # branch, which skips the dimension guard, refuses it first
     def built(*args):
         raise AssertionError("Gauss-Legendre rule built past the budget")
     monkeypatch.setattr(rs, "gauss_legendre", built)
